@@ -11,7 +11,6 @@ log nobody reads.
 Gated metrics::
 
     ingest_serial_mb_per_s        serial ingest throughput  (higher)
-    columnar_ingest_speedup_x     v2 vs text ingest rate    (higher)
     report_cold_ms                cold report-suite latency (lower)
     report_warm_ms                warm (memoized) latency   (lower)
     telemetry_overhead_pct        telemetry on-vs-off cost  (lower)
@@ -78,16 +77,6 @@ METRICS = {
         re.compile(r"^serial pass:.*?([\d.]+) MB/s raw", re.MULTILINE),
         "higher",
         0.0,
-    ),
-    # The archive-v2 contract: zero-copy columnar ingest must beat the
-    # text parser by at least 5x in raw-bytes MB/s on the same corpus
-    # with a byte-identical warehouse (the floor is the acceptance
-    # criterion — see docs/PERFORMANCE.md "Columnar archive v2").
-    "columnar_ingest_speedup_x": (
-        "columnar_ingest.txt",
-        re.compile(r"^columnar speedup: ([\d.]+)x", re.MULTILINE),
-        "higher",
-        5.0,
     ),
     "report_cold_ms": (
         "report_latency.txt",

@@ -1,17 +1,16 @@
-"""Columnar fast path: HostScan straight from v2 column chunks.
+"""The ingest scan: one host's decoded day files to a :class:`HostScan`.
 
-The generic ingest path materializes a :class:`HostData` — per-block
-``{type: {device: vector}}`` dicts — and lets :func:`host_job_partials`
-iterate them.  For v2 archives that round trip through Python dicts is
-the bottleneck: building ~5k row dicts per host-day costs more than
-mapping the file did.  This module computes the same
-:class:`~repro.ingest.parallel.HostScan` (matcher views + per-job metric
-partials) directly from the mapped column arrays, without ever building
-row dicts.
+Every archived host-day — text, gzip or v2 — decodes to the same
+:class:`~repro.tacc_stats.types.HostColumns`
+(:meth:`HostArchive.read_host_days` also applies the per-file error
+policy).  This module merges a host's kept days into one
+:class:`ColumnarHost` and reduces it to the matcher views and per-job
+metric partials the pipeline loads, without ever building per-row
+dicts.
 
-Float-for-float parity with the dict path is a hard requirement (the
-warehouse must be byte-identical), so every reduction here replicates
-the generic code's *exact* arithmetic:
+The reductions keep the arithmetic of the dict reducers in
+:mod:`repro.ingest.summarize` / :mod:`repro.ingest.matcher` (the
+reference the tests compare this module against), float for float:
 
 * counter deltas (:func:`event_delta`) are integer math — order-free, so
   they vectorize freely;
@@ -21,18 +20,9 @@ the generic code's *exact* arithmetic:
   to summing each row separately);
 * PMC-foreignness is a boolean — ``np.isin`` replaces the triple loop.
 
-Anything the columns cannot express in the common shape (device sets
-changing mid-job, counter values out of range) falls back to a small
-dict built for just the blocks involved, running the generic inner
-loop — so the odd host is slower, never wrong.  ``tests`` assert
-partial-level equality against the dict path on simulated corpora, and
-the columnar bench + CI assert warehouse byte-identity end to end.
-
-Multi-day merge semantics mirror :meth:`HostArchive.read_host_checked`
-exactly (empty-file skip, hostname-mismatch and schema-drift
-quarantine); hosts whose day files are not all v2, or whose merged
-stream violates the concatenation invariants, are handed back to the
-generic path (``None`` from :func:`scan_v2_host`).
+Shapes the vectorized forms cannot express (device sets changing
+mid-job, a type missing from some block) take a per-block loop inside
+the same function — slower for the odd host, never different.
 """
 
 from __future__ import annotations
@@ -44,19 +34,31 @@ import numpy as np
 from repro.errors import ErrorPolicy, QuarantinedRecord
 from repro.ingest.matcher import HostJobView
 from repro.ingest.summarize import HostJobPartial
+from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
 from repro.tacc_stats.collectors.intel_pmc import (
     FP_OVERCOUNT,
     INTEL_EVENT_CODES,
 )
-from repro.tacc_stats.columnar import V2HostDay, is_v2_path, read_host_day
-from repro.tacc_stats.parser import ParseError, event_delta
+from repro.tacc_stats.parser import event_delta
 from repro.tacc_stats.schema import TypeSchema
-from repro.tacc_stats.types import Mark
-from repro.telemetry.trace import span
+from repro.tacc_stats.types import HostColumns, Mark, mark_window
 from repro.util.units import GB, KB
 
-__all__ = ["ColumnarHost", "build_columnar_host", "scan_v2_host"]
+__all__ = ["ColumnarHost", "HostScan", "build_columnar_host", "scan_host"]
+
+
+@dataclass(frozen=True)
+class HostScan:
+    """Everything downstream ingest needs from one host's stream.
+
+    ``views`` feed the accounting matcher; ``partials`` (keyed by jobid)
+    feed the per-job merge.  Both are small and picklable.
+    """
+
+    hostname: str
+    views: tuple[HostJobView, ...]
+    partials: dict[str, HostJobPartial]
 
 
 @dataclass
@@ -64,7 +66,6 @@ class _TypeCols:
     """One record type's merged columns across a host's day files."""
 
     schema: TypeSchema
-    devices: list[str]
     dev_map: dict[str, int]
     dev_idx: np.ndarray   # i8[Rt] unified device index per row
     values: np.ndarray    # u8[Rt, K] value matrix
@@ -72,107 +73,88 @@ class _TypeCols:
 
 
 class ColumnarHost:
-    """A host's merged day files as columns — the fast path's HostData."""
+    """A host's merged day files as columns."""
 
     def __init__(self, hostname: str):
         self.hostname = hostname
-        self.schemas: dict[str, TypeSchema] = {}
         self.times: list[float] = []
         self.jobids: list[tuple[str, ...]] = []
         self.marks: list[Mark] = []
         self.types: dict[str, _TypeCols] = {}
 
-    def job_window(self, jobid: str) -> tuple[float, float] | None:
-        """(begin, end) mark times — :meth:`HostData.job_window`."""
-        begin = end = None
-        for m in self.marks:
-            if m.jobid != jobid:
-                continue
-            if m.kind == "begin" and begin is None:
-                begin = m.time
-            elif m.kind == "end":
-                end = m.time
-        if begin is None or end is None:
-            return None
-        return (begin, end)
-
 
 def build_columnar_host(hostname: str,
-                        days: list[V2HostDay]) -> ColumnarHost | None:
+                        days: list[HostColumns]) -> ColumnarHost:
     """Merge one host's decoded day files into a :class:`ColumnarHost`.
 
-    The caller (:func:`scan_v2_host`) has already checked schema drift
-    and hostname consistency across *days*.  Returns ``None`` when the
-    merged stream violates the concatenation invariants (non-monotonic
-    block times across files) — the generic sort-based merge path
-    handles that case.
+    The caller has already applied the per-file policy
+    (:meth:`HostArchive.read_host_days`), so *days* agree on hostname
+    and schemas.  Days are concatenated in file order; when files
+    overlap in time the merged blocks, marks and each type's rows are
+    put in time order by a stable sort, as :meth:`HostData.merge_from`
+    does.  A single day is taken as it is.
     """
     ch = ColumnarHost(hostname)
+    schemas: dict[str, TypeSchema] = {}
     for day in days:
         for t in day.types:
-            ch.schemas.setdefault(t.name, t.schema)
+            schemas.setdefault(t.name, t.schema)
 
-    per_type: dict[str, list] = {name: [] for name in ch.schemas}
+    per_type: dict[str, list] = {name: [] for name in schemas}
     n_blocks = 0
     for day in days:
         times = day.times.tolist()
-        if ch.times and times and times[0] < ch.times[-1]:
-            return None  # cross-file overlap: generic merge sorts, we don't
-        tag_tuples = [
-            () if tag == "-" else tuple(tag.split(","))
-            for tag in day.header["jobid_tags"]
-        ]
         ch.times.extend(times)
-        ch.jobids.extend(tag_tuples[g] for g in day.tags.tolist())
+        ch.jobids.extend(day.block_jobids())
         ch.marks.extend(
             Mark(time=times[b], kind=kind, jobid=jobid)
-            for b, kind, jobid in day.header["marks"]
+            for b, kind, jobid in day.marks
         )
-        row_type = day.row_type
-        row_block = day.row_block
-        for ti, tc in enumerate(day.types):
-            if tc.values.shape[0] == 0:
-                continue
-            mask = row_type == ti
-            per_type[tc.name].append(
-                (n_blocks, tc, row_block[mask].astype(np.int64)))
+        for tc in day.types:
+            if tc.values.shape[0]:
+                per_type[tc.name].append((n_blocks, tc))
         n_blocks += len(times)
-    # merge_from sorts marks by time (stable); per-day lists are already
-    # time-ordered, so a stable sort of the concatenation matches it.
-    ch.marks.sort(key=lambda m: m.time)
 
-    for name, schema in ch.schemas.items():
-        devices: list[str] = []
+    #: new block index of each concatenated block, when files overlap.
+    moved: np.ndarray | None = None
+    if len(days) > 1:
+        order = np.argsort(np.asarray(ch.times), kind="stable")
+        if (order[1:] < order[:-1]).any():
+            ch.times = [ch.times[i] for i in order]
+            ch.jobids = [ch.jobids[i] for i in order]
+            ch.marks.sort(key=lambda m: m.time)
+            moved = np.empty(n_blocks, dtype=np.int64)
+            moved[order] = np.arange(n_blocks)
+
+    for name, schema in schemas.items():
         dev_map: dict[str, int] = {}
-        dev_parts, val_parts, blk_parts = [], [], []
-        for block_off, tc, rb in per_type[name]:
-            remap = np.empty(len(tc.devices), dtype=np.int64)
-            for i, dev in enumerate(tc.devices):
-                di = dev_map.get(dev)
-                if di is None:
-                    di = dev_map[dev] = len(devices)
-                    devices.append(dev)
-                remap[i] = di
+        dev_parts = [np.empty(0, dtype=np.int64)]
+        val_parts = [np.empty((0, schema.n_values), dtype=np.uint64)]
+        blk_parts = [np.empty(0, dtype=np.int64)]
+        for block_off, tc in per_type[name]:
+            remap = np.array([dev_map.setdefault(dev, len(dev_map))
+                              for dev in tc.devices], dtype=np.int64)
             dev_parts.append(remap[tc.dev_idx])
             val_parts.append(tc.values)
-            blk_parts.append(rb + block_off)
-        if dev_parts:
-            dev_idx = np.concatenate(dev_parts)
-            values = np.vstack(val_parts)
-            block_of = np.concatenate(blk_parts)
-        else:
-            dev_idx = np.empty(0, dtype=np.int64)
-            values = np.empty((0, schema.n_values), dtype=np.uint64)
-            block_of = np.empty(0, dtype=np.int64)
+            blk_parts.append(tc.block_idx.astype(np.int64) + block_off)
+        dev_idx = np.concatenate(dev_parts)
+        values = np.vstack(val_parts)
+        block_of = np.concatenate(blk_parts)
+        if moved is not None:
+            block_of = moved[block_of]
+            rows = np.argsort(block_of, kind="stable")
+            dev_idx, values, block_of = (dev_idx[rows], values[rows],
+                                         block_of[rows])
         seg = np.searchsorted(block_of, np.arange(n_blocks + 1))
         ch.types[name] = _TypeCols(
-            schema=schema, devices=devices, dev_map=dev_map,
-            dev_idx=dev_idx, values=values, seg=seg)
+            schema=schema, dev_map=dev_map, dev_idx=dev_idx,
+            values=values, seg=seg)
     return ch
 
 
 # ---------------------------------------------------------------------------
-# Metric reductions (parity-exact counterparts of summarize._*).
+# Metric reductions (parity-exact counterparts of summarize._*, the
+# reference).
 # ---------------------------------------------------------------------------
 
 
@@ -273,7 +255,7 @@ def _chained_delta_rate(ch: ColumnarHost, bidx, type_name: str, key: str,
             # to make overflow impossible rather than unlikely.
             total = int(np.sum(deltas, dtype=object))
             return total * scale / seconds
-    # Fallback: generic inner loop over per-block dicts (rare shapes).
+    # Rare shapes: per-block device dicts, interval by interval.
     total = 0
     prev = None
     for b in bidx.tolist():
@@ -364,12 +346,12 @@ def _pmc_is_foreign(ch: ColumnarHost, bidx) -> bool:
 
 def _flops_rate(ch: ColumnarHost, bidx, seconds: float) -> float | None:
     """Columnar :func:`summarize._flops_rate`."""
-    if "amd64_pmc" in ch.schemas:
+    if "amd64_pmc" in ch.types:
         rate = _delta_rate(ch, bidx, "amd64_pmc", "ctr0", 1.0, seconds)
         if rate is None:
             return None
         return rate / 1e9
-    if "intel_pmc" in ch.schemas:
+    if "intel_pmc" in ch.types:
         rate = _delta_rate(ch, bidx, "intel_pmc", "ctr0", 1.0, seconds)
         if rate is None:
             return None
@@ -449,7 +431,7 @@ def _host_partial(ch: ColumnarHost, jobid: str,
 
 
 # ---------------------------------------------------------------------------
-# Scan assembly (views + partials), mirroring scan_host_data.
+# Scan assembly (views + partials).
 # ---------------------------------------------------------------------------
 
 
@@ -471,7 +453,7 @@ def columnar_views(ch: ColumnarHost) -> dict[str, HostJobView]:
         out[jid] = HostJobView(
             hostname=ch.hostname,
             jobid=jid,
-            mark_window=ch.job_window(jid),
+            mark_window=mark_window(ch.marks, jid),
             block_span=span,
         )
     return out
@@ -492,109 +474,29 @@ def columnar_partials(ch: ColumnarHost) -> dict[str, HostJobPartial]:
     return out
 
 
-def scan_v2_host(archive, hostname: str,
-                 allow_truncated: bool = False,
-                 policy: str = ErrorPolicy.STRICT,
-                 days=None,
-                 ) -> tuple["object", tuple[QuarantinedRecord, ...],
-                            str] | None:
-    """Scan one host's v2 day files without ever building HostData.
+def scan_host(archive: HostArchive, hostname: str,
+              allow_truncated: bool = False,
+              policy: str = ErrorPolicy.STRICT,
+              days=None,
+              ) -> tuple[HostScan | None, tuple[QuarantinedRecord, ...],
+                         str]:
+    """Read and scan one host: ``(HostScan | None, records, status)``.
 
-    The columnar equivalent of ``read_host_checked`` + ``scan_host_data``:
-    the same per-file outcomes (unreadable / empty / hostname-mismatch /
-    schema-drift quarantine, identical record kinds and error strings),
-    the same strict-mode exceptions (:class:`V2FormatError` for a corrupt
-    file, ``ValueError`` for merge conflicts, ``FileNotFoundError`` for
-    an unknown host), and a byte-identical warehouse downstream.
-
-    Returns ``(HostScan | None, records, status)``, or ``None`` when the
-    host needs the generic path — any non-v2 file in the mix, or a
-    cross-file ordering the concatenation invariants cannot express
-    (the generic merge sorts; this path does not).
-
-    *allow_truncated* is accepted for signature parity; a truncated v2
-    file is detected by its missing footer and handled by the policy
-    like any other corruption.
+    :meth:`HostArchive.read_host_days` decodes the host's files (any
+    mix of text, gzip and v2) and applies the error policy — under
+    ``strict`` it raises for malformed data, otherwise the quarantine
+    *records* say what was set aside; the scan is ``None`` when the
+    host was dropped.  The kept days are merged and reduced here.
     """
-    del allow_truncated  # v2 truncation == corruption; policy handles it
-    from repro.ingest.parallel import HostScan
-
-    files = archive.host_files(hostname, days=days)
-    if not files:
-        raise FileNotFoundError(f"no archived files for {hostname}")
-    if not all(is_v2_path(p) for p in files):
-        return None
-
-    policy = ErrorPolicy(policy)
-    records: list[QuarantinedRecord] = []
-    kept: list[V2HostDay] = []
-    schemas: dict[str, TypeSchema] = {}
-    base_hostname: str | None = None
-    with span("ingest.parse", host=hostname):
-        for path in files:
-            if policy is ErrorPolicy.STRICT:
-                day = read_host_day(path)  # V2FormatError propagates
-            else:
-                try:
-                    day = read_host_day(path)
-                except (ParseError, OSError, UnicodeDecodeError) as e:
-                    records.append(QuarantinedRecord(
-                        hostname=hostname, path=str(path), lineno=None,
-                        kind="unreadable_file",
-                        error=f"{type(e).__name__}: {e}",
-                    ))
-                    continue
-            name = day.hostname
-            if not name:
-                continue  # fully empty file (node down all day)
-            if policy is ErrorPolicy.STRICT:
-                # read_host merges onto the first non-empty file's
-                # claimed hostname and raises on a later mismatch.
-                if base_hostname is None:
-                    base_hostname = name
-                elif name != base_hostname:
-                    raise ValueError(
-                        f"cannot merge {name} into {base_hostname}")
-            elif name != hostname:
-                records.append(QuarantinedRecord(
-                    hostname=hostname, path=str(path), lineno=None,
-                    kind="hostname_mismatch",
-                    error=f"file claims hostname {name!r}",
-                ))
-                continue
-            scan_hostname = (base_hostname
-                             if base_hostname is not None else hostname)
-            drift = None
-            for t in day.types:
-                prev = schemas.get(t.name)
-                if prev is not None and prev != t.schema:
-                    drift = t.name
-                    break
-            if drift is not None:
-                if policy is ErrorPolicy.STRICT:
-                    raise ValueError(
-                        f"schema drift for type {drift} on {scan_hostname}")
-                records.append(QuarantinedRecord(
-                    hostname=hostname, path=str(path), lineno=None,
-                    kind="unmergeable_file",
-                    error=f"schema drift for type {drift} "
-                          f"on {scan_hostname}",
-                ))
-                continue
-            for t in day.types:
-                schemas.setdefault(t.name, t.schema)
-            kept.append(day)
-
-    scan_hostname = base_hostname if base_hostname is not None else hostname
-    ch = build_columnar_host(scan_hostname, kept)
-    if ch is None:
-        return None  # concatenation invariant broken: generic path
-
-    if policy is ErrorPolicy.QUARANTINE and records:
-        return (None, tuple(records), "dropped")
+    kept, records, status = archive.read_host_days(
+        hostname, allow_truncated=allow_truncated, policy=policy,
+        days=days)
+    if status == "dropped":
+        return None, records, status
+    ch = build_columnar_host(hostname, kept)
     scan = HostScan(
-        hostname=ch.hostname,
+        hostname=hostname,
         views=tuple(columnar_views(ch).values()),
         partials=columnar_partials(ch),
     )
-    return (scan, tuple(records), "degraded" if records else "ok")
+    return scan, records, status

@@ -10,11 +10,13 @@ interval of 10 minutes", §4.1).
 
 Matching itself never needs parsed sample matrices — only each host's
 per-job time windows.  :class:`HostJobView` captures exactly that, so the
-parallel ingest engine can match from the tiny views worker processes
-ship back instead of whole :class:`HostData` objects.
-:func:`match_jobs` remains the convenience entry point for callers that
-do hold host data, and is implemented on top of the view path so both
-produce identical decisions.
+ingest engine matches from the tiny views its host scans
+(:mod:`repro.ingest.columnar_scan`) ship back, with
+:func:`match_job_views`.
+
+:func:`host_job_views` and :func:`match_jobs` compute the same views and
+decisions from :class:`HostData`.  No ingest path calls them: they are
+the reference the tests compare the column scan against.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Parallel host-scan fan-out for the ingest engine.
 
-Parsing dominates ingest cost (>90 % of wall time profiles to the text
-parser), and host files are independent, so the natural unit of
-parallelism is one *host*: a worker process reads and parses the host's
-archived files itself (only the archive root and hostname cross the
-process boundary going in) and ships back a :class:`HostScan` — the
-host's per-job matcher views plus per-job metric partials.  Scans are a
-few KB regardless of file size, so the expensive parsed
-:class:`~repro.tacc_stats.types.HostData` never gets pickled.
+Decoding host files dominates ingest cost, and host files are
+independent, so the natural unit of parallelism is one *host*: a worker
+process reads and scans the host's archived files itself (only the
+archive root and hostname cross the process boundary going in) and
+ships back a :class:`HostScan` — the host's per-job matcher views plus
+per-job metric partials.  Scans are a few KB regardless of file size,
+so the decoded column arrays never get pickled.
 
 Determinism: hosts are scanned in sorted hostname order; the parallel
 path buffers its per-host results and replays them in that same order,
@@ -17,7 +16,7 @@ so the coordinator observes the exact sequence the serial path produces
 Fault tolerance: the fan-out survives the failure modes a facility-scale
 ingest actually hits.  Malformed host data is handled by the
 :class:`~repro.errors.ErrorPolicy` threaded into each worker (see
-:meth:`HostArchive.read_host_checked`), while *transient* worker death
+:meth:`HostArchive.read_host_days`), while *transient* worker death
 (an OOM-killed child takes the whole pool down as
 ``BrokenProcessPool``) and per-round timeouts are retried with
 exponential backoff.  Because a broken pool cannot name the culprit,
@@ -41,8 +40,9 @@ from repro.errors import (
     IngestHealth,
     QuarantinedRecord,
 )
-from repro.ingest.matcher import HostJobView, host_job_views
-from repro.ingest.summarize import HostJobPartial, host_job_partials
+from repro.ingest.columnar_scan import HostScan, scan_host
+from repro.ingest.matcher import host_job_views
+from repro.ingest.summarize import host_job_partials
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.types import HostData
 from repro.telemetry.log import get_logger
@@ -64,26 +64,13 @@ _log = get_logger("ingest.parallel")
 
 
 @dataclass(frozen=True)
-class HostScan:
-    """Everything downstream ingest needs from one host's stream.
-
-    ``views`` feed the accounting matcher; ``partials`` (keyed by jobid)
-    feed the per-job merge.  Both are small and picklable.
-    """
-
-    hostname: str
-    views: tuple[HostJobView, ...]
-    partials: dict[str, HostJobPartial]
-
-
-@dataclass(frozen=True)
 class HostScanResult:
     """One worker's structured outcome for one host.
 
     ``scan`` is ``None`` when the host was dropped (quarantine policy or
     unsalvageable data); ``records`` carries the quarantine provenance
     and ``status`` is ``"ok"`` / ``"degraded"`` / ``"dropped"`` as in
-    :class:`~repro.tacc_stats.archive.HostReadResult`.  ``metrics`` is
+    :meth:`HostArchive.read_host_days`.  ``metrics`` is
     the worker-local telemetry snapshot for this host's scan (parse
     counters, scan timing); the coordinator folds it into the ambient
     registry so fan-out runs report the same totals as serial ones.
@@ -97,7 +84,9 @@ class HostScanResult:
 
 
 def scan_host_data(host: HostData) -> HostScan:
-    """The map step for one already-parsed host."""
+    """The dict-reducer scan of one :class:`HostData` — the reference
+    the tests compare :func:`~repro.ingest.columnar_scan.scan_host`
+    against; no ingest path calls it."""
     return HostScan(
         hostname=host.hostname,
         views=tuple(host_job_views(host).values()),
@@ -110,10 +99,10 @@ def _scan_host_checked(archive: HostArchive, hostname: str,
                        days: tuple[str, ...] | None = None) -> HostScanResult:
     """Read + scan one host inside a private metrics registry.
 
-    Both the serial fast path and the pool worker route through this
-    helper, so each host's parse counters and scan timing accumulate in
-    a fresh local registry whose snapshot rides the result back to the
-    coordinator.  That shared construction is what makes serial and
+    Both the serial in-process loop and the pool worker route through
+    this helper, so each host's parse counters and scan timing
+    accumulate in a fresh local registry whose snapshot rides the result
+    back to the coordinator.  That shared construction is what makes serial and
     parallel runs merge to identical metric totals.
     """
     local = MetricsRegistry()
@@ -121,25 +110,11 @@ def _scan_host_checked(archive: HostArchive, hostname: str,
     # opened here must not pile up in a long-lived ambient tree — and
     # keeping the serial path identical means serial and parallel runs
     # produce the same trace shape (per-host timing travels as metrics).
-    from repro.ingest.columnar_scan import scan_v2_host
-
     with use_registry(local), use_tracer(Tracer()):
         t0 = time.perf_counter()
-        # Columnar fast path: hosts archived entirely as v2 files are
-        # scanned straight from the mapped column chunks (same views,
-        # same partials, same quarantine records — see columnar_scan).
-        fast = scan_v2_host(archive, hostname,
-                            allow_truncated=allow_truncated,
-                            policy=policy, days=days)
-        if fast is not None:
-            scan, records, status = fast
-        else:
-            result = archive.read_host_checked(
-                hostname, allow_truncated=allow_truncated,
-                policy=policy, days=days)
-            scan = (scan_host_data(result.data)
-                    if result.data is not None else None)
-            records, status = result.records, result.status
+        scan, records, status = scan_host(
+            archive, hostname, allow_truncated=allow_truncated,
+            policy=policy, days=days)
         elapsed = time.perf_counter() - t0
         local.histogram("ingest.host_scan.seconds").observe(elapsed)
         local.gauge(f"ingest.host_scan.{hostname}.seconds").set(elapsed)

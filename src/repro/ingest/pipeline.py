@@ -28,11 +28,7 @@ from pathlib import Path
 from repro.config import FacilityConfig
 from repro.errors import QUARANTINE_DIRNAME, ErrorPolicy, IngestHealth
 from repro.ingest.matcher import HostJobView, MatchReport, match_job_views
-from repro.ingest.parallel import (
-    effective_workers,
-    scan_archive,
-    scan_host_data,
-)
+from repro.ingest.parallel import effective_workers, scan_archive
 from repro.ingest.summarize import (
     HostJobPartial,
     SummaryError,
@@ -44,7 +40,6 @@ from repro.scheduler.accounting import AccountingEntry, parse_accounting
 from repro.scheduler.job import JobRecord, JobRequest
 from repro.syslogr.rationalizer import RationalizedMessage
 from repro.tacc_stats.archive import HostArchive
-from repro.tacc_stats.types import HostData
 from repro.telemetry.log import current_run_id, get_logger, run_scope
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
@@ -93,9 +88,9 @@ class IngestReport:
     """What one ingest pass accomplished.
 
     ``health`` carries the fault-tolerance accounting (hosts ok /
-    degraded / dropped, quarantined records, retry counts) when the
-    ingest read from an archive; ``summary_errors`` maps each failed
-    job to the reason its summary could not be built.
+    degraded / dropped, quarantined records, retry counts);
+    ``summary_errors`` maps each failed job to the reason its summary
+    could not be built.
     """
 
     system: str
@@ -366,8 +361,7 @@ class IngestPipeline:
         self,
         config: FacilityConfig,
         accounting_text: str,
-        hosts: list[HostData] | None = None,
-        archive: HostArchive | None = None,
+        archive: HostArchive,
         lariat_records: list[LariatRecord] | None = None,
         syslog: list[RationalizedMessage] | None = None,
         min_seconds: float | None = None,
@@ -382,33 +376,28 @@ class IngestPipeline:
         mode: str = "full",
         through_day: int | None = None,
     ) -> IngestReport:
-        """Run the pipeline.
+        """Run the pipeline over the host files in *archive*.
 
-        Provide either parsed *hosts* or an *archive* to read them from.
-
-        ``mode="append"`` (archive path only) is the incremental ETL:
+        ``mode="append"`` is the incremental ETL:
         the archive manifest is diffed against the warehouse's ingest
         ledger, only new host-day files (plus the lookback tail of
         still-unloaded jobs) are parsed, and already-loaded rows are
         never touched.  It assumes day-ordered arrival into an
         append-only archive — a ledgered file that mutated or vanished
-        raises.  *through_day* (archive path, ``mode="full"`` only)
-        instead windows a full ingest to facility days
-        ``0 .. through_day-1``, seeding the ledger so later appends can
-        pick up where it stopped.  Every archive ingest records the
-        consumed host-days in the ledger and its appended rowid ranges
-        in ``ingest_runs``.
+        raises.  *through_day* (``mode="full"`` only) instead windows a
+        full ingest to facility days ``0 .. through_day-1``, seeding the
+        ledger so later appends can pick up where it stopped.  Every
+        ingest records the consumed host-days in the ledger and its
+        appended rowid ranges in ``ingest_runs``.
         *workers* fans per-host parsing and summarization over a process
-        pool (archive path only — already-parsed *hosts* are reduced
-        in-process; the count is clamped to the visible CPUs unless
+        pool (the count is clamped to the visible CPUs unless
         *oversubscribe*, see
         :func:`~repro.ingest.parallel.effective_workers`); any worker
         count produces a byte-identical warehouse.  *batch_size* caps
         the jobs per warehouse transaction.
 
         *error_policy* decides what malformed archive data does (see
-        :class:`~repro.errors.ErrorPolicy`; already-parsed *hosts* have
-        no files to quarantine, so it only applies to the archive path).
+        :class:`~repro.errors.ErrorPolicy`).
         Under a non-strict policy the report carries an
         :class:`~repro.errors.IngestHealth`, a sidecar quarantine report
         is written to *quarantine_dir* (default
@@ -417,18 +406,11 @@ class IngestPipeline:
         *retry_backoff* and *scan_timeout* tune the transient-failure
         retry in the process-pool fan-out.
         """
-        if (hosts is None) == (archive is None):
-            raise ValueError("provide exactly one of hosts= or archive=")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if mode not in ("full", "append"):
             raise ValueError(f"mode must be 'full' or 'append', got {mode!r}")
-        if mode == "append" and archive is None:
-            raise ValueError("mode='append' requires archive= (the ledger "
-                             "tracks archive files, not parsed hosts)")
         if through_day is not None:
-            if archive is None:
-                raise ValueError("through_day= requires archive=")
             if mode != "full":
                 raise ValueError("through_day= only windows a full ingest; "
                                  "append mode derives its window from the "
@@ -442,49 +424,11 @@ class IngestPipeline:
                  else run_scope())
         with scope as run_id, span("ingest", system=config.name,
                                    mode=mode):
-            report = self._ingest(
-                config, accounting_text, hosts, archive, lariat_records,
-                syslog, min_seconds, workers, batch_size, oversubscribe,
-                error_policy, max_retries, retry_backoff, scan_timeout,
-                quarantine_dir, mode, through_day,
-            )
-            report.run_id = run_id
-            _log.info("ingest_done", system=config.name,
-                      jobs=report.jobs_loaded,
-                      workers=report.effective_workers)
-            return report
-
-    def _ingest(
-        self,
-        config: FacilityConfig,
-        accounting_text: str,
-        hosts: list[HostData] | None,
-        archive: HostArchive | None,
-        lariat_records: list[LariatRecord] | None,
-        syslog: list[RationalizedMessage] | None,
-        min_seconds: float | None,
-        workers: int,
-        batch_size: int,
-        oversubscribe: bool,
-        error_policy: str,
-        max_retries: int,
-        retry_backoff: float,
-        scan_timeout: float | None,
-        quarantine_dir: str | Path | None,
-        mode: str,
-        through_day: int | None,
-    ) -> IngestReport:
-        """The validated ingest body, run inside the run scope and the
-        root ``ingest`` span (see :meth:`ingest` for parameter docs)."""
-        policy = ErrorPolicy(error_policy)
-        health: IngestHealth | None = None
-        min_s = (min_seconds if min_seconds is not None
-                 else config.sample_interval)
-        plan: _DeltaPlan | None = None
-        entries: list[AccountingEntry] | None = None
-        n_workers = 1
-        if hosts is None:
-            assert archive is not None
+            policy = ErrorPolicy(error_policy)
+            min_s = (min_seconds if min_seconds is not None
+                     else config.sample_interval)
+            plan: _DeltaPlan | None = None
+            entries: list[AccountingEntry] | None = None
             if mode == "append" or through_day is not None:
                 # Plan modes parse the accounting up front: the entry
                 # day spans decide which archive files must be opened.
@@ -513,158 +457,157 @@ class IngestPipeline:
                 timeout=scan_timeout,
                 days_by_host=plan.days_by_host if plan is not None
                 else None)
-        else:
-            scans = (scan_host_data(h) for h in hosts)
 
-        report = IngestReport(system=config.name, health=health,
-                              effective_workers=n_workers,
-                              mode=mode,
-                              delta=plan.delta if plan is not None
-                              else None)
+            report = IngestReport(system=config.name, health=health,
+                                  effective_workers=n_workers,
+                                  mode=mode,
+                                  delta=plan.delta if plan is not None
+                                  else None)
 
-        if config.name not in self.warehouse.systems():
-            self.warehouse.add_system(
-                config.name,
-                num_nodes=config.num_nodes,
-                cores_per_node=config.node.cores,
-                mem_gb_per_node=config.node.memory_gb,
-                peak_tflops=config.peak_tflops,
-                sample_interval=config.sample_interval,
-            )
-
-        # Low-water rowids per table: with an insert-only load, rows
-        # above these after the final commit are exactly what this run
-        # appended (recorded in ingest_runs for provenance).
-        _TABLES = ("jobs", "job_metrics", "system_series",
-                   "syslog_events")
-        row_lo = ({t: self.warehouse._max_rowid(t) for t in _TABLES}
-                  if archive is not None else None)
-
-        # Drain the scan stream: per-host parsed data dies inside the
-        # generator; only views and partials accumulate here.
-        views: list[HostJobView] = []
-        partials_by_host: dict[str, dict[str, HostJobPartial]] = {}
-        with span("ingest.scan", workers=n_workers):
-            for scan in scans:
-                views.extend(scan.views)
-                partials_by_host[scan.hostname] = scan.partials
-
-        if health is not None and policy is not ErrorPolicy.STRICT:
-            # The scan stream is fully drained, so the health accounting
-            # is complete: persist it where operators will look — the
-            # sidecar next to the archive and the warehouse meta table.
-            assert archive is not None
-            sidecar = (Path(quarantine_dir) if quarantine_dir is not None
-                       else archive.root / QUARANTINE_DIRNAME)
-            health.write_sidecar(sidecar)
-            self.warehouse.set_ingest_health(config.name, health)
-
-        with span("ingest.match"):
-            if entries is None:
-                entries = list(parse_accounting(accounting_text))
-            matched, match = match_job_views(entries, views,
-                                             min_seconds=min_s)
-        report.match = match
-
-        lariat_by_job = {r.jobid: r for r in (lariat_records or [])}
-
-        in_batch = 0
-        with span("ingest.load"):
-            for mj in matched:
-                entry = mj.entry
-                if plan is not None and not plan.loadable(entry):
-                    # Safety net: a candidate's span days are always
-                    # fully consumed by construction (new + lookback
-                    # cover them), so this should never fire — but a
-                    # deferred load is recoverable, a premature one is
-                    # not.
-                    plan.delta.jobs_deferred += 1
-                    continue
-                app = entry.app_tag
-                if not app or app == "-":
-                    lar = lariat_by_job.get(entry.job_number)
-                    guess = lar.guess_app() if lar else None
-                    if guess:
-                        app = guess
-                        report.lariat_attributed += 1
-                    else:
-                        app = "unknown"
-                        report.unattributed.append(entry.job_number)
-                job_partials = [
-                    p for p in (
-                        partials_by_host.get(n, {}).get(entry.job_number)
-                        for n in mj.hostnames
-                    ) if p is not None
-                ]
-                try:
-                    summary = merge_job_partials(
-                        entry.job_number, job_partials,
-                        wall_seconds=float(entry.wall_seconds),
-                    )
-                except SummaryError as e:
-                    # Narrow by design: SummaryError means the job had no
-                    # usable stats (expected for short/degraded jobs) and
-                    # is recorded with its reason.  Any other ValueError
-                    # from the summarize layer is a real bug and
-                    # propagates.
-                    report.summaries_failed.append(entry.job_number)
-                    report.summary_errors[entry.job_number] = str(e)
-                    summary = None
-                self.warehouse.add_job(
+            if config.name not in self.warehouse.systems():
+                self.warehouse.add_system(
                     config.name,
-                    _record_from_entry(entry, app),
+                    num_nodes=config.num_nodes,
                     cores_per_node=config.node.cores,
-                    summary=summary,
+                    mem_gb_per_node=config.node.memory_gb,
+                    peak_tflops=config.peak_tflops,
+                    sample_interval=config.sample_interval,
                 )
-                report.jobs_loaded += 1
-                in_batch += 1
-                if in_batch >= batch_size:
-                    self.warehouse.commit()
-                    in_batch = 0
 
-        with span("ingest.syslog"):
-            for msg in syslog or []:
-                if plan is not None and not (
-                        plan.watermark_before <= msg.time
-                        < plan.watermark_after):
-                    continue  # outside this run's consumed-day window
-                self.warehouse.add_syslog_event(
-                    config.name, msg.time, msg.host, msg.jobid,
-                    msg.kind.value, msg.severity,
-                )
-                report.syslog_events_loaded += 1
+            # Low-water rowids per table: with an insert-only load, rows
+            # above these after the final commit are exactly what this run
+            # appended (recorded in ingest_runs for provenance).
+            _TABLES = ("jobs", "job_metrics", "system_series",
+                       "syslog_events")
+            row_lo = {t: self.warehouse._max_rowid(t) for t in _TABLES}
 
-        if archive is not None:
-            self._record_provenance(config.name, archive, plan, health,
-                                    mode, row_lo)
+            # Drain the scan stream: per-host parsed data dies inside the
+            # generator; only views and partials accumulate here.
+            views: list[HostJobView] = []
+            partials_by_host: dict[str, dict[str, HostJobPartial]] = {}
+            with span("ingest.scan", workers=n_workers):
+                for scan in scans:
+                    views.extend(scan.views)
+                    partials_by_host[scan.hostname] = scan.partials
 
-        self.warehouse.commit()
-        registry = get_registry()
-        registry.counter("ingest.jobs_loaded").inc(report.jobs_loaded)
-        registry.counter("ingest.summaries_failed").inc(
-            len(report.summaries_failed))
-        registry.counter("ingest.lariat_attributed").inc(
-            report.lariat_attributed)
-        registry.counter("ingest.syslog_events").inc(
-            report.syslog_events_loaded)
-        if plan is not None:
-            d = plan.delta
-            registry.counter("ingest.delta.files_new").inc(d.files_new)
-            registry.counter("ingest.delta.files_lookback").inc(
-                d.files_lookback)
-            registry.counter("ingest.delta.files_skipped").inc(
-                d.files_skipped)
-            registry.counter("ingest.delta.jobs_deferred").inc(
-                d.jobs_deferred)
-        return report
+            if policy is not ErrorPolicy.STRICT:
+                # The scan stream is fully drained, so the health accounting
+                # is complete: persist it where operators will look — the
+                # sidecar next to the archive and the warehouse meta table.
+                sidecar = (Path(quarantine_dir) if quarantine_dir is not None
+                           else archive.root / QUARANTINE_DIRNAME)
+                health.write_sidecar(sidecar)
+                self.warehouse.set_ingest_health(config.name, health)
+
+            with span("ingest.match"):
+                if entries is None:
+                    entries = list(parse_accounting(accounting_text))
+                matched, match = match_job_views(entries, views,
+                                                 min_seconds=min_s)
+            report.match = match
+
+            lariat_by_job = {r.jobid: r for r in (lariat_records or [])}
+
+            in_batch = 0
+            with span("ingest.load"):
+                for mj in matched:
+                    entry = mj.entry
+                    if plan is not None and not plan.loadable(entry):
+                        # Safety net: a candidate's span days are always
+                        # fully consumed by construction (new + lookback
+                        # cover them), so this should never fire — but a
+                        # deferred load is recoverable, a premature one is
+                        # not.
+                        plan.delta.jobs_deferred += 1
+                        continue
+                    app = entry.app_tag
+                    if not app or app == "-":
+                        lar = lariat_by_job.get(entry.job_number)
+                        guess = lar.guess_app() if lar else None
+                        if guess:
+                            app = guess
+                            report.lariat_attributed += 1
+                        else:
+                            app = "unknown"
+                            report.unattributed.append(entry.job_number)
+                    job_partials = [
+                        p for p in (
+                            partials_by_host.get(n, {}).get(entry.job_number)
+                            for n in mj.hostnames
+                        ) if p is not None
+                    ]
+                    try:
+                        summary = merge_job_partials(
+                            entry.job_number, job_partials,
+                            wall_seconds=float(entry.wall_seconds),
+                        )
+                    except SummaryError as e:
+                        # Narrow by design: SummaryError means the job had no
+                        # usable stats (expected for short/degraded jobs) and
+                        # is recorded with its reason.  Any other ValueError
+                        # from the summarize layer is a real bug and
+                        # propagates.
+                        report.summaries_failed.append(entry.job_number)
+                        report.summary_errors[entry.job_number] = str(e)
+                        summary = None
+                    self.warehouse.add_job(
+                        config.name,
+                        _record_from_entry(entry, app),
+                        cores_per_node=config.node.cores,
+                        summary=summary,
+                    )
+                    report.jobs_loaded += 1
+                    in_batch += 1
+                    if in_batch >= batch_size:
+                        self.warehouse.commit()
+                        in_batch = 0
+
+            with span("ingest.syslog"):
+                for msg in syslog or []:
+                    if plan is not None and not (
+                            plan.watermark_before <= msg.time
+                            < plan.watermark_after):
+                        continue  # outside this run's consumed-day window
+                    self.warehouse.add_syslog_event(
+                        config.name, msg.time, msg.host, msg.jobid,
+                        msg.kind.value, msg.severity,
+                    )
+                    report.syslog_events_loaded += 1
+
+            self._record_provenance(config.name, archive, plan, health, mode,
+                                    row_lo)
+
+            self.warehouse.commit()
+            registry = get_registry()
+            registry.counter("ingest.jobs_loaded").inc(report.jobs_loaded)
+            registry.counter("ingest.summaries_failed").inc(
+                len(report.summaries_failed))
+            registry.counter("ingest.lariat_attributed").inc(
+                report.lariat_attributed)
+            registry.counter("ingest.syslog_events").inc(
+                report.syslog_events_loaded)
+            if plan is not None:
+                d = plan.delta
+                registry.counter("ingest.delta.files_new").inc(d.files_new)
+                registry.counter("ingest.delta.files_lookback").inc(
+                    d.files_lookback)
+                registry.counter("ingest.delta.files_skipped").inc(
+                    d.files_skipped)
+                registry.counter("ingest.delta.jobs_deferred").inc(
+                    d.jobs_deferred)
+            report.run_id = run_id
+            _log.info("ingest_done", system=config.name,
+                      jobs=report.jobs_loaded,
+                      workers=report.effective_workers)
+            return report
 
     def _record_provenance(self, system: str, archive: HostArchive,
                            plan: _DeltaPlan | None,
-                           health: IngestHealth | None, mode: str,
+                           health: IngestHealth, mode: str,
                            row_lo: dict[str, int]) -> None:
         """Ledger the consumed host-days and this run's row ranges.
 
-        Every archive ingest — full, windowed, or append — records what
+        Every ingest — full, windowed, or append — records what
         it consumed, so a later ``mode="append"`` can diff against it
         and ``repro-diagnose --ledger`` can attribute rows to runs.  A
         host-day is ledgered whatever its scan outcome: a dropped
@@ -677,12 +620,8 @@ class IngestPipeline:
             {(h, day) for h, days in plan.days_by_host.items()
              for day in days}
             if plan is not None else set(manifest))
-        status_of = {}
-        if health is not None:
-            status_of.update(dict.fromkeys(health.hosts_degraded,
-                                           "degraded"))
-            status_of.update(dict.fromkeys(health.hosts_dropped,
-                                           "dropped"))
+        status_of = dict.fromkeys(health.hosts_degraded, "degraded")
+        status_of.update(dict.fromkeys(health.hosts_dropped, "dropped"))
         run_id = current_run_id() or "unscoped"
         self.warehouse.record_ledger(system, [
             LedgerEntry(host=host, day=day,

@@ -10,22 +10,23 @@ warehouse.  It contains the paper's eight key metrics (§4.2) —
 cpu_sys for Figure 7b, reads and the share mount for Figure 7c, rx sides
 of the networks).
 
-Two constructors produce identical summaries:
+Summaries are built per host and merged per job, so the ingest engine
+can compute :class:`HostJobPartial` values for each host independently
+(including in worker processes — partials are small and picklable) and
+merge them deterministically with :func:`merge_job_partials`:
 
-* :func:`summarize_job_from_hosts` — the production path: parsed host
-  files in, rollover-corrected counter deltas out.
-* :func:`summarize_job_from_rates` — the fast synthesis path used for
-  large-scale benchmarks, consuming the behaviour model's rate matrix
-  directly.
-
-The production path is split into a per-host map step and a per-job
-reduce step so the ingest engine can compute :class:`HostJobPartial`
-values for each host independently (including in worker processes —
-partials are small and picklable, unlike parsed host data) and merge
-them deterministically with :func:`merge_job_partials`:
-
-    host file ──parse──> HostData ──host_job_partials──> {job: partial}
+    host files ──scan_host──> {job: partial}        (columnar_scan)
     {job: [partials across hosts]} ──merge_job_partials──> JobSummary
+
+:func:`summarize_job_from_rates` is the fast synthesis path used for
+large-scale benchmarks, consuming the behaviour model's rate matrix
+directly.
+
+The dict reducers here (``_delta_rate`` … :func:`host_job_partials`,
+:func:`summarize_job_from_hosts`) compute the same partials from a
+:class:`HostData`.  No ingest path calls them: they are the reference
+the tests compare :mod:`repro.ingest.columnar_scan` against, which is
+why they share no code with it.
 
 A metric is ``missing`` from the merged summary only when *no* host
 produced it; a single degraded node (truncated file, absent collector)
@@ -144,7 +145,7 @@ class JobSummary:
 
 
 # ---------------------------------------------------------------------------
-# Production path: from parsed host data, via per-host partials.
+# Per-host partials, and their reference reducers over HostData.
 # ---------------------------------------------------------------------------
 
 

@@ -51,14 +51,19 @@ from repro.tacc_stats.columnar import (
     source_fingerprint_for_text,
 )
 from repro.tacc_stats.format import StatsWriter
-from repro.tacc_stats.parser import ParseError, ParseFault, parse_host_text
-from repro.tacc_stats.types import HostData
+from repro.tacc_stats.parser import (
+    ParseError,
+    ParseFault,
+    parse_host_columns,
+)
+from repro.tacc_stats.schema import TypeSchema
+from repro.tacc_stats.types import HostColumns, HostData
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
 from repro.util.timeutil import DAY, period_label
 
-__all__ = ["HostArchive", "ArchiveStats", "HostReadResult",
-           "FileFingerprint", "ARCHIVE_META_FILENAME"]
+__all__ = ["HostArchive", "ArchiveStats", "FileFingerprint",
+           "ARCHIVE_META_FILENAME"]
 
 #: Root sidecar recording a non-default rotation period, so reopening a
 #: segmented archive infers its cadence without a knob.
@@ -128,22 +133,6 @@ class FileFingerprint:
     size: int
     mtime_ns: int
     sha256: str
-
-
-@dataclass(frozen=True)
-class HostReadResult:
-    """Outcome of a policy-aware host read.
-
-    ``status`` is ``"ok"`` (parsed clean), ``"degraded"`` (repair policy
-    salvaged the host with some records quarantined), or ``"dropped"``
-    (the host is excluded; ``data`` is ``None``).  ``records`` carries
-    full provenance for everything quarantined.
-    """
-
-    hostname: str
-    data: HostData | None
-    records: tuple[QuarantinedRecord, ...]
-    status: str
 
 
 @dataclass
@@ -480,9 +469,8 @@ class HostArchive:
         """Text of one archived file (gz- and v2-aware).
 
         For v2 files this reconstructs the canonical text
-        representation (``repro-convert`` back to text uses it); the
-        fast ingest path goes straight to column views instead via
-        :meth:`_load_file`.
+        representation (``repro-convert`` back to text uses it); ingest
+        reads column arrays instead via :meth:`read_host_days`.
         """
         if is_v2_path(path):
             return read_host_day(path).to_text()
@@ -490,159 +478,124 @@ class HostArchive:
             return gzip.decompress(path.read_bytes()).decode("utf-8")
         return path.read_text()
 
-    @staticmethod
-    def _load_file(path: Path, allow_truncated: bool = False,
-                   faults: list[ParseFault] | None = None) -> HostData:
-        """Parse one archived file into :class:`HostData`, dispatching
-        on format: text goes through the line parser, v2 maps straight
-        to column views (no text reconstruction, no parsing).
+    def read_host_days(self, hostname: str,
+                       allow_truncated: bool = False,
+                       policy: str = ErrorPolicy.STRICT,
+                       days: Collection[str] | None = None,
+                       ) -> tuple[list[HostColumns],
+                                  tuple[QuarantinedRecord, ...], str]:
+        """Decode a host's files (optionally only *days*) to
+        :class:`HostColumns` — text and gzip through the line parser,
+        v2 by mapping its chunks — and apply the per-file error policy:
+        ``(kept days, records, status)``.  The file-level rules live
+        only here.
 
-        v2 damage raises :class:`V2FormatError`, a
-        :class:`ParseError` subclass, so callers' error handling is
-        format-blind.  ``faults`` (repair policy) only applies to text:
-        a v2 file is digest-verified whole — it is either pristine or
-        quarantined entire, never salvaged line-by-line.
-        """
-        if is_v2_path(path):
-            return read_host_day(path).to_host_data()
-        return parse_host_text(HostArchive.read_file(path),
-                               allow_truncated=allow_truncated,
-                               faults=faults)
+        Under every policy, empty files (the node was down all day) are
+        skipped and the directory name is authoritative for the
+        hostname.  ``status`` is ``"ok"``, ``"degraded"`` (repair kept
+        the host with some records quarantined) or ``"dropped"`` (the
+        host is excluded; no days are returned).
 
-    def read_host(self, hostname: str,
-                  allow_truncated: bool = False,
-                  days: Collection[str] | None = None) -> HostData:
-        """Parse and merge a host's files (optionally only *days*) into
-        one stream.
-
-        Empty files (the node was down for the whole day) are skipped;
-        if *every* file is empty the result is an empty stream carrying
-        the directory's hostname.
-        """
-        files = self.host_files(hostname, days=days)
-        if not files:
-            raise FileNotFoundError(f"no archived files for {hostname}")
-        merged: HostData | None = None
-        with span("ingest.parse", host=hostname):
-            for path in files:
-                data = self._load_file(path,
-                                       allow_truncated=allow_truncated)
-                if not data.hostname:
-                    # parse_host_text only leaves the hostname unset for
-                    # a fully empty file; a non-empty headerless file
-                    # raises.
-                    continue
-                if merged is None:
-                    merged = data
-                else:
-                    merged.merge_from(data)
-        return merged if merged is not None else HostData(hostname=hostname)
-
-    def read_host_checked(self, hostname: str,
-                          allow_truncated: bool = False,
-                          policy: str = ErrorPolicy.STRICT,
-                          days: Collection[str] | None = None,
-                          ) -> HostReadResult:
-        """Policy-aware :meth:`read_host`: never raises for malformed
-        data except under the ``strict`` policy.
-
-        * ``strict`` — identical to :meth:`read_host` (the first
-          malformed record raises :class:`ParseError`).
-        * ``quarantine`` — every fault in any of the host's files drops
-          the *whole host* (``data=None``), so an ingest of the archive
-          is byte-identical to ingesting only the clean hosts.  All
-          faults are enumerated first so the quarantine report carries
+        * ``strict`` — the first malformed record, unreadable file or
+          file claiming another hostname raises :class:`ParseError`;
+          schema drift between files raises ``ValueError``.
+        * ``quarantine`` — any fault in any file drops the *whole host*,
+          so the ingest is byte-identical to one of the clean hosts
+          alone.  All faults are enumerated first, so the report carries
           complete provenance, not just the first offender.
-        * ``repair`` — parseable lines are salvaged per file; the host
-          loads as ``degraded`` with each skipped record quarantined.
-          A file that is unreadable end-to-end (corrupt gzip stream,
-          undecodable bytes, or no ``$hostname`` header) is quarantined
-          whole (``lineno=None``) and the remaining files still load.
+        * ``repair`` — parseable lines of a text file are salvaged, each
+          skipped line a ``malformed_record``.  A file that is
+          unreadable end-to-end (corrupt gzip, undecodable bytes, no
+          ``$hostname`` header, damaged v2 — digest-verified whole,
+          never salvaged line by line), claims another hostname, or
+          drifts from the schemas of the files before it is quarantined
+          whole (``lineno=None``); the remaining files still load.
         """
-        policy = ErrorPolicy(policy)
-        if policy is ErrorPolicy.STRICT:
-            data = self.read_host(hostname, allow_truncated=allow_truncated,
-                                  days=days)
-            return HostReadResult(hostname, data, (), "ok")
-
         files = self.host_files(hostname, days=days)
         if not files:
             raise FileNotFoundError(f"no archived files for {hostname}")
+        policy = ErrorPolicy(policy)
+        strict = policy is ErrorPolicy.STRICT
         records: list[QuarantinedRecord] = []
-        merged: HostData | None = None
+        kept: list[HostColumns] = []
+        schemas: dict[str, TypeSchema] = {}
+
+        def quarantine_file(path: Path, kind: str, error: str) -> None:
+            records.append(QuarantinedRecord(
+                hostname=hostname, path=str(path), lineno=None,
+                kind=kind, error=error))
+
         with span("ingest.parse", host=hostname):
             for path in files:
-                faults: list[ParseFault] = []
+                faults: list[ParseFault] | None = None if strict else []
                 try:
-                    data = self._load_file(path,
-                                           allow_truncated=allow_truncated,
-                                           faults=faults)
+                    if is_v2_path(path):
+                        day = read_host_day(path)
+                    else:
+                        day = parse_host_columns(
+                            self.read_file(path),
+                            allow_truncated=allow_truncated, faults=faults)
                 except (ParseError, OSError, UnicodeDecodeError) as e:
-                    records.append(QuarantinedRecord(
-                        hostname=hostname, path=str(path), lineno=None,
-                        kind="unreadable_file",
-                        error=f"{type(e).__name__}: {e}",
-                    ))
+                    if strict:
+                        raise
+                    quarantine_file(path, "unreadable_file",
+                                    f"{type(e).__name__}: {e}")
                     continue
                 records.extend(
                     QuarantinedRecord(hostname=hostname, path=str(path),
                                       lineno=f.lineno,
                                       kind="malformed_record",
                                       error=f.error, text=f.text)
-                    for f in faults
-                )
-                if not data.hostname:
-                    continue  # fully empty file (node down all day)
-                if data.hostname != hostname:
-                    # The directory name is authoritative; a file
-                    # claiming a different host has a corrupted header
-                    # (and must not become the merge base for the real
-                    # host's data).
-                    records.append(QuarantinedRecord(
-                        hostname=hostname, path=str(path), lineno=None,
-                        kind="hostname_mismatch",
-                        error=f"file claims hostname {data.hostname!r}",
-                    ))
+                    for f in faults or ())
+                if not day.hostname:
+                    # Only a fully empty file parses without a
+                    # hostname; a non-empty headerless file raises.
                     continue
-                if merged is None:
-                    merged = data
-                else:
-                    try:
-                        merged.merge_from(data)
-                    except ValueError as e:
-                        # Hostname mismatch / schema drift: a corrupted
-                        # header survived the line-level repair, so the
-                        # whole file is quarantined instead.
-                        records.append(QuarantinedRecord(
-                            hostname=hostname, path=str(path), lineno=None,
-                            kind="unmergeable_file", error=str(e),
-                        ))
-        if merged is None:
-            merged = HostData(hostname=hostname)
+                if day.hostname != hostname:
+                    # A file claiming a different host has a corrupted
+                    # header, or was filed under the wrong directory.
+                    if strict:
+                        raise ParseError(
+                            f"{path}: file claims hostname "
+                            f"{day.hostname!r}, archived under "
+                            f"{hostname!r}")
+                    quarantine_file(path, "hostname_mismatch",
+                                    f"file claims hostname "
+                                    f"{day.hostname!r}")
+                    continue
+                drift = next(
+                    (tc.name for tc in day.types
+                     if schemas.get(tc.name, tc.schema) != tc.schema), None)
+                if drift is not None:
+                    error = f"schema drift for type {drift} on {hostname}"
+                    if strict:
+                        raise ValueError(error)
+                    quarantine_file(path, "unmergeable_file", error)
+                    continue
+                for tc in day.types:
+                    schemas.setdefault(tc.name, tc.schema)
+                kept.append(day)
 
         if policy is ErrorPolicy.QUARANTINE and records:
-            return HostReadResult(hostname, None, tuple(records), "dropped")
-        status = "degraded" if records else "ok"
-        return HostReadResult(hostname, merged, tuple(records), status)
+            return [], tuple(records), "dropped"
+        return kept, tuple(records), "degraded" if records else "ok"
 
-    def iter_hosts(self, allow_truncated: bool = False,
-                   policy: str = ErrorPolicy.STRICT):
-        """Yield each host's merged :class:`HostData`, lazily, in sorted
-        hostname order.
+    def read_host(self, hostname: str,
+                  allow_truncated: bool = False) -> HostData:
+        """A host's files merged into one :class:`HostData` edge view
+        (strict policy): :meth:`read_host_days`, each kept day through
+        :meth:`HostColumns.to_host_data`, merged in time order.
 
-        This is the streaming counterpart of calling :meth:`read_host`
-        for every hostname: only one host's parsed data is alive at a
-        time, so ingest memory stays bounded by the largest host rather
-        than the whole archive.  Under a non-strict *policy* the yield
-        is a :class:`HostReadResult` per host (dropped hosts included,
-        with ``data=None``); under ``strict`` it stays plain
-        :class:`HostData` for backward compatibility.
+        If *every* file is empty the result is an empty stream carrying
+        the directory's hostname.
         """
-        policy = ErrorPolicy(policy)
-        for hostname in self.hostnames():
-            if policy is ErrorPolicy.STRICT:
-                yield self.read_host(hostname,
-                                     allow_truncated=allow_truncated)
+        kept, _records, _status = self.read_host_days(
+            hostname, allow_truncated=allow_truncated)
+        merged: HostData | None = None
+        for day in kept:
+            data = day.to_host_data()
+            if merged is None:
+                merged = data
             else:
-                yield self.read_host_checked(
-                    hostname, allow_truncated=allow_truncated, policy=policy)
+                merged.merge_from(data)
+        return merged if merged is not None else HostData(hostname=hostname)

@@ -56,20 +56,18 @@ import hashlib
 import json
 import mmap
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.tacc_stats.parser import ParseError, parse_host_text
+from repro.tacc_stats.parser import ParseError, parse_host_columns
 from repro.tacc_stats.schema import TypeSchema
-from repro.tacc_stats.types import HostData, Mark, TimestampBlock
+from repro.tacc_stats.types import HostColumns, TypeColumns
 from repro.telemetry.metrics import get_registry
 
 __all__ = [
     "V2_SUFFIX",
     "V2FormatError",
-    "V2HostDay",
     "encode_host_blocks",
     "encode_host_text",
     "is_v2_path",
@@ -83,10 +81,6 @@ _MAGIC = b"\x93RPC2\r\n\x00"
 _TAIL = b"\x00RPC2END"
 _VERSION = 2
 _ALIGN = 64
-
-#: Schema header lines are identical across every file a collector suite
-#: produces; parsing each once per process keeps the v2 open path cheap.
-_SCHEMA_CACHE: dict[str, TypeSchema] = {}
 
 
 class V2FormatError(ParseError):
@@ -127,29 +121,31 @@ def _pad_to(parts: list[bytes], size: int, align: int = _ALIGN) -> int:
     return size
 
 
-def _mark_block_indices(text: str) -> list[int]:
-    """Block index each ``%`` mark line belongs to, in file order.
-
-    :class:`HostData` keeps only a mark's *time*, which is ambiguous
-    when consecutive blocks share a timestamp; one cheap first-character
-    scan of the already-validated text recovers the exact block.
-    """
-    out: list[int] = []
-    bi = -1
-    for line in text.split("\n"):
-        if not line:
-            continue
-        c = line[0]
-        if c.isdigit():
-            bi += 1
-        elif c == "%":
-            out.append(bi)
-    return out
-
-
-def _format_time(t: float) -> str:
-    """Serialize a block timestamp the way :class:`StatsWriter` does."""
-    return str(int(t)) if float(t).is_integer() else repr(float(t))
+def _v2_header(hostname: str, properties: dict[str, str],
+               types: list[tuple[TypeSchema, tuple[str, ...], int]],
+               n_blocks: int, jobid_tags: list[str],
+               marks: list[tuple[int, str, str]], text: str,
+               source_sha256: str, source_kind: str) -> dict:
+    """The header JSON object; *types* is ``(schema, devices, n_rows)``
+    per record type."""
+    return {
+        "format": "repro-columnar",
+        "version": _VERSION,
+        "hostname": hostname,
+        "properties": [[k, v] for k, v in properties.items()],
+        "schemas": [schema.header_line() for schema, _d, _n in types],
+        "types": [
+            {"name": schema.type_name, "devices": list(devices),
+             "n_rows": n_rows}
+            for schema, devices, n_rows in types
+        ],
+        "n_blocks": n_blocks,
+        "jobid_tags": jobid_tags,
+        "marks": [[b, kind, jobid] for b, kind, jobid in marks],
+        "text_bytes": len(text.encode("utf-8")),
+        "source_sha256": source_sha256,
+        "source_kind": source_kind,
+    }
 
 
 def encode_host_text(text: str, source_sha256: str | None = None,
@@ -167,73 +163,21 @@ def encode_host_text(text: str, source_sha256: str | None = None,
     if source_sha256 is None:
         source_sha256, source_kind = source_fingerprint_for_text(
             text, compress=(source_kind == "gz"))
-    host = parse_host_text(text)
-
-    type_order = list(host.schemas)
-    type_idx = {name: i for i, name in enumerate(type_order)}
-    devices: list[dict[str, int]] = [{} for _ in type_order]
-    dev_rows: list[list[int]] = [[] for _ in type_order]
-    val_rows: list[list[np.ndarray]] = [[] for _ in type_order]
-    row_type: list[int] = []
-    row_block: list[int] = []
-    for bi, block in enumerate(host.blocks):
-        for tname, by_dev in block.rows.items():
-            ti = type_idx[tname]
-            devmap = devices[ti]
-            for dev, vec in by_dev.items():
-                di = devmap.get(dev)
-                if di is None:
-                    di = devmap[dev] = len(devmap)
-                dev_rows[ti].append(di)
-                val_rows[ti].append(vec)
-                row_type.append(ti)
-                row_block.append(bi)
-
-    tag_table: dict[str, int] = {}
-    tag_idx = []
-    for block in host.blocks:
-        tag = ",".join(block.jobids) if block.jobids else "-"
-        gi = tag_table.get(tag)
-        if gi is None:
-            gi = tag_table[tag] = len(tag_table)
-        tag_idx.append(gi)
-
-    mark_blocks = _mark_block_indices(text)
-    assert len(mark_blocks) == len(host.marks)
-
-    header = {
-        "format": "repro-columnar",
-        "version": _VERSION,
-        "hostname": host.hostname,
-        "properties": [[k, v] for k, v in host.properties.items()],
-        "schemas": [host.schemas[n].header_line() for n in type_order],
-        "types": [
-            {"name": name, "devices": list(devices[i]),
-             "n_rows": len(dev_rows[i])}
-            for i, name in enumerate(type_order)
-        ],
-        "n_blocks": len(host.blocks),
-        "jobid_tags": list(tag_table),
-        "marks": [[mark_blocks[i], m.kind, m.jobid]
-                  for i, m in enumerate(host.marks)],
-        "text_bytes": len(text.encode("utf-8")),
-        "source_sha256": source_sha256,
-        "source_kind": source_kind,
-    }
-
+    day = parse_host_columns(text)
+    header = _v2_header(
+        day.hostname, day.properties,
+        [(tc.schema, tc.devices, tc.values.shape[0]) for tc in day.types],
+        day.times.shape[0], day.jobid_tags, day.marks, text,
+        source_sha256, source_kind)
     chunks: list[tuple[str, np.ndarray]] = [
-        ("times", np.array([b.time for b in host.blocks], dtype="<f8")),
-        ("tags", np.array(tag_idx, dtype="<u4")),
-        ("row_type", np.array(row_type, dtype="<u2")),
-        ("row_block", np.array(row_block, dtype="<u4")),
+        ("times", day.times),
+        ("tags", day.tags),
+        ("row_type", day.row_type),
+        ("row_block", day.row_block),
     ]
-    for i, name in enumerate(type_order):
-        k = host.schemas[name].n_values
-        vals = (np.vstack(val_rows[i]).astype("<u8", copy=False)
-                if val_rows[i] else np.empty((0, k), dtype="<u8"))
-        chunks.append((f"dev/{name}", np.array(dev_rows[i], dtype="<u4")))
-        chunks.append((f"val/{name}", vals))
-
+    for tc in day.types:
+        chunks.append((f"dev/{tc.name}", tc.dev_idx))
+        chunks.append((f"val/{tc.name}", tc.values))
     return _assemble_v2(header, chunks)
 
 
@@ -241,11 +185,11 @@ def _assemble_v2(header: dict,
                  chunks: list[tuple[str, np.ndarray]]) -> bytes:
     """Serialize a prepared header + column chunks into v2 bytes.
 
-    Shared tail of :func:`encode_host_text` (text re-parse path) and
-    :func:`encode_host_blocks` (direct synthesis path): both produce the
+    Shared tail of :func:`encode_host_text` (parsed columns) and
+    :func:`encode_host_blocks` (synthesized columns): both produce the
     same header dict and chunk list, so the bytes — including per-chunk
-    digests and the footer index — are identical whichever path built
-    the columns.
+    digests and the footer index — are identical whichever built the
+    columns.
     """
     header_json = json.dumps(header, separators=(",", ":")).encode("utf-8")
     parts = [_MAGIC, struct.pack("<II", _VERSION, len(header_json)),
@@ -308,32 +252,12 @@ def encode_host_blocks(
     ``(block_index, kind, jobid)`` in file order.
     """
     n_blocks = int(np.asarray(times).shape[0])
-    tag_table: dict[str, int] = {}
-    tag_idx = []
-    for tag in tags:
-        gi = tag_table.get(tag)
-        if gi is None:
-            gi = tag_table[tag] = len(tag_table)
-        tag_idx.append(gi)
-
-    header = {
-        "format": "repro-columnar",
-        "version": _VERSION,
-        "hostname": hostname,
-        "properties": [[k, v] for k, v in properties.items()],
-        "schemas": [s.header_line() for s in schemas],
-        "types": [
-            {"name": s.type_name, "devices": list(devices_by_type[i]),
-             "n_rows": n_blocks * len(devices_by_type[i])}
-            for i, s in enumerate(schemas)
-        ],
-        "n_blocks": n_blocks,
-        "jobid_tags": list(tag_table),
-        "marks": [[b, kind, jobid] for b, kind, jobid in marks],
-        "text_bytes": len(text.encode("utf-8")),
-        "source_sha256": source_sha256,
-        "source_kind": source_kind,
-    }
+    tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
+    header = _v2_header(
+        hostname, properties,
+        [(s, devices_by_type[i], n_blocks * len(devices_by_type[i]))
+         for i, s in enumerate(schemas)],
+        n_blocks, list(tag_table), marks, text, source_sha256, source_kind)
 
     # Every block emits the full suite in order, so the global row
     # streams are one repeated pattern: types in suite order with one
@@ -344,7 +268,7 @@ def encode_host_blocks(
     ]) if devices_by_type else np.empty(0, dtype="<u2")
     chunks: list[tuple[str, np.ndarray]] = [
         ("times", np.asarray(times, dtype="<f8")),
-        ("tags", np.array(tag_idx, dtype="<u4")),
+        ("tags", np.array([tag_table[tag] for tag in tags], dtype="<u4")),
         ("row_type", np.tile(pattern, n_blocks)),
         ("row_block", np.repeat(np.arange(n_blocks, dtype="<u4"),
                                 pattern.shape[0])),
@@ -363,154 +287,6 @@ def encode_host_blocks(
                        vals.reshape(n_blocks * n_dev, k).astype(
                            "<u8", copy=False)))
     return _assemble_v2(header, chunks)
-
-
-@dataclass(frozen=True)
-class _TypeColumns:
-    """One record type's decoded columns (views into the mapped file)."""
-
-    name: str
-    schema: TypeSchema
-    devices: tuple[str, ...]
-    dev_idx: np.ndarray
-    values: np.ndarray  # shape (n_rows, n_values)
-
-
-class V2HostDay:
-    """A decoded v2 file: header metadata plus zero-copy column views.
-
-    Constructed by :func:`read_host_day`.  ``to_host_data()`` builds the
-    :class:`HostData` the ingest engine consumes (value vectors are
-    views into the mapped file — nothing is copied); ``to_text()``
-    reconstructs the canonical text representation byte-for-byte.
-    """
-
-    def __init__(self, header: dict, times: np.ndarray, tags: np.ndarray,
-                 row_type: np.ndarray, row_block: np.ndarray,
-                 types: list[_TypeColumns], bytes_mapped: int,
-                 chunks_read: int):
-        self.header = header
-        self.times = times
-        self.tags = tags
-        self.row_type = row_type
-        self.row_block = row_block
-        self.types = types
-        self.bytes_mapped = bytes_mapped
-        self.chunks_read = chunks_read
-
-    @property
-    def hostname(self) -> str:
-        return self.header["hostname"]
-
-    def to_host_data(self) -> HostData:
-        """Rebuild :class:`HostData` with zero-copy value vectors.
-
-        Insertion order (types within a block, devices within a type)
-        reproduces the source file's order exactly, so float reductions
-        downstream (which sum in dict order) are bit-identical to the
-        text-parsed path.
-        """
-        host = HostData(hostname=self.hostname)
-        host.properties = dict(self.header["properties"])
-        for tc in self.types:
-            host.schemas[tc.name] = tc.schema
-
-        tag_tuples = [
-            () if tag == "-" else tuple(tag.split(","))
-            for tag in self.header["jobid_tags"]
-        ]
-        times_list = self.times.tolist()
-        blocks = [
-            TimestampBlock(time=t, jobids=tag_tuples[g])
-            for t, g in zip(times_list, self.tags.tolist())
-        ]
-        host.blocks = blocks
-
-        row_type = self.row_type
-        row_block = self.row_block
-        for ti, tc in enumerate(self.types):
-            n = tc.values.shape[0]
-            if n == 0:
-                continue
-            rb = row_block[row_type == ti]
-            if rb.shape[0] != n or (n > 1 and not bool(
-                    (rb[1:] >= rb[:-1]).all())):
-                raise V2FormatError(
-                    f"type {tc.name}: row stream inconsistent with "
-                    f"column chunks")
-            name = tc.name
-            dev_names = [tc.devices[i] for i in tc.dev_idx.tolist()]
-            rows = list(tc.values)  # one zero-copy view per row
-            if n == 1:
-                starts, ends = [0], [1]
-                seg_blocks = [int(rb[0])]
-            else:
-                cuts = np.flatnonzero(rb[1:] != rb[:-1]) + 1
-                starts = [0, *cuts.tolist()]
-                ends = [*cuts.tolist(), n]
-                seg_blocks = rb[np.concatenate(([0], cuts))].tolist()
-            for s, e, b in zip(starts, ends, seg_blocks):
-                blocks[b].rows[name] = dict(zip(dev_names[s:e],
-                                                rows[s:e]))
-
-        host.marks = [
-            Mark(time=times_list[b], kind=kind, jobid=jobid)
-            for b, kind, jobid in self.header["marks"]
-        ]
-        return host
-
-    def to_text(self) -> str:
-        """Reconstruct the canonical text representation.
-
-        Byte-identical to the source for canonical (writer-produced)
-        files; a valid-but-noncanonical source (fractional-second
-        trailing zeros, interleaved type runs inside one block)
-        round-trips value-identically in canonical form.
-        """
-        out: list[str] = []
-        for k, v in self.header["properties"]:
-            out.append(f"${k} {v}\n")
-        for line in self.header["schemas"]:
-            out.append(line + "\n")
-
-        marks_by_block: dict[int, list[tuple[str, str]]] = {}
-        for b, kind, jobid in self.header["marks"]:
-            marks_by_block.setdefault(b, []).append((kind, jobid))
-
-        tags = self.header["jobid_tags"]
-        times_list = self.times.tolist()
-        tag_list = self.tags.tolist()
-        row_type = self.row_type.tolist()
-        row_block = self.row_block.tolist()
-        cursors = [0] * len(self.types)
-        dev_lists = [
-            [tc.devices[i] for i in tc.dev_idx.tolist()]
-            for tc in self.types
-        ]
-        val_lists = [tc.values.tolist() for tc in self.types]
-        names = [tc.name for tc in self.types]
-
-        r = 0
-        n_rows = len(row_type)
-        for bi, (t, g) in enumerate(zip(times_list, tag_list)):
-            out.append(f"{_format_time(t)} {tags[g]}\n")
-            for kind, jobid in marks_by_block.get(bi, ()):
-                out.append(f"%{kind} {jobid}\n")
-            while r < n_rows and row_block[r] == bi:
-                ti = row_type[r]
-                c = cursors[ti]
-                cursors[ti] = c + 1
-                vals = " ".join(map(str, val_lists[ti][c]))
-                out.append(f"{names[ti]} {dev_lists[ti][c]} {vals}\n")
-                r += 1
-        return "".join(out)
-
-
-def _parse_schema_line(line: str) -> TypeSchema:
-    schema = _SCHEMA_CACHE.get(line)
-    if schema is None:
-        schema = _SCHEMA_CACHE[line] = TypeSchema.parse_header_line(line)
-    return schema
 
 
 def read_header(path: Path) -> dict:
@@ -545,18 +321,18 @@ def read_header(path: Path) -> dict:
                             f"{e}") from e
 
 
-def read_host_day(path: Path, verify: bool = True) -> V2HostDay:
+def read_host_day(path: Path) -> HostColumns:
     """Open, validate and map one v2 file.
 
     The column chunks are presented as zero-copy numpy views over an
     ``mmap`` of the file (the mapping lives as long as any view does).
-    *verify* checks every chunk's sha256 — on by default, because the
-    binary format has no per-line redundancy for the parser to trip
-    over, so the digests are what stands between bit-rot and silently
-    wrong numbers.  Any structural damage raises :class:`V2FormatError`.
+    Every chunk's sha256 is checked: the binary format has no per-line
+    redundancy for the parser to trip over, so the digests are what
+    stands between bit-rot and silently wrong numbers.  Any structural
+    damage raises :class:`V2FormatError`.
     """
     try:
-        day = _read_host_day(path, verify)
+        day = _read_host_day(path)
     except V2FormatError:
         raise
     except (OSError, ValueError, KeyError, TypeError, IndexError,
@@ -571,7 +347,7 @@ def read_host_day(path: Path, verify: bool = True) -> V2HostDay:
     return day
 
 
-def _read_host_day(path: Path, verify: bool) -> V2HostDay:
+def _read_host_day(path: Path) -> HostColumns:
     """The unwrapped body of :func:`read_host_day`."""
     with path.open("rb") as fh:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -601,12 +377,11 @@ def _read_host_day(path: Path, verify: bool) -> V2HostDay:
         if off < 0 or off + nbytes > footer_off:
             raise V2FormatError(
                 f"{path.name}: chunk {entry['name']} out of bounds")
-        if verify:
-            digest = hashlib.sha256(view[off:off + nbytes]).hexdigest()
-            if digest != entry["sha256"]:
-                raise V2FormatError(
-                    f"{path.name}: chunk {entry['name']} digest "
-                    f"mismatch (file is corrupt)")
+        digest = hashlib.sha256(view[off:off + nbytes]).hexdigest()
+        if digest != entry["sha256"]:
+            raise V2FormatError(
+                f"{path.name}: chunk {entry['name']} digest "
+                f"mismatch (file is corrupt)")
         shape = tuple(entry["shape"])
         count = 1
         for d in shape:
@@ -632,9 +407,12 @@ def _read_host_day(path: Path, verify: bool) -> V2HostDay:
         raise V2FormatError(f"{path.name}: jobid tag index out of range")
     if row_block.size and int(row_block.max()) >= n_blocks:
         raise V2FormatError(f"{path.name}: row block index out of range")
+    if not bool((row_block[1:] >= row_block[:-1]).all()):
+        raise V2FormatError(f"{path.name}: row stream not in block order")
 
     type_infos = header["types"]
-    schemas = [_parse_schema_line(line) for line in header["schemas"]]
+    schemas = [TypeSchema.parse_header_line(line)
+               for line in header["schemas"]]
     if len(schemas) != len(type_infos) or any(
             s.type_name != t["name"]
             for s, t in zip(schemas, type_infos)):
@@ -642,7 +420,7 @@ def _read_host_day(path: Path, verify: bool) -> V2HostDay:
     if row_type.size and int(row_type.max()) >= len(type_infos):
         raise V2FormatError(f"{path.name}: row type index out of range")
     counts = np.bincount(row_type, minlength=len(type_infos))
-    types: list[_TypeColumns] = []
+    types: list[TypeColumns] = []
     for ti, (info, schema) in enumerate(zip(type_infos, schemas)):
         dev_idx = arrays[f"dev/{info['name']}"]
         values = arrays[f"val/{info['name']}"]
@@ -657,17 +435,21 @@ def _read_host_day(path: Path, verify: bool) -> V2HostDay:
             raise V2FormatError(
                 f"{path.name}: type {info['name']} device index out "
                 f"of range")
-        types.append(_TypeColumns(
+        types.append(TypeColumns(
             name=info["name"], schema=schema,
             devices=tuple(info["devices"]), dev_idx=dev_idx,
-            values=values))
+            values=values, block_idx=row_block[row_type == ti]))
 
     # Marks must point at real blocks and carry well-formed kinds.
-    for b, kind, _jobid in header["marks"]:
+    marks = [(b, kind, jobid) for b, kind, jobid in header["marks"]]
+    for b, kind, _jobid in marks:
         if not 0 <= b < n_blocks or kind not in ("begin", "end"):
             raise V2FormatError(f"{path.name}: malformed mark entry")
 
-    return V2HostDay(header=header, times=times, tags=tags,
-                     row_type=row_type, row_block=row_block, types=types,
-                     bytes_mapped=bytes_mapped,
-                     chunks_read=len(footer["chunks"]))
+    return HostColumns(
+        hostname=header["hostname"],
+        properties=dict(header["properties"]),
+        types=types, times=times, tags=tags,
+        jobid_tags=header["jobid_tags"], marks=marks,
+        row_type=row_type, row_block=row_block, header=header,
+        bytes_mapped=bytes_mapped, chunks_read=len(footer["chunks"]))

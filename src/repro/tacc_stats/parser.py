@@ -8,15 +8,19 @@ line (node crashed mid-write, opt-in via ``allow_truncated``), and files
 that begin mid-stream after rotation (headers repeat per file, so this is
 detected and rejected instead of being misread).
 
+The result is a :class:`~repro.tacc_stats.types.HostColumns` — the same
+column arrays the v2 reader maps from disk — so text, gzip and v2 files
+feed one ingest scan (:mod:`repro.ingest.columnar_scan`).
+
 Performance: data rows are >95 % of every file, so they take a fast path —
 the line is split only around type and device, arity is checked with one
 C-level ``str.count``, and the integer conversion plus value validation is
 batched per record type into a single numpy ``str -> uint64`` cast at end
-of file (~5x fewer Python-level operations per row than converting each
-row eagerly).  Structural errors (unknown type, wrong arity, duplicate
-device) are still detected inline at their line; a malformed *value* is
-attributed to its line during the batch cast, which runs before the parse
-returns, so nothing malformed ever escapes.
+of file, whose matrix *is* the type's value column.  Structural errors
+(unknown type, wrong arity, duplicate device) are still detected inline at
+their line; a malformed *value* is attributed to its line during the
+batch cast, which runs before the parse returns, so nothing malformed
+ever escapes.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.tacc_stats.schema import TypeSchema
-from repro.tacc_stats.types import HostData, Mark, TimestampBlock
+from repro.tacc_stats.types import HostColumns, HostData, TypeColumns
 from repro.telemetry.metrics import get_registry
 
-__all__ = ["ParseError", "ParseFault", "parse_host_text"]
+__all__ = ["ParseError", "ParseFault", "parse_host_columns",
+           "parse_host_text"]
 
 #: Longest offending-line excerpt kept in a :class:`ParseFault`.
 _FAULT_EXCERPT = 200
@@ -67,70 +72,50 @@ class ParseFault:
                    text=line[:_FAULT_EXCERPT])
 
 
-class _PendingRows:
-    """Per-type accumulator for the batched value conversion.
+def _type_columns(schema: TypeSchema, rests: list[str],
+                  runs: list[tuple[int, dict[str, int]]],
+                  faults: list[ParseFault] | None) -> TypeColumns:
+    """Batch-convert one type's accumulated rows into its columns.
 
-    Each data row contributes its raw value substring plus enough context
-    (its device slot in the block and its line number) to place the
-    converted vector and to attribute conversion failures to their line.
+    *rests* holds each row's raw value substring; *runs* lists the
+    type's ``(block, {device: lineno})`` runs in file order, whose keys,
+    concatenated, align with *rests* (the line loop keeps device and
+    line number in the dict it already needs for duplicate detection).
+    When the batch cast fails, rows are converted one by one so the bad
+    value is attributed to its line: raised, or in repair mode (a
+    *faults* sink) recorded and the row dropped from its run.
     """
-
-    def __init__(self, type_name: str, n_values: int):
-        self.type_name = type_name
-        self.n_values = n_values
-        self.rests: list[str] = []
-        self.targets: list[tuple[dict, str, int]] = []
-
-    def flush(self, faults: list[ParseFault] | None = None) -> None:
-        """Convert all accumulated rows and install them in their blocks.
-
-        With a *faults* sink (repair mode), a failed batch cast falls
-        back to row-by-row conversion: bad rows are recorded and their
-        placeholders removed instead of raising.
-        """
-        if not self.rests:
-            return
-        flat = " ".join(self.rests).split(" ")
-        try:
-            arr = np.array(flat, dtype=np.uint64)
-        except (ValueError, OverflowError):
-            if faults is None:
-                self._raise_offender()
-            self._flush_rowwise(faults)
-            return
-        matrix = arr.reshape(len(self.rests), self.n_values)
-        for (by_dev, device, _lineno), row in zip(self.targets, matrix):
-            by_dev[device] = row
-        self.rests.clear()
-        self.targets.clear()
-
-    def _flush_rowwise(self, faults: list[ParseFault]) -> None:
-        """Repair-mode fallback: convert each row, quarantining bad ones."""
-        for rest, (by_dev, device, lineno) in zip(self.rests, self.targets):
+    k = schema.n_values
+    try:
+        values = np.array(" ".join(rests).split(" ") if rests else [],
+                          dtype="<u8").reshape(-1, k)
+    except (ValueError, OverflowError):
+        sites = [(by_dev, dev, lineno) for _b, by_dev in runs
+                 for dev, lineno in by_dev.items()]
+        good = [np.empty((0, k), dtype="<u8")]
+        for rest, (by_dev, device, lineno) in zip(rests, sites):
             try:
-                by_dev[device] = np.array(rest.split(" "), dtype=np.uint64)
+                good.append(np.array([rest.split(" ")], dtype="<u8"))
             except (ValueError, OverflowError):
-                del by_dev[device]  # remove the placeholder
+                error = f"line {lineno}: non-integer value in row"
+                if faults is None:
+                    raise ParseError(error) from None
+                del by_dev[device]
                 faults.append(ParseFault(
-                    lineno=lineno,
-                    error=f"line {lineno}: non-integer value in row",
-                    text=f"{self.type_name} ... {rest[:_FAULT_EXCERPT]}",
-                ))
-        self.rests.clear()
-        self.targets.clear()
-
-    def _raise_offender(self) -> None:
-        """Batch cast failed: rescan row by row for the exact line."""
-        for rest, (_by_dev, _device, lineno) in zip(self.rests, self.targets):
-            try:
-                np.array(rest.split(" "), dtype=np.uint64)
-            except (ValueError, OverflowError):
-                raise ParseError(
-                    f"line {lineno}: non-integer value in row"
-                ) from None
-        raise ParseError(  # pragma: no cover - flush only fails per-row
-            f"non-integer value in a {self.type_name} row"
-        )
+                    lineno=lineno, error=error,
+                    text=f"{schema.type_name} ... {rest[:_FAULT_EXCERPT]}"))
+        values = np.vstack(good)
+    names = [dev for _b, by_dev in runs for dev in by_dev]
+    table = {dev: i for i, dev in enumerate(dict.fromkeys(names))}
+    return TypeColumns(
+        name=schema.type_name, schema=schema, devices=tuple(table),
+        dev_idx=np.fromiter(map(table.__getitem__, names), dtype="<u4",
+                            count=len(names)),
+        values=values,
+        block_idx=np.repeat(
+            np.array([b for b, _d in runs], dtype="<u4"),
+            [len(by_dev) for _b, by_dev in runs]),
+    )
 
 
 def _bad_row_error(lineno: int, type_name: str, rest: str,
@@ -145,9 +130,10 @@ def _bad_row_error(lineno: int, type_name: str, rest: str,
     return ParseError(f"line {lineno}: malformed spacing in row")
 
 
-def parse_host_text(text: str, allow_truncated: bool = False,
-                    faults: list[ParseFault] | None = None) -> HostData:
-    """Parse one host file's contents.
+def parse_host_columns(text: str, allow_truncated: bool = False,
+                       faults: list[ParseFault] | None = None,
+                       ) -> HostColumns:
+    """Parse one host file's contents into column arrays.
 
     Parameters
     ----------
@@ -175,13 +161,23 @@ def parse_host_text(text: str, allow_truncated: bool = False,
     elif lines:
         truncated_tail = len(lines)  # index+1 of the suspect line
 
-    host = HostData(hostname="")
-    block: TimestampBlock | None = None
+    hostname = ""
+    properties: dict[str, str] = {}
+    schemas: list[TypeSchema] = []
+    rests: list[list[str]] = []  # per type: raw value substrings
+    #: type -> (n_values, type index, rests[type].append): the per-row
+    #: fast path touches only bound methods, no attribute lookups.
+    row_sinks: dict[str, tuple[int, int, object]] = {}
+    times: list[float] = []
+    tags: list[str] = []
+    marks: list[tuple[int, str, str]] = []
+    #: (block, type index, {device: lineno}) in file order: one entry
+    #: per type per block, opened by the type's first row there.
+    runs: list[tuple[int, int, dict[str, int]]] = []
+    #: The open block's type -> {device: lineno}; None before the first
+    #: timestamp line and while a block is poisoned.
+    block: dict[str, dict[str, int]] | None = None
     header_done = False
-    pending: dict[str, _PendingRows] = {}
-    #: type -> (n_values, rests.append, targets.append): the per-row fast
-    #: path touches only bound methods, no attribute lookups.
-    row_sinks: dict[str, tuple[int, object, object]] = {}
 
     for lineno, line in enumerate(lines, 1):
         try:
@@ -194,7 +190,7 @@ def parse_host_text(text: str, allow_truncated: bool = False,
                     raise ParseError(
                         f"line {lineno}: timestamp line needs 2 tokens"
                     )
-                if not host.hostname:
+                if not hostname:
                     raise ParseError(
                         f"line {lineno}: data before $hostname header"
                     )
@@ -203,13 +199,13 @@ def parse_host_text(text: str, allow_truncated: bool = False,
                     t = float(parts[0])
                 except ValueError as e:
                     raise ParseError(f"line {lineno}: bad timestamp") from e
-                if block is not None and t < block.time:
+                if block is not None and t < times[-1]:
                     raise ParseError(
                         f"line {lineno}: non-monotonic timestamp {t}"
                     )
-                jobids = () if parts[1] == "-" else tuple(parts[1].split(","))
-                block = TimestampBlock(time=t, jobids=jobids)
-                host.blocks.append(block)
+                times.append(t)
+                tags.append(parts[1])
+                block = {}
             elif c == "$":
                 if header_done:
                     raise ParseError(
@@ -219,9 +215,9 @@ def parse_host_text(text: str, allow_truncated: bool = False,
                 if sp <= 1:
                     raise ParseError(f"line {lineno}: malformed property")
                 key, value = line[1:sp], line[sp + 1:]
-                host.properties[key] = value
+                properties[key] = value
                 if key == "hostname":
-                    host.hostname = value
+                    hostname = value
             elif c == "!":
                 if header_done:
                     raise ParseError(
@@ -231,24 +227,22 @@ def parse_host_text(text: str, allow_truncated: bool = False,
                     schema = TypeSchema.parse_header_line(line)
                 except ValueError as e:
                     raise ParseError(f"line {lineno}: {e}") from e
-                if schema.type_name in host.schemas:
+                if schema.type_name in row_sinks:
                     raise ParseError(
                         f"line {lineno}: duplicate schema {schema.type_name}"
                     )
-                host.schemas[schema.type_name] = schema
-                rows = _PendingRows(schema.type_name, schema.n_values)
-                pending[schema.type_name] = rows
+                rests.append([])
                 row_sinks[schema.type_name] = (
-                    schema.n_values, rows.rests.append, rows.targets.append
+                    schema.n_values, len(schemas), rests[-1].append
                 )
+                schemas.append(schema)
             elif c == "%":
                 if block is None:
                     raise ParseError(f"line {lineno}: mark before any block")
                 parts = line[1:].split()
                 if len(parts) != 2 or parts[0] not in ("begin", "end"):
                     raise ParseError(f"line {lineno}: malformed mark {line!r}")
-                host.marks.append(Mark(time=block.time, kind=parts[0],
-                                       jobid=parts[1]))
+                marks.append((len(times) - 1, parts[0], parts[1]))
             else:
                 # Data row: "type device v1 v2 ..." — the fast path.
                 if block is None:
@@ -262,32 +256,31 @@ def parse_host_text(text: str, allow_truncated: bool = False,
                     raise ParseError(
                         f"line {lineno}: row for undeclared type {type_name!r}"
                     )
-                n_values, append_rest, append_target = sink
+                n_values, type_idx, append_rest = sink
                 if rest.count(" ") + 1 != n_values:
                     raise _bad_row_error(lineno, type_name, rest, n_values)
-                by_dev = block.rows.get(type_name)
+                by_dev = block.get(type_name)
                 if by_dev is None:
-                    by_dev = block.rows[type_name] = {}
+                    by_dev = block[type_name] = {}
+                    runs.append((len(times) - 1, type_idx, by_dev))
                 elif device in by_dev:
                     raise ParseError(
                         f"line {lineno}: duplicate row {type_name}/{device} "
-                        f"at t={block.time}"
+                        f"at t={times[-1]}"
                     )
-                if lineno != truncated_tail:
-                    by_dev[device] = None  # placeholder until the batch cast
-                    append_rest(rest)
-                    append_target((by_dev, device, lineno))
-                else:
-                    # The unterminated final line cannot join the batch
-                    # cast: its conversion failure must be attributable
-                    # here so allow_truncated can drop exactly this line.
+                if lineno == truncated_tail:
+                    # A conversion failure of the unterminated final
+                    # line must be attributable here, not in the batch
+                    # cast, so allow_truncated can drop exactly this
+                    # line.
                     try:
-                        by_dev[device] = np.array(rest.split(" "),
-                                                  dtype=np.uint64)
+                        np.array(rest.split(" "), dtype=np.uint64)
                     except (ValueError, OverflowError):
                         raise ParseError(
                             f"line {lineno}: non-integer value in row"
                         ) from None
+                by_dev[device] = lineno
+                append_rest(rest)
         except ParseError as exc:
             if allow_truncated and truncated_tail == lineno:
                 # Crash-consistent read: drop exactly the unterminated
@@ -303,13 +296,20 @@ def parse_host_text(text: str, allow_truncated: bool = False,
                 # silently attaching to the previous timestamp.
                 block = None
 
-    for rows in pending.values():
-        rows.flush(faults)
+    type_runs: list[list] = [[] for _ in schemas]
+    for b, type_idx, by_dev in runs:
+        type_runs[type_idx].append((b, by_dev))
+    types = [_type_columns(*args, faults)
+             for args in zip(schemas, rests, type_runs)]
 
     # A block whose tail was dropped is still usable; summaries handle
     # missing rows per device.
-    if not host.hostname and (host.blocks or host.schemas):
+    if not hostname and (times or schemas):
         raise ParseError("stream has data but no $hostname header")
+
+    # Run lengths are read after the flush: repair mode drops bad rows.
+    run_len = [len(by_dev) for _b, _t, by_dev in runs]
+    tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
 
     # Bulk telemetry at end of parse — never per line, so the counters
     # stay off the row fast path entirely.
@@ -317,10 +317,31 @@ def parse_host_text(text: str, allow_truncated: bool = False,
     registry.counter("parse.files").inc()
     registry.counter("parse.bytes").inc(len(text))
     registry.counter("parse.lines").inc(len(lines))
-    registry.counter("parse.blocks").inc(len(host.blocks))
+    registry.counter("parse.blocks").inc(len(times))
     if faults is not None:
         registry.counter("parse.faults").inc(len(faults) - faults_before)
-    return host
+    return HostColumns(
+        hostname=hostname,
+        properties=properties,
+        types=types,
+        times=np.array(times, dtype="<f8"),
+        tags=np.array([tag_table[tag] for tag in tags], dtype="<u4"),
+        jobid_tags=list(tag_table),
+        marks=marks,
+        row_type=np.repeat(
+            np.array([t for _b, t, _d in runs], dtype="<u2"), run_len),
+        row_block=np.repeat(
+            np.array([b for b, _t, _d in runs], dtype="<u4"), run_len),
+    )
+
+
+def parse_host_text(text: str, allow_truncated: bool = False,
+                    faults: list[ParseFault] | None = None) -> HostData:
+    """:func:`parse_host_columns` as the :class:`HostData` edge view,
+    for the inspection tools and tests that read blocks; no ingest code
+    calls it."""
+    return parse_host_columns(text, allow_truncated=allow_truncated,
+                              faults=faults).to_host_data()
 
 
 def event_delta(first: int, last: int, width: int) -> int:

@@ -16,6 +16,7 @@ never hard-code layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = ["SchemaEntry", "TypeSchema"]
 
@@ -125,8 +126,13 @@ class TypeSchema:
         return f"!{self.type_name} " + " ".join(e.spec() for e in self.entries)
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def parse_header_line(cls, line: str) -> "TypeSchema":
-        """Parse a ``!type ...`` line (leading ``!`` required)."""
+        """Parse a ``!type ...`` line (leading ``!`` required).
+
+        Cached: every file a collector suite writes repeats the same
+        header lines, and instances are immutable.
+        """
         if not line.startswith("!"):
             raise ValueError(f"schema line must start with '!': {line!r}")
         parts = line[1:].split()

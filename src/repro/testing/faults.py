@@ -24,10 +24,16 @@ kind                  what happens to the file
 ``duplicate_timestamp``  a timestamp line is emitted twice (daemon retry
                       after a partial flush); *benign* — an empty
                       same-time block is legal
+``wrong_hostname``    the ``$hostname`` header names another host (a file
+                      copied into the wrong directory, a mangled
+                      header); *fatal* — the file parses, but the
+                      archive's directory name is authoritative
 ====================  =====================================================
 
-*Fatal* kinds make the host fail a ``strict`` parse and get the host
-dropped under ``quarantine``; *benign* kinds parse clean everywhere.
+*Fatal* kinds make the host fail a ``strict`` read
+(:meth:`HostArchive.read_host_days` raises :class:`ParseError`) and get
+the host dropped under ``quarantine``; *benign* kinds read clean
+everywhere.
 
 The module also ships picklable worker shims (:func:`crashy_scan`,
 :func:`sleepy_scan`) that wrap the real scan entry point to simulate
@@ -59,8 +65,9 @@ __all__ = [
     "sleepy_scan",
 ]
 
-#: Kinds that make the file unparseable under ``strict``.
-FATAL_KINDS = ("bit_flip", "missing_schema", "garbage_lines")
+#: Kinds that make a ``strict`` read of the host raise.
+FATAL_KINDS = ("bit_flip", "missing_schema", "garbage_lines",
+               "wrong_hostname")
 #: Kinds every policy tolerates without quarantining anything.
 BENIGN_KINDS = ("truncated_tail", "zero_byte", "duplicate_timestamp")
 #: The full catalogue.
@@ -171,6 +178,21 @@ def _duplicate_timestamp(lines: list[str], rng: random.Random
     return lines, idx + 2, f"duplicated {lines[idx].split(' ')[0]}"
 
 
+def _wrong_hostname(lines: list[str], rng: random.Random
+                    ) -> tuple[list[str], int, str]:
+    """Rewrite the ``$hostname`` header to name another host.
+
+    The new name is the old one with a prefix, so it can never equal
+    the directory the file sits in.
+    """
+    del rng
+    idx = next(i for i, line in enumerate(lines)
+               if line.startswith("$hostname "))
+    claimed = "not-" + lines[idx].split(" ", 1)[1]
+    lines[idx] = f"$hostname {claimed}"
+    return lines, idx + 1, f"header claims {claimed}"
+
+
 _INJECTORS = {
     "truncated_tail": _truncated_tail,
     "bit_flip": _bit_flip,
@@ -178,6 +200,7 @@ _INJECTORS = {
     "garbage_lines": _garbage_lines,
     "zero_byte": _zero_byte,
     "duplicate_timestamp": _duplicate_timestamp,
+    "wrong_hostname": _wrong_hostname,
 }
 
 

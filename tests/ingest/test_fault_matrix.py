@@ -30,12 +30,14 @@ from repro.ingest.warehouse import Warehouse
 from repro.lariat.records import lariat_record_for
 from repro.scheduler.accounting import AccountingWriter
 from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.convert import convert_archive
 from repro.tacc_stats.parser import ParseError
 from repro.testing.faults import (
     BENIGN_KINDS,
     FATAL_KINDS,
     corrupt_archive,
     crashy_scan,
+    inject_fault,
     sleepy_scan,
 )
 from repro.xdmod.query import JobQuery
@@ -141,6 +143,43 @@ def test_quarantine_warehouse_byte_identical_to_clean_hosts(
         assert rec.error
     quarantined_hosts = {r.hostname for r in health.quarantined}
     assert quarantined_hosts == set(victims)
+
+
+@pytest.mark.parametrize("fmt", ["text", "v2"])
+def test_wrong_hostname_every_policy_both_formats(corpus, tmp_path, fmt):
+    """The directory name is authoritative under every policy and in
+    both formats: a host whose files ALL claim another hostname is
+    never ingested under the claimed name."""
+    victim = HostArchive(corpus[1]).hostnames()[2]
+    root = tmp_path / "archive"
+    shutil.copytree(corpus[1], root)
+    files = sorted((root / victim).iterdir())
+    for i, path in enumerate(files):
+        inject_fault(path, "wrong_hostname", seed=i)
+    if fmt == "v2":
+        report = convert_archive(str(root), to="v2")
+        assert not report.passthrough
+        files = sorted((root / victim).iterdir())
+        assert all(p.suffix == ".v2" for p in files)
+
+    with pytest.raises(ParseError, match=f"claims hostname 'not-{victim}'"):
+        _ingest(corpus, root)
+
+    clean_root = tmp_path / "clean"
+    shutil.copytree(corpus[1], clean_root)
+    shutil.rmtree(clean_root / victim)
+    clean_rows = _rows(_ingest(corpus, clean_root)[0])
+    expected = [(victim, str(p), None, "hostname_mismatch",
+                 f"file claims hostname 'not-{victim}'") for p in files]
+    for policy, outcome in (("quarantine", "hosts_dropped"),
+                            ("repair", "hosts_degraded")):
+        w, report = _ingest(corpus, root, error_policy=policy)
+        assert getattr(report.health, outcome) == [victim]
+        assert [(r.hostname, r.path, r.lineno, r.kind, r.error)
+                for r in report.health.quarantined] == expected
+        assert _rows(w) == clean_rows
+        jobs = {r[1] for r in _rows(w)[0]}
+        assert jobs, "the other hosts still load"
 
 
 def test_quarantine_writes_sidecar_and_warehouse_meta(corpus, tmp_path):

@@ -221,8 +221,6 @@ def test_mode_validation(corpus):
     with pytest.raises(ValueError, match="mode"):
         pipe.ingest(cfg, "", archive=HostArchive(corpus[1]),
                     mode="sideways")
-    with pytest.raises(ValueError, match="archive"):
-        pipe.ingest(cfg, "", hosts=[], mode="append")
     with pytest.raises(ValueError, match="through_day"):
         pipe.ingest(cfg, "", archive=HostArchive(corpus[1]),
                     through_day=0)

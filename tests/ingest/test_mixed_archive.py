@@ -9,23 +9,29 @@ These tests pin the contracts the v2 rollout rests on:
 * ``manifest()`` reports the *source* fingerprint for v2 files, so
   converting an already-ingested archive then appending consumes zero
   files (``files_new == files_lookback == 0``);
-* the columnar fast path produces views/partials identical to the
-  generic HostData path, and identical quarantine records for corrupt
-  v2 files under every error policy;
+* both decoders hand the scan the same columns, and the column scan
+  produces views/partials identical to the dict reference
+  (``scan_host_data`` over ``read_host``) for any mix of formats, for
+  files that overlap in time and for text no writer produces;
+* a corrupt file — v2 or gzip — yields the same literal quarantine
+  records under every error policy, and repair-mode line faults do not
+  depend on the format of the host's other days;
 * the v2 *write* path (``archive_format="v2"``) produces an archive
   whose ingest matches the text run of the same seed.
 """
 
+import gzip
 import io
+import random
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.config import TEST_SYSTEM
-from repro.errors import ErrorPolicy
+from repro.errors import ErrorPolicy, QuarantinedRecord
 from repro.facility import Facility
-from repro.ingest.columnar_scan import scan_v2_host
+from repro.ingest.columnar_scan import scan_host
 from repro.ingest.parallel import scan_host_data
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.warehouse import Warehouse
@@ -34,6 +40,9 @@ from repro.scheduler.accounting import AccountingWriter
 from repro.tacc_stats.archive import HostArchive, _file_day
 from repro.tacc_stats.columnar import is_v2_path, read_host_day
 from repro.tacc_stats.convert import _to_v2_one, convert_archive
+from repro.tacc_stats.parser import ParseError, parse_host_columns
+from repro.testing.faults import inject_fault
+from tests.tacc_stats.test_columnar import _columns_map
 
 N_DAYS = 3
 
@@ -164,64 +173,195 @@ def test_v2_to_text_roundtrip_restores_archive(corpus, tmp_path):
             == (Path(corpus[1]) / rel).read_bytes(), rel
 
 
+def _assert_scan_equals_reference(archive, hostname):
+    """scan_host == the dict reducers over the HostData edge view."""
+    scan, records, status = scan_host(archive, hostname)
+    assert records == () and status == "ok"
+    reference = scan_host_data(archive.read_host(hostname))
+    assert scan.views == reference.views
+    assert scan.partials == reference.partials
+    return scan
+
+
 def test_columnar_scan_matches_generic_path(corpus, tmp_path):
     v2_dir = _convert_copy(corpus, tmp_path)
-    archive = HostArchive(v2_dir)
-    for hostname in archive.hostnames():
-        fast = scan_v2_host(archive, hostname)
-        assert fast is not None
-        scan, records, status = fast
-        assert records == () and status == "ok"
-        generic = scan_host_data(
-            archive.read_host_checked(hostname, policy="repair").data)
-        assert set(scan.views) == set(generic.views)
-        assert scan.partials == generic.partials
+    for root in (corpus[1], v2_dir):
+        archive = HostArchive(root)
+        for hostname in archive.hostnames():
+            scan = _assert_scan_equals_reference(archive, hostname)
+            assert scan.partials
 
 
-def test_columnar_scan_declines_mixed_host(corpus, tmp_path):
+def test_both_decoders_give_the_same_columns(corpus, tmp_path):
+    v2_dir = Path(_convert_copy(corpus, tmp_path))
+    n = 0
+    for src in sorted(p for p in Path(corpus[1]).rglob("*") if p.is_file()):
+        v2 = v2_dir / src.parent.name / (_file_day(src) + ".v2")
+        assert _columns_map(read_host_day(v2)) == _columns_map(
+            parse_host_columns(HostArchive.read_file(src)))
+        n += 1
+    assert n >= 4 * N_DAYS
+
+
+def _mixed_host(corpus, tmp_path):
+    """One corpus host with day 1 converted to v2, the rest still gz."""
     mixed = tmp_path / "mixed_host"
     shutil.copytree(corpus[1], mixed)
-    archive = HostArchive(str(mixed))
-    hostname = archive.hostnames()[0]
+    hostname = HostArchive(str(mixed)).hostnames()[0]
     host_dir = mixed / hostname
-    files = sorted(p for p in host_dir.iterdir())
-    # Convert only the first day of this host.
-    src = files[0]
+    src = sorted(host_dir.iterdir())[0]
     assert _to_v2_one(src, host_dir / (_file_day(src) + ".v2"),
                       verify=True)
     src.unlink()
-    archive = HostArchive(str(mixed))
-    assert scan_v2_host(archive, hostname) is None
+    kinds = [p.suffix for p in sorted(host_dir.iterdir())]
+    assert kinds[0] == ".v2" and set(kinds[1:]) == {".gz"}
+    return HostArchive(str(mixed)), hostname
+
+
+def test_scan_host_mixed_formats_and_overlap_match_reference(corpus,
+                                                             tmp_path):
+    """No host is handed to another path: v2 + gz days in one host, and
+    files that overlap in time, scan to what the dict reference gets."""
+    archive, hostname = _mixed_host(corpus, tmp_path)
+    mixed = _assert_scan_equals_reference(archive, hostname)
+    original = scan_host(HostArchive(corpus[1]), hostname)[0]
+    assert mixed == original
+
+    # Overlap: deal one day's blocks alternately into two files, so the
+    # merge has to interleave them back into time order.
+    overlap = tmp_path / "overlap"
+    (overlap / hostname).mkdir(parents=True)
+    day = sorted((Path(corpus[1]) / hostname).iterdir())[1]
+    lines = HostArchive.read_file(day).splitlines(keepends=True)
+    starts = [i for i, ln in enumerate(lines) if ln[0].isdigit()]
+    header = lines[:starts[0]]
+    blocks = [lines[s:e] for s, e in zip(starts, [*starts[1:], None])]
+    assert len(blocks) > 4
+    for name, part in (("2013-01-01", blocks[0::2]),
+                       ("2013-01-02", blocks[1::2])):
+        (overlap / hostname / name).write_text(
+            "".join(header + [ln for blk in part for ln in blk]))
+    dealt = _assert_scan_equals_reference(HostArchive(str(overlap)),
+                                          hostname)
+    whole = tmp_path / "whole"
+    (whole / hostname).mkdir(parents=True)
+    shutil.copy(day, whole / hostname / day.name)
+    assert dealt == scan_host(HostArchive(str(whole)), hostname)[0]
+    assert dealt.partials
+
+
+def test_scan_host_noncanonical_text_matches_reference(corpus, tmp_path):
+    """Text no writer produces — a block's rows in any order, devices
+    missing from some blocks, a repeated timestamp, fractional seconds —
+    scans to what the dict reference gets."""
+    rng = random.Random(5)
+    root = tmp_path / "odd"
+    hostname = HostArchive(corpus[1]).hostnames()[1]
+    (root / hostname).mkdir(parents=True)
+    for src in sorted((Path(corpus[1]) / hostname).iterdir()):
+        out, rows = [], []
+        frac = rng.choice(["0", "25", "50"])
+
+        def end_block():
+            rng.shuffle(rows)
+            out.extend(r for r in rows if rng.random() > 0.03)
+            rows.clear()
+
+        for ln in HostArchive.read_file(src).splitlines(keepends=True):
+            if ln[0].isdigit():
+                end_block()
+                stamp, tag = ln.split()
+                stamped = f"{stamp}.{frac} {tag}\n"
+                if rng.random() < 0.05:
+                    out.append(stamped)  # an empty same-time block first
+                out.append(stamped)
+            elif ln[0] in "$!%":
+                out.append(ln)
+            else:
+                rows.append(ln)
+        end_block()
+        (root / hostname / _file_day(src)).write_text("".join(out))
+    scan = _assert_scan_equals_reference(HostArchive(str(root)), hostname)
+    assert scan.partials
+
+
+def _record(hostname, path, kind, error, lineno=None, text=""):
+    return QuarantinedRecord(hostname=hostname, path=str(path),
+                             lineno=lineno, kind=kind, error=error,
+                             text=text)
 
 
 def test_corrupt_v2_quarantine_parity(corpus, tmp_path):
-    """Fast path and generic path emit identical quarantine records."""
-    v2_dir = _convert_copy(corpus, tmp_path)
-    archive = HostArchive(v2_dir)
+    """One corrupt file, v2 or gzip: the literal records per policy."""
+    for fmt in ("v2", "gz"):
+        _check_corrupt_file_records(corpus, tmp_path, fmt)
+
+
+def _check_corrupt_file_records(corpus, tmp_path, fmt):
+    root = (_convert_copy(corpus, tmp_path) if fmt == "v2"
+            else shutil.copytree(corpus[1], tmp_path / "as_gz"))
+    archive = HostArchive(root)
     hostname = archive.hostnames()[0]
-    victim = sorted((Path(v2_dir) / hostname).glob("*.v2"))[0]
+    victim = sorted((Path(root) / hostname).glob(f"*.{fmt}"))[0]
     blob = bytearray(victim.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
+    # v2: a byte inside a column chunk; gzip: a byte of the CRC trailer.
+    pos = len(blob) // 2 if fmt == "v2" else len(blob) - 6
+    blob[pos] ^= 0xFF
+    victim.write_bytes(bytes(blob))
+    if fmt == "v2":
+        chunk = next(
+            c["name"] for c in _v2_footer(victim)["chunks"]
+            if c["offset"] <= pos < c["offset"] + c["nbytes"])
+        error = (f"V2FormatError: {victim.name}: chunk {chunk} digest "
+                 f"mismatch (file is corrupt)")
+    else:
+        with pytest.raises(gzip.BadGzipFile) as gz_err:
+            gzip.decompress(victim.read_bytes())
+        error = f"BadGzipFile: {gz_err.value}"
+    expected = (_record(hostname, victim, "unreadable_file", error),)
+
+    assert scan_host(archive, hostname, policy=ErrorPolicy.QUARANTINE) \
+        == (None, expected, "dropped")
+
+    scan, records, status = scan_host(archive, hostname,
+                                      policy=ErrorPolicy.REPAIR)
+    assert (records, status) == (expected, "degraded")
+    # Repair keeps the other days: the scan of the host minus the file.
+    victim.unlink()
+    assert scan == scan_host(archive, hostname)[0]
+    assert scan.partials
     victim.write_bytes(bytes(blob))
 
-    for policy in (ErrorPolicy.QUARANTINE, ErrorPolicy.REPAIR):
-        fast = scan_v2_host(archive, hostname, policy=policy)
-        assert fast is not None
-        scan, records, status = fast
-        generic = archive.read_host_checked(hostname, policy=policy)
-        assert status == generic.status
-        assert records == generic.records
-        if policy is ErrorPolicy.QUARANTINE:
-            assert scan is None and generic.data is None
-        else:
-            assert [r.kind for r in records] == ["unreadable_file"]
-            gen_scan = scan_host_data(generic.data)
-            assert scan.partials == gen_scan.partials
+    with pytest.raises(ParseError if fmt == "v2" else OSError):
+        scan_host(archive, hostname, policy=ErrorPolicy.STRICT)
 
-    with pytest.raises(Exception) as err:
-        scan_v2_host(archive, hostname, policy=ErrorPolicy.STRICT)
-    from repro.tacc_stats.parser import ParseError
-    assert isinstance(err.value, ParseError)
+
+def _v2_footer(path):
+    import json
+    import struct
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[-16:-8])
+    return json.loads(blob[-16 - n:-16])
+
+
+def test_repair_line_faults_same_in_mixed_and_text_host(corpus, tmp_path):
+    """A corrupt text day repairs to the same records and partials
+    whether the host's other days are text or v2."""
+    archive, hostname = _mixed_host(corpus, tmp_path)
+    text_root = tmp_path / "all_text"
+    shutil.copytree(corpus[1], text_root)
+    outcomes = []
+    for root in (Path(archive.root), text_root):
+        victim = sorted((root / hostname).glob("*.gz"))[-1]
+        fault = inject_fault(victim, "bit_flip", seed=9)
+        scan, records, status = scan_host(
+            HostArchive(str(root)), hostname, policy=ErrorPolicy.REPAIR)
+        assert status == "degraded"
+        assert [(r.kind, r.lineno, Path(r.path).name) for r in records] \
+            == [("malformed_record", fault.lineno, victim.name)]
+        outcomes.append((scan, [(r.error, r.text) for r in records]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].partials
 
 
 def test_v2_write_path_matches_text_run(corpus, text_rows,

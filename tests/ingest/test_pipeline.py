@@ -83,5 +83,8 @@ def test_pipeline_argument_validation(file_run):
     from repro.ingest.pipeline import IngestPipeline
     from repro.ingest.warehouse import Warehouse
     p = IngestPipeline(Warehouse())
-    with pytest.raises(ValueError, match="exactly one"):
+    # The archive is the one input: there is no parsed-hosts mode.
+    with pytest.raises(TypeError, match="archive"):
         p.ingest(TEST_SYSTEM, accounting_text="")
+    with pytest.raises(TypeError, match="hosts"):
+        p.ingest(TEST_SYSTEM, accounting_text="", hosts=[])

@@ -3,8 +3,9 @@
 The format's contract is threefold: (1) ``text -> v2 -> text`` is
 byte-identical for every canonical (writer-produced) stream — proved
 here as a hypothesis property over generated schemas/blocks/marks;
-(2) the decoded column views rebuild exactly the :class:`HostData` the
-text parser would produce; (3) corruption anywhere in a v2 file is
+(2) the decoded columns are exactly the :class:`HostColumns` the text
+parser produces, for canonical and non-canonical text alike;
+(3) corruption anywhere in a v2 file is
 *detected* (header magic, chunk digests, truncated footer) and surfaces
 as a :class:`ParseError` subclass, so every :class:`ErrorPolicy`
 outcome matches what the same corruption in a text archive produces.
@@ -32,7 +33,11 @@ from repro.tacc_stats.columnar import (
 )
 from repro.tacc_stats.convert import convert_archive
 from repro.tacc_stats.format import StatsWriter
-from repro.tacc_stats.parser import ParseError, parse_host_text
+from repro.tacc_stats.parser import (
+    ParseError,
+    parse_host_columns,
+    parse_host_text,
+)
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
@@ -100,8 +105,26 @@ def test_text_roundtrip_byte_identical(tmp_path):
     assert day.to_text() == VALID
 
 
+def _columns_map(day):
+    """Every column of a decoded host-day as plain python values, with
+    dtypes, so two decoders can be compared exactly."""
+    def arr(a):
+        return (a.dtype.str, a.shape, a.tolist())
+    return {
+        "hostname": day.hostname,
+        "properties": list(day.properties.items()),
+        "times": arr(day.times), "tags": arr(day.tags),
+        "jobid_tags": day.jobid_tags, "marks": day.marks,
+        "row_type": arr(day.row_type), "row_block": arr(day.row_block),
+        "types": [(tc.name, tc.schema, tc.devices, arr(tc.dev_idx),
+                   arr(tc.values), arr(tc.block_idx))
+                  for tc in day.types],
+    }
+
+
 def test_decoded_host_data_matches_parser(tmp_path):
     day = read_host_day(_write_v2(tmp_path))
+    assert _columns_map(day) == _columns_map(parse_host_columns(VALID))
     assert _host_data_map(day.to_host_data()) == _host_data_map(
         parse_host_text(VALID))
 
@@ -220,21 +243,98 @@ def test_property_v2_roundtrip_identity(text):
         path.write_bytes(blob)
         day = read_host_day(path)
     assert day.to_text() == text
+    assert _columns_map(day) == _columns_map(parse_host_columns(text))
+    assert _host_data_map(day.to_host_data()) == _host_data_map(
+        parse_host_text(text))
+
+
+@st.composite
+def _noncanonical_text(draw):
+    """Valid text no writer produces: the rows of a block in any order
+    (type runs interleaved), devices missing from some blocks, repeated
+    timestamps, fractional seconds with and without trailing zeros."""
+    schemas = draw(st.lists(_schema(), min_size=1, max_size=3,
+                            unique_by=lambda s: s.type_name))
+    devices = {s.type_name: draw(st.lists(_device, min_size=1, max_size=3,
+                                          unique=True))
+               for s in schemas}
+    stamps = sorted(
+        draw(st.lists(
+            st.tuples(st.integers(0, 10**7),
+                      st.sampled_from(["", ".0", ".5", ".50", ".25"])),
+            min_size=1, max_size=5)),
+        key=lambda p: float(f"{p[0]}{p[1]}"))
+    lines = ["$hostname h1"] + [s.header_line() for s in schemas]
+    for whole, frac in stamps:
+        jobids = draw(st.lists(
+            st.from_regex(r"[0-9]{1,7}", fullmatch=True), max_size=2,
+            unique=True))
+        lines.append(f"{whole}{frac} {','.join(jobids) or '-'}")
+        for jid in jobids:
+            if draw(st.booleans()):
+                lines.append(f"%{draw(st.sampled_from(['begin', 'end']))} "
+                             f"{jid}")
+        rows = [(s, dev) for s in schemas for dev in devices[s.type_name]
+                if draw(st.integers(0, 4))]
+        for s, dev in draw(st.permutations(rows)):
+            vals = draw(st.lists(st.integers(0, 2**64 - 1),
+                                 min_size=s.n_values, max_size=s.n_values))
+            lines.append(f"{s.type_name} {dev} {' '.join(map(str, vals))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_noncanonical_text())
+@settings(max_examples=80, deadline=None)
+def test_property_parser_columns_equal_v2_columns(text):
+    """Both decoders produce the same columns for any valid text, and
+    the canonical rendering of those columns parses back to them."""
+    parsed = parse_host_columns(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "2012-09-30.v2"
+        path.write_bytes(encode_host_text(text))
+        day = read_host_day(path)
+    assert _columns_map(day) == _columns_map(parsed)
+    assert _columns_map(parse_host_columns(day.to_text())) \
+        == _columns_map(parsed)
     assert _host_data_map(day.to_host_data()) == _host_data_map(
         parse_host_text(text))
 
 
 def _policy_outcome(root, policy):
-    """Comparable (status-ish, record kinds, surviving data) triple."""
-    archive = HostArchive(root)
+    """Comparable (status, (kind, lineno) records, kept data) triple."""
     try:
-        result = archive.read_host_checked("h1", policy=policy)
-    except ParseError as e:
-        return ("raised", type(e).__name__ in ("ParseError",), None)
-    data = (_host_data_map(result.data)
-            if result.data is not None else None)
-    return (result.status,
-            tuple(sorted(r.kind for r in result.records)), data)
+        kept, records, status = HostArchive(root).read_host_days(
+            "h1", policy=policy)
+    except ParseError:
+        return ("raised", (), None)
+    return (status, tuple((r.kind, r.lineno) for r in records),
+            [_host_data_map(day.to_host_data()) for day in kept])
+
+
+def _expected_outcome(text, policy):
+    """What the policy must make of one file holding *text*, worked out
+    from the parser alone."""
+    strict = policy is ErrorPolicy.STRICT
+    faults = []
+    try:
+        host = parse_host_text(text, faults=None if strict else faults)
+    except ParseError:
+        if strict:
+            return ("raised", (), None)
+        records, data = (("unreadable_file", None),), []
+    else:
+        records = tuple(("malformed_record", f.lineno) for f in faults)
+        data = [_host_data_map(host)]
+        if not host.hostname:
+            data = []  # empty file: node down all day
+        elif host.hostname != "h1":
+            if strict:
+                return ("raised", (), None)
+            records += (("hostname_mismatch", None),)
+            data = []
+    if policy is ErrorPolicy.QUARANTINE and records:
+        return ("dropped", records, [])
+    return ("degraded" if records else "ok", records, data)
 
 
 _OPS = ("flip_digit", "delete_line", "truncate_line", "garbage")
@@ -267,9 +367,10 @@ def test_property_policy_parity_after_convert(text, op, idx):
 
     Corrupt (or leave alone) one host-day, store it as text, convert
     the archive to v2 — unconvertible files pass through — and assert
-    strict/quarantine/repair all land in the same outcome on both
-    archives.  This is the "corruption is never laundered" half of the
-    round-trip contract.
+    strict/quarantine/repair land in the expected outcome (status,
+    record kinds and line numbers, surviving data) on both archives.
+    This is the "corruption is never laundered" half of the round-trip
+    contract.
     """
     corrupted = _corrupt(text, op, idx)
     with tempfile.TemporaryDirectory() as tmp:
@@ -282,6 +383,8 @@ def test_property_policy_parity_after_convert(text, op, idx):
         convert_archive(str(v2_root), to="v2")
         for policy in (ErrorPolicy.STRICT, ErrorPolicy.QUARANTINE,
                        ErrorPolicy.REPAIR):
-            assert _policy_outcome(str(text_root), policy) \
-                == _policy_outcome(str(v2_root), policy), \
+            expected = _expected_outcome(corrupted, policy)
+            assert _policy_outcome(str(text_root), policy) == expected, \
+                f"policy {policy} on text ({op})"
+            assert _policy_outcome(str(v2_root), policy) == expected, \
                 f"policy {policy} diverged after conversion ({op})"

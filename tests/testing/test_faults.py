@@ -10,6 +10,7 @@ import gzip
 
 import pytest
 
+from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.parser import ParseError, parse_host_text
 from repro.testing.faults import (
     BENIGN_KINDS,
@@ -75,10 +76,10 @@ def test_different_seeds_vary(tmp_path):
 
 @pytest.mark.parametrize("kind", FATAL_KINDS)
 def test_fatal_kinds_fail_strict_parse(tmp_path, kind):
-    p = _file(tmp_path)
+    p = _file(tmp_path / "h7")
     inject_fault(p, kind, seed=3)
     with pytest.raises(ParseError):
-        parse_host_text(p.read_text(), allow_truncated=True)
+        HostArchive(tmp_path).read_host("h7", allow_truncated=True)
 
 
 @pytest.mark.parametrize("kind", BENIGN_KINDS)
@@ -101,14 +102,16 @@ def test_benign_kinds_still_parse(tmp_path, kind):
 
 
 def test_fatal_kinds_are_quarantinable(tmp_path):
-    """Repair-mode parse survives every fatal kind with faults recorded
-    (except corruption that destroys the stream identity entirely)."""
+    """A repair-mode read survives every fatal kind with the damage
+    recorded (except corruption that destroys the stream identity
+    entirely)."""
     for kind in FATAL_KINDS:
-        p = _file(tmp_path, name=kind)
+        p = _file(tmp_path / kind / "h7")
         inject_fault(p, kind, seed=11)
-        faults = []
-        parse_host_text(p.read_text(), allow_truncated=True, faults=faults)
-        assert faults, kind
+        _kept, records, status = HostArchive(tmp_path / kind).read_host_days(
+            "h7", allow_truncated=True, policy="repair")
+        assert records and status == "degraded", kind
+        assert {r.path for r in records} == {str(p)}
 
 
 def test_corrupt_archive_one_file_per_host(tmp_path):
