@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "records, retries) for the system")
     parser.add_argument("--ledger", action="store_true",
                         help="print the ingest ledger (consumed archive "
-                             "host-days with fingerprints and status) "
+                             "host-days with fingerprints, status and "
+                             "open-job counts; the cells the next append "
+                             "may re-read and the ten oldest open jobs) "
                              "and the recorded ingest runs with their "
                              "appended row ranges")
     parser.add_argument("--telemetry", default=None, metavar="MANIFEST",
@@ -139,24 +141,48 @@ def _print_ledger(warehouse: Warehouse, system: str) -> None:
         return
     days = sorted({day for _h, day in ledger})
     by_status: dict[str, int] = {}
-    for entry in ledger.values():
+    #: open job id -> the labels of the cells that still carry it.
+    open_cells: dict[str, list[str]] = {}
+    n_open = n_unknown = 0
+    for (_host, day), entry in ledger.items():
         by_status[entry.status] = by_status.get(entry.status, 0) + 1
+        if entry.open_jobs is None:
+            n_unknown += 1
+        elif entry.open_jobs:
+            n_open += 1
+            for jobid in entry.open_jobs:
+                open_cells.setdefault(jobid, []).append(day)
     print(render_kv({
         "host-days consumed": len(ledger),
         "days": f"{days[0]} .. {days[-1]} ({len(days)})",
         "status": ", ".join(f"{k}={v}"
                             for k, v in sorted(by_status.items())),
+        "cells with open jobs": f"{n_open} (re-read when one of their "
+                                f"jobs can load)",
+        "cells with no job record": f"{n_unknown} (re-read whenever a "
+                                    f"pending job spans their segment)",
     }, title=f"Ingest ledger — {system}"))
+    if open_cells:
+        oldest = sorted(open_cells.items(),
+                        key=lambda kv: (min(kv[1]), kv[0]))[:10]
+        print(render_table([
+            {"job": jobid, "first": min(cells), "last": max(cells),
+             "cells": len(cells)}
+            for jobid, cells in oldest
+        ], ["job", "first", "last", "cells"],
+            title=f"Oldest open jobs ({len(open_cells)} open; mentioned "
+                  f"by a consumed file, not loaded)"))
     rows = [
         {"host": host, "day": day,
          "size": f"{entry.size:,}",
          "sha256": entry.sha256[:12],
          "status": entry.status,
+         "open": "?" if entry.open_jobs is None else len(entry.open_jobs),
          "run": entry.run_id}
         for (host, day), entry in sorted(ledger.items())
     ]
     print(render_table(
-        rows, ["host", "day", "size", "sha256", "status", "run"],
+        rows, ["host", "day", "size", "sha256", "status", "open", "run"],
         title="Consumed host-days",
     ))
     runs = warehouse.ingest_runs(system)

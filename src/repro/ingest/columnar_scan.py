@@ -27,14 +27,16 @@ the same function — slower for the odd host, never different.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Collection
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ErrorPolicy, QuarantinedRecord
 from repro.ingest.matcher import HostJobView
 from repro.ingest.summarize import HostJobPartial
-from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.archive import HostArchive, _file_day
 from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
 from repro.tacc_stats.collectors.intel_pmc import (
     FP_OVERCOUNT,
@@ -53,12 +55,21 @@ class HostScan:
     """Everything downstream ingest needs from one host's stream.
 
     ``views`` feed the accounting matcher; ``partials`` (keyed by jobid)
-    feed the per-job merge.  Both are small and picklable.
+    feed the per-job merge.  ``jobs_by_file`` maps the label of every
+    file that was kept *whole* to the job ids it mentions (block tags
+    and marks) — what the ledger records so a later append re-reads
+    only the files holding a pending job.  A file with any quarantined
+    record is left out: lines the repair skipped may have named a job.
+    It is provenance, not content, so it takes no part in equality
+    (the dict reference reducers see merged streams, not files).  All
+    three are small and picklable.
     """
 
     hostname: str
     views: tuple[HostJobView, ...]
     partials: dict[str, HostJobPartial]
+    jobs_by_file: dict[str, frozenset[str]] = field(
+        default_factory=dict, compare=False)
 
 
 @dataclass
@@ -459,12 +470,16 @@ def columnar_views(ch: ColumnarHost) -> dict[str, HostJobView]:
     return out
 
 
-def columnar_partials(ch: ColumnarHost) -> dict[str, HostJobPartial]:
-    """Columnar :func:`summarize.host_job_partials`."""
+def columnar_partials(ch: ColumnarHost,
+                      jobs: Collection[str] | None = None,
+                      ) -> dict[str, HostJobPartial]:
+    """Columnar :func:`summarize.host_job_partials`, for the job ids in
+    *jobs* only (``None`` = every job on the host)."""
     by_job: dict[str, list[int]] = {}
     for bi, jids in enumerate(ch.jobids):
         for jid in jids:
-            by_job.setdefault(jid, []).append(bi)
+            if jobs is None or jid in jobs:
+                by_job.setdefault(jid, []).append(bi)
     out: dict[str, HostJobPartial] = {}
     for jid, blocks in by_job.items():
         partial = _host_partial(ch, jid, np.asarray(blocks,
@@ -478,6 +493,7 @@ def scan_host(archive: HostArchive, hostname: str,
               allow_truncated: bool = False,
               policy: str = ErrorPolicy.STRICT,
               days=None,
+              jobs: Collection[str] | None = None,
               ) -> tuple[HostScan | None, tuple[QuarantinedRecord, ...],
                          str]:
     """Read and scan one host: ``(HostScan | None, records, status)``.
@@ -486,7 +502,9 @@ def scan_host(archive: HostArchive, hostname: str,
     mix of text, gzip and v2) and applies the error policy — under
     ``strict`` it raises for malformed data, otherwise the quarantine
     *records* say what was set aside; the scan is ``None`` when the
-    host was dropped.  The kept days are merged and reduced here.
+    host was dropped.  The kept days are merged and reduced here;
+    *jobs* (an append's candidates; ``None`` = all) limits the metric
+    partials to the jobs that can load — views always cover every job.
     """
     kept, records, status = archive.read_host_days(
         hostname, allow_truncated=allow_truncated, policy=policy,
@@ -494,9 +512,12 @@ def scan_host(archive: HostArchive, hostname: str,
     if status == "dropped":
         return None, records, status
     ch = build_columnar_host(hostname, kept)
+    faulted = {_file_day(Path(r.path)) for r in records}
     scan = HostScan(
         hostname=hostname,
         views=tuple(columnar_views(ch).values()),
-        partials=columnar_partials(ch),
+        partials=columnar_partials(ch, jobs),
+        jobs_by_file={day.label: day.job_ids() for day in kept
+                      if day.label not in faulted},
     )
     return scan, records, status

@@ -96,7 +96,8 @@ def scan_host_data(host: HostData) -> HostScan:
 
 def _scan_host_checked(archive: HostArchive, hostname: str,
                        allow_truncated: bool, policy: str,
-                       days: tuple[str, ...] | None = None) -> HostScanResult:
+                       days: tuple[str, ...] | None = None,
+                       jobs: frozenset[str] | None = None) -> HostScanResult:
     """Read + scan one host inside a private metrics registry.
 
     Both the serial in-process loop and the pool worker route through
@@ -114,7 +115,7 @@ def _scan_host_checked(archive: HostArchive, hostname: str,
         t0 = time.perf_counter()
         scan, records, status = scan_host(
             archive, hostname, allow_truncated=allow_truncated,
-            policy=policy, days=days)
+            policy=policy, days=days, jobs=jobs)
         elapsed = time.perf_counter() - t0
         local.histogram("ingest.host_scan.seconds").observe(elapsed)
         local.gauge(f"ingest.host_scan.{hostname}.seconds").set(elapsed)
@@ -125,18 +126,20 @@ def _scan_host_checked(archive: HostArchive, hostname: str,
 
 def _scan_one(root: str, hostname: str, allow_truncated: bool,
               policy: str = ErrorPolicy.STRICT,
-              days: tuple[str, ...] | None = None) -> HostScanResult:
+              days: tuple[str, ...] | None = None,
+              jobs: frozenset[str] | None = None) -> HostScanResult:
     """Worker entry point: read, parse and scan one host by name.
 
     Module-level (not a closure) so it pickles under the ``spawn`` start
     method as well as ``fork``.  Under the ``strict`` policy a malformed
     host raises (the error crosses back through the future); otherwise
     malformed data is quarantined per the policy and reported in the
-    result.  *days* restricts the read to those host-day files (the
-    delta-ingest path).
+    result.  *days* restricts the read to those host-day files and
+    *jobs* the metric partials to those job ids (the delta-ingest
+    path).
     """
     return _scan_host_checked(HostArchive(root), hostname,
-                              allow_truncated, policy, days=days)
+                              allow_truncated, policy, days=days, jobs=jobs)
 
 
 def effective_workers(workers: int, n_hosts: int,
@@ -190,6 +193,7 @@ def _run_round(scan_fn: Callable, root: str, hosts: list[str], workers: int,
                allow_truncated: bool, policy: str, timeout: float | None,
                results: dict[str, HostScanResult],
                days_map: dict[str, tuple[str, ...] | None] | None = None,
+               jobs: frozenset[str] | None = None,
                ) -> dict[str, str]:
     """Submit one retry round to a fresh pool; return transient failures.
 
@@ -205,7 +209,7 @@ def _run_round(scan_fn: Callable, root: str, hosts: list[str], workers: int,
     with ProcessPoolExecutor(max_workers=min(workers, len(hosts))) as ex:
         futures = {
             ex.submit(scan_fn, root, h, allow_truncated, policy,
-                      days_map.get(h)): h
+                      days_map.get(h), jobs): h
             for h in hosts
         }
         _done, not_done = wait(futures, timeout=timeout)
@@ -238,6 +242,7 @@ def _scan_parallel(scan_fn: Callable, root: str, hostnames: list[str],
                    health: IngestHealth | None, max_retries: int,
                    retry_backoff: float, timeout: float | None,
                    days_map: dict[str, tuple[str, ...] | None] | None = None,
+                   jobs: frozenset[str] | None = None,
                    ) -> dict[str, HostScanResult]:
     """The retrying fan-out: scan every host, tolerating worker death.
 
@@ -254,7 +259,7 @@ def _scan_parallel(scan_fn: Callable, root: str, hostnames: list[str],
     while pending:
         failures = _run_round(scan_fn, root, pending, workers,
                               allow_truncated, policy, timeout, results,
-                              days_map)
+                              days_map, jobs)
         if not failures:
             break
         retry: list[str] = []
@@ -277,7 +282,7 @@ def _scan_parallel(scan_fn: Callable, root: str, hostnames: list[str],
                 health.record_retry(hostname)
             probe_failure = _run_round(
                 scan_fn, root, [hostname], 1, allow_truncated, policy,
-                timeout, results, days_map).get(hostname)
+                timeout, results, days_map, jobs).get(hostname)
             if probe_failure is None:
                 continue  # innocent: the probe produced its result
             if ErrorPolicy(policy) is ErrorPolicy.STRICT:
@@ -310,6 +315,7 @@ def scan_archive(
     timeout: float | None = None,
     scan_fn: Callable | None = None,
     days_by_host: dict[str, tuple[str, ...]] | None = None,
+    jobs: frozenset[str] | None = None,
 ) -> Iterator[HostScan]:
     """Yield one :class:`HostScan` per surviving host, in sorted order.
 
@@ -328,7 +334,9 @@ def scan_archive(
     fault-injection harness to simulate crashing workers.
 
     *days_by_host* narrows the scan to a delta: only the named hosts
-    are visited, and each reads just the listed ``YYYY-MM-DD`` files.
+    are visited, and each reads just the listed ``YYYY-MM-DD`` files;
+    *jobs* narrows the metric partials to the job ids the delta can
+    load (``None`` = every job; matcher views are always complete).
     Quarantine/retry semantics are identical to a full scan — the delta
     path reuses this exact fan-out.
     """
@@ -345,7 +353,8 @@ def scan_archive(
         for hostname in hostnames:
             outcome = _scan_host_checked(archive, hostname,
                                          allow_truncated, policy,
-                                         days=days_map.get(hostname))
+                                         days=days_map.get(hostname),
+                                         jobs=jobs)
             _record_outcome(health, outcome)
             if outcome.scan is not None:
                 yield outcome.scan
@@ -354,7 +363,7 @@ def scan_archive(
     results = _scan_parallel(
         scan_fn or _scan_one, str(archive.root), hostnames, workers,
         allow_truncated, policy, health, max_retries, retry_backoff,
-        timeout, days_map)
+        timeout, days_map, jobs)
     for hostname in hostnames:
         outcome = results.get(hostname)
         if outcome is None:  # pragma: no cover - every host gets a verdict

@@ -55,9 +55,12 @@ class DeltaSummary:
     """What an incremental (or day-windowed) ingest decided to touch.
 
     ``files_new`` were parsed because the ledger had never seen them;
-    ``files_lookback`` are unchanged files re-parsed only because a
-    still-unloaded job's day span crosses into them (the watermark-tail
-    overlap); ``files_skipped`` were proven unchanged and never opened.
+    ``files_lookback`` are unchanged files re-parsed because they hold
+    blocks or marks of a job this run can load — look-back is per
+    ``(host, segment)`` cell, from the open job ids the ledger recorded
+    when the cell was last scanned; a cell with no record is re-parsed
+    whenever a pending job's span reaches its segment;
+    ``files_skipped`` were proven unchanged and never opened.
     ``jobs_deferred`` counts accounting entries left for a later append
     because their data extends beyond the days on disk.  The watermarks
     are facility seconds: syslog events in ``[before, after)`` were
@@ -78,6 +81,7 @@ class DeltaSummary:
     def __str__(self) -> str:
         return (
             f"new={self.files_new} lookback={self.files_lookback} "
+            f"(per cell) "
             f"skipped={self.files_skipped} deferred={self.jobs_deferred} "
             f"watermark={self.watermark_before}->{self.watermark_after}"
         )
@@ -209,11 +213,18 @@ def _plan_append(archive: HostArchive, ledger: dict,
     contract and raises — the remedy is a full re-ingest into a fresh
     warehouse, never a silent partial reload.
 
-    Files parsed = every never-ledgered file, plus unchanged files that
-    a still-unloaded job's day span reaches back into (the *lookback*
-    tail).  A not-yet-loaded job is deferred while its span extends past
-    the days on disk, and *finalized* (never revisited) once every file
-    of its span was consumed by an earlier run.
+    Files parsed = every never-ledgered file, plus the *lookback*
+    cells: unchanged ``(host, segment)`` files inside a pending job's
+    span whose ledgered ``open_jobs`` — the not-yet-loaded job ids the
+    file mentioned when it was last scanned — name a pending job.  A
+    job id stays in a cell's set until a scan of the cell ends with the
+    job loaded, so every file holding a block or mark of a pending job
+    is read; a cell whose set is unknown (``None``: legacy ledger row,
+    dropped host, quarantined or repaired file) may mention anything
+    and is read whenever a pending span reaches its segment.  A
+    not-yet-loaded job is deferred while its span extends past the days
+    on disk, and *finalized* (never revisited) once every file of its
+    span was consumed by an earlier run.
 
     All of the "day" arithmetic actually runs at the archive's rotation
     period: a live archive cutting sub-day segments flows through the
@@ -271,14 +282,18 @@ def _plan_append(archive: HostArchive, ledger: dict,
         d0, d1 = _span_segments(entry, period)
         needed_days.update(period_label(d, period)
                            for d in range(d0, d1 + 1))
+    pending_ids = {entry.job_number for entry in pending}
 
     days_by_host: dict[str, set[str]] = {}
     for cell in manifest:
         host, day = cell
-        if cell not in ledger:
+        led = ledger.get(cell)
+        if led is None:
             days_by_host.setdefault(host, set()).add(day)
             delta.files_new += 1
-        elif day in needed_days:
+        elif day in needed_days and (
+                led.open_jobs is None
+                or not pending_ids.isdisjoint(led.open_jobs)):
             days_by_host.setdefault(host, set()).add(day)
             delta.files_lookback += 1
         else:
@@ -380,9 +395,9 @@ class IngestPipeline:
 
         ``mode="append"`` is the incremental ETL:
         the archive manifest is diffed against the warehouse's ingest
-        ledger, only new host-day files (plus the lookback tail of
-        still-unloaded jobs) are parsed, and already-loaded rows are
-        never touched.  It assumes day-ordered arrival into an
+        ledger, only new host-day files (plus the ledgered files that
+        hold a still-unloaded job) are parsed, and already-loaded rows
+        are never touched.  It assumes day-ordered arrival into an
         append-only archive — a ledgered file that mutated or vanished
         raises.  *through_day* (``mode="full"`` only) instead windows a
         full ingest to facility days ``0 .. through_day-1``, seeding the
@@ -456,7 +471,9 @@ class IngestPipeline:
                 max_retries=max_retries, retry_backoff=retry_backoff,
                 timeout=scan_timeout,
                 days_by_host=plan.days_by_host if plan is not None
-                else None)
+                else None,
+                jobs=frozenset(e.job_number for e in plan.candidates)
+                if plan is not None else None)
 
             report = IngestReport(system=config.name, health=health,
                                   effective_workers=n_workers,
@@ -485,10 +502,13 @@ class IngestPipeline:
             # generator; only views and partials accumulate here.
             views: list[HostJobView] = []
             partials_by_host: dict[str, dict[str, HostJobPartial]] = {}
+            mentioned: dict[tuple[str, str], frozenset[str]] = {}
             with span("ingest.scan", workers=n_workers):
                 for scan in scans:
                     views.extend(scan.views)
                     partials_by_host[scan.hostname] = scan.partials
+                    for label, jobs in scan.jobs_by_file.items():
+                        mentioned[(scan.hostname, label)] = jobs
 
             if policy is not ErrorPolicy.STRICT:
                 # The scan stream is fully drained, so the health accounting
@@ -575,7 +595,7 @@ class IngestPipeline:
                     report.syslog_events_loaded += 1
 
             self._record_provenance(config.name, archive, plan, health, mode,
-                                    row_lo)
+                                    row_lo, mentioned)
 
             self.warehouse.commit()
             registry = get_registry()
@@ -604,7 +624,9 @@ class IngestPipeline:
     def _record_provenance(self, system: str, archive: HostArchive,
                            plan: _DeltaPlan | None,
                            health: IngestHealth, mode: str,
-                           row_lo: dict[str, int]) -> None:
+                           row_lo: dict[str, int],
+                           mentioned: dict[tuple[str, str], frozenset[str]],
+                           ) -> None:
         """Ledger the consumed host-days and this run's row ranges.
 
         Every ingest — full, windowed, or append — records what
@@ -612,7 +634,10 @@ class IngestPipeline:
         and ``repro-diagnose --ledger`` can attribute rows to runs.  A
         host-day is ledgered whatever its scan outcome: a dropped
         (quarantined) host's files are consumed too, with the outcome in
-        ``status``.
+        ``status``.  *mentioned* holds the job ids of every file the
+        scan kept whole; what of them is still unloaded now is the
+        cell's ``open_jobs``, and a consumed cell the scan could not
+        vouch for records ``None``.
         """
         manifest = (plan.ledger_base if plan is not None
                     else archive.manifest())
@@ -623,13 +648,16 @@ class IngestPipeline:
         status_of = dict.fromkeys(health.hosts_degraded, "degraded")
         status_of.update(dict.fromkeys(health.hosts_dropped, "dropped"))
         run_id = current_run_id() or "unscoped"
+        loaded = self.warehouse.job_ids(system)
         self.warehouse.record_ledger(system, [
             LedgerEntry(host=host, day=day,
                         sha256=manifest[(host, day)].sha256,
                         size=manifest[(host, day)].size,
                         mtime_ns=manifest[(host, day)].mtime_ns,
                         status=status_of.get(host, "loaded"),
-                        run_id=run_id)
+                        run_id=run_id,
+                        open_jobs=mentioned[(host, day)] - loaded
+                        if (host, day) in mentioned else None)
             for (host, day) in sorted(consumed)
         ])
         self.warehouse.record_ingest_run(system, run_id, mode, {

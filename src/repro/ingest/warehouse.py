@@ -61,6 +61,9 @@ _WRITE_BATCH = 512
 # created before incremental ingest existed (same pattern as the
 # covering index): older warehouses gain empty ledger tables and every
 # archive-mode ingest from then on records what it consumed.
+# ``open_jobs`` (added on open to ledgers that predate it) holds the
+# comma-joined job ids the file mentions that were not loaded when the
+# cell was last scanned; NULL = not known, any job may be in there.
 _LEDGER_SCHEMA = """
 CREATE TABLE IF NOT EXISTS ingest_ledger (
     system   TEXT NOT NULL,
@@ -71,6 +74,7 @@ CREATE TABLE IF NOT EXISTS ingest_ledger (
     mtime_ns INTEGER NOT NULL,
     status   TEXT NOT NULL,
     run_id   TEXT NOT NULL,
+    open_jobs TEXT,
     PRIMARY KEY (system, host, day)
 );
 CREATE TABLE IF NOT EXISTS ingest_runs (
@@ -173,6 +177,11 @@ class LedgerEntry:
     ``status`` mirrors the host's scan outcome when the file was
     consumed (``loaded`` / ``degraded`` / ``dropped``); ``run_id`` links
     to the ``ingest_runs`` row holding that run's appended row ranges.
+    ``open_jobs`` are the job ids the file mentions that were not yet
+    loaded when it was last scanned — the only jobs a later append can
+    need this file for; ``None`` means the scan could not tell (a
+    dropped host, a quarantined or repaired file, a ledger row written
+    before the column existed) and any job may be in there.
     """
 
     host: str
@@ -182,6 +191,7 @@ class LedgerEntry:
     mtime_ns: int
     status: str
     run_id: str
+    open_jobs: frozenset[str] | None = None
 
 
 @dataclass(frozen=True)
@@ -258,6 +268,9 @@ class Warehouse:
                 # Same deal for the incremental-ingest ledger tables
                 # and the live-mode counter table.
                 self._conn.executescript(_LEDGER_SCHEMA)
+                if not self._ledger_has_open_jobs():
+                    self._conn.execute("ALTER TABLE ingest_ledger "
+                                       "ADD COLUMN open_jobs TEXT")
                 self._conn.executescript(_LIVE_SCHEMA)
             except sqlite3.OperationalError:
                 pass  # read-only file: queries still work, just slower
@@ -295,6 +308,10 @@ class Warehouse:
             "SELECT name FROM sqlite_master WHERE type='table' AND name=?",
             (name,),
         ).fetchone() is not None
+
+    def _ledger_has_open_jobs(self) -> bool:
+        return any(row[1] == "open_jobs" for row in self._conn.execute(
+            "PRAGMA table_info(ingest_ledger)"))
 
     def close(self) -> None:
         self._conn.close()
@@ -588,23 +605,30 @@ class Warehouse:
         """Every consumed host-day, keyed ``(host, day)``.
 
         Empty for warehouses that predate the ledger (read-only legacy
-        files where the on-open migration could not run).
+        files where the on-open migration could not run; one that has
+        the ledger but not its ``open_jobs`` column reads as unknown).
         """
         if not self._has_table("ingest_ledger"):
             return {}
+        open_jobs = "open_jobs" if self._ledger_has_open_jobs() else "NULL"
         rows = self._conn.execute(
-            "SELECT host, day, sha256, size, mtime_ns, status, run_id "
-            "FROM ingest_ledger WHERE system=?", (system,)
+            f"SELECT host, day, sha256, size, mtime_ns, status, run_id, "
+            f"{open_jobs} FROM ingest_ledger WHERE system=?", (system,)
         ).fetchall()
-        return {(r[0], r[1]): LedgerEntry(*r) for r in rows}
+        return {(r[0], r[1]): LedgerEntry(
+            *r[:7], None if r[7] is None
+            else frozenset(filter(None, r[7].split(","))))
+            for r in rows}
 
     def record_ledger(self, system: str,
                       entries: list[LedgerEntry]) -> None:
         """Upsert consumed host-days (a re-consumed day replaces its row)."""
         self._conn.executemany(
-            "INSERT OR REPLACE INTO ingest_ledger VALUES (?,?,?,?,?,?,?,?)",
+            "INSERT OR REPLACE INTO ingest_ledger VALUES (?,?,?,?,?,?,?,?,?)",
             [(system, e.host, e.day, e.sha256, e.size, e.mtime_ns,
-              e.status, e.run_id) for e in entries],
+              e.status, e.run_id,
+              None if e.open_jobs is None
+              else ",".join(sorted(e.open_jobs))) for e in entries],
         )
         self._mutated()
 

@@ -574,6 +574,7 @@ class HostArchive:
                     continue
                 for tc in day.types:
                     schemas.setdefault(tc.name, tc.schema)
+                day.label = _file_day(path)
                 kept.append(day)
 
         if policy is ErrorPolicy.QUARANTINE and records:

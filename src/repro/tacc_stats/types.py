@@ -153,7 +153,11 @@ class HostColumns:
     ``row_block`` are the global row stream — blocks in file order,
     and within a block each type's rows together, types in order of
     first appearance — which is the order :meth:`to_text` writes.
-    ``header`` is the v2 file's header JSON (``None`` for parsed text).
+    ``header`` is the v2 file's header JSON (``None`` for parsed text);
+    ``label`` is the archive file label (day or sub-day segment) the
+    columns were decoded from, set by
+    :meth:`HostArchive.read_host_days` (the decoders see bytes, not
+    paths).
     """
 
     hostname: str
@@ -168,6 +172,15 @@ class HostColumns:
     header: dict | None = None
     bytes_mapped: int = 0
     chunks_read: int = 0
+    label: str = ""
+
+    def job_ids(self) -> frozenset[str]:
+        """Every job id the file mentions, in a block tag or a mark."""
+        ids = {jobid for _b, _kind, jobid in self.marks}
+        for tag in self.jobid_tags:
+            if tag != "-":
+                ids.update(tag.split(","))
+        return frozenset(ids)
 
     def block_jobids(self) -> list[tuple[str, ...]]:
         """The job-id tuple of every block."""

@@ -253,7 +253,8 @@ def corrupt_archive(root: str | Path, hosts: dict[str, str],
 def crashy_scan(state_dir: str, crash_hosts: tuple[str, ...],
                 n_crashes: int, root: str, hostname: str,
                 allow_truncated: bool, policy: str,
-                days: tuple[str, ...] | None = None):
+                days: tuple[str, ...] | None = None,
+                jobs: frozenset[str] | None = None):
     """Scan worker that dies (``os._exit``) for chosen hosts.
 
     Bind the first three arguments with ``functools.partial`` and pass
@@ -269,12 +270,13 @@ def crashy_scan(state_dir: str, crash_hosts: tuple[str, ...],
         marker.write_text(str(attempts + 1))
         if n_crashes < 0 or attempts < n_crashes:
             os._exit(1)
-    return _scan_one(root, hostname, allow_truncated, policy, days)
+    return _scan_one(root, hostname, allow_truncated, policy, days, jobs)
 
 
 def sleepy_scan(sleep_hosts: tuple[str, ...], sleep_seconds: float,
                 root: str, hostname: str, allow_truncated: bool,
-                policy: str, days: tuple[str, ...] | None = None):
+                policy: str, days: tuple[str, ...] | None = None,
+                jobs: frozenset[str] | None = None):
     """Scan worker that wedges (sleeps) for chosen hosts.
 
     Bind the first two arguments with ``functools.partial``; used to
@@ -282,4 +284,4 @@ def sleepy_scan(sleep_hosts: tuple[str, ...], sleep_seconds: float,
     """
     if hostname in sleep_hosts:
         time.sleep(sleep_seconds)
-    return _scan_one(root, hostname, allow_truncated, policy, days)
+    return _scan_one(root, hostname, allow_truncated, policy, days, jobs)

@@ -28,7 +28,7 @@ from repro.ingest.parallel import scan_archive
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.warehouse import Warehouse
 from repro.lariat.records import lariat_record_for
-from repro.scheduler.accounting import AccountingWriter
+from repro.scheduler.accounting import AccountingWriter, parse_accounting
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.convert import convert_archive
 from repro.tacc_stats.parser import ParseError
@@ -40,6 +40,7 @@ from repro.testing.faults import (
     inject_fault,
     sleepy_scan,
 )
+from repro.util.timeutil import DAY
 from repro.xdmod.query import JobQuery
 from repro.xdmod.snapshot import WarehouseSnapshot
 
@@ -332,3 +333,81 @@ def test_snapshot_and_report_cache_over_degraded_warehouse(
     assert snap2.stamp != stamp
     q3 = JobQuery(w, corpus[0].name)
     assert q3.group_by("user", metrics=("cpu_idle",)) == cold_groups
+
+
+# -- faults in a look-back cell ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_day_corpus(tmp_path_factory):
+    """Two days, so day-1 files are look-back cells of the day-2 append."""
+    cfg = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=2, n_users=6)
+    archive_dir = str(tmp_path_factory.mktemp("fault_corpus_2d"))
+    run = Facility(cfg, seed=11).run_with_files(archive_dir)
+    buf = io.StringIO()
+    AccountingWriter(buf, cfg.node.cores, cfg.name).write_all(run.records)
+    lariat = [lariat_record_for(r, cfg.node.cores) for r in run.records]
+    return cfg, archive_dir, buf.getvalue(), lariat
+
+
+@pytest.mark.parametrize("kind", ["bit_flip", "wrong_hostname"])
+@pytest.mark.parametrize("policy", ["quarantine", "repair"])
+def test_fault_in_lookback_cell_stays_conservative(two_day_corpus, tmp_path,
+                                                   policy, kind):
+    """A faulty first-day file records no job set, so the append that
+    loads the jobs crossing midnight is offered it again — same ledger
+    status, same quarantine records as a segment-wide re-read — and the
+    batched warehouse equals the one-shot one."""
+    from tests.ingest.lookback_oracle import (
+        archive_cells,
+        expected_lookback,
+        grow,
+        mentioned_jobs,
+        segment_labels,
+    )
+
+    cfg, clean, accounting, lariat = two_day_corpus
+    labels = segment_labels(clean)
+    # The victim: a first-day file holding a job that ends later.
+    ends = {e.job_number: e.end_time
+            for e in parse_accounting(accounting)}
+    victim = next(
+        cell for cell, path in sorted(archive_cells(clean).items())
+        if cell[1] == labels[0]
+        and any(ends.get(j, 0) >= DAY for j in mentioned_jobs(path)))
+    faulted = tmp_path / "faulted"
+    shutil.copytree(clean, faulted)
+    inject_fault(archive_cells(faulted)[victim], kind, seed=5)
+
+    oneshot, _ = _ingest(two_day_corpus, faulted, error_policy=policy)
+
+    def append(labels_so_far, warehouse):
+        grow(faulted, tmp_path / "growing", labels_so_far)
+        return IngestPipeline(warehouse).ingest(
+            cfg, accounting_text=accounting, lariat_records=lariat,
+            archive=HostArchive(tmp_path / "growing"), mode="append",
+            error_policy=policy)
+
+    w = Warehouse()
+    first = append(labels[:1], w)
+    status = "dropped" if policy == "quarantine" else "degraded"
+    assert w.ledger_map(cfg.name)[victim].status == status
+    assert w.ledger_map(cfg.name)[victim].open_jobs is None
+
+    # What the append must open again: the clean first-day files that
+    # hold a pending job, and the victim because nobody knows.
+    grow(faulted, tmp_path / "growing", labels[1:])
+    reread = expected_lookback(
+        tmp_path / "growing", set(w.ledger_map(cfg.name)) - {victim},
+        accounting, w.job_ids(cfg.name), cfg.sample_interval) | {victim}
+    second = append(labels[1:], w)
+    assert second.delta.files_lookback == len(reread)
+    # Offered to the policy again: the same records, the same verdict.
+    assert second.health.quarantined == first.health.quarantined
+    assert [r.path for r in second.health.quarantined] == [
+        str(tmp_path / "growing" / victim[0]
+            / archive_cells(faulted)[victim].name)]
+    entry = w.ledger_map(cfg.name)[victim]
+    assert (entry.status, entry.open_jobs) == (status, None)
+    assert entry.run_id == second.run_id
+    assert _rows(w) == _rows(oneshot)

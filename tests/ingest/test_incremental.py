@@ -315,3 +315,229 @@ def test_day_strings_round_trip(corpus):
         assert idx >= 0
         from repro.util.timeutil import day_index_to_date
         assert day_index_to_date(idx) == day
+
+
+# -- exact look-back ---------------------------------------------------------
+#
+# A hand-built hourly archive, so every count below can be read off the
+# table.  Hosts sample every 10 minutes for five hours; the jobs are
+#
+#   job  hosts  start..end  segments
+#   101  a, b    1200.. 8400   0..2   multi-node
+#   102  a       8400..12000   2..3   a's next job, begun in 101's last hour
+#   103  b       9000..16200   2..4   b's next job, likewise
+#   104  c        600.. 4200   0..1   c is shared: 104 and 105 overlap,
+#   105  c       1800.. 4800   0..1     so they share c's first file
+#   106  c       6000.. 6600   1      never crosses a boundary
+#
+# appended one hour at a time.  Per append, the ledgered cells holding a
+# job that can load (what is re-read), against every ledgered cell in a
+# pending job's span (what the segment-wide rule re-read):
+#
+#   hour  loads          re-read                 segment-wide
+#   0     -              -                       -
+#   1     104 105 106    c/0                     a/0 b/0 c/0
+#   2     101            a/0 a/1 b/0 b/1         + c/0 c/1
+#   3     102            a/2                     a/2 b/2 c/2
+#   4     103            b/2 b/3                 a/2..c/3
+
+LB_HOSTS = ("a", "b", "c")
+LB_JOBS = {
+    "101": (("a", "b"), 1200, 8400),
+    "102": (("a",), 8400, 12000),
+    "103": (("b",), 9000, 16200),
+    "104": (("c",), 600, 4200),
+    "105": (("c",), 1800, 4800),
+    "106": (("c",), 6000, 6600),
+}
+LB_HOURS = 5
+
+
+@pytest.fixture(scope="module")
+def lookback_corpus(tmp_path_factory):
+    """(config, finished hourly archive, accounting text) for LB_JOBS."""
+    from repro.scheduler.job import ExitStatus, JobRecord, JobRequest
+    from repro.tacc_stats.schema import SchemaEntry, TypeSchema
+    from repro.util.timeutil import HOUR
+
+    cfg = TEST_SYSTEM.scaled(num_nodes=len(LB_HOSTS), horizon_days=1)
+    root = tmp_path_factory.mktemp("lookback_corpus")
+    archive = HostArchive(root, rotate_seconds=HOUR)
+    schema = TypeSchema("cpu", (SchemaEntry("user", is_event=True),))
+    for host in LB_HOSTS:
+        for t in range(0, LB_HOURS * HOUR, 600):
+            writer = archive.writer(host, float(t))
+            if not writer.schemas:
+                writer.register_schema(schema)
+            mine = {j: (s, e) for j, (hosts, s, e) in LB_JOBS.items()
+                    if host in hosts and s <= t <= e}
+            writer.begin_block(float(t), tuple(sorted(mine)))
+            for jobid, (start, end) in sorted(mine.items()):
+                if t == start:
+                    writer.write_mark("begin", jobid)
+                if t == end:
+                    writer.write_mark("end", jobid)
+            writer.write_row("cpu", "0", [t])
+    archive.close()
+
+    records = [
+        JobRecord(
+            request=JobRequest(
+                jobid=jobid, user="u", account="acct", science_field="phys",
+                app="namd", queue="normal", submit_time=float(start),
+                nodes=len(hosts), walltime_req=float(end - start),
+                runtime=float(end - start)),
+            start_time=float(start), end_time=float(end),
+            node_indices=tuple(LB_HOSTS.index(h) for h in hosts),
+            exit_status=ExitStatus.COMPLETED)
+        for jobid, (hosts, start, end) in LB_JOBS.items()
+    ]
+    buf = io.StringIO()
+    AccountingWriter(buf, cfg.node.cores, cfg.name).write_all(records)
+    return cfg, str(root), buf.getvalue()
+
+
+def _hour_label(hour):
+    from repro.util.timeutil import HOUR, period_label
+    return period_label(hour, HOUR)
+
+
+def _lb_append(lookback_corpus, growing, warehouse, hour):
+    """Add *hour*'s files to *growing* and append; returns (report, the
+    already-ledgered cells this run opened again as ``host/hour``)."""
+    from tests.ingest.lookback_oracle import grow
+
+    cfg, full, accounting = lookback_corpus
+    grow(full, growing, [_hour_label(hour)])
+    before = set(warehouse.ledger_map(cfg.name))
+    report = IngestPipeline(warehouse).ingest(
+        cfg, accounting_text=accounting, archive=HostArchive(growing),
+        mode="append")
+    hours = {_hour_label(h): h for h in range(LB_HOURS)}
+    reread = sorted(
+        f"{host}/{hours[label]}"
+        for (host, label), entry in warehouse.ledger_map(cfg.name).items()
+        if entry.run_id == report.run_id and (host, label) in before)
+    assert len(reread) == report.delta.files_lookback
+    return report, reread
+
+
+def test_lookback_rereads_only_cells_holding_a_loadable_job(
+        lookback_corpus, tmp_path):
+    """The table above, append by append — including a multi-node job
+    whose nodes go on to other jobs (101 -> 102, 103) and two pending
+    jobs in one file (104, 105 in c/0, opened once)."""
+    cfg, full, accounting = lookback_corpus
+    w = Warehouse()
+    seen = []
+    for hour in range(LB_HOURS):
+        report, reread = _lb_append(lookback_corpus, tmp_path / "grow",
+                                    w, hour)
+        seen.append((sorted(w.job_ids(cfg.name)), reread))
+    assert seen == [
+        ([], []),
+        (["104", "105", "106"], ["c/0"]),
+        (["101", "104", "105", "106"], ["a/0", "a/1", "b/0", "b/1"]),
+        (["101", "102", "104", "105", "106"], ["a/2"]),
+        (sorted(LB_JOBS), ["b/2", "b/3"]),
+    ]
+    # A loaded job leaves every set it was in; nothing is left open.
+    assert all(e.open_jobs == frozenset()
+               for e in w.ledger_map(cfg.name).values())
+    oneshot = Warehouse()
+    IngestPipeline(oneshot).ingest(cfg, accounting_text=accounting,
+                                   archive=HostArchive(full))
+    assert _data_rows(w) == _data_rows(oneshot)
+
+
+def test_open_jobs_are_what_the_file_mentions_minus_what_loaded(
+        lookback_corpus, tmp_path):
+    cfg = lookback_corpus[0]
+    w = Warehouse()
+    for hour in range(3):
+        _lb_append(lookback_corpus, tmp_path / "grow", w, hour)
+    open_by_cell = {
+        f"{host}/{label[-6:-4]}": sorted(entry.open_jobs)
+        for (host, label), entry in w.ledger_map(cfg.name).items()}
+    assert open_by_cell == {
+        "a/00": [], "a/01": [], "a/02": ["102"],
+        "b/00": [], "b/01": [], "b/02": ["103"],
+        "c/00": [], "c/01": [], "c/02": [],
+    }
+
+
+def test_diagnose_ledger_shows_what_the_next_append_rereads(
+        lookback_corpus, tmp_path, capsys):
+    from repro.cli.diagnose import main as diagnose_main
+
+    cfg = lookback_corpus[0]
+    path = str(tmp_path / "w.sqlite")
+    w = Warehouse(path)
+    for hour in range(3):
+        _lb_append(lookback_corpus, tmp_path / "grow", w, hour)
+    w.connection.execute(
+        "UPDATE ingest_ledger SET open_jobs = NULL WHERE host = 'c'")
+    w.connection.commit()
+    w.close()
+    assert diagnose_main(["--warehouse", path, "--system", cfg.name,
+                          "--ledger"]) == 0
+    out = capsys.readouterr().out
+    assert "cells with open jobs      2 " in out
+    assert "cells with no job record  3 " in out
+    assert "Oldest open jobs (2 open" in out
+    rows = [line.split() for line in out.splitlines()
+            if line.split()[:1] in (["102"], ["103"])]
+    assert rows == [["102", _hour_label(2), _hour_label(2), "1"],
+                    ["103", _hour_label(2), _hour_label(2), "1"]]
+
+
+def test_legacy_ledger_without_job_sets_falls_back_then_converges(
+        lookback_corpus, tmp_path):
+    """A ledger written before the column existed: the column is added
+    on open, its rows read as unknown and are re-read segment-wide, and
+    every cell scanned again gets its set — so the next append is exact
+    again."""
+    import sqlite3
+
+    cfg = lookback_corpus[0]
+    path = str(tmp_path / "legacy.sqlite")
+    w = Warehouse(path)
+    for hour in range(2):
+        _lb_append(lookback_corpus, tmp_path / "grow", w, hour)
+    w.close()
+    conn = sqlite3.connect(path)
+    conn.execute("ALTER TABLE ingest_ledger DROP COLUMN open_jobs")
+    conn.commit()
+    conn.close()
+
+    w = Warehouse(path)
+    assert all(e.open_jobs is None
+               for e in w.ledger_map(cfg.name).values())
+    rereads = [_lb_append(lookback_corpus, tmp_path / "grow", w, hour)[1]
+               for hour in range(2, LB_HOURS)]
+    assert rereads == [
+        ["a/0", "a/1", "b/0", "b/1", "c/0", "c/1"],  # 101, segment-wide
+        ["a/2"],                                     # exact again
+        ["b/2", "b/3"],
+    ]
+    assert all(e.open_jobs == frozenset()
+               for e in w.ledger_map(cfg.name).values())
+    assert sorted(w.job_ids(cfg.name)) == sorted(LB_JOBS)
+    w.close()
+
+
+def test_through_day_seed_then_append_is_exact(corpus):
+    """A windowed seed records open jobs like any other run: the append
+    re-reads the seeded files that hold a job crossing the window, and
+    ends equal to the one-shot ingest."""
+    from tests.ingest.lookback_oracle import expected_lookback
+
+    cfg, root, accounting = corpus[:3]
+    w, _ = _ingest(corpus, root, through_day=2)
+    ledger = w.ledger_map(cfg.name)
+    assert any(e.open_jobs for e in ledger.values())
+    expected = expected_lookback(root, set(ledger), accounting,
+                                 w.job_ids(cfg.name), cfg.sample_interval)
+    _, report = _ingest(corpus, root, warehouse=w, mode="append")
+    assert 0 < report.delta.files_lookback == len(expected) < len(ledger)
+    assert _data_rows(w) == _data_rows(_ingest(corpus, root)[0])

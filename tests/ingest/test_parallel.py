@@ -162,6 +162,28 @@ def test_scan_matches_in_process_reduction(corpus):
     assert all(isinstance(s, HostScan) for s in streamed)
 
 
+def test_scan_reports_jobs_per_file_and_reduces_only_wanted_jobs(corpus):
+    """Serial and pool alike: *jobs* limits the metric partials, never
+    the matcher views, and every kept file reports the ids it holds."""
+    archive = HostArchive(corpus[1])
+    full = list(scan_archive(archive, allow_truncated=True))
+    wanted = frozenset(sorted(full[0].partials)[:2])
+    assert wanted
+    for kw in ({}, {"workers": 2, "oversubscribe": True}):
+        scans = list(scan_archive(archive, allow_truncated=True,
+                                  jobs=wanted, **kw))
+        assert [s.hostname for s in scans] == [s.hostname for s in full]
+        for scan, ref in zip(scans, full):
+            assert scan.views == ref.views
+            assert scan.partials == {j: p for j, p in ref.partials.items()
+                                     if j in wanted}
+            assert scan.jobs_by_file == ref.jobs_by_file
+            assert sorted(scan.jobs_by_file) == [
+                day for _h, day in archive.manifest(hosts=[scan.hostname])]
+            assert set().union(*scan.jobs_by_file.values()) == {
+                v.jobid for v in scan.views}
+
+
 def test_pipeline_rejects_bad_batch_size(corpus):
     cfg, archive_dir, accounting, lariat = corpus
     with pytest.raises(ValueError, match="batch_size"):

@@ -147,6 +147,15 @@ def test_archive_sidecar_round_trip(live):
         HostArchive(archive_dir, rotate_seconds=2 * HOUR)
 
 
+def test_converted_copy_keeps_the_rotation_period(live, tmp_path):
+    """``convert_archive(out_root=...)`` of a sub-day archive rotates
+    as its source does — an append over the copy plans in segments."""
+    from repro.tacc_stats.convert import convert_archive
+
+    convert_archive(live[2], "v2", out_root=tmp_path / "v2")
+    assert HostArchive(tmp_path / "v2").rotate_seconds == SEGMENT
+
+
 def test_segment_labels_are_sub_day_and_sorted(live):
     """Hourly-scale segments carry colon-free time-of-day labels that
     sort chronologically."""
