@@ -6,7 +6,7 @@ through string concatenation.  The vectorized engine
 (``docs/PERFORMANCE.md`` "Vectorized synthesis") batches every
 job-segment into one ``[timesteps x devices x counters]`` kernel call
 per collector and, for v2 archives, hands the columns straight to the
-encoder without re-parsing the text it just rendered.
+encoder — no text is rendered, compressed or hashed on that path.
 
 This bench runs the scheduler simulation once, then times ONLY the node
 replay for both engines in the tentpole configuration — direct-to-v2,

@@ -175,7 +175,9 @@ METRICS = {
     # direct-to-v2 must beat the scalar daemon loop by at least 5x on
     # the same config with byte-identical archives (asserted inside the
     # bench).  The floor is the acceptance criterion; the number itself
-    # is a wall-clock ratio, hence advisory on shared runners.
+    # is a wall-clock ratio, hence advisory on shared runners.  The
+    # baseline is ~9.5x since the v2 write renders, gzips and hashes no
+    # text (it was 6.5x while every file was still rendered once).
     "synthesis_speedup_x": (
         "synthesis_throughput.txt",
         re.compile(r"^synthesis speedup: ([\d.]+)x", re.MULTILINE),

@@ -61,8 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     for path in report.passthrough:
         print(f"passthrough (not convertible): {path}", file=sys.stderr)
     for path in report.drifted:
-        print(f"fingerprint drift (will re-parse on append): {path}",
-              file=sys.stderr)
+        print(f"fingerprint drift (an append onto a warehouse that "
+              f"ingested it will refuse it as mutated; re-ingest in "
+              f"full): {path}", file=sys.stderr)
     if not args.quiet:
         dest = args.out or args.archive
         print(f"{dest}: {report} "

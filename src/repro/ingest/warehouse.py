@@ -302,6 +302,11 @@ class Warehouse:
             "SELECT value FROM meta WHERE key='generation'"
         ).fetchone()
         self._generation = int(row[0]) if row else 0
+        #: The columnar image of this warehouse, owned here so it dies
+        #: with the warehouse; only :class:`~repro.xdmod.snapshot.
+        #: WarehouseSnapshot` (``for_warehouse`` / ``invalidate``)
+        #: reads or sets it, under its lock.
+        self._snapshot = None
 
     def _has_table(self, name: str) -> bool:
         return self._conn.execute(
@@ -314,6 +319,9 @@ class Warehouse:
             "PRAGMA table_info(ingest_ledger)"))
 
     def close(self) -> None:
+        # The snapshot refers back to this warehouse: dropping it here
+        # frees its frames now instead of at the next cycle collection.
+        self._snapshot = None
         self._conn.close()
 
     @property

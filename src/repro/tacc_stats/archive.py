@@ -24,6 +24,9 @@ Formats are detected per file, so text and v2 host-days coexist in one
 root (e.g. mid-conversion, or a v2 archive quarantining an unconvertible
 text day).  ``archive_format="v2"`` makes the *writer* emit columnar
 files (see :mod:`repro.tacc_stats.columnar`); readers need no knob.
+A v2 write produces no text, gzip stream or text hash along the way:
+the vectorized engine hands over column arrays, and the file's
+text-equivalent size and fingerprint are computed from those.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.tacc_stats.columnar import (
     is_v2_path,
     read_header,
     read_host_day,
-    source_fingerprint_for_text,
 )
 from repro.tacc_stats.format import StatsWriter
 from repro.tacc_stats.parser import (
@@ -87,10 +89,10 @@ def _raw_size(path: Path) -> int:
 
     For rotated ``.gz`` files this reads the ISIZE trailer (last four
     bytes, little-endian); host-day files are far below 4 GiB so the
-    mod-2^32 caveat never bites.  v2 columnar files record the source
-    text's byte count in their header (``text_bytes``), so "raw" keeps
-    meaning *text-equivalent* bytes in every volume figure regardless
-    of the on-disk format.
+    mod-2^32 caveat never bites.  v2 columnar files record the byte
+    count of their text form in their header (``text_bytes``), so "raw"
+    keeps meaning *text-equivalent* bytes in every volume figure
+    regardless of the on-disk format.
     """
     size = path.stat().st_size
     if is_v2_path(path):
@@ -173,7 +175,8 @@ class HostArchive:
     root:
         Directory to write under (created if missing).
     compress:
-        gzip files at rotation/close time (text format only).
+        gzip files at rotation/close time (text format only; a v2 write
+        is the same bytes whatever this says).
     archive_format:
         ``"text"`` (default) writes the paper-faithful self-describing
         text format; ``"v2"`` writes binary columnar files
@@ -227,11 +230,12 @@ class HostArchive:
         self.archive_format = archive_format
         self.resume_stats = resume_stats
         self._open: dict[str, tuple[int, _OpenFile]] = {}
-        #: hostname -> callable(writer, text, sha, kind) -> bytes | None.
+        #: hostname -> callable(writer) -> (bytes, text_bytes) | None.
         #: The vectorized synthesis engine registers one per host so v2
-        #: files are encoded from its column arrays instead of re-parsing
-        #: the rendered text; a None return falls back to the text path.
-        self._v2_encoders: dict[str, "Callable[..., bytes | None]"] = {}
+        #: files are encoded from its column arrays, with no text made;
+        #: a None return falls back to encoding the writer's text.
+        self._v2_encoders: dict[
+            str, Callable[[StatsWriter], tuple[bytes, int] | None]] = {}
         self._stats: ArchiveStats | None = None
         #: stored path -> (raw, stored) contribution already counted, so
         #: a resumed writer replacing a host-day on disk swaps its
@@ -288,17 +292,18 @@ class HostArchive:
 
     def set_v2_encoder(
         self, hostname: str,
-        encoder: Callable[[StatsWriter, str, str, str], bytes | None],
+        encoder: Callable[[StatsWriter], tuple[bytes, int] | None],
     ) -> None:
         """Register a direct v2 encoder for *hostname*'s files.
 
-        *encoder* is called at file close as ``encoder(writer, text,
-        source_sha256, source_kind)`` and returns the encoded v2 bytes,
-        or None to fall back to re-parsing the rendered text
+        *encoder* is called at file close as ``encoder(writer)`` and
+        returns the encoded v2 bytes with their text-equivalent size
+        (the header's ``text_bytes``), or None to fall back to encoding
+        whatever text the writer was given
         (:func:`~repro.tacc_stats.columnar.encode_host_text`).  The
         vectorized synthesis engine uses this to write its column
-        arrays straight into v2 chunks.  No-op unless
-        ``archive_format="v2"``.
+        arrays straight into v2 chunks; the writer of such a file holds
+        the header lines only.  No-op unless ``archive_format="v2"``.
         """
         self._v2_encoders[hostname] = encoder
 
@@ -323,36 +328,32 @@ class HostArchive:
         return closed
 
     def _close_file(self, hostname: str, of: _OpenFile) -> None:
-        text = of.buffer.getvalue()
-        raw = text.encode("utf-8")
         if self.archive_format == "v2":
             path = of.path.with_suffix(of.path.suffix + V2_SUFFIX)
-            # The header's source fingerprint is what the *text* path
-            # (at this compress setting) would have stored, so a v2
-            # archive is ledger-identical to the text archive of the
-            # same data (manifest() reports this digest for v2 files).
-            sha, kind = source_fingerprint_for_text(text, self.compress)
-            data = None
             encoder = self._v2_encoders.get(hostname)
-            if encoder is not None:
-                data = encoder(of.writer, text, sha, kind)
-            if data is None:
-                data = encode_host_text(text, source_sha256=sha,
-                                        source_kind=kind)
-            path.write_bytes(data)
-            stored = len(data)
-        elif self.compress:
-            path = of.path.with_suffix(of.path.suffix + ".gz")
-            # mtime=0 keeps the stored bytes a pure function of the
-            # content, so the manifest's sha256 is stable across
-            # re-writes of identical data (append mode depends on it).
-            data = gzip.compress(raw, compresslevel=6, mtime=0)
+            encoded = encoder(of.writer) if encoder is not None else None
+            if encoded is None:
+                text = of.buffer.getvalue()
+                encoded = encode_host_text(text), len(text.encode("utf-8"))
+            data, raw_len = encoded
             path.write_bytes(data)
             stored = len(data)
         else:
-            path = of.path
-            path.write_text(text)
-            stored = len(raw)
+            text = of.buffer.getvalue()
+            raw = text.encode("utf-8")
+            raw_len = len(raw)
+            if self.compress:
+                path = of.path.with_suffix(of.path.suffix + ".gz")
+                # mtime=0 keeps the stored bytes a pure function of the
+                # content, so the manifest's sha256 is stable across
+                # re-writes of identical data (append mode depends on it).
+                data = gzip.compress(raw, compresslevel=6, mtime=0)
+                path.write_bytes(data)
+                stored = len(data)
+            else:
+                path = of.path
+                path.write_text(text)
+                stored = raw_len
         stats = self.stats
         counted = self._counted.pop(path, None)
         if counted is not None:
@@ -362,14 +363,14 @@ class HostArchive:
             stats.compressed_bytes -= counted[1]
             stats.file_count -= 1
             stats.host_days -= 1
-        stats.raw_bytes += len(raw)
+        stats.raw_bytes += raw_len
         stats.compressed_bytes += stored
         stats.file_count += 1
         stats.host_days += 1
-        self._counted[path] = (len(raw), stored)
+        self._counted[path] = (raw_len, stored)
         registry = get_registry()
         registry.counter("archive.files_written").inc()
-        registry.counter("archive.bytes_raw").inc(len(raw))
+        registry.counter("archive.bytes_raw").inc(raw_len)
         registry.counter("archive.bytes_compressed").inc(stored)
 
     def close(self) -> ArchiveStats:
@@ -421,10 +422,12 @@ class HostArchive:
         manifest pass over N days of history costs I/O, not parsing.
 
         For v2 columnar files the fingerprint is the header's
-        ``source_sha256`` — the digest of the bytes the *text* path
-        stored (or would have stored) for the same host-day.  That
-        makes the ledger format-agnostic: converting a text archive to
-        v2 changes no fingerprints, so ``ingest(mode="append")`` over a
+        ``source_sha256``: for a file converted from text, the digest
+        of the bytes the text archive stored for the same host-day; for
+        a file written as v2 to begin with (``source_kind: "v2"``), a
+        digest of its content.  The first makes the ledger
+        format-agnostic: converting a text archive to v2 changes no
+        fingerprints, so ``ingest(mode="append")`` over a
         freshly converted archive consumes zero files.  A v2 file whose
         header is unreadable falls back to hashing its stored bytes,
         which the delta plan then classifies as mutated — exactly the

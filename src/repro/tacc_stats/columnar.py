@@ -41,17 +41,23 @@ which subclasses :class:`~repro.tacc_stats.parser.ParseError` so the
 quarantine/repair error policies treat a damaged v2 file exactly like a
 damaged gzip stream (``unreadable_file``).
 
-Fingerprint carryover: the header stores ``source_sha256`` — the sha256
-of the bytes the *text* path stored (gz or plain) for this host-day.
-:meth:`HostArchive.manifest` reports that digest for v2 files, so
-converting an archive in place never perturbs the PR5 ingest ledger: an
+Fingerprint: the header's ``source_sha256`` is what
+:meth:`HostArchive.manifest` reports for a v2 file, and ``source_kind``
+says what it is a digest of.  A file converted from text carries the
+sha256 of the bytes the text archive stored (``"gz"`` / ``"text"``), so
+converting an archive in place never perturbs the ingest ledger: an
 ``ingest(mode="append")`` over a freshly converted archive consumes
-zero files.
+zero files.  A file written as v2 in the first place has no text
+predecessor (``"v2"``): its fingerprint is a *content* digest over the
+header and every chunk's ``(name, dtype, shape, sha256)``, a pure
+function of the columns.  ``text_bytes`` — the byte length of the
+canonical text of the same data, which keeps the volume figures
+format-independent — is likewise computed from the columns, never by
+rendering them.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import mmap
@@ -62,18 +68,18 @@ import numpy as np
 
 from repro.tacc_stats.parser import ParseError, parse_host_columns
 from repro.tacc_stats.schema import TypeSchema
-from repro.tacc_stats.types import HostColumns, TypeColumns
+from repro.tacc_stats.types import HostColumns, TypeColumns, _format_time
 from repro.telemetry.metrics import get_registry
 
 __all__ = [
     "V2_SUFFIX",
     "V2FormatError",
+    "decimal_digits",
     "encode_host_blocks",
     "encode_host_text",
     "is_v2_path",
     "read_header",
     "read_host_day",
-    "source_fingerprint_for_text",
 ]
 
 V2_SUFFIX = ".v2"
@@ -97,19 +103,19 @@ def is_v2_path(path: Path) -> bool:
     return path.name.endswith(V2_SUFFIX)
 
 
-def source_fingerprint_for_text(text: str, compress: bool) -> tuple[str, str]:
-    """(sha256, kind) the *text* path would have recorded for *text*.
+#: 10^1 .. 10^19, the powers of ten a uint64 can reach.
+_POW10 = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
 
-    ``kind`` is ``"gz"`` or ``"text"`` — what the archive would have
-    stored.  Writing a v2 file with this fingerprint makes a v2 archive
-    ledger-identical to the text archive of the same data, which is what
-    keeps append-mode ingest working across format conversions.
-    """
-    raw = text.encode("utf-8")
-    if compress:
-        return (hashlib.sha256(
-            gzip.compress(raw, compresslevel=6, mtime=0)).hexdigest(), "gz")
-    return hashlib.sha256(raw).hexdigest(), "text"
+
+def decimal_digits(values: np.ndarray) -> np.ndarray:
+    """Length of ``str(v)`` for every uint64 in *values*: one more than
+    the number of powers of ten the value reaches."""
+    return np.searchsorted(_POW10, np.asarray(values, dtype=np.uint64),
+                           side="right") + 1
+
+
+def _utf8_len(s: str) -> int:
+    return len(s.encode("utf-8"))
 
 
 def _pad_to(parts: list[bytes], size: int, align: int = _ALIGN) -> int:
@@ -121,92 +127,117 @@ def _pad_to(parts: list[bytes], size: int, align: int = _ALIGN) -> int:
     return size
 
 
-def _v2_header(hostname: str, properties: dict[str, str],
-               types: list[tuple[TypeSchema, tuple[str, ...], int]],
-               n_blocks: int, jobid_tags: list[str],
-               marks: list[tuple[int, str, str]], text: str,
-               source_sha256: str, source_kind: str) -> dict:
-    """The header JSON object; *types* is ``(schema, devices, n_rows)``
-    per record type."""
-    return {
+_TypeArrays = tuple[TypeSchema, tuple[str, ...], np.ndarray, np.ndarray]
+
+
+def _text_bytes(properties: dict[str, str], types: list[_TypeArrays],
+                times: np.ndarray, tags: np.ndarray,
+                jobid_tags: list[str],
+                marks: list[tuple[int, str, str]]) -> int:
+    """``len(HostColumns.to_text().encode())`` without rendering: the
+    header lines, one ``<time> <tag>`` line per block, one ``%<kind>
+    <jobid>`` line per mark, and per data row its ``<type> <device> ``
+    prefix, the decimal digits of its values and one separator or
+    newline after each."""
+    tag_len = np.array([_utf8_len(tag) for tag in jobid_tags],
+                       dtype=np.int64)
+    total = (
+        sum(_utf8_len(f"${k} {v}\n") for k, v in properties.items())
+        + sum(_utf8_len(schema.header_line()) + 1
+              for schema, _d, _i, _v in types)
+        + sum(len(_format_time(t)) + 2 for t in times.tolist())
+        + int(tag_len[tags].sum())
+        + sum(_utf8_len(kind) + _utf8_len(jobid) + 3
+              for _b, kind, jobid in marks))
+    for schema, devices, dev_idx, values in types:
+        dev_len = np.array([_utf8_len(d) for d in devices], dtype=np.int64)
+        total += (
+            values.shape[0] * (_utf8_len(schema.type_name) + 2
+                               + schema.n_values)
+            + int(dev_len[dev_idx].sum())
+            + int(decimal_digits(values).sum()))
+    return total
+
+
+def _encode_columns(
+    hostname: str,
+    properties: dict[str, str],
+    types: list[_TypeArrays],
+    times: np.ndarray,
+    tags: np.ndarray,
+    jobid_tags: list[str],
+    marks: list[tuple[int, str, str]],
+    row_type: np.ndarray,
+    row_block: np.ndarray,
+    source: tuple[str, str] | None,
+) -> tuple[bytes, int]:
+    """Header + chunks of one host-day, assembled: ``(v2 bytes,
+    text_bytes)``.  *types* is ``(schema, devices, dev_idx, values)``
+    per record type; *source* as for :func:`encode_host_text`.
+
+    The one place a v2 file is put together — from parsed text and
+    from synthesized arrays alike — so equal columns give equal bytes.
+    """
+    text_bytes = _text_bytes(properties, types, times, tags, jobid_tags,
+                             marks)
+    sha256, kind = source if source is not None else (None, "v2")
+    header = {
         "format": "repro-columnar",
         "version": _VERSION,
         "hostname": hostname,
         "properties": [[k, v] for k, v in properties.items()],
-        "schemas": [schema.header_line() for schema, _d, _n in types],
+        "schemas": [schema.header_line() for schema, _d, _i, _v in types],
         "types": [
             {"name": schema.type_name, "devices": list(devices),
-             "n_rows": n_rows}
-            for schema, devices, n_rows in types
+             "n_rows": int(values.shape[0])}
+            for schema, devices, _i, values in types
         ],
-        "n_blocks": n_blocks,
+        "n_blocks": int(times.shape[0]),
         "jobid_tags": jobid_tags,
-        "marks": [[b, kind, jobid] for b, kind, jobid in marks],
-        "text_bytes": len(text.encode("utf-8")),
-        "source_sha256": source_sha256,
-        "source_kind": source_kind,
+        "marks": [[b, kind_, jobid] for b, kind_, jobid in marks],
+        "text_bytes": text_bytes,
+        "source_sha256": sha256,
+        "source_kind": kind,
     }
-
-
-def encode_host_text(text: str, source_sha256: str | None = None,
-                     source_kind: str = "gz") -> bytes:
-    """Encode one host-day's *text* into v2 bytes.
-
-    The text must parse strictly (malformed input raises
-    :class:`ParseError` exactly as the text parser would — conversion
-    never launders corrupt data into a clean-looking binary file).
-    *source_sha256*/*source_kind* record the fingerprint of the stored
-    text representation this file replaces; when omitted they are
-    computed from *text* as if the archive had stored it per
-    *source_kind*.
-    """
-    if source_sha256 is None:
-        source_sha256, source_kind = source_fingerprint_for_text(
-            text, compress=(source_kind == "gz"))
-    day = parse_host_columns(text)
-    header = _v2_header(
-        day.hostname, day.properties,
-        [(tc.schema, tc.devices, tc.values.shape[0]) for tc in day.types],
-        day.times.shape[0], day.jobid_tags, day.marks, text,
-        source_sha256, source_kind)
     chunks: list[tuple[str, np.ndarray]] = [
-        ("times", day.times),
-        ("tags", day.tags),
-        ("row_type", day.row_type),
-        ("row_block", day.row_block),
+        ("times", times),
+        ("tags", tags),
+        ("row_type", row_type),
+        ("row_block", row_block),
     ]
-    for tc in day.types:
-        chunks.append((f"dev/{tc.name}", tc.dev_idx))
-        chunks.append((f"val/{tc.name}", tc.values))
-    return _assemble_v2(header, chunks)
-
-
-def _assemble_v2(header: dict,
-                 chunks: list[tuple[str, np.ndarray]]) -> bytes:
-    """Serialize a prepared header + column chunks into v2 bytes.
-
-    Shared tail of :func:`encode_host_text` (parsed columns) and
-    :func:`encode_host_blocks` (synthesized columns): both produce the
-    same header dict and chunk list, so the bytes — including per-chunk
-    digests and the footer index — are identical whichever built the
-    columns.
-    """
-    header_json = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<II", _VERSION, len(header_json)),
-             header_json]
-    size = 16 + len(header_json)
-    index = []
+    for schema, _devices, dev_idx, values in types:
+        chunks.append((f"dev/{schema.type_name}", dev_idx))
+        chunks.append((f"val/{schema.type_name}", values))
+    index = []  # offsets follow once the header's length is known
+    datas = []
     for name, arr in chunks:
-        size = _pad_to(parts, size)
         data = np.ascontiguousarray(arr).tobytes()
+        datas.append(data)
         index.append({
             "name": name,
-            "offset": size,
+            "offset": 0,
             "nbytes": len(data),
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
             "sha256": hashlib.sha256(data).hexdigest(),
         })
+    if sha256 is None:
+        # No text predecessor: the fingerprint is a digest of the
+        # content itself — every other header field plus each chunk's
+        # identity (the chunk digests already cover the data).
+        body = {k: v for k, v in header.items() if k != "source_sha256"}
+        ident = [[c["name"], c["dtype"], c["shape"], c["sha256"]]
+                 for c in index]
+        header["source_sha256"] = hashlib.sha256(json.dumps(
+            [body, ident], separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+
+    header_json = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    parts = [_MAGIC, struct.pack("<II", _VERSION, len(header_json)),
+             header_json]
+    size = 16 + len(header_json)
+    for entry, data in zip(index, datas):
+        size = entry["offset"] = _pad_to(parts, size)
         parts.append(data)
         size += len(data)
     footer_json = json.dumps({"chunks": index},
@@ -217,11 +248,31 @@ def _assemble_v2(header: dict,
     registry = get_registry()
     registry.counter("archive.v2.files_encoded").inc()
     registry.counter("archive.v2.bytes_encoded").inc(len(blob))
-    return blob
+    return blob, text_bytes
+
+
+def encode_host_text(text: str,
+                     source: tuple[str, str] | None = None) -> bytes:
+    """Encode one host-day's *text* into v2 bytes.
+
+    The text must parse strictly (malformed input raises
+    :class:`ParseError` exactly as the text parser would — conversion
+    never launders corrupt data into a clean-looking binary file).
+    *source* is the ``(sha256, kind)`` of the stored text file this
+    one replaces (``kind`` ``"gz"`` or ``"text"``); without one the
+    file is its own origin and carries a content fingerprint, kind
+    ``"v2"`` — what :func:`encode_host_blocks` writes for the same
+    columns.
+    """
+    day = parse_host_columns(text)
+    return _encode_columns(
+        day.hostname, day.properties,
+        [(tc.schema, tc.devices, tc.dev_idx, tc.values) for tc in day.types],
+        day.times, day.tags, day.jobid_tags, day.marks,
+        day.row_type, day.row_block, source)[0]
 
 
 def encode_host_blocks(
-    text: str,
     hostname: str,
     properties: dict[str, str],
     schemas: list[TypeSchema],
@@ -230,35 +281,24 @@ def encode_host_blocks(
     tags: list[str],
     marks: list[tuple[int, str, str]],
     values_by_type: list[np.ndarray],
-    source_sha256: str,
-    source_kind: str,
-) -> bytes:
-    """Encode synthesized column arrays straight into v2 bytes.
+) -> tuple[bytes, int]:
+    """Encode synthesized column arrays straight into v2 bytes; returns
+    them with the file's ``text_bytes``.
 
-    The direct-to-v2 fast path: the vectorized synthesis engine already
-    holds every block's values as ``[n_blocks, n_devices, n_values]``
-    uint64 arrays per type, so re-parsing the rendered text (what
-    :func:`encode_host_text` does) would only reconstruct what the
-    caller started from.  This builds the identical header and chunks
-    from the arrays — every block carries every (type, device) row in
-    suite order, which is exactly what the daemon emits — and defers to
-    :func:`_assemble_v2`, so the output is byte-identical to encoding
-    the rendered *text*.
+    The direct-to-v2 path: the vectorized synthesis engine holds every
+    block's values as ``[n_blocks, n_devices, n_values]`` uint64 arrays
+    per type, and no text of them is ever made.  Every block carries
+    every (type, device) row in suite order, which is exactly what the
+    daemon emits, so the columns — and with them the bytes, content
+    fingerprint included — equal what :func:`encode_host_text` gives
+    for the daemon's text.
 
-    *text* is the rendered text representation (still produced by the
-    fast path — the archive's ledger fingerprint and ``text_bytes``
-    volume accounting are defined over it); *times* holds the block
-    timestamps as serialized (``float(int(t))``); *marks* are
-    ``(block_index, kind, jobid)`` in file order.
+    *times* holds the block timestamps as serialized
+    (``float(int(t))``); *marks* are ``(block_index, kind, jobid)`` in
+    file order.
     """
     n_blocks = int(np.asarray(times).shape[0])
     tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
-    header = _v2_header(
-        hostname, properties,
-        [(s, devices_by_type[i], n_blocks * len(devices_by_type[i]))
-         for i, s in enumerate(schemas)],
-        n_blocks, list(tag_table), marks, text, source_sha256, source_kind)
-
     # Every block emits the full suite in order, so the global row
     # streams are one repeated pattern: types in suite order with one
     # row per device.
@@ -266,13 +306,7 @@ def encode_host_blocks(
         np.full(len(devs), ti, dtype="<u2")
         for ti, devs in enumerate(devices_by_type)
     ]) if devices_by_type else np.empty(0, dtype="<u2")
-    chunks: list[tuple[str, np.ndarray]] = [
-        ("times", np.asarray(times, dtype="<f8")),
-        ("tags", np.array([tag_table[tag] for tag in tags], dtype="<u4")),
-        ("row_type", np.tile(pattern, n_blocks)),
-        ("row_block", np.repeat(np.arange(n_blocks, dtype="<u4"),
-                                pattern.shape[0])),
-    ]
+    types = []
     for i, schema in enumerate(schemas):
         n_dev = len(devices_by_type[i])
         k = schema.n_values
@@ -281,12 +315,18 @@ def encode_host_blocks(
             raise ValueError(
                 f"{schema.type_name}: values shape {vals.shape}, "
                 f"expected {(n_blocks, n_dev, k)}")
-        chunks.append((f"dev/{schema.type_name}",
-                       np.tile(np.arange(n_dev, dtype="<u4"), n_blocks)))
-        chunks.append((f"val/{schema.type_name}",
-                       vals.reshape(n_blocks * n_dev, k).astype(
-                           "<u8", copy=False)))
-    return _assemble_v2(header, chunks)
+        types.append((
+            schema, devices_by_type[i],
+            np.tile(np.arange(n_dev, dtype="<u4"), n_blocks),
+            vals.reshape(n_blocks * n_dev, k).astype("<u8", copy=False)))
+    return _encode_columns(
+        hostname, properties, types,
+        np.asarray(times, dtype="<f8"),
+        np.array([tag_table[tag] for tag in tags], dtype="<u4"),
+        list(tag_table), marks,
+        np.tile(pattern, n_blocks),
+        np.repeat(np.arange(n_blocks, dtype="<u4"), pattern.shape[0]),
+        None)
 
 
 def read_header(path: Path) -> dict:

@@ -7,10 +7,10 @@ marks) and, at each job-begin boundary — the only point where collector
 state is reprogrammed — materializes the whole pending run as one
 :class:`~repro.tacc_stats.collectors.base.BlockContext` and calls every
 collector's batched ``sample_block`` kernel once.  The resulting
-``[T, devices, values]`` uint64 arrays are rendered to text in bulk and,
-for v2 archives, handed to
-:func:`~repro.tacc_stats.columnar.encode_host_blocks` directly so the
-archive never re-parses text it just rendered.
+``[T, devices, values]`` uint64 arrays are rendered to text in bulk for
+a text archive; for a v2 archive they are kept as they are and handed to
+:func:`~repro.tacc_stats.columnar.encode_host_blocks` when the file
+closes — no row or block text is made on that path.
 
 Byte-identity with the scalar daemon is a hard contract, not an
 approximation: collectors draw from per-collector RNG streams keyed by
@@ -208,11 +208,20 @@ class NodeSynth:
         )
         vals_by_collector = [c.sample_block(block) for c in self.collectors]
 
-        # Render every (collector, device) row stream to text lines in
-        # bulk: uint64 .tolist() yields Python ints whose str() matches
-        # the scalar writer's str(int(v)) exactly.
+        self._write_runs(pending, vals_by_collector)
+
+        registry = get_registry()
+        registry.counter("synth.chunks").inc()
+        registry.counter("synth.samples").inc(n)
+        registry.counter("synth.rows").inc(
+            n * sum(len(c.devices) for c in self.collectors))
+
+    def _render_rows(self, vals_by_collector: list[np.ndarray],
+                     ) -> list[list[str]]:
+        """Every (collector, device) row stream as text lines, in bulk:
+        uint64 .tolist() yields Python ints whose str() matches the
+        scalar writer's str(int(v)) exactly."""
         line_lists: list[list[str]] = []
-        n_rows = 0
         for c, vals in zip(self.collectors, vals_by_collector):
             for d, dev in enumerate(c.devices):
                 prefix = f"{c.type_name} {dev} "
@@ -220,23 +229,20 @@ class NodeSynth:
                     prefix + " ".join(map(str, row)) + "\n"
                     for row in vals[:, d, :].tolist()
                 ])
-            n_rows += n * len(c.devices)
-
-        self._write_runs(pending, line_lists, vals_by_collector)
-
-        registry = get_registry()
-        registry.counter("synth.chunks").inc()
-        registry.counter("synth.samples").inc(n)
-        registry.counter("synth.rows").inc(n_rows)
+        return line_lists
 
     def _write_runs(self, pending: list[_Pending],
-                    line_lists: list[list[str]],
                     vals_by_collector: list[np.ndarray]) -> None:
         """Write the flushed block to the archive, splitting the run at
-        rotation-segment boundaries (each segment is its own file)."""
+        rotation-segment boundaries (each segment is its own file).  A
+        text archive gets the rendered blocks; a v2 archive gets no
+        text at all — the columns are kept for the file's close."""
         rot = self.archive.rotate_seconds
         hostname = self.node.hostname
         n = len(pending)
+        tags = [",".join(p.jobids) if p.jobids else "-" for p in pending]
+        line_lists = ([] if self._v2
+                      else self._render_rows(vals_by_collector))
         i0 = 0
         while i0 < n:
             seg = int(pending[i0].t // rot)
@@ -250,21 +256,21 @@ class NodeSynth:
                 for c in self.collectors:
                     w.register_schema(c.schema)
             parts: list[str] = []
-            tags: list[str] = []
-            for i in range(i0, i1):
-                p = pending[i]
-                tag = ",".join(p.jobids) if p.jobids else "-"
-                tags.append(tag)
-                parts.append(f"{int(p.t)} {tag}\n")
-                if p.mark is not None:
-                    parts.append(f"%{p.mark[0]} {p.mark[1]}\n")
-                for lines in line_lists:
-                    parts.append(lines[i])
-            w.append_rendered(pending[i0].t, pending[i1 - 1].t,
-                              "".join(parts))
             if self._v2:
                 self._accumulate_v2(w, pending, tags, i0, i1,
                                     vals_by_collector)
+            else:
+                for i in range(i0, i1):
+                    p = pending[i]
+                    parts.append(f"{int(p.t)} {tags[i]}\n")
+                    if p.mark is not None:
+                        parts.append(f"%{p.mark[0]} {p.mark[1]}\n")
+                    for lines in line_lists:
+                        parts.append(lines[i])
+            # With no parts the writer still flushes its header and
+            # enforces monotonic time.
+            w.append_rendered(pending[i0].t, pending[i1 - 1].t,
+                              "".join(parts))
             i0 = i1
 
     # -- direct v2 encoding --------------------------------------------------
@@ -282,17 +288,16 @@ class NodeSynth:
             # begin_block serializes int(t), so the re-parsed text path
             # would store float(int(t)) — match it exactly.
             accum.times.append(float(int(p.t)))
-            accum.tags.append(tags[off])
+            accum.tags.append(tags[i])
             if p.mark is not None:
                 accum.marks.append((base + off, p.mark[0], p.mark[1]))
         for ci, vals in enumerate(vals_by_collector):
             accum.values[ci].append(vals[i0:i1])
 
-    def _encode_v2(self, writer: StatsWriter, text: str,
-                   source_sha256: str, source_kind: str) -> bytes | None:
+    def _encode_v2(self, writer: StatsWriter) -> tuple[bytes, int] | None:
         """Archive close callback: encode this file's accumulated
-        columns; None (fall back to text re-parse) when the file was
-        not produced by this engine."""
+        columns to ``(v2 bytes, text_bytes)``; None (fall back to the
+        writer's text) when the file was not produced by this engine."""
         accum = self._accums.pop(id(writer), None)
         if accum is None or accum.writer is not writer or not accum.times:
             return None
@@ -302,7 +307,6 @@ class NodeSynth:
             for chunks in accum.values
         ]
         return encode_host_blocks(
-            text,
             hostname=writer.hostname,
             properties=writer.properties,
             schemas=[c.schema for c in self.collectors],
@@ -311,6 +315,4 @@ class NodeSynth:
             tags=accum.tags,
             marks=accum.marks,
             values_by_type=values,
-            source_sha256=source_sha256,
-            source_kind=source_kind,
         )

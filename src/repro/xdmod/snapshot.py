@@ -49,7 +49,6 @@ sessions over one snapshot):
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Any, Callable
 
 import numpy as np
@@ -339,14 +338,9 @@ def _memo_survives(key, affected: set, series_changed: set,
     return True
 
 
-#: warehouse -> its live snapshot (dropped automatically when the
-#: warehouse object dies; superseded when its data_version moves).
-_SNAPSHOTS: "weakref.WeakKeyDictionary[Warehouse, WarehouseSnapshot]" = (
-    weakref.WeakKeyDictionary()
-)
-
-#: Serializes snapshot lookup/refresh/publication: concurrent readers
-#: that find the table stale must not race two refreshes.
+#: Serializes snapshot lookup/refresh/publication on
+#: ``Warehouse._snapshot``: concurrent readers that find it stale must
+#: not race two refreshes.
 _SNAP_LOCK = threading.Lock()
 
 
@@ -392,12 +386,12 @@ class WarehouseSnapshot:
         always get either the old consistent snapshot or the new one,
         never a half-refreshed hybrid."""
         with _SNAP_LOCK:
-            snap = _SNAPSHOTS.get(warehouse)
+            snap = warehouse._snapshot
             if snap is None:
                 snap = cls(warehouse)
             elif snap.stamp != warehouse.data_version:
                 snap = snap.refresh(warehouse)
-            _SNAPSHOTS[warehouse] = snap
+            warehouse._snapshot = snap
             return snap
 
     def refresh(self, warehouse: Warehouse) -> "WarehouseSnapshot":
@@ -527,7 +521,7 @@ class WarehouseSnapshot:
         measure the cold path; ingest does not need it — commits move
         the data version, which invalidates implicitly)."""
         with _SNAP_LOCK:
-            _SNAPSHOTS.pop(warehouse, None)
+            warehouse._snapshot = None
 
     # -- data --------------------------------------------------------------
 

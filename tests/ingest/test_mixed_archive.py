@@ -38,7 +38,11 @@ from repro.ingest.warehouse import Warehouse
 from repro.lariat.records import lariat_record_for
 from repro.scheduler.accounting import AccountingWriter
 from repro.tacc_stats.archive import HostArchive, _file_day
-from repro.tacc_stats.columnar import is_v2_path, read_host_day
+from repro.tacc_stats.columnar import (
+    is_v2_path,
+    read_header,
+    read_host_day,
+)
 from repro.tacc_stats.convert import _to_v2_one, convert_archive
 from repro.tacc_stats.parser import ParseError, parse_host_columns
 from repro.testing.faults import inject_fault
@@ -364,20 +368,65 @@ def test_repair_line_faults_same_in_mixed_and_text_host(corpus, tmp_path):
     assert outcomes[0][0].partials
 
 
-def test_v2_write_path_matches_text_run(corpus, text_rows,
-                                        tmp_path_factory):
-    cfg = corpus[0]
+@pytest.fixture(scope="module")
+def v2_written(corpus, tmp_path_factory):
+    """The corpus's seed written as v2 in the first place (no text)."""
     v2_dir = str(tmp_path_factory.mktemp("v2_write"))
-    run = Facility(cfg, seed=11).run_with_files(v2_dir,
-                                               archive_format="v2")
-    files = [p for p in Path(v2_dir).rglob("*") if p.is_file()]
+    Facility(corpus[0], seed=11).run_with_files(v2_dir,
+                                                archive_format="v2")
+    return v2_dir
+
+
+def test_v2_write_path_matches_text_run(corpus, text_rows, v2_written):
+    files = [p for p in Path(v2_written).rglob("*") if p.is_file()]
     assert files and all(is_v2_path(p) for p in files)
-    # Every file carries the fingerprint of the text bytes the text
-    # writer would have stored, so ledgers stay portable across formats.
-    header = read_host_day(files[0]).header
-    assert header["source_kind"] in ("gz", "text")
-    assert header["source_sha256"]
-    w, report = _ingest(corpus, v2_dir)
+    # No text predecessor: every file carries a content fingerprint,
+    # which is what the manifest reports for it.
+    manifest = HostArchive(v2_written).manifest()
+    assert len(manifest) == len(files)
+    for fp in manifest.values():
+        header = read_header(Path(fp.path))
+        assert header["source_kind"] == "v2"
+        assert header["source_sha256"] == fp.sha256
+    w, report = _ingest(corpus, v2_written)
     assert report.jobs_loaded > 0
     assert _data_rows(w) == text_rows
     w.close()
+
+
+def test_nightly_append_over_v2_written_archive(corpus, text_rows,
+                                                v2_written):
+    """Day 1 ingested, the rest appended, then the same archive offered
+    again: the content fingerprints match the ledger, so nothing is
+    read twice, and the result is the one-shot ingest."""
+    w, _ = _ingest(corpus, v2_written, through_day=1)
+    _, report = _ingest(corpus, v2_written, warehouse=w, mode="append")
+    assert report.delta.files_new > 0
+    assert _data_rows(w) == text_rows
+    _, again = _ingest(corpus, v2_written, warehouse=w, mode="append")
+    assert again.delta.files_new == 0
+    assert _data_rows(w) == text_rows
+    w.close()
+
+
+def test_v2_written_archive_to_text_is_reported_drifted(
+        corpus, text_rows, v2_written, tmp_path):
+    """A file written as v2 never had a text form to restore: the text
+    copy is stored the default way, ingests to the same rows, and is a
+    *different archive* to a ledger built from the v2 files."""
+    as_text = tmp_path / "as_text"
+    report = convert_archive(v2_written, to="text", out_root=str(as_text))
+    files = [p for p in as_text.rglob("*") if p.is_file()]
+    assert files and all(p.suffix == ".gz" for p in files)
+    assert report.converted == len(files) and not report.passthrough
+    assert len(report.drifted) == len(files)
+    for p in files:  # mtime=0, as the archive's own writer stores them
+        assert p.read_bytes() == gzip.compress(
+            gzip.decompress(p.read_bytes()), compresslevel=6, mtime=0)
+    w, _ = _ingest(corpus, str(as_text))
+    assert _data_rows(w) == text_rows
+    w.close()
+    ledgered, _ = _ingest(corpus, v2_written)
+    with pytest.raises(ValueError, match="mutated since it was ingested"):
+        _ingest(corpus, str(as_text), warehouse=ledgered, mode="append")
+    ledgered.close()

@@ -12,6 +12,7 @@ outcome matches what the same corruption in a text archive produces.
 """
 
 import gzip
+import hashlib
 import io
 import shutil
 import tempfile
@@ -29,7 +30,6 @@ from repro.tacc_stats.columnar import (
     is_v2_path,
     read_header,
     read_host_day,
-    source_fingerprint_for_text,
 )
 from repro.tacc_stats.convert import convert_archive
 from repro.tacc_stats.format import StatsWriter
@@ -67,9 +67,13 @@ VALID = (
 )
 
 
+def _plain_source(text):
+    """(sha256, kind) of *text* stored as a plain-text archive file."""
+    return hashlib.sha256(text.encode()).hexdigest(), "text"
+
+
 def _encode(text=VALID):
-    sha, kind = source_fingerprint_for_text(text, compress=False)
-    return encode_host_text(text, source_sha256=sha, source_kind=kind)
+    return encode_host_text(text, source=_plain_source(text))
 
 
 def _write_v2(tmp_path, text=VALID, name="2012-09-30"):
@@ -132,7 +136,7 @@ def test_decoded_host_data_matches_parser(tmp_path):
 def test_header_carries_source_fingerprint(tmp_path):
     path = _write_v2(tmp_path)
     header = read_header(path)
-    sha, kind = source_fingerprint_for_text(VALID, compress=False)
+    sha, kind = _plain_source(VALID)
     assert header["source_sha256"] == sha
     assert header["source_kind"] == kind == "text"
     assert header["hostname"] == "i101-101"
@@ -236,13 +240,13 @@ def _host_text(draw):
 @given(_host_text())
 @settings(max_examples=60, deadline=None)
 def test_property_v2_roundtrip_identity(text):
-    sha, kind = source_fingerprint_for_text(text, compress=True)
-    blob = encode_host_text(text, source_sha256=sha, source_kind=kind)
+    blob = _encode(text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "2012-09-30.v2"
         path.write_bytes(blob)
         day = read_host_day(path)
     assert day.to_text() == text
+    assert day.header["text_bytes"] == len(text.encode())
     assert _columns_map(day) == _columns_map(parse_host_columns(text))
     assert _host_data_map(day.to_host_data()) == _host_data_map(
         parse_host_text(text))
@@ -296,6 +300,9 @@ def test_property_parser_columns_equal_v2_columns(text):
     assert _columns_map(day) == _columns_map(parsed)
     assert _columns_map(parse_host_columns(day.to_text())) \
         == _columns_map(parsed)
+    # text_bytes counts the canonical rendering (fractional stamps,
+    # values up to 2^64 - 1), never the source's spelling.
+    assert day.header["text_bytes"] == len(day.to_text().encode())
     assert _host_data_map(day.to_host_data()) == _host_data_map(
         parse_host_text(text))
 

@@ -93,3 +93,39 @@ def test_covering_index_added_to_legacy_file(tmp_path):
         "SELECT name FROM sqlite_master WHERE type='index'")]
     assert "idx_metrics_covering" in names
     w2.close()
+
+
+def test_closed_warehouses_and_their_snapshots_are_freed(tmp_path):
+    """Regression: the snapshot registry used to map each warehouse
+    (weakly) to a snapshot that referred back to it (strongly), so no
+    queried warehouse was ever freed — every open → render → close
+    cycle left its connection, frames and memo behind."""
+    import gc
+    import weakref
+
+    from repro import RANGER, Facility
+    from repro.ingest.warehouse import Warehouse
+    from repro.xdmod.reports import SupportStaffReport
+
+    def live_warehouses():
+        gc.collect()
+        return sum(isinstance(o, Warehouse) for o in gc.get_objects())
+
+    path = str(tmp_path / "w.sqlite")
+    cfg = RANGER.scaled(num_nodes=8, horizon_days=2, n_users=6)
+    run = Facility(cfg, seed=3).run(warehouse=Warehouse(path))
+    run.warehouse.commit()
+    run.warehouse.close()
+    del run
+    before = live_warehouses()
+    refs = []
+    for _ in range(5):
+        wh = Warehouse(path)
+        assert SupportStaffReport(wh, cfg.name).render()
+        snap = WarehouseSnapshot.for_warehouse(wh)
+        assert snap.frame(cfg.name).n_rows > 0
+        refs += [weakref.ref(wh), weakref.ref(snap)]
+        wh.close()
+        del wh, snap
+    assert live_warehouses() == before
+    assert [r() for r in refs] == [None] * len(refs)
