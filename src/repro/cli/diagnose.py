@@ -7,6 +7,7 @@ Examples::
     repro-diagnose --warehouse ranger.sqlite --system ranger --associations
     repro-diagnose --warehouse ranger.sqlite --system ranger --ingest-health
     repro-diagnose --warehouse ranger.sqlite --system ranger --ledger
+    repro-diagnose --warehouse ranger.sqlite --system ranger --verify arch/
     repro-diagnose --telemetry manifest.json
 
 ``--telemetry`` inspects a run manifest written by ``repro-simulate
@@ -30,7 +31,10 @@ import sys
 
 from repro.anomaly.ancor import AncorAnalysis
 from repro.cli.common import die
+from repro.ingest.columnar_scan import JobScanState, scan_host
 from repro.ingest.warehouse import Warehouse
+from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.parser import ParseError
 from repro.telemetry.manifest import RunManifest
 from repro.telemetry.trace import render_span_tree
 from repro.util.tables import render_kv, render_table
@@ -69,9 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the ingest ledger (consumed archive "
                              "host-days with fingerprints, status and "
                              "open-job counts; the cells the next append "
-                             "may re-read and the ten oldest open jobs) "
+                             "may re-read, the scan states kept for open "
+                             "jobs and the ten oldest open jobs) "
                              "and the recorded ingest runs with their "
                              "appended row ranges")
+    parser.add_argument("--verify", default=None, metavar="ARCHIVE",
+                        help="check the ledger against the archive "
+                             "directory it was ingested from, trusting "
+                             "nothing: every ledgered file is hashed again "
+                             "(an append re-hashes only files whose size or "
+                             "mtime changed) and every kept scan state is "
+                             "recomputed from the files; exits 1 on any "
+                             "difference")
     parser.add_argument("--telemetry", default=None, metavar="MANIFEST",
                         help="inspect a telemetry manifest JSON (from "
                              "repro-simulate --telemetry-out): span tree, "
@@ -152,19 +165,24 @@ def _print_ledger(warehouse: Warehouse, system: str) -> None:
             n_open += 1
             for jobid in entry.open_jobs:
                 open_cells.setdefault(jobid, []).append(day)
+    states = warehouse.scan_states(system)
+    oldest = sorted(open_cells.items(), key=lambda kv: (min(kv[1]), kv[0]))
     print(render_kv({
         "host-days consumed": len(ledger),
         "days": f"{days[0]} .. {days[-1]} ({len(days)})",
         "status": ", ".join(f"{k}={v}"
                             for k, v in sorted(by_status.items())),
-        "cells with open jobs": f"{n_open} (re-read when one of their "
-                                f"jobs can load)",
+        "cells with open jobs": f"{n_open} (continued from scan state, "
+                                f"or re-read where none was kept)",
         "cells with no job record": f"{n_unknown} (re-read whenever a "
                                     f"pending job spans their segment)",
+        "scan states kept": f"{len(states)} (host, open job) rows, "
+                            f"{sum(map(len, states.values())):,} bytes",
+        "oldest open job": f"{oldest[0][0]} (since {min(oldest[0][1])})"
+        if oldest else "(none)",
     }, title=f"Ingest ledger — {system}"))
     if open_cells:
-        oldest = sorted(open_cells.items(),
-                        key=lambda kv: (min(kv[1]), kv[0]))[:10]
+        oldest = oldest[:10]
         print(render_table([
             {"job": jobid, "first": min(cells), "last": max(cells),
              "cells": len(cells)}
@@ -195,6 +213,44 @@ def _print_ledger(warehouse: Warehouse, system: str) -> None:
         ], ["run", "mode", "jobs", "job_metrics", "system_series",
             "syslog_events"],
             title="Ingest runs (appended rowid ranges, half-open)"))
+
+
+def _verify(warehouse: Warehouse, system: str, root: str) -> int:
+    """The untrusting pass: hash every ledgered file of the archive at
+    *root* again and recompute every kept scan state from the files;
+    prints what differs and returns the exit status."""
+    archive = HostArchive(root)
+    ledger = warehouse.ledger_map(system)
+    manifest = archive.manifest()
+    problems = []
+    for cell, entry in sorted(ledger.items()):
+        if cell not in manifest:
+            problems.append(("/".join(cell), "ledgered file is missing"))
+        elif manifest[cell].sha256 != entry.sha256:
+            problems.append(("/".join(cell), "content differs from the "
+                             "ingested file (sha256)"))
+    kept: dict[str, dict[str, bytes]] = {}
+    for (host, jobid), blob in warehouse.scan_states(system).items():
+        kept.setdefault(host, {})[jobid] = blob
+    for host, blobs in sorted(kept.items()):
+        paths = [manifest[cell].path for cell in sorted(ledger)
+                 if cell[0] == host and cell in manifest]
+        try:
+            fresh = scan_host(archive, host, allow_truncated=True,
+                              paths=paths)[0].states
+        except (ParseError, ValueError, OSError) as e:
+            problems.append((host, f"cannot be scanned again: {e}"))
+            continue
+        problems.extend(
+            (f"{host}/{jobid}", "scan state differs from a scan of the "
+             "ledgered files") for jobid, blob in sorted(blobs.items())
+            if fresh.get(jobid) != JobScanState.from_blob(blob))
+    print(f"verified {len(ledger)} ledgered files and "
+          f"{sum(map(len, kept.values()))} scan states of {system!r} "
+          f"against {root}: {len(problems) or 'no'} differences")
+    for what, why in problems:
+        print(f"  {what}: {why}")
+    return 1 if problems else 0
 
 
 def _print_diagnosis(d) -> None:
@@ -334,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.ledger:
             _print_ledger(warehouse, args.system)
             return 0
+
+        if args.verify:
+            return _verify(warehouse, args.system, args.verify)
 
         if args.ingest_health:
             payload = warehouse.ingest_health(args.system)

@@ -96,8 +96,9 @@ def scan_host_data(host: HostData) -> HostScan:
 
 def _scan_host_checked(archive: HostArchive, hostname: str,
                        allow_truncated: bool, policy: str,
-                       days: tuple[str, ...] | None = None,
-                       jobs: frozenset[str] | None = None) -> HostScanResult:
+                       paths: tuple[str, ...] | None = None,
+                       jobs: frozenset[str] | None = None,
+                       seeds: dict | None = None) -> HostScanResult:
     """Read + scan one host inside a private metrics registry.
 
     Both the serial in-process loop and the pool worker route through
@@ -115,7 +116,7 @@ def _scan_host_checked(archive: HostArchive, hostname: str,
         t0 = time.perf_counter()
         scan, records, status = scan_host(
             archive, hostname, allow_truncated=allow_truncated,
-            policy=policy, days=days, jobs=jobs)
+            policy=policy, paths=paths, jobs=jobs, seeds=seeds)
         elapsed = time.perf_counter() - t0
         local.histogram("ingest.host_scan.seconds").observe(elapsed)
         local.gauge(f"ingest.host_scan.{hostname}.seconds").set(elapsed)
@@ -126,20 +127,21 @@ def _scan_host_checked(archive: HostArchive, hostname: str,
 
 def _scan_one(root: str, hostname: str, allow_truncated: bool,
               policy: str = ErrorPolicy.STRICT,
-              days: tuple[str, ...] | None = None,
-              jobs: frozenset[str] | None = None) -> HostScanResult:
+              paths: tuple[str, ...] | None = None,
+              jobs: frozenset[str] | None = None,
+              seeds: dict | None = None) -> HostScanResult:
     """Worker entry point: read, parse and scan one host by name.
 
     Module-level (not a closure) so it pickles under the ``spawn`` start
     method as well as ``fork``.  Under the ``strict`` policy a malformed
     host raises (the error crosses back through the future); otherwise
     malformed data is quarantined per the policy and reported in the
-    result.  *days* restricts the read to those host-day files and
-    *jobs* the metric partials to those job ids (the delta-ingest
-    path).
+    result.  *paths* restricts the read to those files, *jobs* the
+    metric partials to those job ids, and *seeds* are the host's
+    persisted scan states (see :func:`scan_host`).
     """
-    return _scan_host_checked(HostArchive(root), hostname,
-                              allow_truncated, policy, days=days, jobs=jobs)
+    return _scan_host_checked(HostArchive(root), hostname, allow_truncated,
+                              policy, paths=paths, jobs=jobs, seeds=seeds)
 
 
 def effective_workers(workers: int, n_hosts: int,
@@ -192,9 +194,7 @@ def _record_outcome(health: IngestHealth | None, result: HostScanResult
 def _run_round(scan_fn: Callable, root: str, hosts: list[str], workers: int,
                allow_truncated: bool, policy: str, timeout: float | None,
                results: dict[str, HostScanResult],
-               days_map: dict[str, tuple[str, ...] | None] | None = None,
-               jobs: frozenset[str] | None = None,
-               ) -> dict[str, str]:
+               per_host: dict[str, tuple]) -> dict[str, str]:
     """Submit one retry round to a fresh pool; return transient failures.
 
     Successful scans land in *results*.  Hosts whose future raised
@@ -205,11 +205,10 @@ def _run_round(scan_fn: Callable, root: str, hosts: list[str], workers: int,
     re-raised — retrying cannot fix bad bytes.
     """
     failures: dict[str, str] = {}
-    days_map = days_map or {}
     with ProcessPoolExecutor(max_workers=min(workers, len(hosts))) as ex:
         futures = {
             ex.submit(scan_fn, root, h, allow_truncated, policy,
-                      days_map.get(h), jobs): h
+                      *per_host[h]): h
             for h in hosts
         }
         _done, not_done = wait(futures, timeout=timeout)
@@ -241,8 +240,7 @@ def _scan_parallel(scan_fn: Callable, root: str, hostnames: list[str],
                    workers: int, allow_truncated: bool, policy: str,
                    health: IngestHealth | None, max_retries: int,
                    retry_backoff: float, timeout: float | None,
-                   days_map: dict[str, tuple[str, ...] | None] | None = None,
-                   jobs: frozenset[str] | None = None,
+                   per_host: dict[str, tuple],
                    ) -> dict[str, HostScanResult]:
     """The retrying fan-out: scan every host, tolerating worker death.
 
@@ -259,7 +257,7 @@ def _scan_parallel(scan_fn: Callable, root: str, hostnames: list[str],
     while pending:
         failures = _run_round(scan_fn, root, pending, workers,
                               allow_truncated, policy, timeout, results,
-                              days_map, jobs)
+                              per_host)
         if not failures:
             break
         retry: list[str] = []
@@ -282,7 +280,7 @@ def _scan_parallel(scan_fn: Callable, root: str, hostnames: list[str],
                 health.record_retry(hostname)
             probe_failure = _run_round(
                 scan_fn, root, [hostname], 1, allow_truncated, policy,
-                timeout, results, days_map, jobs).get(hostname)
+                timeout, results, per_host).get(hostname)
             if probe_failure is None:
                 continue  # innocent: the probe produced its result
             if ErrorPolicy(policy) is ErrorPolicy.STRICT:
@@ -314,8 +312,9 @@ def scan_archive(
     retry_backoff: float = 0.1,
     timeout: float | None = None,
     scan_fn: Callable | None = None,
-    days_by_host: dict[str, tuple[str, ...]] | None = None,
+    files_by_host: dict[str, tuple[str, ...]] | None = None,
     jobs: frozenset[str] | None = None,
+    seeds: dict[str, dict] | None = None,
 ) -> Iterator[HostScan]:
     """Yield one :class:`HostScan` per surviving host, in sorted order.
 
@@ -333,28 +332,27 @@ def scan_archive(
     entry point (same signature as the default) and exists for the
     fault-injection harness to simulate crashing workers.
 
-    *days_by_host* narrows the scan to a delta: only the named hosts
-    are visited, and each reads just the listed ``YYYY-MM-DD`` files;
-    *jobs* narrows the metric partials to the job ids the delta can
-    load (``None`` = every job; matcher views are always complete).
-    Quarantine/retry semantics are identical to a full scan — the delta
-    path reuses this exact fan-out.
+    *files_by_host* names what to read: only those hosts are visited,
+    and each reads just the listed paths (its files in label order, as
+    a manifest resolved them; none when the host is visited for its
+    seeds alone).  *seeds* maps a host to the persisted scan states of
+    its open jobs, which the host's fold continues from; *jobs* narrows
+    the metric partials to the job ids the run can load (``None`` =
+    every job; matcher views are always complete).  Quarantine/retry
+    semantics are the same for any selection.
     """
-    if days_by_host is not None:
-        hostnames = sorted(days_by_host)
-        days_map: dict[str, tuple[str, ...] | None] = {
-            h: tuple(sorted(days_by_host[h])) for h in hostnames
-        }
-    else:
-        hostnames = archive.hostnames()
-        days_map = {}
+    hostnames = (sorted(files_by_host) if files_by_host is not None
+                 else archive.hostnames())
+    #: host -> the (paths, jobs, seeds) its scan is called with.
+    per_host = {h: (None if files_by_host is None
+                    else tuple(files_by_host[h]), jobs, (seeds or {}).get(h))
+                for h in hostnames}
     workers = effective_workers(workers, len(hostnames), oversubscribe)
     if workers == 1 and scan_fn is None and timeout is None:
         for hostname in hostnames:
             outcome = _scan_host_checked(archive, hostname,
                                          allow_truncated, policy,
-                                         days=days_map.get(hostname),
-                                         jobs=jobs)
+                                         *per_host[hostname])
             _record_outcome(health, outcome)
             if outcome.scan is not None:
                 yield outcome.scan
@@ -363,7 +361,7 @@ def scan_archive(
     results = _scan_parallel(
         scan_fn or _scan_one, str(archive.root), hostnames, workers,
         allow_truncated, policy, health, max_retries, retry_backoff,
-        timeout, days_map, jobs)
+        timeout, per_host)
     for hostname in hostnames:
         outcome = results.get(hostname)
         if outcome is None:  # pragma: no cover - every host gets a verdict

@@ -21,12 +21,14 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from repro.config import FacilityConfig
 from repro.errors import QUARANTINE_DIRNAME, ErrorPolicy, IngestHealth
+from repro.ingest.columnar_scan import JobScanState
 from repro.ingest.matcher import HostJobView, MatchReport, match_job_views
 from repro.ingest.parallel import effective_workers, scan_archive
 from repro.ingest.summarize import (
@@ -39,7 +41,7 @@ from repro.lariat.records import LariatRecord
 from repro.scheduler.accounting import AccountingEntry, parse_accounting
 from repro.scheduler.job import JobRecord, JobRequest
 from repro.syslogr.rationalizer import RationalizedMessage
-from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.archive import FileFingerprint, HostArchive
 from repro.telemetry.log import current_run_id, get_logger, run_scope
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
@@ -55,12 +57,12 @@ class DeltaSummary:
     """What an incremental (or day-windowed) ingest decided to touch.
 
     ``files_new`` were parsed because the ledger had never seen them;
-    ``files_lookback`` are unchanged files re-parsed because they hold
-    blocks or marks of a job this run can load — look-back is per
-    ``(host, segment)`` cell, from the open job ids the ledger recorded
-    when the cell was last scanned; a cell with no record is re-parsed
-    whenever a pending job's span reaches its segment;
-    ``files_skipped`` were proven unchanged and never opened.
+    ``files_lookback`` are ledgered files parsed again: a cell with no
+    job record (a dropped host, a quarantined or repaired file, a
+    legacy ledger row) whenever a pending job's span reaches its
+    segment, and a cell holding a pending job whose scan state on that
+    host was not kept — none on a host every file of which was kept
+    whole; ``files_skipped`` were unchanged and never opened.
     ``jobs_deferred`` counts accounting entries left for a later append
     because their data extends beyond the days on disk.  The watermarks
     are facility seconds: syslog events in ``[before, after)`` were
@@ -187,13 +189,12 @@ class _DeltaPlan:
     results.
     """
 
-    days_by_host: dict[str, tuple[str, ...]]
+    cells: set[tuple[str, str]]
     candidates: list[AccountingEntry]
     consumed_days: set[int]
     watermark_before: int
     watermark_after: int
     delta: DeltaSummary
-    ledger_base: dict
     period: int = DAY
 
     def loadable(self, entry: AccountingEntry) -> bool:
@@ -202,9 +203,11 @@ class _DeltaPlan:
         return all(d in self.consumed_days for d in range(d0, d1 + 1))
 
 
-def _plan_append(archive: HostArchive, ledger: dict,
-                 entries: list[AccountingEntry], loaded: set[str],
-                 min_seconds: float) -> _DeltaPlan:
+def _plan_append(period: int,
+                 manifest: dict[tuple[str, str], FileFingerprint],
+                 ledger: dict, entries: list[AccountingEntry],
+                 loaded: set[str], min_seconds: float,
+                 seeds: dict[str, dict[str, JobScanState]]) -> _DeltaPlan:
     """Classify archive files against the ledger and pick the delta.
 
     Incremental ingest follows the nightly-ETL watermark model: host-day
@@ -213,25 +216,24 @@ def _plan_append(archive: HostArchive, ledger: dict,
     contract and raises — the remedy is a full re-ingest into a fresh
     warehouse, never a silent partial reload.
 
-    Files parsed = every never-ledgered file, plus the *lookback*
-    cells: unchanged ``(host, segment)`` files inside a pending job's
-    span whose ledgered ``open_jobs`` — the not-yet-loaded job ids the
-    file mentioned when it was last scanned — name a pending job.  A
-    job id stays in a cell's set until a scan of the cell ends with the
-    job loaded, so every file holding a block or mark of a pending job
-    is read; a cell whose set is unknown (``None``: legacy ledger row,
-    dropped host, quarantined or repaired file) may mention anything
-    and is read whenever a pending span reaches its segment.  A
-    not-yet-loaded job is deferred while its span extends past the days
-    on disk, and *finalized* (never revisited) once every file of its
-    span was consumed by an earlier run.
+    Files parsed = every never-ledgered file; a pending job's earlier
+    files are not read again, its persisted scan state per host
+    (*seeds*) is folded on.  What is left of *lookback* is the cells
+    the ledger cannot vouch for: inside a pending job's span, a cell
+    whose ``open_jobs`` is unknown (``None``: legacy ledger row, dropped
+    host, quarantined or repaired file — it may mention anything), and
+    a cell whose ``open_jobs`` name a pending job that has no seed on
+    that host (a host with an unknown cell keeps no states).  A job id
+    stays in a cell's set until the job loads, so every file holding a
+    block or mark of such a job is read.  A not-yet-loaded job is
+    deferred while its span extends past the days on disk, and
+    *finalized* (never revisited) once every file of its span was
+    consumed by an earlier run.
 
     All of the "day" arithmetic actually runs at the archive's rotation
     period: a live archive cutting sub-day segments flows through the
     identical watermark/lookback/finalize logic, just with finer cells.
     """
-    period = _archive_period(archive)
-    manifest = archive.manifest()
     for key, led in ledger.items():
         fp = manifest.get(key)
         if fp is None:
@@ -252,9 +254,8 @@ def _plan_append(archive: HostArchive, ledger: dict,
     day_indices = {day: label_to_period_index(day, period)
                    for day in by_day}
     max_present_day = max(day_indices.values(), default=-1)
-    max_ledger_day = max(
-        (label_to_period_index(day, period) for _h, day in ledger),
-        default=-1)
+    max_ledger_day = max((day_indices[day] for _h, day in ledger),
+                         default=-1)
 
     def consumed_before(d: int) -> bool:
         return all(cell in ledger
@@ -284,17 +285,18 @@ def _plan_append(archive: HostArchive, ledger: dict,
                            for d in range(d0, d1 + 1))
     pending_ids = {entry.job_number for entry in pending}
 
-    days_by_host: dict[str, set[str]] = {}
+    scanned: set[tuple[str, str]] = set()
     for cell in manifest:
         host, day = cell
         led = ledger.get(cell)
         if led is None:
-            days_by_host.setdefault(host, set()).add(day)
+            scanned.add(cell)
             delta.files_new += 1
         elif day in needed_days and (
                 led.open_jobs is None
-                or not pending_ids.isdisjoint(led.open_jobs)):
-            days_by_host.setdefault(host, set()).add(day)
+                or any(j in pending_ids and j not in seeds.get(host, ())
+                       for j in led.open_jobs)):
+            scanned.add(cell)
             delta.files_lookback += 1
         else:
             delta.files_skipped += 1
@@ -302,7 +304,6 @@ def _plan_append(archive: HostArchive, ledger: dict,
     # A day with no file at all (facility dark, or simply beyond any
     # host's activity) is vacuously consumed — nothing can arrive for it
     # under the day-ordered arrival contract once later days exist.
-    scanned = {(h, d) for h, days in days_by_host.items() for d in days}
     consumed_days: set[int] = set()
     for d in range(max_present_day + 1):
         cells = by_day.get(period_label(d, period), ())
@@ -319,15 +320,16 @@ def _plan_append(archive: HostArchive, ledger: dict,
     delta.watermark_after = watermark(
         max_present_day, lambda d: d in consumed_days)
     return _DeltaPlan(
-        days_by_host={h: tuple(sorted(d)) for h, d in days_by_host.items()},
-        candidates=candidates, consumed_days=consumed_days,
+        cells=scanned, candidates=candidates, consumed_days=consumed_days,
         watermark_before=delta.watermark_before,
         watermark_after=delta.watermark_after,
-        delta=delta, ledger_base=manifest, period=period,
+        delta=delta, period=period,
     )
 
 
-def _plan_windowed(archive: HostArchive, entries: list[AccountingEntry],
+def _plan_windowed(period: int,
+                   manifest: dict[tuple[str, str], FileFingerprint],
+                   entries: list[AccountingEntry],
                    through_day: int) -> _DeltaPlan:
     """A full ingest restricted to facility days ``0 .. through_day-1``.
 
@@ -335,18 +337,16 @@ def _plan_windowed(archive: HostArchive, entries: list[AccountingEntry],
     accounting entries, and syslog events) strictly inside the window
     are consumed, and everything consumed is ledgered.  A job whose end
     block falls in day ``through_day`` or later is deferred whole — the
-    append run re-parses its tail-overlap days via the lookback rule.
+    append run continues from the scan state its hosts leave behind.
     """
-    period = _archive_period(archive)
     # The CLI window stays day-granular; on a sub-day archive it simply
     # covers every whole segment inside those days.
     through_seg = (through_day * DAY) // period
-    manifest = archive.manifest()
     delta = DeltaSummary()
-    days_by_host: dict[str, set[str]] = {}
-    for (host, day) in manifest:
-        if label_to_period_index(day, period) < through_seg:
-            days_by_host.setdefault(host, set()).add(day)
+    scanned: set[tuple[str, str]] = set()
+    for cell in manifest:
+        if label_to_period_index(cell[1], period) < through_seg:
+            scanned.add(cell)
             delta.files_new += 1
         else:
             delta.files_skipped += 1
@@ -359,10 +359,9 @@ def _plan_windowed(archive: HostArchive, entries: list[AccountingEntry],
             delta.jobs_deferred += 1
     delta.watermark_after = through_seg * period
     return _DeltaPlan(
-        days_by_host={h: tuple(sorted(d)) for h, d in days_by_host.items()},
-        candidates=candidates, consumed_days=consumed_days,
+        cells=scanned, candidates=candidates, consumed_days=consumed_days,
         watermark_before=0, watermark_after=delta.watermark_after,
-        delta=delta, ledger_base=manifest, period=period,
+        delta=delta, period=period,
     )
 
 
@@ -375,7 +374,7 @@ class IngestPipeline:
     def ingest(
         self,
         config: FacilityConfig,
-        accounting_text: str,
+        accounting_text: str | Sequence[AccountingEntry],
         archive: HostArchive,
         lariat_records: list[LariatRecord] | None = None,
         syslog: list[RationalizedMessage] | None = None,
@@ -393,13 +392,16 @@ class IngestPipeline:
     ) -> IngestReport:
         """Run the pipeline over the host files in *archive*.
 
+        *accounting_text* is the accounting file's text, or its entries
+        already parsed (a caller appending every hour parses it once).
+
         ``mode="append"`` is the incremental ETL:
         the archive manifest is diffed against the warehouse's ingest
-        ledger, only new host-day files (plus the ledgered files that
-        hold a still-unloaded job) are parsed, and already-loaded rows
-        are never touched.  It assumes day-ordered arrival into an
-        append-only archive — a ledgered file that mutated or vanished
-        raises.  *through_day* (``mode="full"`` only) instead windows a
+        ledger, only new host-day files are parsed — a still-unloaded
+        job continues from the scan state its hosts persisted — and
+        already-loaded rows are never touched.  It assumes day-ordered
+        arrival into an append-only archive — a ledgered file that
+        mutated or vanished raises.  *through_day* (``mode="full"`` only) instead windows a
         full ingest to facility days ``0 .. through_day-1``, seeding the
         ledger so later appends can pick up where it stopped.  Every
         ingest records the consumed host-days in the ledger and its
@@ -443,37 +445,62 @@ class IngestPipeline:
             min_s = (min_seconds if min_seconds is not None
                      else config.sample_interval)
             plan: _DeltaPlan | None = None
-            entries: list[AccountingEntry] | None = None
+            manifest: dict[tuple[str, str], FileFingerprint] | None = None
+            ledger: dict = {}
+            stored: dict[tuple[str, str], bytes] = {}
+            seeds: dict[str, dict[str, JobScanState]] = {}
+            files_by_host: dict[str, list[str]] | None = None
+            entries = (list(parse_accounting(accounting_text))
+                       if isinstance(accounting_text, str)
+                       else list(accounting_text))
+            all_entries = entries
             if mode == "append" or through_day is not None:
-                # Plan modes parse the accounting up front: the entry
-                # day spans decide which archive files must be opened.
+                # Plan modes decide from the entry spans and the ledger
+                # which archive files must be opened.
                 with span("ingest.plan", mode=mode):
-                    entries = list(parse_accounting(accounting_text))
+                    period = _archive_period(archive)
                     if mode == "append":
+                        ledger = self.warehouse.ledger_map(config.name)
+                        stored = self.warehouse.scan_states(config.name)
+                        # A host with a cell of unknown content keeps no
+                        # states; whatever is stored for one is not used.
+                        unknown = {h for (h, _d), led in ledger.items()
+                                   if led.open_jobs is None}
+                        for (host, jobid), blob in stored.items():
+                            if host not in unknown:
+                                seeds.setdefault(host, {})[jobid] = \
+                                    JobScanState.from_blob(blob)
+                        manifest = archive.manifest(trusted=ledger)
                         plan = _plan_append(
-                            archive,
-                            self.warehouse.ledger_map(config.name),
-                            entries,
-                            self.warehouse.job_ids(config.name),
-                            min_s)
+                            period, manifest, ledger, entries,
+                            self.warehouse.job_ids(config.name), min_s,
+                            seeds)
                     else:
-                        plan = _plan_windowed(archive, entries,
+                        manifest = archive.manifest()
+                        plan = _plan_windowed(period, manifest, entries,
                                               through_day)
-                entries = plan.candidates
-            scan_hosts = (sorted(plan.days_by_host) if plan is not None
-                          else archive.hostnames())
+                    entries = plan.candidates
+                    # The scan reads the paths the manifest resolved.
+                    files_by_host = {}
+                    for cell in sorted(plan.cells):
+                        files_by_host.setdefault(cell[0], []).append(
+                            manifest[cell].path)
+            jobs = frozenset(e.job_number for e in entries)
+            # A candidate's seed is heard even when its host has no file
+            # to read this run.
+            for host, by_job in seeds.items():
+                if not jobs.isdisjoint(by_job):
+                    files_by_host.setdefault(host, [])
             health = IngestHealth(policy=policy.value)
             n_workers = effective_workers(
-                workers, len(scan_hosts), oversubscribe)
+                workers, len(files_by_host if plan is not None
+                             else archive.hostnames()), oversubscribe)
             scans = scan_archive(
                 archive, workers=workers, allow_truncated=True,
                 oversubscribe=oversubscribe, policy=policy, health=health,
                 max_retries=max_retries, retry_backoff=retry_backoff,
-                timeout=scan_timeout,
-                days_by_host=plan.days_by_host if plan is not None
-                else None,
-                jobs=frozenset(e.job_number for e in plan.candidates)
-                if plan is not None else None)
+                timeout=scan_timeout, files_by_host=files_by_host,
+                jobs=jobs, seeds=seeds)
 
             report = IngestReport(system=config.name, health=health,
                                   effective_workers=n_workers,
@@ -503,12 +530,14 @@ class IngestPipeline:
             views: list[HostJobView] = []
             partials_by_host: dict[str, dict[str, HostJobPartial]] = {}
             mentioned: dict[tuple[str, str], frozenset[str]] = {}
+            states: dict[str, dict[str, JobScanState]] = {}
             with span("ingest.scan", workers=n_workers):
                 for scan in scans:
                     views.extend(scan.views)
                     partials_by_host[scan.hostname] = scan.partials
-                    for label, jobs in scan.jobs_by_file.items():
-                        mentioned[(scan.hostname, label)] = jobs
+                    states[scan.hostname] = scan.states
+                    for label, ids in scan.jobs_by_file.items():
+                        mentioned[(scan.hostname, label)] = ids
 
             if policy is not ErrorPolicy.STRICT:
                 # The scan stream is fully drained, so the health accounting
@@ -520,8 +549,6 @@ class IngestPipeline:
                 self.warehouse.set_ingest_health(config.name, health)
 
             with span("ingest.match"):
-                if entries is None:
-                    entries = list(parse_accounting(accounting_text))
                 matched, match = match_job_views(entries, views,
                                                  min_seconds=min_s)
             report.match = match
@@ -594,8 +621,16 @@ class IngestPipeline:
                     )
                     report.syslog_events_loaded += 1
 
-            self._record_provenance(config.name, archive, plan, health, mode,
-                                    row_lo, mentioned)
+            # Never to load: every file of the job's span is consumed.
+            given_up = {e.job_number for e in all_entries
+                        if plan is None or plan.loadable(e)}
+            if manifest is None:
+                manifest = archive.manifest()
+            self._record_provenance(
+                config.name, manifest, ledger, set(files_by_host or ()),
+                plan.cells if plan is not None else set(manifest),
+                health, mode, row_lo, mentioned, states, seeds, stored,
+                given_up)
 
             self.warehouse.commit()
             registry = get_registry()
@@ -621,13 +656,19 @@ class IngestPipeline:
                       workers=report.effective_workers)
             return report
 
-    def _record_provenance(self, system: str, archive: HostArchive,
-                           plan: _DeltaPlan | None,
+    def _record_provenance(self, system: str, manifest: dict, ledger: dict,
+                           visited: set[str],
+                           consumed: set[tuple[str, str]],
                            health: IngestHealth, mode: str,
                            row_lo: dict[str, int],
                            mentioned: dict[tuple[str, str], frozenset[str]],
-                           ) -> None:
-        """Ledger the consumed host-days and this run's row ranges.
+                           states: dict[str, dict[str, JobScanState]],
+                           seeds: dict[str, dict[str, JobScanState]],
+                           stored: dict[tuple[str, str], bytes],
+                           given_up: set[str]) -> None:
+        """Ledger the consumed host-days, keep the scan states of the
+        jobs still open, and record this run's row ranges — one
+        transaction, so the ledger and the states never disagree.
 
         Every ingest — full, windowed, or append — records what
         it consumed, so a later ``mode="append"`` can diff against it
@@ -637,19 +678,22 @@ class IngestPipeline:
         ``status``.  *mentioned* holds the job ids of every file the
         scan kept whole; what of them is still unloaded now is the
         cell's ``open_jobs``, and a consumed cell the scan could not
-        vouch for records ``None``.
+        vouch for records ``None``.  A *ledger* row this run did not
+        scan is rewritten when one of its open jobs loaded, or when the
+        file was touched (re-hashed to the same digest).
+
+        A *states* entry is kept when its job can still load (it is
+        neither loaded nor *given_up*) and the fold behind it is
+        complete: every file of its host was kept whole, and it either
+        continued a seed or no ledgered cell the run left unread names
+        the job.  States of the *visited* hosts that are not kept, and
+        any state of a closed job, are deleted from *stored*.
         """
-        manifest = (plan.ledger_base if plan is not None
-                    else archive.manifest())
-        consumed = (
-            {(h, day) for h, days in plan.days_by_host.items()
-             for day in days}
-            if plan is not None else set(manifest))
         status_of = dict.fromkeys(health.hosts_degraded, "degraded")
         status_of.update(dict.fromkeys(health.hosts_dropped, "dropped"))
         run_id = current_run_id() or "unscoped"
         loaded = self.warehouse.job_ids(system)
-        self.warehouse.record_ledger(system, [
+        rows = [
             LedgerEntry(host=host, day=day,
                         sha256=manifest[(host, day)].sha256,
                         size=manifest[(host, day)].size,
@@ -659,7 +703,39 @@ class IngestPipeline:
                         open_jobs=mentioned[(host, day)] - loaded
                         if (host, day) in mentioned else None)
             for (host, day) in sorted(consumed)
-        ])
+        ]
+        #: Hosts some cell of which nobody can vouch for after this
+        #: run, and the open jobs of the cells each host left unread.
+        unknown = {host for host, day in consumed
+                   if (host, day) not in mentioned}
+        elsewhere: dict[str, set[str]] = {}
+        for cell, led in ledger.items():
+            if cell in consumed:
+                continue
+            if led.open_jobs is None:
+                unknown.add(cell[0])
+                still_open = None
+            else:
+                still_open = led.open_jobs - loaded
+                elsewhere.setdefault(cell[0], set()).update(still_open)
+            fp = manifest[cell]
+            if still_open != led.open_jobs or (fp.size, fp.mtime_ns) != (
+                    led.size, led.mtime_ns):
+                rows.append(replace(led, size=fp.size, mtime_ns=fp.mtime_ns,
+                                    open_jobs=still_open))
+        closed = loaded | given_up
+        keep = {
+            (host, jobid): state.to_blob()
+            for host, by_job in states.items() if host not in unknown
+            for jobid, state in by_job.items()
+            if jobid not in closed and (
+                jobid in seeds.get(host, ())
+                or jobid not in elsewhere.get(host, ()))
+        }
+        self.warehouse.record_scan_states(system, keep, [
+            key for key in stored if key not in keep and (
+                key[0] in visited or key[0] in unknown or key[1] in closed)])
+        self.warehouse.record_ledger(system, rows)
         self.warehouse.record_ingest_run(system, run_id, mode, {
             t: (lo, self.warehouse._max_rowid(t))
             for t, lo in row_lo.items()

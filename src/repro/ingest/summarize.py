@@ -15,7 +15,8 @@ can compute :class:`HostJobPartial` values for each host independently
 (including in worker processes — partials are small and picklable) and
 merge them deterministically with :func:`merge_job_partials`:
 
-    host files ──scan_host──> {job: partial}        (columnar_scan)
+    host files ──fold──> {job: scan state} ──> {job: partial}
+                                                    (columnar_scan)
     {job: [partials across hosts]} ──merge_job_partials──> JobSummary
 
 :func:`summarize_job_from_rates` is the fast synthesis path used for

@@ -64,6 +64,11 @@ _WRITE_BATCH = 512
 # ``open_jobs`` (added on open to ledgers that predate it) holds the
 # comma-joined job ids the file mentions that were not loaded when the
 # cell was last scanned; NULL = not known, any job may be in there.
+# ``ingest_scan_state`` holds, per host, the mergeable scan state of
+# each job that can still load (an opaque blob, see
+# ``columnar_scan.JobScanState``): written and deleted in the
+# transaction that writes the ledger rows, so an append folds a
+# finishing job's new files onto it instead of reading the old ones.
 _LEDGER_SCHEMA = """
 CREATE TABLE IF NOT EXISTS ingest_ledger (
     system   TEXT NOT NULL,
@@ -83,6 +88,13 @@ CREATE TABLE IF NOT EXISTS ingest_runs (
     mode       TEXT NOT NULL,
     row_ranges TEXT NOT NULL,
     PRIMARY KEY (system, run_id)
+);
+CREATE TABLE IF NOT EXISTS ingest_scan_state (
+    system TEXT NOT NULL,
+    host   TEXT NOT NULL,
+    jobid  TEXT NOT NULL,
+    state  BLOB NOT NULL,
+    PRIMARY KEY (system, host, jobid)
 );
 """
 
@@ -638,6 +650,28 @@ class Warehouse:
               None if e.open_jobs is None
               else ",".join(sorted(e.open_jobs))) for e in entries],
         )
+        self._mutated()
+
+    def scan_states(self, system: str) -> dict[tuple[str, str], bytes]:
+        """The persisted scan-state blob of every open ``(host, jobid)``
+        (empty for read-only files that predate the table)."""
+        if not self._has_table("ingest_scan_state"):
+            return {}
+        return {(host, jobid): state for host, jobid, state in
+                self._conn.execute(
+                    "SELECT host, jobid, state FROM ingest_scan_state "
+                    "WHERE system=?", (system,))}
+
+    def record_scan_states(self, system: str,
+                           keep: dict[tuple[str, str], bytes],
+                           drop: list[tuple[str, str]]) -> None:
+        """Upsert the *keep* states and delete the *drop* keys."""
+        self._conn.executemany(
+            "DELETE FROM ingest_scan_state WHERE system=? AND host=? "
+            "AND jobid=?", [(system, *key) for key in drop])
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO ingest_scan_state VALUES (?,?,?,?)",
+            [(system, *key, blob) for key, blob in keep.items()])
         self._mutated()
 
     def record_ingest_run(self, system: str, run_id: str, mode: str,

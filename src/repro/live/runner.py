@@ -33,7 +33,7 @@ from repro.ingest.summarize import summarize_job_from_rates
 from repro.ingest.warehouse import Warehouse
 from repro.lariat.records import lariat_record_for
 from repro.live.rates import COUNTER_WRAP_BITS
-from repro.scheduler.accounting import AccountingWriter
+from repro.scheduler.accounting import AccountingWriter, parse_accounting
 from repro.scheduler.job import JobRecord
 from repro.syslogr.generator import SyslogGenerator
 from repro.syslogr.rationalizer import Rationalizer
@@ -255,6 +255,8 @@ class LiveSession:
         AccountingWriter(acct_buf, cfg.node.cores,
                          cfg.name).write_all(sim.records)
         self.accounting_text = acct_buf.getvalue()
+        #: Parsed once; every batch's append takes the entries.
+        self.accounting_entries = list(parse_accounting(self.accounting_text))
         self.lariat = [lariat_record_for(r, cfg.node.cores)
                        for r in sim.records]
 
@@ -371,7 +373,7 @@ class LiveSession:
                 self.archive.flush_before(t_end)
             report = self.pipeline.ingest(
                 cfg,
-                accounting_text=self.accounting_text,
+                accounting_text=self.accounting_entries,
                 archive=self.archive,
                 lariat_records=self.lariat,
                 syslog=self.syslog,

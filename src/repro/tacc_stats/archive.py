@@ -35,7 +35,8 @@ import gzip
 import hashlib
 import io
 import json
-from collections.abc import Callable, Collection
+import os
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +73,7 @@ __all__ = ["HostArchive", "ArchiveStats", "FileFingerprint",
 ARCHIVE_META_FILENAME = "archive.json"
 
 
-def _file_day(path: Path) -> str:
+def _file_day(path: Path | os.DirEntry) -> str:
     """The rotation label an archived file's name carries
     (``YYYY-MM-DD`` for day archives, ``YYYY-MM-DDTHHMMSS`` for
     sub-day segments)."""
@@ -109,11 +110,22 @@ def _raw_size(path: Path) -> int:
         return int.from_bytes(fh.read(4), "little")
 
 
-def _suffix_kind(path: Path) -> str:
+def _suffix_kind(path: Path | os.DirEntry) -> str:
     """``"v2"``, ``"gz"`` or ``"text"`` from a file's name."""
     if is_v2_path(path):
         return "v2"
     return "gz" if path.name.endswith(".gz") else "text"
+
+
+def _fingerprint(path: str) -> str:
+    """The content fingerprint :meth:`HostArchive.manifest` reports."""
+    if path.endswith(V2_SUFFIX):
+        try:
+            return str(read_header(Path(path))["source_sha256"])
+        except (V2FormatError, KeyError, TypeError):
+            pass  # unreadable header: hash the stored bytes instead
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 #: Precedence when one host-day exists in several representations.
@@ -124,9 +136,11 @@ _FORMAT_RANK = {"text": 0, "gz": 1, "v2": 2}
 class FileFingerprint:
     """Identity of one archived host-day file, for delta classification.
 
-    ``size``/``mtime_ns`` are recorded for observability; ``sha256`` (of
-    the stored bytes) is the authoritative change detector, so touching
-    a file without altering content does not trigger a re-parse.
+    ``sha256`` is the authoritative change detector; ``size`` and
+    ``mtime_ns`` decide whether it has to be computed again
+    (:meth:`HostArchive.manifest` trusts a ledgered digest while both
+    are unchanged), so touching a file without altering content costs
+    one re-hash and never a re-parse.
     """
 
     hostname: str
@@ -382,36 +396,33 @@ class HostArchive:
 
     # -- reading ---------------------------------------------------------------
 
-    def host_files(self, hostname: str,
-                   days: Collection[str] | None = None) -> list[Path]:
-        """Archived files for a host, in date order.
-
-        *days* (``YYYY-MM-DD`` stamps) restricts the listing to those
-        host-days — the delta-ingest path uses it to touch only the
-        files its ledger classified as worth parsing.
-
-        A day present in more than one representation (e.g. an
-        interrupted conversion left ``2021-01-01.gz`` next to
+    def _host_entries(self, hostname: str) -> list[tuple[str, os.DirEntry]]:
+        """``(label, directory entry)`` of a host's files in label order,
+        one per host-day: a day present in more than one representation
+        (an interrupted conversion left ``2021-01-01.gz`` next to
         ``2021-01-01.v2``) is listed once, preferring ``.v2`` over
-        ``.gz`` over plain text, so the host-day is never double-read.
-        """
-        hostdir = self.root / hostname
-        if not hostdir.is_dir():
+        ``.gz`` over plain text, so it is never double-read."""
+        by_day: dict[str, os.DirEntry] = {}
+        try:
+            with os.scandir(self.root / hostname) as entries:
+                for entry in entries:
+                    day = _file_day(entry)
+                    prev = by_day.get(day)
+                    if prev is None or _FORMAT_RANK[_suffix_kind(entry)] > \
+                            _FORMAT_RANK[_suffix_kind(prev)]:
+                        by_day[day] = entry
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        by_day: dict[str, Path] = {}
-        for p in sorted(hostdir.iterdir()):
-            day = _file_day(p)
-            prev = by_day.get(day)
-            if prev is None or _FORMAT_RANK[_suffix_kind(p)] > \
-                    _FORMAT_RANK[_suffix_kind(prev)]:
-                by_day[day] = p
-        files = [by_day[d] for d in sorted(by_day)]
-        if days is None:
-            return files
-        wanted = set(days)
-        return [p for p in files if _file_day(p) in wanted]
+        return sorted(by_day.items())
+
+    def host_files(self, hostname: str) -> list[Path]:
+        """Archived files for a host, in date order, one per host-day
+        (``.v2`` over ``.gz`` over plain text)."""
+        return [Path(entry.path)
+                for _day, entry in self._host_entries(hostname)]
 
     def manifest(self, hosts: Collection[str] | None = None,
+                 trusted: Mapping[tuple[str, str], object] | None = None,
                  ) -> dict[tuple[str, str], FileFingerprint]:
         """Fingerprint every archived host-day file.
 
@@ -420,6 +431,13 @@ class HostArchive:
         ledger), unchanged (hash matches), or mutated (hash differs).
         Hashing reads the stored bytes — no decompression — so a
         manifest pass over N days of history costs I/O, not parsing.
+
+        *trusted* (the ingest ledger: anything with ``size``,
+        ``mtime_ns`` and ``sha256`` per cell) makes that O(delta): a
+        cell whose size and mtime both equal the recorded ones keeps
+        the recorded digest unread, so only new or touched files are
+        hashed.  A rewrite that restores both is not seen here;
+        ``repro-diagnose --verify`` runs the untrusting pass.
 
         For v2 columnar files the fingerprint is the header's
         ``source_sha256``: for a file converted from text, the digest
@@ -438,21 +456,16 @@ class HostArchive:
         with span("archive.manifest"):
             for hostname in sorted(hosts) if hosts is not None \
                     else self.hostnames():
-                for path in self.host_files(hostname):
-                    st = path.stat()
-                    digest = None
-                    if is_v2_path(path):
-                        try:
-                            digest = str(
-                                read_header(path)["source_sha256"])
-                        except (V2FormatError, KeyError, TypeError):
-                            digest = None
-                    if digest is None:
-                        digest = hashlib.sha256(
-                            path.read_bytes()).hexdigest()
-                    day = _file_day(path)
+                for day, entry in self._host_entries(hostname):
+                    st = entry.stat()
+                    known = trusted.get((hostname, day)) if trusted else None
+                    if known is not None and (known.size, known.mtime_ns) \
+                            == (st.st_size, st.st_mtime_ns):
+                        digest = known.sha256
+                    else:
+                        digest = _fingerprint(entry.path)
                     out[(hostname, day)] = FileFingerprint(
-                        hostname=hostname, day=day, path=str(path),
+                        hostname=hostname, day=day, path=entry.path,
                         size=st.st_size, mtime_ns=st.st_mtime_ns,
                         sha256=digest)
         get_registry().counter("archive.manifest_files").inc(len(out))
@@ -484,10 +497,11 @@ class HostArchive:
     def read_host_days(self, hostname: str,
                        allow_truncated: bool = False,
                        policy: str = ErrorPolicy.STRICT,
-                       days: Collection[str] | None = None,
+                       paths: Sequence[str | Path] | None = None,
                        ) -> tuple[list[HostColumns],
                                   tuple[QuarantinedRecord, ...], str]:
-        """Decode a host's files (optionally only *days*) to
+        """Decode a host's files (or just *paths*, files of this host
+        in label order that a manifest already resolved) to
         :class:`HostColumns` — text and gzip through the line parser,
         v2 by mapping its chunks — and apply the per-file error policy:
         ``(kept days, records, status)``.  The file-level rules live
@@ -514,7 +528,8 @@ class HostArchive:
           drifts from the schemas of the files before it is quarantined
           whole (``lineno=None``); the remaining files still load.
         """
-        files = self.host_files(hostname, days=days)
+        files = (self.host_files(hostname) if paths is None
+                 else [Path(p) for p in paths])
         if not files:
             raise FileNotFoundError(f"no archived files for {hostname}")
         policy = ErrorPolicy(policy)

@@ -40,7 +40,8 @@ The module also ships picklable worker shims (:func:`crashy_scan`,
 transient worker death and wedged workers for the retry engine — bind
 their leading configuration arguments with :func:`functools.partial`
 and pass the result as ``scan_fn`` to
-:func:`repro.ingest.parallel.scan_archive`.
+:func:`repro.ingest.parallel.scan_archive` — and :func:`run_killed`,
+which kills a whole ingest inside its closing transaction.
 """
 
 from __future__ import annotations
@@ -53,15 +54,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.ingest.parallel import _scan_one
+from repro.ingest.warehouse import Warehouse
 
 __all__ = [
     "BENIGN_KINDS",
     "FATAL_KINDS",
     "FAULT_KINDS",
     "InjectedFault",
+    "KILL_POINTS",
     "corrupt_archive",
     "crashy_scan",
     "inject_fault",
+    "run_killed",
     "sleepy_scan",
 ]
 
@@ -251,10 +255,7 @@ def corrupt_archive(root: str | Path, hosts: dict[str, str],
 
 
 def crashy_scan(state_dir: str, crash_hosts: tuple[str, ...],
-                n_crashes: int, root: str, hostname: str,
-                allow_truncated: bool, policy: str,
-                days: tuple[str, ...] | None = None,
-                jobs: frozenset[str] | None = None):
+                n_crashes: int, root: str, hostname: str, *scan_args):
     """Scan worker that dies (``os._exit``) for chosen hosts.
 
     Bind the first three arguments with ``functools.partial`` and pass
@@ -270,13 +271,11 @@ def crashy_scan(state_dir: str, crash_hosts: tuple[str, ...],
         marker.write_text(str(attempts + 1))
         if n_crashes < 0 or attempts < n_crashes:
             os._exit(1)
-    return _scan_one(root, hostname, allow_truncated, policy, days, jobs)
+    return _scan_one(root, hostname, *scan_args)
 
 
 def sleepy_scan(sleep_hosts: tuple[str, ...], sleep_seconds: float,
-                root: str, hostname: str, allow_truncated: bool,
-                policy: str, days: tuple[str, ...] | None = None,
-                jobs: frozenset[str] | None = None):
+                root: str, hostname: str, *scan_args):
     """Scan worker that wedges (sleeps) for chosen hosts.
 
     Bind the first two arguments with ``functools.partial``; used to
@@ -284,4 +283,33 @@ def sleepy_scan(sleep_hosts: tuple[str, ...], sleep_seconds: float,
     """
     if hostname in sleep_hosts:
         time.sleep(sleep_seconds)
-    return _scan_one(root, hostname, allow_truncated, policy, days, jobs)
+    return _scan_one(root, hostname, *scan_args)
+
+
+#: Where :func:`run_killed` can stop an ingest, as the
+#: :class:`Warehouse` call it dies on entering.  Both lie inside the
+#: transaction that closes a run: ``scan_state`` after the scan states
+#: of the open jobs were written and before any ledger row,
+#: ``ledger`` after the ledger rows and before the commit.
+KILL_POINTS = {"scan_state": "record_ledger", "ledger": "record_ingest_run"}
+#: Exit status of a process killed at a kill point.
+KILL_EXIT = 77
+
+
+def run_killed(fn, point: str) -> int:
+    """Run ``fn()`` in a forked child that dies (``os._exit``: nothing
+    unwinds, rolls back or closes, as under SIGKILL) at kill point
+    *point*; returns the child's exit status — :data:`KILL_EXIT` when
+    it got that far, 0 when *fn* returned without reaching it.  What
+    the child did is seen only through the files it wrote."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1  # fn raised
+        try:
+            setattr(Warehouse, KILL_POINTS[point],
+                    lambda *_a, **_k: os._exit(KILL_EXIT))
+            fn()
+            status = 0
+        finally:
+            os._exit(status)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

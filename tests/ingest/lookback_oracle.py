@@ -3,8 +3,10 @@ re-read, for the exact look-back tests.
 
 Nothing here shares code with the planner or the scan (only the
 archive's file naming): job ids are read off the archived text line by
-line, and "pending" is restated from the accounting file.  It assumes what the tests arrange — the archive grows
-by whole segments, for every host at once, and no file is faulty.
+line, and "pending" is restated from the accounting file.  It assumes
+what the tests arrange — the archive grows by whole segments, for every
+host at once, and a file the scan could not keep whole (the caller
+names those cells) was faulty from the append that first consumed it.
 """
 
 import shutil
@@ -62,11 +64,19 @@ def grow(src, dst, labels) -> None:
 
 
 def expected_lookback(root, ledgered, accounting_text: str, loaded,
-                      min_seconds: float) -> set[tuple[str, str]]:
-    """The ledgered cells an append over *root* has to open again:
-    those holding a block or mark of a job that is not loaded, long
-    enough to match, wholly on disk, and not already given up on (its
-    last segment was consumed by an earlier run)."""
+                      min_seconds: float,
+                      unknown=frozenset()) -> set[tuple[str, str]]:
+    """The ledgered cells an append over *root* has to open again.
+
+    A host every file of which was kept whole left the scan state of
+    its open jobs behind: none of its cells is.  A host with a cell in
+    *unknown* (quarantined, repaired, or ledgered before job sets were
+    recorded — nobody knows what it mentions) left none, so it is read
+    the old way: the unknown cells that the span of a pending job
+    reaches, and its other cells that hold a block or mark of one.  A
+    job is pending when it is not loaded, long enough to match, wholly
+    on disk, and not already given up on (its last segment was consumed
+    by an earlier run)."""
     period = HostArchive(root).rotate_seconds
     cells = archive_cells(root)
 
@@ -84,12 +94,13 @@ def expected_lookback(root, ledgered, accounting_text: str, loaded,
                 and consumed < s1 <= on_disk):
             pending[entry.job_number] = (s0, s1)
 
-    def holds_pending(cell) -> bool:
+    def reaching(cell) -> set[str]:
         at = seg(cell[1])
-        spans = {jid: span for jid, span in pending.items()
-                 if span[0] <= at <= span[1]}
-        # Only files some pending span reaches are worth opening here.
-        return bool(spans) and not spans.keys().isdisjoint(
-            mentioned_jobs(cells[cell]))
+        return {jid for jid, span in pending.items()
+                if span[0] <= at <= span[1]}
 
-    return {cell for cell in ledgered if holds_pending(cell)}
+    stateless = {host for host, _label in unknown}
+    return {cell for cell in ledgered
+            if (cell in unknown and reaching(cell))
+            or (cell not in unknown and cell[0] in stateless
+                and reaching(cell) & mentioned_jobs(cells[cell]))}

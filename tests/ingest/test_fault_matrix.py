@@ -354,9 +354,10 @@ def two_day_corpus(tmp_path_factory):
 @pytest.mark.parametrize("policy", ["quarantine", "repair"])
 def test_fault_in_lookback_cell_stays_conservative(two_day_corpus, tmp_path,
                                                    policy, kind):
-    """A faulty first-day file records no job set, so the append that
-    loads the jobs crossing midnight is offered it again — same ledger
-    status, same quarantine records as a segment-wide re-read — and the
+    """A faulty first-day file records no job set and its host keeps no
+    scan state, so the append that loads the jobs crossing midnight is
+    offered it again — same ledger status, same quarantine records —
+    while the clean hosts continue from their states unread; the
     batched warehouse equals the one-shot one."""
     from tests.ingest.lookback_oracle import (
         archive_cells,
@@ -394,12 +395,16 @@ def test_fault_in_lookback_cell_stays_conservative(two_day_corpus, tmp_path,
     assert w.ledger_map(cfg.name)[victim].status == status
     assert w.ledger_map(cfg.name)[victim].open_jobs is None
 
-    # What the append must open again: the clean first-day files that
-    # hold a pending job, and the victim because nobody knows.
+    # What the append must open again: the victim, because nobody
+    # knows what it holds — and no file of a host that was kept whole.
+    assert {host for host, _job in w.scan_states(cfg.name)} == {
+        host for host, _label in archive_cells(clean)} - {victim[0]}
     grow(faulted, tmp_path / "growing", labels[1:])
     reread = expected_lookback(
-        tmp_path / "growing", set(w.ledger_map(cfg.name)) - {victim},
-        accounting, w.job_ids(cfg.name), cfg.sample_interval) | {victim}
+        tmp_path / "growing", set(w.ledger_map(cfg.name)),
+        accounting, w.job_ids(cfg.name), cfg.sample_interval,
+        unknown={victim})
+    assert reread == {victim}
     second = append(labels[1:], w)
     assert second.delta.files_lookback == len(reread)
     # Offered to the policy again: the same records, the same verdict.

@@ -215,6 +215,99 @@ def test_vanished_ledgered_file_raises(corpus, tmp_path):
         _ingest(corpus, root, warehouse=w, mode="append")
 
 
+# -- the fingerprint trust model ---------------------------------------------
+#
+# An append hashes a ledgered file again only when its size or mtime
+# changed (test_mutated_ledgered_file_raises above: a rewrite is seen
+# and still raises).  The two edges of that rule:
+
+
+def _first_file(root):
+    return sorted(sorted(
+        p for p in Path(root).iterdir() if p.is_dir())[0].iterdir())[0]
+
+
+def test_touched_but_identical_file_is_rehashed_and_accepted(
+        corpus, tmp_path, monkeypatch):
+    import os
+
+    from repro.tacc_stats import archive as archive_mod
+
+    cfg = corpus[0]
+    root = tmp_path / "archive"
+    shutil.copytree(corpus[1], root)
+    w, _ = _ingest(corpus, root)
+    victim = _first_file(root)
+    os.utime(victim, ns=(1, 1))
+    hashed = []
+    real = archive_mod._fingerprint
+    monkeypatch.setattr(archive_mod, "_fingerprint",
+                        lambda path: hashed.append(path) or real(path))
+    _, report = _ingest(corpus, root, warehouse=w, mode="append")
+    assert hashed == [str(victim)]  # the touched file and no other
+    assert (report.delta.files_new, report.delta.files_lookback) == (0, 0)
+    # The new mtime is ledgered, so the next append trusts it again.
+    cell = (victim.parent.name, victim.name.split(".")[0])
+    assert w.ledger_map(cfg.name)[cell].mtime_ns == 1
+    del hashed[:]
+    _ingest(corpus, root, warehouse=w, mode="append")
+    assert hashed == []
+
+
+def test_same_size_same_mtime_rewrite_is_caught_by_verify_only(
+        corpus, tmp_path, capsys):
+    """The one change the trusting manifest cannot see — what
+    ``repro-diagnose --verify`` is for."""
+    import os
+
+    from repro.cli.diagnose import main as diagnose_main
+
+    cfg = corpus[0]
+    root = tmp_path / "archive"
+    shutil.copytree(corpus[1], root)
+    path = str(tmp_path / "w.sqlite")
+    w, _ = _ingest(corpus, root, warehouse=Warehouse(path), through_day=2)
+    assert w.scan_states(cfg.name)  # jobs cross the window: states kept
+    w.close()
+    argv = ["--warehouse", path, "--system", cfg.name, "--verify", str(root)]
+    assert diagnose_main(argv) == 0
+    assert "no differences" in capsys.readouterr().out
+
+    victim = _first_file(root)
+    before = victim.stat()
+    data = bytearray(victim.read_bytes())
+    data[-1] ^= 0x01  # the gzip trailer: same length, other content
+    victim.write_bytes(bytes(data))
+    os.utime(victim, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+    w = Warehouse(path)
+    _ingest(corpus, root, warehouse=w, mode="append")  # trusted: no raise
+    w.close()
+    assert diagnose_main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"{victim.parent.name}/{victim.name.split('.')[0]}: content " \
+        "differs" in out
+
+
+def test_verify_recomputes_the_kept_scan_states(corpus, tmp_path, capsys):
+    from repro.cli.diagnose import main as diagnose_main
+
+    cfg = corpus[0]
+    path = str(tmp_path / "w.sqlite")
+    w, _ = _ingest(corpus, corpus[1], warehouse=Warehouse(path),
+                   through_day=2)
+    (host, jobid), _blob = sorted(w.scan_states(cfg.name).items())[0]
+    w.connection.execute(
+        "UPDATE ingest_scan_state SET state = "
+        "(SELECT state FROM ingest_scan_state WHERE (host, jobid) != (?, ?))"
+        " WHERE (host, jobid) = (?, ?)", (host, jobid, host, jobid))
+    w.connection.commit()
+    w.close()
+    assert diagnose_main(["--warehouse", path, "--system", cfg.name,
+                          "--verify", corpus[1]]) == 1
+    assert f"{host}/{jobid}: scan state differs" in capsys.readouterr().out
+
+
 def test_mode_validation(corpus):
     cfg = corpus[0]
     pipe = IngestPipeline(Warehouse())
@@ -317,7 +410,7 @@ def test_day_strings_round_trip(corpus):
         assert day_index_to_date(idx) == day
 
 
-# -- exact look-back ---------------------------------------------------------
+# -- appends continue from scan state ------------------------------------------
 #
 # A hand-built hourly archive, so every count below can be read off the
 # table.  Hosts sample every 10 minutes for five hours; the jobs are
@@ -330,16 +423,19 @@ def test_day_strings_round_trip(corpus):
 #   105  c       1800.. 4800   0..1     so they share c's first file
 #   106  c       6000.. 6600   1      never crosses a boundary
 #
-# appended one hour at a time.  Per append, the ledgered cells holding a
-# job that can load (what is re-read), against every ledgered cell in a
-# pending job's span (what the segment-wide rule re-read):
+# appended one hour at a time.  Per append: what loads, the (host, job)
+# scan states left behind for the jobs still open, and — when the ledger
+# has no job sets (a legacy ledger) and so no states — the ledgered
+# cells read again:
 #
-#   hour  loads          re-read                 segment-wide
-#   0     -              -                       -
-#   1     104 105 106    c/0                     a/0 b/0 c/0
-#   2     101            a/0 a/1 b/0 b/1         + c/0 c/1
-#   3     102            a/2                     a/2 b/2 c/2
-#   4     103            b/2 b/3                 a/2..c/3
+#   hour  loads          states after            re-read without states
+#   0     -              a/101 b/101 c/104 c/105 -
+#   1     104 105 106    a/101 b/101             c/0
+#   2     101            a/102 b/103             a/0 a/1 b/0 b/1
+#   3     102            b/103                   a/2
+#   4     103            -                       b/2 b/3
+#
+# With states nothing ledgered is ever read again.
 
 LB_HOSTS = ("a", "b", "c")
 LB_JOBS = {
@@ -422,24 +518,26 @@ def _lb_append(lookback_corpus, growing, warehouse, hour):
     return report, reread
 
 
-def test_lookback_rereads_only_cells_holding_a_loadable_job(
+def test_appends_fold_open_jobs_from_state_and_reread_nothing(
         lookback_corpus, tmp_path):
     """The table above, append by append — including a multi-node job
-    whose nodes go on to other jobs (101 -> 102, 103) and two pending
-    jobs in one file (104, 105 in c/0, opened once)."""
+    whose nodes go on to other jobs (101 -> 102, 103) and two open jobs
+    on one host (104, 105 on c)."""
     cfg, full, accounting = lookback_corpus
     w = Warehouse()
     seen = []
     for hour in range(LB_HOURS):
         report, reread = _lb_append(lookback_corpus, tmp_path / "grow",
                                     w, hour)
-        seen.append((sorted(w.job_ids(cfg.name)), reread))
+        seen.append((sorted(w.job_ids(cfg.name)), reread,
+                     sorted("/".join(key) for key in
+                            w.scan_states(cfg.name))))
     assert seen == [
-        ([], []),
-        (["104", "105", "106"], ["c/0"]),
-        (["101", "104", "105", "106"], ["a/0", "a/1", "b/0", "b/1"]),
-        (["101", "102", "104", "105", "106"], ["a/2"]),
-        (sorted(LB_JOBS), ["b/2", "b/3"]),
+        ([], [], ["a/101", "b/101", "c/104", "c/105"]),
+        (["104", "105", "106"], [], ["a/101", "b/101"]),
+        (["101", "104", "105", "106"], [], ["a/102", "b/103"]),
+        (["101", "102", "104", "105", "106"], [], ["b/103"]),
+        (sorted(LB_JOBS), [], []),
     ]
     # A loaded job leaves every set it was in; nothing is left open.
     assert all(e.open_jobs == frozenset()
@@ -495,8 +593,8 @@ def test_legacy_ledger_without_job_sets_falls_back_then_converges(
         lookback_corpus, tmp_path):
     """A ledger written before the column existed: the column is added
     on open, its rows read as unknown and are re-read segment-wide, and
-    every cell scanned again gets its set — so the next append is exact
-    again."""
+    every cell scanned again gets its set and every open job its state
+    — so the next append reads nothing twice."""
     import sqlite3
 
     cfg = lookback_corpus[0]
@@ -507,6 +605,7 @@ def test_legacy_ledger_without_job_sets_falls_back_then_converges(
     w.close()
     conn = sqlite3.connect(path)
     conn.execute("ALTER TABLE ingest_ledger DROP COLUMN open_jobs")
+    conn.execute("DROP TABLE ingest_scan_state")
     conn.commit()
     conn.close()
 
@@ -517,8 +616,8 @@ def test_legacy_ledger_without_job_sets_falls_back_then_converges(
                for hour in range(2, LB_HOURS)]
     assert rereads == [
         ["a/0", "a/1", "b/0", "b/1", "c/0", "c/1"],  # 101, segment-wide
-        ["a/2"],                                     # exact again
-        ["b/2", "b/3"],
+        [],                                          # 102: from a's state
+        [],
     ]
     assert all(e.open_jobs == frozenset()
                for e in w.ledger_map(cfg.name).values())
@@ -527,17 +626,66 @@ def test_legacy_ledger_without_job_sets_falls_back_then_converges(
 
 
 def test_through_day_seed_then_append_is_exact(corpus):
-    """A windowed seed records open jobs like any other run: the append
-    re-reads the seeded files that hold a job crossing the window, and
-    ends equal to the one-shot ingest."""
-    from tests.ingest.lookback_oracle import expected_lookback
-
+    """A windowed seed records open jobs and their scan states like any
+    other run: the append continues the jobs crossing the window from
+    them, reads no seeded file again, and ends equal to the one-shot
+    ingest."""
     cfg, root, accounting = corpus[:3]
     w, _ = _ingest(corpus, root, through_day=2)
     ledger = w.ledger_map(cfg.name)
-    assert any(e.open_jobs for e in ledger.values())
-    expected = expected_lookback(root, set(ledger), accounting,
-                                 w.job_ids(cfg.name), cfg.sample_interval)
+    crossing = {(host, jobid) for (host, _day), e in ledger.items()
+                for jobid in e.open_jobs}
+    assert crossing and set(w.scan_states(cfg.name)) <= crossing
     _, report = _ingest(corpus, root, warehouse=w, mode="append")
-    assert 0 < report.delta.files_lookback == len(expected) < len(ledger)
+    assert report.delta.files_lookback == 0 < report.delta.files_new
     assert _data_rows(w) == _data_rows(_ingest(corpus, root)[0])
+
+
+@pytest.mark.parametrize("point", ["scan_state", "ledger"])
+def test_kill_inside_the_closing_transaction_leaves_the_old_state(
+        lookback_corpus, tmp_path, point):
+    """An append killed after it wrote its scan states (or its ledger
+    rows) and before the commit: the reopened warehouse is exactly the
+    one the append found — ledger, states, rows — states still matching
+    the ledger's open jobs, and the append run again lands on the new
+    state as if nothing had happened."""
+    from repro.testing.faults import KILL_EXIT, run_killed
+    from tests.ingest.lookback_oracle import grow
+
+    cfg, full, accounting = lookback_corpus
+    path = str(tmp_path / "w.sqlite")
+    growing = tmp_path / "grow"
+
+    def provenance(w):
+        ledger = w.ledger_map(cfg.name)
+        states = w.scan_states(cfg.name)
+        # On this corpus every open job can load: one state each.
+        assert set(states) == {(host, jobid)
+                               for (host, _label), entry in ledger.items()
+                               for jobid in entry.open_jobs}
+        return ledger, states, w.ingest_runs(cfg.name), _data_rows(w)
+
+    w = Warehouse(path)
+    for hour in range(2):
+        _lb_append(lookback_corpus, growing, w, hour)
+    old = provenance(w)
+    w.close()
+
+    def append():  # hour 2: loads 101, closes its states, opens 102, 103
+        IngestPipeline(Warehouse(path)).ingest(
+            cfg, accounting_text=accounting, archive=HostArchive(growing),
+            mode="append")
+
+    grow(full, growing, [_hour_label(2)])
+    assert run_killed(append, point) == KILL_EXIT
+    w = Warehouse(path)
+    assert provenance(w) == old
+
+    for hour in range(2, LB_HOURS):
+        _lb_append(lookback_corpus, growing, w, hour)
+    assert provenance(w)[1] == {}
+    oneshot = Warehouse()
+    IngestPipeline(oneshot).ingest(cfg, accounting_text=accounting,
+                                   archive=HostArchive(full))
+    assert _data_rows(w) == _data_rows(oneshot)
+    w.close()

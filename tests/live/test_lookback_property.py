@@ -1,11 +1,15 @@
-"""Exact look-back: an append re-reads a ledgered file only if it
-holds a job the run can load — and loses nothing by it.
+"""Any segmentation, one result: an append continues from scan state.
 
-Over facility seed × rotation period × batch size × archive format, a
-stream of appends (i) ends row-identical to one append of the whole
-archive, (ii) opens, batch by batch, exactly the ledgered cells that an
-independent reading of the files says hold a pending job, and (iii)
-loads every job from as many hosts as the one-shot run does.
+Over facility seed × rotation period (1 h / 6 h / 1 d) × archive format
+× ingest schedule (one-shot, nightly, per-segment live, or a drawn
+batch size) × worker split, a stream of appends (i) ends with ``jobs``
+and ``job_metrics`` (and the series) row-identical to one append of
+the whole archive, (ii) opens, batch by batch, exactly the ledgered
+cells that an independent reading of the files says it must — none,
+every file here being kept whole — and (iii) loads every job from as
+many hosts as the one-shot run does.  What a host the scan could *not*
+keep whole is read again for is pinned in
+``tests/ingest/test_fault_matrix.py``.
 """
 
 import pytest
@@ -28,6 +32,7 @@ from tests.ingest.lookback_oracle import (
 from tests.live.test_live_property import _data_rows
 
 CFG = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=2, n_users=6)
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -55,44 +60,50 @@ def corpus(tmp_path_factory):
     return get
 
 
-def _append(session, root, warehouse):
+def _ingest(session, root, warehouse, workers=1, **mode):
     return IngestPipeline(warehouse).ingest(
         CFG, accounting_text=session.accounting_text,
         archive=HostArchive(root), lariat_records=session.lariat,
-        syslog=session.syslog, mode="append")
+        syslog=session.syslog, workers=workers,
+        oversubscribe=workers > 1, **mode)
 
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.sampled_from([3, 13]),
-       period=st.sampled_from([HOUR, 2 * HOUR, DAY]),
+       period=st.sampled_from([HOUR, 6 * HOUR, DAY]),
        fmt=st.sampled_from(["text", "v2"]),
+       workers=st.sampled_from([1, 2]),
        data=st.data())
 def test_appends_open_exactly_the_cells_holding_a_pending_job(
-        corpus, tmp_path_factory, seed, period, fmt, data):
+        corpus, tmp_path_factory, seed, period, fmt, workers, data):
     full, session = corpus(seed, period, fmt)
     labels = segment_labels(full)
-    step = data.draw(st.integers(min_value=1,
-                                 max_value=max(1, len(labels) // 2)),
-                     label="batch_segments")
+    per_day = DAY // period
+    step = data.draw(
+        st.sampled_from(sorted({len(labels), per_day, 1}))
+        | st.integers(min_value=1, max_value=max(1, len(labels) // 2)),
+        label="segments per append (all = one-shot, a day's = nightly, "
+              "1 = live)")
 
     oneshot = Warehouse()
-    oneshot_report = _append(session, full, oneshot)
+    oneshot_report = _ingest(session, full, oneshot, mode="append")
 
     growing = tmp_path_factory.mktemp("growing")
     warehouse = Warehouse()
     partial: set[str] = set()
-    reopened = 0
+    continued = 0
     for lo in range(0, len(labels), step):
         grow(full, growing, labels[lo:lo + step])
+        continued += len(warehouse.scan_states(CFG.name))
         expected = expected_lookback(
             growing, set(warehouse.ledger_map(CFG.name)),
             session.accounting_text, warehouse.job_ids(CFG.name),
             CFG.sample_interval)
-        report = _append(session, growing, warehouse)
-        # (ii) the look-back is those cells, no more and no fewer.
-        assert report.delta.files_lookback == len(expected)
-        reopened += len(expected)
+        report = _ingest(session, growing, warehouse, workers,
+                         mode="append")
+        # (ii) every ledgered cell was kept whole: none is opened again.
+        assert report.delta.files_lookback == len(expected) == 0
         partial.update(report.match.partial)
 
     # (i) row for row what one append of everything loads ...
@@ -100,10 +111,12 @@ def test_appends_open_exactly_the_cells_holding_a_pending_job(
     # (iii) ... with no job matched on fewer hosts along the way.
     assert partial == set(oneshot_report.match.partial)
     assert oneshot_report.jobs_loaded == warehouse.job_count(CFG.name)
-    # Nothing stays open for a job that loaded.
+    # Nothing stays open, and no state is kept, for a job that loaded.
     loaded = warehouse.job_ids(CFG.name)
     for entry in warehouse.ledger_map(CFG.name).values():
         assert entry.open_jobs is not None
         assert not entry.open_jobs & loaded
+    assert not {jobid for _host, jobid in
+                warehouse.scan_states(CFG.name)} & loaded
     if step < len(labels) and period < DAY:
-        assert reopened > 0  # the property is not vacuous
+        assert continued > 0  # the property is not vacuous
