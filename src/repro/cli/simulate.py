@@ -51,6 +51,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing, contextmanager
+from itertools import islice
+from types import SimpleNamespace
 
 from repro.cli.common import add_system_args, config_from_args, die
 from repro.facility import Facility
@@ -247,6 +250,35 @@ def _federation_plans(args) -> tuple[str, "list", bool]:
     return root, plans, False
 
 
+def _file_path_knobs(args) -> dict:
+    """The flags that are ``run_with_files`` arguments under their own
+    name; a shard run forwards them exactly as the plain run does."""
+    return {name: getattr(args, name) for name in (
+        "workers", "ingest_workers", "batch_size", "error_policy",
+        "max_retries", "archive_format", "synthesis")}
+
+
+@contextmanager
+def _telemetry_run(args, name: str, **attrs):
+    """What every mode runs its work in: registry and tracer start clean
+    so the manifest describes exactly this invocation, one run scope,
+    and one root span *name* whose duration is the elapsed time the
+    summary prints.  The body leaves :func:`build_manifest`'s arguments
+    in ``manifest`` on the yielded namespace; the manifest is built once
+    the root span has closed, if ``--telemetry-out`` asks for one."""
+    get_registry().reset()
+    get_tracer().reset()
+    run = SimpleNamespace(manifest=None, elapsed=0.0)
+    with run_scope() as run_id:
+        with span(name, **attrs) as root:
+            yield run
+        run.elapsed = root.duration
+        if args.telemetry_out and run.manifest is not None:
+            path = build_manifest(**run.manifest).write(args.telemetry_out)
+            if not args.quiet:
+                print(f"telemetry manifest: {path} (run {run_id})")
+
+
 def _run_federation(args) -> int:
     """Federation mode: one shard per cluster under ``--federation``."""
     from repro.federation import (
@@ -286,43 +318,27 @@ def _run_federation(args) -> int:
     federated = (FederatedFacility(FederationLayout.open(root), plans)
                  if existed else FederatedFacility.plan(root, plans))
 
-    get_registry().reset()
-    get_tracer().reset()
-    with run_scope() as run_id:
-        with span("federation.simulate", clusters=len(plans)) as root_span:
-            try:
-                results = federated.run(
-                    archive=args.with_archives,
-                    shard_workers=args.shard_workers,
-                    workers=args.workers,
-                    ingest_workers=args.ingest_workers,
-                    batch_size=args.batch_size,
-                    error_policy=args.error_policy,
-                    max_retries=args.max_retries,
-                    append=args.append,
-                    through_day=args.ingest_days,
-                    archive_format=args.archive_format,
-                    synthesis=args.synthesis,
-                    fast_writes=args.fast_writes,
-                    with_syslog=not args.no_syslog,
-                )
-            except ValueError as e:
-                return die(str(e))
-        elapsed = root_span.duration
-
-        if args.telemetry_out:
-            manifest = build_manifest(
-                systems=[p.cluster for p in plans],
-                extra={
-                    "federation": root,
-                    "jobs_simulated": sum(r["jobs"]
-                                          for r in results.values()),
-                    "shard_workers": args.shard_workers,
-                },
-            )
-            path = manifest.write(args.telemetry_out)
-            if not args.quiet:
-                print(f"telemetry manifest: {path} (run {run_id})")
+    with _telemetry_run(args, "federation.simulate",
+                        clusters=len(plans)) as run:
+        try:
+            results = federated.run(
+                archive=args.with_archives,
+                shard_workers=args.shard_workers,
+                append=args.append,
+                through_day=args.ingest_days,
+                fast_writes=args.fast_writes,
+                with_syslog=not args.no_syslog,
+                **_file_path_knobs(args))
+        except ValueError as e:
+            return die(str(e))
+        run.manifest = dict(
+            systems=[p.cluster for p in plans],
+            extra={
+                "federation": root,
+                "jobs_simulated": sum(r["jobs"] for r in results.values()),
+                "shard_workers": args.shard_workers,
+            },
+        )
 
     if not args.quiet:
         for cluster, r in sorted(results.items()):
@@ -333,12 +349,9 @@ def _run_federation(args) -> int:
             if r["delta"]:
                 line += f" — ingest delta ({r['mode']}): {r['delta']}"
             print(line)
-        fw = FederatedWarehouse.open(root)
-        try:
+        with closing(FederatedWarehouse.open(root)) as fw:
             print(fw.render_overview())
-        finally:
-            fw.close()
-        print(f"federation: {root} ({elapsed:.1f}s)")
+        print(f"federation: {root} ({run.elapsed:.1f}s)")
     return 0
 
 
@@ -358,47 +371,30 @@ def _run_live(args, cfg, facility, warehouse) -> int:
     except ValueError as e:
         return die(str(e))
 
-    get_registry().reset()
-    get_tracer().reset()
     reports = []
-    with run_scope() as run_id:
-        with span("live.session", system=cfg.name,
-                  segment_seconds=args.live_segment_seconds) as root:
-            while not session.done:
-                if (args.live_max_batches is not None
-                        and len(reports) >= args.live_max_batches):
-                    break
-                report = session.run_batch()
-                if report is None:
-                    break
-                reports.append(report)
-                if not args.quiet:
-                    print(report, flush=True)
-                if args.live_sleep and not session.done:
-                    _time.sleep(args.live_sleep)
-        elapsed = root.duration
-
-        if args.telemetry_out:
-            manifest = build_manifest(
-                systems=[cfg.name],
-                extra={
-                    "live": {
-                        "segment_seconds": args.live_segment_seconds,
-                        "batch_segments": args.live_batch_segments,
-                        "batches": len(reports),
-                        "complete": session.done,
-                        "snapshot_rows": [r.snapshot_rows
-                                          for r in reports],
-                        "jobs_loaded": sum(r.jobs_loaded
-                                           for r in reports),
-                        "counter_rows": sum(r.counter_rows
-                                            for r in reports),
-                    },
-                },
-            )
-            path = manifest.write(args.telemetry_out)
+    with _telemetry_run(args, "live.session", system=cfg.name,
+                        segment_seconds=args.live_segment_seconds) as run:
+        for report in islice(iter(session.run_batch, None),
+                             args.live_max_batches):
+            reports.append(report)
             if not args.quiet:
-                print(f"telemetry manifest: {path} (run {run_id})")
+                print(report, flush=True)
+            if args.live_sleep and not session.done:
+                _time.sleep(args.live_sleep)
+        run.manifest = dict(
+            systems=[cfg.name],
+            extra={
+                "live": {
+                    "segment_seconds": args.live_segment_seconds,
+                    "batch_segments": args.live_batch_segments,
+                    "batches": len(reports),
+                    "complete": session.done,
+                    "snapshot_rows": [r.snapshot_rows for r in reports],
+                    "jobs_loaded": sum(r.jobs_loaded for r in reports),
+                    "counter_rows": sum(r.counter_rows for r in reports),
+                },
+            },
+        )
 
     if not args.quiet:
         jobs = warehouse.job_count(cfg.name)
@@ -406,9 +402,58 @@ def _run_live(args, cfg, facility, warehouse) -> int:
         state = "complete" if session.done else "stopped"
         print(f"[{cfg.name}] live {state}: {len(reports)} batches, "
               f"{jobs} jobs in warehouse, {rows} snapshot rows "
-              f"({elapsed:.1f}s)")
+              f"({run.elapsed:.1f}s)")
         print(f"warehouse: {args.warehouse}")
-    warehouse.close()
+    return 0
+
+
+def _run_single(args, cfg, facility, warehouse) -> int:
+    """One system, one offline pass: the archive tool chain with
+    ``--archive``, the in-memory fast path without."""
+    with _telemetry_run(args, "simulate", system=cfg.name,
+                        path="archive" if args.archive else "fast") as run:
+        if args.archive:
+            result = facility.run_with_files(
+                args.archive, warehouse=warehouse,
+                ingest_mode="append" if args.append else "full",
+                ingest_through_day=args.ingest_days,
+                **_file_path_knobs(args))
+        else:
+            result = facility.run(warehouse=warehouse,
+                                  with_syslog=not args.no_syslog)
+        report = result.ingest_report
+        extra = {"jobs_simulated": len(result.records)}
+        if report is not None:
+            extra["ingest_mode"] = report.mode
+            if report.delta is not None:
+                extra["ingest_delta"] = report.delta.to_dict()
+        run.manifest = dict(
+            systems=[cfg.name],
+            ingest_health=(report.health.to_dict()
+                           if report is not None
+                           and report.health is not None else None),
+            effective_workers=(report.effective_workers
+                               if report is not None else 1),
+            extra=extra,
+        )
+
+    if not args.quiet:
+        q = result.query()
+        print(f"[{cfg.name}] {len(result.records)} jobs simulated, "
+              f"{len(q)} with full summaries, "
+              f"{q.node_hours:,.0f} node-hours, "
+              f"efficiency {1 - q.weighted_mean('cpu_idle'):.1%} "
+              f"({run.elapsed:.1f}s)")
+        if result.archive_stats is not None:
+            s = result.archive_stats
+            print(f"archive: {s.file_count} files, "
+                  f"{s.raw_bytes / 1e6:.1f} MB raw, "
+                  f"{s.compression_ratio:.1f}x gzip")
+        if report is not None and report.delta is not None:
+            print(f"ingest delta ({report.mode}): {report.delta}")
+        if report is not None and report.health is not None:
+            print(f"ingest health: {report.health}")
+        print(f"warehouse: {args.warehouse}")
     return 0
 
 
@@ -488,86 +533,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.ingest_days < 1:
             return die("--ingest-days must be >= 1")
     cfg = config_from_args(args)
-    warehouse = Warehouse(args.warehouse, fast_writes=args.fast_writes)
-    if cfg.name in warehouse.systems() and not args.append:
-        return die(f"system {cfg.name!r} already present in "
-                   f"{args.warehouse}; use a fresh file, another system, "
-                   f"or --append to ingest incrementally")
-    kernels = None
-    if args.appkernels:
-        from repro.xdmod.appkernels import DEFAULT_KERNELS
-        kernels = DEFAULT_KERNELS
-    facility = Facility(cfg, seed=args.seed, policy=_policy(args.policy),
-                        appkernels=kernels)
-    if args.live:
-        return _run_live(args, cfg, facility, warehouse)
-
-    # One timing mechanism: the run is bracketed by the root telemetry
-    # span (its duration is what the summary line prints) instead of
-    # ad-hoc time.time() arithmetic.  Registry and tracer start clean so
-    # the manifest describes exactly this invocation.
-    get_registry().reset()
-    get_tracer().reset()
-    with run_scope() as run_id:
-        with span("simulate", system=cfg.name,
-                  path="archive" if args.archive else "fast") as root:
-            if args.archive:
-                run = facility.run_with_files(
-                    args.archive, warehouse=warehouse,
-                    workers=args.workers,
-                    ingest_workers=args.ingest_workers,
-                    batch_size=args.batch_size,
-                    error_policy=args.error_policy,
-                    max_retries=args.max_retries,
-                    ingest_mode="append" if args.append else "full",
-                    ingest_through_day=args.ingest_days,
-                    archive_format=args.archive_format,
-                    synthesis=args.synthesis)
-            else:
-                run = facility.run(warehouse=warehouse,
-                                   with_syslog=not args.no_syslog)
-        elapsed = root.duration
-
-        if args.telemetry_out:
-            report = run.ingest_report
-            extra = {"jobs_simulated": len(run.records)}
-            if report is not None:
-                extra["ingest_mode"] = report.mode
-                if report.delta is not None:
-                    extra["ingest_delta"] = report.delta.to_dict()
-            manifest = build_manifest(
-                systems=[cfg.name],
-                ingest_health=(report.health.to_dict()
-                               if report is not None
-                               and report.health is not None else None),
-                effective_workers=(report.effective_workers
-                                   if report is not None else 1),
-                extra=extra,
-            )
-            path = manifest.write(args.telemetry_out)
-            if not args.quiet:
-                print(f"telemetry manifest: {path} (run {run_id})")
-
-    if not args.quiet:
-        q = run.query()
-        print(f"[{cfg.name}] {len(run.records)} jobs simulated, "
-              f"{len(q)} with full summaries, "
-              f"{q.node_hours:,.0f} node-hours, "
-              f"efficiency {1 - q.weighted_mean('cpu_idle'):.1%} "
-              f"({elapsed:.1f}s)")
-        if run.archive_stats is not None:
-            s = run.archive_stats
-            print(f"archive: {s.file_count} files, "
-                  f"{s.raw_bytes / 1e6:.1f} MB raw, "
-                  f"{s.compression_ratio:.1f}x gzip")
-        report = run.ingest_report
-        if report is not None and report.delta is not None:
-            print(f"ingest delta ({report.mode}): {report.delta}")
-        if report is not None and report.health is not None:
-            print(f"ingest health: {report.health}")
-        print(f"warehouse: {args.warehouse}")
-    warehouse.close()
-    return 0
+    with closing(Warehouse(args.warehouse,
+                           fast_writes=args.fast_writes)) as warehouse:
+        if cfg.name in warehouse.systems() and not args.append:
+            return die(f"system {cfg.name!r} already present in "
+                       f"{args.warehouse}; use a fresh file, another "
+                       f"system, or --append to ingest incrementally")
+        kernels = None
+        if args.appkernels:
+            from repro.xdmod.appkernels import DEFAULT_KERNELS
+            kernels = DEFAULT_KERNELS
+        facility = Facility(cfg, seed=args.seed,
+                            policy=_policy(args.policy), appkernels=kernels)
+        run_mode = _run_live if args.live else _run_single
+        return run_mode(args, cfg, facility, warehouse)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.cluster.filesystem import FilesystemSpec, FilesystemState
 from repro.cluster.hardware import NodeHardware
 from repro.cluster.interconnect import Fabric, InterconnectSpec
-from repro.cluster.node import Node, NodeState
+from repro.cluster.node import Node, NodeState, node_hostname
 
 __all__ = ["Cluster", "AllocationError"]
 
@@ -50,8 +50,7 @@ class Cluster:
         self.name = name
         self.hardware = hardware
         self.nodes = [
-            Node(index=i, hostname=f"c{i // 100:03d}-{i % 100:03d}.{name}",
-                 hardware=hardware)
+            Node(index=i, hostname=node_hostname(i, name), hardware=hardware)
             for i in range(num_nodes)
         ]
         self.filesystems = {

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 from repro.cluster.hardware import NodeHardware
 
-__all__ = ["NodeState", "Node"]
+__all__ = ["NodeState", "Node", "node_hostname"]
+
+
+def node_hostname(index: int, system: str) -> str:
+    """Fully qualified name of node *index* of *system*: rack and slot,
+    ``cRRR-SSS.<system>`` — the one place the format is written."""
+    return f"c{index // 100:03d}-{index % 100:03d}.{system}"
 
 
 class NodeState(enum.Enum):

@@ -15,22 +15,31 @@ Two measurement paths produce the same warehouse contents:
 Both paths construct each job's :class:`~repro.workload.JobBehavior` from
 the same seed, so they agree statistically (asserted by integration
 tests).
+
+The slow path's write side is defined once (DESIGN.md, "The write
+path"): a :class:`NodeReplay` per node, taken one at a time to the
+horizon by the in-process replay and each pool worker, or all together
+to each segment edge by :mod:`repro.live.runner` — same daemons, same
+ordering, hence the same archive bytes — and one side-log recipe,
+:meth:`Facility._side_logs`.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node, node_hostname
 from repro.cluster.outages import Outage, OutageGenerator
 from repro.config import FacilityConfig
 from repro.ingest.pipeline import IngestPipeline, IngestReport
 from repro.ingest.summarize import JobSummary, summarize_job_from_rates
 from repro.ingest.warehouse import Warehouse
-from repro.lariat.records import lariat_record_for
+from repro.lariat.records import LariatRecord, lariat_record_for
 from repro.scheduler.accounting import AccountingWriter
 from repro.scheduler.engine import SchedulerEngine, SimulationResult
 from repro.scheduler.job import JobRecord
@@ -54,7 +63,7 @@ from repro.workload.behavior import DerivedRates, JobBehavior
 from repro.workload.generator import GeneratedWorkload, WorkloadGenerator
 from repro.xdmod.query import JobQuery
 
-__all__ = ["Facility", "FacilityRun"]
+__all__ = ["Facility", "FacilityRun", "NodeReplay", "node_replays"]
 
 _I_MEM = RATE_INDEX["mem_used_gb"]
 _I_FLOPS = RATE_INDEX["flops_gf"]
@@ -93,17 +102,26 @@ def _build_behavior(cfg: FacilityConfig, users: dict, util_scale: float,
     )
 
 
-def _noise_stream_factory(rng_factory: RngFactory, prefix: str, ni: int):
-    """Collector-noise stream factory for one node.
+def _build_behaviors(cfg: FacilityConfig, users: dict, util_scale: float,
+                     phase_calibration: dict | None, regressions: tuple,
+                     records: list[JobRecord]) -> dict[str, JobBehavior]:
+    """``{jobid: behaviour}`` for *records* — built once per process and
+    handed to both the replay and the side-log recipe."""
+    return {
+        r.jobid: _build_behavior(cfg, users, util_scale,
+                                 phase_calibration, regressions, r)
+        for r in records
+    }
 
-    Streams are named ``<prefix>/noise/<node>/<collector>``, so every
-    draw sequence is fully determined by (seed, node, collector) — the
-    determinism contract shared by the scalar daemon, the vectorized
-    synthesis engine, and any worker-count decomposition of the replay.
-    """
-    def stream(name: str) -> np.random.Generator:
-        return rng_factory.stream(f"{prefix}/noise/{ni}/{name}")
-    return stream
+
+def _rates_summary(cfg: FacilityConfig, record: JobRecord,
+                   behavior: JobBehavior) -> tuple[np.ndarray, JobSummary]:
+    """The job's per-interval node-average rate matrix and the summary
+    the in-memory path reduces it to (memory capped at node capacity)."""
+    m = max(1, int(np.ceil(record.wall_seconds / cfg.sample_interval)))
+    rates = behavior.rates_matrix(m)
+    return rates, summarize_job_from_rates(
+        record, rates, mem_capacity_gb=cfg.node.memory_gb)
 
 
 def _node_chunks(num_nodes: int, workers: int) -> list[list[int]]:
@@ -121,6 +139,119 @@ def _node_chunks(num_nodes: int, workers: int) -> list[list[int]]:
             all_nodes[i::n_workers]]
 
 
+class NodeReplay:
+    """One node's replay — its engine, its time-sorted event list and a
+    cursor: the unit every driver of a study period shares, so the
+    events fire identically however the horizon is sliced."""
+
+    def __init__(self, engine: NodeSynth | TaccStatsDaemon,
+                 ticks: list[float], allocations: list[tuple[JobRecord, int]],
+                 behaviors: dict[str, JobBehavior]):
+        self.engine = engine
+        self.behaviors = behaviors
+        # (t, kind, record, slot).  Same-instant ordering: end (0) <
+        # periodic tick (1) < begin (2), so a back-to-back allocation (a
+        # job starts the second the last one left) replays correctly.
+        events: list[tuple] = [(t, 1, None, 0) for t in ticks]
+        for record, slot in allocations:
+            events.append((record.start_time, 2, record, slot))
+            if record.end_time > record.start_time:
+                events.append((record.end_time, 0, record, slot))
+        events.sort(key=lambda e: e[:2])
+        self.events = events
+        self.cursor = 0
+
+    def advance(self, until: float) -> int:
+        """Fire this node's events with ``t <= until``; returns how many."""
+        engine, events, first = self.engine, self.events, self.cursor
+        ptr = first
+        while ptr < len(events) and events[ptr][0] <= until:
+            t, kind, record, slot = events[ptr]
+            if kind == 1:
+                engine.sample(t)
+            elif kind == 0:
+                engine.end_job(record.jobid, t)
+            else:
+                engine.begin_job(record.jobid, t,
+                                 self.behaviors[record.jobid], slot)
+                if record.end_time <= t:
+                    # "beginend": a zero-duration allocation (truncated
+                    # at the horizon) has no end event — it would sort
+                    # *before* its begin — so both fire back to back.
+                    engine.end_job(record.jobid, t)
+            ptr += 1
+        self.cursor = ptr
+        if isinstance(engine, NodeSynth):
+            # It buffers queued samples until a job begins or it is told
+            # to flush; the caller may close files after this slice.
+            engine.flush()
+        return ptr - first
+
+
+def node_replays(cfg: FacilityConfig, seed: int, records: list[JobRecord],
+                 node_indices: list[int], behaviors: dict[str, JobBehavior],
+                 archive: HostArchive,
+                 synthesis: str = "fast") -> Iterator[NodeReplay]:
+    """Yield the :class:`NodeReplay` of each node in *node_indices*,
+    built only when asked for — so a caller that finishes one unit
+    before taking the next keeps a single node's state alive."""
+    if synthesis not in ("fast", "scalar"):
+        raise ValueError(
+            f"synthesis must be 'fast' or 'scalar', got {synthesis!r}")
+    rng_factory = RngFactory(seed)
+    wanted = set(node_indices)
+    per_node: dict[int, list[tuple[JobRecord, int]]] = {}
+    for record in records:
+        for slot, ni in enumerate(record.node_indices):
+            if ni in wanted:
+                per_node.setdefault(ni, []).append((record, slot))
+    ticks = aligned_samples(0.0, cfg.horizon, cfg.sample_interval)
+    lustre = tuple(
+        fs.name for fs in cfg.filesystems if fs.kind == "lustre"
+    ) or ("scratch",)
+    nfs = tuple(fs.name for fs in cfg.filesystems if fs.kind == "nfs")
+    for ni in node_indices:
+        node = Node(index=ni, hostname=node_hostname(ni, cfg.name),
+                    hardware=cfg.node)
+        # Noise streams are keyed (seed, node, collector): each draw
+        # sequence is independent of its siblings and of how nodes are
+        # chunked across workers, and identical for both engines.
+        def noise(name: str, ni: int = ni) -> np.random.Generator:
+            return rng_factory.stream(f"{cfg.stream_prefix}/noise/{ni}/{name}")
+        if synthesis == "fast":
+            engine = NodeSynth(node, noise, archive,
+                               lustre_mounts=lustre, nfs_mounts=nfs)
+        else:
+            engine = TaccStatsDaemon(
+                node, noise,
+                writer=lambda t, h=node.hostname: archive.writer(h, t),
+                lustre_mounts=lustre, nfs_mounts=nfs)
+        yield NodeReplay(engine, ticks, per_node.get(ni, []), behaviors)
+
+
+def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
+                  node_indices: list[int], behaviors: dict[str, JobBehavior],
+                  archive_dir: str, compress: bool, archive_format: str,
+                  synthesis: str) -> tuple[ArchiveStats, MetricsSnapshot]:
+    """Open the archive, take each node's unit to the horizon, close.
+    Returns the volume accounting and the replay's telemetry — kept in a
+    private registry so write-side counters merge to the same totals
+    whether this ran in-process or in a pool worker."""
+    local = MetricsRegistry()
+    with use_registry(local):
+        # resume_stats=False: each worker reports a session-scoped tally
+        # the coordinator sums; resuming from the shared, concurrently-
+        # growing directory would double-count sibling workers' files.
+        archive = HostArchive(archive_dir, compress=compress,
+                              resume_stats=False,
+                              archive_format=archive_format)
+        for unit in node_replays(cfg, seed, records, node_indices,
+                                 behaviors, archive, synthesis):
+            unit.advance(cfg.horizon)
+        stats = archive.close()
+    return stats, local.snapshot()
+
+
 def _replay_nodes(
     cfg: FacilityConfig,
     seed: int,
@@ -135,130 +266,16 @@ def _replay_nodes(
     archive_format: str = "text",
     synthesis: str = "fast",
 ) -> tuple[ArchiveStats, MetricsSnapshot]:
-    """Replay a set of nodes' daemons into the shared archive directory.
-
-    Each node's files are written only by the worker owning that node, so
-    concurrent workers never touch the same path; per-node RNG streams
-    make the output byte-identical regardless of how nodes are split
-    across workers (asserted by tests).  Returns the volume accounting
-    plus the replay's telemetry snapshot — collected in a private
-    registry so write-side counters merge to the same totals whether the
-    replay ran in-process or in a pool worker.
-    """
-    local = MetricsRegistry()
-    with use_registry(local):
-        stats = _replay_nodes_body(
-            cfg, seed, users, util_scale, phase_calibration, regressions,
-            records, node_indices, archive_dir, compress, archive_format,
-            synthesis)
-    return stats, local.snapshot()
-
-
-def _replay_nodes_body(
-    cfg: FacilityConfig,
-    seed: int,
-    users: dict,
-    util_scale: float,
-    phase_calibration: dict | None,
-    regressions: tuple,
-    records: list[JobRecord],
-    node_indices: list[int],
-    archive_dir: str,
-    compress: bool,
-    archive_format: str = "text",
-    synthesis: str = "fast",
-) -> ArchiveStats:
-    """The actual daemon replay; see :func:`_replay_nodes`."""
-    from repro.cluster.node import Node
-
-    if synthesis not in ("fast", "scalar"):
-        raise ValueError(
-            f"synthesis must be 'fast' or 'scalar', got {synthesis!r}")
-
-    rng_factory = RngFactory(seed)
-    prefix = cfg.stream_prefix
-    # resume_stats=False: each worker reports a session-scoped tally the
-    # coordinator sums; resuming from the shared, concurrently-growing
-    # directory would double-count sibling workers' files.
-    archive = HostArchive(archive_dir, compress=compress,
-                          resume_stats=False,
-                          archive_format=archive_format)
+    """Pool-worker entry: replay *node_indices* into the shared archive
+    directory — a node's files are written only by the worker owning it,
+    so concurrent workers never touch the same path — rebuilding in this
+    process the behaviours of just the jobs that touch those nodes."""
     wanted = set(node_indices)
-    per_node: dict[int, list[tuple[float, float, JobRecord, int]]] = {}
-    needed_jobs: set[str] = set()
-    for record in records:
-        for slot, ni in enumerate(record.node_indices):
-            if ni in wanted:
-                per_node.setdefault(ni, []).append(
-                    (record.start_time, record.end_time, record, slot)
-                )
-                needed_jobs.add(record.jobid)
-    behaviors = {
-        r.jobid: _build_behavior(cfg, users, util_scale,
-                                 phase_calibration, regressions, r)
-        for r in records if r.jobid in needed_jobs
-    }
-
-    ticks = aligned_samples(0.0, cfg.horizon, cfg.sample_interval)
-    lustre = tuple(
-        fs.name for fs in cfg.filesystems if fs.kind == "lustre"
-    ) or ("scratch",)
-    nfs = tuple(fs.name for fs in cfg.filesystems if fs.kind == "nfs")
-    for ni in node_indices:
-        node = Node(index=ni,
-                    hostname=f"c{ni // 100:03d}-{ni % 100:03d}.{cfg.name}",
-                    hardware=cfg.node)
-        # Per-collector noise streams keyed (seed, node, collector): each
-        # collector's draw sequence is independent of its siblings and of
-        # how nodes are chunked across workers, and identical between the
-        # scalar daemon and the vectorized synthesis engine.
-        noise = _noise_stream_factory(rng_factory, prefix, ni)
-        if synthesis == "fast":
-            engine = NodeSynth(node, noise, archive,
-                               lustre_mounts=lustre, nfs_mounts=nfs)
-        else:
-            engine = TaccStatsDaemon(
-                node,
-                noise,
-                writer=lambda t, h=node.hostname: archive.writer(h, t),
-                lustre_mounts=lustre,
-                nfs_mounts=nfs,
-            )
-        # Same-instant ordering: end < periodic tick < begin, so a
-        # back-to-back allocation (next job starts the second the
-        # previous one releases the node) replays correctly.
-        events: list[tuple[float, int, object]] = [
-            (t, 1, None) for t in ticks
-        ]
-        for start, end, record, slot in per_node.get(ni, []):
-            if end > start:
-                events.append((start, 2, ("begin", record, slot)))
-                events.append((end, 0, ("end", record)))
-            else:
-                # Zero-duration allocation (a job truncated at the
-                # horizon): its end would sort *before* its begin under
-                # the same-instant rule, so fire both back to back.
-                events.append((start, 2, ("beginend", record, slot)))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for t, kind, payload in events:
-            if kind == 1:
-                engine.sample(t)
-            elif kind == 2:
-                tag, record, slot = payload
-                engine.begin_job(record.jobid, t,
-                                 behaviors[record.jobid], slot)
-                if tag == "beginend":
-                    engine.end_job(record.jobid, t)
-            else:
-                _tag, record = payload
-                engine.end_job(record.jobid, t)
-        if synthesis == "fast":
-            engine.flush()
-    return archive.close()
-
-
-def _replay_nodes_star(args: tuple) -> tuple[ArchiveStats, MetricsSnapshot]:
-    return _replay_nodes(*args)
+    behaviors = _build_behaviors(
+        cfg, users, util_scale, phase_calibration, regressions,
+        [r for r in records if not wanted.isdisjoint(r.node_indices)])
+    return _replay_chunk(cfg, seed, records, node_indices, behaviors,
+                         archive_dir, compress, archive_format, synthesis)
 
 
 @dataclass
@@ -308,45 +325,84 @@ class Facility:
 
     def _simulate(self) -> tuple[GeneratedWorkload, SimulationResult,
                                  list[Outage], Cluster]:
+        """Workload generation + scheduling, under one timed span."""
         cfg = self.config
         with span("facility.simulate", system=cfg.name):
-            return self._simulate_body(cfg)
-
-    def _simulate_body(self, cfg: FacilityConfig
-                       ) -> tuple[GeneratedWorkload, SimulationResult,
-                                  list[Outage], Cluster]:
-        """Workload generation + scheduling, timed by :meth:`_simulate`."""
-        workload = WorkloadGenerator(cfg, self.rng_factory).generate()
-        if self.appkernels:
-            from repro.xdmod.appkernels import (
-                kernel_requests,
-                kernel_user_profile,
+            workload = WorkloadGenerator(cfg, self.rng_factory).generate()
+            if self.appkernels:
+                from repro.xdmod.appkernels import (
+                    kernel_requests,
+                    kernel_user_profile,
+                )
+                kernels = kernel_requests(self.appkernels, cfg, self.seed)
+                merged = sorted(workload.requests + kernels,
+                                key=lambda r: r.submit_time)
+                users = dict(workload.users)
+                users[kernel_user_profile().username] = kernel_user_profile()
+                workload = GeneratedWorkload(
+                    requests=merged, users=users,
+                    util_scale=workload.util_scale,
+                )
+            cluster = Cluster(cfg.name, cfg.num_nodes, cfg.node,
+                              cfg.filesystems, cfg.interconnect)
+            outages = OutageGenerator(cfg.num_nodes).generate(
+                cfg.horizon, self._stream("outages")
             )
-            kernels = kernel_requests(self.appkernels, cfg, self.seed)
-            merged = sorted(workload.requests + kernels,
-                            key=lambda r: r.submit_time)
-            users = dict(workload.users)
-            users[kernel_user_profile().username] = kernel_user_profile()
-            workload = GeneratedWorkload(
-                requests=merged, users=users,
-                util_scale=workload.util_scale,
+            sim = SchedulerEngine(cluster, self.policy).run(
+                workload.requests, outages, horizon=cfg.horizon
             )
-        cluster = Cluster(cfg.name, cfg.num_nodes, cfg.node,
-                          cfg.filesystems, cfg.interconnect)
-        outages = OutageGenerator(cfg.num_nodes).generate(
-            cfg.horizon, self._stream("outages")
-        )
-        sim = SchedulerEngine(cluster, self.policy).run(
-            workload.requests, outages, horizon=cfg.horizon
-        )
-        return workload, sim, outages, cluster
+            return workload, sim, outages, cluster
 
-    def _behavior_for(self, record: JobRecord,
-                      workload: GeneratedWorkload) -> JobBehavior:
-        return _build_behavior(
-            self.config, workload.users, workload.util_scale,
-            self.phase_calibration, self.regressions, record,
-        )
+    def _behavior_context(self, workload: GeneratedWorkload) -> tuple:
+        """What, beside the config and a record, determines a behaviour
+        — picklable, in :func:`_build_behavior`'s argument order."""
+        return (workload.users, workload.util_scale,
+                self.phase_calibration, self.regressions)
+
+    def _side_logs(self, sim: SimulationResult, cluster: Cluster,
+                   behaviors: dict[str, JobBehavior],
+                   ) -> tuple[str, list[LariatRecord], list]:
+        """``(accounting text, Lariat records, rationalized syslog)`` of
+        one simulated period — the one recipe behind the offline file
+        path and the live session, so the two agree bytewise."""
+        cfg = self.config
+        acct_buf = io.StringIO()
+        AccountingWriter(acct_buf, cfg.node.cores,
+                         cfg.name).write_all(sim.records)
+        lariat = [lariat_record_for(r, cfg.node.cores) for r in sim.records]
+        summaries = [_rates_summary(cfg, r, behaviors[r.jobid])[1]
+                     for r in sim.records]
+        return (acct_buf.getvalue(), lariat,
+                self._syslog(sim, cluster, summaries, background=False))
+
+    def _syslog(self, sim: SimulationResult, cluster: Cluster,
+                summaries: list[JobSummary], background: bool) -> list:
+        """The period's rationalized syslog: the lines each job's summary
+        gives rise to, then (*background*: the in-memory path only)
+        hardware noise, each tagged with the job occupying its host."""
+        cfg = self.config
+        gen = SyslogGenerator(self._stream("syslog"), cfg.name)
+        raw = []
+        for record, summary in zip(sim.records, summaries):
+            raw.extend(gen.generate_for_job(
+                record,
+                mem_frac_max=summary.get("mem_used_max")
+                / cfg.node.memory_gb,
+                scratch_write_mb=summary.get("io_scratch_write"),
+                cpu_idle_frac=summary.get("cpu_idle"),
+            ))
+        if background:
+            raw.extend(gen.generate_background(cfg.num_nodes, cfg.horizon))
+        rationalizer = Rationalizer()
+        for record in sim.records:
+            for ni in record.node_indices:
+                rationalizer.add_occupancy(
+                    cluster.nodes[ni].hostname, record.start_time,
+                    record.end_time, record.jobid,
+                )
+        rationalizer.finalize()
+        messages, _unknown = rationalizer.rationalize_stream(raw)
+        return messages
 
     # -- fast path ----------------------------------------------------------------
 
@@ -354,7 +410,7 @@ class Facility:
             with_syslog: bool = True) -> FacilityRun:
         """Fast path: behaviour → summaries + series → warehouse."""
         cfg = self.config
-        workload, sim, outages, _cluster = self._simulate()
+        workload, sim, outages, cluster = self._simulate()
         warehouse = warehouse or Warehouse()
         warehouse.add_system(
             cfg.name, num_nodes=cfg.num_nodes,
@@ -376,17 +432,11 @@ class Facility:
         }
 
         summaries: list[JobSummary] = []
-        syslog_gen = SyslogGenerator(self._stream("syslog"), cfg.name)
-        raw_messages = []
-
+        context = self._behavior_context(workload)
         with span("facility.summarize", system=cfg.name):
             for record in sim.records:
-                behavior = self._behavior_for(record, workload)
-                m = max(1, int(np.ceil(record.wall_seconds / interval)))
-                rates = behavior.rates_matrix(m)
-                summary = summarize_job_from_rates(
-                    record, rates, mem_capacity_gb=cfg.node.memory_gb
-                )
+                rates, summary = _rates_summary(
+                    cfg, record, _build_behavior(cfg, *context, record))
                 summaries.append(summary)
                 warehouse.add_job(cfg.name, record, cfg.node.cores,
                                   summary=summary)
@@ -412,15 +462,6 @@ class Facility:
                 np.add.at(acc["ib_tx_mb"], bins,
                           DerivedRates.ib_tx_mb(r) * nodes)
                 np.add.at(acc["busy_nodes"], bins, float(nodes))
-
-                if with_syslog:
-                    raw_messages.extend(syslog_gen.generate_for_job(
-                        record,
-                        mem_frac_max=summary.get("mem_used_max")
-                        / cfg.node.memory_gb,
-                        scratch_write_mb=summary.get("io_scratch_write"),
-                        cpu_idle_frac=summary.get("cpu_idle"),
-                    ))
 
         # Active-node step function sampled on the bin grid.
         tl_t = np.array([t for t, _ in sim.active_node_timeline])
@@ -462,21 +503,9 @@ class Facility:
             for name, values in series.items():
                 warehouse.add_series(cfg.name, name, bin_times, values)
 
-        if with_syslog and raw_messages:
-            raw_messages.extend(syslog_gen.generate_background(
-                cfg.num_nodes, cfg.horizon
-            ))
-            rationalizer = Rationalizer()
-            for record in sim.records:
-                for ni in record.node_indices:
-                    host = f"c{ni // 100:03d}-{ni % 100:03d}.{cfg.name}"
-                    rationalizer.add_occupancy(
-                        host, record.start_time, record.end_time,
-                        record.jobid,
-                    )
-            rationalizer.finalize()
-            messages, _unknown = rationalizer.rationalize_stream(raw_messages)
-            for msg in messages:
+        if with_syslog and summaries:
+            for msg in self._syslog(sim, cluster, summaries,
+                                    background=True):
                 warehouse.add_syslog_event(
                     cfg.name, msg.time, msg.host, msg.jobid,
                     msg.kind.value, msg.severity,
@@ -538,71 +567,41 @@ class Facility:
         cfg = self.config
         workload, sim, outages, cluster = self._simulate()
 
-        replay_args = (
-            cfg, self.seed, workload.users, workload.util_scale,
-            self.phase_calibration, self.regressions, sim.records,
-        )
+        context = self._behavior_context(workload)
+        behaviors = _build_behaviors(cfg, *context, sim.records)
         with span("facility.replay", system=cfg.name, workers=workers):
             if workers == 1:
-                archive_stats, replay_metrics = _replay_nodes(
-                    *replay_args, list(range(cfg.num_nodes)), archive_dir,
-                    compress, archive_format, synthesis)
-                get_registry().merge_snapshot(replay_metrics)
+                partials = [_replay_chunk(
+                    cfg, self.seed, sim.records, list(range(cfg.num_nodes)),
+                    behaviors, archive_dir, compress, archive_format,
+                    synthesis)]
             else:
                 import multiprocessing
 
                 chunks = _node_chunks(cfg.num_nodes, workers)
                 with multiprocessing.Pool(len(chunks)) as pool:
-                    partials = pool.map(_replay_nodes_star, [
-                        (*replay_args, chunk, archive_dir, compress,
-                         archive_format, synthesis)
+                    partials = pool.starmap(_replay_nodes, [
+                        (cfg, self.seed, *context, sim.records, chunk,
+                         archive_dir, compress, archive_format, synthesis)
                         for chunk in chunks
                     ])
-                archive_stats = ArchiveStats()
-                for p, snap in partials:
-                    archive_stats.raw_bytes += p.raw_bytes
-                    archive_stats.compressed_bytes += p.compressed_bytes
-                    archive_stats.file_count += p.file_count
-                    archive_stats.host_days += p.host_days
-                    get_registry().merge_snapshot(snap)
+            archive_stats = ArchiveStats()
+            for p, snap in partials:
+                archive_stats.raw_bytes += p.raw_bytes
+                archive_stats.compressed_bytes += p.compressed_bytes
+                archive_stats.file_count += p.file_count
+                archive_stats.host_days += p.host_days
+                get_registry().merge_snapshot(snap)
         archive = HostArchive(archive_dir, compress=compress)
-
-        # Side logs.
-        acct_buf = io.StringIO()
-        acct = AccountingWriter(acct_buf, cfg.node.cores, cfg.name)
-        acct.write_all(sim.records)
-        lariat_records = [
-            lariat_record_for(r, cfg.node.cores) for r in sim.records
-        ]
-
-        syslog_gen = SyslogGenerator(self._stream("syslog"), cfg.name)
-        raw = []
-        for record in sim.records:
-            behavior = self._behavior_for(record, workload)
-            m = max(1, int(np.ceil(record.wall_seconds / cfg.sample_interval)))
-            rates = behavior.rates_matrix(m)
-            summary = summarize_job_from_rates(record, rates)
-            raw.extend(syslog_gen.generate_for_job(
-                record,
-                mem_frac_max=summary.get("mem_used_max") / cfg.node.memory_gb,
-                scratch_write_mb=summary.get("io_scratch_write"),
-                cpu_idle_frac=summary.get("cpu_idle"),
-            ))
-        rationalizer = Rationalizer()
-        for record in sim.records:
-            for ni in record.node_indices:
-                rationalizer.add_occupancy(
-                    cluster.nodes[ni].hostname, record.start_time,
-                    record.end_time, record.jobid,
-                )
-        rationalizer.finalize()
-        messages, _ = rationalizer.rationalize_stream(raw)
+        accounting_text, lariat_records, messages = self._side_logs(
+            sim, cluster, behaviors)
+        del behaviors  # ingest reads files, not the rate matrices
 
         warehouse = warehouse or Warehouse()
         pipeline = IngestPipeline(warehouse)
         report = pipeline.ingest(
             cfg,
-            accounting_text=acct_buf.getvalue(),
+            accounting_text=accounting_text,
             archive=archive,
             lariat_records=lariat_records,
             syslog=messages,

@@ -21,6 +21,7 @@ to the legacy single-warehouse output (asserted by tests and the
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 from dataclasses import dataclass
 
 from repro.config import FacilityConfig
@@ -62,11 +63,16 @@ def _run_shard(cluster: str, config: FacilityConfig, seed: int,
     Mirrors the ``repro-simulate`` main-path calls exactly, which is
     what the single-cluster byte-identity invariant rests on.
     """
+    # What is not a run_with_files argument under its own name; the
+    # rest forward as they are, so a default lives in one signature.
+    knobs = dict(knobs)
+    append = knobs.pop("append", False)
+    through_day = knobs.pop("through_day", None)
+    with_syslog = knobs.pop("with_syslog", True)
+    fast_writes = knobs.pop("fast_writes", False)
     facility = Facility(config, seed=seed)
-    warehouse = Warehouse(warehouse_path,
-                          fast_writes=knobs.get("fast_writes", False))
-    try:
-        append = knobs.get("append", False)
+    with closing(Warehouse(warehouse_path,
+                           fast_writes=fast_writes)) as warehouse:
         if config.name in warehouse.systems() and not append:
             raise ValueError(
                 f"system {config.name!r} already present in shard "
@@ -74,24 +80,13 @@ def _run_shard(cluster: str, config: FacilityConfig, seed: int,
         if archive_dir is not None:
             run = facility.run_with_files(
                 archive_dir, warehouse=warehouse,
-                workers=knobs.get("workers", 1),
-                ingest_workers=knobs.get("ingest_workers", 1),
-                batch_size=knobs.get("batch_size", 256),
-                error_policy=knobs.get("error_policy", "strict"),
-                max_retries=knobs.get("max_retries", 2),
                 ingest_mode="append" if append else "full",
-                ingest_through_day=knobs.get("through_day"),
-                archive_format=knobs.get("archive_format", "text"),
-                synthesis=knobs.get("synthesis", "fast"),
-            )
+                ingest_through_day=through_day, **knobs)
         else:
-            run = facility.run(
-                warehouse=warehouse,
-                with_syslog=knobs.get("with_syslog", True),
-            )
+            run = facility.run(warehouse=warehouse, with_syslog=with_syslog)
         q = run.query()
         report = run.ingest_report
-        summary = {
+        return {
             "cluster": cluster,
             "system": config.name,
             "warehouse": warehouse_path,
@@ -104,13 +99,6 @@ def _run_shard(cluster: str, config: FacilityConfig, seed: int,
                       if report is not None and report.delta is not None
                       else None),
         }
-        return summary
-    finally:
-        warehouse.close()
-
-
-def _run_shard_star(args: tuple) -> dict:
-    return _run_shard(*args)
 
 
 class FederatedFacility:
@@ -148,8 +136,8 @@ class FederatedFacility:
         ``batch_size``, ``error_policy``, ``max_retries``, ``append``,
         ``through_day``, ``archive_format``, ``synthesis``,
         ``fast_writes``, ``with_syslog``) forward to each shard's run
-        exactly as ``repro-simulate`` would pass them.
-        """
+        exactly as ``repro-simulate`` would pass them; on the slow path
+        a name ``run_with_files`` does not take is a ``TypeError``."""
         if shard_workers < 1:
             raise ValueError("shard_workers must be >= 1")
         if knobs.get("append") and not archive:
@@ -175,7 +163,7 @@ class FederatedFacility:
             import multiprocessing
 
             with multiprocessing.Pool(min(shard_workers, len(jobs))) as pool:
-                results = pool.map(_run_shard_star, jobs)
+                results = pool.starmap(_run_shard, jobs)
         out = {}
         for summary in results:
             registry.counter(

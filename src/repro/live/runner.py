@@ -1,14 +1,13 @@
 """The streaming runner and micro-batcher behind live mode.
 
-:class:`LiveReplay` is the incremental counterpart of the offline
-per-node daemon replay in :mod:`repro.facility`: the same daemons, the
-same per-node RNG streams, the same same-instant event ordering
-(end < periodic tick < begin) — but driven by :meth:`LiveReplay.advance`
-calls instead of one pass over the whole horizon.  Because each node's
-event sequence is processed in the identical order, the archive bytes
-are identical to an offline replay at the same rotation period; that is
-what makes live micro-batch ingest byte-identical to a one-shot append
-(property-tested in ``tests/live``).
+:class:`LiveReplay` is the incremental driver of the per-node replay
+units defined in :mod:`repro.facility`: it holds one
+:class:`~repro.facility.NodeReplay` per node and moves them all forward
+with each :meth:`LiveReplay.advance` call instead of taking each to the
+horizon in one pass.  The units are the offline path's own, so the
+archive bytes equal an offline replay's at the same rotation period —
+which is what makes live micro-batch ingest byte-identical to a
+one-shot append (property-tested in ``tests/live``).
 
 :class:`LiveSession` wraps the replay in the operator loop: advance to
 the next segment boundary, flush completed segments to disk, push them
@@ -20,30 +19,23 @@ rolling warehouse snapshot in place.  Telemetry lands under ``live.*``
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.config import FacilityConfig
-from repro.facility import Facility, _build_behavior, _noise_stream_factory
+from repro.facility import Facility, _build_behaviors, node_replays
 from repro.ingest.pipeline import DeltaSummary, IngestPipeline
-from repro.ingest.summarize import summarize_job_from_rates
 from repro.ingest.warehouse import Warehouse
-from repro.lariat.records import lariat_record_for
 from repro.live.rates import COUNTER_WRAP_BITS
-from repro.scheduler.accounting import AccountingWriter, parse_accounting
+from repro.scheduler.accounting import parse_accounting
 from repro.scheduler.job import JobRecord
-from repro.syslogr.generator import SyslogGenerator
-from repro.syslogr.rationalizer import Rationalizer
 from repro.tacc_stats.archive import HostArchive
-from repro.tacc_stats.daemon import TaccStatsDaemon
-from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
-from repro.util.rng import RngFactory
-from repro.util.timeutil import HOUR, aligned_samples
+from repro.util.timeutil import HOUR
 from repro.workload.applications import RATE_INDEX
 from repro.xdmod.snapshot import WarehouseSnapshot
 
@@ -68,81 +60,21 @@ LIVE_REFRESH_BUCKETS: tuple[float, ...] = (
 
 
 class LiveReplay:
-    """Drive every node's daemon incrementally into a shared archive.
-
-    Construction precomputes exactly what the offline replay would:
-    per-node event lists (periodic ticks plus job begin/end, sorted
-    with the same same-instant ordering) and per-job behaviours.
-    :meth:`advance` then processes each node's events up to and
+    """Drive every node's replay unit incrementally into a shared
+    archive: :meth:`advance` moves each node's cursor up to and
     including a time bound, so successive calls replay the horizon in
-    monotonic slices.
-    """
+    monotonic slices."""
 
     def __init__(self, cfg: FacilityConfig, seed: int, users: dict,
                  util_scale: float, phase_calibration: dict | None,
                  regressions: tuple, records: list[JobRecord],
                  archive: HostArchive, synthesis: str = "fast"):
-        from repro.cluster.node import Node
-
-        if synthesis not in ("fast", "scalar"):
-            raise ValueError(
-                f"synthesis must be 'fast' or 'scalar', got {synthesis!r}")
-        rng_factory = RngFactory(seed)
-        prefix = cfg.stream_prefix
-        self.archive = archive
-        self.synthesis = synthesis
-        per_node: dict[int, list[tuple[float, float, JobRecord, int]]] = {}
-        for record in records:
-            for slot, ni in enumerate(record.node_indices):
-                per_node.setdefault(ni, []).append(
-                    (record.start_time, record.end_time, record, slot)
-                )
-        #: jobid -> behaviour, shared with the session's counter source.
-        self.behaviors = {
-            r.jobid: _build_behavior(cfg, users, util_scale,
-                                     phase_calibration, regressions, r)
-            for r in records
-        }
-
-        ticks = aligned_samples(0.0, cfg.horizon, cfg.sample_interval)
-        lustre = tuple(
-            fs.name for fs in cfg.filesystems if fs.kind == "lustre"
-        ) or ("scratch",)
-        nfs = tuple(fs.name for fs in cfg.filesystems if fs.kind == "nfs")
-        #: [daemon, sorted events, next-event index] per node.
-        self._nodes: list[list] = []
-        for ni in range(cfg.num_nodes):
-            node = Node(
-                index=ni,
-                hostname=f"c{ni // 100:03d}-{ni % 100:03d}.{cfg.name}",
-                hardware=cfg.node)
-            noise = _noise_stream_factory(rng_factory, prefix, ni)
-            if synthesis == "fast":
-                daemon = NodeSynth(node, noise, archive,
-                                   lustre_mounts=lustre, nfs_mounts=nfs)
-            else:
-                daemon = TaccStatsDaemon(
-                    node,
-                    noise,
-                    writer=lambda t, h=node.hostname: archive.writer(h, t),
-                    lustre_mounts=lustre,
-                    nfs_mounts=nfs,
-                )
-            events: list[tuple[float, int, object]] = [
-                (t, 1, None) for t in ticks
-            ]
-            for start, end, record, slot in per_node.get(ni, []):
-                if end > start:
-                    events.append((start, 2, ("begin", record, slot)))
-                    events.append((end, 0, ("end", record)))
-                else:
-                    # Zero-duration allocation (a job truncated at the
-                    # horizon): its end would sort *before* its begin
-                    # under the same-instant rule, so fire both back to
-                    # back.
-                    events.append((start, 2, ("beginend", record, slot)))
-            events.sort(key=lambda e: (e[0], e[1]))
-            self._nodes.append([daemon, events, 0])
+        #: jobid -> behaviour; the session's side logs and counters too.
+        self.behaviors = _build_behaviors(
+            cfg, users, util_scale, phase_calibration, regressions, records)
+        self._nodes = list(node_replays(
+            cfg, seed, records, list(range(cfg.num_nodes)), self.behaviors,
+            archive, synthesis))
         self.clock = 0.0
 
     def advance(self, until: float) -> int:
@@ -151,30 +83,7 @@ class LiveReplay:
         if until < self.clock:
             raise ValueError(
                 f"cannot advance backwards ({until} < {self.clock})")
-        fired = 0
-        for state in self._nodes:
-            daemon, events, ptr = state
-            while ptr < len(events) and events[ptr][0] <= until:
-                t, kind, payload = events[ptr]
-                if kind == 1:
-                    daemon.sample(t)
-                elif kind == 2:
-                    tag, record, slot = payload
-                    daemon.begin_job(record.jobid, t,
-                                     self.behaviors[record.jobid], slot)
-                    if tag == "beginend":
-                        daemon.end_job(record.jobid, t)
-                else:
-                    _tag, record = payload
-                    daemon.end_job(record.jobid, t)
-                ptr += 1
-                fired += 1
-            state[2] = ptr
-            if self.synthesis == "fast":
-                # Materialize the batch before the caller closes segment
-                # files — the synthesis engine buffers queued samples
-                # until a job-begin boundary or an explicit flush.
-                daemon.flush()
+        fired = sum(unit.advance(until) for unit in self._nodes)
         self.clock = until
         return fired
 
@@ -247,44 +156,13 @@ class LiveSession:
         self.archive = HostArchive(archive_dir, compress=compress,
                                    rotate_seconds=seg)
         self.replay = LiveReplay(
-            cfg, facility.seed, workload.users, workload.util_scale,
-            facility.phase_calibration, facility.regressions,
+            cfg, facility.seed, *facility._behavior_context(workload),
             sim.records, self.archive, synthesis=synthesis)
 
-        acct_buf = io.StringIO()
-        AccountingWriter(acct_buf, cfg.node.cores,
-                         cfg.name).write_all(sim.records)
-        self.accounting_text = acct_buf.getvalue()
+        self.accounting_text, self.lariat, self.syslog = \
+            facility._side_logs(sim, cluster, self.replay.behaviors)
         #: Parsed once; every batch's append takes the entries.
         self.accounting_entries = list(parse_accounting(self.accounting_text))
-        self.lariat = [lariat_record_for(r, cfg.node.cores)
-                       for r in sim.records]
-
-        # Same recipe (and RNG stream order) as the offline slow path,
-        # so a live session and Facility.run_with_files agree bytewise.
-        syslog_gen = SyslogGenerator(facility._stream("syslog"), cfg.name)
-        raw = []
-        for record in sim.records:
-            behavior = self.replay.behaviors[record.jobid]
-            m = max(1, int(np.ceil(
-                record.wall_seconds / cfg.sample_interval)))
-            rates = behavior.rates_matrix(m)
-            summary = summarize_job_from_rates(record, rates)
-            raw.extend(syslog_gen.generate_for_job(
-                record,
-                mem_frac_max=summary.get("mem_used_max")
-                / cfg.node.memory_gb,
-                scratch_write_mb=summary.get("io_scratch_write"),
-                cpu_idle_frac=summary.get("cpu_idle"),
-            ))
-        rationalizer = Rationalizer()
-        for record in sim.records:
-            for ni in record.node_indices:
-                rationalizer.add_occupancy(
-                    cluster.nodes[ni].hostname, record.start_time,
-                    record.end_time, record.jobid)
-        rationalizer.finalize()
-        self.syslog, _ = rationalizer.rationalize_stream(raw)
 
         self.pipeline = IngestPipeline(self.warehouse)
         self.n_segments = int(cfg.horizon // seg) + 1
@@ -409,10 +287,4 @@ class LiveSession:
 
     def run(self, max_batches: int | None = None) -> list[LiveBatchReport]:
         """Run micro-batches until the horizon (or *max_batches*)."""
-        reports: list[LiveBatchReport] = []
-        while max_batches is None or len(reports) < max_batches:
-            report = self.run_batch()
-            if report is None:
-                break
-            reports.append(report)
-        return reports
+        return list(islice(iter(self.run_batch, None), max_batches))

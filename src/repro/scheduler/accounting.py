@@ -39,6 +39,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
+from repro.cluster.node import node_hostname
 from repro.scheduler.job import ExitStatus, JobRecord
 
 __all__ = ["AccountingEntry", "AccountingWriter", "format_accounting_line",
@@ -86,10 +87,9 @@ def format_accounting_line(record: JobRecord, cores_per_node: int,
     """Render a completed job as one accounting line."""
     req = record.request
     failed, exit_status = record.exit_status.accounting_code
-    master = f"c{record.node_indices[0] // 100:03d}-{record.node_indices[0] % 100:03d}.{system_name}"
     fields = [
         req.queue,
-        master,
+        node_hostname(record.node_indices[0], system_name),
         f"G-{abs(hash(req.account)) % 99999:05d}",
         req.user,
         f"{req.app}_run",

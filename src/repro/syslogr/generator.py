@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.node import node_hostname
 from repro.scheduler.job import ExitStatus, JobRecord
 from repro.syslogr.catalog import MESSAGE_CATALOG, MessageKind, RawMessage
 
@@ -31,9 +32,6 @@ class SyslogGenerator:
         self._rng = rng
         self._system = system_name
 
-    def _hostname(self, node_index: int) -> str:
-        return f"c{node_index // 100:03d}-{node_index % 100:03d}.{self._system}"
-
     def generate_for_job(
         self,
         record: JobRecord,
@@ -45,7 +43,8 @@ class SyslogGenerator:
         rng = self._rng
         out: list[RawMessage] = []
         req = record.request
-        hosts = [self._hostname(i) for i in record.node_indices]
+        hosts = [node_hostname(i, self._system)
+                 for i in record.node_indices]
         head = hosts[0]
 
         out.append(RawMessage(
@@ -137,5 +136,6 @@ class SyslogGenerator:
             else:
                 text = MESSAGE_CATALOG[MessageKind.IB_LINK_DOWN].render(
                     port=1, state="INIT")
-            out.append(RawMessage(t, self._hostname(node), "kernel", text))
+            out.append(RawMessage(t, node_hostname(node, self._system),
+                                  "kernel", text))
         return out

@@ -308,7 +308,7 @@ class HostArchive:
         self, hostname: str,
         encoder: Callable[[StatsWriter], tuple[bytes, int] | None],
     ) -> None:
-        """Register a direct v2 encoder for *hostname*'s files.
+        """Register a v2 encoder for *hostname*'s files, until :meth:`close`.
 
         *encoder* is called at file close as ``encoder(writer)`` and
         returns the encoded v2 bytes with their text-equivalent size
@@ -392,6 +392,10 @@ class HostArchive:
         for hostname, (_, of) in sorted(self._open.items()):
             self._close_file(hostname, of)
         self._open.clear()
+        # Encoders are bound methods of engines that hold this archive:
+        # dropped here (an engine registers again with its next file),
+        # the pair is freed by reference count, not by a later GC pass.
+        self._v2_encoders.clear()
         return self.stats
 
     # -- reading ---------------------------------------------------------------

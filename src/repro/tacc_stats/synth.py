@@ -105,8 +105,6 @@ class NodeSynth:
         #: reference to its writer (checked with ``is``) so a recycled
         #: id can never alias a rotated-away file.
         self._accums: dict[int, _V2Accum] = {}
-        if self._v2:
-            archive.set_v2_encoder(node.hostname, self._encode_v2)
         get_registry().counter("synth.nodes").inc()
 
     # -- job lifecycle (daemon-compatible) ----------------------------------
@@ -282,6 +280,7 @@ class NodeSynth:
         if accum is None or accum.writer is not w:
             accum = self._accums[id(w)] = _V2Accum(
                 w, len(self.collectors))
+            self.archive.set_v2_encoder(self.node.hostname, self._encode_v2)
         base = len(accum.times)
         for off, i in enumerate(range(i0, i1)):
             p = pending[i]

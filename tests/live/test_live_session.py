@@ -2,6 +2,8 @@
 monotonic snapshot growth, counter publication, and the sub-day
 archive rotation it rides on."""
 
+import hashlib
+
 import pytest
 
 from repro.config import TEST_SYSTEM
@@ -10,7 +12,7 @@ from repro.ingest.warehouse import Warehouse
 from repro.live.runner import LIVE_COUNTER_METRICS, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.telemetry.metrics import get_registry
-from repro.util.timeutil import HOUR
+from repro.util.timeutil import DAY, HOUR
 
 CFG = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=6)
 SEED = 7
@@ -64,6 +66,26 @@ def test_live_warehouse_equals_offline_oneshot(live, offline):
     rows = _data_rows(live[0])
     assert rows["jobs"]  # non-vacuous
     assert rows == _data_rows(offline)
+
+
+def test_day_segment_session_is_the_offline_path(tmp_path):
+    """At the production rotation period a live session drives the same
+    per-node replay units and the same side-log recipe as
+    ``run_with_files`` — so it leaves the same archive tree, file for
+    file, and the same four data tables."""
+    live_dir, offline_dir = tmp_path / "live", tmp_path / "offline"
+    session = LiveSession(Facility(CFG, seed=SEED), str(live_dir),
+                          segment_seconds=DAY)
+    session.run()
+    run = Facility(CFG, seed=SEED).run_with_files(str(offline_dir))
+
+    def tree(root):
+        return {str(p.relative_to(root)):
+                hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert tree(live_dir) and tree(live_dir) == tree(offline_dir)
+    assert _data_rows(session.warehouse) == _data_rows(run.warehouse)
 
 
 def test_snapshot_rows_grow_monotonically(live):

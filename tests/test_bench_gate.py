@@ -1,6 +1,6 @@
 """Regression-gate semantics for the wall-clock-sensitive service
 metrics: advisory by default (shared CI runners), enforced under
-``--strict``.
+``--strict`` — and the names the end-to-end harness patches.
 """
 
 from __future__ import annotations
@@ -44,3 +44,29 @@ def test_passing_metrics_raise_nothing_either_way():
         failures, advisories = check(current, baseline, 0.30,
                                      strict=strict)
         assert failures == [] and advisories == []
+
+
+def test_names_the_e2e_harness_patches_belong_to_their_owners():
+    """``benchmarks/e2e/harness.py`` (``_wrap_targets``, ``entry_times``)
+    replaces these by ``owner.__dict__[name]``: each must be defined on
+    the class or module itself.  A refactor that moves one into a base
+    class, or renames it, fails here — in tier-1, not only in the
+    out-of-testpaths ``e2e-harness`` job."""
+    from repro.ingest.pipeline import IngestPipeline
+    from repro.ingest.warehouse import Warehouse
+    from repro.live.runner import LiveReplay
+    from repro.tacc_stats import synth
+    from repro.tacc_stats.archive import HostArchive
+
+    contract = {
+        synth.NodeSynth: ("begin_job", "end_job", "sample", "flush"),
+        HostArchive: ("writer", "flush_before", "close", "manifest"),
+        synth: ("encode_host_blocks",),
+        Warehouse: ("commit", "record_live_counters"),
+        LiveReplay: ("advance",),
+        IngestPipeline: ("ingest",),
+    }
+    missing = [f"{owner.__name__}.{name}"
+               for owner, names in contract.items() for name in names
+               if not callable(vars(owner).get(name))]
+    assert missing == []

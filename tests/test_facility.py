@@ -1,4 +1,5 @@
-"""Tests for the facility facade (fast path)."""
+"""Tests for the facility facade: the fast path, and the per-node replay
+unit and side-log recipe every file-path driver shares."""
 
 import numpy as np
 import pytest
@@ -106,3 +107,120 @@ def test_shared_warehouse_two_systems():
     assert wh.systems() == ["lonestar4", "ranger"]
     assert wh.job_count("ranger") > 0
     assert wh.job_count("lonestar4") > 0
+
+
+# -- what the file-path drivers share ------------------------------------------
+
+
+class _RecordingEngine:
+    """Stands in for a daemon: notes the lifecycle calls it receives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def sample(self, t):
+        self.calls.append(("sample", t))
+
+    def begin_job(self, jobid, t, behavior, slot):
+        self.calls.append(("begin", jobid, t, behavior, slot))
+
+    def end_job(self, jobid, t):
+        self.calls.append(("end", jobid, t))
+
+
+def _allocation(jobid, start, end):
+    from repro.scheduler.job import ExitStatus, JobRecord, JobRequest
+    request = JobRequest(jobid=jobid, user="u", account="a",
+                         science_field="f", app="namd", queue="normal",
+                         submit_time=0.0, nodes=1, walltime_req=3600.0,
+                         runtime=600.0)
+    return JobRecord(request=request, start_time=start, end_time=end,
+                     node_indices=(0,), exit_status=ExitStatus.COMPLETED)
+
+
+def test_node_replay_orders_same_instant_events_for_any_slicing():
+    """end < periodic tick < begin at one instant, a zero-duration
+    allocation fires begin and end back to back, and slicing the
+    horizon anywhere fires the same calls in the same order."""
+    from repro.facility import NodeReplay
+
+    ticks = [0.0, 600.0, 1200.0]
+    allocations = [(_allocation("A", 0.0, 600.0), 0),
+                   (_allocation("B", 600.0, 600.0), 3),
+                   (_allocation("C", 600.0, 1200.0), 5)]
+    behaviors = {"A": "bA", "B": "bB", "C": "bC"}
+    want = [
+        ("sample", 0.0), ("begin", "A", 0.0, "bA", 0),
+        ("end", "A", 600.0), ("sample", 600.0),
+        ("begin", "B", 600.0, "bB", 3), ("end", "B", 600.0),
+        ("begin", "C", 600.0, "bC", 5),
+        ("end", "C", 1200.0), ("sample", 1200.0),
+    ]
+    for schedule in ([1200.0], [0.0, 599.0, 600.0, 1200.0],
+                     [300.0, 900.0, 1200.0, 1200.0]):
+        engine = _RecordingEngine()
+        unit = NodeReplay(engine, ticks, allocations, behaviors)
+        fired = sum(unit.advance(t) for t in schedule)
+        assert engine.calls == want, schedule
+        assert fired == len(unit.events) == 8
+
+
+def test_no_driver_hands_syslog_a_memory_fraction_above_one(
+        tmp_path, monkeypatch):
+    """The side-log recipe caps a job's peak memory at node capacity
+    exactly as ``Facility.run`` does: the in-memory path and the live
+    session (whose recipe is ``run_with_files``' own) parameterize the
+    syslog generator identically, job for job."""
+    from repro.live.runner import LiveSession
+    from repro.syslogr.generator import SyslogGenerator
+
+    seen = []
+    generate = SyslogGenerator.generate_for_job
+
+    def spy(self, record, **params):
+        seen.append((record.jobid, sorted(params.items())))
+        return generate(self, record, **params)
+
+    monkeypatch.setattr(SyslogGenerator, "generate_for_job", spy)
+    # One job of this period peaks above the node's memory before the
+    # cap (31.8 GB on a 32 GB RANGER node after it).
+    cfg = RANGER.scaled(num_nodes=6, horizon_days=2, n_users=8)
+    Facility(cfg, seed=11).run()
+    fast, seen[:] = list(seen), []
+    LiveSession(Facility(cfg, seed=11), str(tmp_path / "archive"))
+    assert seen == fast
+    fractions = [dict(params)["mem_frac_max"] for _jobid, params in seen]
+    assert max(fractions) == pytest.approx(0.995)
+
+
+def test_replay_state_is_freed_without_a_collector_pass(tmp_path):
+    """A closed v2 archive and the engines that wrote it do not keep
+    each other alive (the archive's encoder callbacks are the engines'
+    bound methods): when their driver returns they go by reference
+    count — not whenever the cycle collector next runs, which is what
+    set a night's peak RSS."""
+    import gc
+    import weakref
+
+    from repro.facility import _build_behaviors, node_replays
+    from repro.tacc_stats.archive import HostArchive
+
+    cfg = RANGER.scaled(num_nodes=2, horizon_days=1, n_users=5)
+    facility = Facility(cfg, seed=3)
+    workload, sim, _outages, _cluster = facility._simulate()
+    behaviors = _build_behaviors(
+        cfg, *facility._behavior_context(workload), sim.records)
+    gc.collect()
+    gc.disable()
+    try:
+        archive = HostArchive(tmp_path / "arch", archive_format="v2")
+        engines = []
+        for unit in node_replays(cfg, 3, sim.records, [0, 1], behaviors,
+                                 archive):
+            unit.advance(cfg.horizon)
+            engines.append(weakref.ref(unit.engine))
+        assert archive.close().file_count > 0
+        del unit, archive
+        assert [ref() for ref in engines] == [None, None]
+    finally:
+        gc.enable()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Facility
 from repro.config import LONESTAR4, RANGER, STAMPEDE
+from repro.facility import _replay_nodes
 from repro.live.runner import LiveReplay, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.util.timeutil import HOUR
@@ -50,6 +51,7 @@ def _data_rows(warehouse):
                      "end_time, nodes, cores, node_hours"),
             ("job_metrics", "system, jobid, metric, value"),
             ("system_series", "system, metric, t, value"),
+            ("syslog_events", "system, t, host, jobid, kind, severity"),
         ]
     }
 
@@ -81,14 +83,19 @@ def test_fast_engine_matches_scalar_oracle(
     segment_hours=st.sampled_from([1, 3, 6, 12]),
     batch_segments=st.integers(min_value=1, max_value=3),
     archive_format=st.sampled_from(["text", "v2"]),
+    partition=st.sampled_from([[[0, 1]], [[0], [1]], [[1], [0]]]),
 )
 @settings(max_examples=4, deadline=None)
 def test_sub_day_rotation_identity(tmp_path_factory, seed, segment_hours,
-                                   batch_segments, archive_format):
+                                   batch_segments, archive_format,
+                                   partition):
     """Sub-day rotation: the live replay closes segments (firing the
     direct-to-v2 encoder) after every micro-batch, so the fast engine's
     blocks are cut and flushed at points the offline path never sees —
-    the archives must still match the scalar daemon's byte for byte."""
+    the archives must still match the scalar daemon's byte for byte.
+    And the offline path over any node *partition*, one chunk after
+    another, each advanced to the horizon in a single step, must write
+    that same tree: any partition × any slicing gives one archive."""
     cfg = RANGER.scaled(num_nodes=2, horizon_days=1, n_users=5)
     seg = segment_hours * HOUR
     trees = {}
@@ -110,6 +117,17 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, segment_hours,
         archive.close()
         trees[synthesis] = _tree(d)
     assert trees["fast"] == trees["scalar"]
+
+    d = str(tmp_path_factory.mktemp("offline"))
+    # The sidecar this writes makes every later open of the directory
+    # — each chunk's replay opens its own — rotate at the same period.
+    HostArchive(d, rotate_seconds=seg)
+    for chunk in partition:
+        _replay_nodes(
+            cfg, seed, workload.users, workload.util_scale,
+            facility.phase_calibration, facility.regressions,
+            sim.records, chunk, d, False, archive_format)
+    assert _tree(d) == trees["fast"]
 
 
 def test_live_session_fast_matches_scalar(tmp_path_factory):
