@@ -13,10 +13,12 @@ the way real dashboards are.)  Three acceptance gates feed
 
 * **warm report p99** — the steady-state (cache-hot) report latency
   must stay under 10 ms with 64 concurrent sessions live;
-* **CLI speedup** — the mean warm report request must beat a
-  per-request ``repro-report`` process invocation (full interpreter +
-  numpy/scipy import + snapshot build per query — what consumers paid
-  before the service existed) by >= 100x;
+* **CLI report** — one ``repro-report`` process per query
+  (interpreter + the read side's imports + snapshot build: what a cron
+  job or an admin shell pays, and what every ``repro-serve`` restart
+  pays before its first answer) must stay under a second.  An absolute
+  time, lower is better: the ratio to a warm request it replaces fell
+  whenever the CLI got *faster*;
 * **coalesce rate** — with caches disabled and synchronized waves of
   identical requests, the single-flight layer must serve most of the
   wave from one computation.
@@ -266,7 +268,7 @@ def _cli_report_ms(warehouse: Path, kinds: list[str]) -> tuple[float, dict]:
 
 def test_service_latency(tmp_path, save_artifact):
     """The tentpole acceptance bench: p50/p99 per endpoint at 64
-    concurrent sessions, CLI speedup, coalesce rate, byte-identity."""
+    concurrent sessions, CLI report time, coalesce rate, byte-identity."""
     warehouse = tmp_path / "service_bench.sqlite"
     _build_warehouse(warehouse)
 
@@ -303,7 +305,6 @@ def test_service_latency(tmp_path, save_artifact):
                 f"repro-report output")
         warmup.close()
         report_mean_ms = statistics.mean(per_family["report"]) * 1e3
-        speedup = cli_ms / report_mean_ms
 
         # Coalescing under synchronized identical cold requests.
         waves = 2 if _quick() else 6
@@ -333,10 +334,9 @@ def test_service_latency(tmp_path, save_artifact):
         "",
         f"warm report p50: {report_p50:.2f} ms",
         f"warm report p99: {report_p99:.2f} ms",
-        f"CLI per-request mean: {cli_ms:.1f} ms "
-        f"(one repro-report process per query)",
-        f"cli speedup: {speedup:.1f}x "
-        f"(vs {report_mean_ms:.3f} ms mean warm report request)",
+        f"cli report: {cli_ms:.1f} ms "
+        f"(one repro-report process per query; the mean warm report "
+        f"request is {report_mean_ms:.3f} ms)",
         f"coalesce rate: {rate:.2f} "
         f"({waves} waves of {SESSIONS} identical uncached requests, "
         f"{wave_requests} total)",
@@ -349,9 +349,9 @@ def test_service_latency(tmp_path, save_artifact):
     _timing_gate(report_p99 <= 10.0, (
         f"warm report p99 {report_p99:.2f} ms exceeds the 10 ms budget "
         f"at {SESSIONS} concurrent sessions"))
-    _timing_gate(speedup >= 100.0, (
-        f"service only {speedup:.0f}x faster than per-request CLI "
-        f"(need >= 100x)"))
+    _timing_gate(cli_ms <= 1000.0, (
+        f"a repro-report process takes {cli_ms:.0f} ms per query "
+        f"(budget 1000 ms: the read side's import graph has grown)"))
     _timing_gate(rate >= 0.5, (
         f"coalesce rate {rate:.2f} below 0.5 — single-flight is not "
         f"deduplicating concurrent identical queries"))

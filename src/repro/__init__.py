@@ -19,29 +19,16 @@ Quickstart::
         print(p.entity, p.values)
 """
 
-from repro.config import (
-    LONESTAR4,
-    RANGER,
-    STAMPEDE,
-    TEST_SYSTEM,
-    FacilityConfig,
-)
-from repro.facility import Facility, FacilityRun
-from repro.ingest.summarize import KEY_METRICS, SUMMARY_METRICS
-from repro.ingest.warehouse import Warehouse
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.config": (
+        "LONESTAR4", "RANGER", "STAMPEDE", "TEST_SYSTEM", "FacilityConfig"
+    ),
+    "repro.facility": ("Facility", "FacilityRun"),
+    "repro.ingest.vocabulary": ("KEY_METRICS", "SUMMARY_METRICS"),
+    "repro.ingest.warehouse": ("Warehouse",),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "Facility",
-    "FacilityRun",
-    "FacilityConfig",
-    "RANGER",
-    "LONESTAR4",
-    "STAMPEDE",
-    "TEST_SYSTEM",
-    "Warehouse",
-    "KEY_METRICS",
-    "SUMMARY_METRICS",
-    "__version__",
-]
+__all__.append("__version__")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ingest.summarize import KEY_METRICS
+from repro.ingest.vocabulary import KEY_METRICS
 from repro.xdmod.query import JobQuery
 
 __all__ = ["AnomalousJob", "AnomalyDetector"]

@@ -20,20 +20,14 @@ All entry points accept ``--help`` and return a nonzero exit status on
 error, so they compose in shell pipelines.
 """
 
-from repro.cli.diagnose import main as diagnose_main
-from repro.cli.export import main as export_main
-from repro.cli.persistence import main as persistence_main
-from repro.cli.report import main as report_main
-from repro.cli.serve import main as serve_main
-from repro.cli.simulate import main as simulate_main
-from repro.cli.stats_cat import main as stats_cat_main
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "simulate_main",
-    "report_main",
-    "stats_cat_main",
-    "persistence_main",
-    "diagnose_main",
-    "export_main",
-    "serve_main",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cli.diagnose": ("diagnose_main=main",),
+    "repro.cli.export": ("export_main=main",),
+    "repro.cli.persistence": ("persistence_main=main",),
+    "repro.cli.report": ("report_main=main",),
+    "repro.cli.serve": ("serve_main=main",),
+    "repro.cli.simulate": ("simulate_main=main",),
+    "repro.cli.stats_cat": ("stats_cat_main=main",),
+})

@@ -2,43 +2,42 @@
 
 from __future__ import annotations
 
-import argparse
+import functools
+import os
+import signal
 import sys
 
-from repro.config import LONESTAR4, RANGER, STAMPEDE, FacilityConfig
+from repro._lazy import lazy_exports
 
-__all__ = ["SYSTEMS", "add_system_args", "config_from_args", "die"]
-
-SYSTEMS: dict[str, FacilityConfig] = {
-    "ranger": RANGER,
-    "lonestar4": LONESTAR4,
-    "stampede": STAMPEDE,
-}
-
-
-def add_system_args(parser: argparse.ArgumentParser) -> None:
-    """The scaling knobs every simulation-facing command shares."""
-    parser.add_argument("--system", choices=sorted(SYSTEMS),
-                        default="ranger",
-                        help="which published system to replicate")
-    parser.add_argument("--nodes", type=int, default=32,
-                        help="scaled node count (default 32)")
-    parser.add_argument("--days", type=float, default=14,
-                        help="simulated horizon in days (default 14)")
-    parser.add_argument("--users", type=int, default=80,
-                        help="user population size (default 80)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="master seed (default 42)")
-
-
-def config_from_args(args: argparse.Namespace) -> FacilityConfig:
-    """Build the scaled FacilityConfig the parsed args describe."""
-    base = SYSTEMS[args.system]
-    return base.scaled(num_nodes=args.nodes, horizon_days=args.days,
-                       n_users=args.users)
+# The simulation-facing names live with their one user and pull in
+# repro.config; resolved on first use, so the read-side tools, which
+# only want die(), load neither.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cli.simulate": ("SYSTEMS", "add_system_args", "config_from_args"),
+})
+__all__ += ["die", "pipe_safe"]
 
 
 def die(message: str, code: int = 2) -> "int":
     """Print an error to stderr; returns the exit code to propagate."""
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def pipe_safe(main):
+    """Decorate a printing tool's ``main``: when the reader of stdout
+    goes away (``repro-report … | head``) the tool stops quietly with
+    the status a SIGPIPE death would give, instead of a traceback."""
+    @functools.wraps(main)
+    def wrapper(argv: list[str] | None = None) -> int:
+        try:
+            code = main(argv)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # What is still buffered can go nowhere; point stdout at
+            # /dev/null so the interpreter's exit flush does not print
+            # "Exception ignored ... BrokenPipeError" either.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 128 + signal.SIGPIPE
+    return wrapper

@@ -30,7 +30,7 @@ import argparse
 import sys
 
 from repro.anomaly.ancor import AncorAnalysis
-from repro.cli.common import die
+from repro.cli.common import die, pipe_safe
 from repro.ingest.columnar_scan import JobScanState, scan_host
 from repro.ingest.warehouse import Warehouse
 from repro.tacc_stats.archive import HostArchive
@@ -364,6 +364,7 @@ def _diagnose_one(args, warehouse: Warehouse, system: str) -> int:
     return 0
 
 
+@pipe_safe
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)

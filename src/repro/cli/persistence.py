@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli.common import die
+from repro.cli.common import die, pipe_safe
 from repro.ingest.warehouse import Warehouse
 from repro.util.tables import render_table
 from repro.xdmod.persistence import PersistenceAnalysis
@@ -30,6 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@pipe_safe
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)

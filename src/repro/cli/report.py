@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli.common import die
+from repro.cli.common import die, pipe_safe
 from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import get_registry
 from repro.xdmod.reports import (
@@ -131,6 +131,7 @@ def _main_federation(args) -> int:
         federated.close()
 
 
+@pipe_safe
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)

@@ -25,6 +25,10 @@ inspect it with ``repro-diagnose --telemetry``.
 
 from __future__ import annotations
 
+import time
+
+_T0 = time.perf_counter()  # before the imports: they are timed first
+
 import argparse
 import signal
 import sys
@@ -34,7 +38,11 @@ from repro.service.server import RequestHandler, make_server
 from repro.service.state import ServiceState
 from repro.telemetry.log import run_scope
 from repro.telemetry.manifest import build_manifest
+from repro.telemetry.metrics import get_registry
 from repro.xdmod.snapshot import set_cache_enabled
+
+#: Stamp -> every module this process serves with is loaded.
+_IMPORT_SECONDS = time.perf_counter() - _T0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; serves until SIGINT/SIGTERM."""
+    entered = time.perf_counter()
     args = build_parser().parse_args(argv)
     if args.cache_size < 1:
         return die("--cache-size must be >= 1")
@@ -88,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     if (args.warehouse is None) == (args.federation is None):
         return die("pass exactly one of --warehouse / --federation")
     source = args.federation or args.warehouse
+    opening = time.perf_counter()
     try:
         state = ServiceState(warehouse_path=args.warehouse,
                              cache_capacity=args.cache_size,
@@ -97,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:
         what = "federation" if args.federation else "warehouse"
         return die(f"cannot open {what} {source!r}: {e}")
+    open_seconds = time.perf_counter() - opening
     systems = (state.federation.all_systems() if state.federation
                else state.warehouse.systems())
     if not systems:
@@ -106,6 +117,14 @@ def main(argv: list[str] | None = None) -> int:
     RequestHandler.log_requests = args.log_requests
     server = make_server(state, host=args.host, port=args.port)
     host, port = server.server_address[:2]
+    # The cold start, explained from the inside (docs/SERVICE.md "Cold
+    # start"): what a restart costs before the socket exists.
+    registry = get_registry()
+    registry.gauge("service.startup.import_seconds").set(_IMPORT_SECONDS)
+    registry.gauge("service.startup.open_seconds").set(open_seconds)
+    registry.gauge("service.startup.seconds").set(
+        _IMPORT_SECONDS + time.perf_counter() - entered)
+    registry.gauge("process.modules_loaded").set(len(sys.modules))
     if not args.quiet:
         what = (f"federation {source} "
                 f"[{', '.join(state.federation.clusters)}]"

@@ -55,13 +55,43 @@ from contextlib import closing, contextmanager
 from itertools import islice
 from types import SimpleNamespace
 
-from repro.cli.common import add_system_args, config_from_args, die
+from repro.cli.common import die
+from repro.config import LONESTAR4, RANGER, STAMPEDE, FacilityConfig
 from repro.facility import Facility
 from repro.ingest.warehouse import Warehouse
 from repro.telemetry.log import run_scope
 from repro.telemetry.manifest import build_manifest
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import get_tracer, span
+
+#: The published systems (also ``repro.cli.common.SYSTEMS``).
+SYSTEMS: dict[str, FacilityConfig] = {
+    "ranger": RANGER,
+    "lonestar4": LONESTAR4,
+    "stampede": STAMPEDE,
+}
+
+
+def add_system_args(parser: argparse.ArgumentParser) -> None:
+    """The scaling knobs every simulation-facing command shares."""
+    parser.add_argument("--system", choices=sorted(SYSTEMS),
+                        default="ranger",
+                        help="which published system to replicate")
+    parser.add_argument("--nodes", type=int, default=32,
+                        help="scaled node count (default 32)")
+    parser.add_argument("--days", type=float, default=14,
+                        help="simulated horizon in days (default 14)")
+    parser.add_argument("--users", type=int, default=80,
+                        help="user population size (default 80)")
+    parser.add_argument("--seed", type=int, default=42,
+                        help="master seed (default 42)")
+
+
+def config_from_args(args: argparse.Namespace) -> FacilityConfig:
+    """Build the scaled FacilityConfig the parsed args describe."""
+    base = SYSTEMS[args.system]
+    return base.scaled(num_nodes=args.nodes, horizon_days=args.days,
+                       n_users=args.users)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +240,6 @@ def _federation_plans(args) -> tuple[str, "list", bool]:
     """
     from pathlib import Path
 
-    from repro.cli.common import SYSTEMS
     from repro.federation import ClusterPlan, FederationLayout
 
     root = args.federation

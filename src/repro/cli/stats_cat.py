@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.cli.common import die
+from repro.cli.common import die, pipe_safe
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.parser import ParseError, parse_host_text
 from repro.util.tables import render_kv, render_table
@@ -40,6 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@pipe_safe
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)

@@ -31,9 +31,13 @@ import urllib.error
 import urllib.parse
 import urllib.request
 
-from repro.cli.common import die
-from repro.live.rates import RateEngine, top_jobs, total_rates
-from repro.live.runner import LIVE_COUNTER_METRICS
+from repro.cli.common import die, pipe_safe
+from repro.live.rates import (
+    LIVE_COUNTER_METRICS,
+    RateEngine,
+    top_jobs,
+    total_rates,
+)
 from repro.util.textchart import sparkline
 
 #: Column headers for the four live counter metrics, in metric order.
@@ -155,6 +159,7 @@ def render_table(poll: dict, trend: dict[str, list[float]],
     return "\n".join(lines)
 
 
+@pipe_safe
 def main(argv: list[str] | None = None) -> int:
     """Entry point: poll, difference, render, repeat."""
     args = build_parser().parse_args(argv)

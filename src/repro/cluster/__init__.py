@@ -7,25 +7,13 @@ quotas and purge policy, an InfiniBand fabric, and an outage process that
 produces the planned/unplanned downtime visible in the paper's Figure 8.
 """
 
-from repro.cluster.cluster import AllocationError, Cluster
-from repro.cluster.filesystem import FilesystemSpec, FilesystemState
-from repro.cluster.hardware import NodeHardware, ProcessorSpec
-from repro.cluster.interconnect import Fabric, InterconnectSpec
-from repro.cluster.node import Node, NodeState
-from repro.cluster.outages import Outage, OutageGenerator, OutageKind
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProcessorSpec",
-    "NodeHardware",
-    "Node",
-    "NodeState",
-    "Cluster",
-    "AllocationError",
-    "FilesystemSpec",
-    "FilesystemState",
-    "InterconnectSpec",
-    "Fabric",
-    "Outage",
-    "OutageKind",
-    "OutageGenerator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cluster.cluster": ("AllocationError", "Cluster"),
+    "repro.cluster.filesystem": ("FilesystemSpec", "FilesystemState"),
+    "repro.cluster.hardware": ("NodeHardware", "ProcessorSpec"),
+    "repro.cluster.interconnect": ("Fabric", "InterconnectSpec"),
+    "repro.cluster.node": ("Node", "NodeState"),
+    "repro.cluster.outages": ("Outage", "OutageGenerator", "OutageKind"),
+})

@@ -15,22 +15,13 @@ single-warehouse path: the per-shard pipeline *is* the existing
 pipeline, and the gather step over one shard is the identity.
 """
 
-from repro.federation.federated import FederatedWarehouse
-from repro.federation.layout import FederationLayout, ShardSpec
-from repro.federation.merge import (
-    merge_group_results,
-    merge_series,
-    series_merge_mode,
-)
-from repro.federation.simulate import ClusterPlan, FederatedFacility
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FederatedWarehouse",
-    "FederationLayout",
-    "ShardSpec",
-    "ClusterPlan",
-    "FederatedFacility",
-    "merge_group_results",
-    "merge_series",
-    "series_merge_mode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.federation.federated": ("FederatedWarehouse",),
+    "repro.federation.layout": ("FederationLayout", "ShardSpec"),
+    "repro.federation.merge": (
+        "merge_group_results", "merge_series", "series_merge_mode"
+    ),
+    "repro.federation.simulate": ("ClusterPlan", "FederatedFacility"),
+})

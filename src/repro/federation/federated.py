@@ -32,7 +32,7 @@ from repro.federation.merge import (
     merge_series,
     series_merge_mode,
 )
-from repro.ingest.summarize import SUMMARY_METRICS
+from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import get_registry
 from repro.util.tables import render_table

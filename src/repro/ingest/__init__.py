@@ -9,67 +9,26 @@ everything into a relational star schema.  The paper used an IBM Netezza
 appliance plus MySQL; we substitute SQLite (see DESIGN.md).
 """
 
-from repro.errors import (
-    ErrorPolicy,
-    HostScanError,
-    IngestHealth,
-    QuarantinedRecord,
-)
-from repro.ingest.matcher import (
-    HostJobView,
-    MatchedJob,
-    MatchReport,
-    ViewMatchedJob,
-    host_job_views,
-    match_job_views,
-    match_jobs,
-)
-from repro.ingest.parallel import (
-    HostScan,
-    HostScanResult,
-    effective_workers,
-    scan_archive,
-    scan_host_data,
-)
-from repro.ingest.pipeline import IngestPipeline, IngestReport
-from repro.ingest.summarize import (
-    SUMMARY_METRICS,
-    HostJobPartial,
-    JobSummary,
-    SummaryError,
-    host_job_partials,
-    merge_job_partials,
-    summarize_job_from_hosts,
-    summarize_job_from_rates,
-)
-from repro.ingest.warehouse import Warehouse
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ErrorPolicy",
-    "HostScanError",
-    "IngestHealth",
-    "QuarantinedRecord",
-    "HostJobPartial",
-    "JobSummary",
-    "SummaryError",
-    "SUMMARY_METRICS",
-    "host_job_partials",
-    "merge_job_partials",
-    "summarize_job_from_hosts",
-    "summarize_job_from_rates",
-    "HostJobView",
-    "MatchedJob",
-    "MatchReport",
-    "ViewMatchedJob",
-    "host_job_views",
-    "match_job_views",
-    "match_jobs",
-    "HostScan",
-    "HostScanResult",
-    "effective_workers",
-    "scan_archive",
-    "scan_host_data",
-    "Warehouse",
-    "IngestPipeline",
-    "IngestReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.errors": (
+        "ErrorPolicy", "HostScanError", "IngestHealth", "QuarantinedRecord"
+    ),
+    "repro.ingest.matcher": (
+        "HostJobView", "MatchedJob", "MatchReport", "ViewMatchedJob",
+        "host_job_views", "match_job_views", "match_jobs"
+    ),
+    "repro.ingest.parallel": (
+        "HostScan", "HostScanResult", "effective_workers", "scan_archive",
+        "scan_host_data"
+    ),
+    "repro.ingest.pipeline": ("IngestPipeline", "IngestReport"),
+    "repro.ingest.summarize": (
+        "HostJobPartial", "SummaryError", "host_job_partials",
+        "merge_job_partials", "summarize_job_from_hosts",
+        "summarize_job_from_rates"
+    ),
+    "repro.ingest.vocabulary": ("SUMMARY_METRICS", "JobSummary"),
+    "repro.ingest.warehouse": ("Warehouse",),
+})

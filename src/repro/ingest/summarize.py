@@ -1,14 +1,9 @@
 """Per-job metric summaries.
 
-``SUMMARY_METRICS`` is the canonical job-level metric set stored in the
-warehouse.  It contains the paper's eight key metrics (§4.2) —
-
-    cpu_idle, mem_used, mem_used_max, cpu_flops, io_scratch_write,
-    io_work_write, net_ib_tx, net_lnet_tx
-
-— plus the supporting metrics the system-level reports need (cpu_user /
-cpu_sys for Figure 7b, reads and the share mount for Figure 7c, rx sides
-of the networks).
+The metric names and the :class:`JobSummary` row live in
+:mod:`repro.ingest.vocabulary` (a leaf the read side imports without
+this module's collectors, parser and workload model) and are
+re-exported here.
 
 Summaries are built per host and merged per job, so the ingest engine
 can compute :class:`HostJobPartial` values for each host independently
@@ -49,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ingest.vocabulary import KEY_METRICS, SUMMARY_METRICS, JobSummary
 from repro.scheduler.job import JobRecord
 from repro.tacc_stats.collectors.intel_pmc import FP_OVERCOUNT
 from repro.tacc_stats.parser import event_delta
@@ -59,6 +55,7 @@ from repro.workload.behavior import DerivedRates
 
 __all__ = [
     "SUMMARY_METRICS",
+    "KEY_METRICS",
     "HostJobPartial",
     "JobSummary",
     "SummaryError",
@@ -67,37 +64,6 @@ __all__ = [
     "summarize_job_from_hosts",
     "summarize_job_from_rates",
 ]
-
-SUMMARY_METRICS: tuple[str, ...] = (
-    "cpu_idle",
-    "cpu_user",
-    "cpu_sys",
-    "cpu_flops",
-    "mem_used",
-    "mem_used_max",
-    "io_scratch_write",
-    "io_scratch_read",
-    "io_work_write",
-    "io_work_read",
-    "io_share_write",
-    "io_share_read",
-    "net_ib_tx",
-    "net_ib_rx",
-    "net_lnet_tx",
-    "net_lnet_rx",
-)
-
-#: The paper's eight key metrics (§4.2), in radar-chart order.
-KEY_METRICS: tuple[str, ...] = (
-    "cpu_idle",
-    "mem_used",
-    "mem_used_max",
-    "cpu_flops",
-    "io_scratch_write",
-    "io_work_write",
-    "net_ib_tx",
-    "net_lnet_tx",
-)
 
 
 class SummaryError(ValueError):
@@ -109,40 +75,6 @@ class SummaryError(ValueError):
     the summarize layer (unknown metric keys, present-and-missing
     overlap) is a real bug and must propagate.
     """
-
-
-@dataclass(frozen=True)
-class JobSummary:
-    """One job's reduced metrics.
-
-    ``missing`` lists metrics that could not be computed (e.g. the PMCs
-    carried user-programmed events, or a node's file was truncated); those
-    keys are absent from ``metrics``.
-    """
-
-    jobid: str
-    metrics: dict[str, float]
-    n_nodes: int
-    wall_seconds: float
-    n_samples: int
-    missing: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        unknown = set(self.metrics) - set(SUMMARY_METRICS)
-        if unknown:
-            raise ValueError(f"job {self.jobid}: unknown metrics {unknown}")
-        overlap = set(self.metrics) & set(self.missing)
-        if overlap:
-            raise ValueError(
-                f"job {self.jobid}: metrics both present and missing: {overlap}"
-            )
-
-    @property
-    def node_hours(self) -> float:
-        return self.n_nodes * self.wall_seconds / 3600.0
-
-    def get(self, metric: str, default: float = float("nan")) -> float:
-        return self.metrics.get(metric, default)
 
 
 # ---------------------------------------------------------------------------

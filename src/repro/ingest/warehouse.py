@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ingest.summarize import SUMMARY_METRICS, JobSummary
+from repro.ingest.vocabulary import SUMMARY_METRICS, JobSummary
 from repro.scheduler.job import JobRecord
 from repro.telemetry.metrics import get_registry
 

@@ -21,28 +21,12 @@ See ``docs/OBSERVABILITY.md`` ("Live monitoring") for the
 architecture and cadence knobs.
 """
 
-from repro.live.rates import (
-    COUNTER_WRAP_BITS,
-    JobRates,
-    RateEngine,
-    top_jobs,
-    total_rates,
-)
-from repro.live.runner import (
-    LIVE_COUNTER_METRICS,
-    LiveBatchReport,
-    LiveReplay,
-    LiveSession,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COUNTER_WRAP_BITS",
-    "JobRates",
-    "RateEngine",
-    "top_jobs",
-    "total_rates",
-    "LIVE_COUNTER_METRICS",
-    "LiveBatchReport",
-    "LiveReplay",
-    "LiveSession",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.live.rates": (
+        "COUNTER_WRAP_BITS", "LIVE_COUNTER_METRICS", "JobRates", "RateEngine",
+        "top_jobs", "total_rates"
+    ),
+    "repro.live.runner": ("LiveBatchReport", "LiveReplay", "LiveSession"),
+})

@@ -24,13 +24,23 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-__all__ = ["COUNTER_WRAP_BITS", "JobRates", "RateEngine", "top_jobs",
-           "total_rates"]
+__all__ = ["COUNTER_WRAP_BITS", "LIVE_COUNTER_METRICS", "JobRates",
+           "RateEngine", "top_jobs", "total_rates"]
 
 #: Counter register width: 48 bits, like the Intel PMCs the real
 #: tacc_stats reads — wide enough that wraps are rare, narrow enough
 #: that the wrapped value always fits SQLite's signed 64-bit integers.
 COUNTER_WRAP_BITS = 48
+
+#: Rate fields published as cumulative live counters, in row order.
+#: Each accumulates its per-second rate over wall time × nodes, so the
+#: rate engine's delta/dt recovers the facility-wide per-job rate.
+LIVE_COUNTER_METRICS: tuple[str, ...] = (
+    "flops_gf",
+    "cpu_user_frac",
+    "io_scratch_write_mb",
+    "net_mpi_mb",
+)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from repro.config import FacilityConfig
 from repro.facility import Facility, _build_behaviors, node_replays
 from repro.ingest.pipeline import DeltaSummary, IngestPipeline
 from repro.ingest.warehouse import Warehouse
-from repro.live.rates import COUNTER_WRAP_BITS
+from repro.live.rates import COUNTER_WRAP_BITS, LIVE_COUNTER_METRICS
 from repro.scheduler.accounting import parse_accounting
 from repro.scheduler.job import JobRecord
 from repro.tacc_stats.archive import HostArchive
@@ -41,16 +41,6 @@ from repro.xdmod.snapshot import WarehouseSnapshot
 
 __all__ = ["LIVE_COUNTER_METRICS", "LIVE_REFRESH_BUCKETS",
            "LiveBatchReport", "LiveReplay", "LiveSession"]
-
-#: Rate fields published as cumulative live counters, in row order.
-#: Each accumulates its per-second rate over wall time × nodes, so the
-#: rate engine's delta/dt recovers the facility-wide per-job rate.
-LIVE_COUNTER_METRICS: tuple[str, ...] = (
-    "flops_gf",
-    "cpu_user_frac",
-    "io_scratch_write_mb",
-    "net_mpi_mb",
-)
 
 #: Snapshot-refresh latency buckets: a rolling refresh is O(delta), so
 #: resolution concentrates well below a second.

@@ -6,25 +6,15 @@ pipeline ingests: completed job records (→ SGE-style accounting log) and the
 node-occupancy intervals that the TACC_Stats daemons sample.
 """
 
-from repro.scheduler.accounting import AccountingWriter, parse_accounting
-from repro.scheduler.engine import SchedulerEngine, SimulationResult
-from repro.scheduler.events import SchedulerEventLog, parse_event_log
-from repro.scheduler.job import ExitStatus, JobRecord, JobRequest
-from repro.scheduler.policies import EasyBackfillPolicy, FCFSPolicy, SchedulingPolicy
-from repro.scheduler.queue import WaitQueue
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExitStatus",
-    "JobRequest",
-    "JobRecord",
-    "WaitQueue",
-    "SchedulingPolicy",
-    "FCFSPolicy",
-    "EasyBackfillPolicy",
-    "SchedulerEngine",
-    "SimulationResult",
-    "AccountingWriter",
-    "parse_accounting",
-    "SchedulerEventLog",
-    "parse_event_log",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.scheduler.accounting": ("AccountingWriter", "parse_accounting"),
+    "repro.scheduler.engine": ("SchedulerEngine", "SimulationResult"),
+    "repro.scheduler.events": ("SchedulerEventLog", "parse_event_log"),
+    "repro.scheduler.job": ("ExitStatus", "JobRecord", "JobRequest"),
+    "repro.scheduler.policies": (
+        "EasyBackfillPolicy", "FCFSPolicy", "SchedulingPolicy"
+    ),
+    "repro.scheduler.queue": ("WaitQueue",),
+})

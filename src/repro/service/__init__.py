@@ -25,17 +25,12 @@ See ``docs/SERVICE.md`` for the protocol and deployment knobs, and
 gates (warm-report p99, coalescing rate).
 """
 
-from repro.service.cache import TenantReportCache
-from repro.service.coalesce import SingleFlight
-from repro.service.protocol import ServiceError
-from repro.service.server import ReproServer, make_server
-from repro.service.state import ServiceState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproServer",
-    "ServiceError",
-    "ServiceState",
-    "SingleFlight",
-    "TenantReportCache",
-    "make_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.cache": ("TenantReportCache",),
+    "repro.service.coalesce": ("SingleFlight",),
+    "repro.service.protocol": ("ServiceError",),
+    "repro.service.server": ("ReproServer", "make_server"),
+    "repro.service.state": ("ServiceState",),
+})

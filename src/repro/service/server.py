@@ -70,6 +70,11 @@ SERVICE_LATENCY_BUCKETS: tuple[float, ...] = (
 )
 
 
+#: Endpoints a supervisor polls before any user arrives; they touch no
+#: frame, so they do not count as the first request.
+_PROBE_ENDPOINTS = frozenset({"metrics", "health"})
+
+
 class ReproServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`ServiceState`."""
 
@@ -90,6 +95,9 @@ class ReproServer(ThreadingHTTPServer):
         self._inflight = 0
         self._draining = False
         self._idle = threading.Condition()
+        #: Taken (never released) by the first data request: it alone
+        #: publishes ``service.first_request.seconds``.
+        self.first_request = threading.Lock()
 
     def request_started(self) -> bool:
         """Count a request in; ``False`` once draining (the handler
@@ -212,11 +220,17 @@ class RequestHandler(BaseHTTPRequestHandler):
             self._send_json(status, error_body(
                 "internal", f"{type(exc).__name__}: {exc}"))
         finally:
+            elapsed = time.perf_counter() - start
             registry.histogram("service.latency.seconds",
-                               SERVICE_LATENCY_BUCKETS).observe(
-                time.perf_counter() - start)
+                               SERVICE_LATENCY_BUCKETS).observe(elapsed)
             if status >= 400:
                 registry.counter("service.errors").inc()
+            elif (endpoint not in _PROBE_ENDPOINTS
+                  and self.server.first_request.acquire(blocking=False)):
+                # What the cold snapshot frame cost the request that
+                # built it; every later request shares the frame.
+                registry.gauge("service.first_request.seconds").set(
+                    elapsed)
 
     @staticmethod
     def _endpoint_name(parts: list[str]) -> str:

@@ -43,10 +43,15 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.ingest.summarize import SUMMARY_METRICS
+from repro.federation.federated import FederatedWarehouse
+from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.ingest.warehouse import Warehouse
-from repro.live.rates import RateEngine, top_jobs, total_rates
-from repro.live.runner import LIVE_COUNTER_METRICS
+from repro.live.rates import (
+    LIVE_COUNTER_METRICS,
+    RateEngine,
+    top_jobs,
+    total_rates,
+)
 from repro.service.cache import TenantReportCache
 from repro.service.coalesce import SingleFlight
 from repro.service.protocol import ServiceError
@@ -98,8 +103,6 @@ class ServiceState:
         self.warehouse = None
         self.warehouse_path = warehouse_path
         if federation_root is not None:
-            from repro.federation import FederatedWarehouse
-
             self.federation = FederatedWarehouse.open(federation_root,
                                                      threadsafe=True)
             self.federation_root = str(federation_root)

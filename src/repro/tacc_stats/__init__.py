@@ -10,24 +10,13 @@ counters, and serializes everything in a unified, self-describing
 plain-text format tagged with batch job ids.
 """
 
-from repro.tacc_stats.archive import ArchiveStats, HostArchive
-from repro.tacc_stats.daemon import SampleContext, TaccStatsDaemon
-from repro.tacc_stats.format import StatsWriter
-from repro.tacc_stats.parser import ParseError, parse_host_text
-from repro.tacc_stats.schema import SchemaEntry, TypeSchema
-from repro.tacc_stats.types import HostData, Mark, TimestampBlock
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SchemaEntry",
-    "TypeSchema",
-    "HostData",
-    "TimestampBlock",
-    "Mark",
-    "StatsWriter",
-    "parse_host_text",
-    "ParseError",
-    "TaccStatsDaemon",
-    "SampleContext",
-    "HostArchive",
-    "ArchiveStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.tacc_stats.archive": ("ArchiveStats", "HostArchive"),
+    "repro.tacc_stats.daemon": ("SampleContext", "TaccStatsDaemon"),
+    "repro.tacc_stats.format": ("StatsWriter",),
+    "repro.tacc_stats.parser": ("ParseError", "parse_host_text"),
+    "repro.tacc_stats.schema": ("SchemaEntry", "TypeSchema"),
+    "repro.tacc_stats.types": ("HostData", "Mark", "TimestampBlock"),
+})

@@ -20,56 +20,22 @@ dependency-free:
 Metric catalogue, manifest schema, and CLI usage: ``docs/OBSERVABILITY.md``.
 """
 
-from repro.telemetry.export import to_prometheus
-from repro.telemetry.log import (
-    current_run_id,
-    get_logger,
-    new_run_id,
-    run_scope,
-)
-from repro.telemetry.manifest import (
-    RunManifest,
-    build_manifest,
-    slowest_hosts,
-    validate_manifest,
-)
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    get_registry,
-    set_enabled,
-    telemetry_enabled,
-    use_registry,
-)
-from repro.telemetry.trace import (
-    Span,
-    Tracer,
-    get_tracer,
-    render_span_tree,
-    span,
-    use_tracer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "RunManifest",
-    "Span",
-    "Tracer",
-    "build_manifest",
-    "current_run_id",
-    "get_logger",
-    "get_registry",
-    "get_tracer",
-    "new_run_id",
-    "render_span_tree",
-    "run_scope",
-    "set_enabled",
-    "slowest_hosts",
-    "span",
-    "telemetry_enabled",
-    "to_prometheus",
-    "use_registry",
-    "use_tracer",
-    "validate_manifest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.telemetry.export": ("to_prometheus",),
+    "repro.telemetry.log": (
+        "current_run_id", "get_logger", "new_run_id", "run_scope"
+    ),
+    "repro.telemetry.manifest": (
+        "RunManifest", "build_manifest", "slowest_hosts", "validate_manifest"
+    ),
+    "repro.telemetry.metrics": (
+        "MetricsRegistry", "MetricsSnapshot", "get_registry", "set_enabled",
+        "telemetry_enabled", "use_registry"
+    ),
+    "repro.telemetry.trace": (
+        "Span", "Tracer", "get_tracer", "render_span_tree", "span",
+        "use_tracer"
+    ),
+})

@@ -9,10 +9,10 @@ Table 1 / Figure 6 quote slope/intercept p-values and R²).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "weighted_mean",
@@ -117,6 +117,43 @@ def pearson_matrix(columns: dict[str, np.ndarray]) -> tuple[list[str], np.ndarra
     return names, r
 
 
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularised incomplete beta ``I_x(a, b)``; *y* is ``1 - x``,
+    passed in because the caller can form it without cancellation.
+
+    Continued fraction by the modified Lentz method (Numerical Recipes
+    §6.4) with ``math.lgamma`` for the prefactor — all the read side
+    needs of ``scipy.stats``, whose import costs more than a report.
+    """
+    if x <= 0.0 or y <= 0.0:
+        return 0.0 if x <= 0.0 else 1.0
+    if x > (a + 1.0) / (a + b + 2.0):  # converges fast on the other side
+        return 1.0 - _betainc(b, a, y, x)
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * log_x + b * log_y) / a
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0) or 1e-300)
+    h = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x
+                    / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d or 1e-300)
+            c = 1.0 + num / c or 1e-300
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return front * h
+    raise ArithmeticError(f"incomplete beta({a}, {b}, {x}) did not converge")
+
+
+def _t_two_sided(t: float, dof: int) -> float:
+    """Two-sided Student-t p-value ``P(|T| >= t)`` = ``I_x(dof/2, 1/2)``
+    at ``x = dof / (dof + t²)``."""
+    return _betainc(dof / 2.0, 0.5, dof / (dof + t * t),
+                    t * t / (dof + t * t))
+
+
 @dataclass(frozen=True)
 class LinearFit:
     """OLS fit ``y ≈ intercept + slope * x`` with inference statistics.
@@ -178,8 +215,7 @@ def fit_line(x, y) -> LinearFit:
             # A perfect fit: the estimate is either exactly zero (no
             # evidence of an effect) or exactly nonzero (infinite t).
             return 1.0 if estimate == 0 else 0.0
-        t = abs(estimate / se)
-        return float(2.0 * sps.t.sf(t, dof))
+        return _t_two_sided(abs(estimate / se), dof)
 
     return LinearFit(
         slope=slope,

@@ -9,32 +9,16 @@ whose per-metric correlation times drive the persistence results of
 Table 1 / Figure 6.
 """
 
-from repro.workload.applications import (
-    APP_CATALOG,
-    RATE_FIELDS,
-    RATE_INDEX,
-    AppSignature,
-)
-from repro.workload.arrivals import arrival_times
-from repro.workload.behavior import DerivedRates, JobBehavior
-from repro.workload.fields import SCIENCE_FIELDS, field_weights
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.phases import PHASE_CALIBRATION, PhaseModel
-from repro.workload.users import UserProfile, generate_users
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCIENCE_FIELDS",
-    "field_weights",
-    "APP_CATALOG",
-    "AppSignature",
-    "RATE_FIELDS",
-    "RATE_INDEX",
-    "UserProfile",
-    "generate_users",
-    "arrival_times",
-    "PHASE_CALIBRATION",
-    "PhaseModel",
-    "JobBehavior",
-    "DerivedRates",
-    "WorkloadGenerator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workload.applications": (
+        "APP_CATALOG", "RATE_FIELDS", "RATE_INDEX", "AppSignature"
+    ),
+    "repro.workload.arrivals": ("arrival_times",),
+    "repro.workload.behavior": ("DerivedRates", "JobBehavior"),
+    "repro.workload.fields": ("SCIENCE_FIELDS", "field_weights"),
+    "repro.workload.generator": ("WorkloadGenerator",),
+    "repro.workload.phases": ("PHASE_CALIBRATION", "PhaseModel"),
+    "repro.workload.users": ("UserProfile", "generate_users"),
+})

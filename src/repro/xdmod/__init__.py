@@ -8,75 +8,32 @@ correlation analysis that selected the key metrics (§4.2), and the
 per-stakeholder report generators (§4.3).
 """
 
-from repro.xdmod.appkernels import (
-    DEFAULT_KERNELS,
-    AppKernelMonitor,
-    AppKernelSpec,
-    PerfRegression,
-)
-from repro.xdmod.bouquet import BouquetAnalysis
-from repro.xdmod.characterization import WorkloadCharacterization
-from repro.xdmod.correlation import correlation_matrix, select_independent
-from repro.xdmod.density import metric_density, series_density
-from repro.xdmod.efficiency import EfficiencyAnalysis, UserEfficiency
-from repro.xdmod.jobview import JobTimeline, job_timeline
-from repro.xdmod.metrics import KEY_METRICS, METRIC_INFO, MetricInfo
-from repro.xdmod.persistence import PERSISTENCE_METRICS, PersistenceAnalysis
-from repro.xdmod.profiles import UsageProfiler
-from repro.xdmod.query import GroupResult, JobQuery
-from repro.xdmod.realm import SupremmRealm
-from repro.xdmod.reports import (
-    AdminReport,
-    DeveloperReport,
-    FundingAgencyReport,
-    ResourceManagerReport,
-    SupportStaffReport,
-    UserReport,
-)
-from repro.xdmod.scheduling import SchedulingAnalysis
-from repro.xdmod.snapshot import (
-    WarehouseSnapshot,
-    cache_enabled,
-    set_cache_enabled,
-)
-from repro.xdmod.timeseries import SystemTimeseries
-from repro.xdmod.trends import TrendAnalysis, TrendResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "METRIC_INFO",
-    "MetricInfo",
-    "KEY_METRICS",
-    "WarehouseSnapshot",
-    "cache_enabled",
-    "set_cache_enabled",
-    "JobQuery",
-    "GroupResult",
-    "correlation_matrix",
-    "select_independent",
-    "UsageProfiler",
-    "EfficiencyAnalysis",
-    "UserEfficiency",
-    "PersistenceAnalysis",
-    "PERSISTENCE_METRICS",
-    "metric_density",
-    "series_density",
-    "SystemTimeseries",
-    "SupremmRealm",
-    "TrendAnalysis",
-    "TrendResult",
-    "SchedulingAnalysis",
-    "WorkloadCharacterization",
-    "BouquetAnalysis",
-    "JobTimeline",
-    "job_timeline",
-    "AppKernelMonitor",
-    "AppKernelSpec",
-    "DEFAULT_KERNELS",
-    "PerfRegression",
-    "UserReport",
-    "DeveloperReport",
-    "SupportStaffReport",
-    "AdminReport",
-    "ResourceManagerReport",
-    "FundingAgencyReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.xdmod.appkernels": (
+        "DEFAULT_KERNELS", "AppKernelMonitor", "AppKernelSpec",
+        "PerfRegression"
+    ),
+    "repro.xdmod.bouquet": ("BouquetAnalysis",),
+    "repro.xdmod.characterization": ("WorkloadCharacterization",),
+    "repro.xdmod.correlation": ("correlation_matrix", "select_independent"),
+    "repro.xdmod.density": ("metric_density", "series_density"),
+    "repro.xdmod.efficiency": ("EfficiencyAnalysis", "UserEfficiency"),
+    "repro.xdmod.jobview": ("JobTimeline", "job_timeline"),
+    "repro.xdmod.metrics": ("KEY_METRICS", "METRIC_INFO", "MetricInfo"),
+    "repro.xdmod.persistence": ("PERSISTENCE_METRICS", "PersistenceAnalysis"),
+    "repro.xdmod.profiles": ("UsageProfiler",),
+    "repro.xdmod.query": ("GroupResult", "JobQuery"),
+    "repro.xdmod.realm": ("SupremmRealm",),
+    "repro.xdmod.reports": (
+        "AdminReport", "DeveloperReport", "FundingAgencyReport",
+        "ResourceManagerReport", "SupportStaffReport", "UserReport"
+    ),
+    "repro.xdmod.scheduling": ("SchedulingAnalysis",),
+    "repro.xdmod.snapshot": (
+        "WarehouseSnapshot", "cache_enabled", "set_cache_enabled"
+    ),
+    "repro.xdmod.timeseries": ("SystemTimeseries",),
+    "repro.xdmod.trends": ("TrendAnalysis", "TrendResult"),
+})

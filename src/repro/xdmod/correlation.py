@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ingest.summarize import SUMMARY_METRICS
+from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.util.stats import pearson_matrix
 from repro.xdmod.query import JobQuery
 

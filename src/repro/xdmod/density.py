@@ -14,6 +14,7 @@ import numpy as np
 from repro.ingest.warehouse import Warehouse
 from repro.util.kde import GaussianKDE
 from repro.xdmod.query import JobQuery
+from repro.xdmod.snapshot import WarehouseSnapshot
 
 __all__ = ["DensityCurve", "series_density", "metric_density"]
 
@@ -61,7 +62,6 @@ def _curve(label: str, values: np.ndarray, weights=None,
 def series_density(warehouse: Warehouse, system: str, series_name: str,
                    label: str | None = None) -> DensityCurve:
     """Density of a system-level series (Figure 10: flops_tf)."""
-    from repro.xdmod.snapshot import WarehouseSnapshot
     _, values = WarehouseSnapshot.for_warehouse(warehouse).series(
         system, series_name)
     return _curve(label or series_name, values)

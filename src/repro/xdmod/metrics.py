@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ingest.summarize import KEY_METRICS, SUMMARY_METRICS
+from repro.ingest.vocabulary import KEY_METRICS, SUMMARY_METRICS
 
 __all__ = ["MetricInfo", "METRIC_INFO", "KEY_METRICS", "SERIES_NAMES"]
 

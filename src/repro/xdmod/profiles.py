@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ingest.summarize import KEY_METRICS
+from repro.ingest.vocabulary import KEY_METRICS
 from repro.xdmod.query import JobQuery
 
 __all__ = ["Profile", "UsageProfiler"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ingest.summarize import SUMMARY_METRICS
+from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import get_registry
 from repro.xdmod.snapshot import DIMENSIONS, SystemFrame, WarehouseSnapshot

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.ingest.summarize import SUMMARY_METRICS
+from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.xdmod.query import DIMENSIONS, JobQuery
 
 __all__ = ["Statistic", "SupremmRealm"]

@@ -32,10 +32,12 @@ from repro.ingest.warehouse import Warehouse
 from repro.telemetry.trace import span
 from repro.util.tables import render_kv, render_table
 from repro.util.textchart import radar_text, scatter_text, series_text
+from repro.xdmod.characterization import WorkloadCharacterization
 from repro.xdmod.efficiency import EfficiencyAnalysis
 from repro.xdmod.persistence import PersistenceAnalysis
 from repro.xdmod.profiles import Profile, UsageProfiler
 from repro.xdmod.query import JobQuery
+from repro.xdmod.scheduling import SchedulingAnalysis
 from repro.xdmod.snapshot import WarehouseSnapshot
 from repro.xdmod.timeseries import SystemTimeseries
 
@@ -221,9 +223,6 @@ class AdminReport(_BaseReport):
     effectiveness, persistence forecast."""
 
     def generate(self) -> dict:
-        from repro.xdmod.characterization import WorkloadCharacterization
-        from repro.xdmod.scheduling import SchedulingAnalysis
-
         exits = self.query.group_by("exit_status", metrics=())
         queues = self.query.group_by("queue", metrics=("cpu_idle",))
         persistence = PersistenceAnalysis(self.warehouse, self.system,

@@ -49,11 +49,13 @@ sessions over one snapshot):
 from __future__ import annotations
 
 import threading
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.ingest.summarize import SUMMARY_METRICS
+from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
@@ -97,6 +99,74 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _encode(values) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Dictionary-encode one dimension column: its sorted unique
+    values, an ``int32`` code per row, and the value -> code map."""
+    uniq = sorted(set(values))
+    code_of = {v: c for c, v in enumerate(uniq)}
+    codes = np.fromiter(map(code_of.__getitem__, values), np.int32,
+                        len(values))
+    return np.array(uniq, dtype=object), codes, code_of
+
+
+def _pivot_metrics(conn, system: str, jobid: np.ndarray, lo: int, hi: int,
+                   columns: dict[str, np.ndarray]) -> int:
+    """Write the ``job_metrics`` rows of *system* with ``lo < rowid <=
+    hi`` into *columns* (metric -> array aligned with the sorted
+    *jobid*); returns how many rows landed.
+
+    A window wide enough to hold a whole column is read one metric at
+    a time in ``idx_metrics_covering`` order, ``(metric, jobid)`` — the
+    order *jobid* is in, both BINARY — so the values of a metric that
+    every job carries *are* its column, and only a metric some job
+    lacks also fetches its job ids.  A narrower window (a delta) is one
+    pass over the rowid range itself, ids and all: O(delta), no index
+    walk.  Either way cursors drain through C iterators — no Python
+    statement runs per row — and the window makes the statements agree
+    with each other and with the ``jobs`` read when another process
+    appends meanwhile.
+    """
+    n = len(jobid)
+
+    def by_index():
+        rows = ("FROM job_metrics WHERE system=? AND metric=?"
+                " AND rowid>? AND rowid<=? ORDER BY jobid")
+        for metric in columns:
+            args = (system, metric, lo, hi)
+            values = np.fromiter(chain.from_iterable(
+                conn.execute(f"SELECT value {rows}", args)), float)
+            if len(values) == n:
+                yield metric, None, values
+            elif len(values):
+                yield metric, chain.from_iterable(
+                    conn.execute(f"SELECT jobid {rows}", args)), values
+
+    def by_rowid():
+        rows = conn.execute(
+            "SELECT metric, jobid, value FROM job_metrics NOT INDEXED"
+            " WHERE rowid>? AND rowid<=? AND system=? ORDER BY metric",
+            (lo, hi, system)).fetchall()
+        for metric, run in groupby(rows, key=itemgetter(0)):
+            _, ids, values = zip(*run)
+            yield metric, ids, values
+
+    pos = None
+    n_read = 0
+    for metric, ids, values in (by_index() if hi - lo >= n else by_rowid()):
+        col = columns.get(metric)
+        if col is None:
+            continue  # a metric name the frame does not carry
+        n_read += len(values)
+        if ids is None:
+            col[:] = values
+        else:
+            if pos is None:
+                pos = dict(zip(jobid.tolist(), range(n)))
+            col[np.fromiter(map(pos.__getitem__, ids), np.intp,
+                            len(values))] = values
+    return n_read
+
+
 class SystemFrame:
     """One system's jobs as immutable column arrays.
 
@@ -113,16 +183,20 @@ class SystemFrame:
     def __init__(self, warehouse: Warehouse, system: str):
         self.system = system
         conn = warehouse.connection
-        # Rowid watermarks taken before the reads: rows above them are
-        # exactly what :meth:`extended` must fetch later (the warehouse
-        # write path is insert-only unless it declares destruction).
-        self._jobs_hi = warehouse._max_rowid("jobs")
+        # Rowid watermarks taken before the reads, and the reads stop
+        # at them: rows above are exactly what :meth:`extended` must
+        # fetch later (the warehouse write path is insert-only unless
+        # it declares destruction).  Metrics first — a job row commits
+        # with or before its metric rows, so every metric row under
+        # its watermark has its job under the other.
         self._metrics_hi = warehouse._max_rowid("job_metrics")
+        self._jobs_hi = warehouse._max_rowid("jobs")
         dim_cols = ", ".join(DIMENSIONS)
         fact_cols = ", ".join(FACT_COLUMNS)
         rows = conn.execute(
             f"SELECT jobid, {dim_cols}, {fact_cols} FROM jobs"
-            f" WHERE system=? ORDER BY jobid", (system,)
+            f" WHERE system=? AND rowid<=? ORDER BY jobid",
+            (system, self._jobs_hi),
         ).fetchall()
         n = self.n_rows = len(rows)
         cols = list(zip(*rows)) if rows else [
@@ -134,30 +208,21 @@ class SystemFrame:
         self.uniques: dict[str, np.ndarray] = {}
         self._code_of: dict[str, dict[str, int]] = {}
         for i, dim in enumerate(DIMENSIONS, start=1):
-            uniq, inverse = np.unique(np.array(cols[i], dtype=object),
-                                      return_inverse=True)
+            uniq, codes, self._code_of[dim] = _encode(cols[i])
             self.uniques[dim] = _freeze(uniq)
-            self.codes[dim] = _freeze(inverse.astype(np.int32))
-            self._code_of[dim] = {v: c for c, v in enumerate(uniq)}
+            self.codes[dim] = _freeze(codes)
 
         self.numeric: dict[str, np.ndarray] = {}
         for i, name in enumerate(FACT_COLUMNS, start=1 + len(DIMENSIONS)):
             self.numeric[name] = _freeze(np.array(cols[i], dtype=float))
 
-        # One pass over the long-form metrics table (covering index
-        # idx_metrics_covering serves this without touching the heap),
-        # pivoted in numpy instead of a correlated subquery per metric.
-        pos = {jobid: i for i, jobid in enumerate(self.jobid)}
+        # The long-form metrics table, pivoted in index order (the
+        # covering index idx_metrics_covering serves this without
+        # touching the heap) instead of a correlated subquery per
+        # metric per job.
         metric_cols = {m: np.full(n, np.nan) for m in SUMMARY_METRICS}
-        n_metric_rows = 0
-        for jobid, metric, value in conn.execute(
-            "SELECT jobid, metric, value FROM job_metrics WHERE system=?",
-            (system,),
-        ):
-            n_metric_rows += 1
-            col = metric_cols.get(metric)
-            if col is not None:
-                col[pos[jobid]] = value
+        n_metric_rows = _pivot_metrics(conn, system, self.jobid, 0,
+                                       self._metrics_hi, metric_cols)
         for m, col in metric_cols.items():
             self.numeric[m] = _freeze(col)
         get_registry().counter("analytics.frame_rows_scanned").inc(
@@ -208,42 +273,45 @@ class SystemFrame:
         consumer still holding it.
         """
         conn = warehouse.connection
-        jobs_hi = warehouse._max_rowid("jobs")
         metrics_hi = warehouse._max_rowid("job_metrics")
+        jobs_hi = warehouse._max_rowid("jobs")
         dim_cols = ", ".join(DIMENSIONS)
         fact_cols = ", ".join(FACT_COLUMNS)
         rows = conn.execute(
             f"SELECT jobid, {dim_cols}, {fact_cols} FROM jobs"
-            f" WHERE system=? AND rowid>? ORDER BY jobid",
-            (self.system, self._jobs_hi),
+            f" WHERE system=? AND rowid>? AND rowid<=? ORDER BY jobid",
+            (self.system, self._jobs_hi, jobs_hi),
         ).fetchall()
-        metric_rows = conn.execute(
-            "SELECT jobid, metric, value FROM job_metrics"
-            " WHERE system=? AND rowid>?",
-            (self.system, self._metrics_hi),
-        ).fetchall()
-        get_registry().counter("analytics.frame_rows_scanned").inc(
-            len(rows) + len(metric_rows))
-        if not rows and not metric_rows:
-            self._jobs_hi, self._metrics_hi = jobs_hi, metrics_hi
-            return self
 
         n_new = len(rows)
         cols = list(zip(*rows)) if rows else [
             [] for _ in range(1 + len(DIMENSIONS) + len(FACT_COLUMNS))
         ]
+        # Both halves are jobid-sorted, so a stable argsort of the
+        # concatenation is a merge; the same permutation reorders every
+        # column.
+        jobid = np.concatenate([self.jobid, np.array(cols[0], dtype=object)])
+        order = np.argsort(jobid, kind="stable")
+        jobid = jobid[order]
+        pad = np.full(n_new, np.nan)
+        metric_cols = {
+            m: np.concatenate([self.numeric[m], pad])[order]
+            for m in SUMMARY_METRICS
+        }
+        n_metric_rows = _pivot_metrics(conn, self.system, jobid,
+                                       self._metrics_hi, metrics_hi,
+                                       metric_cols)
+        get_registry().counter("analytics.frame_rows_scanned").inc(
+            n_new + n_metric_rows)
+        if not n_new and not n_metric_rows:
+            self._jobs_hi, self._metrics_hi = jobs_hi, metrics_hi
+            return self
+
         new = object.__new__(SystemFrame)
         new.system = self.system
         new.n_rows = self.n_rows + n_new
         new._jobs_hi, new._metrics_hi = jobs_hi, metrics_hi
-        new_jobid = np.array(cols[0], dtype=object)
-        # Both halves are jobid-sorted, so a stable argsort of the
-        # concatenation is a merge; the same permutation reorders every
-        # column.
-        order = np.argsort(np.concatenate([self.jobid, new_jobid]),
-                           kind="stable")
-        new.jobid = _freeze(
-            np.concatenate([self.jobid, new_jobid])[order])
+        new.jobid = _freeze(jobid)
 
         new.codes = {}
         new.uniques = {}
@@ -265,17 +333,6 @@ class SystemFrame:
             col = np.concatenate(
                 [self.numeric[name], np.array(cols[i], dtype=float)])
             new.numeric[name] = _freeze(col[order])
-
-        pos = {jobid: i for i, jobid in enumerate(new.jobid)}
-        pad = np.full(n_new, np.nan)
-        metric_cols = {
-            m: np.concatenate([self.numeric[m], pad])[order]
-            for m in SUMMARY_METRICS
-        }
-        for jobid, metric, value in metric_rows:
-            col = metric_cols.get(metric)
-            if col is not None:
-                col[pos[jobid]] = value
         for m, col in metric_cols.items():
             new.numeric[m] = _freeze(col)
 

@@ -8,10 +8,18 @@ suite.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro import RANGER, TEST_SYSTEM, Facility
 from repro.xdmod.query import JobQuery
+
+#: The repository root, and the environment for tests that start a
+#: child interpreter (``python -m repro.cli.<tool>``) on this source tree.
+ROOT = Path(__file__).resolve().parent.parent
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 @pytest.fixture(scope="session")

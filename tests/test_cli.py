@@ -1,11 +1,18 @@
 """Tests for the CLI entry points (invoked in-process via main(argv))."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli.persistence import main as persistence_main
 from repro.cli.report import main as report_main
 from repro.cli.simulate import main as simulate_main
 from repro.cli.stats_cat import main as stats_cat_main
+from tests.conftest import SUBPROCESS_ENV
 
 
 @pytest.fixture(scope="module")
@@ -411,3 +418,59 @@ def test_diagnose_telemetry_empty_spans_explicit(tmp_path, capsys):
     rc = diagnose_main(["--telemetry", str(path)])
     assert rc == 0
     assert "no spans recorded" in capsys.readouterr().out
+
+
+_TOOLS = ["simulate", "convert", "report", "stats_cat", "persistence",
+          "diagnose", "export", "serve", "top"]
+
+
+@pytest.mark.parametrize("tool", _TOOLS)
+def test_python_dash_m_runs_without_runpy_warning(tool):
+    """``repro/cli/__init__`` used to import all the mains, so
+    ``python -m repro.cli.<tool>`` found its module already in
+    ``sys.modules`` and said so (RuntimeWarning) on every run."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         f"repro.cli.{tool}", "--help"],
+        env=SUBPROCESS_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "usage: repro-" in proc.stdout
+
+
+def _run_with_closed_stdout(argv: list[str]) -> tuple[str, int]:
+    """Run ``python -m *argv`` with the read end of its stdout pipe
+    already closed; returns ``(stderr, exit status)``."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", *argv],
+                              env=SUBPROCESS_ENV, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    return proc.stderr, proc.returncode
+
+
+@pytest.mark.parametrize("tool, args", [
+    ("report", ["support"]),
+    ("persistence", []),
+    ("export", ["--format", "csv", "groups", "user"]),
+    ("diagnose", ["--associations"]),
+    ("top", ["-r", "1", "--json"]),
+])
+def test_closed_stdout_ends_a_printing_tool_quietly(warehouse_file, tool,
+                                                    args):
+    """``repro-report … | head``: the reader is gone before the tool
+    writes.  No traceback, no "Exception ignored" from the exit flush,
+    and the status a SIGPIPE death would give."""
+    assert _run_with_closed_stdout(
+        [f"repro.cli.{tool}", "--warehouse", warehouse_file,
+         "--system", "ranger", *args]) == ("", 128 + signal.SIGPIPE)
+
+
+def test_closed_stdout_stats_cat(archive_run):
+    _, arch = archive_run
+    first = sorted(Path(arch).glob("*/*.gz"))[0]
+    assert _run_with_closed_stdout(
+        ["repro.cli.stats_cat", str(first)]) == ("", 128 + signal.SIGPIPE)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from repro.util.stats import (
+    _t_two_sided,
     coefficient_of_variation,
     fit_line,
     pearson_matrix,
@@ -105,12 +106,38 @@ def test_fit_line_matches_scipy_linregress():
     assert ours.intercept_stderr == pytest.approx(ref.intercept_stderr)
 
 
+def test_t_pvalue_matches_scipy_on_a_grid():
+    """The local incomplete beta (no scipy on the read side) agrees
+    with ``2 * scipy.stats.t.sf`` to 1e-9 relative, dof 1 up to the
+    dashboard shard's job count, |t| from noise to underflow."""
+    ts = np.concatenate([10.0 ** np.linspace(-6, 3, 91), [0.0, 1.96]])
+    for dof in [*range(1, 41), 100, 402, 1000, 6437, 10_000]:
+        ref = 2.0 * sps.t.sf(ts, dof)
+        ours = np.array([_t_two_sided(float(t), dof) for t in ts])
+        assert ours == pytest.approx(ref, rel=1e-9, abs=1e-300), dof
+
+
+def test_fit_line_pvalues_match_scipy_at_three_points():
+    # dof == 1: the Cauchy tail, where the continued fraction runs on
+    # its mirrored side for small t.
+    x = np.array([0.0, 1.0, 2.0])
+    for y in ([1.0, 3.1, 4.9], [0.0, 1.0, 0.1], [5.0, 5.0, 5.1]):
+        fit, ref = fit_line(x, y), sps.linregress(x, y)
+        assert fit.slope_p == pytest.approx(ref.pvalue, rel=1e-9)
+
+
 def test_fit_line_perfect_fit():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     fit = fit_line(x, 3.0 * x + 1.0)
     assert fit.r_squared == pytest.approx(1.0)
     assert fit.slope == pytest.approx(3.0)
     assert fit.slope_p == pytest.approx(0.0, abs=1e-12)
+    # se == 0 exactly: an exactly-zero estimate is no evidence (p = 1),
+    # an exactly-nonzero one is an infinite t (p = 0).
+    flat = fit_line(x, np.zeros(4))
+    assert (flat.slope_stderr, flat.slope_p, flat.intercept_p) == (0, 1, 1)
+    exact = fit_line(x, 2.0 * x)
+    assert (exact.slope_stderr, exact.slope_p) == (0.0, 0.0)
 
 
 def test_fit_line_predict_and_summary():
