@@ -3,9 +3,10 @@
 The slow path's write side used to be a per-timestep Python loop — one
 ``sample()`` per node per interval, each formatting ~160 counter rows
 through string concatenation.  The vectorized engine
-(``docs/PERFORMANCE.md`` "Vectorized synthesis") batches every
-job-segment into one ``[timesteps x devices x counters]`` kernel call
-per collector and, for v2 archives, hands the columns straight to the
+(``docs/PERFORMANCE.md`` "Vectorized synthesis") batches everything a
+node samples in one rotation period — any number of jobs — into one
+``[timesteps x devices x counters]`` kernel call per collector and,
+for v2 archives, hands the columns straight to the
 encoder — no text is rendered, compressed or hashed on that path.
 
 This bench runs the scheduler simulation once, then times ONLY the node

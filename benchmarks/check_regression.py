@@ -180,8 +180,8 @@ METRICS = {
     # the same config with byte-identical archives (asserted inside the
     # bench).  The floor is the acceptance criterion; the number itself
     # is a wall-clock ratio, hence advisory on shared runners.  The
-    # baseline is ~9.5x since the v2 write renders, gzips and hashes no
-    # text (it was 6.5x while every file was still rendered once).
+    # baseline is ~18x since a job begin stopped being a kernel-call
+    # boundary (9.5x with text-free v2 writes, 6.5x before those).
     "synthesis_speedup_x": (
         "synthesis_throughput.txt",
         re.compile(r"^synthesis speedup: ([\d.]+)x", re.MULTILINE),

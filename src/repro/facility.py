@@ -182,8 +182,8 @@ class NodeReplay:
             ptr += 1
         self.cursor = ptr
         if isinstance(engine, NodeSynth):
-            # It buffers queued samples until a job begins or it is told
-            # to flush; the caller may close files after this slice.
+            # It queues samples until told to flush — one synthesis block
+            # per slice; the caller may close files after this slice.
             engine.flush()
         return ptr - first
 
@@ -233,7 +233,9 @@ def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
                   node_indices: list[int], behaviors: dict[str, JobBehavior],
                   archive_dir: str, compress: bool, archive_format: str,
                   synthesis: str) -> tuple[ArchiveStats, MetricsSnapshot]:
-    """Open the archive, take each node's unit to the horizon, close.
+    """Open the archive, take each node's unit to the horizon one
+    rotation period at a time — the boundary the files already have, so
+    a synthesis block is bounded whatever the horizon — and close.
     Returns the volume accounting and the replay's telemetry — kept in a
     private registry so write-side counters merge to the same totals
     whether this ran in-process or in a pool worker."""
@@ -245,9 +247,12 @@ def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
         archive = HostArchive(archive_dir, compress=compress,
                               resume_stats=False,
                               archive_format=archive_format)
+        edges = aligned_samples(0.0, cfg.horizon,
+                                archive.rotate_seconds)[1:]
         for unit in node_replays(cfg, seed, records, node_indices,
                                  behaviors, archive, synthesis):
-            unit.advance(cfg.horizon)
+            for edge in edges:
+                unit.advance(edge)
         stats = archive.close()
     return stats, local.snapshot()
 

@@ -8,8 +8,8 @@ for the hardware performance counters.
 Noise streams are keyed per collector: passing a *stream factory*
 (``name -> Generator``) gives every collector its own named RNG stream,
 which is what lets the vectorized ``sample_block`` kernels batch a whole
-job segment's draws per collector without perturbing any other
-collector's sequence.  Passing a plain :class:`numpy.random.Generator`
+block's draws per collector without perturbing any other collector's
+sequence.  Passing a plain :class:`numpy.random.Generator`
 shares one cursor across the suite (the legacy behaviour, still used by
 unit tests that drive a single collector directly).
 """

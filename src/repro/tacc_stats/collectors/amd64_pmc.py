@@ -109,8 +109,8 @@ class Amd64PmcCollector(Collector):
                       self.noisy(ht_bytes * share / _CACHE_LINE * dt))
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
-        # _user_programmed is constant inside a block: it only changes in
-        # on_job_begin, and the synthesis engine cuts blocks there.
+        # Called once per begin segment (this class overrides
+        # on_job_begin), so _user_programmed holds for every row here.
         n = self.node.hardware.cores
         dt = np.asarray(block.dts, dtype=np.float64)
         inc = np.zeros((block.n, n, self._schema.n_values))

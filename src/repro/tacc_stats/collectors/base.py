@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -59,11 +60,13 @@ class SampleContext:
 class BlockContext:
     """A whole batch of consecutive invocations, for vectorized kernels.
 
-    One BlockContext covers samples that share collector state (no PMC
-    reprogramming boundary inside it).  ``rates`` rows where ``idle`` is
-    True are placeholders (zeros) — kernels must route idle samples
-    through their defaults exactly as the scalar path does, which
-    :meth:`rate` handles for the common case.
+    One BlockContext covers whatever one node queued between two
+    flushes; jobs may begin inside it, and reprogramming happens at the
+    block's ``begins`` rows (see :meth:`Collector.sample_block`).
+    ``rates`` rows where ``idle`` is True are placeholders (zeros) —
+    kernels must route idle samples through their defaults exactly as
+    the scalar path does, which :meth:`rate` handles for the common
+    case.
 
     Attributes
     ----------
@@ -77,6 +80,8 @@ class BlockContext:
         ``[T]`` bool — True where the scalar path saw ``rates=None``.
     jobids:
         Per-sample job tags (serialization only; collectors ignore it).
+    begins:
+        ``(row, jobid, t)`` of each ``%begin`` sample, in row order.
     """
 
     times: np.ndarray
@@ -84,6 +89,7 @@ class BlockContext:
     rates: np.ndarray
     idle: np.ndarray
     jobids: tuple[tuple[str, ...], ...] = ()
+    begins: tuple[tuple[int, str, float], ...] = ()
 
     @property
     def n(self) -> int:
@@ -106,6 +112,13 @@ class Collector(ABC):
     #: them never are; keeping this small lets the fast path agree with the
     #: collected data within test tolerances).
     NOISE_SIGMA = 0.015
+
+    def __init_subclass__(cls, **kwargs):
+        # Only a collector that reprograms at job begin cares where a
+        # job begins inside a block; every other kernel sees it whole.
+        super().__init_subclass__(**kwargs)
+        if cls.on_job_begin is not Collector.on_job_begin:
+            cls.sample_block = _by_begin_segment(cls.sample_block)
 
     def __init__(self, node: Node, rng: np.random.Generator):
         self.node = node
@@ -151,9 +164,6 @@ class Collector(ABC):
     def on_job_begin(self, jobid: str, time: float) -> None:
         """Hook at job start (PMC collectors reprogram counters here)."""
 
-    def on_job_end(self, jobid: str, time: float) -> None:
-        """Hook at job end."""
-
     def sample(self, ctx: SampleContext):
         """Advance state and yield ``(device, uint64 values)`` rows."""
         if ctx.dt < 0:
@@ -196,7 +206,10 @@ class Collector(ABC):
         RNG stream in exactly the scalar draw order (time-major, then the
         per-sample order of ``advance``) and leave ``self._acc`` at the
         end-of-block state so scalar and vectorized processing can be
-        freely interleaved.
+        freely interleaved.  A kernel must give the same rows wherever
+        its input is cut into blocks; a collector that overrides
+        :meth:`on_job_begin` is the exception, and is called once per
+        begin segment instead (no ``%begin`` row after its first).
         """
         out = np.empty(
             (block.n, len(self._devices), self._schema.n_values),
@@ -262,6 +275,28 @@ class Collector(ABC):
         masks = np.array([e.modulus - 1 for e in self._schema.entries],
                          dtype=np.uint64)
         return acc.astype(np.int64).astype(np.uint64) & masks
+
+
+def _by_begin_segment(kernel):
+    """*kernel* as a ``sample_block`` that runs it one begin segment at a
+    time, ``on_job_begin`` called before the segment its ``%begin`` row
+    opens — the scalar order, so the collector's stream is drawn from
+    and its state reset exactly as the daemon would."""
+    @wraps(kernel)
+    def sample_block(self, block: BlockContext) -> np.ndarray:
+        if not block.begins:
+            return kernel(self, block)
+        out = []
+        cuts = [0, *(row for row, _jobid, _t in block.begins), block.n]
+        for begin, lo, hi in zip((None, *block.begins), cuts, cuts[1:]):
+            if begin is not None:
+                self.on_job_begin(*begin[1:])
+            if lo < hi:
+                out.append(kernel(self, BlockContext(
+                    block.times[lo:hi], block.dts[lo:hi], block.rates[lo:hi],
+                    block.idle[lo:hi], block.jobids[lo:hi])))
+        return np.concatenate(out, axis=0)
+    return sample_block
 
 
 def core_fractions(node_fraction: float, n_cores: int) -> np.ndarray:

@@ -112,7 +112,7 @@ class IntelPmcCollector(Collector):
                       self.noisy(0.35 * clock * active[c] * dt))
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
-        # _user_programmed is constant inside a block (see amd64_pmc).
+        # One begin segment per call (see amd64_pmc).
         n = self.node.hardware.cores
         dt = np.asarray(block.dts, dtype=np.float64)
         clock = self.node.hardware.processor.clock_ghz * 1e9

@@ -108,8 +108,6 @@ class TaccStatsDaemon:
                 f"{self._job[0] if self._job else None}"
             )
         self._emit(t, jobids=(jobid,), mark=("end", jobid))
-        for c in self.collectors:
-            c.on_job_end(jobid, t)
         self._job = None
 
     def sample(self, t: float) -> None:

@@ -79,9 +79,9 @@ class TypeSchema:
     """Schema of one record type: a name plus ordered entries.
 
     Column lookups (:meth:`index_of`, :meth:`column`) are O(1): the key
-    index is built once at construction.  The memo is deliberately not a
-    dataclass field so equality/hashing still compare only the declared
-    schema (``type_name`` + ``entries``).
+    index and the header line are built once at construction.  The memos
+    are deliberately not dataclass fields so equality/hashing still
+    compare only the declared schema (``type_name`` + ``entries``).
     """
 
     type_name: str
@@ -98,6 +98,9 @@ class TypeSchema:
         object.__setattr__(
             self, "_index", {e.key: i for i, e in enumerate(self.entries)}
         )
+        object.__setattr__(
+            self, "_header_line",
+            f"!{self.type_name} " + " ".join(e.spec() for e in self.entries))
 
     @property
     def n_values(self) -> int:
@@ -123,7 +126,7 @@ class TypeSchema:
 
     def header_line(self) -> str:
         """The ``!type spec spec ...`` header line."""
-        return f"!{self.type_name} " + " ".join(e.spec() for e in self.entries)
+        return self._header_line
 
     @classmethod
     @lru_cache(maxsize=1024)

@@ -3,8 +3,9 @@
 :class:`NodeSynth` replaces :class:`~repro.tacc_stats.daemon.TaccStatsDaemon`
 for replay: instead of emitting one text block per invocation, it queues
 the invocation metadata (time, dt, prevailing rates source, job tags,
-marks) and, at each job-begin boundary — the only point where collector
-state is reprogrammed — materializes the whole pending run as one
+marks) until its driver calls :meth:`NodeSynth.flush` — once per (node,
+driver slice), however many jobs began meanwhile — and then materializes
+the whole pending run as one
 :class:`~repro.tacc_stats.collectors.base.BlockContext` and calls every
 collector's batched ``sample_block`` kernel once.  The resulting
 ``[T, devices, values]`` uint64 arrays are rendered to text in bulk for
@@ -111,19 +112,12 @@ class NodeSynth:
 
     def begin_job(self, jobid: str, t: float, behavior: JobBehavior,
                   node_slot: int) -> None:
-        """Job launches: flush the pending block, reprogram PMCs, queue
-        the baseline sample."""
+        """Job launches: queue the baseline ``%begin`` sample — the row
+        at which :meth:`flush` tells the collectors the job began."""
         if self._job is not None:
             raise RuntimeError(
                 f"{self.node.hostname}: job {self._job[0]} still active"
             )
-        # PMC reprogramming changes collector state, so the samples
-        # queued so far must be materialized first — this is the block
-        # boundary the kernels' "constant within a block" contract
-        # relies on.
-        self.flush()
-        for c in self.collectors:
-            c.on_job_begin(jobid, t)
         self._queue(t, jobids=(jobid,), mark=("begin", jobid))
         self._job = (jobid, behavior, node_slot, t)
 
@@ -135,8 +129,6 @@ class NodeSynth:
                 f"{self._job[0] if self._job else None}"
             )
         self._queue(t, jobids=(jobid,), mark=("end", jobid))
-        for c in self.collectors:
-            c.on_job_end(jobid, t)
         self._job = None
 
     def sample(self, t: float) -> None:
@@ -186,9 +178,8 @@ class NodeSynth:
         dts = np.array([p.dt for p in pending], dtype=np.float64)
         idle = np.array([p.rate_src is None for p in pending], dtype=bool)
         rates = np.zeros((n, len(RATE_FIELDS)), dtype=np.float64)
-        # Group job rows by their (behavior, slot) source — at most one
-        # group per flush in practice (blocks are cut at job begins),
-        # but grouping keeps this correct regardless.
+        # Group job rows by their (behavior, slot) source: one group
+        # per job that ran on this node during the block.
         groups: dict[tuple[int, int], list[int]] = {}
         for i, p in enumerate(pending):
             if p.rate_src is not None:
@@ -203,6 +194,8 @@ class NodeSynth:
         block = BlockContext(
             times=times, dts=dts, rates=rates, idle=idle,
             jobids=tuple(p.jobids for p in pending),
+            begins=tuple((i, p.mark[1], p.t) for i, p in enumerate(pending)
+                         if p.mark is not None and p.mark[0] == "begin"),
         )
         vals_by_collector = [c.sample_block(block) for c in self.collectors]
 
@@ -290,8 +283,11 @@ class NodeSynth:
             accum.tags.append(tags[i])
             if p.mark is not None:
                 accum.marks.append((base + off, p.mark[0], p.mark[1]))
+        # A file keeps its own rows only: a view into a block that also
+        # fed another file would pin the whole block until this closes.
+        whole = i1 - i0 == len(pending)
         for ci, vals in enumerate(vals_by_collector):
-            accum.values[ci].append(vals[i0:i1])
+            accum.values[ci].append(vals if whole else vals[i0:i1].copy())
 
     def _encode_v2(self, writer: StatsWriter) -> tuple[bytes, int] | None:
         """Archive close callback: encode this file's accumulated

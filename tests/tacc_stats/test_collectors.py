@@ -13,9 +13,11 @@ from repro.tacc_stats.collectors import (
     LliteCollector,
     MemCollector,
     SampleContext,
+    amd64_pmc,
     build_collectors,
+    intel_pmc,
 )
-from repro.tacc_stats.collectors.base import core_fractions
+from repro.tacc_stats.collectors.base import BlockContext, core_fractions
 from repro.util.units import KB
 from repro.workload.applications import RATE_FIELDS, RATE_INDEX
 
@@ -256,3 +258,52 @@ def test_bump_rejects_negative():
     col = CpuCollector(node, np.random.default_rng(13))
     with pytest.raises(ValueError):
         col.bump("0", "user", -5.0)
+
+
+@pytest.mark.parametrize("arch,module,cls", [
+    ("amd64", amd64_pmc, Amd64PmcCollector),
+    ("intel", intel_pmc, IntelPmcCollector),
+])
+def test_pmc_block_with_begin_rows_matches_begin_by_begin(
+        monkeypatch, arch, module, cls):
+    """One ``sample_block`` over a block in which three jobs begin — TACC
+    events, a user's own, TACC again — gives the rows, and leaves the
+    stream where, the scalar daemon order does: ``on_job_begin`` (one
+    ``random()``), that job's samples, ``on_job_begin``, ..."""
+    monkeypatch.setattr(module, "USER_PROGRAMMED_PROB", 0.5)
+    busy = rates(cpu_user_frac=0.7, flops_gf=9.0, mem_used_gb=6.0,
+                 net_mpi_mb=40.0)
+    # (t, rates of the interval it closes, begins job) — idle tick, job
+    # a, job b back to back (dt = 0), an idle gap, job c.
+    script = [
+        (600.0, None, None), (700.0, None, "a"), (1200.0, busy, None),
+        (1800.0, busy * 0.5, None), (1900.0, busy, None),
+        (1900.0, None, "b"), (2400.0, busy, None), (2500.0, busy, None),
+        (3000.0, None, None), (3100.0, None, "c"), (3600.0, busy, None),
+        (4200.0, busy * 0.2, None),
+    ]
+    times = np.array([t for t, _r, _j in script])
+    block = BlockContext(
+        times=times, dts=np.diff(times, prepend=0.0),
+        rates=np.array([np.zeros_like(busy) if r is None else r
+                        for _t, r, _j in script]),
+        idle=np.array([r is None for _t, r, _j in script]),
+        begins=tuple((i, j, t) for i, (t, _r, j) in enumerate(script) if j),
+    )
+    node = make_node(arch)
+    whole = cls(node, np.random.default_rng(5))
+    got = whole.sample_block(block)
+
+    scalar = cls(node, np.random.default_rng(5))
+    want = np.empty_like(got)
+    programmed = []
+    for i, (t, r, jobid) in enumerate(script):
+        if jobid:
+            scalar.on_job_begin(jobid, t)
+            programmed.append(scalar.user_programmed)
+        rows = read_all(scalar, ctx(t, float(block.dts[i]), r))
+        want[i] = [rows[dev] for dev in scalar.devices]
+    assert programmed == [False, True, False], "pick another seed"
+    assert np.array_equal(got, want)
+    assert whole.rng.bit_generator.state == scalar.rng.bit_generator.state
+    assert whole.user_programmed == scalar.user_programmed

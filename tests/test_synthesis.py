@@ -10,13 +10,23 @@ one worker per node, never an empty pool task.
 """
 
 import hashlib
+from math import ceil
 from pathlib import Path
 
 import pytest
 
-from repro import RANGER, Facility
-from repro.facility import _node_chunks, _replay_nodes
+from repro import LONESTAR4, RANGER, Facility
+from repro.facility import (
+    _build_behaviors,
+    _node_chunks,
+    _replay_nodes,
+    node_replays,
+)
+from repro.live.runner import LiveReplay, LiveSession
+from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.collectors import amd64_pmc, intel_pmc
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from repro.util.timeutil import DAY, HOUR
 
 CFG = RANGER.scaled(num_nodes=4, horizon_days=1, n_users=8)
 SEED = 17
@@ -113,13 +123,107 @@ def test_node_output_depends_only_on_seed_and_node(tmp_path):
 
 
 def test_synth_telemetry_counters(tmp_path):
+    """``synth.chunks`` is the deterministic perf guard: one block — one
+    round of kernel calls — per (node, rotation period), however many
+    jobs began on the node meanwhile."""
+    for archive_format, rotate in [("text", DAY), ("v2", DAY),
+                                   ("v2", 4 * HOUR)]:
+        d = str(tmp_path / f"{archive_format}-{rotate}")
+        # The sidecar a non-default period leaves makes the replay's own
+        # open of the directory rotate at it.
+        HostArchive(d, rotate_seconds=rotate)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            run = Facility(CFG, seed=SEED).run_with_files(
+                d, compress=False, archive_format=archive_format)
+        counters = reg.snapshot().counters
+        assert len(run.records) > CFG.num_nodes
+        assert counters["synth.nodes"] == CFG.num_nodes
+        assert counters["synth.chunks"] == \
+            CFG.num_nodes * ceil(CFG.horizon / rotate)
+        assert counters["synth.samples"] > counters["synth.chunks"]
+        assert counters["synth.rows"] > counters["synth.samples"]
+
+
+def test_synth_chunks_live_is_nodes_times_slices(tmp_path):
     reg = MetricsRegistry()
     with use_registry(reg):
-        Facility(CFG, seed=SEED).run_with_files(str(tmp_path / "a"),
-                                                compress=False)
-    counters = reg.snapshot().counters
-    assert counters["synth.nodes"] == CFG.num_nodes
-    # At least one flushed block per node, each holding >= 1 sample.
-    assert counters["synth.chunks"] >= CFG.num_nodes
-    assert counters["synth.samples"] >= counters["synth.chunks"]
-    assert counters["synth.rows"] > counters["synth.samples"]
+        LiveSession(Facility(CFG, seed=SEED), str(tmp_path),
+                    segment_seconds=2 * HOUR).run()
+    assert reg.snapshot().counters["synth.chunks"] == \
+        CFG.num_nodes * ceil(CFG.horizon / (2 * HOUR))
+
+
+# ---------------------------------------------------------------------------
+# Blocks hold several jobs: begin rows inside a block, rows split by file.
+# ---------------------------------------------------------------------------
+
+
+def test_v2_accumulator_keeps_no_view_of_a_block(tmp_path):
+    """A block that straddles two files hands each its own rows.  The
+    tick at ``t = DAY`` belongs to the next day's file; as a one-row
+    *view* it would pin the node's whole day block until that file
+    closes — for every node, until the end of the replay."""
+    fac = Facility(CFG, seed=SEED)
+    workload, sim, _outages, _cluster = fac._simulate()
+    behaviors = _build_behaviors(
+        CFG, *fac._behavior_context(workload), sim.records)
+    archive = HostArchive(str(tmp_path), archive_format="v2")
+    for unit in node_replays(CFG, SEED, sim.records, [0, 1], behaviors,
+                             archive):
+        unit.advance(DAY)
+        (accum,) = unit.engine._accums.values()
+        assert set(accum.times) == {float(DAY)}
+        for chunks in accum.values:
+            for a in chunks:
+                assert a.base is None or a.base.nbytes == a.nbytes
+    archive.close()
+
+
+@pytest.mark.parametrize("archive_format", ["text", "v2"])
+@pytest.mark.parametrize("system", [RANGER, LONESTAR4],
+                         ids=lambda cfg: cfg.name)
+def test_foreign_pmc_programs_inside_multi_job_blocks(
+        tmp_path, monkeypatch, system, archive_format):
+    """At the real 2 % a small fixture essentially never puts a job that
+    programs its own counters *between* two others in one block; at
+    50 % every block does.  Fast == scalar, with day blocks offline and
+    with hourly live slices."""
+    for module in (amd64_pmc, intel_pmc):
+        monkeypatch.setattr(module, "USER_PROGRAMMED_PROB", 0.5)
+    cfg = system.scaled(num_nodes=2, horizon_days=1, n_users=6)
+    trees = {}
+    for synthesis in ("fast", "scalar"):
+        d = str(tmp_path / f"offline-{synthesis}")
+        run = Facility(cfg, seed=SEED).run_with_files(
+            d, compress=False, archive_format=archive_format,
+            synthesis=synthesis)
+        trees["offline", synthesis] = _tree(d)
+
+        d = str(tmp_path / f"live-{synthesis}")
+        facility = Facility(cfg, seed=SEED)
+        workload, sim, _outages, _cluster = facility._simulate()
+        archive = HostArchive(d, compress=False, rotate_seconds=HOUR,
+                              archive_format=archive_format)
+        replay = LiveReplay(
+            cfg, SEED, workload.users, workload.util_scale,
+            facility.phase_calibration, facility.regressions,
+            sim.records, archive, synthesis=synthesis)
+        for hour in range(1, int(cfg.horizon // HOUR) + 1):
+            replay.advance(hour * HOUR)
+            archive.flush_before(hour * HOUR)
+        archive.close()
+        trees["live", synthesis] = _tree(d)
+    assert len(run.records) > 4 * cfg.num_nodes
+    assert trees["offline", "fast"] == trees["offline", "scalar"]
+    assert trees["live", "fast"] == trees["live", "scalar"]
+    if archive_format == "text":
+        # Both programs really are in the tree.
+        pmc, tacc = ((amd64_pmc, amd64_pmc.AMD64_EVENT_CODES["SSE_FLOPS"])
+                     if cfg.node.processor.arch == "amd64" else
+                     (intel_pmc, intel_pmc.INTEL_EVENT_CODES["FP_COMP_OPS"]))
+        text = "".join(
+            p.read_text() for p in
+            Path(tmp_path / "offline-fast").rglob("*") if p.is_file())
+        assert f" {pmc._FOREIGN_CODE} {pmc._FOREIGN_CODE} " in text
+        assert f" {tacc} " in text
