@@ -10,7 +10,6 @@ log nobody reads.
 
 Gated metrics::
 
-    ingest_serial_mb_per_s        serial ingest throughput  (higher)
     report_cold_ms                cold report-suite latency (lower)
     report_warm_ms                warm (memoized) latency   (lower)
     telemetry_overhead_pct        telemetry on-vs-off cost  (lower)
@@ -72,12 +71,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 
 #: metric -> (artifact file, extraction regex, higher|lower, noise floor)
 METRICS = {
-    "ingest_serial_mb_per_s": (
-        "ingest_throughput.txt",
-        re.compile(r"^serial pass:.*?([\d.]+) MB/s raw", re.MULTILINE),
-        "higher",
-        0.0,
-    ),
     "report_cold_ms": (
         "report_latency.txt",
         re.compile(r"^cold\s+\(one shared scan\):\s+([\d.]+) ms",

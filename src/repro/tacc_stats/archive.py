@@ -36,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import zlib
 from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +72,10 @@ __all__ = ["HostArchive", "ArchiveStats", "FileFingerprint",
 #: Root sidecar recording a non-default rotation period, so reopening a
 #: segmented archive infers its cadence without a knob.
 ARCHIVE_META_FILENAME = "archive.json"
+
+#: What decoding a damaged file raises; the last two are a gzip stream
+#: cut short and a flipped bit in one (most flips fail the CRC: OSError).
+_UNREADABLE = (ParseError, OSError, UnicodeDecodeError, EOFError, zlib.error)
 
 
 def _file_day(path: Path | os.DirEntry) -> str:
@@ -557,7 +562,7 @@ class HostArchive:
                         day = parse_host_columns(
                             self.read_file(path),
                             allow_truncated=allow_truncated, faults=faults)
-                except (ParseError, OSError, UnicodeDecodeError) as e:
+                except _UNREADABLE as e:
                     if strict:
                         raise
                     quarantine_file(path, "unreadable_file",

@@ -12,15 +12,14 @@ The result is a :class:`~repro.tacc_stats.types.HostColumns` — the same
 column arrays the v2 reader maps from disk — so text, gzip and v2 files
 feed one ingest scan (:mod:`repro.ingest.columnar_scan`).
 
-Performance: data rows are >95 % of every file, so they take a fast path —
-the line is split only around type and device, arity is checked with one
-C-level ``str.count``, and the integer conversion plus value validation is
-batched per record type into a single numpy ``str -> uint64`` cast at end
-of file, whose matrix *is* the type's value column.  Structural errors
-(unknown type, wrong arity, duplicate device) are still detected inline at
-their line; a malformed *value* is attributed to its line during the
-batch cast, which runs before the parse returns, so nothing malformed
-ever escapes.
+Performance: a *regular* file — every block the same rows in the same
+order, as the collectors write them — is parsed with array operations
+over its bytes (:func:`_parse_grid`), which proves it well-formed or
+declines it.  The line loop (:func:`_scan_lines`) reads what is declined
+and is the only place an error is worded or a line repaired: it splits
+a row only around type and device, checks arity with one ``str.count``
+and batches the integer cast per record type; a malformed *value* is
+attributed to its line during that cast, before the parse returns.
 """
 
 from __future__ import annotations
@@ -72,6 +71,19 @@ class ParseFault:
                    text=line[:_FAULT_EXCERPT])
 
 
+#: What a row's value region is made of: ``[0-9]+`` tokens, each at
+#: most ``2**64 - 1``, and the single spaces between them.
+_VALUE_BYTES = b"0123456789 "
+
+
+def _cast(rest: str) -> np.ndarray:
+    """The values of a value region; a sign, ``_``, tab or non-ASCII
+    digit (all fine by ``int()``), an empty or too large token raises."""
+    if not rest.isascii() or rest.encode().translate(None, _VALUE_BYTES):
+        raise ValueError
+    return np.array(rest.split(" "), dtype="<u8")
+
+
 def _type_columns(schema: TypeSchema, rests: list[str],
                   runs: list[tuple[int, dict[str, int]]],
                   faults: list[ParseFault] | None) -> TypeColumns:
@@ -87,15 +99,15 @@ def _type_columns(schema: TypeSchema, rests: list[str],
     """
     k = schema.n_values
     try:
-        values = np.array(" ".join(rests).split(" ") if rests else [],
-                          dtype="<u8").reshape(-1, k)
+        values = (_cast(" ".join(rests)) if rests
+                  else np.empty(0, dtype="<u8")).reshape(-1, k)
     except (ValueError, OverflowError):
         sites = [(by_dev, dev, lineno) for _b, by_dev in runs
                  for dev, lineno in by_dev.items()]
         good = [np.empty((0, k), dtype="<u8")]
         for rest, (by_dev, device, lineno) in zip(rests, sites):
             try:
-                good.append(np.array([rest.split(" ")], dtype="<u8"))
+                good.append(_cast(rest).reshape(1, k))
             except (ValueError, OverflowError):
                 error = f"line {lineno}: non-integer value in row"
                 if faults is None:
@@ -130,28 +142,11 @@ def _bad_row_error(lineno: int, type_name: str, rest: str,
     return ParseError(f"line {lineno}: malformed spacing in row")
 
 
-def parse_host_columns(text: str, allow_truncated: bool = False,
-                       faults: list[ParseFault] | None = None,
-                       ) -> HostColumns:
-    """Parse one host file's contents into column arrays.
-
-    Parameters
-    ----------
-    text:
-        The full file contents.
-    allow_truncated:
-        If True, a final line without a newline terminator that fails to
-        parse is dropped (crash-consistent read); any *earlier* bad line
-        still raises.
-    faults:
-        When a list is supplied, the parser runs in *repair* mode: each
-        malformed line is skipped and recorded as a :class:`ParseFault`
-        instead of raising.  A skipped timestamp line poisons its block —
-        the rows that belonged to it are quarantined rather than being
-        misattributed to the previous timestamp.  Streams that cannot be
-        salvaged at all (no ``$hostname`` header) still raise.
-    """
-    faults_before = len(faults) if faults is not None else 0
+def _scan_lines(text: str, allow_truncated: bool,
+                faults: list[ParseFault] | None) -> tuple:
+    """The line loop — every structural check, message and repair —
+    up to the batch casts: ``(properties, schemas, rests, runs, times,
+    tags, marks)``, as documented where the loop declares them."""
     lines = text.split("\n")
     # Trailing '' from terminal newline is normal; a non-empty last element
     # means the file was truncated mid-line.
@@ -274,7 +269,7 @@ def parse_host_columns(text: str, allow_truncated: bool = False,
                     # cast, so allow_truncated can drop exactly this
                     # line.
                     try:
-                        np.array(rest.split(" "), dtype=np.uint64)
+                        _cast(rest)
                     except (ValueError, OverflowError):
                         raise ParseError(
                             f"line {lineno}: non-integer value in row"
@@ -295,7 +290,15 @@ def parse_host_columns(text: str, allow_truncated: bool = False,
                 # line): poison the block so its rows fault instead of
                 # silently attaching to the previous timestamp.
                 block = None
+    return properties, schemas, rests, runs, times, tags, marks
 
+
+def _parse_lines(text: str, allow_truncated: bool,
+                 faults: list[ParseFault] | None) -> tuple:
+    """The parser of record: the line loop, then the batch casts;
+    ``(properties, types, times, tags, marks, row_type, row_block)``."""
+    properties, schemas, rests, runs, times, tags, marks = _scan_lines(
+        text, allow_truncated, faults)
     type_runs: list[list] = [[] for _ in schemas]
     for b, type_idx, by_dev in runs:
         type_runs[type_idx].append((b, by_dev))
@@ -304,34 +307,167 @@ def parse_host_columns(text: str, allow_truncated: bool = False,
 
     # A block whose tail was dropped is still usable; summaries handle
     # missing rows per device.
-    if not hostname and (times or schemas):
+    if not properties.get("hostname") and (times or schemas):
         raise ParseError("stream has data but no $hostname header")
 
     # Run lengths are read after the flush: repair mode drops bad rows.
     run_len = [len(by_dev) for _b, _t, by_dev in runs]
+    return (
+        properties, types, times, tags, marks,
+        np.repeat(np.array([t for _b, t, _d in runs], dtype="<u2"), run_len),
+        np.repeat(np.array([b for b, _t, _d in runs], dtype="<u4"), run_len))
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the spans ``[start, start + length)``, in order."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
+def _parse_grid(text: str) -> tuple | None:
+    """Parse a *regular* file — every block the same ``type device ``
+    row prefixes, byte for byte, in the same order — with array
+    operations over its bytes, or return ``None``: "not proved
+    well-formed", never "malformed".  Nothing is raised, repaired or
+    worded here; :func:`_parse_lines` judges what is declined.  A result
+    equals the line loop's, field by field and dtype by dtype."""
+    if not text.isascii() or not text.endswith("\n"):  # or empty
+        return None
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    # Every space and newline: a token is what lies between two of them.
+    sep = np.flatnonzero((buf == 32) | (buf == 10))
+    last = np.flatnonzero(buf[sep] == 10)  # per line: its newline, in sep
+    first = np.concatenate(([0], last[:-1] + 1))  # ... its first separator
+    nl = sep[last]
+    starts = np.concatenate(([0], nl[:-1] + 1))
+    head = buf[starts]  # a line's first byte (an empty line's: "\n")
+    stamp = (head >= 48) & (head <= 57)
+    other = stamp | (head == 33) | (head == 36) | (head == 37)  # ! $ %
+    stamps, others, rows = map(np.flatnonzero, (stamp, other, ~other))
+    n_blocks = len(stamps)
+    if not n_blocks or not len(rows) or len(rows) % n_blocks:
+        return None
+    # Every block holds as many rows, between its timestamp and the next.
+    rows = rows.reshape(n_blocks, -1)
+    if (rows[:, 0] < stamps).any() or (rows[:-1, -1] > stamps[1:]).any():
+        return None
+    # The line loop accepts every other line, and block 0's rows, or ...
+    skeleton = np.sort(np.concatenate((others, rows[0])))
+    try:
+        properties, schemas, _rests, runs, times, tags, marks = _scan_lines(
+            "".join([text[s:e] for s, e in zip(
+                starts[skeleton].tolist(), (nl[skeleton] + 1).tolist())]),
+            False, None)
+    except ParseError:
+        return None
+    # Block 0's rows in run order: file order iff a type's rows are together.
+    layout = [(t, device, lineno) for _b, t, by_dev in runs
+              for device, lineno in by_dev.items()]
+    if [n for _t, _d, n in layout] != sorted(n for _t, _d, n in layout):
+        return None
+    arity = np.array([schemas[t].n_values for t, _d, _n in layout])
+    plen = np.array([len(schemas[t].type_name) + len(d) + 2
+                     for t, d, _n in layout])
+    # Every row: two prefix tokens and as many values as its type
+    # declares; every block: block 0's prefixes, byte for byte.
+    row_first, row_start = first[rows], starts[rows]
+    if (last[rows] - row_first != arity + 1).any() \
+            or (sep[row_first + 1] - row_start != plen - 1).any():
+        return None
+    prefix = row_start[:, np.repeat(np.arange(len(plen)), plen)] \
+        + _spans(np.zeros_like(plen), plen)
+    if (buf[prefix] != buf[prefix[0]]).any():
+        return None
+    # Every value token is 1-19 bytes long (a 20-digit one may exceed
+    # 2**64 - 1: the line loop's exact cast decides) ...
+    token_len = np.ediff1d(sep, to_begin=sep[0] + 1)  # + 1, by end
+    token_len[row_first] = token_len[row_first + 1] = 2
+    token_len[_spans(first[others], last[others] - first[others] + 1)] = 2
+    if token_len.min() < 2 or token_len.max() > 20:
+        return None
+    # ... and all digits: blank every other byte but the space between
+    # two.  The C cast sees digits and blanks, and owes the token count.
+    values = buf.copy()
+    values[prefix] = values[nl] = 32
+    values[_spans(starts[others], nl[others] - starts[others])] = 32
+    blanked = values.tobytes()
+    if blanked.translate(None, _VALUE_BYTES):
+        return None
+    grid = np.fromstring(blanked, dtype="<u8", sep=" ")
+    if len(grid) != n_blocks * arity.sum():
+        return None
+    grid = grid.reshape(n_blocks, -1)
+    # A type's values are a column slice of the grid (copied: no result
+    # is a view of the file's bytes); its index columns repeat block 0's.
+    found, col = {}, 0
+    for _b, t, by_dev in runs:
+        found[t] = (by_dev, col)
+        col += len(by_dev) * schemas[t].n_values
+    blocks = np.arange(n_blocks, dtype="<u4")
+    types = []
+    for t, schema in enumerate(schemas):
+        by_dev, col = found.get(t, ((), 0))
+        n, k = len(by_dev), schema.n_values
+        types.append(TypeColumns(
+            name=schema.type_name, schema=schema, devices=tuple(by_dev),
+            dev_idx=np.arange(n, dtype="<u4")[None].repeat(n_blocks, 0).ravel(),
+            values=np.ascontiguousarray(
+                grid[:, col:col + n * k]).reshape(-1, k),
+            block_idx=np.repeat(blocks, n)))
+    row_type = np.array([t for t, _d, _n in layout], dtype="<u2")
+    return (properties, types, times, tags, marks,
+            np.tile(row_type, n_blocks), np.repeat(blocks, len(layout)))
+
+
+def parse_host_columns(text: str, allow_truncated: bool = False,
+                       faults: list[ParseFault] | None = None,
+                       ) -> HostColumns:
+    """Parse one host file's contents into column arrays.
+
+    Parameters
+    ----------
+    text:
+        The full file contents.
+    allow_truncated:
+        If True, a final line without a newline terminator that fails to
+        parse is dropped (crash-consistent read); any *earlier* bad line
+        still raises.
+    faults:
+        When a list is supplied, the parser runs in *repair* mode: each
+        malformed line is skipped and recorded as a :class:`ParseFault`
+        instead of raising.  A skipped timestamp line poisons its block —
+        the rows that belonged to it are quarantined rather than being
+        misattributed to the previous timestamp.  Streams that cannot be
+        salvaged at all (no ``$hostname`` header) still raise.
+    """
+    faults_before = len(faults) if faults is not None else 0
+    parsed = _parse_grid(text)
+    if declined := parsed is None:
+        parsed = _parse_lines(text, allow_truncated, faults)
+    properties, types, times, tags, marks, row_type, row_block = parsed
     tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
 
     # Bulk telemetry at end of parse — never per line, so the counters
     # stay off the row fast path entirely.
     registry = get_registry()
     registry.counter("parse.files").inc()
+    registry.counter("parse.files_line_loop").inc(declined)
     registry.counter("parse.bytes").inc(len(text))
-    registry.counter("parse.lines").inc(len(lines))
+    registry.counter("parse.lines").inc(
+        text.count("\n") + (text[-1:] not in ("", "\n")))
     registry.counter("parse.blocks").inc(len(times))
     if faults is not None:
         registry.counter("parse.faults").inc(len(faults) - faults_before)
     return HostColumns(
-        hostname=hostname,
+        hostname=properties.get("hostname", ""),
         properties=properties,
         types=types,
         times=np.array(times, dtype="<f8"),
         tags=np.array([tag_table[tag] for tag in tags], dtype="<u4"),
         jobid_tags=list(tag_table),
         marks=marks,
-        row_type=np.repeat(
-            np.array([t for _b, t, _d in runs], dtype="<u2"), run_len),
-        row_block=np.repeat(
-            np.array([b for b, _t, _d in runs], dtype="<u4"), run_len),
+        row_type=row_type,
+        row_block=row_block,
     )
 
 

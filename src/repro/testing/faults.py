@@ -28,12 +28,16 @@ kind                  what happens to the file
                       copied into the wrong directory, a mangled
                       header); *fatal* — the file parses, but the
                       archive's directory name is authoritative
+``gz_truncated``      the *stored* gzip bytes are cut short (interrupted
+                      copy): ``EOFError``; *fatal* — ``unreadable_file``
+``gz_bit_flip``       one stored bit is flipped where that is proven to
+                      raise ``zlib.error``, not a CRC error; *fatal*, same
 ====================  =====================================================
 
 *Fatal* kinds make the host fail a ``strict`` read
-(:meth:`HostArchive.read_host_days` raises :class:`ParseError`) and get
-the host dropped under ``quarantine``; *benign* kinds read clean
-everywhere.
+(:meth:`HostArchive.read_host_days` raises :class:`ParseError`, or for
+the two ``gz_`` kinds the decompressor's own error) and get the host
+dropped under ``quarantine``; *benign* kinds read clean everywhere.
 
 The module also ships picklable worker shims (:func:`crashy_scan`,
 :func:`sleepy_scan`) that wrap the real scan entry point to simulate
@@ -50,11 +54,13 @@ import gzip
 import os
 import random
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.ingest.parallel import _scan_one
 from repro.ingest.warehouse import Warehouse
+from repro.tacc_stats.archive import HostArchive
 
 __all__ = [
     "BENIGN_KINDS",
@@ -71,7 +77,7 @@ __all__ = [
 
 #: Kinds that make a ``strict`` read of the host raise.
 FATAL_KINDS = ("bit_flip", "missing_schema", "garbage_lines",
-               "wrong_hostname")
+               "wrong_hostname", "gz_truncated", "gz_bit_flip")
 #: Kinds every policy tolerates without quarantining anything.
 BENIGN_KINDS = ("truncated_tail", "zero_byte", "duplicate_timestamp")
 #: The full catalogue.
@@ -86,13 +92,6 @@ class InjectedFault:
     kind: str
     lineno: int | None
     detail: str
-
-
-def _read(path: Path) -> str:
-    """Decompressed text of an archive file (gz-aware)."""
-    if path.suffix == ".gz":
-        return gzip.decompress(path.read_bytes()).decode("utf-8")
-    return path.read_text()
 
 
 def _write(path: Path, text: str) -> None:
@@ -197,6 +196,29 @@ def _wrong_hostname(lines: list[str], rng: random.Random
     return lines, idx + 1, f"header claims {claimed}"
 
 
+def _gz_truncated(blob: bytes, rng: random.Random) -> tuple[bytes, str]:
+    """Keep a seeded quarter to three quarters of the stored bytes."""
+    cut = rng.randrange(len(blob) // 4, 3 * len(blob) // 4)
+    return blob[:cut], f"stored bytes cut at {cut} of {len(blob)}"
+
+
+def _gz_bit_flip(blob: bytes, rng: random.Random) -> tuple[bytes, str]:
+    """Flip one seeded stored bit after another until one makes gunzip
+    raise ``zlib.error`` (1 in 40 does; most fail the CRC: ``OSError``)."""
+    while True:
+        pos, bit = rng.randrange(len(blob)), 1 << rng.randrange(8)
+        damaged = blob[:pos] + bytes([blob[pos] ^ bit]) + blob[pos + 1:]
+        try:
+            gzip.decompress(damaged)
+        except zlib.error:
+            return damaged, f"bit {bit:#04x} of stored byte {pos} flipped"
+        except (OSError, EOFError):
+            pass
+
+
+#: Injectors over a ``.gz`` file's stored bytes instead of its lines.
+_STORED = {"gz_truncated": _gz_truncated, "gz_bit_flip": _gz_bit_flip}
+
 _INJECTORS = {
     "truncated_tail": _truncated_tail,
     "bit_flip": _bit_flip,
@@ -215,11 +237,18 @@ def inject_fault(path: str | Path, kind: str, seed: int) -> InjectedFault:
     corruption.  Raises ``ValueError`` for unknown kinds or a file too
     small to host the requested corruption.
     """
+    path = Path(path)
+    if kind in _STORED:
+        if path.suffix != ".gz":
+            raise ValueError(f"{kind!r}: {path.name} is not a .gz")
+        blob, detail = _STORED[kind](path.read_bytes(), random.Random(seed))
+        path.write_bytes(blob)
+        return InjectedFault(path=str(path), kind=kind, lineno=None,
+                             detail=detail)
     if kind not in _INJECTORS:
         raise ValueError(f"unknown fault kind {kind!r}; "
                          f"choose from {FAULT_KINDS}")
-    path = Path(path)
-    text = _read(path)
+    text = HostArchive.read_file(path)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -43,6 +43,7 @@ from repro.testing.faults import (
 from repro.util.timeutil import DAY
 from repro.xdmod.query import JobQuery
 from repro.xdmod.snapshot import WarehouseSnapshot
+from tests.testing.test_faults import GZ_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -90,11 +91,45 @@ def _rows(w):
 
 @pytest.mark.parametrize("kind", FATAL_KINDS)
 def test_strict_still_fails_loudly(corpus, tmp_path, kind):
-    """Every fatal fault kind aborts a strict ingest with ParseError."""
+    """Every fatal fault kind aborts a strict ingest: with ParseError,
+    or with the decompressor's error for a damaged container."""
     victim = HostArchive(corpus[1]).hostnames()[1]
     root, _ = _corrupted_copy(corpus, tmp_path, {victim: kind})
-    with pytest.raises(ParseError):
+    with pytest.raises(GZ_KINDS.get(kind, ParseError)):
         _ingest(corpus, root)  # error_policy defaults to strict
+
+
+@pytest.mark.parametrize("kind", GZ_KINDS)
+def test_damaged_gzip_container_is_an_unreadable_file(corpus, tmp_path,
+                                                      kind):
+    """A .gz cut short (EOFError) or with a flipped deflate bit
+    (zlib.error) used to escape every policy with a traceback.  Now:
+    quarantine drops the host and equals an ingest of the clean hosts;
+    repair keeps the host's other files."""
+    hostnames = HostArchive(corpus[1]).hostnames()
+    victim = hostnames[2]
+    root, (fault,) = _corrupted_copy(corpus, tmp_path, {victim: kind})
+    assert len(list((Path(root) / victim).iterdir())) > 1
+
+    w_q, report = _ingest(corpus, root, error_policy="quarantine")
+    clean_root = tmp_path / "clean"
+    shutil.copytree(corpus[1], clean_root)
+    shutil.rmtree(clean_root / victim)
+    assert _rows(w_q) == _rows(_ingest(corpus, clean_root)[0])
+    assert report.health.hosts_dropped == [victim]
+    (rec,) = report.health.quarantined
+    assert (rec.hostname, rec.path, rec.lineno, rec.kind) == (
+        victim, fault.path, None, "unreadable_file")
+    assert rec.error.startswith(GZ_KINDS[kind].__name__ + ": ")
+
+    w_r, report = _ingest(corpus, root, error_policy="repair")
+    assert report.health.hosts_degraded == [victim]
+    assert report.health.hosts_dropped == []
+    assert [(r.path, r.kind) for r in report.health.quarantined] == [
+        (fault.path, "unreadable_file")]
+    # The host's other files still load: its jobs are all there.
+    assert {r[0] for r in _rows(w_r)[0]} == {
+        r[0] for r in _rows(_ingest(corpus, corpus[1])[0])[0]}
 
 
 @pytest.mark.parametrize("kind", BENIGN_KINDS)
@@ -350,7 +385,8 @@ def two_day_corpus(tmp_path_factory):
     return cfg, archive_dir, buf.getvalue(), lariat
 
 
-@pytest.mark.parametrize("kind", ["bit_flip", "wrong_hostname"])
+@pytest.mark.parametrize("kind", ["bit_flip", "wrong_hostname",
+                                  "gz_truncated", "gz_bit_flip"])
 @pytest.mark.parametrize("policy", ["quarantine", "repair"])
 def test_fault_in_lookback_cell_stays_conservative(two_day_corpus, tmp_path,
                                                    policy, kind):

@@ -7,6 +7,7 @@ that still parses as different-but-valid data).
 """
 
 import gzip
+import zlib
 
 import pytest
 
@@ -40,7 +41,7 @@ def _file(tmp_path, name="2013-01-01", text=VALID, gz=False):
     tmp_path.mkdir(parents=True, exist_ok=True)
     if gz:
         p = tmp_path / f"{name}.gz"
-        p.write_bytes(gzip.compress(text.encode()))
+        p.write_bytes(gzip.compress(text.encode(), mtime=0))
     else:
         p = tmp_path / name
         p.write_text(text)
@@ -53,14 +54,26 @@ def _read(p):
     return p.read_text()
 
 
+#: The two kinds that damage a ``.gz`` file's stored bytes, and what a
+#: strict read of the damaged file raises.
+GZ_KINDS = {"gz_truncated": EOFError, "gz_bit_flip": zlib.error}
+
+
 @pytest.mark.parametrize("kind", FAULT_KINDS)
 @pytest.mark.parametrize("gz", [False, True])
 def test_same_seed_same_corruption(tmp_path, kind, gz):
     a = _file(tmp_path / "a", gz=gz)
     b = _file(tmp_path / "b", gz=gz)
+    if kind in GZ_KINDS and not gz:
+        with pytest.raises(ValueError, match="is not a .gz"):
+            inject_fault(a, kind, seed=5)  # nothing stored to damage
+        return
     fa = inject_fault(a, kind, seed=5)
     fb = inject_fault(b, kind, seed=5)
-    assert _read(a) == _read(b)
+    if kind in GZ_KINDS:
+        assert a.read_bytes() == b.read_bytes()
+    else:
+        assert _read(a) == _read(b)
     assert (fa.kind, fa.lineno, fa.detail) == (fb.kind, fb.lineno, fb.detail)
 
 
@@ -76,10 +89,25 @@ def test_different_seeds_vary(tmp_path):
 
 @pytest.mark.parametrize("kind", FATAL_KINDS)
 def test_fatal_kinds_fail_strict_parse(tmp_path, kind):
-    p = _file(tmp_path / "h7")
+    p = _file(tmp_path / "h7", gz=kind in GZ_KINDS)
     inject_fault(p, kind, seed=3)
-    with pytest.raises(ParseError):
+    with pytest.raises(GZ_KINDS.get(kind, ParseError)):
         HostArchive(tmp_path).read_host("h7", allow_truncated=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gz_kinds_raise_what_they_promise(tmp_path, seed):
+    """``gz_bit_flip`` is proven to raise ``zlib.error`` — not the CRC
+    mismatch (an ``OSError``) nine flips in ten produce — and a
+    truncated stream ``EOFError``: the two errors that used to escape
+    every policy."""
+    for kind, error in GZ_KINDS.items():
+        p = _file(tmp_path / kind, gz=True)
+        fault = inject_fault(p, kind, seed=seed)
+        assert (fault.kind, fault.lineno) == (kind, None)
+        with pytest.raises(error) as raised:
+            gzip.decompress(p.read_bytes())
+        assert not isinstance(raised.value, OSError)
 
 
 @pytest.mark.parametrize("kind", BENIGN_KINDS)
@@ -106,7 +134,7 @@ def test_fatal_kinds_are_quarantinable(tmp_path):
     recorded (except corruption that destroys the stream identity
     entirely)."""
     for kind in FATAL_KINDS:
-        p = _file(tmp_path / kind / "h7")
+        p = _file(tmp_path / kind / "h7", gz=kind in GZ_KINDS)
         inject_fault(p, kind, seed=11)
         _kept, records, status = HostArchive(tmp_path / kind).read_host_days(
             "h7", allow_truncated=True, policy="repair")
