@@ -19,13 +19,6 @@ Gated metrics::
     cli_report_ms                 one repro-report process
                                   per query, cold           (lower)
     service_coalesce_rate         single-flight dedup rate  (higher)
-    federation_warm_ms            warm cross-cluster
-                                  scatter-gather group_by   (lower)
-    federation_scatter_speedup_x  scatter-gather vs N
-                                  sequential shard opens    (higher)
-    federation_shard_ingest_speedup_x
-                                  process-pool shard fan-out
-                                  vs the serial loop        (higher)
     live_batch_ms                 live micro-batch append +
                                   snapshot refresh latency  (lower)
     live_top_warm_ms              warm /api/v1/live/top
@@ -122,32 +115,6 @@ METRICS = {
         "higher",
         0.5,
     ),
-    # The federation gates (docs/FEDERATION.md): a warm cross-cluster
-    # scatter-gather answers from the per-shard snapshot memos (sub-
-    # millisecond territory, same noise floor as report_warm_ms), and
-    # it must beat re-opening every shard per request.  The shard
-    # fan-out gate has no hard floor: on a single-core runner the
-    # process pool measures its own overhead (that is why all three
-    # are wall-clock ADVISORY gates).
-    "federation_warm_ms": (
-        "federation_scatter.txt",
-        re.compile(r"^federated warm \(scatter-gather\): ([\d.]+) ms",
-                   re.MULTILINE),
-        "lower",
-        50.0,
-    ),
-    "federation_scatter_speedup_x": (
-        "federation_scatter.txt",
-        re.compile(r"^scatter speedup: ([\d.]+)x", re.MULTILINE),
-        "higher",
-        1.0,
-    ),
-    "federation_shard_ingest_speedup_x": (
-        "federation_ingest.txt",
-        re.compile(r"^parallel shard speedup: ([\d.]+)x", re.MULTILINE),
-        "higher",
-        0.0,
-    ),
     # The live-mode gates (docs/OBSERVABILITY.md "Live monitoring"):
     # a micro-batch (replay + rotation + ledger append + snapshot
     # refresh) must complete far inside the rotation cadence, and a
@@ -199,9 +166,7 @@ METRICS = {
 #: on shared CI runners their failures are advisory warnings so a
 #: noisy-neighbour scheduler blip cannot fail an unrelated PR.
 ADVISORY = {"service_p99_ms", "cli_report_ms",
-            "service_coalesce_rate", "federation_warm_ms",
-            "federation_scatter_speedup_x",
-            "federation_shard_ingest_speedup_x",
+            "service_coalesce_rate",
             "live_batch_ms", "live_top_warm_ms",
             "synthesis_speedup_x"}
 

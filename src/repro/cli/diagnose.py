@@ -14,23 +14,33 @@ Examples::
 --telemetry-out`` (stage span tree, slowest hosts, counter totals) and
 needs no warehouse.
 
-Federation mode walks every member shard (docs/FEDERATION.md)::
+A federation directory (docs/FEDERATION.md) is read the same way::
 
     repro-diagnose --federation fed/ --ledger
-    repro-diagnose --federation fed/ --cluster ranger --ingest-health
+    repro-diagnose --federation fed/ --cluster ranger --verify arch/
 
-Without ``--cluster`` the ledger/ingest-health views print one section
-per shard; ANCOR diagnosis needs a single cluster, so ``--cluster`` is
-required there.
+``--federation DIR --cluster C`` and ``--warehouse DIR/C.sqlite
+--system C`` are two spellings of one shard.  Without ``--cluster`` the
+ledger/ingest-health views print one section per shard; ANCOR diagnosis
+and ``--verify`` read a single system, so they need ``--cluster``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 
 from repro.anomaly.ancor import AncorAnalysis
-from repro.cli.common import die, pipe_safe
+from repro.cli.common import (
+    UsageError,
+    add_store_args,
+    die,
+    one_selected,
+    open_store,
+    pipe_safe,
+    selected,
+)
 from repro.ingest.columnar_scan import JobScanState, scan_host
 from repro.ingest.warehouse import Warehouse
 from repro.tacc_stats.archive import HostArchive
@@ -47,18 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--warehouse", default=None,
-                        help="SQLite warehouse to diagnose from (required "
-                             "for everything except --telemetry)")
-    parser.add_argument("--system", default=None,
-                        help="system name inside the warehouse (required "
-                             "for everything except --telemetry)")
-    parser.add_argument("--federation", default=None, metavar="DIR",
-                        help="federation directory of warehouse shards "
-                             "(alternative to --warehouse/--system)")
-    parser.add_argument("--cluster", default=None,
-                        help="with --federation: restrict to one member "
-                             "cluster (required for ANCOR diagnosis)")
+    add_store_args(parser)
     parser.add_argument("--job", default=None,
                         help="diagnose one job id (default: all failures)")
     parser.add_argument("--associations", action="store_true",
@@ -124,10 +123,14 @@ def _print_telemetry(manifest: RunManifest, min_ms: float) -> None:
                              ", ".join(manifest.systems) or "run")
 
 
-def _print_ingest_health(payload: dict, system: str) -> None:
+def _print_ingest_health(payload: dict | None, system: str) -> None:
     """Render the warehouse's stored ingest-health accounting."""
     from repro.errors import IngestHealth
 
+    if payload is None:
+        print(f"no ingest-health record for {system!r} "
+              f"(the ingest ran with the strict policy)")
+        return
     health = IngestHealth.from_dict(payload)
     print(render_kv({
         "policy": health.policy,
@@ -271,57 +274,6 @@ def _print_diagnosis(d) -> None:
     print()
 
 
-def _main_federation(args) -> int:
-    """Federation mode: per-shard ledgers, health, or routed diagnosis."""
-    from repro.federation import FederatedWarehouse
-
-    if args.warehouse or args.system:
-        return die("--warehouse/--system and --federation are different "
-                   "modes; pick one")
-    try:
-        federated = FederatedWarehouse.open(args.federation)
-    except (FileNotFoundError, ValueError) as e:
-        return die(str(e))
-    try:
-        clusters = federated.clusters
-        if args.cluster:
-            if args.cluster not in clusters:
-                return die(f"cluster {args.cluster!r} not in federation; "
-                           f"has: {clusters}")
-            clusters = [args.cluster]
-
-        if args.ledger or args.ingest_health:
-            for i, cluster in enumerate(clusters):
-                if i:
-                    print()
-                shard = federated.shard(cluster)
-                for system in shard.systems():
-                    if args.ledger:
-                        _print_ledger(shard, system)
-                    else:
-                        payload = shard.ingest_health(system)
-                        if payload is None:
-                            print(f"no ingest-health record for "
-                                  f"{system!r} (the ingest ran with the "
-                                  f"strict policy)")
-                        else:
-                            _print_ingest_health(payload, system)
-            return 0
-
-        # ANCOR diagnosis is per-system: route through one shard.
-        if not args.cluster:
-            return die(f"ANCOR diagnosis needs --cluster "
-                       f"(federation has: {federated.clusters})")
-        shard = federated.shard(args.cluster)
-        systems = shard.systems()
-        if len(systems) != 1:
-            return die(f"cluster {args.cluster!r} holds {systems}; "
-                       f"use --warehouse on the shard file directly")
-        return _diagnose_one(args, shard, systems[0])
-    finally:
-        federated.close()
-
-
 def _diagnose_one(args, warehouse: Warehouse, system: str) -> int:
     """The ANCOR diagnosis flows against one (warehouse, system)."""
     ancor = AncorAnalysis(warehouse, system)
@@ -377,36 +329,26 @@ def main(argv: list[str] | None = None) -> int:
         _print_telemetry(manifest, args.min_ms)
         return 0
 
-    if args.federation:
-        return _main_federation(args)
-
-    if not args.warehouse or not args.system:
-        return die("--warehouse and --system are required "
-                   "(unless using --telemetry or --federation)")
-    warehouse = Warehouse(args.warehouse)
     try:
-        if args.system not in warehouse.systems():
-            return die(f"system {args.system!r} not in {args.warehouse}")
-
-        if args.ledger:
-            _print_ledger(warehouse, args.system)
-            return 0
-
-        if args.verify:
-            return _verify(warehouse, args.system, args.verify)
-
-        if args.ingest_health:
-            payload = warehouse.ingest_health(args.system)
-            if payload is None:
-                print(f"no ingest-health record for {args.system!r} "
-                      f"(the ingest ran with the strict policy)")
+        with closing(open_store(args)) as store:
+            if args.verify and not args.ledger:
+                return _verify(*one_selected(args, store, "--verify"),
+                               args.verify)
+            if args.ledger or args.ingest_health:
+                pairs = selected(args, store)
+                for i, (shard, system) in enumerate(pairs):
+                    if i and shard is not pairs[i - 1][0]:
+                        print()  # between shards
+                    if args.ledger:
+                        _print_ledger(shard, system)
+                    else:
+                        _print_ingest_health(
+                            shard.ingest_health(system), system)
                 return 0
-            _print_ingest_health(payload, args.system)
-            return 0
-
-        return _diagnose_one(args, warehouse, args.system)
-    finally:
-        warehouse.close()
+            return _diagnose_one(
+                args, *one_selected(args, store, "ANCOR diagnosis"))
+    except UsageError as e:
+        return die(str(e))
 
 
 if __name__ == "__main__":

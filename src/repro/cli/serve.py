@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_tenants < 1:
         return die("--max-tenants must be >= 1")
     set_cache_enabled(args.report_cache)
-    if (args.warehouse is None) == (args.federation is None):
+    if bool(args.warehouse) == bool(args.federation):
         return die("pass exactly one of --warehouse / --federation")
     source = args.federation or args.warehouse
     opening = time.perf_counter()
@@ -108,8 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         what = "federation" if args.federation else "warehouse"
         return die(f"cannot open {what} {source!r}: {e}")
     open_seconds = time.perf_counter() - opening
-    systems = (state.federation.all_systems() if state.federation
-               else state.warehouse.systems())
+    systems = state.store.all_systems()
     if not systems:
         state.close()
         return die(f"{source!r} holds no systems")
@@ -127,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     registry.gauge("process.modules_loaded").set(len(sys.modules))
     if not args.quiet:
         what = (f"federation {source} "
-                f"[{', '.join(state.federation.clusters)}]"
-                if state.federation else source)
+                f"[{', '.join(state.store.clusters)}]"
+                if args.federation else source)
         print(f"serving {what} ({', '.join(systems)}) "
               f"on http://{host}:{port} — Ctrl-C stops", flush=True)
 

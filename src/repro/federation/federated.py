@@ -22,6 +22,7 @@ output.
 
 from __future__ import annotations
 
+from contextlib import ExitStack, closing
 from pathlib import Path
 from typing import Mapping
 
@@ -65,15 +66,30 @@ class FederatedWarehouse:
         """
         layout = FederationLayout.open(root)
         shards: dict[str, Warehouse] = {}
-        for cluster in layout.clusters:
-            path = layout.warehouse_path(cluster)
-            if not Path(path).exists():
-                if missing_ok:
-                    continue
-                raise FileNotFoundError(f"shard warehouse missing for "
-                                        f"cluster {cluster!r}: {path}")
-            shards[cluster] = Warehouse(path, threadsafe=threadsafe)
+        # A shard that is missing or fails to open must not leave the
+        # ones before it open: the stack closes them unless all opened.
+        with ExitStack() as opened:
+            for cluster in layout.clusters:
+                path = layout.warehouse_path(cluster)
+                if not Path(path).exists():
+                    if missing_ok:
+                        continue
+                    raise FileNotFoundError(f"shard warehouse missing for "
+                                            f"cluster {cluster!r}: {path}")
+                shards[cluster] = opened.enter_context(
+                    closing(Warehouse(path, threadsafe=threadsafe)))
+            opened.pop_all()
         return cls(shards)
+
+    @classmethod
+    def open_file(cls, path: str | Path,
+                  threadsafe: bool = False) -> "FederatedWarehouse":
+        """Open one warehouse file as the one-shard federation it is,
+        the shard named after the file.  The caller knows it has a file
+        (from its flag or argument) and never guesses from the path:
+        SQLite *creates* a path that does not exist."""
+        return cls({Path(path).stem: Warehouse(str(path),
+                                               threadsafe=threadsafe)})
 
     def close(self) -> None:
         """Release every shard connection."""
@@ -109,7 +125,9 @@ class FederatedWarehouse:
         A system may live in exactly one shard; duplicates are a
         configuration error surfaced here.
         """
-        if self._system_map is None:
+        # Built on first use, and again on a miss: a system another
+        # process has just committed is routable without a refresh().
+        if self._system_map is None or system not in self._system_map:
             mapping: dict[str, str] = {}
             for cluster, systems in self.systems().items():
                 for system_name in systems:
@@ -341,14 +359,3 @@ class FederatedWarehouse:
             rows, ["cluster", "nodes", "jobs", "node-hours", "efficiency"],
             title=f"FEDERATION OVERVIEW — {len(self.clusters)} clusters",
         )
-
-    # -- provenance -------------------------------------------------------
-
-    def ledgers(self) -> dict[str, dict[str, dict]]:
-        """Per-cluster, per-system ingest ledgers (for repro-diagnose)."""
-        out: dict[str, dict[str, dict]] = {}
-        for cluster, wh in self.shards.items():
-            out[cluster] = {
-                system: wh.ledger_map(system) for system in wh.systems()
-            }
-        return out

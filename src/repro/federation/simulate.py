@@ -14,8 +14,8 @@ embarrassingly parallel).
 Byte-identity invariant: a one-cluster federation executes exactly the
 calls ``repro-simulate`` makes for a plain warehouse — same config,
 same seed, same ingest knobs — so the shard file's rows are identical
-to the legacy single-warehouse output (asserted by tests and the
-``federation-smoke`` CI job).
+to the legacy single-warehouse output
+(``test_single_cluster_federation_matches_legacy_path``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Layout (one concern per module):
 * :mod:`repro.service.cache` — the per-tenant LRU report cache layered
   over the snapshot memo;
 * :mod:`repro.service.state` — the process-wide service state: the
-  warehouse handle, snapshot resolution, and the endpoint compute
-  logic;
+  one store handle, routing to a shard and its snapshot, and the
+  endpoint compute logic;
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   front end and URL routing.
 

@@ -27,10 +27,10 @@ a function of the calling client's previous poll — see
 refreshes the ``service.snapshot.age_seconds`` staleness gauge on
 every scrape.
 
-In federation mode (``repro-serve --federation DIR``) the query and
-timeseries endpoints additionally accept ``system=all`` for the
-scatter-gather cross-cluster path; ``group_by`` then understands the
-virtual ``cluster`` dimension.
+A server of a federation directory (``repro-serve --federation DIR``)
+additionally accepts ``system=all`` on the query and timeseries
+endpoints for the scatter-gather cross-cluster path; ``group_by`` then
+understands the virtual ``cluster`` dimension.
 
 Tenancy: the ``X-Tenant`` header (or ``tenant`` query parameter) keys
 the per-tenant L1 cache; unset means the shared ``public`` tenant.

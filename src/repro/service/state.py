@@ -1,8 +1,11 @@
 """The process-wide service state and endpoint compute logic.
 
-One :class:`ServiceState` owns the warehouse handle (opened
+One :class:`ServiceState` owns the one store handle, a
+:class:`~repro.federation.federated.FederatedWarehouse` (a warehouse
+file is served as the one-shard federation it is; shards are opened
 ``threadsafe=True`` so handler threads share the serialized SQLite
-connection), resolves the current
+connections).  It routes each request to the shard that stores its
+system, resolves that shard's current
 :class:`~repro.xdmod.snapshot.WarehouseSnapshot` *once per request*
 (pinning the whole request to one frozen view, even mid-refresh), and
 layers the service caching stack over the PR 2 memo:
@@ -27,14 +30,17 @@ calling client's previous poll (per-client
 data, so they bypass the L1 cache and read the live counter table
 directly.  See docs/OBSERVABILITY.md ("Live monitoring").
 
-Federation mode (``federation_root=``) serves a directory of warehouse
-shards through the same stack: single-system requests route to the
-owning shard (same code path, so responses match single-warehouse
-serving exactly), while ``system=all`` scatter-gathers a query across
-every shard and merges with the federation kernels — cached in L1 and
+A directory of shards (``federation_root=``) and a single file
+(``warehouse_path=``) are the same store with a different shard count:
+single-system requests route to the owning shard (one code path, so a
+routed response matches serving the shard file exactly), while a
+directory also answers ``system=all`` — a query scatter-gathered across
+every shard and merged with the federation kernels, cached in L1 and
 coalesced in single-flight under a combined all-shard stamp, so a
-cross-cluster dashboard burst costs one scatter.  See
-docs/FEDERATION.md.
+cross-cluster dashboard burst costs one scatter.  What a file server
+still says differently (its ``health``/``refresh`` identity fields, and
+``not_federated``/``unknown_system`` for the cross-cluster requests) is
+listed in docs/FEDERATION.md.
 """
 
 from __future__ import annotations
@@ -57,35 +63,35 @@ from repro.service.coalesce import SingleFlight
 from repro.service.protocol import ServiceError
 from repro.telemetry.metrics import get_registry
 from repro.xdmod.query import DIMENSIONS, JobQuery
-from repro.xdmod.reports import (
-    AdminReport,
-    DeveloperReport,
-    FundingAgencyReport,
-    ResourceManagerReport,
-    SupportStaffReport,
-    UserReport,
-)
+from repro.xdmod.reports import NEEDS_TARGET, REPORT_KINDS
 from repro.xdmod.snapshot import WarehouseSnapshot
 
 __all__ = ["ServiceState", "REPORT_KINDS", "DEFAULT_TENANT"]
-
-#: report realm -> generator class (same vocabulary as ``repro-report``).
-REPORT_KINDS = {
-    "user": UserReport,
-    "developer": DeveloperReport,
-    "support": SupportStaffReport,
-    "admin": AdminReport,
-    "manager": ResourceManagerReport,
-    "funding": FundingAgencyReport,
-}
-
-#: report realms whose render needs a target argument.
-NEEDS_TARGET = {"user": "a username", "developer": "an application tag"}
 
 DEFAULT_TENANT = "public"
 
 #: The ``system`` parameter value that targets the whole federation.
 ALL_SYSTEMS = "all"
+
+
+def _groups_payload(groups) -> dict:
+    """``group_by`` results (one shard's or merged) as served."""
+    return {"groups": [
+        {
+            "key": g.key,
+            "keys": list(g.keys),
+            "job_count": g.job_count,
+            "node_hours": g.node_hours,
+            "weighted_means": g.weighted_means,
+        }
+        for g in groups
+    ]}
+
+
+def _series_payload(t, v) -> dict:
+    """One series (one system's or merged) as served."""
+    return {"times": t.tolist(), "values": v.tolist(),
+            "mean": float(v.mean()) if v.size else 0.0}
 
 
 class ServiceState:
@@ -98,16 +104,13 @@ class ServiceState:
         if (warehouse_path is None) == (federation_root is None):
             raise ValueError("pass exactly one of warehouse_path / "
                              "federation_root")
-        self.federation = None
-        self.federation_root = None
-        self.warehouse = None
         self.warehouse_path = warehouse_path
-        if federation_root is not None:
-            self.federation = FederatedWarehouse.open(federation_root,
-                                                     threadsafe=True)
-            self.federation_root = str(federation_root)
-        else:
-            self.warehouse = Warehouse(warehouse_path, threadsafe=True)
+        #: The served directory, ``None`` when one file is served: the
+        #: one thing that tells the two kinds of store apart, read only
+        #: where a response names the store (``health``, ``refresh``)
+        #: or is refused to a file (``_need_federation``, ``_is_all``).
+        self.federation_root = (None if federation_root is None
+                                else str(federation_root))
         self._flight = SingleFlight()
         self._cache = (TenantReportCache(cache_capacity,
                                          max_tenants=max_tenants)
@@ -127,64 +130,85 @@ class ServiceState:
         self._max_engines = max(max_tenants, 1)
         self._watchers_lock = threading.Lock()
         self._watchers = 0
+        #: The one store handle: the shards of the directory, or the
+        #: file as the one-shard federation it is.  Opened last, so a
+        #: constructor that raises has nothing to close.
+        self.store = (
+            FederatedWarehouse.open_file(warehouse_path, threadsafe=True)
+            if federation_root is None else
+            FederatedWarehouse.open(federation_root, threadsafe=True))
 
     def close(self) -> None:
-        """Release the warehouse (or every shard) connection."""
-        if self.federation is not None:
-            self.federation.close()
-        else:
-            self.warehouse.close()
+        """Release every shard connection."""
+        self.store.close()
 
-    # -- snapshot resolution ----------------------------------------------
-
-    def snapshot(self) -> WarehouseSnapshot:
-        """The current frozen view; resolved once per request so every
-        sub-query of that request sees one generation."""
-        return WarehouseSnapshot.for_warehouse(self.warehouse)
+    # -- routing ------------------------------------------------------------
 
     def _all_systems(self) -> list[str]:
-        """Every servable system (across every shard when federated)."""
-        if self.federation is not None:
-            return self.federation.all_systems()
-        return self.warehouse.systems()
+        """Every servable system, across every shard."""
+        return self.store.all_systems()
+
+    def _shard(self, system: str) -> Warehouse:
+        """The shard that stores *system*.  Routing, not a one-unit
+        scatter: the gather kernels re-weight (``mean × hours ÷
+        hours``), which is not the same float."""
+        return self.store.shard(self.store.shard_of(system))
 
     def _resolve(self, system: str) -> tuple[Warehouse, WarehouseSnapshot]:
-        """The warehouse + pinned snapshot answering for *system*.
+        """The shard + pinned snapshot answering for *system*, resolved
+        once per request so every sub-query of that request sees one
+        generation.  The same classes whatever the store, which is what
+        keeps a routed response identical to serving the shard file."""
+        shard = self._shard(system)
+        return shard, WarehouseSnapshot.for_warehouse(shard)
 
-        Single-warehouse mode returns the one warehouse; federation
-        mode routes to the owning shard — the same classes either way,
-        which is what keeps shard responses identical to single-
-        warehouse serving.
-        """
-        if self.federation is None:
-            return self.warehouse, self.snapshot()
-        wh = self.federation.shard(self.federation.shard_of(system))
-        return wh, WarehouseSnapshot.for_warehouse(wh)
+    def _need_federation(self) -> None:
+        if self.federation_root is None:
+            raise ServiceError("not_federated",
+                               "server is not serving a federation")
+
+    def _is_all(self, system: str | None) -> bool:
+        """Does *system* name the whole federation?  ``all`` is not
+        special to a server of one file (it answers ``unknown_system``)."""
+        return self.federation_root is not None and system == ALL_SYSTEMS
+
+    def _topology(self) -> dict:
+        """The identity fields of a cross-cluster response."""
+        return {"clusters": self.store.clusters,
+                "generations": self.store.generations()}
+
+    def _serve(self, tenant: str, key: tuple, body: dict,
+               compute) -> dict:
+        """*body* plus the payload dict of *compute*, through the cache
+        stack: L1 hit, else single-flight compute and L1 put.  *key*
+        ends in the snapshot stamp, so identical in-flight requests
+        coalesce and a key can never alias across generations."""
+        if self._cache is not None:
+            hit = self._cache.get(tenant, key)
+            if hit is not None:
+                return {**body, **hit, "cached": True}
+        payload, coalesced = self._flight.do(key, compute)
+        if self._cache is not None:
+            self._cache.put(tenant, key, payload)
+        return {**body, **payload, "cached": False, "coalesced": coalesced}
 
     def refresh(self) -> dict:
-        """Adopt external commits: re-read the on-disk generation and
-        swap in a delta-refreshed snapshot (``POST /api/v1/refresh``).
+        """Adopt external commits (``POST /api/v1/refresh``): every
+        shard re-reads its on-disk generation, and the next reader of a
+        shard that moved extends its snapshot by the delta.
 
         In-flight requests keep the snapshot they already resolved;
-        only requests arriving after the swap see the new data.  In
-        federation mode every shard re-reads its own generation.
+        only requests arriving after see the new data.
         """
         with self._refresh_lock:
             get_registry().counter("service.refreshes").inc()
-            if self.federation is not None:
-                before = self.federation.generations()
-                after = self.federation.refresh()
-                return {
-                    "generations": after,
-                    "changed": after != before,
-                }
-            before = self.warehouse.generation
-            self.warehouse.reread_generation()
-            snap = self.snapshot()
-            return {
-                "generation": snap.generation,
-                "changed": snap.generation != before,
-            }
+            before = self.store.generations()
+            after = self.store.refresh()
+            if self.federation_root is None:
+                (generation,) = after.values()
+                return {"generation": generation,
+                        "changed": after != before}
+            return {"generations": after, "changed": after != before}
 
     def snapshot_age_seconds(self) -> float:
         """Seconds since the served snapshot stamp last changed.
@@ -195,11 +219,8 @@ class ServiceState:
         ``service.snapshot.age_seconds`` gauge, so both ``/metrics``
         scrapes and ``/api/v1/health`` keep it current.
         """
-        if self.federation is not None:
-            stamp: object = tuple(sorted(
-                self.federation.generations().items()))
-        else:
-            stamp = self.warehouse.data_version
+        stamp = tuple(shard.data_version
+                      for shard in self.store.shards.values())
         now = time.monotonic()
         with self._stamp_lock:
             if stamp != self._last_stamp:
@@ -212,40 +233,33 @@ class ServiceState:
     # -- endpoints ----------------------------------------------------------
 
     def health(self) -> dict:
-        """``GET /api/v1/health``: liveness plus warehouse identity."""
+        """``GET /api/v1/health``: liveness plus the store's identity."""
         age = round(self.snapshot_age_seconds(), 3)
-        if self.federation is not None:
-            return {
-                "status": "ok",
-                "federation": self.federation_root,
-                "clusters": self.federation.clusters,
-                "systems": self.federation.all_systems(),
-                "generations": self.federation.generations(),
-                "snapshot_age_seconds": age,
-            }
-        return {
-            "status": "ok",
-            "warehouse": self.warehouse_path,
-            "systems": self.warehouse.systems(),
-            "generation": self.warehouse.generation,
-            "snapshot_age_seconds": age,
-        }
+        if self.federation_root is None:
+            (generation,) = self.store.generations().values()
+            identity = {"warehouse": self.warehouse_path,
+                        "systems": self._all_systems(),
+                        "generation": generation}
+        else:
+            identity = {"federation": self.federation_root,
+                        "clusters": self.store.clusters,
+                        "systems": self._all_systems(),
+                        "generations": self.store.generations()}
+        return {"status": "ok", **identity, "snapshot_age_seconds": age}
 
     def systems(self) -> dict:
         """``GET /api/v1/systems``: per-system configuration facts."""
         out = {}
         for name in self._all_systems():
-            _wh, snap = self._resolve(name)
+            _shard, snap = self._resolve(name)
             out[name] = snap.system_info(name)
         return {"systems": out}
 
     def clusters(self, cluster: str | None = None) -> dict:
         """``GET /api/v1/clusters``: the federation's shard topology
         (optionally filtered to one member cluster)."""
-        if self.federation is None:
-            raise ServiceError("not_federated",
-                               "server is not serving a federation")
-        names = self.federation.clusters
+        self._need_federation()
+        names = self.store.clusters
         if cluster is not None:
             if cluster not in names:
                 raise ServiceError(
@@ -255,9 +269,9 @@ class ServiceState:
         return {
             "clusters": {
                 name: {
-                    "systems": self.federation.shards[name].systems(),
-                    "generation": self.federation.shards[name].generation,
-                    "warehouse": self.federation.shards[name].path,
+                    "systems": self.store.shards[name].systems(),
+                    "generation": self.store.shards[name].generation,
+                    "warehouse": self.store.shards[name].path,
                 }
                 for name in names
             }
@@ -296,57 +310,25 @@ class ServiceState:
                                    f"report {kind!r} takes no target")
             target_args = ()
 
-        warehouse, snap = self._resolve(system)
-        # Same shape as the snapshot-memo report key (PR 2), extended
-        # with the stamp: identical in-flight requests coalesce, and a
-        # key can never alias across generations.
-        key = ("report", cls.__name__, system, target_args, snap.stamp)
-        body = {
-            "kind": kind,
-            "system": system,
-            "target": target,
-            "generation": snap.generation,
-        }
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return {**body, "report": hit, "cached": True}
+        shard, snap = self._resolve(system)
 
-        def compute() -> str:
+        def compute() -> dict:
             try:
-                return cls(warehouse, system,
-                           snapshot=snap).render(*target_args)
+                return {"report": cls(shard, system,
+                                      snapshot=snap).render(*target_args)}
             except (KeyError, ValueError) as exc:
                 # Unknown user/app inside a valid realm: a client
                 # error, not an internal one.
                 raise ServiceError("bad_request", str(exc)) from exc
 
-        text, coalesced = self._flight.do(key, compute)
-        if self._cache is not None:
-            self._cache.put(tenant, key, text)
-        return {**body, "report": text, "cached": False,
-                "coalesced": coalesced}
-
-    @staticmethod
-    def _check_dims(dims: tuple[str, ...], allow_cluster: bool) -> None:
-        for d in dims:
-            if d in DIMENSIONS or (allow_cluster and d == "cluster"):
-                continue
-            known = list(DIMENSIONS) + (["cluster"] if allow_cluster
-                                        else [])
-            raise ServiceError(
-                "unknown_dimension", f"unknown dimension {d!r}",
-                {"known": known})
-
-    @staticmethod
-    def _check_metrics(metrics: tuple[str, ...] | None) -> tuple[str, ...]:
-        metrics = SUMMARY_METRICS if metrics is None else metrics
-        for m in metrics:
-            if m not in SUMMARY_METRICS:
-                raise ServiceError(
-                    "unknown_metric", f"unknown metric {m!r}",
-                    {"known": list(SUMMARY_METRICS)})
-        return metrics
+        # Same shape as the snapshot-memo report key (PR 2), extended
+        # with the stamp.
+        return self._serve(
+            tenant,
+            ("report", cls.__name__, system, target_args, snap.stamp),
+            {"kind": kind, "system": system, "target": target,
+             "generation": snap.generation},
+            compute)
 
     def group_by(self, system: str | None, dimension: str | None,
                  metrics: tuple[str, ...] | None = None,
@@ -354,164 +336,115 @@ class ServiceState:
         """``GET /api/v1/query/group_by``: weighted aggregation by one
         or more dimensions (comma-separated).
 
-        In federation mode ``system=all`` scatter-gathers across every
-        shard; the dimension list may then include the virtual
-        ``cluster`` dimension.
+        A federation also answers ``system=all``, scatter-gathered
+        across every shard; the dimension list may then include the
+        virtual ``cluster`` dimension.
         """
-        if self.federation is not None and system == ALL_SYSTEMS:
-            return self._federated_group_by(dimension, metrics, tenant)
-        system = self._check_system(system)
+        everything = self._is_all(system)
+        if not everything:
+            system = self._check_system(system)
         if not dimension:
             raise ServiceError("missing_param",
                                "missing required parameter 'dimension'")
         dims = tuple(d for d in dimension.split(",") if d)
-        self._check_dims(dims, allow_cluster=False)
-        metrics = self._check_metrics(metrics)
+        known = list(DIMENSIONS) + (["cluster"] if everything else [])
+        for d in dims:
+            if d not in known:
+                raise ServiceError(
+                    "unknown_dimension", f"unknown dimension {d!r}",
+                    {"known": known})
+        metrics = SUMMARY_METRICS if metrics is None else metrics
+        for m in metrics:
+            if m not in SUMMARY_METRICS:
+                raise ServiceError(
+                    "unknown_metric", f"unknown metric {m!r}",
+                    {"known": list(SUMMARY_METRICS)})
+        by = dims if len(dims) > 1 else dims[0]
 
-        warehouse, snap = self._resolve(system)
-        key = ("service.group_by", system, dims, metrics, snap.stamp)
-        body = {"system": system, "dimension": list(dims),
-                "metrics": list(metrics), "generation": snap.generation}
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return {**body, "groups": hit, "cached": True}
+        if everything:
+            snaps = self.store.snapshots()
+            key = ("federation.group_by", dims, metrics,
+                   self.store.stamp(snaps))
+            identity = self._topology()
 
-        def compute() -> list[dict]:
-            query = JobQuery(warehouse, system, snapshot=snap)
-            return [
-                {
-                    "key": g.key,
-                    "keys": list(g.keys),
-                    "job_count": g.job_count,
-                    "node_hours": g.node_hours,
-                    "weighted_means": g.weighted_means,
-                }
-                for g in query.group_by(
-                    dims if len(dims) > 1 else dims[0], metrics=metrics)
-            ]
+            def compute() -> dict:
+                return _groups_payload(self.store.group_by(
+                    by, metrics=metrics, snapshots=snaps))
+        else:
+            shard, snap = self._resolve(system)
+            key = ("service.group_by", system, dims, metrics, snap.stamp)
+            identity = {"generation": snap.generation}
 
-        groups, coalesced = self._flight.do(key, compute)
-        if self._cache is not None:
-            self._cache.put(tenant, key, groups)
-        return {**body, "groups": groups, "cached": False,
-                "coalesced": coalesced}
+            def compute() -> dict:
+                return _groups_payload(JobQuery(
+                    shard, system, snapshot=snap).group_by(
+                        by, metrics=metrics))
 
-    def _federated_group_by(self, dimension: str | None,
-                            metrics: tuple[str, ...] | None,
-                            tenant: str) -> dict:
-        """The ``system=all`` scatter-gather behind :meth:`group_by`."""
-        if not dimension:
-            raise ServiceError("missing_param",
-                               "missing required parameter 'dimension'")
-        dims = tuple(d for d in dimension.split(",") if d)
-        self._check_dims(dims, allow_cluster=True)
-        metrics = self._check_metrics(metrics)
-
-        snaps = self.federation.snapshots()
-        stamp = self.federation.stamp(snaps)
-        key = ("federation.group_by", dims, metrics, stamp)
-        body = {"system": ALL_SYSTEMS, "dimension": list(dims),
-                "metrics": list(metrics),
-                "clusters": self.federation.clusters,
-                "generations": self.federation.generations()}
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return {**body, "groups": hit, "cached": True}
-
-        def compute() -> list[dict]:
-            return [
-                {
-                    "key": g.key,
-                    "keys": list(g.keys),
-                    "job_count": g.job_count,
-                    "node_hours": g.node_hours,
-                    "weighted_means": g.weighted_means,
-                }
-                for g in self.federation.group_by(
-                    dims if len(dims) > 1 else dims[0],
-                    metrics=metrics, snapshots=snaps)
-            ]
-
-        groups, coalesced = self._flight.do(key, compute)
-        if self._cache is not None:
-            self._cache.put(tenant, key, groups)
-        return {**body, "groups": groups, "cached": False,
-                "coalesced": coalesced}
+        return self._serve(
+            tenant, key,
+            {"system": system, "dimension": list(dims),
+             "metrics": list(metrics), **identity},
+            compute)
 
     def federation_overview(self, tenant: str = DEFAULT_TENANT) -> dict:
         """``GET /api/v1/federation/overview``: the cross-cluster
         rollup (per-cluster facts, merged totals, rendered table),
         served through the same L1/single-flight stack."""
-        if self.federation is None:
-            raise ServiceError("not_federated",
-                               "server is not serving a federation")
-        snaps = self.federation.snapshots()
-        stamp = self.federation.stamp(snaps)
-        key = ("federation.overview", stamp)
-        body = {"clusters": self.federation.clusters,
-                "generations": self.federation.generations()}
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return {**body, **hit, "cached": True}
+        self._need_federation()
+        snaps = self.store.snapshots()
 
         def compute() -> dict:
-            overview = self.federation.overview(snapshots=snaps)
-            return {**overview, "report": self.federation.render_overview()}
+            overview = self.store.overview(snapshots=snaps)
+            return {**overview, "report": self.store.render_overview()}
 
-        payload, coalesced = self._flight.do(key, compute)
-        if self._cache is not None:
-            self._cache.put(tenant, key, payload)
-        return {**body, **payload, "cached": False, "coalesced": coalesced}
+        return self._serve(
+            tenant, ("federation.overview", self.store.stamp(snaps)),
+            self._topology(), compute)
 
     def timeseries(self, system: str | None, series: str | None,
                    tenant: str = DEFAULT_TENANT) -> dict:
         """``GET /api/v1/timeseries/{series}``: one stored system
         series as parallel time/value arrays.
 
-        In federation mode ``system=all`` returns the series merged
+        A federation also answers ``system=all`` with the series merged
         across every cluster (sums for extensive series, active-node-
         weighted means for intensive ones).
         """
-        if self.federation is not None and system == ALL_SYSTEMS:
-            return self._federated_timeseries(series, tenant)
-        system = self._check_system(system)
+        everything = self._is_all(system)
+        if not everything:
+            system = self._check_system(system)
         if not series:
             raise ServiceError("missing_param", "missing series name")
-        warehouse, snap = self._resolve(system)
-        known = warehouse.series_metrics(system)
+        if everything:
+            snaps = self.store.snapshots()
+            known, where = (self.store.series_metrics(),
+                            "in any federation shard")
+            key = ("federation.timeseries", series,
+                   self.store.stamp(snaps))
+            identity = self._topology()
+
+            def compute() -> dict:
+                return _series_payload(*self.store.timeseries(
+                    series, snapshots=snaps))
+        else:
+            shard, snap = self._resolve(system)
+            known, where = (shard.series_metrics(system),
+                            f"for system {system!r}")
+            key = ("service.timeseries", system, series, snap.stamp)
+            identity = {"generation": snap.generation}
+
+            def compute() -> dict:
+                return _series_payload(*snap.series(system, series))
+
         if series not in known:
             raise ServiceError(
-                "unknown_series",
-                f"no series {series!r} for system {system!r}",
+                "unknown_series", f"no series {series!r} {where}",
                 {"known": known})
-
-        key = ("service.timeseries", system, series, snap.stamp)
-        body = {"system": system, "series": series,
-                "generation": snap.generation}
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return {**body, **hit, "cached": True}
-
-        def compute() -> dict:
-            t, v = snap.series(system, series)
-            return {"times": t.tolist(), "values": v.tolist(),
-                    "mean": float(v.mean()) if v.size else 0.0}
-
-        payload, coalesced = self._flight.do(key, compute)
-        if self._cache is not None:
-            self._cache.put(tenant, key, payload)
-        return {**body, **payload, "cached": False, "coalesced": coalesced}
+        return self._serve(
+            tenant, key,
+            {"system": system, "series": series, **identity}, compute)
 
     # -- live view ----------------------------------------------------------
-
-    def _live_warehouse(self, system: str) -> Warehouse:
-        if self.federation is None:
-            return self.warehouse
-        return self.federation.shard(self.federation.shard_of(system))
 
     def _engine_for(self, client: str, system: str) -> RateEngine:
         """The *client*'s rate engine for *system* (LRU-bounded)."""
@@ -551,7 +484,7 @@ class ServiceState:
         if not 1 <= n <= 1000:
             raise ServiceError("bad_request",
                                f"n must be in 1..1000, got {n}")
-        warehouse = self._live_warehouse(system)
+        warehouse = self._shard(system)
         samples = warehouse.live_counters(system)
         engine = self._engine_for(client, system)
         # Engines serialize their own observe: two in-flight polls
@@ -586,7 +519,7 @@ class ServiceState:
         """
         system = self._check_system(system)
         timeout = min(max(float(timeout), 0.0), 30.0)
-        warehouse = self._live_warehouse(system)
+        warehouse = self._shard(system)
         registry = get_registry()
         registry.counter("live.watch_requests").inc()
         gauge = registry.gauge("live.watchers")
@@ -617,36 +550,3 @@ class ServiceState:
             with self._watchers_lock:
                 self._watchers -= 1
                 gauge.set(float(self._watchers))
-
-    def _federated_timeseries(self, series: str | None,
-                              tenant: str) -> dict:
-        """The ``system=all`` merged-series behind :meth:`timeseries`."""
-        if not series:
-            raise ServiceError("missing_param", "missing series name")
-        known = self.federation.series_metrics()
-        if series not in known:
-            raise ServiceError(
-                "unknown_series",
-                f"no series {series!r} in any federation shard",
-                {"known": known})
-
-        snaps = self.federation.snapshots()
-        stamp = self.federation.stamp(snaps)
-        key = ("federation.timeseries", series, stamp)
-        body = {"system": ALL_SYSTEMS, "series": series,
-                "clusters": self.federation.clusters,
-                "generations": self.federation.generations()}
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return {**body, **hit, "cached": True}
-
-        def compute() -> dict:
-            t, v = self.federation.timeseries(series, snapshots=snaps)
-            return {"times": t.tolist(), "values": v.tolist(),
-                    "mean": float(v.mean()) if v.size else 0.0}
-
-        payload, coalesced = self._flight.do(key, compute)
-        if self._cache is not None:
-            self._cache.put(tenant, key, payload)
-        return {**body, **payload, "cached": False, "coalesced": coalesced}

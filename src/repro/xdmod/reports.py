@@ -48,6 +48,8 @@ __all__ = [
     "AdminReport",
     "ResourceManagerReport",
     "FundingAgencyReport",
+    "REPORT_KINDS",
+    "NEEDS_TARGET",
 ]
 
 
@@ -382,3 +384,18 @@ class FundingAgencyReport(_BaseReport):
                 title="Resource use by discipline",
             ),
         ])
+
+
+#: report realm -> generator class: the one vocabulary of
+#: ``repro-report`` and ``GET /api/v1/report/{kind}``.
+REPORT_KINDS = {
+    "user": UserReport,
+    "developer": DeveloperReport,
+    "support": SupportStaffReport,
+    "admin": AdminReport,
+    "manager": ResourceManagerReport,
+    "funding": FundingAgencyReport,
+}
+
+#: report realms whose render needs a target argument.
+NEEDS_TARGET = {"user": "a username", "developer": "an application tag"}

@@ -9,6 +9,8 @@ carry a random run id by design.)
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sqlite3
 
 import pytest
@@ -17,6 +19,10 @@ from repro.cli.diagnose import main as diagnose_main
 from repro.cli.report import main as report_main
 from repro.cli.serve import main as serve_main
 from repro.cli.simulate import main as simulate_main
+from repro.ingest.warehouse import Warehouse
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+from repro.xdmod.query import JobQuery
+from repro.xdmod.snapshot import set_cache_enabled
 
 KNOBS = ["--nodes", "8", "--days", "2", "--users", "10", "--seed", "5"]
 
@@ -232,3 +238,92 @@ def test_serve_rejects_missing_federation(tmp_path, capsys):
     rc = serve_main(["--federation", str(tmp_path / "nope")])
     assert rc != 0
     assert "cannot open federation" in capsys.readouterr().err
+
+
+# -- two spellings of one shard ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def twins(fed_dir, tmp_path_factory) -> dict:
+    """What the two spellings are asked about: the fast-path federation
+    for reports (only ``Facility.run`` writes the series the admin
+    report reads), one built through archives for ``repro-diagnose``
+    (so there is a ledger to print and verify), and names in each."""
+    slow = str(tmp_path_factory.mktemp("cli_twins") / "fed")
+    rc = simulate_main(["--clusters", "ranger,lonestar4", "--federation",
+                        slow, "--nodes", "4", "--days", "2", "--users",
+                        "6", "--seed", "5", "--with-archives", "--quiet"])
+    assert rc == 0
+    names = {"fast": fed_dir, "slow": slow}
+    wh = Warehouse(f"{fed_dir}/ranger.sqlite")
+    query = JobQuery(wh, "ranger")
+    names.update(user=query.top("user", 1)[0], app=query.top("app", 1)[0])
+    wh.close()
+    wh = Warehouse(f"{slow}/ranger.sqlite")
+    names["job"] = str(JobQuery(wh, "ranger").column("jobid")[0])
+    wh.close()
+    return names
+
+
+def _run(main, argv) -> tuple[int, str, str]:
+    """One in-process tool run on a private metrics registry (the
+    ``--cache-stats`` line prints process-wide counters)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with use_registry(MetricsRegistry()), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        set_cache_enabled(True)  # --no-report-cache is process-wide
+    return rc, out.getvalue(), err.getvalue()
+
+
+REPORT_ROWS = [("fast", report_main, [*kind, *flags])
+               for kind in (["support"], ["admin"], ["user", "{user}"],
+                            ["developer", "{app}"])
+               for flags in ([], ["--cache-stats"], ["--no-report-cache"])]
+DIAGNOSE_ROWS = [("slow", diagnose_main, flags) for flags in (
+    [], ["--associations"], ["--job", "{job}"], ["--ledger"],
+    ["--ingest-health"], ["--verify", "{slow}/archives/ranger"])]
+
+
+@pytest.mark.parametrize(
+    "which, main, row", REPORT_ROWS + DIAGNOSE_ROWS,
+    ids=[f"{main.__module__.rsplit('.', 1)[1]} {' '.join(row)}"
+         for _which, main, row in REPORT_ROWS + DIAGNOSE_ROWS])
+def test_both_spellings_of_a_shard_print_the_same(twins, which, main, row):
+    """``--federation D --cluster C`` == ``--warehouse D/C.sqlite
+    --system C``, flag for flag: stdout and exit status.  (At PR 22's
+    parent ``--verify`` and ``--cache-stats`` were silently ignored
+    under ``--federation``.)"""
+    root = twins[which]
+    flags = [part.format(**twins) for part in row]
+    routed = _run(main, ["--federation", root, "--cluster", "ranger",
+                         *flags])
+    direct = _run(main, ["--warehouse", f"{root}/ranger.sqlite",
+                         "--system", "ranger", *flags])
+    assert routed == direct
+    assert direct[0] == 0 and direct[1] and not direct[2]
+    if "--verify" in row:
+        assert "no differences" in direct[1]
+    if "--cache-stats" in row:
+        assert "\ncache: " in direct[1]
+
+
+def test_verify_needs_one_shard_never_a_silent_zero(twins):
+    rc, out, err = _run(diagnose_main, [
+        "--federation", twins["slow"],
+        "--verify", f"{twins['slow']}/archives/ranger"])
+    assert rc == 2 and not out
+    assert "--verify needs --cluster" in err
+
+
+def test_serve_missing_federation_leaves_nothing_behind(tmp_path, capsys):
+    """The flag decides what kind of store is opened, never the path:
+    a mistyped directory handed to SQLite would be *created* as an
+    empty database and reported as "holds no systems"."""
+    rc = serve_main(["--federation", str(tmp_path / "nope")])
+    assert rc != 0
+    assert "cannot open federation" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ disagreement is a gather bug, not data drift.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.ingest.summarize import SUMMARY_METRICS
 from repro.ingest.warehouse import Warehouse
 from repro.lariat.records import lariat_record_for
 from repro.scheduler.accounting import AccountingWriter
+from repro.service.state import ServiceState
 from repro.tacc_stats.archive import HostArchive
 from repro.testing.faults import corrupt_archive
 from repro.xdmod.query import DIMENSIONS
@@ -359,3 +361,79 @@ def test_open_missing_shard(tmp_path):
         assert fed.clusters == ["ok"]
     finally:
         fed.close()
+
+
+def _data_rows(path) -> dict[str, list]:
+    """Every data-table row of a shard file, ordered."""
+    wh = Warehouse(str(path))
+    try:
+        return {
+            table: wh.connection.execute(
+                f"SELECT * FROM {table} ORDER BY 1, 2, 3").fetchall()
+            for table in ("systems", "jobs", "job_metrics",
+                          "system_series", "syslog_events")}
+    finally:
+        wh.close()
+
+
+def test_shard_pool_equals_serial_row_for_row(tmp_path):
+    """``shard_workers=2`` really enters the process pool (two shards)
+    and must not change a row of either shard.  (Moved here from
+    ``bench_federation.py``, whose timing half is ledger rows now.)"""
+    cfg = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=4)
+    plans = [ClusterPlan(cluster="a", config=cfg, seed=3),
+             ClusterPlan(cluster="b", config=cfg, seed=4)]
+    for name, workers in (("serial", 1), ("pool", 2)):
+        FederatedFacility.plan(str(tmp_path / name), plans).run(
+            shard_workers=workers)
+    for plan in plans:
+        serial = _data_rows(tmp_path / "serial" / f"{plan.cluster}.sqlite")
+        assert serial["jobs"] and serial["system_series"]
+        assert serial == _data_rows(
+            tmp_path / "pool" / f"{plan.cluster}.sqlite"), plan.cluster
+
+
+def _open_files_under(root) -> list[str]:
+    """Paths under *root* that this process holds a descriptor on."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            held.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:
+            continue  # the listing's own descriptor
+    return sorted(p for p in held if p.startswith(str(root)))
+
+
+def test_failed_open_closes_the_shards_it_opened(tmp_path):
+    """A shard that is missing, or is not a warehouse, fails the open —
+    and the shards opened before it must not stay open behind the
+    exception (checked while the traceback still holds the frames)."""
+    root = tmp_path / "fed"
+    cfg = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=4)
+    FederatedFacility.plan(
+        str(root), [ClusterPlan(cluster="ok", config=cfg, seed=3)]).run()
+    layout = FederationLayout.open(root)
+    layout.shards["zz-late"] = ShardSpec(     # sorts after "ok"
+        cluster="zz-late", system="late", seed=1, nodes=4, days=1.0,
+        users=4)
+    layout.save()
+    assert _open_files_under(root) == []
+
+    for opener in (lambda: FederatedWarehouse.open(root),
+                   lambda: ServiceState(federation_root=str(root))):
+        with pytest.raises(FileNotFoundError, match="shard warehouse") \
+                as failed:
+            opener()
+        assert _open_files_under(root) == [], failed
+
+    # Present but unreadable as a warehouse (an older schema).
+    old = Warehouse(str(root / "zz-late.sqlite"))
+    old.connection.execute(
+        "UPDATE meta SET value='0' WHERE key='schema_version'")
+    old.connection.commit()
+    old.close()
+    with pytest.raises(RuntimeError, match="schema version") as failed:
+        FederatedWarehouse.open(root)
+    assert _open_files_under(root) == [], failed
