@@ -4,9 +4,8 @@ The paper's collector is sold on ~0.1 % overhead (§2.1); our budget for
 the pipeline's own telemetry is <1 % of end-to-end ingest wall time,
 and it is a *gated* number, not an aspiration: this bench measures the
 instrumentation cost of a real archive ingest, writes the result to
-``benchmarks/out/telemetry_overhead.txt``, and
-``benchmarks/check_regression.py`` fails CI when the overhead climbs
-past the budget.
+``benchmarks/out/telemetry_overhead.txt``, and fails (one step of CI's
+``e2e-harness`` job) when the overhead climbs past the budget.
 
 Why not a plain wall-clock A/B?  The instrumentation adds ~1 ms to a
 ~350 ms ingest, while run-to-run noise on the same machine is tens of
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import gc
 import io
-import os
 import time
 
 import pytest
@@ -56,11 +54,6 @@ from repro.telemetry.metrics import (
     use_registry,
 )
 from repro.telemetry.trace import Tracer, use_tracer
-
-
-def _quick() -> bool:
-    """True when the CI smoke mode is requested via the environment."""
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +135,7 @@ def _one_pass(prepared, enabled: bool,
 
 def _per_op_seconds() -> dict[str, float]:
     """Tight-loop cost of each instrumentation shape, per operation."""
-    n = 20_000 if _quick() else 100_000
+    n = 20_000
     registry, tracer = MetricsRegistry(), Tracer()
     costs: dict[str, float] = {}
     with use_registry(registry), use_tracer(tracer):
@@ -192,7 +185,7 @@ def test_telemetry_overhead(prepared, save_artifact, monkeypatch):
 
     # Uninstrumented wall time: best of alternating passes (the A/B
     # delta doubles as the sanity line).
-    rounds = 3 if _quick() else 7
+    rounds = 3
     _one_pass(prepared, True)  # warm-up: imports, page cache, sqlite
     on_times = [_one_pass(prepared, True) for _ in range(rounds)]
     off_times = [_one_pass(prepared, False) for _ in range(rounds)]

@@ -324,6 +324,11 @@ def _run_federation(args) -> int:
                    "--with-archives instead of --archive")
     if args.shard_workers < 1:
         return die("--shard-workers must be >= 1")
+    if args.policy != "easy":
+        return die("--policy is not supported in federation mode "
+                   "(every shard schedules with EASY backfill)")
+    if args.appkernels:
+        return die("--appkernels is not supported in federation mode")
     if args.append and not args.with_archives:
         return die("--append requires --with-archives in federation mode "
                    "(the per-shard ledgers live with the archives)")

@@ -20,9 +20,9 @@ Layout (one concern per module):
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   front end and URL routing.
 
-See ``docs/SERVICE.md`` for the protocol and deployment knobs, and
-``benchmarks/bench_service_latency.py`` for the latency acceptance
-gates (warm-report p99, coalescing rate).
+See ``docs/SERVICE.md`` for the protocol and deployment knobs, and the
+``dashboard`` workload of ``benchmarks/e2e/`` for the served latency,
+cold start and coalescing counts.
 """
 
 from repro._lazy import lazy_exports

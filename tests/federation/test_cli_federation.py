@@ -92,6 +92,10 @@ def test_simulate_federation_flag_validation(fed_dir, tmp_path, capsys):
           "--archive", "a/"], "--with-archives instead"),
         (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
           "--append"], "requires --with-archives"),
+        (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
+          "--policy", "fcfs"], "--policy is not supported"),
+        (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
+          "--appkernels"], "--appkernels is not supported"),
         (["--clusters", "bogus", "--federation", str(tmp_path / "x")],
          "unknown archetype"),
         (["--clusters", "ranger,stampede", "--federation", fed_dir],

@@ -4,8 +4,10 @@ in the library carries a docstring, and the README's import claims hold."""
 import importlib
 import inspect
 import pkgutil
+import re
 
 import repro
+from tests.conftest import ROOT
 
 
 def _walk_modules():
@@ -56,3 +58,23 @@ def test_cli_entry_points_resolve():
     for target in scripts.values():
         module, func = target.split(":")
         assert callable(getattr(importlib.import_module(module), func))
+
+
+def test_paths_written_in_docs_exist():
+    """Every ``benchmarks/``, ``tests/``, ``src/repro/`` or ``docs/``
+    path the docs, the verify skill and the CI workflow name is a file
+    or directory of this tree (run-time ``…/out/…`` artefacts excepted),
+    so a deletion cannot leave its name behind."""
+    sources = [ROOT / "README.md", ROOT / "DESIGN.md",
+               ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md")),
+               ROOT / ".claude/skills/verify/SKILL.md",
+               ROOT / ".github/workflows/ci.yml"]
+    path = re.compile(
+        r"(?<![\w./-])((?:benchmarks|tests|src/repro|docs)/[\w./-]*)")
+    dangling = sorted({
+        f"{source.relative_to(ROOT)}: {written}"
+        for source in sources if source.exists()
+        for written in path.findall(source.read_text())
+        if "/out/" not in written
+        and not (ROOT / written.rstrip(".")).exists()})
+    assert dangling == []

@@ -129,3 +129,34 @@ def test_report_render_memoized(wh):
     # Second render — even from a new report object — is one memo hit.
     assert FundingAgencyReport(wh, "alpha").render() == text1
     assert snap.cache_stats["hits"] > hits
+
+
+def test_six_reports_render_alike_uncached_cold_and_warm(fast_run,
+                                                         fast_query):
+    """The engine is an optimization, not a semantic change: all six
+    stakeholder reports print the same text with the memo disabled and
+    the snapshot rebuilt per report, from one fresh snapshot, and from
+    a warm one."""
+    from repro.xdmod.reports import REPORT_KINDS
+    warehouse, system = fast_run.warehouse, fast_run.config.name
+    targets = {"user": (fast_query.top("user", 1)[0],),
+               "developer": (fast_query.top("app", 1)[0],)}
+
+    def bouquet(fresh_snapshot_each: bool = False) -> list[str]:
+        texts = []
+        for kind, cls in REPORT_KINDS.items():
+            if fresh_snapshot_each:
+                WarehouseSnapshot.invalidate(warehouse)
+            texts.append(cls(warehouse, system).render(
+                *targets.get(kind, ())))
+        return texts
+
+    try:
+        set_cache_enabled(False)
+        uncached = bouquet(fresh_snapshot_each=True)
+    finally:
+        set_cache_enabled(True)
+    WarehouseSnapshot.invalidate(warehouse)
+    cold = bouquet()
+    warm = bouquet()
+    assert len(warm) == 6 and warm == cold == uncached
