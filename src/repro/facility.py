@@ -27,7 +27,9 @@ ordering, hence the same archive bytes — and one side-log recipe,
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -57,7 +59,7 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.trace import span
 from repro.util.rng import RngFactory
-from repro.util.timeutil import aligned_samples
+from repro.util.timeutil import DAY, HOUR, aligned_samples
 from repro.workload.applications import APP_CATALOG, RATE_INDEX
 from repro.workload.behavior import DerivedRates, JobBehavior
 from repro.workload.generator import GeneratedWorkload, WorkloadGenerator
@@ -159,13 +161,32 @@ class NodeReplay:
                 events.append((record.end_time, 0, record, slot))
         events.sort(key=lambda e: e[:2])
         self.events = events
+        #: Next event to hand the engine | to fall due: a NodeSynth is
+        #: fed ahead of the clock, so the two differ.
         self.cursor = 0
+        self.due = 0
+
+    @property
+    def rows_held(self) -> int:
+        """Value rows synthesized ahead of the clock (scalar: never)."""
+        return getattr(self.engine, "rows_held", 0)
 
     def advance(self, until: float) -> int:
         """Fire this node's events with ``t <= until``; returns how many."""
-        engine, events, first = self.engine, self.events, self.cursor
-        ptr = first
-        while ptr < len(events) and events[ptr][0] <= until:
+        engine, events, ptr = self.engine, self.events, self.cursor
+        ahead, fire_to = isinstance(engine, NodeSynth), until
+        if ahead and ptr < len(events) and events[ptr][0] <= until:
+            # It only queues, and the simulation is over, so it is fed
+            # ahead of the clock: a synthesis block runs to the later of
+            # *until* and this node's next day edge — a day however
+            # finely the driver slices, staggered an hour a node so that
+            # a fleet's blocks do not all fall due in one micro-batch.
+            # An event is due, so the held block is spent: out it goes.
+            engine.flush(until)
+            phase = engine.node.index * HOUR % DAY
+            fire_to = max(-(-(events[ptr][0] - phase) // DAY) * DAY + phase,
+                          until)
+        while ptr < len(events) and events[ptr][0] <= fire_to:
             t, kind, record, slot = events[ptr]
             if kind == 1:
                 engine.sample(t)
@@ -181,11 +202,13 @@ class NodeReplay:
                     engine.end_job(record.jobid, t)
             ptr += 1
         self.cursor = ptr
-        if isinstance(engine, NodeSynth):
-            # It queues samples until told to flush — one synthesis block
-            # per slice; the caller may close files after this slice.
-            engine.flush()
-        return ptr - first
+        if ahead:
+            # One kernel round per block, then rows out as the clock
+            # passes them; the caller may close files after this slice.
+            engine.flush(until)
+        first = self.due
+        self.due = bisect_right(events, until, lo=first, key=itemgetter(0))
+        return self.due - first
 
 
 def node_replays(cfg: FacilityConfig, seed: int, records: list[JobRecord],
@@ -233,9 +256,9 @@ def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
                   node_indices: list[int], behaviors: dict[str, JobBehavior],
                   archive_dir: str, compress: bool, archive_format: str,
                   synthesis: str) -> tuple[ArchiveStats, MetricsSnapshot]:
-    """Open the archive, take each node's unit to the horizon one
-    rotation period at a time — the boundary the files already have, so
-    a synthesis block is bounded whatever the horizon — and close.
+    """Open the archive, take each node's unit to the horizon a day at
+    a time — a slice that long is its own synthesis block, so none is
+    held past the call that made it — and close.
     Returns the volume accounting and the replay's telemetry — kept in a
     private registry so write-side counters merge to the same totals
     whether this ran in-process or in a pool worker."""
@@ -247,12 +270,14 @@ def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
         archive = HostArchive(archive_dir, compress=compress,
                               resume_stats=False,
                               archive_format=archive_format)
-        edges = aligned_samples(0.0, cfg.horizon,
-                                archive.rotate_seconds)[1:]
+        edges = aligned_samples(0.0, cfg.horizon, DAY)[1:]
+        held = 0
         for unit in node_replays(cfg, seed, records, node_indices,
                                  behaviors, archive, synthesis):
             for edge in edges:
                 unit.advance(edge)
+            held += unit.rows_held
+        local.gauge("synth.rows_held").set(held)
         stats = archive.close()
     return stats, local.snapshot()
 

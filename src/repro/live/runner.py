@@ -75,6 +75,8 @@ class LiveReplay:
                 f"cannot advance backwards ({until} < {self.clock})")
         fired = sum(unit.advance(until) for unit in self._nodes)
         self.clock = until
+        get_registry().gauge("synth.rows_held").set(
+            sum(unit.rows_held for unit in self._nodes))
         return fired
 
 

@@ -3,13 +3,14 @@
 :class:`NodeSynth` replaces :class:`~repro.tacc_stats.daemon.TaccStatsDaemon`
 for replay: instead of emitting one text block per invocation, it queues
 the invocation metadata (time, dt, prevailing rates source, job tags,
-marks) until its driver calls :meth:`NodeSynth.flush` — once per (node,
-driver slice), however many jobs began meanwhile — and then materializes
-the whole pending run as one
-:class:`~repro.tacc_stats.collectors.base.BlockContext` and calls every
+marks) — a whole day of it, whoever drives, however many jobs begin
+meanwhile — and the first :meth:`NodeSynth.flush` that finds a queued
+row due materializes the whole queue as one
+:class:`~repro.tacc_stats.collectors.base.BlockContext`, calling every
 collector's batched ``sample_block`` kernel once.  The resulting
-``[T, devices, values]`` uint64 arrays are rendered to text in bulk for
-a text archive; for a v2 archive they are kept as they are and handed to
+``[T, devices, values]`` uint64 arrays are held, and each ``flush(until)``
+releases the rows the clock has passed: rendered to text in bulk for a
+text archive; for a v2 archive kept as they are and handed to
 :func:`~repro.tacc_stats.columnar.encode_host_blocks` when the file
 closes — no row or block text is made on that path.
 
@@ -23,6 +24,8 @@ archives end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -56,6 +59,11 @@ class _Pending:
         #: from, or None for an idle interval.
         self.rate_src = rate_src
 
+    @property
+    def tag(self) -> str:
+        """The block's job-tag field."""
+        return ",".join(self.jobids) if self.jobids else "-"
+
 
 class _V2Accum:
     """Per-open-file accumulation of synthesized v2 columns."""
@@ -75,8 +83,8 @@ class _V2Accum:
 class NodeSynth:
     """One node's batched collector suite, API-compatible with the
     daemon's job lifecycle (``begin_job`` / ``end_job`` / ``sample``)
-    plus an explicit :meth:`flush` the driver calls once its event
-    stream (or micro-batch) is exhausted.
+    plus an explicit :meth:`flush` the driver calls with its clock: the
+    job state here runs ahead of that clock, by up to a day.
 
     Writes go straight to a :class:`HostArchive` — rotation, schema
     re-registration on fresh files, and (for v2 archives) direct column
@@ -99,8 +107,12 @@ class NodeSynth:
         self._last_time: float | None = None
         # (jobid, behavior, node_slot, job_start) of the current job.
         self._job: tuple[str, JobBehavior, int, float] | None = None
-        self.samples_taken = 0
         self._pending: list[_Pending] = []
+        #: The block the clock is inside: (invocations, per-collector
+        #: arrays); its rows before ``_released`` are in the archive.
+        self._held: tuple[list[_Pending], list[np.ndarray]] | None = None
+        self._released = 0
+        self._rows_per_sample = sum(len(c.devices) for c in self.collectors)
         self._v2 = archive.archive_format == "v2"
         #: id(writer) -> accumulated columns; the accum holds a strong
         #: reference to its writer (checked with ``is``) so a recycled
@@ -137,8 +149,11 @@ class NodeSynth:
         self._queue(t, jobids=jobids, mark=None)
 
     @property
-    def current_jobid(self) -> str | None:
-        return self._job[0] if self._job else None
+    def rows_held(self) -> int:
+        """Value rows materialized and not yet released to the archive."""
+        if self._held is None:
+            return 0
+        return (len(self._held[0]) - self._released) * self._rows_per_sample
 
     # -- queueing -----------------------------------------------------------
 
@@ -161,17 +176,37 @@ class NodeSynth:
             src = (behavior, slot, max(ref - start, 0.0))
         self._pending.append(_Pending(t, dt, jobids, mark, src))
         self._last_time = t
-        self.samples_taken += 1
 
     # -- block materialization ----------------------------------------------
 
-    def flush(self) -> None:
-        """Materialize every queued invocation through the batched
-        kernels and write the rendered blocks to the archive."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
+    def flush(self, until: float) -> None:
+        """Release every queued row with ``t <= until`` to the archive.
+        With no block held the whole queue goes through the batched
+        kernels, once; rows past *until* stay held — invocations and
+        ``[T, devices, values]`` arrays, never text — for later calls to
+        release, and reach no file or row counter before.  A block must
+        be out before the next is queued."""
+        if self._held is None:
+            if not self._pending:
+                return
+            self._held = self._materialize()
+            self._released = 0
+        pending, vals_by_collector = self._held
+        i0 = self._released
+        i1 = bisect_right(pending, until, lo=i0, key=attrgetter("t"))
+        if i1 > i0:
+            self._write_runs(pending, vals_by_collector, i0, i1)
+            self._released = i1
+            registry = get_registry()
+            registry.counter("synth.samples").inc(i1 - i0)
+            registry.counter("synth.rows").inc(
+                (i1 - i0) * self._rows_per_sample)
+        if i1 == len(pending):
+            self._held = None
+
+    def _materialize(self) -> tuple[list[_Pending], list[np.ndarray]]:
+        """Every queued invocation through the kernels, as one block."""
+        pending, self._pending = self._pending, []
         n = len(pending)
 
         times = np.array([p.t for p in pending], dtype=np.float64)
@@ -197,48 +232,40 @@ class NodeSynth:
             begins=tuple((i, p.mark[1], p.t) for i, p in enumerate(pending)
                          if p.mark is not None and p.mark[0] == "begin"),
         )
-        vals_by_collector = [c.sample_block(block) for c in self.collectors]
-
-        self._write_runs(pending, vals_by_collector)
-
-        registry = get_registry()
-        registry.counter("synth.chunks").inc()
-        registry.counter("synth.samples").inc(n)
-        registry.counter("synth.rows").inc(
-            n * sum(len(c.devices) for c in self.collectors))
+        get_registry().counter("synth.chunks").inc()
+        return pending, [c.sample_block(block) for c in self.collectors]
 
     def _render_rows(self, vals_by_collector: list[np.ndarray],
-                     ) -> list[list[str]]:
-        """Every (collector, device) row stream as text lines, in bulk:
-        uint64 .tolist() yields Python ints whose str() matches the
-        scalar writer's str(int(v)) exactly."""
+                     lo: int, hi: int) -> list[list[str]]:
+        """Every (collector, device) row stream of rows ``[lo, hi)`` as
+        text lines, in bulk: uint64 .tolist() yields Python ints whose
+        str() matches the scalar writer's str(int(v)) exactly."""
         line_lists: list[list[str]] = []
         for c, vals in zip(self.collectors, vals_by_collector):
             for d, dev in enumerate(c.devices):
                 prefix = f"{c.type_name} {dev} "
                 line_lists.append([
                     prefix + " ".join(map(str, row)) + "\n"
-                    for row in vals[:, d, :].tolist()
+                    for row in vals[lo:hi, d, :].tolist()
                 ])
         return line_lists
 
     def _write_runs(self, pending: list[_Pending],
-                    vals_by_collector: list[np.ndarray]) -> None:
-        """Write the flushed block to the archive, splitting the run at
-        rotation-segment boundaries (each segment is its own file).  A
+                    vals_by_collector: list[np.ndarray],
+                    lo: int, hi: int) -> None:
+        """Write block rows ``[lo, hi)`` to the archive, splitting the run
+        at rotation-segment boundaries (each segment is its own file).  A
         text archive gets the rendered blocks; a v2 archive gets no
         text at all — the columns are kept for the file's close."""
         rot = self.archive.rotate_seconds
         hostname = self.node.hostname
-        n = len(pending)
-        tags = [",".join(p.jobids) if p.jobids else "-" for p in pending]
         line_lists = ([] if self._v2
-                      else self._render_rows(vals_by_collector))
-        i0 = 0
-        while i0 < n:
+                      else self._render_rows(vals_by_collector, lo, hi))
+        i0 = lo
+        while i0 < hi:
             seg = int(pending[i0].t // rot)
             i1 = i0 + 1
-            while i1 < n and int(pending[i1].t // rot) == seg:
+            while i1 < hi and int(pending[i1].t // rot) == seg:
                 i1 += 1
             w = self.archive.writer(hostname, pending[i0].t)
             # Rotation starts a fresh file with its own header — same
@@ -248,16 +275,15 @@ class NodeSynth:
                     w.register_schema(c.schema)
             parts: list[str] = []
             if self._v2:
-                self._accumulate_v2(w, pending, tags, i0, i1,
-                                    vals_by_collector)
+                self._accumulate_v2(w, pending, i0, i1, vals_by_collector)
             else:
                 for i in range(i0, i1):
                     p = pending[i]
-                    parts.append(f"{int(p.t)} {tags[i]}\n")
+                    parts.append(f"{int(p.t)} {p.tag}\n")
                     if p.mark is not None:
                         parts.append(f"%{p.mark[0]} {p.mark[1]}\n")
                     for lines in line_lists:
-                        parts.append(lines[i])
+                        parts.append(lines[i - lo])
             # With no parts the writer still flushes its header and
             # enforces monotonic time.
             w.append_rendered(pending[i0].t, pending[i1 - 1].t,
@@ -267,7 +293,7 @@ class NodeSynth:
     # -- direct v2 encoding --------------------------------------------------
 
     def _accumulate_v2(self, w: StatsWriter, pending: list[_Pending],
-                       tags: list[str], i0: int, i1: int,
+                       i0: int, i1: int,
                        vals_by_collector: list[np.ndarray]) -> None:
         accum = self._accums.get(id(w))
         if accum is None or accum.writer is not w:
@@ -275,17 +301,17 @@ class NodeSynth:
                 w, len(self.collectors))
             self.archive.set_v2_encoder(self.node.hostname, self._encode_v2)
         base = len(accum.times)
-        for off, i in enumerate(range(i0, i1)):
-            p = pending[i]
+        for off, p in enumerate(pending[i0:i1]):
             # begin_block serializes int(t), so the re-parsed text path
             # would store float(int(t)) — match it exactly.
             accum.times.append(float(int(p.t)))
-            accum.tags.append(tags[i])
+            accum.tags.append(p.tag)
             if p.mark is not None:
                 accum.marks.append((base + off, p.mark[0], p.mark[1]))
-        # A file keeps its own rows only: a view into a block that also
-        # fed another file would pin the whole block until this closes.
-        whole = i1 - i0 == len(pending)
+        # A file owns its rows unless it took the block whole: a view of
+        # rows released from a block that feeds other files, or is still
+        # held, would pin the whole block until this file closes.
+        whole = i0 == 0 and i1 == len(pending)
         for ci, vals in enumerate(vals_by_collector):
             accum.values[ci].append(vals if whole else vals[i0:i1].copy())
 

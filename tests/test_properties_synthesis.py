@@ -8,14 +8,15 @@ draws sweep the dimensions that could plausibly break the kernels'
 bit-exactness: the system archetype (different collector suites,
 filesystems, PMC programs), the on-disk format (text vs direct-to-v2
 column encoding), the ingest error policy (the fault-tolerant read-back
-paths), and sub-day rotation periods (the live replay's segment close /
-re-register cycle, which cuts synthesis blocks at arbitrary points).
+paths), and sub-day rotation periods and release schedules (the live
+replay's segment close / re-register cycle, which releases a day block's
+rows at arbitrary points).
 """
 
 import hashlib
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Facility
@@ -80,24 +81,41 @@ def test_fast_engine_matches_scalar_oracle(
 
 @given(
     seed=st.integers(min_value=0, max_value=2**20),
+    horizon_days=st.sampled_from([1, 2]),
     segment_hours=st.sampled_from([1, 3, 6, 12]),
     batch_segments=st.integers(min_value=1, max_value=3),
+    offset=st.sampled_from([0.0, 1234.5, 1800.0]),
+    revisit=st.booleans(),
     archive_format=st.sampled_from(["text", "v2"]),
     partition=st.sampled_from([[[0, 1]], [[0], [1]], [[1], [0]]]),
 )
+@example(seed=3, horizon_days=2, segment_hours=1, batch_segments=1,
+         offset=1234.5, revisit=True, archive_format="v2",
+         partition=[[0, 1]])
+@example(seed=3, horizon_days=2, segment_hours=3, batch_segments=3,
+         offset=0.0, revisit=False, archive_format="text",
+         partition=[[1], [0]])
 @settings(max_examples=4, deadline=None)
-def test_sub_day_rotation_identity(tmp_path_factory, seed, segment_hours,
-                                   batch_segments, archive_format,
-                                   partition):
+def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
+                                   segment_hours, batch_segments, offset,
+                                   revisit, archive_format, partition):
     """Sub-day rotation: the live replay closes segments (firing the
     direct-to-v2 encoder) after every micro-batch, so the fast engine's
-    blocks are cut and flushed at points the offline path never sees —
-    the archives must still match the scalar daemon's byte for byte.
-    And the offline path over any node *partition*, one chunk after
-    another, each advanced to the horizon in a single step, must write
-    that same tree: any partition × any slicing gives one archive."""
-    cfg = RANGER.scaled(num_nodes=2, horizon_days=1, n_users=5)
+    day blocks are released — and their files closed — at points the
+    offline path never sees: on segment edges, mid-hour (*offset*), at
+    the same instant twice (*revisit*), and across ``t = DAY``, whose
+    tick is the last row of day 1's block and the first of day 2's
+    file.  The archives must still match the scalar daemon's byte for
+    byte.  And the offline path over any node *partition*, one chunk
+    after another, each advanced to the horizon in a single call, must
+    write that same tree: any partition × any slicing gives one
+    archive."""
+    cfg = RANGER.scaled(num_nodes=2, horizon_days=horizon_days, n_users=5)
     seg = segment_hours * HOUR
+    instants, t = [], offset
+    while t < cfg.horizon:
+        t = min(t + batch_segments * seg, cfg.horizon)
+        instants += [t, t] if revisit else [t]
     trees = {}
     for synthesis in ("fast", "scalar"):
         d = str(tmp_path_factory.mktemp(synthesis))
@@ -109,12 +127,12 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, segment_hours,
             cfg, seed, workload.users, workload.util_scale,
             facility.phase_calibration, facility.regressions,
             sim.records, archive, synthesis=synthesis)
-        t = 0.0
-        while t < cfg.horizon:
-            t = min(t + batch_segments * seg, cfg.horizon)
-            replay.advance(t)
+        fired = 0
+        for t in instants:
+            fired += replay.advance(t)
             archive.flush_before(t)
         archive.close()
+        assert fired == sum(len(unit.events) for unit in replay._nodes)
         trees[synthesis] = _tree(d)
     assert trees["fast"] == trees["scalar"]
 

@@ -26,7 +26,7 @@ from repro.live.runner import LiveReplay, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors import amd64_pmc, intel_pmc
 from repro.telemetry.metrics import MetricsRegistry, use_registry
-from repro.util.timeutil import DAY, HOUR
+from repro.util.timeutil import DAY, HOUR, period_label
 
 CFG = RANGER.scaled(num_nodes=4, horizon_days=1, n_users=8)
 SEED = 17
@@ -124,8 +124,9 @@ def test_node_output_depends_only_on_seed_and_node(tmp_path):
 
 def test_synth_telemetry_counters(tmp_path):
     """``synth.chunks`` is the deterministic perf guard: one block — one
-    round of kernel calls — per (node, rotation period), however many
-    jobs began on the node meanwhile."""
+    round of kernel calls — per (node, day) of an offline replay,
+    however many jobs began on the node meanwhile and whatever period
+    the files rotate at; and it leaves nothing held."""
     for archive_format, rotate in [("text", DAY), ("v2", DAY),
                                    ("v2", 4 * HOUR)]:
         d = str(tmp_path / f"{archive_format}-{rotate}")
@@ -140,18 +141,83 @@ def test_synth_telemetry_counters(tmp_path):
         assert len(run.records) > CFG.num_nodes
         assert counters["synth.nodes"] == CFG.num_nodes
         assert counters["synth.chunks"] == \
-            CFG.num_nodes * ceil(CFG.horizon / rotate)
+            CFG.num_nodes * ceil(CFG.horizon / DAY)
         assert counters["synth.samples"] > counters["synth.chunks"]
         assert counters["synth.rows"] > counters["synth.samples"]
+        assert reg.snapshot().gauges["synth.rows_held"] == 0
 
 
-def test_synth_chunks_live_is_nodes_times_slices(tmp_path):
+def test_synth_chunks_live_is_nodes_times_days(tmp_path):
+    """A live driver releases rows, it does not cut blocks: 18 two-hour
+    micro-batches over a day and a half are three blocks a node — up to
+    its first day edge (an hour a node apart), a day, and the rest."""
+    cfg = RANGER.scaled(num_nodes=2, horizon_days=1.5, n_users=6)
     reg = MetricsRegistry()
     with use_registry(reg):
-        LiveSession(Facility(CFG, seed=SEED), str(tmp_path),
+        LiveSession(Facility(cfg, seed=SEED), str(tmp_path),
                     segment_seconds=2 * HOUR).run()
-    assert reg.snapshot().counters["synth.chunks"] == \
-        CFG.num_nodes * ceil(CFG.horizon / (2 * HOUR))
+    snap = reg.snapshot()
+    assert snap.counters["live.batches"] == 19
+    assert snap.counters["synth.chunks"] == cfg.num_nodes * 3
+    assert snap.gauges["synth.rows_held"] == 0
+
+
+def _samples_in(root) -> int:
+    """Collector invocations (timestamp lines) in an archive tree."""
+    return sum(
+        line[0].isdigit()
+        for p in Path(root).rglob("*") if p.is_file()
+        for line in HostArchive.read_file(p).splitlines() if line)
+
+
+@pytest.mark.parametrize("archive_format,compress",
+                         [("text", True), ("v2", False)])
+def test_stopped_session_publishes_nothing_ahead_of_its_clock(
+        tmp_path, archive_format, compress):
+    """A driver that stops mid-day (``--live-max-batches``, an
+    exception) and closes its archive leaves what the scalar daemon —
+    which never runs ahead — leaves: the finished tree's closed hours,
+    the open hour's rows up to the clock, and counters for exactly the
+    rows on disk.  The rest of the day's block is held, not written."""
+    stop = 5 * HOUR + 1234.5
+    trees = {}
+    for name, synthesis, until in [("stopped", "fast", stop),
+                                   ("oracle", "scalar", stop),
+                                   ("finished", "fast", CFG.horizon)]:
+        d = str(tmp_path / name)
+        facility = Facility(CFG, seed=SEED)
+        workload, sim, _outages, _cluster = facility._simulate()
+        archive = HostArchive(d, compress=compress, rotate_seconds=HOUR,
+                              archive_format=archive_format)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            replay = LiveReplay(
+                CFG, SEED, *facility._behavior_context(workload),
+                sim.records, archive, synthesis=synthesis)
+            t = 0.0
+            while t < until:
+                t = min(t + HOUR, until)
+                replay.advance(t)
+                archive.flush_before(t)
+            archive.close()
+        trees[name] = _tree(d)
+        if name == "stopped":
+            snap = reg.snapshot()
+            per_sample = {u.engine._rows_per_sample for u in replay._nodes}
+            assert len(per_sample) == 1
+            # Up to each node's first edge, and the day after it.
+            assert snap.counters["synth.chunks"] == 2 * CFG.num_nodes
+            assert snap.counters["synth.samples"] == _samples_in(d)
+            assert snap.counters["synth.rows"] == \
+                _samples_in(d) * per_sample.pop()
+            assert snap.gauges["synth.rows_held"] == sum(
+                u.engine.rows_held for u in replay._nodes) > 0
+    assert trees["stopped"] == trees["oracle"]
+    open_hour = period_label(int(stop // HOUR), HOUR)
+    closed = {name: digest for name, digest in trees["stopped"].items()
+              if open_hour not in name}
+    assert len(trees["stopped"]) - len(closed) == CFG.num_nodes
+    assert closed.items() <= trees["finished"].items()
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +229,41 @@ def test_v2_accumulator_keeps_no_view_of_a_block(tmp_path):
     """A block that straddles two files hands each its own rows.  The
     tick at ``t = DAY`` belongs to the next day's file; as a one-row
     *view* it would pin the node's whole day block until that file
-    closes — for every node, until the end of the replay."""
+    closes — for every node, until the end of the replay.  Rows
+    released from a held block are the same case: an hour's rows as a
+    view would keep the day block alive after its last release."""
     fac = Facility(CFG, seed=SEED)
     workload, sim, _outages, _cluster = fac._simulate()
     behaviors = _build_behaviors(
         CFG, *fac._behavior_context(workload), sim.records)
-    archive = HostArchive(str(tmp_path), archive_format="v2")
+
+    def owned(engine) -> bool:
+        return all(a.base is None or a.base.nbytes == a.nbytes
+                   for accum in engine._accums.values()
+                   for chunks in accum.values for a in chunks)
+
+    archive = HostArchive(str(tmp_path / "daily"), archive_format="v2")
     for unit in node_replays(CFG, SEED, sim.records, [0, 1], behaviors,
                              archive):
         unit.advance(DAY)
         (accum,) = unit.engine._accums.values()
         assert set(accum.times) == {float(DAY)}
-        for chunks in accum.values:
-            for a in chunks:
-                assert a.base is None or a.base.nbytes == a.nbytes
+        assert owned(unit.engine)
+    archive.close()
+
+    archive = HostArchive(str(tmp_path / "hourly"), archive_format="v2",
+                          rotate_seconds=HOUR)
+    for unit in node_replays(CFG, SEED, sim.records, [0, 1], behaviors,
+                             archive):
+        engine = unit.engine
+        unit.advance(HOUR)  # the short block up to the node's first edge
+        for until in (90 * 60, DAY - HOUR):
+            unit.advance(until)
+            assert engine._held is not None and engine.rows_held > 0
+            assert engine._accums and owned(engine)
+        unit.advance(DAY)
+        assert engine._held is None and engine.rows_held == 0
+        assert not engine._pending and owned(engine)
     archive.close()
 
 
