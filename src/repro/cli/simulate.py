@@ -28,9 +28,10 @@ once, one warehouse shard each::
 ``ranger-a=ranger``); every shard gets the same scaling knobs.
 ``--with-archives`` runs each cluster through the slow text-format
 path into ``fed/archives/<cluster>/`` so later ``--append`` runs use
-the per-shard ingest ledgers; ``--shard-workers`` fans whole shards
-over a process pool.  A later run against an existing federation reads
-the member list back from ``fed/federation.json``.
+the per-shard ingest ledgers.  Each shard is exactly the plain run of
+its system, one after another, and prints the same lines.  A later run
+against an existing federation reads the member list back from
+``fed/federation.json``.
 
 Live mode (docs/OBSERVABILITY.md, "Live monitoring") streams the same
 study period as rolling micro-batches instead of one offline pass::
@@ -58,7 +59,7 @@ from types import SimpleNamespace
 from repro.cli.common import die
 from repro.config import LONESTAR4, RANGER, STAMPEDE, FacilityConfig
 from repro.facility import Facility
-from repro.ingest.warehouse import Warehouse
+from repro.federation.simulate import open_for_write, simulate_system
 from repro.telemetry.log import run_scope
 from repro.telemetry.manifest import build_manifest
 from repro.telemetry.metrics import get_registry
@@ -87,11 +88,19 @@ def add_system_args(parser: argparse.ArgumentParser) -> None:
                         help="master seed (default 42)")
 
 
+def _scaled(archetype: str, nodes: int, days: float,
+            users: int) -> FacilityConfig:
+    """A published system scaled by the shared knobs."""
+    if archetype not in SYSTEMS:
+        raise ValueError(f"unknown archetype {archetype!r} "
+                         f"(have: {sorted(SYSTEMS)})")
+    return SYSTEMS[archetype].scaled(num_nodes=nodes, horizon_days=days,
+                                     n_users=users)
+
+
 def config_from_args(args: argparse.Namespace) -> FacilityConfig:
     """Build the scaled FacilityConfig the parsed args describe."""
-    base = SYSTEMS[args.system]
-    return base.scaled(num_nodes=args.nodes, horizon_days=args.days,
-                       n_users=args.users)
+    return _scaled(args.system, args.nodes, args.days, args.users)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the slow archive path into "
                              "DIR/archives/<cluster>/ (enables later "
                              "--append runs via the per-shard ledgers)")
-    parser.add_argument("--shard-workers", type=int, default=1,
-                        help="federation mode: process-parallel shard "
-                             "fan-out (each shard is an independent "
-                             "file set; output is identical for any "
-                             "worker count)")
     parser.add_argument("--archive", default=None,
                         help="directory for a full stats archive "
                              "(enables the slow path)")
@@ -182,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "synchronous=NORMAL (faster ingest; query "
                              "results are identical)")
     parser.add_argument("--no-syslog", action="store_true",
-                        help="skip syslog generation (fast path only)")
+                        help="skip syslog generation (fast path only: an "
+                             "archive run always generates it)")
     parser.add_argument("--policy", choices=("easy", "fcfs", "aware"),
                         default="easy",
                         help="scheduling policy: EASY backfill (default), "
@@ -240,59 +245,74 @@ def _federation_plans(args) -> tuple[str, "list", bool]:
     """
     from pathlib import Path
 
-    from repro.federation import ClusterPlan, FederationLayout
+    from repro.federation import ClusterPlan, FederationLayout, ShardSpec
 
     root = args.federation
-    manifest = Path(root) / "federation.json"
-    if manifest.exists():
-        layout = FederationLayout.open(root)
+    existed = (Path(root) / "federation.json").exists()
+    if existed:
+        specs = list(FederationLayout.open(root).shards.values())
         if args.clusters:
             wanted = sorted(c for c, _a in _parse_clusters(args.clusters))
-            if wanted != layout.clusters:
+            have = sorted(s.cluster for s in specs)
+            if wanted != have:
                 raise ValueError(
                     f"--clusters {wanted} does not match the existing "
-                    f"federation {layout.clusters}; omit --clusters to "
-                    f"reuse the manifest")
-        plans = []
-        for spec in layout.shards.values():
-            base = SYSTEMS.get(spec.system)
-            if base is None:
-                raise ValueError(f"manifest names unknown archetype "
-                                 f"{spec.system!r}")
-            config = base.scaled(num_nodes=spec.nodes,
-                                 horizon_days=spec.days,
-                                 n_users=spec.users)
-            plans.append(ClusterPlan(spec.cluster, config, spec.seed))
-        return root, plans, True
-    if not args.clusters:
+                    f"federation {have}; omit --clusters to reuse the "
+                    f"manifest")
+    elif not args.clusters:
         raise ValueError(f"no federation at {root} — pass --clusters to "
                          f"create one")
-    plans = []
-    for cluster, archetype in _parse_clusters(args.clusters):
-        base = SYSTEMS.get(archetype)
-        if base is None:
-            raise ValueError(f"unknown archetype {archetype!r} "
-                             f"(have: {sorted(SYSTEMS)})")
-        config = base.scaled(num_nodes=args.nodes, horizon_days=args.days,
-                             n_users=args.users)
-        plans.append(ClusterPlan(cluster, config, args.seed))
-    return root, plans, False
+    else:
+        specs = [ShardSpec(cluster=cluster, system=archetype,
+                           seed=args.seed, nodes=args.nodes,
+                           days=args.days, users=args.users)
+                 for cluster, archetype in _parse_clusters(args.clusters)]
+    plans = [ClusterPlan(s.cluster, _scaled(s.system, s.nodes, s.days,
+                                            s.users), s.seed)
+             for s in specs]
+    return root, plans, existed
 
 
-def _file_path_knobs(args) -> dict:
-    """The flags that are ``run_with_files`` arguments under their own
-    name; a shard run forwards them exactly as the plain run does."""
-    return {name: getattr(args, name) for name in (
-        "workers", "ingest_workers", "batch_size", "error_policy",
-        "max_retries", "archive_format", "synthesis")}
+#: The flags that are ``run_with_files`` arguments under their own name.
+_FILE_PATH_KNOBS = ("workers", "ingest_workers", "batch_size",
+                    "error_policy", "max_retries", "archive_format",
+                    "synthesis")
+
+
+def _run_knobs(args) -> dict:
+    """:func:`simulate_system`'s keyword arguments, the same in both
+    modes."""
+    return dict(append=args.append, through_day=args.ingest_days,
+                fast_writes=args.fast_writes,
+                with_syslog=not args.no_syslog,
+                **{name: getattr(args, name) for name in _FILE_PATH_KNOBS})
+
+
+def _print_system(summary: dict) -> None:
+    """The lines a run prints for one system, in either mode."""
+    print(f"[{summary['system']}] {summary['jobs']} jobs simulated, "
+          f"{summary['summarized']} with full summaries, "
+          f"{summary['node_hours']:,.0f} node-hours, "
+          f"efficiency {summary['efficiency']:.1%} "
+          f"({summary['seconds']:.1f}s)")
+    stats, report = summary["archive_stats"], summary["ingest_report"]
+    if stats is not None:
+        print(f"archive: {stats.file_count} files, "
+              f"{stats.raw_bytes / 1e6:.1f} MB raw, "
+              f"{stats.compression_ratio:.1f}x gzip")
+    if report is not None and report.delta is not None:
+        print(f"ingest delta ({report.mode}): {report.delta}")
+    if report is not None and report.health is not None:
+        print(f"ingest health: {report.health}")
+    print(f"warehouse: {summary['warehouse']}")
 
 
 @contextmanager
 def _telemetry_run(args, name: str, **attrs):
     """What every mode runs its work in: registry and tracer start clean
     so the manifest describes exactly this invocation, one run scope,
-    and one root span *name* whose duration is the elapsed time the
-    summary prints.  The body leaves :func:`build_manifest`'s arguments
+    and one root span *name* whose duration is ``elapsed`` on the
+    yielded namespace.  The body leaves :func:`build_manifest`'s arguments
     in ``manifest`` on the yielded namespace; the manifest is built once
     the root span has closed, if ``--telemetry-out`` asks for one."""
     get_registry().reset()
@@ -322,47 +342,23 @@ def _run_federation(args) -> int:
     if args.archive:
         return die("federation mode manages archive paths itself; use "
                    "--with-archives instead of --archive")
-    if args.shard_workers < 1:
-        return die("--shard-workers must be >= 1")
     if args.policy != "easy":
         return die("--policy is not supported in federation mode "
                    "(every shard schedules with EASY backfill)")
     if args.appkernels:
         return die("--appkernels is not supported in federation mode")
-    if args.append and not args.with_archives:
-        return die("--append requires --with-archives in federation mode "
-                   "(the per-shard ledgers live with the archives)")
-    if args.ingest_days is not None and not args.with_archives:
-        return die("--ingest-days requires --with-archives")
-    if args.archive_format != "text" and not args.with_archives:
-        return die("--archive-format requires --with-archives")
-    if args.synthesis != "fast" and not args.with_archives:
-        return die("--synthesis requires --with-archives")
     try:
         root, plans, existed = _federation_plans(args)
+        federated = (FederatedFacility(FederationLayout.open(root), plans)
+                     if existed else FederatedFacility.plan(root, plans))
     except ValueError as e:
         return die(str(e))
-    if existed and not args.append:
-        from pathlib import Path
-        built = [p.cluster for p in plans
-                 if Path(root, f"{p.cluster}.sqlite").exists()]
-        if built:
-            return die(f"federation at {root} already has shards "
-                       f"{built}; use --append to extend them")
-    federated = (FederatedFacility(FederationLayout.open(root), plans)
-                 if existed else FederatedFacility.plan(root, plans))
 
     with _telemetry_run(args, "federation.simulate",
                         clusters=len(plans)) as run:
         try:
-            results = federated.run(
-                archive=args.with_archives,
-                shard_workers=args.shard_workers,
-                append=args.append,
-                through_day=args.ingest_days,
-                fast_writes=args.fast_writes,
-                with_syslog=not args.no_syslog,
-                **_file_path_knobs(args))
+            results = federated.run(archive=args.with_archives,
+                                    **_run_knobs(args))
         except ValueError as e:
             return die(str(e))
         run.manifest = dict(
@@ -370,19 +366,12 @@ def _run_federation(args) -> int:
             extra={
                 "federation": root,
                 "jobs_simulated": sum(r["jobs"] for r in results.values()),
-                "shard_workers": args.shard_workers,
             },
         )
 
     if not args.quiet:
-        for cluster, r in sorted(results.items()):
-            line = (f"[{cluster}] {r['jobs']} jobs simulated, "
-                    f"{r['summarized']} with full summaries, "
-                    f"{r['node_hours']:,.0f} node-hours, "
-                    f"efficiency {r['efficiency']:.1%}")
-            if r["delta"]:
-                line += f" — ingest delta ({r['mode']}): {r['delta']}"
-            print(line)
+        for _cluster, summary in sorted(results.items()):
+            _print_system(summary)
         with closing(FederatedWarehouse.open(root)) as fw:
             print(fw.render_overview())
         print(f"federation: {root} ({run.elapsed:.1f}s)")
@@ -441,28 +430,23 @@ def _run_live(args, cfg, facility, warehouse) -> int:
     return 0
 
 
-def _run_single(args, cfg, facility, warehouse) -> int:
-    """One system, one offline pass: the archive tool chain with
-    ``--archive``, the in-memory fast path without."""
-    with _telemetry_run(args, "simulate", system=cfg.name,
+def _run_single(args, facility) -> int:
+    """One system, one offline pass into ``--warehouse``."""
+    with _telemetry_run(args, "simulate", system=facility.config.name,
                         path="archive" if args.archive else "fast") as run:
-        if args.archive:
-            result = facility.run_with_files(
-                args.archive, warehouse=warehouse,
-                ingest_mode="append" if args.append else "full",
-                ingest_through_day=args.ingest_days,
-                **_file_path_knobs(args))
-        else:
-            result = facility.run(warehouse=warehouse,
-                                  with_syslog=not args.no_syslog)
-        report = result.ingest_report
-        extra = {"jobs_simulated": len(result.records)}
+        try:
+            summary = simulate_system(facility, args.warehouse,
+                                      args.archive, **_run_knobs(args))
+        except ValueError as e:
+            return die(str(e))
+        report = summary["ingest_report"]
+        extra = {"jobs_simulated": summary["jobs"]}
         if report is not None:
             extra["ingest_mode"] = report.mode
             if report.delta is not None:
                 extra["ingest_delta"] = report.delta.to_dict()
         run.manifest = dict(
-            systems=[cfg.name],
+            systems=[summary["system"]],
             ingest_health=(report.health.to_dict()
                            if report is not None
                            and report.health is not None else None),
@@ -472,22 +456,7 @@ def _run_single(args, cfg, facility, warehouse) -> int:
         )
 
     if not args.quiet:
-        q = result.query()
-        print(f"[{cfg.name}] {len(result.records)} jobs simulated, "
-              f"{len(q)} with full summaries, "
-              f"{q.node_hours:,.0f} node-hours, "
-              f"efficiency {1 - q.weighted_mean('cpu_idle'):.1%} "
-              f"({run.elapsed:.1f}s)")
-        if result.archive_stats is not None:
-            s = result.archive_stats
-            print(f"archive: {s.file_count} files, "
-                  f"{s.raw_bytes / 1e6:.1f} MB raw, "
-                  f"{s.compression_ratio:.1f}x gzip")
-        if report is not None and report.delta is not None:
-            print(f"ingest delta ({report.mode}): {report.delta}")
-        if report is not None and report.health is not None:
-            print(f"ingest health: {report.health}")
-        print(f"warehouse: {args.warehouse}")
+        _print_system(summary)
     return 0
 
 
@@ -506,7 +475,8 @@ def _policy(name: str):
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.workers < 1 or args.ingest_workers < 1:
         return die("--workers and --ingest-workers must be >= 1")
     if args.batch_size < 1:
@@ -515,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
         return die("--max-retries must be >= 0")
     if args.clusters and not args.federation:
         return die("--clusters requires --federation DIR")
+    if args.with_archives and not args.federation:
+        return die("--with-archives is a federation-mode flag (pass "
+                   "--federation DIR)")
     if args.live:
         if args.federation:
             return die("--live streams a single system; federation "
@@ -530,8 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers != 1 or args.ingest_workers != 1:
             return die("--live replays in-process; drop --workers/"
                        "--ingest-workers")
-        if args.no_syslog:
-            return die("--live always generates the syslog stream")
         if args.live_segment_seconds < 1:
             return die("--live-segment-seconds must be >= 1")
         if args.live_batch_segments < 1:
@@ -541,46 +512,42 @@ def main(argv: list[str] | None = None) -> int:
             return die("--live-max-batches must be >= 1")
         if args.live_sleep < 0:
             return die("--live-sleep must be >= 0")
-    if args.federation:
-        return _run_federation(args)
-    if args.with_archives or args.shard_workers != 1:
-        return die("--with-archives/--shard-workers are federation-mode "
-                   "flags (pass --federation DIR)")
-    if not args.warehouse:
-        return die("--warehouse is required (or --federation DIR for "
-                   "federation mode)")
-    if args.append and not args.archive:
-        return die("--append requires --archive (the ingest ledger "
-                   "tracks archive files)")
-    if args.archive_format != "text" and not args.archive:
-        return die("--archive-format requires --archive (the fast path "
-                   "writes no files)")
-    if args.synthesis != "fast" and not args.archive:
-        return die("--synthesis requires --archive (without an archive "
-                   "no replay runs at all)")
+    needs = "--with-archives" if args.federation else "--archive"
+    if not (args.with_archives if args.federation else args.archive):
+        for name in (*_FILE_PATH_KNOBS, "append", "ingest_days"):
+            if getattr(args, name) != parser.get_default(name):
+                return die(f"--{name.replace('_', '-')} requires {needs} "
+                           f"(the fast path writes and reads no files)")
+    elif args.no_syslog:
+        return die(f"--no-syslog is fast-path only; a run with {needs} "
+                   f"always generates the syslog stream")
     if args.ingest_days is not None:
-        if not args.archive:
-            return die("--ingest-days requires --archive")
         if args.append:
             return die("--ingest-days only windows a full ingest; "
                        "--append derives its window from the ledger")
         if args.ingest_days < 1:
             return die("--ingest-days must be >= 1")
+    if args.federation:
+        return _run_federation(args)
+    if not args.warehouse:
+        return die("--warehouse is required (or --federation DIR for "
+                   "federation mode)")
     cfg = config_from_args(args)
-    with closing(Warehouse(args.warehouse,
-                           fast_writes=args.fast_writes)) as warehouse:
-        if cfg.name in warehouse.systems() and not args.append:
-            return die(f"system {cfg.name!r} already present in "
-                       f"{args.warehouse}; use a fresh file, another "
-                       f"system, or --append to ingest incrementally")
-        kernels = None
-        if args.appkernels:
-            from repro.xdmod.appkernels import DEFAULT_KERNELS
-            kernels = DEFAULT_KERNELS
-        facility = Facility(cfg, seed=args.seed,
-                            policy=_policy(args.policy), appkernels=kernels)
-        run_mode = _run_live if args.live else _run_single
-        return run_mode(args, cfg, facility, warehouse)
+    kernels = None
+    if args.appkernels:
+        from repro.xdmod.appkernels import DEFAULT_KERNELS
+        kernels = DEFAULT_KERNELS
+    facility = Facility(cfg, seed=args.seed, policy=_policy(args.policy),
+                        appkernels=kernels)
+    if not args.live:
+        return _run_single(args, facility)
+    try:
+        warehouse = open_for_write(cfg.name, args.warehouse,
+                                   fast_writes=args.fast_writes)
+    except ValueError as e:
+        return die(str(e))
+    with closing(warehouse):
+        return _run_live(args, cfg, facility, warehouse)
 
 
 if __name__ == "__main__":

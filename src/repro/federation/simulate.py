@@ -1,26 +1,26 @@
-"""Simulate a whole federation: N facilities, one shard each.
+"""Simulate one system into one warehouse file, or a federation of them.
 
-:class:`FederatedFacility` drives one
-:class:`~repro.facility.Facility` per member cluster into that
-cluster's own warehouse shard (and, on the slow path, its own stats
-archive with its own ingest ledger).  Per-shard work reuses the
-existing machinery verbatim — the PR 1 process-parallel node replay
-and the PR 5 ledger-driven incremental ingest both run *inside* a
-shard — and ``shard_workers > 1`` additionally fans whole shards out
-over a process pool (each shard is a disjoint file set with fully
-seeded RNG streams, so the fan-out is deterministic and
-embarrassingly parallel).
+:func:`simulate_system` is the one write path: it runs one facility's
+study period into one warehouse file — through the stats archive and
+the ledger-driven ingest when given an archive directory, the
+in-memory fast path otherwise — and returns what ``repro-simulate``
+prints for the system.  ``repro-simulate --warehouse F`` calls it once;
+:class:`FederatedFacility` calls it once per member cluster, serially,
+each into that cluster's shard (and archive, with its own ingest
+ledger).  Parallelism lives inside a shard: the process-parallel node
+replay (``workers``) and host parsing (``ingest_workers``).
 
-Byte-identity invariant: a one-cluster federation executes exactly the
-calls ``repro-simulate`` makes for a plain warehouse — same config,
-same seed, same ingest knobs — so the shard file's rows are identical
-to the legacy single-warehouse output
-(``test_single_cluster_federation_matches_legacy_path``).
+A one-cluster federation is therefore the plain run by construction:
+same config, same seed, same knobs, same function, so the shard file's
+rows are identical to the single-warehouse output
+(``test_single_cluster_federation_matches_legacy_path``,
+``test_both_spellings_of_a_simulate_run_agree``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -31,7 +31,8 @@ from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import get_registry
 from repro.util.timeutil import DAY
 
-__all__ = ["ClusterPlan", "FederatedFacility"]
+__all__ = ["ClusterPlan", "FederatedFacility", "open_for_write",
+           "simulate_system"]
 
 
 @dataclass(frozen=True)
@@ -55,49 +56,63 @@ class ClusterPlan:
         return dataclasses.replace(self.config, name=self.cluster)
 
 
-def _run_shard(cluster: str, config: FacilityConfig, seed: int,
-               warehouse_path: str, archive_dir: str | None,
-               knobs: dict) -> dict:
-    """Simulate + ingest one shard (module-level: runs in pool workers).
+def open_for_write(system: str, path: str, append: bool = False,
+                   fast_writes: bool = False) -> Warehouse:
+    """Open the warehouse file *path* to write *system* into; a file
+    that already holds the system is refused (``ValueError``, handle
+    closed) unless *append*."""
+    warehouse = Warehouse(path, fast_writes=fast_writes)
+    if system in warehouse.systems() and not append:
+        warehouse.close()
+        raise ValueError(f"system {system!r} already present in {path}; "
+                         f"use --append to ingest incrementally, or a "
+                         f"fresh file or another system")
+    return warehouse
 
-    Mirrors the ``repro-simulate`` main-path calls exactly, which is
-    what the single-cluster byte-identity invariant rests on.
+
+def simulate_system(facility: Facility, warehouse_path: str,
+                    archive_dir: str | None = None, *,
+                    append: bool = False, through_day: int | None = None,
+                    fast_writes: bool = False, with_syslog: bool = True,
+                    **file_knobs) -> dict:
+    """Run *facility*'s study period into the warehouse file.
+
+    With *archive_dir* the daemons write the stats archive there and the
+    ingest reads it back (``Facility.run_with_files``: *append* diffs it
+    against the file's ledger, *through_day* windows a full ingest, and
+    *file_knobs* — ``workers``, ``ingest_workers``, ``batch_size``,
+    ``error_policy``, ``max_retries``, ``archive_format``, ``synthesis``
+    — forward under their own names); without, the fast path runs
+    (``Facility.run``, *with_syslog*).  Returns what is printed for the
+    system: ``system``, ``warehouse``, ``jobs``, ``summarized``,
+    ``node_hours``, ``efficiency``, ``seconds`` (wall time),
+    ``archive_stats`` and ``ingest_report`` (``None`` on the fast path).
     """
-    # What is not a run_with_files argument under its own name; the
-    # rest forward as they are, so a default lives in one signature.
-    knobs = dict(knobs)
-    append = knobs.pop("append", False)
-    through_day = knobs.pop("through_day", None)
-    with_syslog = knobs.pop("with_syslog", True)
-    fast_writes = knobs.pop("fast_writes", False)
-    facility = Facility(config, seed=seed)
-    with closing(Warehouse(warehouse_path,
-                           fast_writes=fast_writes)) as warehouse:
-        if config.name in warehouse.systems() and not append:
-            raise ValueError(
-                f"system {config.name!r} already present in shard "
-                f"{warehouse_path}; use append=True to extend it")
-        if archive_dir is not None:
+    if append and archive_dir is None:
+        raise ValueError("append=True needs an archive (the ledger lives "
+                         "with the archive path)")
+    started = time.perf_counter()
+    name = facility.config.name
+    with closing(open_for_write(name, warehouse_path, append,
+                                fast_writes)) as warehouse:
+        if archive_dir is None:
+            run = facility.run(warehouse=warehouse, with_syslog=with_syslog)
+        else:
             run = facility.run_with_files(
                 archive_dir, warehouse=warehouse,
                 ingest_mode="append" if append else "full",
-                ingest_through_day=through_day, **knobs)
-        else:
-            run = facility.run(warehouse=warehouse, with_syslog=with_syslog)
+                ingest_through_day=through_day, **file_knobs)
         q = run.query()
-        report = run.ingest_report
         return {
-            "cluster": cluster,
-            "system": config.name,
+            "system": name,
             "warehouse": warehouse_path,
             "jobs": len(run.records),
             "summarized": len(q),
             "node_hours": q.node_hours,
             "efficiency": 1.0 - q.weighted_mean("cpu_idle"),
-            "mode": report.mode if report is not None else "fast",
-            "delta": (str(report.delta)
-                      if report is not None and report.delta is not None
-                      else None),
+            "seconds": time.perf_counter() - started,
+            "archive_stats": run.archive_stats,
+            "ingest_report": run.ingest_report,
         }
 
 
@@ -125,49 +140,23 @@ class FederatedFacility:
         ]
         return cls(FederationLayout.create(root, shards), plans)
 
-    def run(self, archive: bool = False, shard_workers: int = 1,
-            **knobs) -> dict[str, dict]:
-        """Run every shard; returns ``{cluster: summary dict}``.
+    def run(self, archive: bool = False, **knobs) -> dict[str, dict]:
+        """Run every shard, one after another, through
+        :func:`simulate_system`; returns ``{cluster: what it returned}``.
 
         *archive* selects the slow path (per-cluster stats archive +
-        ledger ingest, required for later ``append=True`` runs).
-        ``shard_workers > 1`` fans shards over a process pool; the
-        remaining *knobs* (``workers``, ``ingest_workers``,
-        ``batch_size``, ``error_policy``, ``max_retries``, ``append``,
-        ``through_day``, ``archive_format``, ``synthesis``,
-        ``fast_writes``, ``with_syslog``) forward to each shard's run
-        exactly as ``repro-simulate`` would pass them; on the slow path
-        a name ``run_with_files`` does not take is a ``TypeError``."""
-        if shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
-        if knobs.get("append") and not archive:
-            raise ValueError("append=True needs archive=True (the ledger "
-                             "lives with the archive path)")
-        jobs = []
+        ledger ingest, required for later ``append=True`` runs); *knobs*
+        are :func:`simulate_system`'s, passed to every shard alike."""
+        registry = get_registry()
+        out = {}
         for cluster in self.layout.clusters:
             plan = self.plans[cluster]
-            jobs.append((
-                cluster,
-                plan.effective_config(),
-                plan.seed,
+            out[cluster] = summary = simulate_system(
+                Facility(plan.effective_config(), seed=plan.seed),
                 self.layout.warehouse_path(cluster),
                 self.layout.archive_path(cluster) if archive else None,
-                knobs,
-            ))
-
-        registry = get_registry()
-        registry.counter("federation.ingest.shards").inc(len(jobs))
-        if shard_workers == 1 or len(jobs) == 1:
-            results = [_run_shard(*job) for job in jobs]
-        else:
-            import multiprocessing
-
-            with multiprocessing.Pool(min(shard_workers, len(jobs))) as pool:
-                results = pool.starmap(_run_shard, jobs)
-        out = {}
-        for summary in results:
-            registry.counter(
-                f"federation.ingest.{summary['cluster']}.jobs").inc(
+                **knobs)
+            registry.counter("federation.ingest.shards").inc()
+            registry.counter(f"federation.ingest.{cluster}.jobs").inc(
                 summary["jobs"])
-            out[summary["cluster"]] = summary
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import sqlite3
 
 import pytest
@@ -23,6 +24,7 @@ from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.xdmod.query import JobQuery
 from repro.xdmod.snapshot import set_cache_enabled
+from tests.test_cli import _archive_only_rows
 
 KNOBS = ["--nodes", "8", "--days", "2", "--users", "10", "--seed", "5"]
 
@@ -91,7 +93,7 @@ def test_simulate_federation_flag_validation(fed_dir, tmp_path, capsys):
         (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
           "--archive", "a/"], "--with-archives instead"),
         (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
-          "--append"], "requires --with-archives"),
+          "--no-syslog", "--with-archives"], "--no-syslog is fast-path"),
         (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
           "--policy", "fcfs"], "--policy is not supported"),
         (["--clusters", "ranger", "--federation", str(tmp_path / "x"),
@@ -100,13 +102,15 @@ def test_simulate_federation_flag_validation(fed_dir, tmp_path, capsys):
          "unknown archetype"),
         (["--clusters", "ranger,stampede", "--federation", fed_dir],
          "does not match"),
-        (["--with-archives"], "federation-mode flags"),
-        (["--shard-workers", "2"], "federation-mode flags"),
+        (["--with-archives"], "federation-mode flag"),
+        *_archive_only_rows(["--clusters", "ranger", "--federation",
+                             str(tmp_path / "x")], "--with-archives"),
     ]
     for argv, needle in cases:
         rc = simulate_main(argv + ["--quiet"])
-        assert rc != 0, argv
+        assert rc == 2, argv
         assert needle in capsys.readouterr().err, argv
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_archive_federation_with_append(tmp_path, capsys):
@@ -118,7 +122,7 @@ def test_simulate_archive_federation_with_append(tmp_path, capsys):
     rc = simulate_main(["--clusters", "test=ranger", *base,
                         "--ingest-days", "1", "--quiet"])
     assert rc == 0
-    rc = simulate_main([*base, "--append", "--shard-workers", "2"])
+    rc = simulate_main([*base, "--append"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "ingest delta (append)" in out
@@ -154,6 +158,66 @@ def test_single_cluster_federation_matches_legacy_path(tmp_path, capsys):
                       "support"])
     assert rc == 0
     assert fed_text == capsys.readouterr().out
+
+
+def _ledger(path: str) -> list[tuple]:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute(
+            "SELECT host, day, sha256, status, open_jobs FROM ingest_ledger "
+            "ORDER BY host, day").fetchall()
+    finally:
+        conn.close()
+
+
+def _system_lines(out: str, path: str) -> list[str]:
+    """What a run printed for its system, through the ``warehouse:``
+    line, with the elapsed seconds and the file name masked."""
+    lines = out.splitlines()
+    block = lines[:lines.index(f"warehouse: {path}") + 1]
+    return [re.sub(r"\(\d+\.\ds\)$", "(…s)", line).replace(path, "FILE")
+            for line in block]
+
+
+SIMULATE_ROWS = {
+    "fast": [[]],
+    "archive": [["ARCHIVE"]],
+    "ingest-days-then-append": [["ARCHIVE", "--ingest-days", "1"],
+                                ["ARCHIVE", "--append"]],
+}
+
+
+@pytest.mark.parametrize("steps", SIMULATE_ROWS.values(),
+                         ids=SIMULATE_ROWS.keys())
+def test_both_spellings_of_a_simulate_run_agree(tmp_path, steps):
+    """``--clusters X --federation D`` == ``--system X --warehouse F``,
+    step for step: data tables, ledger rows and the lines printed for
+    the system.  (The write-side twin of
+    ``test_both_spellings_of_a_shard_print_the_same``.)"""
+    root = str(tmp_path / "fed")
+    legacy = str(tmp_path / "legacy.sqlite")
+    knobs = ["--nodes", "4", "--days", "2", "--users", "6", "--seed", "5"]
+    for i, step in enumerate(steps):
+        fed_flags = ["--with-archives" if f == "ARCHIVE" else f
+                     for f in step]
+        plain_flags = [a for f in step for a in (
+            ["--archive", str(tmp_path / "arch")] if f == "ARCHIVE"
+            else [f])]
+        members = ["--clusters", "ranger"] if i == 0 else []
+        rc, fed_out, err = _run(simulate_main, [
+            *members, "--federation", root, *knobs, *fed_flags])
+        assert (rc, err) == (0, ""), err
+        rc, plain_out, err = _run(simulate_main, [
+            "--system", "ranger", "--warehouse", legacy, *knobs,
+            *plain_flags])
+        assert (rc, err) == (0, ""), err
+        shard = f"{root}/ranger.sqlite"
+        printed = _system_lines(plain_out, legacy)
+        assert len(printed) == len(plain_out.splitlines())
+        assert _system_lines(fed_out, shard) == printed
+        assert _dump(shard) == _dump(legacy)
+        assert _ledger(shard) == _ledger(legacy)
+        assert bool(_ledger(legacy)) == ("ARCHIVE" in step)
 
 
 def test_aliased_shards_draw_distinct_workloads(fed_dir):

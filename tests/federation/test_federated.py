@@ -363,36 +363,6 @@ def test_open_missing_shard(tmp_path):
         fed.close()
 
 
-def _data_rows(path) -> dict[str, list]:
-    """Every data-table row of a shard file, ordered."""
-    wh = Warehouse(str(path))
-    try:
-        return {
-            table: wh.connection.execute(
-                f"SELECT * FROM {table} ORDER BY 1, 2, 3").fetchall()
-            for table in ("systems", "jobs", "job_metrics",
-                          "system_series", "syslog_events")}
-    finally:
-        wh.close()
-
-
-def test_shard_pool_equals_serial_row_for_row(tmp_path):
-    """``shard_workers=2`` really enters the process pool (two shards)
-    and must not change a row of either shard.  (Moved here from
-    ``bench_federation.py``, whose timing half is ledger rows now.)"""
-    cfg = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=4)
-    plans = [ClusterPlan(cluster="a", config=cfg, seed=3),
-             ClusterPlan(cluster="b", config=cfg, seed=4)]
-    for name, workers in (("serial", 1), ("pool", 2)):
-        FederatedFacility.plan(str(tmp_path / name), plans).run(
-            shard_workers=workers)
-    for plan in plans:
-        serial = _data_rows(tmp_path / "serial" / f"{plan.cluster}.sqlite")
-        assert serial["jobs"] and serial["system_series"]
-        assert serial == _data_rows(
-            tmp_path / "pool" / f"{plan.cluster}.sqlite"), plan.cluster
-
-
 def _open_files_under(root) -> list[str]:
     """Paths under *root* that this process holds a descriptor on."""
     if not os.path.isdir("/proc/self/fd"):

@@ -140,6 +140,37 @@ def test_mixed_archive_ingests_identically(corpus, text_rows, tmp_path):
     w.close()
 
 
+def test_a_day_in_two_formats_is_listed_once_and_read_from_v2(
+        corpus, text_rows, tmp_path):
+    """An interrupted conversion leaves ``<day>.gz`` beside
+    ``<day>.v2``: the day is listed and fingerprinted once, as the
+    ``.v2``, and read from it — its ``.gz`` twin is garbage here, which
+    a strict ingest would refuse."""
+    both = tmp_path / "both"
+    shutil.copytree(corpus[1], both)
+    v2_dir = Path(_convert_copy(corpus, tmp_path))
+    doubled = set()
+    for host_dir in sorted(both.iterdir()):
+        gz = sorted(host_dir.iterdir())[0]
+        day = _file_day(gz)
+        shutil.copy(v2_dir / host_dir.name / f"{day}.v2", host_dir)
+        gz.write_bytes(b"not a gzip stream")
+        doubled.add((host_dir.name, day))
+    archive = HostArchive(str(both))
+    manifest = archive.manifest()
+    for host in archive.hostnames():
+        listed = [(host, _file_day(p)) for p in archive.host_files(host)]
+        days = {(host, _file_day(p)) for p in (both / host).iterdir()}
+        assert listed == sorted(days)
+        assert sorted(k for k in manifest if k[0] == host) == listed
+    for key in doubled:
+        assert Path(manifest[key].path).suffix == ".v2", key
+    w, report = _ingest(corpus, str(both))
+    assert report.jobs_loaded > 0
+    assert _data_rows(w) == text_rows
+    w.close()
+
+
 def test_manifest_reports_source_fingerprint(corpus, tmp_path):
     v2_dir = _convert_copy(corpus, tmp_path)
     orig = HostArchive(corpus[1]).manifest()

@@ -368,6 +368,39 @@ def test_simulate_live_end_to_end(tmp_path, capsys):
     assert "repro-top — system ranger" in capsys.readouterr().out
 
 
+def _archive_only_rows(argv, needs):
+    """``(argv, needle)`` rows: every flag that only means something to
+    the archive path, set away from its default on the fast path.  Each
+    exits 2 naming itself (they used to be silently ignored)."""
+    return [([*argv, *flags], f"{flags[0]} requires {needs}") for flags in (
+        ["--workers", "4", "--error-policy", "quarantine",
+         "--batch-size", "7"],
+        ["--ingest-workers", "2"], ["--batch-size", "7"],
+        ["--error-policy", "repair"], ["--max-retries", "0"],
+        ["--archive-format", "v2"], ["--synthesis", "scalar"],
+        ["--append"], ["--ingest-days", "1"])]
+
+
+def test_simulate_flag_validation(tmp_path, capsys):
+    """The plain-mode twin of
+    ``test_simulate_federation_flag_validation``: nothing is written."""
+    wh = str(tmp_path / "wh.sqlite")
+    cases = [
+        *_archive_only_rows(["--warehouse", wh], "--archive"),
+        (["--warehouse", wh, "--no-syslog", "--archive",
+          str(tmp_path / "a")], "--no-syslog is fast-path"),
+        (["--warehouse", wh, "--archive", str(tmp_path / "a"),
+          "--ingest-days", "1", "--append"], "only windows a full ingest"),
+        (["--warehouse", wh, "--archive", str(tmp_path / "a"),
+          "--ingest-days", "0"], "--ingest-days must be >= 1"),
+    ]
+    for argv, needle in cases:
+        rc = simulate_main(argv + ["--quiet"])
+        assert rc == 2, argv
+        assert needle in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_live_flag_validation(tmp_path, capsys):
     wh = str(tmp_path / "wh.sqlite")
     cases = [
