@@ -498,11 +498,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.append or args.ingest_days is not None:
             return die("--live manages its own incremental ingest; "
                        "drop --append/--ingest-days")
-        if args.archive_format != "text":
-            return die("--live writes the text archive format")
-        if args.workers != 1 or args.ingest_workers != 1:
-            return die("--live replays in-process; drop --workers/"
-                       "--ingest-workers")
+        for name in _FILE_PATH_KNOBS:
+            if name != "synthesis" and \
+                    getattr(args, name) != parser.get_default(name):
+                return die(f"--{name.replace('_', '-')} does not apply to "
+                           f"--live (it replays in-process into a text "
+                           f"archive and ingests each batch strictly, in "
+                           f"one transaction)")
         if args.live_segment_seconds < 1:
             return die("--live-segment-seconds must be >= 1")
         if args.live_batch_segments < 1:

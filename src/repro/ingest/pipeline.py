@@ -21,7 +21,7 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -45,7 +45,7 @@ from repro.tacc_stats.archive import FileFingerprint, HostArchive
 from repro.telemetry.log import current_run_id, get_logger, run_scope
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
-from repro.util.timeutil import DAY, label_to_period_index, period_label
+from repro.util.timeutil import DAY, label_to_period_index
 
 _log = get_logger("ingest.pipeline")
 
@@ -186,28 +186,32 @@ class _DeltaPlan:
     the plan alone — a scanned file is ledgered whatever its scan
     outcome (a quarantined host-day is consumed too, with its status
     recorded), so watermarks and the load gate never depend on parse
-    results.
+    results.  Every segment below ``consumed_through`` is consumed
+    once the run ends.  ``revisit`` holds the ledgered cells whose row
+    the run may have to rewrite (an open or unknown job set, or a
+    touched file); ``unknown_hosts`` keep no scan states.
     """
 
     cells: set[tuple[str, str]]
     candidates: list[AccountingEntry]
-    consumed_days: set[int]
+    consumed_through: int
     watermark_before: int
     watermark_after: int
     delta: DeltaSummary
     period: int = DAY
+    revisit: dict[tuple[str, str], LedgerEntry] = field(default_factory=dict)
+    unknown_hosts: set[str] = field(default_factory=set)
 
     def loadable(self, entry: AccountingEntry) -> bool:
         """True when no future archive file can change this job's match."""
-        d0, d1 = _span_segments(entry, self.period)
-        return all(d in self.consumed_days for d in range(d0, d1 + 1))
+        return _span_segments(entry, self.period)[1] < self.consumed_through
 
 
 def _plan_append(period: int,
                  manifest: dict[tuple[str, str], FileFingerprint],
                  ledger: dict, entries: list[AccountingEntry],
                  loaded: set[str], min_seconds: float,
-                 seeds: dict[str, dict[str, JobScanState]]) -> _DeltaPlan:
+                 stored: Collection[tuple[str, str]]) -> _DeltaPlan:
     """Classify archive files against the ledger and pick the delta.
 
     Incremental ingest follows the nightly-ETL watermark model: host-day
@@ -217,23 +221,28 @@ def _plan_append(period: int,
     warehouse, never a silent partial reload.
 
     Files parsed = every never-ledgered file; a pending job's earlier
-    files are not read again, its persisted scan state per host
-    (*seeds*) is folded on.  What is left of *lookback* is the cells
-    the ledger cannot vouch for: inside a pending job's span, a cell
-    whose ``open_jobs`` is unknown (``None``: legacy ledger row, dropped
-    host, quarantined or repaired file — it may mention anything), and
-    a cell whose ``open_jobs`` name a pending job that has no seed on
-    that host (a host with an unknown cell keeps no states).  A job id
-    stays in a cell's set until the job loads, so every file holding a
-    block or mark of such a job is read.  A not-yet-loaded job is
-    deferred while its span extends past the days on disk, and
-    *finalized* (never revisited) once every file of its span was
-    consumed by an earlier run.
+    files are not read again, its persisted scan state per host (a
+    *stored* ``(host, jobid)``) is folded on.  What is left of
+    *lookback* is the cells the ledger cannot vouch for: inside a
+    pending job's span, a cell whose ``open_jobs`` is unknown (``None``:
+    legacy ledger row, dropped host, quarantined or repaired file — it
+    may mention anything), and a cell whose ``open_jobs`` name a pending
+    job that has no stored state on that host (a host with an unknown
+    cell keeps no states).  A job id stays in a cell's set until the
+    job loads, so every file holding a block or mark of such a job is
+    read.  A not-yet-loaded job is deferred while its span extends past
+    the days on disk, and *finalized* (never revisited) once every file
+    of its span was consumed by an earlier run.
 
-    All of the "day" arithmetic actually runs at the archive's rotation
-    period: a live archive cutting sub-day segments flows through the
-    identical watermark/lookback/finalize logic, just with finer cells.
+    The guard is the one walk of the whole ledger; everything after it
+    looks only at the new cells and the open or touched ones, so a run
+    costs what it adds.  All of the "day" arithmetic actually runs at
+    the archive's rotation period: a live archive cutting sub-day
+    segments flows through the identical watermark/lookback/finalize
+    logic, just with finer cells.
     """
+    labels: set[str] = set()
+    revisit: dict[tuple[str, str], LedgerEntry] = {}
     for key, led in ledger.items():
         fp = manifest.get(key)
         if fp is None:
@@ -247,19 +256,22 @@ def _plan_append(period: int,
                 f"since it was ingested (content hash changed); append "
                 f"mode only supports append-only archives — re-ingest in "
                 f"full into a fresh warehouse")
+        labels.add(key[1])
+        if led.open_jobs is None or led.open_jobs or (
+                fp.size, fp.mtime_ns) != (led.size, led.mtime_ns):
+            revisit[key] = led
+    unknown = {host for (host, _d), led in revisit.items()
+               if led.open_jobs is None}
 
-    by_day: dict[str, list[tuple[str, str]]] = {}
-    for cell in manifest:
-        by_day.setdefault(cell[1], []).append(cell)
-    day_indices = {day: label_to_period_index(day, period)
-                   for day in by_day}
-    max_present_day = max(day_indices.values(), default=-1)
-    max_ledger_day = max((day_indices[day] for _h, day in ledger),
-                         default=-1)
-
-    def consumed_before(d: int) -> bool:
-        return all(cell in ledger
-                   for cell in by_day.get(period_label(d, period), ()))
+    # Every ledgered cell is on disk (the guard), so a segment holds an
+    # unconsumed file exactly when it holds a new one.
+    new = manifest.keys() - ledger.keys()
+    new_labels = {day for _h, day in new}
+    index = {label: label_to_period_index(label, period)
+             for label in labels | new_labels}
+    new_segments = {index[label] for label in new_labels}
+    max_ledger_day = max((index[label] for label in labels), default=-1)
+    max_present_day = max(max(new_segments, default=-1), max_ledger_day)
 
     delta = DeltaSummary()
     candidates: list[AccountingEntry] = []
@@ -268,8 +280,8 @@ def _plan_append(period: int,
         if entry.job_number in loaded:
             continue
         d0, d1 = _span_segments(entry, period)
-        if d1 <= max_ledger_day and all(
-                consumed_before(d) for d in range(d0, d1 + 1)):
+        if d1 <= max_ledger_day and new_segments.isdisjoint(
+                range(d0, d1 + 1)):
             continue  # finalized: an earlier run saw everything it has
         if d1 > max_present_day:
             delta.jobs_deferred += 1  # its data hasn't arrived yet
@@ -278,52 +290,39 @@ def _plan_append(period: int,
         if float(entry.wall_seconds) >= min_seconds:
             pending.append(entry)
 
-    needed_days: set[str] = set()
+    needed: set[int] = set()
     for entry in pending:
         d0, d1 = _span_segments(entry, period)
-        needed_days.update(period_label(d, period)
-                           for d in range(d0, d1 + 1))
+        needed.update(range(d0, d1 + 1))
     pending_ids = {entry.job_number for entry in pending}
 
-    scanned: set[tuple[str, str]] = set()
-    for cell in manifest:
-        host, day = cell
-        led = ledger.get(cell)
-        if led is None:
-            scanned.add(cell)
-            delta.files_new += 1
-        elif day in needed_days and (
+    # Only a cell with an open or unknown job set can be read again.
+    scanned = set(new)
+    for cell, led in revisit.items():
+        host = cell[0]
+        if index[cell[1]] in needed and (
                 led.open_jobs is None
-                or any(j in pending_ids and j not in seeds.get(host, ())
+                or any(j in pending_ids and (
+                    host in unknown or (host, j) not in stored)
                        for j in led.open_jobs)):
             scanned.add(cell)
             delta.files_lookback += 1
-        else:
-            delta.files_skipped += 1
+    delta.files_new = len(new)
+    delta.files_skipped = len(manifest) - len(scanned)
 
-    # A day with no file at all (facility dark, or simply beyond any
-    # host's activity) is vacuously consumed — nothing can arrive for it
-    # under the day-ordered arrival contract once later days exist.
-    consumed_days: set[int] = set()
-    for d in range(max_present_day + 1):
-        cells = by_day.get(period_label(d, period), ())
-        if all(c in ledger or c in scanned for c in cells):
-            consumed_days.add(d)
-
-    def watermark(limit: int, consumed) -> int:
-        d = 0
-        while d <= limit and consumed(d):
-            d += 1
-        return d * period
-
-    delta.watermark_before = watermark(max_ledger_day, consumed_before)
-    delta.watermark_after = watermark(
-        max_present_day, lambda d: d in consumed_days)
+    # Every segment up to the newest is consumed after this run: each of
+    # its cells is ledgered or new.  A segment with no file at all
+    # (facility dark, or simply beyond any host's activity) is vacuously
+    # consumed — nothing can arrive for it under the day-ordered arrival
+    # contract once later segments exist.
+    delta.watermark_before = min([*new_segments, max_ledger_day + 1]) * period
+    delta.watermark_after = (max_present_day + 1) * period
     return _DeltaPlan(
-        cells=scanned, candidates=candidates, consumed_days=consumed_days,
+        cells=scanned, candidates=candidates,
+        consumed_through=max_present_day + 1,
         watermark_before=delta.watermark_before,
         watermark_after=delta.watermark_after,
-        delta=delta, period=period,
+        delta=delta, period=period, revisit=revisit, unknown_hosts=unknown,
     )
 
 
@@ -350,7 +349,6 @@ def _plan_windowed(period: int,
             delta.files_new += 1
         else:
             delta.files_skipped += 1
-    consumed_days = set(range(through_seg))
     candidates = []
     for entry in entries:
         if _span_segments(entry, period)[1] < through_seg:
@@ -359,7 +357,7 @@ def _plan_windowed(period: int,
             delta.jobs_deferred += 1
     delta.watermark_after = through_seg * period
     return _DeltaPlan(
-        cells=scanned, candidates=candidates, consumed_days=consumed_days,
+        cells=scanned, candidates=candidates, consumed_through=through_seg,
         watermark_before=0, watermark_after=delta.watermark_after,
         delta=delta, period=period,
     )
@@ -370,6 +368,24 @@ class IngestPipeline:
 
     def __init__(self, warehouse: Warehouse):
         self.warehouse = warehouse
+        #: The scan states the last run kept, by the blob it persisted
+        #: for each: the next append on this pipeline folds on from the
+        #: state itself instead of decoding its blob (handed out once —
+        #: the fold mutates it).
+        self._kept: dict[bytes, JobScanState] = {}
+
+    def register_system(self, config: FacilityConfig) -> None:
+        """Add *config*'s ``systems`` row (committed at once) unless the
+        warehouse has it already."""
+        if config.name not in self.warehouse.systems():
+            self.warehouse.add_system(
+                config.name,
+                num_nodes=config.num_nodes,
+                cores_per_node=config.node.cores,
+                mem_gb_per_node=config.node.memory_gb,
+                peak_tflops=config.peak_tflops,
+                sample_interval=config.sample_interval,
+            )
 
     def ingest(
         self,
@@ -446,7 +462,6 @@ class IngestPipeline:
                      else config.sample_interval)
             plan: _DeltaPlan | None = None
             manifest: dict[tuple[str, str], FileFingerprint] | None = None
-            ledger: dict = {}
             stored: dict[tuple[str, str], bytes] = {}
             seeds: dict[str, dict[str, JobScanState]] = {}
             files_by_host: dict[str, list[str]] | None = None
@@ -462,19 +477,19 @@ class IngestPipeline:
                     if mode == "append":
                         ledger = self.warehouse.ledger_map(config.name)
                         stored = self.warehouse.scan_states(config.name)
-                        # A host with a cell of unknown content keeps no
-                        # states; whatever is stored for one is not used.
-                        unknown = {h for (h, _d), led in ledger.items()
-                                   if led.open_jobs is None}
-                        for (host, jobid), blob in stored.items():
-                            if host not in unknown:
-                                seeds.setdefault(host, {})[jobid] = \
-                                    JobScanState.from_blob(blob)
                         manifest = archive.manifest(trusted=ledger)
                         plan = _plan_append(
                             period, manifest, ledger, entries,
                             self.warehouse.job_ids(config.name), min_s,
-                            seeds)
+                            stored)
+                        # A host with a cell of unknown content keeps no
+                        # states; whatever is stored for one is not used.
+                        for (host, jobid), blob in stored.items():
+                            if host not in plan.unknown_hosts:
+                                state = self._kept.pop(blob, None)
+                                seeds.setdefault(host, {})[jobid] = (
+                                    state if state is not None
+                                    else JobScanState.from_blob(blob))
                     else:
                         manifest = archive.manifest()
                         plan = _plan_windowed(period, manifest, entries,
@@ -508,15 +523,7 @@ class IngestPipeline:
                                   delta=plan.delta if plan is not None
                                   else None)
 
-            if config.name not in self.warehouse.systems():
-                self.warehouse.add_system(
-                    config.name,
-                    num_nodes=config.num_nodes,
-                    cores_per_node=config.node.cores,
-                    mem_gb_per_node=config.node.memory_gb,
-                    peak_tflops=config.peak_tflops,
-                    sample_interval=config.sample_interval,
-                )
+            self.register_system(config)
 
             # Low-water rowids per table: with an insert-only load, rows
             # above these after the final commit are exactly what this run
@@ -627,7 +634,9 @@ class IngestPipeline:
             if manifest is None:
                 manifest = archive.manifest()
             self._record_provenance(
-                config.name, manifest, ledger, set(files_by_host or ()),
+                config.name, manifest,
+                plan.revisit if plan is not None else {},
+                set(files_by_host or ()),
                 plan.cells if plan is not None else set(manifest),
                 health, mode, row_lo, mentioned, states, seeds, stored,
                 given_up)
@@ -656,7 +665,8 @@ class IngestPipeline:
                       workers=report.effective_workers)
             return report
 
-    def _record_provenance(self, system: str, manifest: dict, ledger: dict,
+    def _record_provenance(self, system: str, manifest: dict,
+                           revisit: dict[tuple[str, str], LedgerEntry],
                            visited: set[str],
                            consumed: set[tuple[str, str]],
                            health: IngestHealth, mode: str,
@@ -678,9 +688,10 @@ class IngestPipeline:
         ``status``.  *mentioned* holds the job ids of every file the
         scan kept whole; what of them is still unloaded now is the
         cell's ``open_jobs``, and a consumed cell the scan could not
-        vouch for records ``None``.  A *ledger* row this run did not
-        scan is rewritten when one of its open jobs loaded, or when the
-        file was touched (re-hashed to the same digest).
+        vouch for records ``None``.  A ledger row this run did not scan
+        is rewritten when one of its open jobs loaded, or when the file
+        was touched (re-hashed to the same digest) — only the *revisit*
+        rows can be either, so no other row is looked at.
 
         A *states* entry is kept when its job can still load (it is
         neither loaded nor *given_up*) and the fold behind it is
@@ -709,7 +720,7 @@ class IngestPipeline:
         unknown = {host for host, day in consumed
                    if (host, day) not in mentioned}
         elsewhere: dict[str, set[str]] = {}
-        for cell, led in ledger.items():
+        for cell, led in revisit.items():
             if cell in consumed:
                 continue
             if led.open_jobs is None:
@@ -724,14 +735,16 @@ class IngestPipeline:
                 rows.append(replace(led, size=fp.size, mtime_ns=fp.mtime_ns,
                                     open_jobs=still_open))
         closed = loaded | given_up
-        keep = {
-            (host, jobid): state.to_blob()
+        kept = {
+            (host, jobid): state
             for host, by_job in states.items() if host not in unknown
             for jobid, state in by_job.items()
             if jobid not in closed and (
                 jobid in seeds.get(host, ())
                 or jobid not in elsewhere.get(host, ()))
         }
+        keep = {key: state.to_blob() for key, state in kept.items()}
+        self._kept = {blob: kept[key] for key, blob in keep.items()}
         self.warehouse.record_scan_states(system, keep, [
             key for key in stored if key not in keep and (
                 key[0] in visited or key[0] in unknown or key[1] in closed)])

@@ -314,6 +314,13 @@ class Warehouse:
             "SELECT value FROM meta WHERE key='generation'"
         ).fetchone()
         self._generation = int(row[0]) if row else 0
+        #: Ingest bookkeeping as this handle last read or wrote it,
+        #: keyed ``(table, system)``: the ledger, the loaded job ids and
+        #: the kept scan states.  The SQL reads fill it, this handle's
+        #: writes update it, and it is dropped whenever
+        #: :meth:`commit_version` shows another connection committed.
+        self._books: dict[tuple[str, str], dict | set] = {}
+        self._books_version = self.commit_version()
         #: The columnar image of this warehouse, owned here so it dies
         #: with the warehouse; only :class:`~repro.xdmod.snapshot.
         #: WarehouseSnapshot` (``for_warehouse`` / ``invalidate``)
@@ -334,13 +341,35 @@ class Warehouse:
         # The snapshot refers back to this warehouse: dropping it here
         # frees its frames now instead of at the next cycle collection.
         self._snapshot = None
+        self._books.clear()
         self._conn.close()
 
     @property
     def connection(self) -> sqlite3.Connection:
-        """Escape hatch for custom reports (read-only use expected)."""
+        """Escape hatch for custom reports (read-only use expected: a
+        write through it bypasses the ingest bookkeeping this handle
+        keeps in memory, so reopen the warehouse after one)."""
         self._flush()
         return self._conn
+
+    def commit_version(self) -> int:
+        """SQLite's ``PRAGMA data_version`` for this handle: it moves
+        exactly when another connection commits to the file, under
+        either journal mode, and never for this handle's own commits."""
+        return self._conn.execute("PRAGMA data_version").fetchone()[0]
+
+    def _book(self, table: str, system: str, load) -> dict | set:
+        """The in-memory copy of one system's *table*, read by
+        ``load(system)`` on first use and again after another
+        connection committed."""
+        version = self.commit_version()
+        if version != self._books_version:
+            self._books.clear()
+            self._books_version = version
+        book = self._books.get((table, system))
+        if book is None:
+            book = self._books[(table, system)] = load(system)
+        return book
 
     # -- change tracking ---------------------------------------------------------
 
@@ -524,6 +553,9 @@ class Warehouse:
                 f"({system!r}, {req.jobid!r})"
             )
         self._seen_job_keys.add(key)
+        loaded = self._books.get(("jobs", system))
+        if loaded is not None:
+            loaded.add(req.jobid)
         self._pending_jobs.append(
             (
                 system, req.jobid, req.user, req.account, req.science_field,
@@ -628,6 +660,10 @@ class Warehouse:
         files where the on-open migration could not run; one that has
         the ledger but not its ``open_jobs`` column reads as unknown).
         """
+        return dict(self._book("ledger", system, self._read_ledger))
+
+    def _read_ledger(self, system: str) -> dict[tuple[str, str],
+                                                LedgerEntry]:
         if not self._has_table("ingest_ledger"):
             return {}
         open_jobs = "open_jobs" if self._ledger_has_open_jobs() else "NULL"
@@ -650,11 +686,18 @@ class Warehouse:
               None if e.open_jobs is None
               else ",".join(sorted(e.open_jobs))) for e in entries],
         )
+        ledger = self._books.get(("ledger", system))
+        if ledger is not None:
+            ledger.update(((e.host, e.day), e) for e in entries)
         self._mutated()
 
     def scan_states(self, system: str) -> dict[tuple[str, str], bytes]:
         """The persisted scan-state blob of every open ``(host, jobid)``
         (empty for read-only files that predate the table)."""
+        return dict(self._book("states", system, self._read_scan_states))
+
+    def _read_scan_states(self, system: str) -> dict[tuple[str, str],
+                                                     bytes]:
         if not self._has_table("ingest_scan_state"):
             return {}
         return {(host, jobid): state for host, jobid, state in
@@ -672,6 +715,11 @@ class Warehouse:
         self._conn.executemany(
             "INSERT OR REPLACE INTO ingest_scan_state VALUES (?,?,?,?)",
             [(system, *key, blob) for key, blob in keep.items()])
+        states = self._books.get(("states", system))
+        if states is not None:
+            for key in drop:
+                states.pop(key, None)
+            states.update(keep)
         self._mutated()
 
     def record_ingest_run(self, system: str, run_id: str, mode: str,
@@ -807,6 +855,9 @@ class Warehouse:
 
     def job_ids(self, system: str) -> set[str]:
         """All loaded jobids for *system* — the append path's watermark."""
+        return set(self._book("jobs", system, self._read_job_ids))
+
+    def _read_job_ids(self, system: str) -> set[str]:
         self._flush()
         rows = self._conn.execute(
             "SELECT jobid FROM jobs WHERE system=?", (system,)

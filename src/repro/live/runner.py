@@ -10,10 +10,11 @@ which is what makes live micro-batch ingest byte-identical to a
 one-shot append (property-tested in ``tests/live``).
 
 :class:`LiveSession` wraps the replay in the operator loop: advance to
-the next segment boundary, flush completed segments to disk, push them
-through the ordinary watermark ledger (``ingest(mode="append")``),
-publish per-job cumulative counters for the rate views, and refresh the
-rolling warehouse snapshot in place.  Telemetry lands under ``live.*``
+the next segment boundary, flush completed segments to disk, stage
+per-job cumulative counters for the rate views, push the segments
+through the ordinary watermark ledger (``ingest(mode="append")``, whose
+one commit carries the counters too), and refresh the rolling warehouse
+snapshot in place.  Telemetry lands under ``live.*``
 (batches, rows appended, counter rows, refresh latency histogram).
 """
 
@@ -120,8 +121,9 @@ class LiveSession:
 
     Each :meth:`run_batch` call advances the replay by
     ``batch_segments`` rotation segments, closes the completed segment
-    files, appends them through the watermark ledger, upserts the
-    per-job cumulative counters, and refreshes the rolling snapshot.
+    files, upserts the per-job cumulative counters, appends the files
+    through the watermark ledger — one commit for all of it — and
+    refreshes the rolling snapshot.
     The accounting/Lariat/syslog side logs are produced once up front
     (exactly as the offline path would have) — the ledger's watermarks
     and job deferral are what window them per batch.
@@ -157,11 +159,18 @@ class LiveSession:
         self.accounting_entries = list(parse_accounting(self.accounting_text))
 
         self.pipeline = IngestPipeline(self.warehouse)
+        # Registered up front, so that no batch commits twice.
+        self.pipeline.register_system(cfg)
         self.n_segments = int(cfg.horizon // seg) + 1
         self.snapshot: WarehouseSnapshot | None = None
         self._next_seg = 0
         self._batch = 0
-        self._final_recorded: set[str] = set()
+        #: Indices into ``sim.records`` of the jobs not yet started, the
+        #: earliest start last, and of the started jobs whose final
+        #: counters are not yet published.
+        self._unstarted = sorted(range(len(sim.records)), reverse=True,
+                                 key=lambda i: sim.records[i].start_time)
+        self._running: set[int] = set()
         self._wrap = 1 << COUNTER_WRAP_BITS
         self._cum_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -198,30 +207,30 @@ class LiveSession:
         return [int(v) % self._wrap for v in vals]
 
     def _publish_counters(self, t1: float) -> int:
-        """Upsert every started job's counters as of *t1*; a job's
-        final (end-time) counters are published exactly once."""
+        """Upsert every started job's counters as of *t1*, uncommitted;
+        a job's final (end-time) counters are published exactly once.
+        Only the running jobs are looked at."""
+        records = self.sim.records
+        while self._unstarted and \
+                records[self._unstarted[-1]].start_time < t1:
+            self._running.add(self._unstarted.pop())
         rows: list[tuple] = []
-        for record in self.sim.records:
-            jobid = record.jobid
-            if jobid in self._final_recorded:
-                continue
-            if record.start_time >= t1:
-                continue  # hasn't started yet
+        for i in sorted(self._running):
+            record = records[i]
             t_sample = min(t1, record.end_time)
             ended = record.end_time <= t1
             req = record.request
             rows.extend(
-                (jobid, req.user, req.app, t_sample, int(ended),
+                (record.jobid, req.user, req.app, t_sample, int(ended),
                  metric, value)
                 for metric, value in zip(LIVE_COUNTER_METRICS,
                                          self._counters_at(record,
                                                            t_sample))
             )
             if ended:
-                self._final_recorded.add(jobid)
+                self._running.discard(i)
         if rows:
             self.warehouse.record_live_counters(self.config.name, rows)
-            self.warehouse.commit()
         return len(rows)
 
     def run_batch(self) -> LiveBatchReport | None:
@@ -241,15 +250,19 @@ class LiveSession:
                 self.archive.close()
             else:
                 self.archive.flush_before(t_end)
+            # The counters ride the ingest's one commit (a batch size of
+            # every entry keeps it one): a reader sees the batch's jobs,
+            # ledger rows and counters together or not at all.
+            counter_rows = self._publish_counters(t_end)
             report = self.pipeline.ingest(
                 cfg,
                 accounting_text=self.accounting_entries,
                 archive=self.archive,
                 lariat_records=self.lariat,
                 syslog=self.syslog,
+                batch_size=max(1, len(self.accounting_entries)),
                 mode="append",
             )
-            counter_rows = self._publish_counters(t_end)
             start = time.perf_counter()
             self.snapshot = WarehouseSnapshot.for_warehouse(
                 self.warehouse)

@@ -73,6 +73,10 @@ DEFAULT_TENANT = "public"
 #: The ``system`` parameter value that targets the whole federation.
 ALL_SYSTEMS = "all"
 
+#: Seconds between a blocked ``live/watch``'s looks at the shard's
+#: commit version (one ``PRAGMA data_version``, no table read).
+WATCH_TICK_SECONDS = 0.005
+
 
 def _groups_payload(groups) -> dict:
     """``group_by`` results (one shard's or merged) as served."""
@@ -510,12 +514,16 @@ class ServiceState:
         """``GET /api/v1/live/watch``: long-poll for new live samples.
 
         Blocks (up to *timeout* seconds, clamped to 30) until the
-        system's live counter high-water time advances past *since*,
-        re-reading the on-disk generation each poll so external
-        micro-batch commits are seen.  With no *since* it returns the
-        current high-water immediately — the bootstrap call.  Never
-        cached (it is a synchronization primitive, not a query); the
-        ``live.watchers`` gauge counts blocked watchers.
+        system's live counter high-water time advances past *since*.
+        Every :data:`WATCH_TICK_SECONDS` it looks at the shard's
+        :meth:`~repro.ingest.warehouse.Warehouse.commit_version`, and
+        only when another connection committed does it re-read the
+        on-disk generation and the high-water, so an external
+        micro-batch is seen within a tick of its commit.  With no
+        *since* it returns the current high-water immediately — the
+        bootstrap call.  Never cached (it is a synchronization
+        primitive, not a query); the ``live.watchers`` gauge counts
+        blocked watchers.
         """
         system = self._check_system(system)
         timeout = min(max(float(timeout), 0.0), 30.0)
@@ -528,6 +536,9 @@ class ServiceState:
             warehouse.reread_generation()
             return warehouse.live_high_water(system)
 
+        # Read before the high-water, so a commit between the two is
+        # seen on the first tick.
+        version = warehouse.commit_version()
         hw = high_water()
         if since is None or hw > since:
             return {"system": system, "changed": since is not None,
@@ -538,8 +549,12 @@ class ServiceState:
         try:
             deadline = time.monotonic() + timeout
             while time.monotonic() < deadline:
-                time.sleep(min(0.05, max(deadline - time.monotonic(),
-                                         0.0)))
+                time.sleep(min(WATCH_TICK_SECONDS,
+                               max(deadline - time.monotonic(), 0.0)))
+                seen = warehouse.commit_version()
+                if seen == version:
+                    continue
+                version = seen
                 hw = high_water()
                 if hw > since:
                     return {"system": system, "changed": True, "t": hw,

@@ -260,6 +260,9 @@ class HostArchive:
         #: a resumed writer replacing a host-day on disk swaps its
         #: contribution instead of adding on top.
         self._counted: dict[Path, tuple[int, int]] = {}
+        #: hostname -> file name -> the fingerprint a trusting
+        #: :meth:`manifest` gave it, reused while size and mtime hold.
+        self._fingerprints: dict[str, dict[str, FileFingerprint]] = {}
 
     @property
     def stats(self) -> ArchiveStats:
@@ -445,8 +448,11 @@ class HostArchive:
         ``mtime_ns`` and ``sha256`` per cell) makes that O(delta): a
         cell whose size and mtime both equal the recorded ones keeps
         the recorded digest unread, so only new or touched files are
-        hashed.  A rewrite that restores both is not seen here;
-        ``repro-diagnose --verify`` runs the untrusting pass.
+        hashed.  A trusting pass also reuses the fingerprint an earlier
+        one on this archive made while size and mtime hold, so a file
+        listed before costs one ``stat``.  A rewrite that restores both
+        is not seen here; ``repro-diagnose --verify`` runs the
+        untrusting pass.
 
         For v2 columnar files the fingerprint is the header's
         ``source_sha256``: for a file converted from text, the digest
@@ -465,18 +471,23 @@ class HostArchive:
         with span("archive.manifest"):
             for hostname in sorted(hosts) if hosts is not None \
                     else self.hostnames():
+                seen = (self._fingerprints.setdefault(hostname, {})
+                        if trusted is not None else {})
                 for day, entry in self._host_entries(hostname):
                     st = entry.stat()
-                    known = trusted.get((hostname, day)) if trusted else None
-                    if known is not None and (known.size, known.mtime_ns) \
-                            == (st.st_size, st.st_mtime_ns):
-                        digest = known.sha256
-                    else:
-                        digest = _fingerprint(entry.path)
-                    out[(hostname, day)] = FileFingerprint(
-                        hostname=hostname, day=day, path=entry.path,
-                        size=st.st_size, mtime_ns=st.st_mtime_ns,
-                        sha256=digest)
+                    stamp = (st.st_size, st.st_mtime_ns)
+                    fp = seen.get(entry.name)
+                    if fp is None or (fp.size, fp.mtime_ns) != stamp:
+                        known = trusted.get((hostname, day)) \
+                            if trusted else None
+                        digest = (known.sha256 if known is not None and (
+                            known.size, known.mtime_ns) == stamp
+                            else _fingerprint(entry.path))
+                        fp = seen[entry.name] = FileFingerprint(
+                            hostname=hostname, day=day, path=entry.path,
+                            size=st.st_size, mtime_ns=st.st_mtime_ns,
+                            sha256=digest)
+                    out[(hostname, day)] = fp
         get_registry().counter("archive.manifest_files").inc(len(out))
         return out
 

@@ -316,11 +316,15 @@ def sleepy_scan(sleep_hosts: tuple[str, ...], sleep_seconds: float,
 
 
 #: Where :func:`run_killed` can stop an ingest, as the
-#: :class:`Warehouse` call it dies on entering.  Both lie inside the
+#: :class:`Warehouse` call it dies on entering.  All lie inside the
 #: transaction that closes a run: ``scan_state`` after the scan states
 #: of the open jobs were written and before any ledger row,
-#: ``ledger`` after the ledger rows and before the commit.
-KILL_POINTS = {"scan_state": "record_ledger", "ledger": "record_ingest_run"}
+#: ``ledger`` after the ledger rows and before the commit, and
+#: ``live_counters`` inside a live micro-batch, after its segments were
+#: written to the archive and before its counters, jobs and ledger rows
+#: (one commit) reached the warehouse.
+KILL_POINTS = {"scan_state": "record_ledger", "ledger": "record_ingest_run",
+               "live_counters": "record_live_counters"}
 #: Exit status of a process killed at a kill point.
 KILL_EXIT = 77
 

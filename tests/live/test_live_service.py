@@ -24,12 +24,11 @@ SEED = 7
 SYSTEM = CFG.name
 
 
-@pytest.fixture(scope="module")
-def feed(tmp_path_factory):
+def _half_session(tmp_path_factory, fast_writes=False):
     """A live session run HALFWAY into a file-backed warehouse, so
     tests can advance it mid-flight: (warehouse path, session)."""
     path = str(tmp_path_factory.mktemp("live_svc") / "live.sqlite")
-    warehouse = Warehouse(path, threadsafe=True)
+    warehouse = Warehouse(path, fast_writes=fast_writes, threadsafe=True)
     session = LiveSession(
         Facility(CFG, seed=SEED),
         str(tmp_path_factory.mktemp("live_svc_arch")),
@@ -38,6 +37,17 @@ def feed(tmp_path_factory):
         session.run_batch()
     warehouse.commit()
     return path, session
+
+
+@pytest.fixture(scope="module")
+def feed(tmp_path_factory):
+    return _half_session(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def wal_feed(tmp_path_factory):
+    """The same, into a warehouse with WAL journaling (fast writes)."""
+    return _half_session(tmp_path_factory, fast_writes=True)
 
 
 @pytest.fixture()
@@ -120,23 +130,43 @@ def test_live_watch_bootstrap_and_changed(state):
     assert get_registry().gauge("live.watchers").value == 0.0
 
 
-def test_live_watch_wakes_on_external_commit(feed, state):
-    path, session = feed
+@pytest.mark.parametrize("feed_name", ["feed", "wal_feed"],
+                         ids=["default", "wal"])
+def test_live_watch_wakes_on_external_commit(request, feed_name):
+    """The batch's own commit wakes a blocked watch, whichever journal
+    mode the file is in (a WAL commit leaves the main file alone)."""
+    path, session = request.getfixturevalue(feed_name)
     assert not session.done, "fixture must leave batches to run"
-    before = state.live_watch(SYSTEM)["t"]
-
-    def advance():
-        session.run_batch()
-        session.warehouse.commit()
-
-    t = threading.Thread(target=advance)
-    t.start()
+    state = ServiceState(path)
     try:
-        woke = state.live_watch(SYSTEM, since=before, timeout=20.0)
+        before = state.live_watch(SYSTEM)["t"]
+        t = threading.Thread(target=session.run_batch)
+        t.start()
+        try:
+            woke = state.live_watch(SYSTEM, since=before, timeout=20.0)
+        finally:
+            t.join()
     finally:
-        t.join()
+        state.close()
     assert woke["changed"] is True
     assert woke["t"] > before
+
+
+def test_live_watch_reads_the_high_water_only_after_a_commit(
+        state, monkeypatch):
+    """Blocked with nothing committed, a watch looks at the commit
+    version only: the high-water query runs once, up front (a fixed
+    50 ms re-query ran it about six times in 0.3 s)."""
+    calls = []
+    real = Warehouse.live_high_water
+    monkeypatch.setattr(
+        Warehouse, "live_high_water",
+        lambda self, system: calls.append(system) or real(self, system))
+    since = state.live_watch(SYSTEM)["t"]
+    del calls[:]
+    assert state.live_watch(SYSTEM, since=since, timeout=0.3)[
+        "changed"] is False
+    assert len(calls) <= 1
 
 
 # -- over HTTP ---------------------------------------------------------------

@@ -154,6 +154,56 @@ def test_session_validation(tmp_path):
         LiveSession(facility, str(tmp_path / "c"), batch_segments=0)
 
 
+def _committed(path):
+    """What a reader of the warehouse file sees: jobs and the other data
+    tables, ledger, kept scan states and live counters."""
+    w = Warehouse(path)
+    try:
+        return (_data_rows(w), w.ledger_map(CFG.name),
+                w.scan_states(CFG.name), w.live_counters(CFG.name))
+    finally:
+        w.close()
+
+
+@pytest.mark.parametrize("point", ["live_counters", "scan_state", "ledger"])
+def test_kill_inside_a_live_batch_leaves_the_previous_batch(tmp_path,
+                                                            point):
+    """A batch is one commit: killed anywhere inside batch k, the file
+    holds exactly what batch k - 1 committed, and an append over the
+    archive (which has batch k's segments on disk) then lands on what
+    one append of that archive gives."""
+    from repro.ingest.pipeline import IngestPipeline
+    from repro.testing.faults import KILL_EXIT, run_killed
+
+    path, archive_dir = str(tmp_path / "live.sqlite"), tmp_path / "arch"
+    session = LiveSession(Facility(CFG, seed=SEED), str(archive_dir),
+                          warehouse=Warehouse(path), segment_seconds=HOUR)
+    for _ in range(9):
+        session.run_batch()
+    before = _committed(path)
+    assert before[2] and before[3]  # open jobs keep states; counters
+    session.warehouse.close()
+
+    def batch_k():
+        # A forked child must not use its parent's SQLite handle.
+        session.warehouse = session.pipeline.warehouse = Warehouse(path)
+        session.run_batch()
+
+    assert run_killed(batch_k, point) == KILL_EXIT
+    assert _committed(path) == before
+
+    appended = Warehouse(path)
+    oneshot = Warehouse()
+    for w in (appended, oneshot):
+        IngestPipeline(w).ingest(
+            CFG, accounting_text=session.accounting_text,
+            archive=HostArchive(archive_dir), lariat_records=session.lariat,
+            syslog=session.syslog, mode="append")
+    assert len(appended.ledger_map(CFG.name)) > len(before[1])
+    assert _data_rows(appended) == _data_rows(oneshot)
+    appended.close()
+
+
 # -- the rotation layer under it ---------------------------------------------
 
 

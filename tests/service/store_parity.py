@@ -8,7 +8,10 @@ would send) is dumped in key order with the temp directory replaced by
 ``<root>`` and ``snapshot_age_seconds`` (a clock reading) dropped.  The
 committed ``store_parity_digests.json`` holds one sha256 per body as
 served by the commit *before* the one-store refactor (PR 22's parent,
-08cb562); rerun the capture against any commit with::
+08cb562).  Its ``live`` digests were captured again when a live
+micro-batch became one commit: those bodies differ from the earlier
+ones in ``generation`` alone, which now moves once per batch instead of
+twice.  Rerun the capture against any commit with::
 
     PYTHONPATH=<checkout>/src:. python tests/service/store_parity.py \
         > tests/service/store_parity_digests.json

@@ -65,14 +65,15 @@ def test_refresh_after_external_commits_serves_what_the_parent_did(
         tmp_path, store):
     """A 16-batch ``LiveSession`` commits from outside; after each
     batch ``refresh()``, the report computed then cached (text,
-    ``generation``, ``cached``) and a ``live_top`` poll all match."""
+    ``generation``, ``cached``) and a ``live_top`` poll all match.  The
+    session registers its system, then commits once per batch."""
     got = sp.live_probe(str(tmp_path / "live"), store)
     want = {k: v for k, v in EXPECTED["live"].items()
             if k.startswith(store + "/")}
     assert set(got) == set(want) and len(got) == 16 * 4
     assert [k for k, body in got.items() if sp.sha(body) != want[k]] == []
     last = json.loads(got[f"{store}/batch15/2 report"])
-    assert last["cached"] is True and last["generation"] == 32
+    assert last["cached"] is True and last["generation"] == 1 + 16
 
 
 @pytest.mark.parametrize("store", sp.STORES)

@@ -368,6 +368,80 @@ def test_simulate_live_end_to_end(tmp_path, capsys):
     assert "repro-top — system ranger" in capsys.readouterr().out
 
 
+#: One lonestar4 study period for the ledger tests below: 6 hosts, 4
+#: days.  Counts, not times: fixed for a fixed seed on any machine.
+_INC = ["--system", "lonestar4", "--nodes", "6", "--users", "8",
+        "--seed", "5"]
+
+
+def _data_tables(path):
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    try:
+        return {table: sorted(conn.execute(f"SELECT * FROM {table}"),
+                              key=repr)
+                for table in ("jobs", "job_metrics", "system_series",
+                              "syslog_events")}
+    finally:
+        conn.close()
+
+
+def test_simulate_seed_then_append_through_the_ledger(tmp_path, capsys):
+    """``--ingest-days 3`` then ``--append``: every host holds a job that
+    crosses the window and each is continued from its scan state, so
+    none of the 18 seeded files is read again; the ledger inspects and
+    verifies clean, and the warehouse equals a one-shot run's."""
+    from repro.cli.diagnose import main as diagnose_main
+
+    wh, arch = str(tmp_path / "inc.sqlite"), str(tmp_path / "inc-archive")
+    run = [*_INC, "--days", "4", "--warehouse", wh, "--archive", arch]
+    assert simulate_main([*run, "--ingest-days", "3"]) == 0
+    capsys.readouterr()
+    assert simulate_main([*run, "--append"]) == 0
+    assert "ingest delta (append): new=12 lookback=0 (per cell) " \
+        "skipped=18 " in capsys.readouterr().out
+    system = ["--warehouse", wh, "--system", "lonestar4"]
+    assert diagnose_main([*system, "--ledger"]) == 0
+    assert "cells with open jobs" in capsys.readouterr().out
+    assert diagnose_main([*system, "--verify", arch]) == 0
+    assert "no differences" in capsys.readouterr().out
+
+    ref = str(tmp_path / "ref.sqlite")
+    assert simulate_main([*_INC, "--days", "4", "--warehouse", ref,
+                          "--archive", str(tmp_path / "ref-archive"),
+                          "--quiet"]) == 0
+    assert _data_tables(wh) == _data_tables(ref)
+
+
+def test_simulate_live_batches_parse_every_file_once(tmp_path, capsys):
+    """Five hourly ``--live`` batches: jobs spanning several files go on
+    from their scan states (re-reading the files that hold them was 4),
+    the snapshot grows monotonically, and the ledgered fingerprints and
+    kept states verify against the live archive."""
+    from repro.cli.diagnose import main as diagnose_main
+    from repro.telemetry.manifest import RunManifest
+
+    wh, arch = str(tmp_path / "live.sqlite"), str(tmp_path / "live-stats")
+    manifest_path = str(tmp_path / "live-manifest.json")
+    assert simulate_main([
+        *_INC, "--days", "1", "--warehouse", wh, "--archive", arch,
+        "--live", "--live-segment-seconds", "3600",
+        "--live-max-batches", "5", "--telemetry-out", manifest_path]) == 0
+    assert "[live] batch=0" in capsys.readouterr().out
+    manifest = RunManifest.read(manifest_path)
+    live, counters = manifest.extra["live"], manifest.metrics.counters
+    assert live["batches"] == counters["live.batches"] == 5
+    assert live["snapshot_rows"] == sorted(live["snapshot_rows"])
+    assert counters["live.rows_appended"] > 0
+    assert {k: counters[f"ingest.delta.files_{k}"]
+            for k in ("new", "lookback", "skipped")} == {
+        "new": 30, "lookback": 0, "skipped": 60}
+    assert diagnose_main(["--warehouse", wh, "--system", "lonestar4",
+                          "--verify", arch]) == 0
+    assert "no differences" in capsys.readouterr().out
+
+
 def _archive_only_rows(argv, needs):
     """``(argv, needle)`` rows: every flag that only means something to
     the archive path, set away from its default on the fast path.  Each
@@ -381,12 +455,29 @@ def _archive_only_rows(argv, needs):
         ["--append"], ["--ingest-days", "1"])]
 
 
+def _live_ignored_rows(argv):
+    """``(argv, needle)`` rows: every archive-path ingest or replay knob
+    set away from its default under ``--live``, which replays in-process
+    and ingests with the defaults.  Each exits 2 naming itself (they
+    used to be silently ignored: no quarantine sidecar was written)."""
+    live = [*argv, "--live", "--live-max-batches", "1"]
+    return [([*live, *flags], f"{flags[0]} does not apply to --live")
+            for flags in (
+                ["--batch-size", "7", "--error-policy", "quarantine",
+                 "--max-retries", "5"],
+                ["--error-policy", "quarantine", "--max-retries", "5"],
+                ["--max-retries", "5"], ["--workers", "2"],
+                ["--ingest-workers", "2"], ["--archive-format", "v2"])]
+
+
 def test_simulate_flag_validation(tmp_path, capsys):
     """The plain-mode twin of
     ``test_simulate_federation_flag_validation``: nothing is written."""
     wh = str(tmp_path / "wh.sqlite")
     cases = [
         *_archive_only_rows(["--warehouse", wh], "--archive"),
+        *_live_ignored_rows(["--warehouse", wh, "--archive",
+                             str(tmp_path / "a")]),
         (["--warehouse", wh, "--no-syslog", "--archive",
           str(tmp_path / "a")], "--no-syslog is fast-path"),
         (["--warehouse", wh, "--archive", str(tmp_path / "a"),
