@@ -577,11 +577,13 @@ class Facility:
         *error_policy* and *max_retries* select the ingest's
         fault-tolerance behaviour (see :class:`repro.errors.ErrorPolicy`
         and ``docs/ROBUSTNESS.md``); the default is strict, exactly as
-        before.  *ingest_mode* / *ingest_through_day* drive the
-        incremental-ingest path (``docs/PERFORMANCE.md``): the replay
-        always writes the full horizon, but ``ingest_through_day=N``
-        consumes only the first N facility days, and a later
-        ``ingest_mode="append"`` run folds in just the remainder.
+        before.  *ingest_mode* / *ingest_through_day* set where the
+        ingest's window ends (``docs/PERFORMANCE.md``, "An ingest is a
+        ledger diff"): the replay always writes the full horizon, but
+        ``ingest_through_day=N`` consumes only the first N facility
+        days, and a later ``ingest_mode="append"`` run folds in just the
+        remainder.  A full ingest into a *warehouse* that already holds
+        this system's jobs raises ``ValueError`` before reading a file.
         *archive_format* selects the daemons' on-disk format
         (``"text"`` or ``"v2"`` columnar); ingest autodetects per file,
         and both formats produce byte-identical warehouses (asserted by

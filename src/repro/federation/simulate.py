@@ -78,11 +78,13 @@ def simulate_system(facility: Facility, warehouse_path: str,
     """Run *facility*'s study period into the warehouse file.
 
     With *archive_dir* the daemons write the stats archive there and the
-    ingest reads it back (``Facility.run_with_files``: *append* diffs it
-    against the file's ledger, *through_day* windows a full ingest, and
-    *file_knobs* — ``workers``, ``ingest_workers``, ``batch_size``,
-    ``error_policy``, ``max_retries``, ``archive_format``, ``synthesis``
-    — forward under their own names); without, the fast path runs
+    ingest reads it back (``Facility.run_with_files``: the ingest diffs
+    it against the file's ledger up to the newest file on disk with
+    *append*, up to day *through_day* for a seed, else with no window
+    end; *file_knobs* — ``workers``, ``ingest_workers``,
+    ``batch_size``, ``error_policy``, ``max_retries``,
+    ``archive_format``, ``synthesis`` — forward under their own
+    names); without, the fast path runs
     (``Facility.run``, *with_syslog*).  Returns what is printed for the
     system: ``system``, ``warehouse``, ``jobs``, ``summarized``,
     ``node_hours``, ``efficiency``, ``seconds`` (wall time),

@@ -144,23 +144,16 @@ def _scan_one(root: str, hostname: str, allow_truncated: bool,
                               policy, paths=paths, jobs=jobs, seeds=seeds)
 
 
-def effective_workers(workers: int, n_hosts: int,
-                      oversubscribe: bool = False) -> int:
+def effective_workers(workers: int, n_hosts: int) -> int:
     """The pool size actually worth running for a CPU-bound scan.
 
     The scan is parse-dominated, so processes beyond the visible CPU
     count only add scheduling contention — the requested *workers* is
-    clamped to ``os.cpu_count()`` (and to the host count) unless
-    *oversubscribe* asks for the literal figure, which is useful when
-    the archive sits on high-latency storage and workers spend their
-    time blocked on reads rather than parsing.
+    clamped to ``os.cpu_count()`` and to the host count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    limit = max(1, min(workers, n_hosts))
-    if oversubscribe:
-        return limit
-    return min(limit, os.cpu_count() or 1)
+    return max(1, min(workers, n_hosts, os.cpu_count() or 1))
 
 
 def _record_outcome(health: IngestHealth | None, result: HostScanResult
@@ -305,7 +298,6 @@ def scan_archive(
     archive: HostArchive,
     workers: int = 1,
     allow_truncated: bool = False,
-    oversubscribe: bool = False,
     policy: str = ErrorPolicy.STRICT,
     health: IngestHealth | None = None,
     max_retries: int = 2,
@@ -347,7 +339,7 @@ def scan_archive(
     per_host = {h: (None if files_by_host is None
                     else tuple(files_by_host[h]), jobs, (seeds or {}).get(h))
                 for h in hostnames}
-    workers = effective_workers(workers, len(hostnames), oversubscribe)
+    workers = effective_workers(workers, len(hostnames))
     if workers == 1 and scan_fn is None and timeout is None:
         for hostname in hostnames:
             outcome = _scan_host_checked(archive, hostname,

@@ -21,6 +21,7 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
@@ -54,7 +55,7 @@ __all__ = ["DeltaSummary", "IngestPipeline", "IngestReport"]
 
 @dataclass
 class DeltaSummary:
-    """What an incremental (or day-windowed) ingest decided to touch.
+    """What an append (or a windowed seed) decided to touch.
 
     ``files_new`` were parsed because the ledger had never seen them;
     ``files_lookback`` are ledgered files parsed again: a cell with no
@@ -62,11 +63,11 @@ class DeltaSummary:
     legacy ledger row) whenever a pending job's span reaches its
     segment, and a cell holding a pending job whose scan state on that
     host was not kept — none on a host every file of which was kept
-    whole; ``files_skipped`` were unchanged and never opened.
-    ``jobs_deferred`` counts accounting entries left for a later append
-    because their data extends beyond the days on disk.  The watermarks
-    are facility seconds: syslog events in ``[before, after)`` were
-    loaded by this run.
+    whole; ``files_skipped`` were unchanged (or past the window end) and
+    never opened.  ``jobs_deferred`` counts accounting entries left for
+    a later append because their data reaches the window end.  The
+    watermarks are facility seconds: syslog events in ``[before,
+    after)`` were loaded by this run.
     """
 
     files_new: int = 0
@@ -159,8 +160,7 @@ def _record_from_entry(entry: AccountingEntry, app: str) -> JobRecord:
     )
 
 
-def _span_segments(entry: AccountingEntry,
-                   period: int = DAY) -> tuple[int, int]:
+def _span_segments(entry: AccountingEntry, period: int) -> tuple[int, int]:
     """Inclusive rotation-segment range an entry's stats blocks live in.
 
     The daemon routes a block at time ``t`` to the file for segment
@@ -172,67 +172,63 @@ def _span_segments(entry: AccountingEntry,
             int(float(entry.end_time) // period))
 
 
-def _archive_period(archive: HostArchive) -> int:
-    """The archive's rotation period; days for anything that predates
-    the ``rotate_seconds`` knob."""
-    return int(getattr(archive, "rotate_seconds", DAY))
-
-
 @dataclass
 class _DeltaPlan:
-    """Everything a ledger-driven ingest decided before scanning.
+    """Everything an ingest decided before scanning.
 
     The plan is computable up front because *consumption* is decided by
     the plan alone — a scanned file is ledgered whatever its scan
     outcome (a quarantined host-day is consumed too, with its status
     recorded), so watermarks and the load gate never depend on parse
-    results.  Every segment below ``consumed_through`` is consumed
-    once the run ends.  ``revisit`` holds the ledgered cells whose row
-    the run may have to rewrite (an open or unknown job set, or a
-    touched file); ``unknown_hosts`` keep no scan states.
+    results.  Every segment below ``consumed_through`` (the window end;
+    infinite for a full ingest) is consumed once the run ends.
+    ``revisit`` holds the ledgered cells whose row the run may have to
+    rewrite (an open or unknown job set, or a touched file);
+    ``unknown_hosts`` keep no scan states.
     """
 
     cells: set[tuple[str, str]]
     candidates: list[AccountingEntry]
-    consumed_through: int
-    watermark_before: int
-    watermark_after: int
+    consumed_through: float
+    watermark_before: float
+    watermark_after: float
     delta: DeltaSummary
-    period: int = DAY
-    revisit: dict[tuple[str, str], LedgerEntry] = field(default_factory=dict)
-    unknown_hosts: set[str] = field(default_factory=set)
+    period: int
+    revisit: dict[tuple[str, str], LedgerEntry]
+    unknown_hosts: set[str]
 
     def loadable(self, entry: AccountingEntry) -> bool:
         """True when no future archive file can change this job's match."""
         return _span_segments(entry, self.period)[1] < self.consumed_through
 
 
-def _plan_append(period: int,
-                 manifest: dict[tuple[str, str], FileFingerprint],
-                 ledger: dict, entries: list[AccountingEntry],
-                 loaded: set[str], min_seconds: float,
-                 stored: Collection[tuple[str, str]]) -> _DeltaPlan:
-    """Classify archive files against the ledger and pick the delta.
+def _plan(period: int, manifest: dict[tuple[str, str], FileFingerprint],
+          ledger: dict, entries: list[AccountingEntry], loaded: set[str],
+          min_seconds: float, stored: Collection[tuple[str, str]],
+          through: float) -> _DeltaPlan:
+    """Diff the archive manifest against the ledger and pick what this
+    run reads, loads and consumes: every segment below *through*.
 
-    Incremental ingest follows the nightly-ETL watermark model: host-day
-    files accumulate in day order and never change once written.  A
-    ledgered file whose hash drifted (or vanished) violates that
-    contract and raises — the remedy is a full re-ingest into a fresh
-    warehouse, never a silent partial reload.
+    Ingest follows the nightly-ETL watermark model: host-day files
+    accumulate in day order and never change once written.  A ledgered
+    file whose hash drifted (or vanished) violates that contract and
+    raises — the remedy is a full re-ingest into a fresh warehouse,
+    never a silent partial reload.
 
-    Files parsed = every never-ledgered file; a pending job's earlier
-    files are not read again, its persisted scan state per host (a
-    *stored* ``(host, jobid)``) is folded on.  What is left of
-    *lookback* is the cells the ledger cannot vouch for: inside a
-    pending job's span, a cell whose ``open_jobs`` is unknown (``None``:
-    legacy ledger row, dropped host, quarantined or repaired file — it
-    may mention anything), and a cell whose ``open_jobs`` name a pending
-    job that has no stored state on that host (a host with an unknown
-    cell keeps no states).  A job id stays in a cell's set until the
-    job loads, so every file holding a block or mark of such a job is
-    read.  A not-yet-loaded job is deferred while its span extends past
-    the days on disk, and *finalized* (never revisited) once every file
-    of its span was consumed by an earlier run.
+    Files parsed = every never-ledgered file below the window end; a
+    pending job's earlier files are not read again, its persisted scan
+    state per host (a *stored* ``(host, jobid)``) is folded on.  What is
+    left of *lookback* is the cells the ledger cannot vouch for: inside
+    a pending job's span, a cell whose ``open_jobs`` is unknown
+    (``None``: legacy ledger row, dropped host, quarantined or repaired
+    file — it may mention anything), and a cell whose ``open_jobs`` name
+    a pending job that has no stored state on that host (a host with an
+    unknown cell keeps no states).  A job id stays in a cell's set until
+    the job loads, so every file holding a block or mark of such a job
+    is read.  A not-yet-loaded job is deferred while its span reaches
+    the window end, and *finalized* (never revisited) once every file of
+    its span was consumed by an earlier run.  Files at or past the
+    window end are skipped and counted so.
 
     The guard is the one walk of the whole ledger; everything after it
     looks only at the new cells and the open or touched ones, so a run
@@ -266,12 +262,11 @@ def _plan_append(period: int,
     # Every ledgered cell is on disk (the guard), so a segment holds an
     # unconsumed file exactly when it holds a new one.
     new = manifest.keys() - ledger.keys()
-    new_labels = {day for _h, day in new}
     index = {label: label_to_period_index(label, period)
-             for label in labels | new_labels}
-    new_segments = {index[label] for label in new_labels}
+             for label in labels | {day for _h, day in new}}
+    new = {cell for cell in new if index[cell[1]] < through}
+    new_segments = {index[day] for _h, day in new}
     max_ledger_day = max((index[label] for label in labels), default=-1)
-    max_present_day = max(max(new_segments, default=-1), max_ledger_day)
 
     delta = DeltaSummary()
     candidates: list[AccountingEntry] = []
@@ -283,7 +278,7 @@ def _plan_append(period: int,
         if d1 <= max_ledger_day and new_segments.isdisjoint(
                 range(d0, d1 + 1)):
             continue  # finalized: an earlier run saw everything it has
-        if d1 > max_present_day:
+        if d1 >= through:
             delta.jobs_deferred += 1  # its data hasn't arrived yet
             continue
         candidates.append(entry)
@@ -310,56 +305,18 @@ def _plan_append(period: int,
     delta.files_new = len(new)
     delta.files_skipped = len(manifest) - len(scanned)
 
-    # Every segment up to the newest is consumed after this run: each of
-    # its cells is ledgered or new.  A segment with no file at all
-    # (facility dark, or simply beyond any host's activity) is vacuously
-    # consumed — nothing can arrive for it under the day-ordered arrival
-    # contract once later segments exist.
+    # Every segment below the window end is consumed after this run:
+    # each of its cells is ledgered or new.  A segment with no file at
+    # all (facility dark, or simply beyond any host's activity) is
+    # vacuously consumed — nothing can arrive for it under the
+    # day-ordered arrival contract once later segments exist.
     delta.watermark_before = min([*new_segments, max_ledger_day + 1]) * period
-    delta.watermark_after = (max_present_day + 1) * period
+    delta.watermark_after = through * period
     return _DeltaPlan(
-        cells=scanned, candidates=candidates,
-        consumed_through=max_present_day + 1,
+        cells=scanned, candidates=candidates, consumed_through=through,
         watermark_before=delta.watermark_before,
         watermark_after=delta.watermark_after,
         delta=delta, period=period, revisit=revisit, unknown_hosts=unknown,
-    )
-
-
-def _plan_windowed(period: int,
-                   manifest: dict[tuple[str, str], FileFingerprint],
-                   entries: list[AccountingEntry],
-                   through_day: int) -> _DeltaPlan:
-    """A full ingest restricted to facility days ``0 .. through_day-1``.
-
-    This is how a warehouse is seeded for later appends: only files (and
-    accounting entries, and syslog events) strictly inside the window
-    are consumed, and everything consumed is ledgered.  A job whose end
-    block falls in day ``through_day`` or later is deferred whole — the
-    append run continues from the scan state its hosts leave behind.
-    """
-    # The CLI window stays day-granular; on a sub-day archive it simply
-    # covers every whole segment inside those days.
-    through_seg = (through_day * DAY) // period
-    delta = DeltaSummary()
-    scanned: set[tuple[str, str]] = set()
-    for cell in manifest:
-        if label_to_period_index(cell[1], period) < through_seg:
-            scanned.add(cell)
-            delta.files_new += 1
-        else:
-            delta.files_skipped += 1
-    candidates = []
-    for entry in entries:
-        if _span_segments(entry, period)[1] < through_seg:
-            candidates.append(entry)
-        else:
-            delta.jobs_deferred += 1
-    delta.watermark_after = through_seg * period
-    return _DeltaPlan(
-        cells=scanned, candidates=candidates, consumed_through=through_seg,
-        watermark_before=0, watermark_after=delta.watermark_after,
-        delta=delta, period=period,
     )
 
 
@@ -397,7 +354,6 @@ class IngestPipeline:
         min_seconds: float | None = None,
         workers: int = 1,
         batch_size: int = 256,
-        oversubscribe: bool = False,
         error_policy: str = ErrorPolicy.STRICT,
         max_retries: int = 2,
         retry_backoff: float = 0.1,
@@ -411,20 +367,27 @@ class IngestPipeline:
         *accounting_text* is the accounting file's text, or its entries
         already parsed (a caller appending every hour parses it once).
 
-        ``mode="append"`` is the incremental ETL:
-        the archive manifest is diffed against the warehouse's ingest
-        ledger, only new host-day files are parsed — a still-unloaded
-        job continues from the scan state its hosts persisted — and
-        already-loaded rows are never touched.  It assumes day-ordered
-        arrival into an append-only archive — a ledgered file that
-        mutated or vanished raises.  *through_day* (``mode="full"`` only) instead windows a
-        full ingest to facility days ``0 .. through_day-1``, seeding the
-        ledger so later appends can pick up where it stopped.  Every
-        ingest records the consumed host-days in the ledger and its
-        appended rowid ranges in ``ingest_runs``.
-        *workers* fans per-host parsing and summarization over a process
-        pool (the count is clamped to the visible CPUs unless
-        *oversubscribe*, see
+        Every ingest is a ledger diff: the archive manifest is diffed
+        against the warehouse's ingest ledger, the never-ledgered files
+        before the window end are parsed — a still-unloaded job
+        continues from the scan state its hosts persisted — and a job
+        whose span reaches the window end is deferred.  The modes differ
+        only in where the window ends:
+
+        * ``mode="append"`` — after the newest segment on disk.  Loaded
+          rows are never touched; the archive must be append-only and
+          day-ordered (a ledgered file that mutated or vanished raises).
+        * ``mode="full"`` with *through_day* — at facility day
+          *through_day*: the seed later appends pick up from.
+        * ``mode="full"`` — never, so every job loads and no delta is
+          reported (``IngestReport.delta`` is ``None``).  A full ingest
+          refuses a system the warehouse already holds jobs or ledger
+          rows for.
+
+        Every ingest records the consumed host-days in the ledger and
+        its appended rowid ranges in ``ingest_runs``.  *workers* fans
+        per-host parsing and summarization over a process pool (the
+        count is clamped to the visible CPUs, see
         :func:`~repro.ingest.parallel.effective_workers`); any worker
         count produces a byte-identical warehouse.  *batch_size* caps
         the jobs per warehouse transaction.
@@ -460,46 +423,51 @@ class IngestPipeline:
             policy = ErrorPolicy(error_policy)
             min_s = (min_seconds if min_seconds is not None
                      else config.sample_interval)
-            plan: _DeltaPlan | None = None
-            manifest: dict[tuple[str, str], FileFingerprint] | None = None
-            stored: dict[tuple[str, str], bytes] = {}
-            seeds: dict[str, dict[str, JobScanState]] = {}
-            files_by_host: dict[str, list[str]] | None = None
-            entries = (list(parse_accounting(accounting_text))
-                       if isinstance(accounting_text, str)
-                       else list(accounting_text))
-            all_entries = entries
-            if mode == "append" or through_day is not None:
-                # Plan modes decide from the entry spans and the ledger
-                # which archive files must be opened.
-                with span("ingest.plan", mode=mode):
-                    period = _archive_period(archive)
-                    if mode == "append":
-                        ledger = self.warehouse.ledger_map(config.name)
-                        stored = self.warehouse.scan_states(config.name)
-                        manifest = archive.manifest(trusted=ledger)
-                        plan = _plan_append(
-                            period, manifest, ledger, entries,
-                            self.warehouse.job_ids(config.name), min_s,
-                            stored)
-                        # A host with a cell of unknown content keeps no
-                        # states; whatever is stored for one is not used.
-                        for (host, jobid), blob in stored.items():
-                            if host not in plan.unknown_hosts:
-                                state = self._kept.pop(blob, None)
-                                seeds.setdefault(host, {})[jobid] = (
-                                    state if state is not None
-                                    else JobScanState.from_blob(blob))
-                    else:
-                        manifest = archive.manifest()
-                        plan = _plan_windowed(period, manifest, entries,
-                                              through_day)
-                    entries = plan.candidates
-                    # The scan reads the paths the manifest resolved.
-                    files_by_host = {}
-                    for cell in sorted(plan.cells):
-                        files_by_host.setdefault(cell[0], []).append(
-                            manifest[cell].path)
+            all_entries = (list(parse_accounting(accounting_text))
+                           if isinstance(accounting_text, str)
+                           else list(accounting_text))
+            # The entry spans and the ledger decide which archive files
+            # are opened.
+            with span("ingest.plan", mode=mode):
+                ledger = self.warehouse.ledger_map(config.name)
+                loaded = self.warehouse.job_ids(config.name)
+                if mode == "full" and (ledger or loaded):
+                    raise ValueError(
+                        f"a full ingest loads {config.name} from nothing, "
+                        f"but the warehouse already holds its jobs or "
+                        f"ledger rows: use mode=\"append\" to add to it, "
+                        f"or ingest into a fresh warehouse")
+                stored = self.warehouse.scan_states(config.name)
+                manifest = archive.manifest(trusted=ledger)
+                period = archive.rotate_seconds
+                if mode == "append":  # up to the newest segment on disk
+                    through = 1 + max(
+                        (label_to_period_index(day, period)
+                         for day in {day for _h, day in manifest}),
+                        default=-1)
+                elif through_day is not None:
+                    # Day-granular; on a sub-day archive it covers every
+                    # whole segment inside those days.
+                    through = through_day * DAY // period
+                else:
+                    through = math.inf
+                plan = _plan(period, manifest, ledger, all_entries, loaded,
+                             min_s, stored, through)
+                # A host with a cell of unknown content keeps no states;
+                # whatever is stored for one is not used.
+                seeds: dict[str, dict[str, JobScanState]] = {}
+                for (host, jobid), blob in stored.items():
+                    if host not in plan.unknown_hosts:
+                        state = self._kept.pop(blob, None)
+                        seeds.setdefault(host, {})[jobid] = (
+                            state if state is not None
+                            else JobScanState.from_blob(blob))
+                entries = plan.candidates
+                # The scan reads the paths the manifest resolved.
+                files_by_host: dict[str, list[str]] = {}
+                for cell in sorted(plan.cells):
+                    files_by_host.setdefault(cell[0], []).append(
+                        manifest[cell].path)
             jobs = frozenset(e.job_number for e in entries)
             # A candidate's seed is heard even when its host has no file
             # to read this run.
@@ -507,21 +475,19 @@ class IngestPipeline:
                 if not jobs.isdisjoint(by_job):
                     files_by_host.setdefault(host, [])
             health = IngestHealth(policy=policy.value)
-            n_workers = effective_workers(
-                workers, len(files_by_host if plan is not None
-                             else archive.hostnames()), oversubscribe)
+            n_workers = effective_workers(workers, len(files_by_host))
             scans = scan_archive(
                 archive, workers=workers, allow_truncated=True,
-                oversubscribe=oversubscribe, policy=policy, health=health,
+                policy=policy, health=health,
                 max_retries=max_retries, retry_backoff=retry_backoff,
                 timeout=scan_timeout, files_by_host=files_by_host,
                 jobs=jobs, seeds=seeds)
 
+            # A window that never closes has no delta to report.
+            delta = None if through == math.inf else plan.delta
             report = IngestReport(system=config.name, health=health,
-                                  effective_workers=n_workers,
-                                  mode=mode,
-                                  delta=plan.delta if plan is not None
-                                  else None)
+                                  effective_workers=n_workers, mode=mode,
+                                  delta=delta)
 
             self.register_system(config)
 
@@ -566,7 +532,7 @@ class IngestPipeline:
             with span("ingest.load"):
                 for mj in matched:
                     entry = mj.entry
-                    if plan is not None and not plan.loadable(entry):
+                    if not plan.loadable(entry):
                         # Safety net: a candidate's span days are always
                         # fully consumed by construction (new + lookback
                         # cover them), so this should never fire — but a
@@ -618,8 +584,7 @@ class IngestPipeline:
 
             with span("ingest.syslog"):
                 for msg in syslog or []:
-                    if plan is not None and not (
-                            plan.watermark_before <= msg.time
+                    if not (plan.watermark_before <= msg.time
                             < plan.watermark_after):
                         continue  # outside this run's consumed-day window
                     self.warehouse.add_syslog_event(
@@ -630,16 +595,11 @@ class IngestPipeline:
 
             # Never to load: every file of the job's span is consumed.
             given_up = {e.job_number for e in all_entries
-                        if plan is None or plan.loadable(e)}
-            if manifest is None:
-                manifest = archive.manifest()
+                        if plan.loadable(e)}
             self._record_provenance(
-                config.name, manifest,
-                plan.revisit if plan is not None else {},
-                set(files_by_host or ()),
-                plan.cells if plan is not None else set(manifest),
-                health, mode, row_lo, mentioned, states, seeds, stored,
-                given_up)
+                config.name, manifest, plan.revisit, set(files_by_host),
+                plan.cells, health, mode, row_lo, mentioned, states, seeds,
+                stored, given_up)
 
             self.warehouse.commit()
             registry = get_registry()
@@ -650,15 +610,15 @@ class IngestPipeline:
                 report.lariat_attributed)
             registry.counter("ingest.syslog_events").inc(
                 report.syslog_events_loaded)
-            if plan is not None:
-                d = plan.delta
-                registry.counter("ingest.delta.files_new").inc(d.files_new)
+            if delta is not None:
+                registry.counter("ingest.delta.files_new").inc(
+                    delta.files_new)
                 registry.counter("ingest.delta.files_lookback").inc(
-                    d.files_lookback)
+                    delta.files_lookback)
                 registry.counter("ingest.delta.files_skipped").inc(
-                    d.files_skipped)
+                    delta.files_skipped)
                 registry.counter("ingest.delta.jobs_deferred").inc(
-                    d.jobs_deferred)
+                    delta.jobs_deferred)
             report.run_id = run_id
             _log.info("ingest_done", system=config.name,
                       jobs=report.jobs_loaded,

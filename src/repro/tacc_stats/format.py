@@ -35,6 +35,9 @@ __all__ = ["StatsWriter", "FORMAT_VERSION"]
 
 FORMAT_VERSION = "1.0.2"
 
+#: Values are uint64: the first integer a row may not hold.
+_UINT64_END = 1 << 64
+
 
 class StatsWriter:
     """Serializes one host's stats stream.
@@ -118,7 +121,11 @@ class StatsWriter:
         key = (type_name, device)
         if key in self._block_types_seen:
             raise ValueError(f"duplicate row {type_name}/{device} in block")
-        vals = np.asarray(values)
+        # An array keeps its dtype; anything else is taken value by
+        # value, so a Python int past 2**63 is not rounded through
+        # float64.
+        vals = (values if isinstance(values, np.ndarray)
+                else np.array(values, dtype=object))
         if vals.shape != (schema.n_values,):
             raise ValueError(
                 f"{type_name}: {vals.shape[0] if vals.ndim else 0} values, "
@@ -126,11 +133,13 @@ class StatsWriter:
             )
         if np.any(vals < 0):
             raise ValueError(f"{type_name}/{device}: negative value")
+        ints = [int(v) for v in vals]
+        if any(v >= _UINT64_END for v in ints):
+            raise ValueError(f"{type_name}/{device}: value past uint64")
         # Mark seen only after validation so a rejected write does not
         # poison the block for the corrected retry.
         self._block_types_seen.add(key)
-        ints = " ".join(str(int(v)) for v in vals)
-        self._write(f"{type_name} {device} {ints}\n")
+        self._write(f"{type_name} {device} {' '.join(map(str, ints))}\n")
 
     def append_rendered(self, first_time: float, last_time: float,
                         text: str) -> None:

@@ -22,6 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
+@pytest.fixture
+def pool_cpus(monkeypatch):
+    """Eight visible CPUs, so ``workers > 1`` runs a real process pool
+    on any machine (:func:`repro.ingest.parallel.effective_workers`
+    clamps to the CPU count)."""
+    monkeypatch.setattr("repro.ingest.parallel.os.cpu_count", lambda: 8)
+
+
 @pytest.fixture(scope="session")
 def fast_run():
     """A 32-node, 20-day Ranger replica via the fast path."""

@@ -268,7 +268,7 @@ def test_repair_report_str_mentions_health(corpus, tmp_path):
 # -- transient worker failure x retry ----------------------------------------
 
 
-def test_transient_worker_death_is_retried(corpus, tmp_path):
+def test_transient_worker_death_is_retried(corpus, tmp_path, pool_cpus):
     """A worker OOM-killed once recovers on retry: every host scans ok,
     the retries are accounted, and nothing is quarantined."""
     archive = HostArchive(corpus[1])
@@ -277,7 +277,7 @@ def test_transient_worker_death_is_retried(corpus, tmp_path):
         crashy_scan, str(tmp_path), (victim,), 1)
     health = IngestHealth(policy="quarantine")
     scans = list(scan_archive(
-        archive, workers=2, allow_truncated=True, oversubscribe=True,
+        archive, workers=2, allow_truncated=True,
         policy="quarantine", health=health, max_retries=2,
         retry_backoff=0.01, scan_fn=scan_fn))
     assert [s.hostname for s in scans] == archive.hostnames()
@@ -286,7 +286,7 @@ def test_transient_worker_death_is_retried(corpus, tmp_path):
     assert health.retries.get(victim, 0) >= 1
 
 
-def test_permanent_crasher_dropped_without_collateral(corpus, tmp_path):
+def test_permanent_crasher_dropped_without_collateral(corpus, tmp_path, pool_cpus):
     """A host whose scan always dies is dropped after its retries — and
     only that host: innocents sharing its rounds survive via the
     isolation probe."""
@@ -296,7 +296,7 @@ def test_permanent_crasher_dropped_without_collateral(corpus, tmp_path):
         crashy_scan, str(tmp_path), (victim,), -1)
     health = IngestHealth(policy="quarantine")
     scans = list(scan_archive(
-        archive, workers=2, allow_truncated=True, oversubscribe=True,
+        archive, workers=2, allow_truncated=True,
         policy="quarantine", health=health, max_retries=1,
         retry_backoff=0.01, scan_fn=scan_fn))
     survivors = [h for h in archive.hostnames() if h != victim]
@@ -308,18 +308,18 @@ def test_permanent_crasher_dropped_without_collateral(corpus, tmp_path):
     assert "worker died" in rec.error
 
 
-def test_permanent_crasher_raises_under_strict(corpus, tmp_path):
+def test_permanent_crasher_raises_under_strict(corpus, tmp_path, pool_cpus):
     archive = HostArchive(corpus[1])
     victim = archive.hostnames()[0]
     scan_fn = functools.partial(
         crashy_scan, str(tmp_path), (victim,), -1)
     with pytest.raises(HostScanError, match=victim):
         list(scan_archive(
-            archive, workers=2, allow_truncated=True, oversubscribe=True,
+            archive, workers=2, allow_truncated=True,
             max_retries=1, retry_backoff=0.01, scan_fn=scan_fn))
 
 
-def test_wedged_worker_times_out_and_is_dropped(corpus, tmp_path):
+def test_wedged_worker_times_out_and_is_dropped(corpus, tmp_path, pool_cpus):
     """A worker that hangs past the round deadline is terminated and its
     host dropped (quarantine policy) instead of wedging the ingest."""
     archive = HostArchive(corpus[1])
@@ -327,7 +327,7 @@ def test_wedged_worker_times_out_and_is_dropped(corpus, tmp_path):
     scan_fn = functools.partial(sleepy_scan, (victim,), 60.0)
     health = IngestHealth(policy="quarantine")
     scans = list(scan_archive(
-        archive, workers=2, allow_truncated=True, oversubscribe=True,
+        archive, workers=2, allow_truncated=True,
         policy="quarantine", health=health, max_retries=0,
         retry_backoff=0.01, timeout=2.0, scan_fn=scan_fn))
     assert victim not in [s.hostname for s in scans]

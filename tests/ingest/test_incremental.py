@@ -26,6 +26,7 @@ from repro.scheduler.accounting import AccountingWriter
 from repro.syslogr.catalog import MessageKind
 from repro.syslogr.rationalizer import RationalizedMessage
 from repro.tacc_stats.archive import HostArchive
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.testing.faults import inject_fault
 from repro.util.timeutil import DAY, date_to_day_index
 
@@ -306,6 +307,57 @@ def test_verify_recomputes_the_kept_scan_states(corpus, tmp_path, capsys):
     assert diagnose_main(["--warehouse", path, "--system", cfg.name,
                           "--verify", corpus[1]]) == 1
     assert f"{host}/{jobid}: scan state differs" in capsys.readouterr().out
+
+
+# -- a full ingest loads a system from nothing ---------------------------------
+
+
+def _counted(corpus, warehouse, **kw):
+    """``(registry counters, report)`` of one ingest into *warehouse*."""
+    with use_registry(MetricsRegistry()) as registry:
+        report = _ingest(corpus, corpus[1], warehouse=warehouse, **kw)[1]
+    return registry.snapshot().counters, report
+
+
+@pytest.mark.parametrize("built_by", ["ingest", "Facility.run"])
+def test_a_second_full_ingest_is_refused_before_any_file_is_read(
+        corpus, built_by):
+    cfg = corpus[0]
+    if built_by == "ingest":
+        w, _ = _ingest(corpus, corpus[1])
+    else:
+        w = Facility(cfg, seed=11).run().warehouse
+    before = (_data_rows(w), w.ledger_map(cfg.name), w.scan_states(cfg.name))
+    with use_registry(MetricsRegistry()) as registry, \
+            pytest.raises(ValueError, match='mode="append"'):
+        _ingest(corpus, corpus[1], warehouse=w)
+    counters = registry.snapshot().counters
+    assert counters.get("parse.files", 0) == 0
+    assert counters.get("archive.v2.files_read", 0) == 0
+    assert counters.get("archive.manifest_files", 0) == 0
+    assert (_data_rows(w), w.ledger_map(cfg.name),
+            w.scan_states(cfg.name)) == before
+
+
+def test_a_registered_system_still_takes_a_full_ingest(corpus):
+    """A ``systems`` row alone (a live session registers its system up
+    front) holds nothing a full ingest could collide with."""
+    w = Warehouse()
+    IngestPipeline(w).register_system(corpus[0])
+    _ingest(corpus, corpus[1], warehouse=w)
+    assert _data_rows(w) == _data_rows(_ingest(corpus, corpus[1])[0])
+
+
+def test_only_a_window_that_closes_reports_a_delta(corpus):
+    """A full ingest's window never closes: no ``DeltaSummary`` and no
+    ``ingest.delta.*`` counter.  A windowed seed reports both."""
+    counters, report = _counted(corpus, Warehouse())
+    assert report.mode == "full" and report.delta is None
+    assert not [k for k in counters if k.startswith("ingest.delta.")]
+    counters, seed = _counted(corpus, Warehouse(), through_day=1)
+    assert seed.delta is not None
+    assert counters["ingest.delta.files_skipped"] == \
+        seed.delta.files_skipped > 0
 
 
 def test_mode_validation(corpus):

@@ -47,13 +47,14 @@ def _write_host(root, host, texts):
         (d / f"2013-01-{i + 1:02d}").write_text(text)
 
 
-def test_effective_workers_clamps():
+def test_effective_workers_clamps(monkeypatch):
+    monkeypatch.setattr("repro.ingest.parallel.os.cpu_count", lambda: 4)
     assert effective_workers(1, 10) == 1
-    assert effective_workers(8, 3) <= 3
-    assert effective_workers(8, 10, oversubscribe=True) == 8
-    # Never above the visible CPUs without oversubscribe.
-    import os
-    assert effective_workers(64, 64) <= (os.cpu_count() or 1)
+    assert effective_workers(8, 3) == 3
+    # Never above the visible CPUs.
+    assert effective_workers(64, 64) == 4
+    monkeypatch.setattr("repro.ingest.parallel.os.cpu_count", lambda: None)
+    assert effective_workers(8, 10) == 1
     with pytest.raises(ValueError, match="workers"):
         effective_workers(0, 4)
 
@@ -75,14 +76,13 @@ def test_empty_host_files_are_skipped(tmp_path):
     assert scans[1].partials == {} and scans[1].views == ()
 
 
-def test_truncated_tail_dropped_in_scan(tmp_path):
+def test_truncated_tail_dropped_in_scan(tmp_path, pool_cpus):
     """The crash-consistent read drops exactly the unterminated line."""
     good = MINIMAL.format(host="h0")
     _write_host(tmp_path, "h0", [good + "1300 7\ncpu 0 9"])
     archive = HostArchive(tmp_path)
     serial = list(scan_archive(archive, allow_truncated=True))
-    pooled = list(scan_archive(archive, workers=2, allow_truncated=True,
-                               oversubscribe=True))
+    pooled = list(scan_archive(archive, workers=2, allow_truncated=True))
     assert serial == pooled
     # The truncated row is gone but its timestamp block survives; the
     # job window still ends at the last complete sample pair.
@@ -133,13 +133,13 @@ def _warehouse_rows(cfg, archive_dir, accounting, lariat, **kw):
     return report, jobs, metrics
 
 
-def test_parallel_warehouse_identical_to_serial(corpus):
+def test_parallel_warehouse_identical_to_serial(corpus, pool_cpus):
     """Any worker count and batch size produce byte-identical tables."""
     report, jobs, metrics = _warehouse_rows(*corpus)
     assert report.jobs_loaded == len(jobs) > 0
     for kw in (
-        {"workers": 2, "oversubscribe": True},
-        {"workers": 3, "oversubscribe": True, "batch_size": 1},
+        {"workers": 2},
+        {"workers": 3, "batch_size": 1},
         {"workers": 1, "batch_size": 5},
     ):
         r2, jobs2, metrics2 = _warehouse_rows(*corpus, **kw)
@@ -162,14 +162,15 @@ def test_scan_matches_in_process_reduction(corpus):
     assert all(isinstance(s, HostScan) for s in streamed)
 
 
-def test_scan_reports_jobs_per_file_and_reduces_only_wanted_jobs(corpus):
+def test_scan_reports_jobs_per_file_and_reduces_only_wanted_jobs(
+        corpus, pool_cpus):
     """Serial and pool alike: *jobs* limits the metric partials, never
     the matcher views, and every kept file reports the ids it holds."""
     archive = HostArchive(corpus[1])
     full = list(scan_archive(archive, allow_truncated=True))
     wanted = frozenset(sorted(full[0].partials)[:2])
     assert wanted
-    for kw in ({}, {"workers": 2, "oversubscribe": True}):
+    for kw in ({}, {"workers": 2}):
         scans = list(scan_archive(archive, allow_truncated=True,
                                   jobs=wanted, **kw))
         assert [s.hostname for s in scans] == [s.hostname for s in full]

@@ -64,8 +64,7 @@ def _ingest(session, root, warehouse, workers=1, **mode):
     return IngestPipeline(warehouse).ingest(
         CFG, accounting_text=session.accounting_text,
         archive=HostArchive(root), lariat_records=session.lariat,
-        syslog=session.syslog, workers=workers,
-        oversubscribe=workers > 1, **mode)
+        syslog=session.syslog, workers=workers, **mode)
 
 
 @settings(max_examples=10, deadline=None,
@@ -76,7 +75,8 @@ def _ingest(session, root, warehouse, workers=1, **mode):
        workers=st.sampled_from([1, 2]),
        data=st.data())
 def test_appends_open_exactly_the_cells_holding_a_pending_job(
-        corpus, tmp_path_factory, seed, period, fmt, workers, data):
+        corpus, tmp_path_factory, pool_cpus, seed, period, fmt, workers,
+        data):
     full, session = corpus(seed, period, fmt)
     labels = segment_labels(full)
     per_day = DAY // period

@@ -101,6 +101,33 @@ def test_values_rendered_as_ints():
     assert line == f"cpu 0 1 {2**40}"
 
 
+@pytest.mark.parametrize("value", [0, 2**63 - 1, 2**63, 2**63 + 1,
+                                   2**64 - 1])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_every_uint64_round_trips_through_the_parser(value, as_array):
+    """A list is written exactly (not rounded through float64), as a
+    ``uint64`` array is, and reads back as the same value."""
+    from repro.tacc_stats.parser import parse_host_columns
+
+    values = [value, 3]
+    buf, w = writer()
+    w.begin_block(100.0)
+    w.write_row("cpu", "0", np.array(values, dtype=np.uint64)
+                if as_array else values)
+    assert buf.getvalue().endswith(f"cpu 0 {value} 3\n")
+    (cpu,) = parse_host_columns(buf.getvalue()).types
+    assert cpu.values.tolist() == [values]
+
+
+@pytest.mark.parametrize("value", [2**64, -1])
+def test_a_value_outside_uint64_is_rejected(value):
+    _, w = writer()
+    w.begin_block(100.0)
+    with pytest.raises(ValueError, match="negative|uint64"):
+        w.write_row("cpu", "0", [value, 3])
+    w.write_row("cpu", "0", [1, 3])  # the rejected row poisoned nothing
+
+
 def test_bad_hostname_rejected():
     with pytest.raises(ValueError):
         StatsWriter(io.StringIO(), "has space")

@@ -426,7 +426,7 @@ def test_clean_archives_never_take_the_line_loop(archives, tmp_path,
     ("truncated_tail", 1), ("duplicate_timestamp", 1),
     ("wrong_hostname", 0)])
 def test_a_faulted_file_and_no_other_takes_the_line_loop(
-        archives, tmp_path, kind, expected):
+        archives, tmp_path, kind, expected, pool_cpus):
     """``duplicate_timestamp`` is an empty block: legal, not regular.
     ``wrong_hostname`` is well-formed text that the archive layer, not
     the parser, rejects.  Serial == pool."""
@@ -436,7 +436,7 @@ def test_a_faulted_file_and_no_other_takes_the_line_loop(
     serial = _scan_counters(root)
     assert serial["parse.files_line_loop"] == expected
     assert serial["parse.files"] == 9
-    pool = _scan_counters(root, workers=2, oversubscribe=True)
+    pool = _scan_counters(root, workers=2)
     assert pool == serial
 
     registry = MetricsRegistry()

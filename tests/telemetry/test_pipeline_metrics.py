@@ -60,11 +60,11 @@ def _instrumented_ingest(corpus, archive_root, **kw):
 # -- serial == parallel ------------------------------------------------------
 
 
-def test_serial_and_parallel_totals_identical_without_timing(corpus):
+def test_serial_and_parallel_totals_identical_without_timing(
+        corpus, pool_cpus):
     """THE determinism guarantee: any worker count, same totals."""
     serial, report1 = _instrumented_ingest(corpus, corpus[1], workers=1)
-    fanout, report3 = _instrumented_ingest(corpus, corpus[1], workers=3,
-                                           oversubscribe=True)
+    fanout, report3 = _instrumented_ingest(corpus, corpus[1], workers=3)
     assert serial.without_timing().to_dict() == \
         fanout.without_timing().to_dict()
     assert report1.jobs_loaded == report3.jobs_loaded
@@ -108,7 +108,8 @@ def test_run_manifest_from_real_ingest_validates(corpus, tmp_path):
     assert manifest.run_id == report.run_id == run_id
     assert [s.name for s in manifest.stages] == ["ingest"]
     child_names = [c.name for c in manifest.stages[0].children]
-    assert child_names[:3] == ["ingest.scan", "ingest.match", "ingest.load"]
+    assert child_names[:4] == ["ingest.plan", "ingest.scan", "ingest.match",
+                               "ingest.load"]
     assert manifest.slowest_hosts  # per-host gauges made it through
     rebuilt = RunManifest.from_dict(manifest.to_dict())
     assert rebuilt.to_dict() == manifest.to_dict()
@@ -153,7 +154,7 @@ def test_repair_counters_match_ingest_health(corpus, tmp_path):
         health.records_quarantined == 1
 
 
-def test_retry_counter_matches_health_retries(corpus, tmp_path):
+def test_retry_counter_matches_health_retries(corpus, tmp_path, pool_cpus):
     """A transiently crashing worker charges ``ingest.retries`` exactly
     as often as :class:`IngestHealth` records the retry."""
     archive = HostArchive(corpus[1])
@@ -162,7 +163,7 @@ def test_retry_counter_matches_health_retries(corpus, tmp_path):
     health = IngestHealth(policy="quarantine")
     with use_registry(MetricsRegistry()) as registry, use_tracer(Tracer()):
         list(scan_archive(
-            archive, workers=2, allow_truncated=True, oversubscribe=True,
+            archive, workers=2, allow_truncated=True,
             policy="quarantine", health=health, max_retries=2,
             retry_backoff=0.01, scan_fn=scan_fn))
         snap = registry.snapshot()
