@@ -7,16 +7,14 @@ from piecewise-constant integration of the *same* underlying behaviour
 realization — grows as the cadence coarsens.
 """
 
-import io
-
 import pytest
 
 from repro.cluster.hardware import ranger_node
 from repro.cluster.node import Node
 from repro.ingest.summarize import summarize_job_from_hosts
-from repro.tacc_stats.daemon import TaccStatsDaemon
-from repro.tacc_stats.format import StatsWriter
+from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.parser import parse_host_text
+from repro.tacc_stats.synth import NodeSynth
 from repro.util.rng import RngFactory
 from repro.util.tables import render_table
 from repro.workload.applications import get_app
@@ -36,31 +34,38 @@ def _behavior():
                        behavior_seed=77)
 
 
-def _collect(behavior, interval: float):
-    """Sample the shared behaviour at a given cadence; return
-    (summary, raw bytes)."""
+def _collect(behavior, interval: float, root):
+    """Sample the shared behaviour at a given cadence into an archive
+    at *root*; return (summary, raw bytes)."""
     node = Node(index=0, hostname="c000-000.abl", hardware=ranger_node())
-    buf = io.StringIO()
-    daemon = TaccStatsDaemon(node, RngFactory(1).stream("n"),
-                             StatsWriter(buf, node.hostname))
-    daemon.begin_job("1", 0.0, behavior, 0)
+    archive = HostArchive(root, compress=False)
+    synth = NodeSynth(node, RngFactory(1).stream, archive)
+    synth.begin_job("1", 0.0, behavior, 0)
     t = interval
     while t < _DURATION:
-        daemon.sample(t)
+        synth.sample(t)
         t += interval
-    daemon.end_job("1", _DURATION)
-    host = parse_host_text(buf.getvalue())
+    synth.end_job("1", _DURATION)
+    synth.flush(_DURATION)
+    archive.close()
+    (path,) = (root / node.hostname).iterdir()
+    text = HostArchive.read_file(path)
+    host = parse_host_text(text)
     summary = summarize_job_from_hosts("1", [host],
                                        wall_seconds=_DURATION)
-    return summary, len(buf.getvalue())
+    return summary, len(text)
 
 
-def test_ablation_sampling(benchmark, save_artifact):
+def test_ablation_sampling(benchmark, save_artifact, tmp_path_factory):
     behavior = _behavior()
-    reference, b60 = _collect(behavior, 60.0)
-    sum600, b600 = benchmark.pedantic(
-        _collect, args=(behavior, 600.0), rounds=2, iterations=1)
-    sum1800, b1800 = _collect(behavior, 1800.0)
+
+    def collect(interval: float):
+        return _collect(behavior, interval, tmp_path_factory.mktemp("abl"))
+
+    reference, b60 = collect(60.0)
+    sum600, b600 = benchmark.pedantic(collect, args=(600.0,), rounds=2,
+                                      iterations=1)
+    sum1800, b1800 = collect(1800.0)
 
     rows = []
     for interval, (summary, nbytes) in (

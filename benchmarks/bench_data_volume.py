@@ -1,15 +1,16 @@
 """§4.1 claim: TACC_Stats generates ~0.5 MB raw per node per day, and the
 archive compresses ~3x (60 GB -> 20 GB per month on 3936-node Ranger).
 
-We run one node's daemon for a full simulated day at the production
-cadence through the rotating archive and measure the file sizes.
+We run one node's synthesis engine for a full simulated day at the
+production cadence through the rotating archive and measure the file
+sizes.
 """
 
 from repro.cluster.hardware import ranger_node
 from repro.cluster.node import Node
 from repro.config import RANGER
 from repro.tacc_stats.archive import HostArchive
-from repro.tacc_stats.daemon import TaccStatsDaemon
+from repro.tacc_stats.synth import NodeSynth
 from repro.util.rng import RngFactory
 from repro.util.timeutil import DAY
 from repro.util.units import format_bytes
@@ -21,20 +22,18 @@ from repro.workload.users import generate_users
 def _one_node_day(tmpdir: str) -> HostArchive:
     archive = HostArchive(tmpdir, compress=True)
     node = Node(index=0, hostname="c000-000.bench", hardware=ranger_node())
-    daemon = TaccStatsDaemon(
-        node, RngFactory(0).stream("n"),
-        writer=lambda t: archive.writer(node.hostname, t),
-    )
+    synth = NodeSynth(node, RngFactory(0).stream, archive)
     users = generate_users(5, RngFactory(0).stream("u"))
     behavior = JobBehavior(get_app("namd"), users[0], ranger_node(), 2,
                            duration=DAY, sample_interval=600.0,
                            behavior_seed=2)
-    daemon.begin_job("1", 0.0, behavior, 0)
+    synth.begin_job("1", 0.0, behavior, 0)
     t = 600.0
     while t < DAY:
-        daemon.sample(t)
+        synth.sample(t)
         t += 600.0
-    daemon.end_job("1", float(DAY - 1))
+    synth.end_job("1", float(DAY - 1))
+    synth.flush(float(DAY - 1))
     archive.close()
     return archive
 

@@ -140,15 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(docs/FORMAT.md); ingest autodetects per "
                              "file and both produce byte-identical "
                              "warehouses")
-    parser.add_argument("--synthesis", choices=("fast", "scalar"),
-                        default="fast",
-                        help="replay engine for --archive runs: the "
-                             "vectorized per-node synthesis (batched "
-                             "collector kernels, direct-to-v2 column "
-                             "writes; default) or the per-sample scalar "
-                             "daemon loop kept as the oracle — both "
-                             "produce byte-identical archives and "
-                             "warehouses")
     parser.add_argument("--workers", type=int, default=1,
                         help="process-parallel node replay for --archive "
                              "runs (output is byte-identical)")
@@ -275,8 +266,7 @@ def _federation_plans(args) -> tuple[str, "list", bool]:
 
 #: The flags that are ``run_with_files`` arguments under their own name.
 _FILE_PATH_KNOBS = ("workers", "ingest_workers", "batch_size",
-                    "error_policy", "max_retries", "archive_format",
-                    "synthesis")
+                    "error_policy", "max_retries", "archive_format")
 
 
 def _run_knobs(args) -> dict:
@@ -389,8 +379,7 @@ def _run_live(args, cfg, facility, warehouse) -> int:
         session = LiveSession(
             facility, args.archive, warehouse=warehouse,
             segment_seconds=args.live_segment_seconds,
-            batch_segments=args.live_batch_segments,
-            synthesis=args.synthesis)
+            batch_segments=args.live_batch_segments)
     except ValueError as e:
         return die(str(e))
 
@@ -499,8 +488,7 @@ def main(argv: list[str] | None = None) -> int:
             return die("--live manages its own incremental ingest; "
                        "drop --append/--ingest-days")
         for name in _FILE_PATH_KNOBS:
-            if name != "synthesis" and \
-                    getattr(args, name) != parser.get_default(name):
+            if getattr(args, name) != parser.get_default(name):
                 return die(f"--{name.replace('_', '-')} does not apply to "
                            f"--live (it replays in-process into a text "
                            f"archive and ingests each batch strictly, in "

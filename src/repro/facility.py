@@ -7,7 +7,7 @@ Two measurement paths produce the same warehouse contents:
   per job.  Used for study-period-scale runs (thousands of jobs) behind
   the figure/table benchmarks.
 * :meth:`Facility.run_with_files` (slow path) — per-node TACC_Stats
-  daemons serialize the real self-describing text format to a rotating
+  samplers serialize the real self-describing text format to a rotating
   archive, and the ingest pipeline parses, matches, and summarizes it
   back.  Used at smaller scale to prove the production pipeline
   end-to-end and to measure the paper's volume/overhead claims.
@@ -19,8 +19,9 @@ tests).
 The slow path's write side is defined once (DESIGN.md, "The write
 path"): a :class:`NodeReplay` per node, taken one at a time to the
 horizon by the in-process replay and each pool worker, or all together
-to each segment edge by :mod:`repro.live.runner` — same daemons, same
-ordering, hence the same archive bytes — and one side-log recipe,
+to each segment edge by :mod:`repro.live.runner` — the same synthesis
+engine (:class:`~repro.tacc_stats.synth.NodeSynth`), the same ordering,
+hence the same archive bytes — and one side-log recipe,
 :meth:`Facility._side_logs`.
 """
 
@@ -49,7 +50,6 @@ from repro.scheduler.policies import EasyBackfillPolicy, SchedulingPolicy
 from repro.syslogr.generator import SyslogGenerator
 from repro.syslogr.rationalizer import Rationalizer
 from repro.tacc_stats.archive import ArchiveStats, HostArchive
-from repro.tacc_stats.daemon import TaccStatsDaemon
 from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import (
     MetricsRegistry,
@@ -146,7 +146,7 @@ class NodeReplay:
     cursor: the unit every driver of a study period shares, so the
     events fire identically however the horizon is sliced."""
 
-    def __init__(self, engine: NodeSynth | TaccStatsDaemon,
+    def __init__(self, engine: NodeSynth,
                  ticks: list[float], allocations: list[tuple[JobRecord, int]],
                  behaviors: dict[str, JobBehavior]):
         self.engine = engine
@@ -161,21 +161,16 @@ class NodeReplay:
                 events.append((record.end_time, 0, record, slot))
         events.sort(key=lambda e: e[:2])
         self.events = events
-        #: Next event to hand the engine | to fall due: a NodeSynth is
+        #: Next event to hand the engine | to fall due: the engine is
         #: fed ahead of the clock, so the two differ.
         self.cursor = 0
         self.due = 0
 
-    @property
-    def rows_held(self) -> int:
-        """Value rows synthesized ahead of the clock (scalar: never)."""
-        return getattr(self.engine, "rows_held", 0)
-
     def advance(self, until: float) -> int:
         """Fire this node's events with ``t <= until``; returns how many."""
         engine, events, ptr = self.engine, self.events, self.cursor
-        ahead, fire_to = isinstance(engine, NodeSynth), until
-        if ahead and ptr < len(events) and events[ptr][0] <= until:
+        fire_to = until
+        if ptr < len(events) and events[ptr][0] <= until:
             # It only queues, and the simulation is over, so it is fed
             # ahead of the clock: a synthesis block runs to the later of
             # *until* and this node's next day edge — a day however
@@ -202,10 +197,9 @@ class NodeReplay:
                     engine.end_job(record.jobid, t)
             ptr += 1
         self.cursor = ptr
-        if ahead:
-            # One kernel round per block, then rows out as the clock
-            # passes them; the caller may close files after this slice.
-            engine.flush(until)
+        # One kernel round per block, then rows out as the clock passes
+        # them; the caller may close files after this slice.
+        engine.flush(until)
         first = self.due
         self.due = bisect_right(events, until, lo=first, key=itemgetter(0))
         return self.due - first
@@ -213,14 +207,10 @@ class NodeReplay:
 
 def node_replays(cfg: FacilityConfig, seed: int, records: list[JobRecord],
                  node_indices: list[int], behaviors: dict[str, JobBehavior],
-                 archive: HostArchive,
-                 synthesis: str = "fast") -> Iterator[NodeReplay]:
+                 archive: HostArchive) -> Iterator[NodeReplay]:
     """Yield the :class:`NodeReplay` of each node in *node_indices*,
     built only when asked for — so a caller that finishes one unit
     before taking the next keeps a single node's state alive."""
-    if synthesis not in ("fast", "scalar"):
-        raise ValueError(
-            f"synthesis must be 'fast' or 'scalar', got {synthesis!r}")
     rng_factory = RngFactory(seed)
     wanted = set(node_indices)
     per_node: dict[int, list[tuple[JobRecord, int]]] = {}
@@ -238,24 +228,18 @@ def node_replays(cfg: FacilityConfig, seed: int, records: list[JobRecord],
                     hardware=cfg.node)
         # Noise streams are keyed (seed, node, collector): each draw
         # sequence is independent of its siblings and of how nodes are
-        # chunked across workers, and identical for both engines.
+        # chunked across workers.
         def noise(name: str, ni: int = ni) -> np.random.Generator:
             return rng_factory.stream(f"{cfg.stream_prefix}/noise/{ni}/{name}")
-        if synthesis == "fast":
-            engine = NodeSynth(node, noise, archive,
-                               lustre_mounts=lustre, nfs_mounts=nfs)
-        else:
-            engine = TaccStatsDaemon(
-                node, noise,
-                writer=lambda t, h=node.hostname: archive.writer(h, t),
-                lustre_mounts=lustre, nfs_mounts=nfs)
+        engine = NodeSynth(node, noise, archive,
+                           lustre_mounts=lustre, nfs_mounts=nfs)
         yield NodeReplay(engine, ticks, per_node.get(ni, []), behaviors)
 
 
 def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
                   node_indices: list[int], behaviors: dict[str, JobBehavior],
-                  archive_dir: str, compress: bool, archive_format: str,
-                  synthesis: str) -> tuple[ArchiveStats, MetricsSnapshot]:
+                  archive_dir: str, compress: bool,
+                  archive_format: str) -> tuple[ArchiveStats, MetricsSnapshot]:
     """Open the archive, take each node's unit to the horizon a day at
     a time — a slice that long is its own synthesis block, so none is
     held past the call that made it — and close.
@@ -273,10 +257,10 @@ def _replay_chunk(cfg: FacilityConfig, seed: int, records: list[JobRecord],
         edges = aligned_samples(0.0, cfg.horizon, DAY)[1:]
         held = 0
         for unit in node_replays(cfg, seed, records, node_indices,
-                                 behaviors, archive, synthesis):
+                                 behaviors, archive):
             for edge in edges:
                 unit.advance(edge)
-            held += unit.rows_held
+            held += unit.engine.rows_held
         local.gauge("synth.rows_held").set(held)
         stats = archive.close()
     return stats, local.snapshot()
@@ -294,7 +278,6 @@ def _replay_nodes(
     archive_dir: str,
     compress: bool,
     archive_format: str = "text",
-    synthesis: str = "fast",
 ) -> tuple[ArchiveStats, MetricsSnapshot]:
     """Pool-worker entry: replay *node_indices* into the shared archive
     directory — a node's files are written only by the worker owning it,
@@ -305,7 +288,7 @@ def _replay_nodes(
         cfg, users, util_scale, phase_calibration, regressions,
         [r for r in records if not wanted.isdisjoint(r.node_indices)])
     return _replay_chunk(cfg, seed, records, node_indices, behaviors,
-                         archive_dir, compress, archive_format, synthesis)
+                         archive_dir, compress, archive_format)
 
 
 @dataclass
@@ -562,9 +545,8 @@ class Facility:
         ingest_mode: str = "full",
         ingest_through_day: int | None = None,
         archive_format: str = "text",
-        synthesis: str = "fast",
     ) -> FacilityRun:
-        """Slow path: daemons write the text format; ingest parses it back.
+        """Slow path: NodeSynth writes the archive; ingest parses it back.
 
         Intended for small configs (``TEST_SYSTEM``-scale): cost is
         O(nodes × samples × collectors).  The per-node replay is
@@ -584,15 +566,14 @@ class Facility:
         days, and a later ``ingest_mode="append"`` run folds in just the
         remainder.  A full ingest into a *warehouse* that already holds
         this system's jobs raises ``ValueError`` before reading a file.
-        *archive_format* selects the daemons' on-disk format
-        (``"text"`` or ``"v2"`` columnar); ingest autodetects per file,
-        and both formats produce byte-identical warehouses (asserted by
-        tests and the columnar bench).  *synthesis* selects the replay
-        engine: ``"fast"`` (default) runs the vectorized per-node
-        synthesis (:class:`~repro.tacc_stats.synth.NodeSynth`, batched
-        collector kernels, direct-to-v2 column writes); ``"scalar"``
-        runs the per-sample daemon loop.  Both produce byte-identical
-        archives and warehouses (asserted by property tests).
+        *archive_format* selects the on-disk format (``"text"`` or
+        ``"v2"`` columnar); ingest autodetects per file, and both
+        formats produce byte-identical warehouses (asserted by tests).
+        Every node is synthesized by
+        :class:`~repro.tacc_stats.synth.NodeSynth` — batched collector
+        kernels, direct-to-v2 column writes — whose archives equal, byte
+        for byte, each collector's scalar path driven through the same
+        engine (``tests/scalar_reference.py``).
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -605,8 +586,7 @@ class Facility:
             if workers == 1:
                 partials = [_replay_chunk(
                     cfg, self.seed, sim.records, list(range(cfg.num_nodes)),
-                    behaviors, archive_dir, compress, archive_format,
-                    synthesis)]
+                    behaviors, archive_dir, compress, archive_format)]
             else:
                 import multiprocessing
 
@@ -614,7 +594,7 @@ class Facility:
                 with multiprocessing.Pool(len(chunks)) as pool:
                     partials = pool.starmap(_replay_nodes, [
                         (cfg, self.seed, *context, sim.records, chunk,
-                         archive_dir, compress, archive_format, synthesis)
+                         archive_dir, compress, archive_format)
                         for chunk in chunks
                     ])
             archive_stats = ArchiveStats()

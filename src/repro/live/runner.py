@@ -59,13 +59,13 @@ class LiveReplay:
     def __init__(self, cfg: FacilityConfig, seed: int, users: dict,
                  util_scale: float, phase_calibration: dict | None,
                  regressions: tuple, records: list[JobRecord],
-                 archive: HostArchive, synthesis: str = "fast"):
+                 archive: HostArchive):
         #: jobid -> behaviour; the session's side logs and counters too.
         self.behaviors = _build_behaviors(
             cfg, users, util_scale, phase_calibration, regressions, records)
         self._nodes = list(node_replays(
             cfg, seed, records, list(range(cfg.num_nodes)), self.behaviors,
-            archive, synthesis))
+            archive))
         self.clock = 0.0
 
     def advance(self, until: float) -> int:
@@ -77,7 +77,7 @@ class LiveReplay:
         fired = sum(unit.advance(until) for unit in self._nodes)
         self.clock = until
         get_registry().gauge("synth.rows_held").set(
-            sum(unit.rows_held for unit in self._nodes))
+            sum(unit.engine.rows_held for unit in self._nodes))
         return fired
 
 
@@ -132,7 +132,7 @@ class LiveSession:
     def __init__(self, facility: Facility, archive_dir: str,
                  warehouse: Warehouse | None = None,
                  segment_seconds: int = HOUR, batch_segments: int = 1,
-                 compress: bool = True, synthesis: str = "fast"):
+                 compress: bool = True):
         seg = int(segment_seconds)
         if seg <= 0 or seg != segment_seconds:
             raise ValueError(f"segment_seconds must be a positive whole "
@@ -151,7 +151,7 @@ class LiveSession:
                                    rotate_seconds=seg)
         self.replay = LiveReplay(
             cfg, facility.seed, *facility._behavior_context(workload),
-            sim.records, self.archive, synthesis=synthesis)
+            sim.records, self.archive)
 
         self.accounting_text, self.lariat, self.syslog = \
             facility._side_logs(sim, cluster, self.replay.behaviors)

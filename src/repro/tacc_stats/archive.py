@@ -293,8 +293,8 @@ class HostArchive:
         boundaries (days by default; see ``rotate_seconds``).
 
         Note: rotation starts a fresh file with its own header, so the
-        caller (the daemon) must re-register schemas on each new writer —
-        exactly what the real tool does on its daily restart.
+        caller (``NodeSynth``) must re-register schemas on each new
+        writer — exactly what the real tool does on its daily restart.
         """
         seg = int(t // self.rotate_seconds)
         current = self._open.get(hostname)

@@ -200,16 +200,19 @@ class Collector(ABC):
     def sample_block(self, block: BlockContext) -> np.ndarray:
         """Advance through a whole block; return ``[T, D, K]`` uint64 rows.
 
-        The base implementation falls back to the scalar path one sample
-        at a time, so any collector without a batched kernel stays
-        bit-identical automatically.  Kernel overrides must consume their
-        RNG stream in exactly the scalar draw order (time-major, then the
-        per-sample order of ``advance``) and leave ``self._acc`` at the
-        end-of-block state so scalar and vectorized processing can be
-        freely interleaved.  A kernel must give the same rows wherever
-        its input is cut into blocks; a collector that overrides
-        :meth:`on_job_begin` is the exception, and is called once per
-        begin segment instead (no ``%begin`` row after its first).
+        The base implementation is the scalar path, one :meth:`sample`
+        (hence :meth:`advance`) per row: what a collector without a
+        kernel runs, and the reference every kernel is tested against —
+        the tests run the synthesis engine with this method in place of
+        the kernels (``tests/scalar_reference.py``).  Kernel overrides
+        must consume their RNG stream in exactly the scalar draw order
+        (time-major, then the per-sample order of ``advance``) and leave
+        ``self._acc`` at the end-of-block state so scalar and vectorized
+        processing can be freely interleaved.  A kernel must give the
+        same rows wherever its input is cut into blocks; a collector that
+        overrides :meth:`on_job_begin` is the exception, and is called
+        once per begin segment instead (no ``%begin`` row after its
+        first).
         """
         out = np.empty(
             (block.n, len(self._devices), self._schema.n_values),
@@ -281,7 +284,7 @@ def _by_begin_segment(kernel):
     """*kernel* as a ``sample_block`` that runs it one begin segment at a
     time, ``on_job_begin`` called before the segment its ``%begin`` row
     opens — the scalar order, so the collector's stream is drawn from
-    and its state reset exactly as the daemon would."""
+    and its state reset exactly as a per-invocation sampler would."""
     @wraps(kernel)
     def sample_block(self, block: BlockContext) -> np.ndarray:
         if not block.begins:

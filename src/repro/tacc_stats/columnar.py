@@ -288,10 +288,10 @@ def encode_host_blocks(
     The direct-to-v2 path: the vectorized synthesis engine holds every
     block's values as ``[n_blocks, n_devices, n_values]`` uint64 arrays
     per type, and no text of them is ever made.  Every block carries
-    every (type, device) row in suite order, which is exactly what the
-    daemon emits, so the columns — and with them the bytes, content
-    fingerprint included — equal what :func:`encode_host_text` gives
-    for the daemon's text.
+    every (type, device) row in suite order, which is exactly what a
+    text archive holds, so the columns — and with them the bytes,
+    content fingerprint included — equal what :func:`encode_host_text`
+    gives for that text.
 
     *times* holds the block timestamps as serialized
     (``float(int(t))``); *marks* are ``(block_index, kind, jobid)`` in

@@ -1,25 +1,28 @@
-"""Vectorized per-node synthesis engine (the daemon's fast path).
+"""The per-node synthesis engine: the one code that turns a node's
+events into archive rows.
 
-:class:`NodeSynth` replaces :class:`~repro.tacc_stats.daemon.TaccStatsDaemon`
-for replay: instead of emitting one text block per invocation, it queues
-the invocation metadata (time, dt, prevailing rates source, job tags,
-marks) — a whole day of it, whoever drives, however many jobs begin
-meanwhile — and the first :meth:`NodeSynth.flush` that finds a queued
-row due materializes the whole queue as one
-:class:`~repro.tacc_stats.collectors.base.BlockContext`, calling every
-collector's batched ``sample_block`` kernel once.  The resulting
+:class:`NodeSynth` is TACC_Stats on one node (paper §3: invoked at job
+begin, every ten minutes and at job end).  Instead of emitting one text
+block per invocation, it queues the invocation metadata (time, dt,
+prevailing rates source, job tags, marks) — a whole day of it, whoever
+drives, however many jobs begin meanwhile — and the first
+:meth:`NodeSynth.flush` that finds a queued row due materializes the
+whole queue as one :class:`~repro.tacc_stats.collectors.base.BlockContext`,
+calling every collector's batched ``sample_block`` kernel once.  The resulting
 ``[T, devices, values]`` uint64 arrays are held, and each ``flush(until)``
 releases the rows the clock has passed: rendered to text in bulk for a
 text archive; for a v2 archive kept as they are and handed to
 :func:`~repro.tacc_stats.columnar.encode_host_blocks` when the file
 closes — no row or block text is made on that path.
 
-Byte-identity with the scalar daemon is a hard contract, not an
+Each collector's scalar ``sample()`` / ``advance()`` is the kernels'
+reference, and byte-identity with it is a hard contract, not an
 approximation: collectors draw from per-collector RNG streams keyed by
 ``(seed, node, collector)``, every kernel consumes its stream in scalar
-draw order and preserves the scalar float association, and the rendered
-text / v2 bytes are covered by property tests that diff the two paths'
-archives end to end.
+draw order and preserves the scalar float association.  Tests run this
+same engine with every collector on the base
+:meth:`~repro.tacc_stats.collectors.base.Collector.sample_block` — the
+scalar loop — and diff the two archives end to end, text and v2.
 """
 
 from __future__ import annotations
@@ -81,10 +84,10 @@ class _V2Accum:
 
 
 class NodeSynth:
-    """One node's batched collector suite, API-compatible with the
-    daemon's job lifecycle (``begin_job`` / ``end_job`` / ``sample``)
-    plus an explicit :meth:`flush` the driver calls with its clock: the
-    job state here runs ahead of that clock, by up to a day.
+    """One node's batched collector suite: the job lifecycle
+    (``begin_job`` / ``end_job`` / ``sample``) plus an explicit
+    :meth:`flush` the driver calls with its clock: the job state here
+    runs ahead of that clock, by up to a day.
 
     Writes go straight to a :class:`HostArchive` — rotation, schema
     re-registration on fresh files, and (for v2 archives) direct column
@@ -120,7 +123,7 @@ class NodeSynth:
         self._accums: dict[int, _V2Accum] = {}
         get_registry().counter("synth.nodes").inc()
 
-    # -- job lifecycle (daemon-compatible) ----------------------------------
+    # -- job lifecycle -------------------------------------------------------
 
     def begin_job(self, jobid: str, t: float, behavior: JobBehavior,
                   node_slot: int) -> None:
@@ -166,8 +169,7 @@ class NodeSynth:
             )
         dt = 0.0 if self._last_time is None else t - self._last_time
         # A begin-mark sample accounts the *previous* interval (idle, or
-        # a job that already emitted its end sample) — same rule as the
-        # daemon's _interval_rates.
+        # a job that already emitted its end sample).
         if self._job is None:
             src = None
         else:
@@ -268,8 +270,8 @@ class NodeSynth:
             while i1 < hi and int(pending[i1].t // rot) == seg:
                 i1 += 1
             w = self.archive.writer(hostname, pending[i0].t)
-            # Rotation starts a fresh file with its own header — same
-            # re-registration rule as the daemon's _writer_at.
+            # Rotation starts a fresh file with its own header: its
+            # schemas are registered again.
             if self.collectors[0].schema.type_name not in w.schemas:
                 for c in self.collectors:
                     w.register_schema(c.schema)

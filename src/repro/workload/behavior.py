@@ -332,9 +332,9 @@ class JobBehavior:
 
         Bit-identical per row to calling :meth:`node_rates_at` with the
         elapsed time that maps to each step — every operation here is
-        the elementwise counterpart of the scalar path, so the
-        vectorized synthesis engine and the per-sample daemon integrate
-        exactly the same rates.
+        the elementwise counterpart of the scalar path, so the synthesis
+        engine integrates exactly the rates a per-invocation sampler
+        would (property-tested).
         """
         if not 0 <= node_slot < self.n_nodes:
             raise IndexError(f"node slot {node_slot} out of range")

@@ -1,7 +1,5 @@
 """Tests for per-job summarization — both paths."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -15,9 +13,9 @@ from repro.ingest.summarize import (
     summarize_job_from_rates,
 )
 from repro.scheduler.job import ExitStatus, JobRecord
-from repro.tacc_stats.daemon import TaccStatsDaemon
-from repro.tacc_stats.format import StatsWriter
+from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.parser import parse_host_text
+from repro.tacc_stats.synth import NodeSynth
 from repro.util.rng import RngFactory
 from repro.workload.applications import get_app
 from repro.workload.behavior import JobBehavior
@@ -45,26 +43,30 @@ def test_summary_validation():
 
 
 @pytest.fixture(scope="module")
-def collected():
-    """One job collected through the real daemon/format/parse path."""
+def collected(tmp_path_factory):
+    """One job collected through the real synthesis/format/parse path."""
     users = generate_users(5, RngFactory(1).stream("u"))
     user = next(u for u in users if u.persona == "efficient")
     behavior = JobBehavior(get_app("wrf"), user, ranger_node(), 2,
                            duration=6 * 3600.0, sample_interval=600.0,
                            behavior_seed=3)
-    hosts = []
+    archive = HostArchive(tmp_path_factory.mktemp("collected"),
+                          compress=False)
     for slot in range(2):
         node = Node(index=slot, hostname=f"c000-{slot:03d}.t",
                     hardware=ranger_node())
-        buf = io.StringIO()
-        daemon = TaccStatsDaemon(node, RngFactory(slot).stream("n"),
-                                 StatsWriter(buf, node.hostname))
-        daemon.sample(0.0)
-        daemon.begin_job("55", 600.0, behavior, slot)
+        synth = NodeSynth(
+            node, lambda name, slot=slot: RngFactory(slot).stream(name),
+            archive)
+        synth.sample(0.0)
+        synth.begin_job("55", 600.0, behavior, slot)
         for t in range(1200, 6 * 3600, 600):
-            daemon.sample(float(t))
-        daemon.end_job("55", 600.0 + 6 * 3600.0)
-        hosts.append(parse_host_text(buf.getvalue()))
+            synth.sample(float(t))
+        synth.end_job("55", 600.0 + 6 * 3600.0)
+        synth.flush(600.0 + 6 * 3600.0)
+    archive.close()
+    hosts = [parse_host_text(HostArchive.read_file(path))
+             for path in sorted(archive.root.glob("*/*"))]
     return behavior, hosts
 
 

@@ -9,8 +9,8 @@ used to take from the text is computed from the columns instead:
   the file decodes to, exactly, so every volume figure keeps its
   meaning;
 * ``source_sha256`` — a content fingerprint (``source_kind: "v2"``),
-  a pure function of the columns: the same from the vectorized engine
-  and from the scalar daemon's text, whatever ``compress`` says, and
+  a pure function of the columns: the same from the synthesized columns
+  and from the text they decode to, whatever ``compress`` says, and
   different as soon as any value, mark or device name differs.
 """
 
@@ -44,7 +44,7 @@ ARCHETYPES = {"ranger": RANGER, "stampede": STAMPEDE,
 
 
 def _synthesize(cfg, seed, root, archive_format, rotate=DAY,
-                synthesis="fast", compress=True):
+                compress=True):
     """Replay *cfg* into a fresh archive at *root*; its final stats."""
     facility = Facility(cfg, seed=seed)
     workload, sim, _outages, _cluster = facility._simulate()
@@ -53,8 +53,7 @@ def _synthesize(cfg, seed, root, archive_format, rotate=DAY,
                           resume_stats=False)
     LiveReplay(cfg, seed, workload.users, workload.util_scale,
                facility.phase_calibration, facility.regressions,
-               sim.records, archive, synthesis=synthesis
-               ).advance(cfg.horizon)
+               sim.records, archive).advance(cfg.horizon)
     return archive.close()
 
 
@@ -118,25 +117,25 @@ CFG = RANGER.scaled(num_nodes=3, horizon_days=2, n_users=6)
 
 
 def test_fingerprint_is_a_function_of_the_content(tmp_path):
-    """Same seed, same digests — run to run, engine to engine, and
-    whatever ``compress`` is set to."""
-    runs = {
-        "fast": dict(synthesis="fast", compress=True),
-        "again": dict(synthesis="fast", compress=True),
-        "plain": dict(synthesis="fast", compress=False),
-        "scalar": dict(synthesis="scalar", compress=True),
-    }
-    for name, kw in runs.items():
+    """Same seed, same digests — run to run and whatever ``compress``
+    is set to — and every file is what its own decoded text encodes
+    to, byte for byte, fingerprint included."""
+    for name, compress in [("fast", True), ("again", True),
+                           ("plain", False)]:
         Facility(CFG, seed=23).run_with_files(
-            str(tmp_path / name), archive_format="v2", **kw)
+            str(tmp_path / name), archive_format="v2", compress=compress)
     want = _digests(tmp_path / "fast")
     assert len(set(want.values())) == len(want) > CFG.num_nodes
-    for name in ("again", "plain", "scalar"):
+    for name in ("again", "plain"):
         assert _digests(tmp_path / name) == want, name
-    for path in (tmp_path / "fast").rglob("*.v2"):
+    files = sorted((tmp_path / "fast").rglob("*.v2"))
+    assert len(files) == len(want)
+    for path in files:
         header = read_header(path)
         assert header["source_kind"] == "v2"
         assert header["source_sha256"] in want.values()
+        assert encode_host_text(HostArchive.read_file(path)) == \
+            path.read_bytes(), path
     Facility(CFG, seed=24).run_with_files(
         str(tmp_path / "other"), archive_format="v2")
     assert not set(_digests(tmp_path / "other").values()) & set(

@@ -451,8 +451,7 @@ def _archive_only_rows(argv, needs):
          "--batch-size", "7"],
         ["--ingest-workers", "2"], ["--batch-size", "7"],
         ["--error-policy", "repair"], ["--max-retries", "0"],
-        ["--archive-format", "v2"], ["--synthesis", "scalar"],
-        ["--append"], ["--ingest-days", "1"])]
+        ["--archive-format", "v2"], ["--append"], ["--ingest-days", "1"])]
 
 
 def _live_ignored_rows(argv):
@@ -489,6 +488,12 @@ def test_simulate_flag_validation(tmp_path, capsys):
         rc = simulate_main(argv + ["--quiet"])
         assert rc == 2, argv
         assert needle in capsys.readouterr().err, argv
+    # One synthesis engine: there is no knob to pick another.
+    with pytest.raises(SystemExit) as exc:
+        simulate_main(["--warehouse", wh, "--archive", str(tmp_path / "a"),
+                       "--synthesis", "scalar"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --synthesis" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -31,7 +31,7 @@ WRITE_SIDE = (
     "repro.workload.generator",
     "repro.scheduler.engine",
     "repro.tacc_stats.collectors", "repro.tacc_stats.synth",
-    "repro.tacc_stats.daemon", "repro.tacc_stats.parser",
+    "repro.tacc_stats.parser",
     "repro.ingest.pipeline", "repro.ingest.parallel",
     "repro.ingest.columnar_scan",
     "repro.syslogr", "repro.lariat", "repro.testing",

@@ -1,6 +1,8 @@
 """Tests for the facility facade: the fast path, and the per-node replay
 unit and side-log recipe every file-path driver shares."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,10 +115,15 @@ def test_shared_warehouse_two_systems():
 
 
 class _RecordingEngine:
-    """Stands in for a daemon: notes the lifecycle calls it receives."""
+    """Stands in for NodeSynth: notes the lifecycle calls it receives
+    (it is fed ahead of the clock; its flushes write nothing)."""
 
     def __init__(self):
         self.calls = []
+        self.node = SimpleNamespace(index=0)
+
+    def flush(self, until):
+        pass
 
     def sample(self, t):
         self.calls.append(("sample", t))

@@ -1,10 +1,14 @@
 """Cross-path integration tests: the text-format pipeline and the fast
 synthesizer must tell the same story about the same simulated facility."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro import TEST_SYSTEM, Facility
+from repro import RANGER, TEST_SYSTEM, Facility
+from repro.tacc_stats.columnar import read_header
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.workload.applications import APP_CATALOG
 
 
@@ -112,3 +116,32 @@ def test_full_chain_reports_render(both_paths):
     assert DeveloperReport(wh, "ranger").render(app)
     assert SupportStaffReport(wh, "ranger").render()
     assert FundingAgencyReport(wh, "ranger").render()
+
+
+@pytest.mark.parametrize("archive_format,compress,workers", [
+    ("text", True, 1), ("text", False, 1), ("v2", True, 1), ("text", True, 2),
+], ids=["text+gzip", "text", "v2", "text+gzip-workers2"])
+def test_synthesis_archive_and_parse_conserve_samples_bytes_and_files(
+        tmp_path, pool_cpus, archive_format, compress, workers):
+    """What synthesis counts is what the archive wrote and what ingest
+    read back, across processes: every sample is one parsed block,
+    every raw byte written is one parsed byte (for v2, one byte of the
+    text its headers say the file stands for), and every file written
+    is one file read."""
+    cfg = RANGER.scaled(num_nodes=6, horizon_days=2)
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        Facility(cfg, seed=5).run_with_files(
+            str(tmp_path), compress=compress, archive_format=archive_format,
+            workers=workers, ingest_workers=workers)
+    c = reg.snapshot().counters
+    assert c["synth.samples"] > 0 and c["archive.files_written"] > 0
+    if archive_format == "text":
+        assert c["synth.samples"] == c["parse.blocks"]
+        assert c["archive.bytes_raw"] == c["parse.bytes"]
+        assert c["archive.files_written"] == c["parse.files"]
+    else:
+        assert "parse.files" not in c
+        assert c["archive.bytes_raw"] == sum(
+            read_header(p)["text_bytes"] for p in Path(tmp_path).rglob("*.v2"))
+        assert c["archive.files_written"] == c["archive.v2.files_read"]

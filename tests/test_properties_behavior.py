@@ -69,6 +69,21 @@ def test_behavior_deterministic_per_seed(kwargs, slot):
     )
 
 
+@given(_behavior_args(), st.integers(0, 31),
+       st.lists(st.floats(0.0, 4 * 86400.0), min_size=1, max_size=30))
+@settings(max_examples=30, deadline=None)
+def test_node_rates_block_equals_node_rates_at(kwargs, slot, elapsed):
+    """The synthesis engine's rates for a block are the per-invocation
+    rates, bit for bit, at any elapsed time — on the job's grid, between
+    its steps and past its end."""
+    b = JobBehavior(**kwargs)
+    slot = min(slot, kwargs["n_nodes"] - 1)
+    block = b.node_rates_block(b.steps_of(np.array(elapsed)), slot)
+    assert block.shape[0] == len(elapsed)
+    for row, e in zip(block, elapsed):
+        assert row.tobytes() == b.node_rates_at(e, slot).tobytes(), e
+
+
 @given(_behavior_args())
 @settings(max_examples=20, deadline=None)
 def test_derived_rates_consistency(kwargs):

@@ -1,9 +1,11 @@
-"""Property-based byte-identity: vectorized synthesis vs the scalar
-daemon oracle.
+"""Property-based byte-identity: the collectors' batched kernels vs
+each collector's scalar path, both driven through the one synthesis
+engine.
 
-Each example simulates the same facility twice — ``synthesis="fast"``
-and ``synthesis="scalar"`` — and asserts the archive trees are
-byte-identical file for file and the warehouses row-identical.  The
+Each example simulates the same facility twice — as is, and inside
+:func:`~tests.scalar_reference.scalar_collectors` — and asserts the
+archive trees are byte-identical file for file and the warehouses
+row-identical.  The
 draws sweep the dimensions that could plausibly break the kernels'
 bit-exactness: the system archetype (different collector suites,
 filesystems, PMC programs), the on-disk format (text vs direct-to-v2
@@ -14,6 +16,7 @@ rows at arbitrary points).
 """
 
 import hashlib
+from contextlib import nullcontext
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -25,6 +28,7 @@ from repro.facility import _replay_nodes
 from repro.live.runner import LiveReplay, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.util.timeutil import HOUR
+from tests.scalar_reference import scalar_collectors
 
 ARCHETYPES = {
     "ranger": RANGER,
@@ -72,9 +76,10 @@ def test_fast_engine_matches_scalar_oracle(
     r_fast = Facility(cfg, seed=seed).run_with_files(
         d_fast, compress=False, archive_format=archive_format,
         error_policy=error_policy)
-    r_scalar = Facility(cfg, seed=seed).run_with_files(
-        d_scalar, compress=False, archive_format=archive_format,
-        error_policy=error_policy, synthesis="scalar")
+    with scalar_collectors():
+        r_scalar = Facility(cfg, seed=seed).run_with_files(
+            d_scalar, compress=False, archive_format=archive_format,
+            error_policy=error_policy)
     assert _tree(d_fast) == _tree(d_scalar)
     assert _data_rows(r_fast.warehouse) == _data_rows(r_scalar.warehouse)
 
@@ -105,7 +110,7 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
     offline path never sees: on segment edges, mid-hour (*offset*), at
     the same instant twice (*revisit*), and across ``t = DAY``, whose
     tick is the last row of day 1's block and the first of day 2's
-    file.  The archives must still match the scalar daemon's byte for
+    file.  The archives must still match the scalar path's byte for
     byte.  And the offline path over any node *partition*, one chunk
     after another, each advanced to the horizon in a single call, must
     write that same tree: any partition × any slicing gives one
@@ -123,15 +128,16 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
         workload, sim, _outages, _cluster = facility._simulate()
         archive = HostArchive(d, compress=False, rotate_seconds=seg,
                               archive_format=archive_format)
-        replay = LiveReplay(
-            cfg, seed, workload.users, workload.util_scale,
-            facility.phase_calibration, facility.regressions,
-            sim.records, archive, synthesis=synthesis)
-        fired = 0
-        for t in instants:
-            fired += replay.advance(t)
-            archive.flush_before(t)
-        archive.close()
+        with scalar_collectors() if synthesis == "scalar" else nullcontext():
+            replay = LiveReplay(
+                cfg, seed, workload.users, workload.util_scale,
+                facility.phase_calibration, facility.regressions,
+                sim.records, archive)
+            fired = 0
+            for t in instants:
+                fired += replay.advance(t)
+                archive.flush_before(t)
+            archive.close()
         assert fired == sum(len(unit.events) for unit in replay._nodes)
         trees[synthesis] = _tree(d)
     assert trees["fast"] == trees["scalar"]
@@ -155,10 +161,10 @@ def test_live_session_fast_matches_scalar(tmp_path_factory):
     trees, rows = {}, {}
     for synthesis in ("fast", "scalar"):
         d = str(tmp_path_factory.mktemp(f"sess-{synthesis}"))
-        session = LiveSession(Facility(cfg, seed=3), d,
-                              segment_seconds=6 * HOUR,
-                              synthesis=synthesis)
-        session.run()
+        with scalar_collectors() if synthesis == "scalar" else nullcontext():
+            session = LiveSession(Facility(cfg, seed=3), d,
+                                  segment_seconds=6 * HOUR)
+            session.run()
         trees[synthesis] = _tree(d)
         rows[synthesis] = _data_rows(session.warehouse)
     assert trees["fast"] == trees["scalar"]

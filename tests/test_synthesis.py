@@ -1,15 +1,19 @@
-"""Determinism contract for the vectorized synthesis engine.
+"""Determinism contract for the synthesis engine.
 
-The fast replay path (:class:`repro.tacc_stats.synth.NodeSynth`) must be
-a drop-in match for the scalar daemon oracle: byte-identical archives in
-both on-disk formats, and output that depends only on ``(seed, node,
-collector)`` — never on how nodes are chunked across workers, because
-every collector draws from its own keyed RNG stream.  Also pins the
-worker-chunking clamp: requesting more workers than nodes degrades to
-one worker per node, never an empty pool task.
+The collectors' batched kernels in
+:class:`repro.tacc_stats.synth.NodeSynth` must write what each
+collector's scalar path writes through the same engine
+(:func:`tests.scalar_reference.scalar_collectors`): byte-identical
+archives in both on-disk formats, and output that depends only on
+``(seed, node, collector)`` — never on how nodes are chunked across
+workers, because every collector draws from its own keyed RNG stream.
+Also pins the worker-chunking clamp: requesting more workers than nodes
+degrades to one worker per node, never an empty pool task.
 """
 
 import hashlib
+import json
+from contextlib import nullcontext
 from math import ceil
 from pathlib import Path
 
@@ -24,9 +28,17 @@ from repro.facility import (
 )
 from repro.live.runner import LiveReplay, LiveSession
 from repro.tacc_stats.archive import HostArchive
-from repro.tacc_stats.collectors import amd64_pmc, intel_pmc
+from repro.tacc_stats.collectors import (
+    Amd64PmcCollector,
+    Collector,
+    CpuCollector,
+    amd64_pmc,
+    intel_pmc,
+)
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.util.timeutil import DAY, HOUR, period_label
+from tests import synthesis_parity as sp
+from tests.scalar_reference import scalar_collectors
 
 CFG = RANGER.scaled(num_nodes=4, horizon_days=1, n_users=8)
 SEED = 17
@@ -68,7 +80,7 @@ def test_workers_beyond_node_count(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fast engine == scalar oracle.
+# Kernels == each collector's scalar path.
 # ---------------------------------------------------------------------------
 
 
@@ -77,9 +89,9 @@ def test_fast_matches_scalar(tmp_path, archive_format):
     fast, scalar = str(tmp_path / "fast"), str(tmp_path / "scalar")
     r1 = Facility(CFG, seed=SEED).run_with_files(
         fast, compress=False, archive_format=archive_format)
-    r2 = Facility(CFG, seed=SEED).run_with_files(
-        scalar, compress=False, archive_format=archive_format,
-        synthesis="scalar")
+    with scalar_collectors():
+        r2 = Facility(CFG, seed=SEED).run_with_files(
+            scalar, compress=False, archive_format=archive_format)
     assert _tree(fast) == _tree(scalar)
     s1, s2 = r1.archive_stats, r2.archive_stats
     assert (s1.raw_bytes, s1.file_count, s1.host_days) == \
@@ -89,10 +101,38 @@ def test_fast_matches_scalar(tmp_path, archive_format):
     assert list(t1["jobid"]) == list(t2["jobid"])
 
 
-def test_synthesis_validation(tmp_path):
-    with pytest.raises(ValueError):
-        Facility(CFG, seed=SEED).run_with_files(
-            str(tmp_path), synthesis="turbo")
+def test_scalar_collectors_swaps_every_kernel_and_restores_it():
+    """The reference is only a reference while it is on, and only then:
+    a kernel left swapped out would make every comparison after it
+    compare the scalar path with itself."""
+    kernels = {cls: cls.sample_block
+               for cls in (CpuCollector, Amd64PmcCollector)}
+    with scalar_collectors():
+        assert CpuCollector.sample_block is Collector.sample_block
+        # A collector that reprograms runs the loop a begin segment at
+        # a time.
+        assert Amd64PmcCollector.sample_block.__wrapped__ \
+            is Collector.sample_block
+    for cls, kernel in kernels.items():
+        assert cls.sample_block is kernel
+
+
+def test_a_fleet_day_direct_to_v2(tmp_path):
+    """One Stampede day at 64 nodes, straight to v2, two replay and two
+    ingest workers: one block per node, two files per node (the tick at
+    ``t = DAY`` opens the next day's), every job matched, and the tree
+    and tables captured when a second, per-sample driver wrote the same
+    bytes."""
+    reg = MetricsRegistry()
+    root = tmp_path / "fleet"
+    with use_registry(reg):
+        run = sp.fleet(root)
+    counters = reg.snapshot().counters
+    assert counters["synth.chunks"] == 64
+    assert counters["archive.files_written"] == 128
+    assert run.ingest_report.match.match_rate == 1.0
+    expected = json.loads(sp.DIGESTS.read_text())[sp.FLEET]
+    assert sp.digests(root, run) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +202,13 @@ def test_synth_chunks_live_is_nodes_times_days(tmp_path):
     assert snap.gauges["synth.rows_held"] == 0
 
 
-def _samples_in(root) -> int:
-    """Collector invocations (timestamp lines) in an archive tree."""
-    return sum(
-        line[0].isdigit()
-        for p in Path(root).rglob("*") if p.is_file()
-        for line in HostArchive.read_file(p).splitlines() if line)
+def _sample_times(root) -> list[int]:
+    """The time of every collector invocation (timestamp line) in an
+    archive tree."""
+    return [int(line.split()[0])
+            for p in Path(root).rglob("*") if p.is_file()
+            for line in HostArchive.read_file(p).splitlines()
+            if line[:1].isdigit()]
 
 
 @pytest.mark.parametrize("archive_format,compress",
@@ -175,25 +216,26 @@ def _samples_in(root) -> int:
 def test_stopped_session_publishes_nothing_ahead_of_its_clock(
         tmp_path, archive_format, compress):
     """A driver that stops mid-day (``--live-max-batches``, an
-    exception) and closes its archive leaves what the scalar daemon —
-    which never runs ahead — leaves: the finished tree's closed hours,
-    the open hour's rows up to the clock, and counters for exactly the
-    rows on disk.  The rest of the day's block is held, not written."""
+    exception) and closes its archive leaves what the scalar path
+    leaves: the finished tree's closed hours, the open hour's rows up to
+    the clock and none past it, and counters for exactly the rows on
+    disk.  The rest of the day's block is held, not written."""
     stop = 5 * HOUR + 1234.5
     trees = {}
-    for name, synthesis, until in [("stopped", "fast", stop),
-                                   ("oracle", "scalar", stop),
-                                   ("finished", "fast", CFG.horizon)]:
+    for name, scalar, until in [("stopped", False, stop),
+                                ("oracle", True, stop),
+                                ("finished", False, CFG.horizon)]:
         d = str(tmp_path / name)
         facility = Facility(CFG, seed=SEED)
         workload, sim, _outages, _cluster = facility._simulate()
         archive = HostArchive(d, compress=compress, rotate_seconds=HOUR,
                               archive_format=archive_format)
         reg = MetricsRegistry()
-        with use_registry(reg):
+        with use_registry(reg), \
+                scalar_collectors() if scalar else nullcontext():
             replay = LiveReplay(
                 CFG, SEED, *facility._behavior_context(workload),
-                sim.records, archive, synthesis=synthesis)
+                sim.records, archive)
             t = 0.0
             while t < until:
                 t = min(t + HOUR, until)
@@ -207,9 +249,11 @@ def test_stopped_session_publishes_nothing_ahead_of_its_clock(
             assert len(per_sample) == 1
             # Up to each node's first edge, and the day after it.
             assert snap.counters["synth.chunks"] == 2 * CFG.num_nodes
-            assert snap.counters["synth.samples"] == _samples_in(d)
+            times = _sample_times(d)
+            assert max(times) <= stop
+            assert snap.counters["synth.samples"] == len(times)
             assert snap.counters["synth.rows"] == \
-                _samples_in(d) * per_sample.pop()
+                len(times) * per_sample.pop()
             assert snap.gauges["synth.rows_held"] == sum(
                 u.engine.rows_held for u in replay._nodes) > 0
     assert trees["stopped"] == trees["oracle"]
@@ -281,26 +325,26 @@ def test_foreign_pmc_programs_inside_multi_job_blocks(
     cfg = system.scaled(num_nodes=2, horizon_days=1, n_users=6)
     trees = {}
     for synthesis in ("fast", "scalar"):
-        d = str(tmp_path / f"offline-{synthesis}")
-        run = Facility(cfg, seed=SEED).run_with_files(
-            d, compress=False, archive_format=archive_format,
-            synthesis=synthesis)
-        trees["offline", synthesis] = _tree(d)
+        with scalar_collectors() if synthesis == "scalar" else nullcontext():
+            d = str(tmp_path / f"offline-{synthesis}")
+            run = Facility(cfg, seed=SEED).run_with_files(
+                d, compress=False, archive_format=archive_format)
+            trees["offline", synthesis] = _tree(d)
 
-        d = str(tmp_path / f"live-{synthesis}")
-        facility = Facility(cfg, seed=SEED)
-        workload, sim, _outages, _cluster = facility._simulate()
-        archive = HostArchive(d, compress=False, rotate_seconds=HOUR,
-                              archive_format=archive_format)
-        replay = LiveReplay(
-            cfg, SEED, workload.users, workload.util_scale,
-            facility.phase_calibration, facility.regressions,
-            sim.records, archive, synthesis=synthesis)
-        for hour in range(1, int(cfg.horizon // HOUR) + 1):
-            replay.advance(hour * HOUR)
-            archive.flush_before(hour * HOUR)
-        archive.close()
-        trees["live", synthesis] = _tree(d)
+            d = str(tmp_path / f"live-{synthesis}")
+            facility = Facility(cfg, seed=SEED)
+            workload, sim, _outages, _cluster = facility._simulate()
+            archive = HostArchive(d, compress=False, rotate_seconds=HOUR,
+                                  archive_format=archive_format)
+            replay = LiveReplay(
+                cfg, SEED, workload.users, workload.util_scale,
+                facility.phase_calibration, facility.regressions,
+                sim.records, archive)
+            for hour in range(1, int(cfg.horizon // HOUR) + 1):
+                replay.advance(hour * HOUR)
+                archive.flush_before(hour * HOUR)
+            archive.close()
+            trees["live", synthesis] = _tree(d)
     assert len(run.records) > 4 * cfg.num_nodes
     assert trees["offline", "fast"] == trees["offline", "scalar"]
     assert trees["live", "fast"] == trees["live", "scalar"]

@@ -1,15 +1,13 @@
 """Tests for the per-job drill-down viewer."""
 
-import io
-
 import numpy as np
 import pytest
 
 from repro.cluster.hardware import ranger_node
 from repro.cluster.node import Node
-from repro.tacc_stats.daemon import TaccStatsDaemon
-from repro.tacc_stats.format import StatsWriter
+from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.parser import parse_host_text
+from repro.tacc_stats.synth import NodeSynth
 from repro.util.rng import RngFactory
 from repro.workload.applications import get_app
 from repro.workload.behavior import JobBehavior
@@ -18,24 +16,28 @@ from repro.xdmod.jobview import job_timeline
 
 
 @pytest.fixture(scope="module")
-def collected_job():
+def collected_job(tmp_path_factory):
     users = generate_users(5, RngFactory(4).stream("u"))
     user = next(u for u in users if u.persona == "efficient")
     behavior = JobBehavior(get_app("wrf"), user, ranger_node(), 3,
                            duration=4 * 3600.0, sample_interval=600.0,
                            behavior_seed=21)
-    hosts = []
+    archive = HostArchive(tmp_path_factory.mktemp("collected"),
+                          compress=False)
     for slot in range(3):
         node = Node(index=slot, hostname=f"c000-{slot:03d}.t",
                     hardware=ranger_node())
-        buf = io.StringIO()
-        daemon = TaccStatsDaemon(node, RngFactory(slot).stream("n"),
-                                 StatsWriter(buf, node.hostname))
-        daemon.begin_job("77", 0.0, behavior, slot)
+        synth = NodeSynth(
+            node, lambda name, slot=slot: RngFactory(slot).stream(name),
+            archive)
+        synth.begin_job("77", 0.0, behavior, slot)
         for t in range(600, 4 * 3600, 600):
-            daemon.sample(float(t))
-        daemon.end_job("77", 4 * 3600.0)
-        hosts.append(parse_host_text(buf.getvalue()))
+            synth.sample(float(t))
+        synth.end_job("77", 4 * 3600.0)
+        synth.flush(4 * 3600.0)
+    archive.close()
+    hosts = [parse_host_text(HostArchive.read_file(path))
+             for path in sorted(archive.root.glob("*/*"))]
     return behavior, hosts
 
 
