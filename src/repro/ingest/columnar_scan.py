@@ -9,12 +9,16 @@ mentions, and derives from those the matcher views and per-job metric
 partials the pipeline loads — without ever building per-row dicts, and
 without ever holding more than one file's columns.
 
+A file is folded once for all of its jobs: its blocks are grouped by
+job, and every quantity a state keeps is taken for all of them from
+whole-file arrays before the states are updated job by job.
+
 The state is *mergeable*: folding files A then B gives the same state
 as folding their concatenation, because everything the partial needs is
 order-free or bridged exactly at the file boundary —
 
-* first→last counter deltas (:func:`event_delta`) need only the job's
-  first and last counter rows;
+* first→last counter deltas need only the job's first and last counter
+  rows;
 * the chained (per-interval) InfiniBand deltas are integers, and the
   delta across a file boundary is taken from the previous file's last
   row to this file's first;
@@ -31,7 +35,7 @@ its earlier files.  The arithmetic is that of the dict reducers in
 :mod:`repro.ingest.summarize` / :mod:`repro.ingest.matcher` (the
 reference the tests compare this module against), float for float.
 
-Shapes the vectorized forms cannot express (device sets changing
+Shapes the whole-file forms cannot express (device sets changing
 mid-job, a type missing from some block, files that overlap in time)
 take a per-block loop inside the same fold — slower for the odd host,
 never different.
@@ -43,6 +47,7 @@ import json
 import zlib
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +63,7 @@ from repro.tacc_stats.collectors.intel_pmc import (
 )
 from repro.tacc_stats.parser import event_delta
 from repro.tacc_stats.types import HostColumns, TypeColumns
+from repro.telemetry.trace import span
 from repro.util.units import GB, KB
 
 __all__ = ["HostScan", "JobScanState", "host_partial", "scan_host"]
@@ -73,12 +79,8 @@ _EDGE_COLUMNS: dict[str, tuple[str, ...]] = {
     "lnet": ("tx_bytes", "rx_bytes"),
     "ib": ("port_xmit_data", "port_rcv_data"),
 }
-_PMC_CODES = {
-    "amd64_pmc": np.array(sorted(set(AMD64_EVENT_CODES.values())),
-                          dtype=np.uint64),
-    "intel_pmc": np.array(sorted(set(INTEL_EVENT_CODES.values())),
-                          dtype=np.uint64),
-}
+_PMC_CODES = {"amd64_pmc": frozenset(AMD64_EVENT_CODES.values()),
+              "intel_pmc": frozenset(INTEL_EVENT_CODES.values())}
 
 
 @dataclass
@@ -155,29 +157,48 @@ class HostScan:
 # ---------------------------------------------------------------------------
 
 
-def _edge_row(tc: TypeColumns, seg: np.ndarray, b: int) -> list | None:
-    """The ``[devices, {key: values}]`` row of type *tc* at block *b*."""
+def _edge_row(tc: TypeColumns, seg: np.ndarray, b: int,
+              cols: list[tuple[str, int, int]]) -> list | None:
+    """The ``[devices, {key: values}]`` row of type *tc* at block *b*
+    over its ``(key, column, width)`` *cols*."""
     s, e = int(seg[b]), int(seg[b + 1])
     if e == s:
         return None
-    cols = {}
-    for key in _EDGE_COLUMNS[tc.name]:
-        try:
-            cols[key] = tc.values[s:e, tc.schema.index_of(key)].tolist()
-        except KeyError:
-            pass  # degraded or older collector build: no such column
-    return [[tc.devices[i] for i in tc.dev_idx[s:e].tolist()], cols]
+    return [[tc.devices[i] for i in tc.dev_idx[s:e].tolist()],
+            {key: tc.values[s:e, col].tolist() for key, col, _w in cols}]
 
 
-def _job_rows(seg: np.ndarray, bidx: np.ndarray):
-    """``(row index, per-block row counts)`` of blocks *bidx*."""
-    starts, ends = seg[bidx], seg[bidx + 1]
-    if bool((starts[1:] == ends[:-1]).all()):
-        rows = slice(int(starts[0]), int(ends[-1]))
-    else:
-        rows = np.concatenate([np.arange(s, e)
-                               for s, e in zip(starts, ends)])
-    return rows, ends - starts
+def _grid(tc: TypeColumns, n_blocks: int) -> int:
+    """*d* when every one of the file's blocks holds the same *d* > 0
+    devices in the same order (row ``b * d + i``: device i of block b),
+    else 0."""
+    d, rest = divmod(len(tc.block_idx), n_blocks)
+    if d and not rest and bool((tc.block_idx.reshape(-1, d) == np.arange(
+            n_blocks)[:, None]).all()) and bool(
+            (tc.dev_idx.reshape(-1, d) == tc.dev_idx[:d]).all()):
+        return d
+    return 0
+
+
+def _edge_rows(tc: TypeColumns, cols: list[tuple[str, int, int]],
+               d: int, blocks: np.ndarray) -> list[list]:
+    """:func:`_edge_row` of *blocks* on a :func:`_grid` of *d* devices,
+    in one gather; they share one device list (rows are never
+    mutated)."""
+    devices = [tc.devices[i] for i in tc.dev_idx[:d].tolist()]
+    keys = [key for key, _c, _w in cols]
+    values = tc.values.reshape(-1, d, tc.values.shape[1])[blocks][
+        ..., [col for _k, col, _w in cols]]
+    return [[devices, dict(zip(keys, vals))]
+            for vals in values.transpose(0, 2, 1).tolist()]
+
+
+def _sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Exact sums of the non-empty runs of uint64 *values* that begin
+    at *starts*, as Python ints (in objects where u8 could overflow)."""
+    if int(values.max()).bit_length() + values.size.bit_length() > 64:
+        values = values.astype(object)
+    return np.add.reduceat(values, starts).tolist()
 
 
 def _chain_pair(st: JobScanState, prev: list | None,
@@ -199,38 +220,112 @@ def _chain_pair(st: JobScanState, prev: list | None,
                 before[dev], value, width)
 
 
-def _chain_blocks(st: JobScanState, tc: TypeColumns, seg: np.ndarray,
-                  bidx: np.ndarray) -> None:
-    """Add the ``ib`` deltas between consecutive blocks of *bidx*."""
-    rows, counts = _job_rows(seg, bidx)
-    if bool((counts == 0).any()):
-        st.chain = None
+def _foreign(types: dict[str, TypeColumns], n_file_blocks: int,
+             flat: np.ndarray, starts: np.ndarray) -> list[bool]:
+    """Per job, whether a PMC control register of one of its blocks
+    holds a code TACC_Stats does not program."""
+    bad = np.zeros(n_file_blocks, dtype=bool)
+    for name, codes in _PMC_CODES.items():
+        tc = types.get(name)
+        ctl = [] if tc is None else [i for i, e in enumerate(
+            tc.schema.entries) if e.key.startswith("ctl")]
+        if ctl and len(tc.values):
+            regs = tc.values[:, ctl]
+            if bool((regs == regs[0]).all()):  # one programming all file
+                bad[tc.block_idx] |= not codes.issuperset(regs[0].tolist())
+            else:
+                bad[tc.block_idx[~np.isin(regs, list(codes)).all(1)]] = True
+    return np.logical_or.reduceat(bad[flat], starts).tolist()
+
+
+def _fold_file(day: HostColumns, states: list[JobScanState],
+               blocks: list[list[int]]) -> None:
+    """Fold each job's *blocks* (ascending) of *day* into its state in
+    *states*: each quantity for all jobs at once, then the states."""
+    types = {tc.name: tc for tc in day.types}
+    n = np.array([len(bs) for bs in blocks])
+    starts = np.cumsum(n) - n
+    ends = starts + n - 1
+    flat = np.fromiter(chain.from_iterable(blocks), dtype=np.int64,
+                       count=int(n.sum()))
+    # (key, column, width) of the edge columns a type has (maybe not all)
+    cols = {name: [(key, *tc.schema.column(key)) for keys in [tc.schema.keys]
+                   for key in _EDGE_COLUMNS[name] if key in keys]
+            for name, tc in types.items() if name in _EDGE_COLUMNS}
+    grids = {name: _grid(types[name], len(day.times)) for name in cols}
+    segs = {name: np.searchsorted(tc.block_idx,
+                                  np.arange(len(day.times) + 1))
+            for name, tc in types.items()
+            if name == "mem" or grids.get(name) == 0}
+    # Every job's first and last block's row of each type.
+    edge_blocks = flat[np.concatenate((starts, ends))]
+    found = {name: [_edge_row(types[name], segs[name], b, cols[name])
+                    for b in edge_blocks.tolist()] if not d
+             else _edge_rows(types[name], cols[name], d, edge_blocks)
+             for name, d in grids.items()}
+    firsts, lasts = ([{name: got[j] for name, got in found.items()
+                       if got[j] is not None} for j in range(k, k + len(n))]
+                     for k in (0, len(n)))
+    widths = {f"{name}.{key}": width for name, edge in cols.items()
+              for key, _col, width in edge}
+    pmc = next((name for name in _PMC_CODES if name in types), None)
+    ib, steps = types.get("ib"), {}
+    if ib is not None and grids["ib"]:
+        # (last - first) mod 2**width is event_delta (u8 wraps natively),
+        # per key x block x device; zero from a job's last block on.
+        values = ib.values[:, [c for _k, c, _w in cols["ib"]]].T.reshape(
+            len(cols["ib"]), -1, grids["ib"])[:, flat]
+        deltas = np.zeros_like(values)
+        deltas[:, :-1] = values[:, 1:] - values[:, :-1]
+        deltas &= np.array([(1 << w) - 1 for *_k, w in cols["ib"]],
+                           dtype=np.uint64)[:, None, None]
+        deltas[:, ends] = 0
+        for (key, _c, _w), per_key in zip(cols["ib"], deltas):
+            steps[key] = _sums(per_key.ravel(), starts * grids["ib"])
+    foreign = _foreign(types, len(day.times), flat, starts)
+    t_first, t_last = (day.times[flat[at]].tolist() for at in (starts, ends))
+
+    for j, st in enumerate(states):
+        st.widths.update(widths)
+        if pmc is not None and (st.pmc is None or pmc == "amd64_pmc"):
+            st.pmc = pmc
+        fresh = not st.n_blocks
+        if fresh:
+            st.t_first, st.first = t_first[j], firsts[j]
+        if st.chain is not None and ib is None:
+            st.chain = None
+        elif st.chain is not None:
+            for key, _col, _w in cols["ib"]:
+                st.chain.setdefault(key, 0)
+            if not fresh:  # bridge the file boundary
+                _chain_pair(st, st.last.get("ib"), firsts[j].get("ib"))
+            if not grids["ib"]:  # rare shapes: device by device
+                rows = [_edge_row(ib, segs["ib"], b, cols["ib"])
+                        for b in blocks[j]]
+                for prev, cur in zip(rows, rows[1:]):
+                    _chain_pair(st, prev, cur)
+            elif st.chain is not None:
+                for key, sums in steps.items():
+                    st.chain[key] += sums[j]
+        st.t_last = t_last[j]
+        st.last = st.first if fresh and n[j] == 1 else lasts[j]
+        st.n_blocks += int(n[j])
+        st.foreign = st.foreign or foreign[j]
+    mem = types.get("mem")
+    if mem is None or "MemUsed" not in mem.schema.keys:
         return
-    d = int(counts[0])
-    if bool((counts == d).all()):
-        dev2d = tc.dev_idx[rows].reshape(-1, d)
-        if bool((dev2d == dev2d[0]).all()):
-            for key in st.chain:
-                col, width = tc.schema.column(key)
-                vals = tc.values[rows, col].reshape(-1, d)
-                mod = 1 << width
-                if width < 64 and bool((vals >= mod).any()):
-                    # event_delta's range check, message included.
-                    raise ValueError(
-                        f"counter value out of range for width {width}")
-                # (last - first) mod 2**width == event_delta for every
-                # branch of its single-rollover correction; u8
-                # subtraction wraps mod 2**64 natively.
-                deltas = vals[1:] - vals[:-1]
-                if width < 64:
-                    deltas &= np.uint64(mod - 1)
-                # Python ints: overflow impossible, not just unlikely.
-                st.chain[key] += int(np.sum(deltas, dtype=object))
-            return
-    # Rare shapes: device by device, interval by interval.
-    edges = [_edge_row(tc, seg, b) for b in bidx.tolist()]
-    for prev, cur in zip(edges, edges[1:]):
-        _chain_pair(st, prev, cur)
+    # Per job, the (Σ, n, max) of the MemUsed device sums of its blocks
+    # with rows (reduceat's value at an empty block is masked away).
+    counts = np.diff(segs["mem"])
+    sums = np.add.reduceat(np.append(mem.values[:, mem.schema.index_of(
+        "MemUsed")], np.uint64(0)), segs["mem"][:-1]) * (counts > 0)
+    for st, total, count, peak in zip(
+            states, _sums(sums[flat], starts),
+            np.add.reduceat(counts[flat] > 0, starts, dtype=np.int64).tolist(),
+            np.maximum.reduceat(sums[flat], starts).tolist()):
+        if count:
+            total0, n0, peak0 = st.gauge or (0, 0, 0)
+            st.gauge = [total0 + total, n0 + count, max(peak0, peak)]
 
 
 class _HostFold:
@@ -295,95 +390,19 @@ class _HostFold:
                     st.end = float(times[b])
                 elif st.begin is None:
                     st.begin = float(times[b])
-        tuples = [() if tag == "-" else tuple(tag.split(","))
-                  for tag in day.jobid_tags]
         by_job: dict[str, list[int]] = {}
-        for b, g in enumerate(day.tags[lo:hi].tolist(), lo):
-            for jobid in tuples[g]:
+        for b, jobids in enumerate(day.block_jobids()[lo:hi], lo):
+            for jobid in jobids:
                 by_job.setdefault(jobid, []).append(b)
-        if not by_job:
-            return
-        types = {tc.name: tc for tc in day.types}
-        segs = {name: np.searchsorted(tc.block_idx,
-                                      np.arange(len(times) + 1))
-                for name, tc in types.items()
-                if name in _EDGE_COLUMNS or name == "mem"}
-        edge_types = [tc for name, tc in types.items()
-                      if name in _EDGE_COLUMNS]
-        for jobid, blocks in by_job.items():
+        states, blocks = [], []
+        for jobid, bs in by_job.items():
             st = self._state(jobid, day.label)
-            if st is None:
-                continue
-            self.spanned[jobid] = None
-            self._add_blocks(st, np.asarray(blocks, dtype=np.int64),
-                             times, types, segs, edge_types)
-
-    @staticmethod
-    def _add_blocks(st: JobScanState, bidx: np.ndarray, times: np.ndarray,
-                    types: dict[str, TypeColumns],
-                    segs: dict[str, np.ndarray],
-                    edge_types: list[TypeColumns]) -> None:
-        """Fold one job's blocks *bidx* of one file into *st*."""
-        b0, b1 = int(bidx[0]), int(bidx[-1])
-        for tc in edge_types:
-            for key in _EDGE_COLUMNS[tc.name]:
-                try:
-                    st.widths[f"{tc.name}.{key}"] = tc.schema.column(key)[1]
-                except KeyError:
-                    pass
-        if "amd64_pmc" in types:
-            st.pmc = "amd64_pmc"
-        elif st.pmc is None and "intel_pmc" in types:
-            st.pmc = "intel_pmc"
-
-        def edge(b: int) -> dict[str, list]:
-            rows = ((tc.name, _edge_row(tc, segs[tc.name], b))
-                    for tc in edge_types)
-            return {name: row for name, row in rows if row is not None}
-
-        fresh = not st.n_blocks
-        if fresh:
-            st.t_first, st.first = float(times[b0]), edge(b0)
-        if st.chain is not None:
-            ib = types.get("ib")
-            if ib is None:
-                st.chain = None
-            else:
-                for key in _EDGE_COLUMNS["ib"]:
-                    if key in ib.schema.keys:
-                        st.chain.setdefault(key, 0)
-                if not fresh:  # bridge the file boundary
-                    _chain_pair(st, st.last.get("ib"),
-                                _edge_row(ib, segs["ib"], b0))
-                if st.chain is not None and len(bidx) > 1:
-                    _chain_blocks(st, ib, segs["ib"], bidx)
-        st.t_last = float(times[b1])
-        st.last = st.first if fresh and b1 == b0 else edge(b1)
-        st.n_blocks += len(bidx)
-
-        mem = types.get("mem")
-        if mem is not None and "MemUsed" in mem.schema.keys:
-            rows, counts = _job_rows(segs["mem"], bidx)
-            counts = counts[counts > 0]
-            if counts.size:
-                sums = np.add.reduceat(
-                    mem.values[rows, mem.schema.index_of("MemUsed")],
-                    np.cumsum(counts) - counts).tolist()
-                total, n, peak = st.gauge or (0, 0, 0)
-                st.gauge = [total + sum(sums), n + len(sums),
-                            max(peak, *sums)]
-
-        for name, codes in _PMC_CODES.items():
-            tc = types.get(name)
-            if tc is None or st.foreign:
-                continue
-            ctl_cols = [i for i, e in enumerate(tc.schema.entries)
-                        if e.key.startswith("ctl")]
-            if ctl_cols:
-                rows, _counts = _job_rows(segs[name], bidx)
-                ctl = tc.values[rows][:, ctl_cols]
-                st.foreign = bool(ctl.size
-                                  and not np.isin(ctl, codes).all())
+            if st is not None:
+                self.spanned[jobid] = None
+                states.append(st)
+                blocks.append(bs)
+        if states:
+            _fold_file(day, states, blocks)
 
     def views(self, hostname: str) -> tuple[HostJobView, ...]:
         """One matcher view per job, in the order
@@ -410,24 +429,46 @@ class _HostFold:
 # ---------------------------------------------------------------------------
 
 
-def _delta(st: JobScanState, type_name: str, key: str,
-           device: str | None = None) -> int | None:
-    """Summed per-device first→last counter delta of one column (of one
-    *device* when given); None where the reference has no rate."""
-    first, last = st.first.get(type_name), st.last.get(type_name)
-    if first is None or last is None or key not in last[1] \
-            or (device is not None and device not in last[0]):
-        return None
-    before = dict(zip(first[0], first[1][key]))
-    width = st.widths[f"{type_name}.{key}"]
-    total = 0
-    for dev, value in zip(last[0], last[1][key]):
-        if device is not None and dev != device:
+def _deltas(st: JobScanState) -> dict[tuple[str, str], tuple]:
+    """``{(type, key): (devices, whole, per-device delta)}`` of the
+    first→last rows (*devices*: the last row's the first has too, *whole*
+    if that is all), in one array pass: ``(last - first) & (2**width -
+    1)`` is :func:`event_delta`, range check and message included."""
+    spans, pair = [], ([], [])
+    for name, last in st.last.items():
+        first = st.first.get(name)
+        if first is None or name == "ib":
             continue
-        if dev not in before:
-            return None  # device present at the end, absent at start
-        total += event_delta(before[dev], value, width)
-    return total
+        devices, both = last[0], None
+        if first[0] != devices:  # rare: align the first row's devices
+            where = {dev: i for i, dev in enumerate(first[0])}
+            both = [(k, where[dev]) for k, dev in enumerate(devices)
+                    if dev in where]
+            devices = [devices[k] for k, _i in both]
+        for key, values in last[1].items():
+            if key in first[1]:
+                before = first[1][key]
+                if both is not None:
+                    before = [before[i] for _k, i in both]
+                    values = [values[k] for k, _i in both]
+                pair[0].extend(before)
+                pair[1].extend(values)
+                spans.append(((name, key), devices, len(devices) == len(
+                    last[0]), st.widths[f"{name}.{key}"]))
+    lengths = [len(devices) for _k, devices, _a, _w in spans]
+    widths = np.repeat([w for *_s, w in spans], lengths).astype(int)
+    masks = np.repeat(np.array([(1 << w) - 1 for *_s, w in spans],
+                               dtype=np.uint64), lengths)
+    values = np.array(pair, dtype=np.uint64)
+    if (wide := (values > masks).any(axis=0)).any():
+        raise ValueError(
+            f"counter value out of range for width {widths[wide][0]}")
+    deltas = ((values[1] - values[0]) & masks).tolist()
+    out, at = {}, 0
+    for key, devices, whole, _w in spans:
+        out[key] = (devices, whole, deltas[at:at + len(devices)])
+        at += len(devices)
+    return out
 
 
 def host_partial(hostname: str, jobid: str,
@@ -441,9 +482,17 @@ def host_partial(hostname: str, jobid: str,
     if seconds <= 0:
         return None
     h: dict[str, float] = {}
+    by_key = _deltas(st)
 
     def rate(type_name: str, key: str, device: str | None = None):
-        total = _delta(st, type_name, key, device)
+        """Summed first→last delta of one column (of one *device* when
+        given) per second; None where the reference has no rate."""
+        devices, whole, deltas = by_key.get((type_name, key), ((), 0, ()))
+        if device is None:
+            total = sum(deltas) if whole else None
+        else:
+            total = deltas[devices.index(device)] if device in devices \
+                else None
         return None if total is None else total * 1.0 / seconds
 
     parts = {key: rate("cpu", key) for key in _EDGE_COLUMNS["cpu"]}
@@ -512,7 +561,8 @@ def scan_host(archive: HostArchive, hostname: str,
     the error policy — under ``strict`` it raises for malformed data,
     otherwise the quarantine *records* say what was set aside; the scan
     is ``None`` when the host was dropped.  The kept files are folded
-    onto *seeds* (the persisted states of the host's open jobs).
+    onto *seeds* (the persisted states of the host's open jobs) in the
+    span ``ingest.fold``, beside the decode's ``ingest.parse``.
     *jobs* (the run's candidates; ``None`` = no selection) limits the
     metric partials to the jobs that can load and the states to those
     that cannot — a candidate is closed by the run, one way or the
@@ -525,14 +575,15 @@ def scan_host(archive: HostArchive, hostname: str,
         paths=files) if files or paths is None else ([], (), "ok")
     if status == "dropped":
         return None, records, status
-    fold = _HostFold(seeds)
-    fold.add_days(kept)
-    partials = {}
-    for jobid, st in fold.states.items():
-        if jobs is None or jobid in jobs:
-            partial = host_partial(hostname, jobid, st)
-            if partial is not None:
-                partials[jobid] = partial
+    with span("ingest.fold", host=hostname):
+        fold = _HostFold(seeds)
+        fold.add_days(kept)
+        partials = {}
+        for jobid, st in fold.states.items():
+            if jobs is None or jobid in jobs:
+                partial = host_partial(hostname, jobid, st)
+                if partial is not None:
+                    partials[jobid] = partial
     # An empty file (the node was down) is kept out of *kept* but is
     # whole all the same: it mentions no job.
     mentions = dict.fromkeys(map(_file_day, files), frozenset())

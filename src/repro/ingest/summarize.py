@@ -314,25 +314,25 @@ def merge_job_partials(
     Pass partials in a stable host order — metric means are accumulated
     in list order, so the same partials in the same order produce
     bit-identical floats regardless of which process computed them.
+    Each metric is ``np.mean`` (``np.max``: ``mem_used_max``) of its host
+    values: one row each of a C-contiguous matrix, summed as 1-D arrays.
     """
     if not partials:
         raise SummaryError(f"job {jobid}: no usable host windows")
     poisoned: set[str] = set()
     for p in partials:
         poisoned.update(p.poisoned)
-    metrics: dict[str, float] = {}
-    missing = set(poisoned)
-    for m in SUMMARY_METRICS:
-        if m in poisoned:
-            continue
-        vals = [p.metrics[m] for p in partials if m in p.metrics]
-        if not vals:
-            missing.add(m)
-            continue
-        if m == "mem_used_max":
-            metrics[m] = float(np.max(vals))
-        else:
-            metrics[m] = float(np.mean(vals))
+    vals = {m: [p.metrics[m] for p in partials if m in p.metrics]
+            for m in SUMMARY_METRICS if m not in poisoned}
+    missing = poisoned | {m for m, v in vals.items() if not v}
+    reduced: dict[str, float] = {}
+    for n in {len(v) for v in vals.values() if v}:
+        names = [m for m, v in vals.items() if len(v) == n]
+        grid = np.array([vals[m] for m in names], dtype=np.float64)
+        for m, mean, peak in zip(names, grid.mean(axis=1).tolist(),
+                                 grid.max(axis=1).tolist()):
+            reduced[m] = peak if m == "mem_used_max" else mean
+    metrics = {m: reduced[m] for m in vals if m in reduced}
     return JobSummary(
         jobid=jobid,
         metrics=metrics,

@@ -368,8 +368,8 @@ def read_host_day(path: Path) -> HostColumns:
     ``mmap`` of the file (the mapping lives as long as any view does).
     Every chunk's sha256 is checked: the binary format has no per-line
     redundancy for the parser to trip over, so the digests are what
-    stands between bit-rot and silently wrong numbers.  Any structural
-    damage raises :class:`V2FormatError`.
+    stands between bit-rot and silently wrong numbers.  Any damage, a
+    value wider than its column's ``W=`` too, raises :class:`V2FormatError`.
     """
     try:
         day = _read_host_day(path)
@@ -475,6 +475,9 @@ def _read_host_day(path: Path) -> HostColumns:
             raise V2FormatError(
                 f"{path.name}: type {info['name']} device index out "
                 f"of range")
+        if width := schema.overflow(values):
+            raise V2FormatError(f"{path.name}: type {info['name']} counter "
+                                f"value out of range for width {width}")
         types.append(TypeColumns(
             name=info["name"], schema=schema,
             devices=tuple(info["devices"]), dev_idx=dev_idx,

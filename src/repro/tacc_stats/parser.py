@@ -93,29 +93,38 @@ def _type_columns(schema: TypeSchema, rests: list[str],
     type's ``(block, {device: lineno})`` runs in file order, whose keys,
     concatenated, align with *rests* (the line loop keeps device and
     line number in the dict it already needs for duplicate detection).
-    When the batch cast fails, rows are converted one by one so the bad
-    value is attributed to its line: raised, or in repair mode (a
-    *faults* sink) recorded and the row dropped from its run.
+    When the batch cast fails or a value exceeds its column's ``W=``,
+    rows are converted one by one so the bad value is attributed to its
+    line: raised, or in repair mode (a *faults* sink) recorded and the
+    row dropped from its run.
     """
     k = schema.n_values
     try:
         values = (_cast(" ".join(rests)) if rests
                   else np.empty(0, dtype="<u8")).reshape(-1, k)
+        if schema.overflow(values):
+            raise ValueError
     except (ValueError, OverflowError):
         sites = [(by_dev, dev, lineno) for _b, by_dev in runs
                  for dev, lineno in by_dev.items()]
         good = [np.empty((0, k), dtype="<u8")]
         for rest, (by_dev, device, lineno) in zip(rests, sites):
             try:
-                good.append(_cast(rest).reshape(1, k))
+                row = _cast(rest).reshape(1, k)
             except (ValueError, OverflowError):
                 error = f"line {lineno}: non-integer value in row"
-                if faults is None:
-                    raise ParseError(error) from None
-                del by_dev[device]
-                faults.append(ParseFault(
-                    lineno=lineno, error=error,
-                    text=f"{schema.type_name} ... {rest[:_FAULT_EXCERPT]}"))
+            else:
+                if not (width := schema.overflow(row)):
+                    good.append(row)
+                    continue
+                error = (f"line {lineno}: counter value out of range for "
+                         f"width {width}")
+            if faults is None:
+                raise ParseError(error) from None
+            del by_dev[device]
+            faults.append(ParseFault(
+                lineno=lineno, error=error,
+                text=f"{schema.type_name} ... {rest[:_FAULT_EXCERPT]}"))
         values = np.vstack(good)
     names = [dev for _b, by_dev in runs for dev in by_dev]
     table = {dev: i for i, dev in enumerate(dict.fromkeys(names))}
@@ -408,12 +417,13 @@ def _parse_grid(text: str) -> tuple | None:
     for t, schema in enumerate(schemas):
         by_dev, col = found.get(t, ((), 0))
         n, k = len(by_dev), schema.n_values
+        values = np.ascontiguousarray(grid[:, col:col + n * k]).reshape(-1, k)
+        if schema.overflow(values):  # the line loop words the fault
+            return None
         types.append(TypeColumns(
             name=schema.type_name, schema=schema, devices=tuple(by_dev),
             dev_idx=np.arange(n, dtype="<u4")[None].repeat(n_blocks, 0).ravel(),
-            values=np.ascontiguousarray(
-                grid[:, col:col + n * k]).reshape(-1, k),
-            block_idx=np.repeat(blocks, n)))
+            values=values, block_idx=np.repeat(blocks, n)))
     row_type = np.array([t for t, _d, _n in layout], dtype="<u2")
     return (properties, types, times, tags, marks,
             np.tile(row_type, n_blocks), np.repeat(blocks, len(layout)))

@@ -101,6 +101,9 @@ class TypeSchema:
         object.__setattr__(
             self, "_header_line",
             f"!{self.type_name} " + " ".join(e.spec() for e in self.entries))
+        #: ``(column, width)`` of every column narrower than 64 bits.
+        object.__setattr__(self, "narrow", tuple(
+            (i, e.width) for i, e in enumerate(self.entries) if e.width < 64))
 
     @property
     def n_values(self) -> int:
@@ -123,6 +126,12 @@ class TypeSchema:
         """(column position, counter width) of *key* in one lookup."""
         col = self.index_of(key)
         return col, self.entries[col].width
+
+    def overflow(self, values) -> int:
+        """The ``W=`` of the first column a row of *values* (``u8[R, K]``)
+        overflows, or 0: a register holds no more bits than it declares."""
+        return next((w for col, w in self.narrow
+                     if len(values) and int(values[:, col].max()) >> w), 0)
 
     def header_line(self) -> str:
         """The ``!type spec spec ...`` header line."""

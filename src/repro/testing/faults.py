@@ -32,6 +32,9 @@ kind                  what happens to the file
                       copy): ``EOFError``; *fatal* — ``unreadable_file``
 ``gz_bit_flip``       one stored bit is flipped where that is proven to
                       raise ``zlib.error``, not a CRC error; *fatal*, same
+``counter_overflow``  ``2**W`` is added to one value of a column declared
+                      ``W=`` bits wide (a register read past its width);
+                      *fatal* — the decoder rejects the row
 ====================  =====================================================
 
 *Fatal* kinds make the host fail a ``strict`` read
@@ -61,6 +64,7 @@ from pathlib import Path
 from repro.ingest.parallel import _scan_one
 from repro.ingest.warehouse import Warehouse
 from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.schema import TypeSchema
 
 __all__ = [
     "BENIGN_KINDS",
@@ -77,7 +81,8 @@ __all__ = [
 
 #: Kinds that make a ``strict`` read of the host raise.
 FATAL_KINDS = ("bit_flip", "missing_schema", "garbage_lines",
-               "wrong_hostname", "gz_truncated", "gz_bit_flip")
+               "wrong_hostname", "gz_truncated", "gz_bit_flip",
+               "counter_overflow")
 #: Kinds every policy tolerates without quarantining anything.
 BENIGN_KINDS = ("truncated_tail", "zero_byte", "duplicate_timestamp")
 #: The full catalogue.
@@ -196,6 +201,24 @@ def _wrong_hostname(lines: list[str], rng: random.Random
     return lines, idx + 1, f"header claims {claimed}"
 
 
+def _counter_overflow(lines: list[str], rng: random.Random
+                      ) -> tuple[list[str], int, str]:
+    """Add ``2**W`` to one value of a ``W=``-bit column: a well-formed
+    integer no register of that width can hold."""
+    narrow = {s.type_name: s.narrow for s in map(
+        TypeSchema.parse_header_line, (ln for ln in lines if ln[:1] == "!"))}
+    rows = [i for i in _data_row_indices(lines)
+            if narrow.get(lines[i].split(" ", 1)[0])]
+    if not rows:
+        raise ValueError("no row of a column narrower than 64 bits")
+    idx = rng.choice(rows)
+    type_name, device, *values = lines[idx].split(" ")
+    col, width = rng.choice(narrow[type_name])
+    values[col] = str(int(values[col]) + (1 << width))
+    lines[idx] = " ".join([type_name, device, *values])
+    return lines, idx + 1, f"{type_name} column {col} + 2**{width}"
+
+
 def _gz_truncated(blob: bytes, rng: random.Random) -> tuple[bytes, str]:
     """Keep a seeded quarter to three quarters of the stored bytes."""
     cut = rng.randrange(len(blob) // 4, 3 * len(blob) // 4)
@@ -227,6 +250,7 @@ _INJECTORS = {
     "zero_byte": _zero_byte,
     "duplicate_timestamp": _duplicate_timestamp,
     "wrong_hostname": _wrong_hostname,
+    "counter_overflow": _counter_overflow,
 }
 
 

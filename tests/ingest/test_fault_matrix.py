@@ -19,6 +19,7 @@ import io
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import TEST_SYSTEM
@@ -30,6 +31,7 @@ from repro.ingest.warehouse import Warehouse
 from repro.lariat.records import lariat_record_for
 from repro.scheduler.accounting import AccountingWriter, parse_accounting
 from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.columnar import _encode_columns, read_host_day
 from repro.tacc_stats.convert import convert_archive
 from repro.tacc_stats.parser import ParseError
 from repro.testing.faults import (
@@ -216,6 +218,62 @@ def test_wrong_hostname_every_policy_both_formats(corpus, tmp_path, fmt):
         assert _rows(w) == clean_rows
         jobs = {r[1] for r in _rows(w)[0]}
         assert jobs, "the other hosts still load"
+
+
+def _overflow_v2(path: Path) -> None:
+    """The counter_overflow fault in a v2 file: 2**W added to the first
+    value of its first narrow column, re-encoded under the file's own
+    fingerprint (as bit-rot in a register read would leave it)."""
+    day = read_host_day(path)
+    victim = next(tc for tc in day.types if tc.schema.narrow)
+    col, width = victim.schema.narrow[0]
+    values = victim.values.copy()
+    values[0, col] += np.uint64(1 << width)
+    blob, _ = _encode_columns(
+        day.hostname, day.properties,
+        [(tc.schema, tc.devices, tc.dev_idx,
+          values if tc is victim else tc.values) for tc in day.types],
+        day.times, day.tags, day.jobid_tags, day.marks, day.row_type,
+        day.row_block,
+        (day.header["source_sha256"], day.header["source_kind"]))
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(blob)
+    tmp.replace(path)  # the mapping of the old bytes keeps its inode
+
+
+@pytest.mark.parametrize("fmt", ["text", "v2"])
+def test_counter_overflow_every_policy_both_formats(corpus, tmp_path, fmt):
+    """A value wider than its column's ``W=`` used to decode silently
+    and then fail every policy from the reduce (a ``ValueError``), or
+    load unread.  Now the decoders judge it: strict raises ParseError,
+    repair sets aside the text row or the whole v2 file, and quarantine
+    drops the host, leaving what the clean hosts alone give."""
+    victim = HostArchive(corpus[1]).hostnames()[1]
+    root = tmp_path / "archive"
+    shutil.copytree(corpus[1], root)
+    if fmt == "v2":
+        convert_archive(str(root), to="v2")
+    path = sorted((root / victim).iterdir())[0]
+    lineno = (inject_fault(path, "counter_overflow", seed=4).lineno
+              if fmt == "text" else _overflow_v2(path))
+
+    with pytest.raises(ParseError, match="out of range for width"):
+        _ingest(corpus, root)
+
+    _, report = _ingest(corpus, root, error_policy="repair")
+    assert report.health.hosts_degraded == [victim]
+    (rec,) = report.health.quarantined
+    assert (rec.path, rec.kind, rec.lineno) == (
+        str(path), "malformed_record" if lineno else "unreadable_file",
+        lineno)
+    assert "counter value out of range for width" in rec.error
+
+    w_q, report = _ingest(corpus, root, error_policy="quarantine")
+    assert report.health.hosts_dropped == [victim]
+    clean_root = tmp_path / "clean"
+    shutil.copytree(corpus[1], clean_root)
+    shutil.rmtree(clean_root / victim)
+    assert _rows(w_q) == _rows(_ingest(corpus, clean_root)[0])
 
 
 def test_quarantine_writes_sidecar_and_warehouse_meta(corpus, tmp_path):

@@ -281,8 +281,8 @@ def _noncanonical_text(draw):
         rows = [(s, dev) for s in schemas for dev in devices[s.type_name]
                 if draw(st.integers(0, 4))]
         for s, dev in draw(st.permutations(rows)):
-            vals = draw(st.lists(st.integers(0, 2**64 - 1),
-                                 min_size=s.n_values, max_size=s.n_values))
+            # Valid: every value fits its column's declared width.
+            vals = [draw(st.integers(0, 2**e.width - 1)) for e in s.entries]
             lines.append(f"{s.type_name} {dev} {' '.join(map(str, vals))}")
     return "\n".join(lines) + "\n"
 

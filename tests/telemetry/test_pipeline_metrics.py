@@ -94,6 +94,19 @@ def test_ingest_counters_reflect_the_work_done(corpus):
                 if g.startswith("ingest.host_scan.")]) == n_hosts
 
 
+def test_a_host_scan_splits_into_parse_and_fold(corpus):
+    """Each host's scan is its decode (``ingest.parse``) and then its
+    fold (``ingest.fold``): one fold per host, and the two fit inside
+    the hosts' ``ingest.host_scan.seconds``."""
+    snap, _report = _instrumented_ingest(corpus, corpus[1], workers=1)
+    n_hosts = len(HostArchive(corpus[1]).hostnames())
+    fold = snap.histograms["span.ingest.fold.seconds"]
+    parse = snap.histograms["span.ingest.parse.seconds"]
+    assert fold.count == n_hosts
+    assert fold.total + parse.total <= \
+        snap.histograms["ingest.host_scan.seconds"].total
+
+
 def test_run_manifest_from_real_ingest_validates(corpus, tmp_path):
     cfg, _dir, accounting, lariat = corpus
     with use_registry(MetricsRegistry()), use_tracer(Tracer()), \

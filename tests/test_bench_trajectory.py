@@ -33,3 +33,37 @@ def test_a_missing_cell_names_the_record_and_the_cell():
                        match=rf"{path.name}: end_to_end\.{workload}\."
                              r"fresh_ms: no 'median'"):
         trajectory.rows(pr, record, spec, path.name)
+
+
+def test_newer_records_carry_layers_and_size():
+    """From ``LAYERS_AND_SIZE_FROM`` on a record keeps its traced
+    per-layer pairs in the shape of ``end_to_end`` and its src/test line
+    counts, and the reader prints both."""
+    since = {pr for pr, _ in trajectory.records()
+             if pr >= trajectory.LAYERS_AND_SIZE_FROM}
+    assert since
+    layers, sizes = trajectory.layers_and_sizes()
+    assert since <= {row.pr for row in layers}
+    assert all(row.runs[0] > 0 and row.runs[1] > 0 for row in layers)
+    assert {(row.pr, row.metric) for row in sizes if row.pr in since} == {
+        (pr, measure) for pr in since for measure in trajectory.SIZES}
+    assert len(trajectory.render(layers, "layer").splitlines()) \
+        == len(layers) + 1
+
+
+def test_a_missing_layer_or_size_names_the_record():
+    pr, path = trajectory.records()[-1]
+    assert pr >= trajectory.LAYERS_AND_SIZE_FROM
+    record = json.loads(path.read_text())
+    workload, cells = next(iter(record["per_layer"].items()))
+    layer = next(iter(cells))
+    del cells[layer]["change"]["runs"]
+    with pytest.raises(ValueError, match=rf"{path.name}: per_layer\."
+                                         rf"{workload}\.{layer}: no 'runs'"):
+        trajectory.layer_rows(pr, record, path.name)
+    with pytest.raises(ValueError, match=rf"{path.name}: no 'per_layer'"):
+        trajectory.layer_rows(pr, {}, path.name)
+    del record["size"]["test_lines"]["parent"]
+    with pytest.raises(ValueError, match=rf"{path.name}: size\.test_lines: "
+                                         r"no 'parent'"):
+        trajectory.size_rows(pr, record, path.name)

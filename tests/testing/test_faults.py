@@ -24,7 +24,7 @@ from repro.testing.faults import (
 VALID = (
     "$hostname h7\n"
     "$uname Linux\n"
-    "!cpu user,E idle,E\n"
+    "!cpu user,E idle,E,W=32\n"
     "!mem used free\n"
     "100 7\n"
     "cpu 0 10 20\n"
