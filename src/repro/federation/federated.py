@@ -260,11 +260,15 @@ class FederatedWarehouse:
             weighted_means=g.weighted_means, keys=keys,
         )
 
-    def series_metrics(self) -> list[str]:
-        """Series names stored by at least one member system."""
+    def series_metrics(self,
+                       snapshots: dict[str, WarehouseSnapshot] | None = None,
+                       ) -> list[str]:
+        """Series names stored by at least one member system, as the
+        pinned *snapshots* (default: the current ones) know them."""
+        snaps = snapshots or self.snapshots()
         names: set[str] = set()
         for cluster, system in self._scatter_units(None):
-            names.update(self.shards[cluster].series_metrics(system))
+            names.update(snaps[cluster].series_metrics(system))
         return sorted(names)
 
     def timeseries(self, series: str,

@@ -35,10 +35,16 @@ understands the virtual ``cluster`` dimension.
 Tenancy: the ``X-Tenant`` header (or ``tenant`` query parameter) keys
 the per-tenant L1 cache; unset means the shared ``public`` tenant.
 
+Every JSON body goes through one encoder, :func:`json_body`, which
+writes ``json.dumps(body) + "\n"`` and takes the text of a payload the
+service state already encoded (:class:`~repro.service.state.Answer`)
+instead of encoding it again.
+
 Telemetry per request: ``service.requests`` plus
 ``service.requests.{endpoint}`` counters, the
-``service.latency.seconds`` histogram, ``service.errors`` on any
-non-2xx.  Scrape them at ``/metrics``.
+``service.latency.seconds`` histogram and one
+``service.latency.{endpoint}.seconds`` per endpoint,
+``service.errors`` on any non-2xx.  Scrape them at ``/metrics``.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from repro.service.state import DEFAULT_TENANT, ServiceState
 from repro.telemetry.export import to_prometheus
 from repro.telemetry.metrics import get_registry
 
-__all__ = ["ReproServer", "RequestHandler", "make_server",
+__all__ = ["ReproServer", "RequestHandler", "make_server", "json_body",
            "SERVICE_LATENCY_BUCKETS"]
 
 #: Latency buckets tuned for an in-memory dashboard service: the p99
@@ -68,6 +74,24 @@ __all__ = ["ReproServer", "RequestHandler", "make_server",
 SERVICE_LATENCY_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 0.5, 2.5,
 )
+
+
+def json_body(body: dict) -> bytes:
+    """``(json.dumps(body) + "\n").encode()``, for a body whose
+    top-level keys are strings: every JSON response's one encoder.
+
+    The top-level items are joined in the dict's order; a value the
+    body carries pre-encoded (:attr:`~repro.service.state.Answer.encoded`,
+    still the same object as the dict's) is joined as that text, every
+    other value is encoded here."""
+    encoded = getattr(body, "encoded", {})
+    items = []
+    for key, value in body.items():
+        pair = encoded.get(key)
+        text = (pair[1] if pair is not None and pair[0] is value
+                else json.dumps(value).encode())
+        items.append(json.dumps(key).encode() + b": " + text)
+    return b"{" + b", ".join(items) + b"}\n"
 
 
 #: Endpoints a supervisor polls before any user arrives; they touch no
@@ -161,7 +185,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _send_json(self, status: int, body: dict) -> None:
-        self._send(status, (json.dumps(body) + "\n").encode())
+        self._send(status, json_body(body))
 
     def _tenant(self, params: dict[str, list[str]]) -> str:
         header = self.headers.get("X-Tenant")
@@ -222,6 +246,8 @@ class RequestHandler(BaseHTTPRequestHandler):
         finally:
             elapsed = time.perf_counter() - start
             registry.histogram("service.latency.seconds",
+                               SERVICE_LATENCY_BUCKETS).observe(elapsed)
+            registry.histogram(f"service.latency.{endpoint}.seconds",
                                SERVICE_LATENCY_BUCKETS).observe(elapsed)
             if status >= 400:
                 registry.counter("service.errors").inc()
@@ -344,8 +370,7 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _json_ok(body: dict) -> tuple[int, bytes, str]:
-        return (200, (json.dumps(body) + "\n").encode(),
-                "application/json")
+        return 200, json_body(body), "application/json"
 
 
 def make_server(state: ServiceState, host: str = "127.0.0.1",

@@ -16,6 +16,11 @@ layers the service caching stack over the PR 2 memo:
    computation (:class:`~repro.service.coalesce.SingleFlight`);
 3. **L2** — the snapshot memo itself, shared with CLI consumers.
 
+A computed payload is JSON-encoded once, value by value, and the L1
+entry keeps the encoding beside the values (:class:`Answer`): an L1
+hit or a coalesced follower sends bytes that were made for the first
+request (``service.payload_encodes`` counts the encodes).
+
 Everything here is transport-agnostic: methods take plain arguments
 and return JSON-able dicts or raise
 :class:`~repro.service.protocol.ServiceError`; the HTTP front end in
@@ -45,9 +50,11 @@ listed in docs/FEDERATION.md.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
+from typing import Any
 
 from repro.federation.federated import FederatedWarehouse
 from repro.ingest.vocabulary import SUMMARY_METRICS
@@ -66,7 +73,8 @@ from repro.xdmod.query import DIMENSIONS, JobQuery
 from repro.xdmod.reports import NEEDS_TARGET, REPORT_KINDS
 from repro.xdmod.snapshot import WarehouseSnapshot
 
-__all__ = ["ServiceState", "REPORT_KINDS", "DEFAULT_TENANT"]
+__all__ = ["ServiceState", "Answer", "encode_payload", "REPORT_KINDS",
+           "DEFAULT_TENANT"]
 
 DEFAULT_TENANT = "public"
 
@@ -76,6 +84,36 @@ ALL_SYSTEMS = "all"
 #: Seconds between a blocked ``live/watch``'s looks at the shard's
 #: commit version (one ``PRAGMA data_version``, no table read).
 WATCH_TICK_SECONDS = 0.005
+
+
+class Answer(dict):
+    """A response body that carries its payload's JSON.
+
+    The dict is ``{**body, **payload, **flags}`` (a key in both *body*
+    and the payload keeps the body's place and takes the payload's
+    value, as that literal does).  :attr:`encoded` maps each payload
+    key to ``(value, json.dumps(value) as bytes)``; the HTTP encoder
+    joins that text for a key whose value is still that object and
+    encodes every other value itself.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, body: dict, encoded: dict[str, tuple[Any, bytes]],
+                 **flags):
+        super().__init__(body)
+        for key, (value, _text) in encoded.items():
+            self[key] = value
+        self.update(flags)
+        self.encoded = encoded
+
+
+def encode_payload(payload: dict) -> dict[str, tuple[Any, bytes]]:
+    """*payload* with each value beside its JSON: what an L1 entry
+    holds and single-flight followers share."""
+    get_registry().counter("service.payload_encodes").inc()
+    return {key: (value, json.dumps(value).encode())
+            for key, value in payload.items()}
 
 
 def _groups_payload(groups) -> dict:
@@ -182,19 +220,21 @@ class ServiceState:
                 "generations": self.store.generations()}
 
     def _serve(self, tenant: str, key: tuple, body: dict,
-               compute) -> dict:
+               compute) -> Answer:
         """*body* plus the payload dict of *compute*, through the cache
-        stack: L1 hit, else single-flight compute and L1 put.  *key*
-        ends in the snapshot stamp, so identical in-flight requests
-        coalesce and a key can never alias across generations."""
+        stack: L1 hit, else single-flight compute (and encode) and L1
+        put.  *key* ends in the snapshot stamp, so identical in-flight
+        requests coalesce and a key can never alias across
+        generations."""
         if self._cache is not None:
             hit = self._cache.get(tenant, key)
             if hit is not None:
-                return {**body, **hit, "cached": True}
-        payload, coalesced = self._flight.do(key, compute)
+                return Answer(body, hit, cached=True)
+        encoded, coalesced = self._flight.do(
+            key, lambda: encode_payload(compute()))
         if self._cache is not None:
-            self._cache.put(tenant, key, payload)
-        return {**body, **payload, "cached": False, "coalesced": coalesced}
+            self._cache.put(tenant, key, encoded)
+        return Answer(body, encoded, cached=False, coalesced=coalesced)
 
     def refresh(self) -> dict:
         """Adopt external commits (``POST /api/v1/refresh``): every
@@ -421,7 +461,7 @@ class ServiceState:
             raise ServiceError("missing_param", "missing series name")
         if everything:
             snaps = self.store.snapshots()
-            known, where = (self.store.series_metrics(),
+            known, where = (self.store.series_metrics(snaps),
                             "in any federation shard")
             key = ("federation.timeseries", series,
                    self.store.stamp(snaps))
@@ -431,8 +471,8 @@ class ServiceState:
                 return _series_payload(*self.store.timeseries(
                     series, snapshots=snaps))
         else:
-            shard, snap = self._resolve(system)
-            known, where = (shard.series_metrics(system),
+            _shard, snap = self._resolve(system)
+            known, where = (snap.series_metrics(system),
                             f"for system {system!r}")
             key = ("service.timeseries", system, series, snap.stamp)
             identity = {"generation": snap.generation}

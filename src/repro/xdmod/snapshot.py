@@ -410,6 +410,7 @@ class WarehouseSnapshot:
         self.generation = warehouse.generation
         self._frames: dict[str, SystemFrame] = {}
         self._series: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._series_names: dict[str, list[str]] = {}
         self._info: dict[str, dict] = {}
         self._memo: dict[tuple, Any] = {}
         self.hits = 0
@@ -551,6 +552,11 @@ class WarehouseSnapshot:
                     key: pair for key, pair in self._series.items()
                     if key[0] not in series_changed
                 }
+                new._series_names = {
+                    system: names
+                    for system, names in self._series_names.items()
+                    if system not in series_changed
+                }
                 new._info = dict(self._info)
             with self._memo_lock:
                 new._memo = {
@@ -619,6 +625,20 @@ class WarehouseSnapshot:
                     pair = (_freeze(t), _freeze(v))
                     self._series[key] = pair
         return pair
+
+    def series_metrics(self, system: str) -> list[str]:
+        """The names of *system*'s stored series, sorted, loaded once
+        and dropped with its series when its series epoch moves, so a
+        name check and the series it admits read one generation.
+        Shared: callers must not mutate the list."""
+        names = self._series_names.get(system)
+        if names is None:
+            with self._load_lock:
+                names = self._series_names.get(system)
+                if names is None:
+                    names = self._warehouse.series_metrics(system)
+                    self._series_names[system] = names
+        return names
 
     # -- memoization -------------------------------------------------------
 

@@ -255,6 +255,37 @@ def test_refresh_adopts_external_shard_writes(tmp_path):
         state.close()
 
 
+def test_federated_series_names_are_pinned_until_refresh(tmp_path):
+    """``system=all`` checks the series name against the pinned shard
+    snapshots: a name another process writes into a shard is
+    ``unknown_series`` until ``refresh``, then merged and served."""
+    from repro.config import TEST_SYSTEM
+
+    root = str(tmp_path / "fed")
+    cfg = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=4)
+    FederatedFacility.plan(
+        root, [ClusterPlan(cluster=cfg.name, config=cfg, seed=3)]).run()
+    state = ServiceState(federation_root=root)
+    try:
+        known = state.timeseries(ALL_SYSTEMS, "active_nodes")
+        wh = Warehouse(f"{root}/{cfg.name}.sqlite")
+        try:
+            t, v = wh.series(cfg.name, "active_nodes")
+            wh.append_series(cfg.name, "late_series", t, v + 1.0)
+            wh.commit()
+        finally:
+            wh.close()
+        with pytest.raises(ServiceError) as exc:
+            state.timeseries(ALL_SYSTEMS, "late_series")
+        assert exc.value.code == "unknown_series"
+        assert state.refresh()["changed"] is True
+        body = state.timeseries(ALL_SYSTEMS, "late_series")
+        assert body["times"] == known["times"]
+        assert body["values"] == (v + 1.0).tolist()
+    finally:
+        state.close()
+
+
 # -- HTTP front end ----------------------------------------------------------
 
 

@@ -130,15 +130,21 @@ def requests(user: str, app: str) -> list[tuple[str, tuple, dict]]:
     return out
 
 
-def served_bodies(root: str) -> dict[str, str]:
-    """``"store/pass/NN method(args)" -> dumped body`` over the matrix
-    (the federation at *root* must exist)."""
+def targets(root: str) -> tuple[str, str]:
+    """The ``(user, app)`` the matrix's targeted reports ask about."""
     probe = open_store("file", root)
     try:
         user, app = (probe.group_by(SYSTEM, dim, ())["groups"][0]["key"]
                      for dim in ("user", "app"))
     finally:
         probe.close()
+    return user, app
+
+
+def served_bodies(root: str) -> dict[str, str]:
+    """``"store/pass/NN method(args)" -> dumped body`` over the matrix
+    (the federation at *root* must exist)."""
+    user, app = targets(root)
     bodies: dict[str, str] = {}
     for store in STORES:
         state = open_store(store, root)

@@ -183,6 +183,59 @@ def test_coalesced_flag_reported_in_body(fresh_state, monkeypatch):
     assert flags == [False, True]
 
 
+def test_an_l1_hit_encodes_nothing(fresh_state):
+    """A computed payload is encoded once; the L1 entry keeps the
+    encoding, so a hit sends it without encoding again."""
+    encodes = get_registry().counter("service.payload_encodes")
+    before = encodes.value
+    cold = fresh_state.report("support", SYSTEM)
+    assert encodes.value - before == 1
+    warm = fresh_state.report("support", SYSTEM)
+    assert warm["cached"] is True
+    assert encodes.value - before == 1
+    assert warm.encoded is cold.encoded
+
+
+def test_coalesced_followers_share_one_encode(fresh_state, monkeypatch):
+    """16 followers riding one in-flight compute get the leader's
+    encoding: one ``service.payload_encodes`` for 17 bodies."""
+    release = threading.Event()
+
+    class GatedReport:
+        """Gated stand-in report (leader blocks until released)."""
+
+        def __init__(self, warehouse, system, snapshot=None):
+            pass
+
+        def render(self):
+            release.wait(10)
+            return "G"
+
+    monkeypatch.setitem(REPORT_KINDS, "support", GatedReport)
+    registry = get_registry()
+    coalesced = registry.counter("service.coalesced").value
+    encodes = registry.counter("service.payload_encodes").value
+    bodies = []
+    lock = threading.Lock()
+
+    def request():
+        body = fresh_state.report("support", SYSTEM)
+        with lock:
+            bodies.append(body)
+
+    threads = [threading.Thread(target=request) for _ in range(17)]
+    for t in threads:
+        t.start()
+    _wait_until(lambda: registry.counter(
+        "service.coalesced").value - coalesced == 16)
+    release.set()
+    for t in threads:
+        t.join(10)
+    assert registry.counter("service.payload_encodes").value - encodes == 1
+    assert sorted(b["coalesced"] for b in bodies) == [False] + [True] * 16
+    assert len({id(b.encoded) for b in bodies}) == 1
+
+
 @pytest.mark.parametrize("capacity", [-1, 0])
 def test_cache_capacity_validated(capacity):
     from repro.service.cache import TenantReportCache

@@ -10,7 +10,9 @@ text, and an external ingest commit is adopted by ``POST
 
 from __future__ import annotations
 
+import shutil
 import threading
+import time
 
 from repro.cli.report import main as report_main
 from repro.ingest.summarize import SUMMARY_METRICS, JobSummary
@@ -223,6 +225,77 @@ def test_refresh_adopts_external_series_write(client, warehouse_path):
     assert after["times"] == before["times"]
     assert after["values"][-1] == before["values"][-1] + 7.0
     assert after["values"][:-1] == before["values"][:-1]
+
+
+def test_external_series_name_is_unknown_until_refresh(warehouse_path,
+                                                      tmp_path):
+    """A series *name* another process writes is ``unknown_series``
+    until ``POST /api/v1/refresh``, then served: the name check reads
+    the pinned snapshot, so a request never pairs the old snapshot's
+    ``generation`` with rows committed after it."""
+    from repro.service.server import make_server
+    from repro.service.state import ServiceState
+    from tests.service.conftest import Client
+
+    path = str(tmp_path / "facility.sqlite")
+    shutil.copyfile(warehouse_path, path)
+    state = ServiceState(path)
+    server = make_server(state)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        client = Client(server)
+        status, known = client.get(
+            f"/api/v1/timeseries/active_nodes?system={SYSTEM}")
+        assert status == 200
+
+        wh = Warehouse(path)
+        try:
+            t, v = wh.series(SYSTEM, "active_nodes")
+            wh.append_series(SYSTEM, "late_series", t, v * 2.0)
+            wh.commit()
+        finally:
+            wh.close()
+
+        late = f"/api/v1/timeseries/late_series?system={SYSTEM}"
+        status, body = client.get(late)
+        assert status == 404
+        assert body["error"]["code"] == "unknown_series"
+        assert "late_series" not in body["error"]["detail"]["known"]
+
+        status, _ = client.post("/api/v1/refresh")
+        assert status == 200
+        status, body = client.get(late)
+        assert status == 200
+        assert body["generation"] == known["generation"] + 1
+        assert body["values"] == (v * 2.0).tolist()
+    finally:
+        server.shutdown()
+        server.server_close()
+        state.close()
+        thread.join(timeout=5)
+
+
+def test_latency_is_observed_per_endpoint(client):
+    """Beside the global histogram, one ``service.latency.{endpoint}``
+    histogram per route family counts that family's requests."""
+    from repro.service.server import SERVICE_LATENCY_BUCKETS
+
+    report = get_registry().histogram("service.latency.report.seconds",
+                                      SERVICE_LATENCY_BUCKETS)
+    before = report.count
+    client.get(f"/api/v1/report/support?system={SYSTEM}")
+    client.get(f"/api/v1/report/admin?system={SYSTEM}")
+    # A handler observes its latency after the last byte is written,
+    # so the client can read the answer first.
+    deadline = time.monotonic() + 10
+    while report.count - before < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert report.count - before == 2
+    status, text = client.get("/metrics")
+    assert status == 200
+    assert "repro_service_latency_report_seconds_bucket" in text
+    assert "repro_service_latency_health_seconds_count" in text
 
 
 def test_drain_waits_for_inflight_requests(fresh_state):

@@ -9,8 +9,11 @@ commit with two code paths (PR 22's parent) served.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import threading
 import time
+from urllib.parse import quote, urlencode
 
 import pytest
 
@@ -18,16 +21,23 @@ from repro.config import TEST_SYSTEM
 from repro.facility import Facility
 from repro.federation import ClusterPlan, FederatedFacility
 from repro.ingest.warehouse import Warehouse
+from repro.service.protocol import ServiceError, error_body
+from repro.service.server import make_server
 from tests.service import store_parity as sp
 
 EXPECTED = json.loads(sp.DIGESTS.read_text())
 
 
 @pytest.fixture(scope="module")
-def served(tmp_path_factory) -> dict[str, str]:
+def fed_root(tmp_path_factory) -> str:
     root = str(tmp_path_factory.mktemp("store_parity") / "fed")
     sp.build_federation(root)
-    return sp.served_bodies(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def served(fed_root) -> dict[str, str]:
+    return sp.served_bodies(fed_root)
 
 
 def test_every_body_is_what_the_parent_served(served):
@@ -103,3 +113,100 @@ def test_snapshot_age_restarts_on_an_adopted_commit(tmp_path, store):
         assert state.snapshot_age_seconds() < aged
     finally:
         state.close()
+
+
+def _http(method: str, args: tuple, kwargs: dict) -> tuple[str, str] | None:
+    """The HTTP request that asks what ``state.method(*args, **kwargs)``
+    answers, or ``None`` where a URL cannot say it (a timeseries
+    request without a series name)."""
+    def url(path: str, **params) -> str:
+        query = urlencode({k: v for k, v in params.items()
+                           if v is not None})
+        return f"/api/v1/{path}" + (f"?{query}" if query else "")
+
+    def arg(i: int, name: str):
+        return args[i] if len(args) > i else kwargs.get(name)
+
+    if method in ("health", "systems"):
+        return "GET", url(method)
+    if method == "clusters":
+        return "GET", url("clusters", cluster=kwargs.get("cluster"))
+    if method == "refresh":
+        return "POST", url("refresh")
+    if method == "federation_overview":
+        return "GET", url("federation/overview")
+    if method == "report":
+        return "GET", url(f"report/{quote(args[0])}", system=args[1],
+                          target=arg(2, "target"))
+    if method == "group_by":
+        metrics = kwargs.get("metrics")
+        return "GET", url("query/group_by", system=args[0],
+                          dimension=args[1],
+                          metrics=None if metrics is None
+                          else ",".join(metrics))
+    if method == "timeseries":
+        if args[1] is None:
+            return None
+        return "GET", url(f"timeseries/{quote(args[1])}", system=args[0])
+    if method == "live_top":
+        return "GET", url("live/top", system=args[0],
+                          metric=kwargs.get("order_by"))
+    if method == "live_watch":
+        return "GET", url("live/watch", system=arg(0, "system"),
+                          since=arg(1, "since"), timeout=arg(2, "timeout"))
+    raise AssertionError(f"no route for {method}")
+
+
+def _recording(state, log: list) -> None:
+    """Wrap every endpoint method of *state* so the body it answers (an
+    error as the JSON the front end sends) lands in *log*."""
+    for method in {m for m, _args, _kwargs in sp.requests("u", "a")}:
+        def answer(*args, _call=getattr(state, method), **kwargs):
+            try:
+                body = _call(*args, **kwargs)
+            except ServiceError as exc:
+                log.append(error_body(exc.code, exc.message, exc.detail))
+                raise
+            log.append(body)
+            return body
+        setattr(state, method, answer)
+
+
+@pytest.mark.parametrize("store", sp.STORES)
+def test_served_bytes_are_json_dumps_of_the_state_body(fed_root, store):
+    """Over HTTP, every request of the parity matrix, cold and then
+    cached, returns exactly ``json.dumps(body) + "\n"`` of the body the
+    state answered: the fragment join adds, drops and reorders
+    nothing."""
+    matrix = sp.requests(*sp.targets(fed_root))
+    state = sp.open_store(store, fed_root)
+    log: list = []
+    _recording(state, log)
+    server = make_server(state)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    compared = cached = 0
+    try:
+        for _pass in sp.PASSES:
+            for method, args, kwargs in matrix:
+                request = _http(method, args, kwargs)
+                if request is None:
+                    continue
+                log.clear()
+                conn.request(*request)
+                raw = conn.getresponse().read()
+                assert len(log) == 1, (method, args, kwargs)
+                assert raw == (json.dumps(log[0]) + "\n").encode(), \
+                    (method, args, kwargs)
+                compared += 1
+                cached += log[0].get("cached") is True
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        state.close()
+        thread.join(timeout=5)
+    assert compared == 2 * (len(matrix) - 4)
+    assert cached > 0
