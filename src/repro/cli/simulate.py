@@ -40,11 +40,12 @@ study period as rolling micro-batches instead of one offline pass::
         --warehouse live.sqlite --archive /tmp/live-stats --live
 
 Each batch advances the replay by ``--live-segment-seconds`` of
-facility time, rotates the completed archive segment, appends it
-through the watermark ledger, and refreshes the warehouse snapshot in
-place — watch it with ``repro-top`` or ``repro-serve`` against the
-same warehouse file while it runs (``--live-sleep`` paces batches in
-wall-clock time for that).  The final warehouse is byte-identical to
+facility time, rotates the completed archive segment (a v2 file; no
+text is made — ``repro-convert --to text`` compacts the archive
+afterwards), appends it through the watermark ledger, and refreshes
+the warehouse snapshot in place — watch it with ``repro-top`` or
+``repro-serve`` against the same warehouse file while it runs
+(``--live-sleep`` paces batches in wall-clock time for that).  The final warehouse is byte-identical to
 a one-shot run at the same rotation period.
 """
 
@@ -189,9 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "battery on its cadence")
     parser.add_argument("--live", action="store_true",
                         help="stream the study period as rolling "
-                             "micro-batches through the append ledger "
-                             "(requires --archive; watch with repro-top "
-                             "or repro-serve on the same warehouse)")
+                             "micro-batches of v2 segments through the "
+                             "append ledger (requires --archive; watch "
+                             "with repro-top or repro-serve on the same "
+                             "warehouse)")
     parser.add_argument("--live-segment-seconds", type=int, default=3600,
                         metavar="S",
                         help="live mode: archive rotation period in "
@@ -490,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in _FILE_PATH_KNOBS:
             if getattr(args, name) != parser.get_default(name):
                 return die(f"--{name.replace('_', '-')} does not apply to "
-                           f"--live (it replays in-process into a text "
+                           f"--live (it replays in-process into a v2 "
                            f"archive and ingests each batch strictly, in "
                            f"one transaction)")
         if args.live_segment_seconds < 1:

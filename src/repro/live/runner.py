@@ -10,7 +10,7 @@ which is what makes live micro-batch ingest byte-identical to a
 one-shot append (property-tested in ``tests/live``).
 
 :class:`LiveSession` wraps the replay in the operator loop: advance to
-the next segment boundary, flush completed segments to disk, stage
+the next segment boundary, flush completed v2 segments to disk, stage
 per-job cumulative counters for the rate views, push the segments
 through the ordinary watermark ledger (``ingest(mode="append")``, whose
 one commit carries the counters too), and refresh the rolling warehouse
@@ -131,8 +131,7 @@ class LiveSession:
 
     def __init__(self, facility: Facility, archive_dir: str,
                  warehouse: Warehouse | None = None,
-                 segment_seconds: int = HOUR, batch_segments: int = 1,
-                 compress: bool = True):
+                 segment_seconds: int = HOUR, batch_segments: int = 1):
         seg = int(segment_seconds)
         if seg <= 0 or seg != segment_seconds:
             raise ValueError(f"segment_seconds must be a positive whole "
@@ -147,7 +146,7 @@ class LiveSession:
         self.warehouse = warehouse or Warehouse()
         workload, sim, outages, cluster = facility._simulate()
         self.sim = sim
-        self.archive = HostArchive(archive_dir, compress=compress,
+        self.archive = HostArchive(archive_dir, archive_format="v2",
                                    rotate_seconds=seg)
         self.replay = LiveReplay(
             cfg, facility.seed, *facility._behavior_context(workload),

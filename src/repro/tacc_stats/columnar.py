@@ -59,10 +59,13 @@ rendering them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import mmap
 import struct
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,10 +132,50 @@ def _pad_to(parts: list[bytes], size: int, align: int = _ALIGN) -> int:
 
 _TypeArrays = tuple[TypeSchema, tuple[str, ...], np.ndarray, np.ndarray]
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without an encoder per call.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
-def _text_bytes(properties: dict[str, str], types: list[_TypeArrays],
-                times: np.ndarray, tags: np.ndarray,
-                jobid_tags: list[str],
+
+class _TypeTable(NamedTuple):
+    """What a file's ``(schema line, devices)`` per type fixes."""
+
+    #: Text bytes of the schema lines.
+    line_bytes: int
+    #: Per device of every type, in order: the fixed text bytes of its
+    #: rows (``<type> <device>``, then a separator or newline per value).
+    row_bytes: np.ndarray
+    #: Per type: where its devices start in ``row_bytes``.
+    dev_base: np.ndarray
+    #: Header JSON from ``"schemas"`` up to the first type's ``n_rows``
+    #: value, each type's ``types`` entry up to it, every chunk's name.
+    schemas_json: str
+    types_json: tuple[str, ...]
+    chunk_names: tuple[str, ...]
+
+
+@lru_cache(maxsize=64)
+def _type_table(key: tuple[tuple[str, tuple[str, ...]], ...]) -> _TypeTable:
+    """The :class:`_TypeTable` of *key*, built once per suite (a writer
+    repeats its suite in every file)."""
+    schemas = [TypeSchema.parse_header_line(line) for line, _d in key]
+    return _TypeTable(
+        sum(_utf8_len(line) + 1 for line, _d in key),
+        np.array([_utf8_len(s.type_name) + 2 + s.n_values + _utf8_len(d)
+                  for s, (_l, devices) in zip(schemas, key)
+                  for d in devices], dtype=np.int64),
+        np.cumsum([0, *(len(devices) for _l, devices in key[:-1])]),
+        f'"schemas":{_dumps([line for line, _d in key])},"types":[',
+        tuple(f'{{"name":{_dumps(s.type_name)},"devices":'
+              f'{_dumps(list(devices))},"n_rows":'
+              for s, (_l, devices) in zip(schemas, key)),
+        tuple(map(_dumps, ["times", "tags", "row_type", "row_block", *(
+            f"{kind}/{s.type_name}" for s in schemas
+            for kind in ("dev", "val"))])))
+
+
+def _text_bytes(properties: dict[str, str], table: _TypeTable,
+                types: list[_TypeArrays], times: np.ndarray,
+                tags: np.ndarray, jobid_tags: list[str],
                 marks: list[tuple[int, str, str]]) -> int:
     """``len(HostColumns.to_text().encode())`` without rendering: the
     header lines, one ``<time> <tag>`` line per block, one ``%<kind>
@@ -143,18 +186,16 @@ def _text_bytes(properties: dict[str, str], types: list[_TypeArrays],
                        dtype=np.int64)
     total = (
         sum(_utf8_len(f"${k} {v}\n") for k, v in properties.items())
-        + sum(_utf8_len(schema.header_line()) + 1
-              for schema, _d, _i, _v in types)
+        + table.line_bytes
         + sum(len(_format_time(t)) + 2 for t in times.tolist())
         + int(tag_len[tags].sum())
         + sum(_utf8_len(kind) + _utf8_len(jobid) + 3
               for _b, kind, jobid in marks))
-    for schema, devices, dev_idx, values in types:
-        dev_len = np.array([_utf8_len(d) for d in devices], dtype=np.int64)
-        total += (
-            values.shape[0] * (_utf8_len(schema.type_name) + 2
-                               + schema.n_values)
-            + int(dev_len[dev_idx].sum())
+    if types:
+        dev_idx = np.concatenate([dev_idx for _s, _d, dev_idx, _v in types])
+        values = np.concatenate([values.ravel() for *_t, values in types])
+        total += (int(table.row_bytes[dev_idx + np.repeat(
+            table.dev_base, [v.shape[0] for *_t, v in types])].sum())
             + int(decimal_digits(values).sum()))
     return total
 
@@ -177,71 +218,57 @@ def _encode_columns(
 
     The one place a v2 file is put together — from parsed text and
     from synthesized arrays alike — so equal columns give equal bytes.
+    The JSON is what ``json.dumps(..., separators=(",", ":"))`` writes
+    for the header and footer dicts in the module docstring, put
+    together from parts (what the types fix is built once per suite).
     """
-    text_bytes = _text_bytes(properties, types, times, tags, jobid_tags,
-                             marks)
+    table = _type_table(tuple((schema.header_line(), devices)
+                              for schema, devices, _i, _v in types))
+    text_bytes = _text_bytes(properties, table, types, times, tags,
+                             jobid_tags, marks)
+    # The header up to its source fields: what a content fingerprint
+    # covers, with ``source_kind``.
+    head = (
+        f'{{"format":"repro-columnar","version":{_VERSION},'
+        f'"hostname":{_dumps(hostname)},'
+        f'"properties":{_dumps(list(properties.items()))},'
+        + table.schemas_json
+        + ",".join(f"{entry}{values.shape[0]}}}" for entry, (*_t, values)
+                   in zip(table.types_json, types))
+        + f'],"n_blocks":{times.shape[0]},'
+        f'"jobid_tags":{_dumps(jobid_tags)},"marks":{_dumps(marks)},'
+        f'"text_bytes":{text_bytes}')
+    arrays = [times, tags, row_type, row_block, *(
+        arr for _s, _d, dev_idx, values in types for arr in (dev_idx, values))]
+    datas = [arr.tobytes() for arr in arrays]
+    # name, dtype, shape, sha256 of each chunk, as JSON.
+    idents = [(name, f'"{arr.dtype.str}"',
+               f'[{",".join(map(str, arr.shape))}]',
+               f'"{hashlib.sha256(data).hexdigest()}"')
+              for name, arr, data in zip(table.chunk_names, arrays, datas)]
     sha256, kind = source if source is not None else (None, "v2")
-    header = {
-        "format": "repro-columnar",
-        "version": _VERSION,
-        "hostname": hostname,
-        "properties": [[k, v] for k, v in properties.items()],
-        "schemas": [schema.header_line() for schema, _d, _i, _v in types],
-        "types": [
-            {"name": schema.type_name, "devices": list(devices),
-             "n_rows": int(values.shape[0])}
-            for schema, devices, _i, values in types
-        ],
-        "n_blocks": int(times.shape[0]),
-        "jobid_tags": jobid_tags,
-        "marks": [[b, kind_, jobid] for b, kind_, jobid in marks],
-        "text_bytes": text_bytes,
-        "source_sha256": sha256,
-        "source_kind": kind,
-    }
-    chunks: list[tuple[str, np.ndarray]] = [
-        ("times", times),
-        ("tags", tags),
-        ("row_type", row_type),
-        ("row_block", row_block),
-    ]
-    for schema, _devices, dev_idx, values in types:
-        chunks.append((f"dev/{schema.type_name}", dev_idx))
-        chunks.append((f"val/{schema.type_name}", values))
-    index = []  # offsets follow once the header's length is known
-    datas = []
-    for name, arr in chunks:
-        data = np.ascontiguousarray(arr).tobytes()
-        datas.append(data)
-        index.append({
-            "name": name,
-            "offset": 0,
-            "nbytes": len(data),
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        })
     if sha256 is None:
         # No text predecessor: the fingerprint is a digest of the
         # content itself — every other header field plus each chunk's
         # identity (the chunk digests already cover the data).
-        body = {k: v for k, v in header.items() if k != "source_sha256"}
-        ident = [[c["name"], c["dtype"], c["shape"], c["sha256"]]
-                 for c in index]
-        header["source_sha256"] = hashlib.sha256(json.dumps(
-            [body, ident], separators=(",", ":")).encode("utf-8")
+        ident = ",".join(f"[{','.join(parts)}]" for parts in idents)
+        sha256 = hashlib.sha256(
+            f'[{head},"source_kind":"v2"}},[{ident}]]'.encode()
         ).hexdigest()
-
-    header_json = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    header_json = (f'{head},"source_sha256":{_dumps(sha256)},'
+                   f'"source_kind":{_dumps(kind)}}}').encode()
     parts = [_MAGIC, struct.pack("<II", _VERSION, len(header_json)),
              header_json]
     size = 16 + len(header_json)
-    for entry, data in zip(index, datas):
-        size = entry["offset"] = _pad_to(parts, size)
+    index = []
+    for (name, dtype, shape, digest), data in zip(idents, datas):
+        size = _pad_to(parts, size)
+        index.append(f'{{"name":{name},"offset":{size},"nbytes":'
+                     f'{len(data)},"dtype":{dtype},"shape":{shape},'
+                     f'"sha256":{digest}}}')
         parts.append(data)
         size += len(data)
-    footer_json = json.dumps({"chunks": index},
-                             separators=(",", ":")).encode("utf-8")
+    footer_json = f'{{"chunks":[{",".join(index)}]}}'.encode()
     parts.append(footer_json)
     parts.append(struct.pack("<Q", len(footer_json)) + _TAIL)
     blob = b"".join(parts)
@@ -302,10 +329,8 @@ def encode_host_blocks(
     # Every block emits the full suite in order, so the global row
     # streams are one repeated pattern: types in suite order with one
     # row per device.
-    pattern = np.concatenate([
-        np.full(len(devs), ti, dtype="<u2")
-        for ti, devs in enumerate(devices_by_type)
-    ]) if devices_by_type else np.empty(0, dtype="<u2")
+    pattern = np.repeat(np.arange(len(devices_by_type), dtype="<u2"),
+                        [len(devs) for devs in devices_by_type])
     types = []
     for i, schema in enumerate(schemas):
         n_dev = len(devices_by_type[i])
@@ -317,7 +342,7 @@ def encode_host_blocks(
                 f"expected {(n_blocks, n_dev, k)}")
         types.append((
             schema, devices_by_type[i],
-            np.tile(np.arange(n_dev, dtype="<u4"), n_blocks),
+            np.arange(n_blocks * n_dev, dtype="<u4") % n_dev,
             vals.reshape(n_blocks * n_dev, k).astype("<u8", copy=False)))
     return _encode_columns(
         hostname, properties, types,
@@ -410,6 +435,7 @@ def _read_host_day(path: Path) -> HostColumns:
     footer = json.loads(
         bytes(view[footer_off:footer_off + footer_len]).decode("utf-8"))
 
+    buf = np.frombuffer(mm, dtype=np.uint8)
     arrays: dict[str, np.ndarray] = {}
     bytes_mapped = 0
     for entry in footer["chunks"]:
@@ -422,13 +448,8 @@ def _read_host_day(path: Path) -> HostColumns:
             raise V2FormatError(
                 f"{path.name}: chunk {entry['name']} digest "
                 f"mismatch (file is corrupt)")
-        shape = tuple(entry["shape"])
-        count = 1
-        for d in shape:
-            count *= d
-        arr = np.frombuffer(mm, dtype=np.dtype(entry["dtype"]),
-                            count=count, offset=off).reshape(shape)
-        arrays[entry["name"]] = arr
+        arrays[entry["name"]] = buf[off:off + nbytes].view(
+            entry["dtype"]).reshape(entry["shape"])
         bytes_mapped += nbytes
 
     n_blocks = header["n_blocks"]
@@ -459,29 +480,35 @@ def _read_host_day(path: Path) -> HostColumns:
         raise V2FormatError(f"{path.name}: schema/type table mismatch")
     if row_type.size and int(row_type.max()) >= len(type_infos):
         raise V2FormatError(f"{path.name}: row type index out of range")
-    counts = np.bincount(row_type, minlength=len(type_infos))
+    counts = np.bincount(row_type, minlength=len(type_infos)).tolist()
+    # Every type's rows in file order, in one pass: type ti's blocks are
+    # the ti-th run of the row blocks stably sorted by type.
+    blocks = row_block[np.argsort(row_type, kind="stable")]
     types: list[TypeColumns] = []
-    for ti, (info, schema) in enumerate(zip(type_infos, schemas)):
+    for info, schema, n, end in zip(type_infos, schemas, counts,
+                                    itertools.accumulate(counts)):
         dev_idx = arrays[f"dev/{info['name']}"]
         values = arrays[f"val/{info['name']}"]
-        n = info["n_rows"]
-        if (dev_idx.shape != (n,) or values.shape != (n, schema.n_values)
-                or (ti < counts.size and int(counts[ti]) != n)
-                or (ti >= counts.size and n != 0)):
+        if (info["n_rows"] != n or dev_idx.shape != (n,)
+                or values.shape != (n, schema.n_values)):
             raise V2FormatError(
                 f"{path.name}: type {info['name']} column shapes "
                 f"inconsistent")
-        if n and int(dev_idx.max()) >= len(info["devices"]):
-            raise V2FormatError(
-                f"{path.name}: type {info['name']} device index out "
-                f"of range")
         if width := schema.overflow(values):
             raise V2FormatError(f"{path.name}: type {info['name']} counter "
                                 f"value out of range for width {width}")
         types.append(TypeColumns(
             name=info["name"], schema=schema,
             devices=tuple(info["devices"]), dev_idx=dev_idx,
-            values=values, block_idx=row_block[row_type == ti]))
+            values=values, block_idx=blocks[end - n:end]))
+    # Device indices in range, every type in one comparison.
+    if types and bool((np.concatenate([tc.dev_idx for tc in types])
+                       >= np.repeat([len(tc.devices) for tc in types],
+                                    counts)).any()):
+        bad = next(tc for tc in types
+                   if tc.dev_idx.size and tc.dev_idx.max() >= len(tc.devices))
+        raise V2FormatError(f"{path.name}: type {bad.name} device index "
+                            f"out of range")
 
     # Marks must point at real blocks and carry well-formed kinds.
     marks = [(b, kind, jobid) for b, kind, jobid in header["marks"]]

@@ -29,16 +29,16 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.config import TEST_SYSTEM
 from repro.facility import Facility
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.warehouse import Warehouse
-from repro.live.runner import LiveSession
+from repro.live.runner import LiveReplay
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.convert import convert_archive
 from repro.testing.faults import inject_fault
-from repro.util.timeutil import DAY
 from tests.ingest.lookback_oracle import grow, segment_labels
 
 DIGESTS = Path(__file__).with_name("ingest_parity_digests.json")
@@ -70,17 +70,24 @@ _TABLES = [
 ]
 
 
-def build_sources(root: Path) -> tuple[dict[str, Path], LiveSession]:
+def build_sources(root: Path) -> tuple[dict[str, Path], SimpleNamespace]:
     """The day-rotated text archive of one replay, its v2 conversion,
-    and the session holding the side logs."""
+    and the side logs a live session over the same facility holds."""
     text = root / "text"
-    session = LiveSession(Facility(CFG, seed=SEED), str(text),
-                          segment_seconds=DAY)
-    session.replay.advance(float(CFG.horizon))
-    session.archive.close()
+    facility = Facility(CFG, seed=SEED)
+    workload, sim, _outages, cluster = facility._simulate()
+    archive = HostArchive(text)
+    replay = LiveReplay(CFG, SEED, *facility._behavior_context(workload),
+                        sim.records, archive)
+    # LiveSession's recipe and order: side logs before the replay runs.
+    accounting, lariat, syslog = facility._side_logs(
+        sim, cluster, replay.behaviors)
+    replay.advance(float(CFG.horizon))
+    archive.close()
     v2 = root / "v2"
     convert_archive(str(text), "v2", out_root=str(v2))
-    return {"text": text, "v2": v2}, session
+    return {"text": text, "v2": v2}, SimpleNamespace(
+        accounting_text=accounting, lariat=lariat, syslog=syslog)
 
 
 def _archives(source: Path, fault: str | None, dest: Path) -> dict[str, Path]:
@@ -123,15 +130,15 @@ def state(warehouse: Warehouse, reports: list) -> str:
     return repr((tables, ledger, states, runs))
 
 
-def run_flow(session: LiveSession, archives: dict[str, Path], policy: str,
+def run_flow(logs: SimpleNamespace, archives: dict[str, Path], policy: str,
              flow: str) -> str:
     warehouse = Warehouse()
     try:
         reports = [
             IngestPipeline(warehouse).ingest(
-                CFG, accounting_text=session.accounting_text,
+                CFG, accounting_text=logs.accounting_text,
                 archive=HostArchive(archives[which]),
-                lariat_records=session.lariat, syslog=session.syslog,
+                lariat_records=logs.lariat, syslog=logs.syslog,
                 error_policy=policy, **kw)
             for which, kw in FLOWS[flow]
         ]
@@ -142,7 +149,7 @@ def run_flow(session: LiveSession, archives: dict[str, Path], policy: str,
 
 def outcomes(tmp: Path) -> dict[str, str]:
     """``"format/policy/flow" -> hashed text`` over the whole matrix."""
-    sources, session = build_sources(tmp / "sources")
+    sources, logs = build_sources(tmp / "sources")
     out: dict[str, str] = {}
     for fmt in FORMATS:
         for policy, fault in POLICIES.items():
@@ -150,7 +157,7 @@ def outcomes(tmp: Path) -> dict[str, str]:
                 archives = _archives(sources[fmt], fault,
                                      tmp / fmt / policy / flow)
                 out[f"{fmt}/{policy}/{flow}"] = run_flow(
-                    session, archives, policy, flow)
+                    logs, archives, policy, flow)
     return out
 
 

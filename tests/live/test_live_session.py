@@ -3,6 +3,7 @@ monotonic snapshot growth, counter publication, and the sub-day
 archive rotation it rides on."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -71,13 +72,14 @@ def test_live_warehouse_equals_offline_oneshot(live, offline):
 def test_day_segment_session_is_the_offline_path(tmp_path):
     """At the production rotation period a live session drives the same
     per-node replay units and the same side-log recipe as
-    ``run_with_files`` — so it leaves the same archive tree, file for
+    ``run_with_files`` — so it leaves the same v2 archive tree, file for
     file, and the same four data tables."""
     live_dir, offline_dir = tmp_path / "live", tmp_path / "offline"
     session = LiveSession(Facility(CFG, seed=SEED), str(live_dir),
                           segment_seconds=DAY)
     session.run()
-    run = Facility(CFG, seed=SEED).run_with_files(str(offline_dir))
+    run = Facility(CFG, seed=SEED).run_with_files(str(offline_dir),
+                                                  archive_format="v2")
 
     def tree(root):
         return {str(p.relative_to(root)):
@@ -86,6 +88,26 @@ def test_day_segment_session_is_the_offline_path(tmp_path):
 
     assert tree(live_dir) and tree(live_dir) == tree(offline_dir)
     assert _data_rows(session.warehouse) == _data_rows(run.warehouse)
+
+
+def test_live_v2_archive_converts_to_the_text_replay(tmp_path):
+    """A live session writes v2, and nothing is lost: ``repro-convert``
+    compacts its hourly archive back to the paper's text+gzip format,
+    byte for byte the tree an hourly text replay of the same facility
+    writes (the ``live/ranger/text/end`` synthesis digest)."""
+    from repro.tacc_stats.convert import convert_archive
+    from tests import synthesis_parity as sp
+
+    cfg = sp.SYSTEMS["ranger"].scaled(**sp.LIVE)
+    live_dir, text_dir = tmp_path / "live", tmp_path / "text"
+    LiveSession(Facility(cfg, seed=sp.SEED), str(live_dir),
+                segment_seconds=HOUR).run()
+    assert {p.suffix for p in live_dir.rglob("*")
+            if p.is_file()} == {".v2", ".json"}
+    report = convert_archive(str(live_dir), "text", out_root=str(text_dir))
+    assert report.converted == len(report.drifted) > 0
+    expected = json.loads(sp.DIGESTS.read_text())["live/ranger/text/end"]
+    assert {"tree": sp.tree(text_dir)} == expected
 
 
 def test_snapshot_rows_grow_monotonically(live):

@@ -14,7 +14,9 @@ outcome matches what the same corruption in a text archive produces.
 import gzip
 import hashlib
 import io
+import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from repro.errors import ErrorPolicy
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.columnar import (
     V2FormatError,
+    _encode_columns,
     encode_host_text,
     is_v2_path,
     read_header,
@@ -163,6 +166,33 @@ def test_truncation_detected(tmp_path):
         read_header(path)
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("dev/cpu", 2, "type cpu device index out of range"),
+    ("row_type", 1, "type mem column shapes inconsistent"),
+    ("row_type", 3, "row type index out of range"),
+    ("row_block", 3, "row block index out of range"),
+])
+def test_columns_that_contradict_are_refused(tmp_path, column, value,
+                                             message):
+    """Chunk digests prove only that the bytes are the writer's: a file
+    whose last *column* entry points past its table is refused too."""
+    day = parse_host_columns(VALID)
+    arrays = {"row_type": day.row_type.copy(),
+              "row_block": day.row_block.copy(),
+              "dev/cpu": day.types[0].dev_idx.copy()}
+    arrays[column][-1] = value
+    blob, _ = _encode_columns(
+        day.hostname, day.properties,
+        [(tc.schema, tc.devices, arrays.get(f"dev/{tc.name}", tc.dev_idx),
+          tc.values) for tc in day.types],
+        day.times, day.tags, day.jobid_tags, day.marks, arrays["row_type"],
+        arrays["row_block"], None)
+    path = tmp_path / "2012-09-30.v2"
+    path.write_bytes(blob)
+    with pytest.raises(V2FormatError, match=message):
+        read_host_day(path)
+
+
 def test_v2_format_error_is_parse_error():
     # The whole policy engine keys off ParseError; v2 corruption must
     # flow through the same quarantine/repair paths as text corruption.
@@ -287,16 +317,36 @@ def _noncanonical_text(draw):
     return "\n".join(lines) + "\n"
 
 
+def _assert_dumps_json(blob):
+    """The header and footer are ``json.dumps(..., separators=(",",
+    ":"))`` of what they decode to, and a ``"v2"`` fingerprint is the
+    digest of the header without it beside each chunk's identity."""
+    (hdr_len,) = struct.unpack("<I", blob[12:16])
+    (ftr_len,) = struct.unpack("<Q", blob[-16:-8])
+    header_json, footer_json = blob[16:16 + hdr_len], blob[-16 - ftr_len:-16]
+    header, footer = json.loads(header_json), json.loads(footer_json)
+    for raw, obj in ((header_json, header), (footer_json, footer)):
+        assert raw == json.dumps(obj, separators=(",", ":")).encode()
+    body = {k: v for k, v in header.items() if k != "source_sha256"}
+    ident = [[c["name"], c["dtype"], c["shape"], c["sha256"]]
+             for c in footer["chunks"]]
+    assert header["source_kind"] == "v2"
+    assert header["source_sha256"] == hashlib.sha256(json.dumps(
+        [body, ident], separators=(",", ":")).encode()).hexdigest()
+
+
 @given(_noncanonical_text())
 @settings(max_examples=80, deadline=None)
 def test_property_parser_columns_equal_v2_columns(text):
     """Both decoders produce the same columns for any valid text, and
     the canonical rendering of those columns parses back to them."""
     parsed = parse_host_columns(text)
+    blob = encode_host_text(text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "2012-09-30.v2"
-        path.write_bytes(encode_host_text(text))
+        path.write_bytes(blob)
         day = read_host_day(path)
+    _assert_dumps_json(blob)
     assert _columns_map(day) == _columns_map(parsed)
     assert _columns_map(parse_host_columns(day.to_text())) \
         == _columns_map(parsed)

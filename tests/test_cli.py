@@ -415,7 +415,8 @@ def test_simulate_seed_then_append_through_the_ledger(tmp_path, capsys):
 
 
 def test_simulate_live_batches_parse_every_file_once(tmp_path, capsys):
-    """Five hourly ``--live`` batches: jobs spanning several files go on
+    """Five hourly ``--live`` batches: the segments are v2 files that
+    ``repro-stats-cat`` still reads, jobs spanning several files go on
     from their scan states (re-reading the files that hold them was 4),
     the snapshot grows monotonically, and the ledgered fingerprints and
     kept states verify against the live archive."""
@@ -429,6 +430,11 @@ def test_simulate_live_batches_parse_every_file_once(tmp_path, capsys):
         "--live", "--live-segment-seconds", "3600",
         "--live-max-batches", "5", "--telemetry-out", manifest_path]) == 0
     assert "[live] batch=0" in capsys.readouterr().out
+    segments = sorted(p for p in Path(arch).rglob("*") if p.is_file()
+                      and p.name != "archive.json")
+    assert segments and {p.suffix for p in segments} == {".v2"}
+    assert stats_cat_main([str(segments[0])]) == 0
+    assert "TACC_Stats stream" in capsys.readouterr().out
     manifest = RunManifest.read(manifest_path)
     live, counters = manifest.extra["live"], manifest.metrics.counters
     assert live["batches"] == counters["live.batches"] == 5
