@@ -24,9 +24,10 @@ Formats are detected per file, so text and v2 host-days coexist in one
 root (e.g. mid-conversion, or a v2 archive quarantining an unconvertible
 text day).  ``archive_format="v2"`` makes the *writer* emit columnar
 files (see :mod:`repro.tacc_stats.columnar`); readers need no knob.
-A v2 write produces no text, gzip stream or text hash along the way:
-the vectorized engine hands over column arrays, and the file's
-text-equivalent size and fingerprint are computed from those.
+An open file is its column arrays (:class:`~repro.tacc_stats.synth.HostFile`)
+in either format, and becomes bytes only at close: v2 chunks, whose
+text-equivalent size and fingerprint are computed from the columns, or
+the text :meth:`HostColumns.to_text` renders, gzipped when ``compress``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import zlib
 from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     QUARANTINE_DIRNAME,
@@ -49,12 +51,10 @@ from repro.errors import (
 from repro.tacc_stats.columnar import (
     V2_SUFFIX,
     V2FormatError,
-    encode_host_text,
     is_v2_path,
     read_header,
     read_host_day,
 )
-from repro.tacc_stats.format import StatsWriter
 from repro.tacc_stats.parser import (
     ParseError,
     ParseFault,
@@ -65,6 +65,9 @@ from repro.tacc_stats.types import HostColumns, HostData
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
 from repro.util.timeutil import DAY, period_label
+
+if TYPE_CHECKING:
+    from repro.tacc_stats.synth import HostFile
 
 __all__ = ["HostArchive", "ArchiveStats", "FileFingerprint",
            "ARCHIVE_META_FILENAME"]
@@ -179,13 +182,6 @@ class ArchiveStats:
         return self.raw_bytes / self.compressed_bytes
 
 
-class _OpenFile:
-    def __init__(self, path: Path, writer: StatsWriter, buffer: io.StringIO):
-        self.path = path
-        self.writer = writer
-        self.buffer = buffer
-
-
 class HostArchive:
     """Rotating per-host file store.
 
@@ -248,13 +244,8 @@ class HostArchive:
         self.compress = compress
         self.archive_format = archive_format
         self.resume_stats = resume_stats
-        self._open: dict[str, tuple[int, _OpenFile]] = {}
-        #: hostname -> callable(writer) -> (bytes, text_bytes) | None.
-        #: The vectorized synthesis engine registers one per host so v2
-        #: files are encoded from its column arrays, with no text made;
-        #: a None return falls back to encoding the writer's text.
-        self._v2_encoders: dict[
-            str, Callable[[StatsWriter], tuple[bytes, int] | None]] = {}
+        #: hostname -> (rotation segment, its open file).
+        self._open: dict[str, tuple[int, HostFile]] = {}
         self._stats: ArchiveStats | None = None
         #: stored path -> (raw, stored) contribution already counted, so
         #: a resumed writer replacing a host-day on disk swaps its
@@ -288,46 +279,19 @@ class HostArchive:
     # -- writing ---------------------------------------------------------------
 
     def writer(self, hostname: str, t: float,
-               properties: dict[str, str] | None = None) -> StatsWriter:
-        """The current writer for *hostname*, rotating at period
-        boundaries (days by default; see ``rotate_seconds``).
-
-        Note: rotation starts a fresh file with its own header, so the
-        caller (``NodeSynth``) must re-register schemas on each new
-        writer — exactly what the real tool does on its daily restart.
-        """
+               new_file: Callable[[], HostFile]) -> HostFile:
+        """The open file of *hostname*'s rotation segment (a day by
+        default; see ``rotate_seconds``) at time *t*.  When *t* is past
+        the open one's segment, that file is closed and ``new_file()``
+        starts the next, with its own header."""
         seg = int(t // self.rotate_seconds)
         current = self._open.get(hostname)
         if current is not None and current[0] == seg:
-            return current[1].writer
+            return current[1]
         if current is not None:
-            self._close_file(hostname, current[1])
-        label = period_label(seg, self.rotate_seconds)
-        hostdir = self.root / hostname
-        hostdir.mkdir(parents=True, exist_ok=True)
-        path = hostdir / label
-        buffer = io.StringIO()
-        writer = StatsWriter(buffer, hostname, properties or {})
-        of = _OpenFile(path, writer, buffer)
-        self._open[hostname] = (seg, of)
-        return writer
-
-    def set_v2_encoder(
-        self, hostname: str,
-        encoder: Callable[[StatsWriter], tuple[bytes, int] | None],
-    ) -> None:
-        """Register a v2 encoder for *hostname*'s files, until :meth:`close`.
-
-        *encoder* is called at file close as ``encoder(writer)`` and
-        returns the encoded v2 bytes with their text-equivalent size
-        (the header's ``text_bytes``), or None to fall back to encoding
-        whatever text the writer was given
-        (:func:`~repro.tacc_stats.columnar.encode_host_text`).  The
-        vectorized synthesis engine uses this to write its column
-        arrays straight into v2 chunks; the writer of such a file holds
-        the header lines only.  No-op unless ``archive_format="v2"``.
-        """
-        self._v2_encoders[hostname] = encoder
+            self._close_file(hostname, *current)
+        self._open[hostname] = (seg, new_file())
+        return self._open[hostname][1]
 
     def flush_before(self, t: float) -> int:
         """Write to disk every open file whose rotation segment ended
@@ -342,40 +306,30 @@ class HostArchive:
         """
         boundary = int(t // self.rotate_seconds)
         closed = 0
-        for hostname, (seg, of) in sorted(self._open.items()):
+        for hostname, (seg, file) in sorted(self._open.items()):
             if seg < boundary:
-                self._close_file(hostname, of)
+                self._close_file(hostname, seg, file)
                 del self._open[hostname]
                 closed += 1
         return closed
 
-    def _close_file(self, hostname: str, of: _OpenFile) -> None:
+    def _close_file(self, hostname: str, seg: int, file: HostFile) -> None:
+        path = self.root / hostname / period_label(seg, self.rotate_seconds)
+        path.parent.mkdir(parents=True, exist_ok=True)
         if self.archive_format == "v2":
-            path = of.path.with_suffix(of.path.suffix + V2_SUFFIX)
-            encoder = self._v2_encoders.get(hostname)
-            encoded = encoder(of.writer) if encoder is not None else None
-            if encoded is None:
-                text = of.buffer.getvalue()
-                encoded = encode_host_text(text), len(text.encode("utf-8"))
-            data, raw_len = encoded
-            path.write_bytes(data)
-            stored = len(data)
+            path = path.with_name(path.name + V2_SUFFIX)
+            data, raw_len = file.encode_v2()
         else:
-            text = of.buffer.getvalue()
-            raw = text.encode("utf-8")
-            raw_len = len(raw)
+            data = file.columns().to_text().encode("utf-8")
+            raw_len = len(data)
             if self.compress:
-                path = of.path.with_suffix(of.path.suffix + ".gz")
+                path = path.with_name(path.name + ".gz")
                 # mtime=0 keeps the stored bytes a pure function of the
                 # content, so the manifest's sha256 is stable across
                 # re-writes of identical data (append mode depends on it).
-                data = gzip.compress(raw, compresslevel=6, mtime=0)
-                path.write_bytes(data)
-                stored = len(data)
-            else:
-                path = of.path
-                path.write_text(text)
-                stored = raw_len
+                data = gzip.compress(data, compresslevel=6, mtime=0)
+        path.write_bytes(data)
+        stored = len(data)
         stats = self.stats
         counted = self._counted.pop(path, None)
         if counted is not None:
@@ -397,13 +351,9 @@ class HostArchive:
 
     def close(self) -> ArchiveStats:
         """Flush all open files; returns the final volume accounting."""
-        for hostname, (_, of) in sorted(self._open.items()):
-            self._close_file(hostname, of)
+        for hostname, (seg, file) in sorted(self._open.items()):
+            self._close_file(hostname, seg, file)
         self._open.clear()
-        # Encoders are bound methods of engines that hold this archive:
-        # dropped here (an engine registers again with its next file),
-        # the pair is freed by reference count, not by a later GC pass.
-        self._v2_encoders.clear()
         return self.stats
 
     # -- reading ---------------------------------------------------------------

@@ -77,6 +77,7 @@ from repro.telemetry.metrics import get_registry
 __all__ = [
     "V2_SUFFIX",
     "V2FormatError",
+    "block_columns",
     "decimal_digits",
     "encode_host_blocks",
     "encode_host_text",
@@ -130,8 +131,6 @@ def _pad_to(parts: list[bytes], size: int, align: int = _ALIGN) -> int:
     return size
 
 
-_TypeArrays = tuple[TypeSchema, tuple[str, ...], np.ndarray, np.ndarray]
-
 #: ``json.dumps(obj, separators=(",", ":"))`` without an encoder per call.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -173,48 +172,34 @@ def _type_table(key: tuple[tuple[str, tuple[str, ...]], ...]) -> _TypeTable:
             for kind in ("dev", "val"))])))
 
 
-def _text_bytes(properties: dict[str, str], table: _TypeTable,
-                types: list[_TypeArrays], times: np.ndarray,
-                tags: np.ndarray, jobid_tags: list[str],
-                marks: list[tuple[int, str, str]]) -> int:
-    """``len(HostColumns.to_text().encode())`` without rendering: the
-    header lines, one ``<time> <tag>`` line per block, one ``%<kind>
-    <jobid>`` line per mark, and per data row its ``<type> <device> ``
-    prefix, the decimal digits of its values and one separator or
-    newline after each."""
-    tag_len = np.array([_utf8_len(tag) for tag in jobid_tags],
+def _text_bytes(day: HostColumns, table: _TypeTable) -> int:
+    """``len(day.to_text().encode())`` without rendering: the header
+    lines, one ``<time> <tag>`` line per block, one ``%<kind> <jobid>``
+    line per mark, and per data row its ``<type> <device> `` prefix,
+    the decimal digits of its values and one separator or newline after
+    each."""
+    tag_len = np.array([_utf8_len(tag) for tag in day.jobid_tags],
                        dtype=np.int64)
     total = (
-        sum(_utf8_len(f"${k} {v}\n") for k, v in properties.items())
+        sum(_utf8_len(f"${k} {v}\n") for k, v in day.properties.items())
         + table.line_bytes
-        + sum(len(_format_time(t)) + 2 for t in times.tolist())
-        + int(tag_len[tags].sum())
+        + sum(len(_format_time(t)) + 2 for t in day.times.tolist())
+        + int(tag_len[day.tags].sum())
         + sum(_utf8_len(kind) + _utf8_len(jobid) + 3
-              for _b, kind, jobid in marks))
-    if types:
-        dev_idx = np.concatenate([dev_idx for _s, _d, dev_idx, _v in types])
-        values = np.concatenate([values.ravel() for *_t, values in types])
+              for _b, kind, jobid in day.marks))
+    if day.types:
+        dev_idx = np.concatenate([tc.dev_idx for tc in day.types])
+        values = np.concatenate([tc.values.ravel() for tc in day.types])
         total += (int(table.row_bytes[dev_idx + np.repeat(
-            table.dev_base, [v.shape[0] for *_t, v in types])].sum())
+            table.dev_base, [tc.values.shape[0] for tc in day.types])].sum())
             + int(decimal_digits(values).sum()))
     return total
 
 
-def _encode_columns(
-    hostname: str,
-    properties: dict[str, str],
-    types: list[_TypeArrays],
-    times: np.ndarray,
-    tags: np.ndarray,
-    jobid_tags: list[str],
-    marks: list[tuple[int, str, str]],
-    row_type: np.ndarray,
-    row_block: np.ndarray,
-    source: tuple[str, str] | None,
-) -> tuple[bytes, int]:
+def _encode_columns(day: HostColumns,
+                    source: tuple[str, str] | None) -> tuple[bytes, int]:
     """Header + chunks of one host-day, assembled: ``(v2 bytes,
-    text_bytes)``.  *types* is ``(schema, devices, dev_idx, values)``
-    per record type; *source* as for :func:`encode_host_text`.
+    text_bytes)``.  *source* as for :func:`encode_host_text`.
 
     The one place a v2 file is put together — from parsed text and
     from synthesized arrays alike — so equal columns give equal bytes.
@@ -222,24 +207,23 @@ def _encode_columns(
     for the header and footer dicts in the module docstring, put
     together from parts (what the types fix is built once per suite).
     """
-    table = _type_table(tuple((schema.header_line(), devices)
-                              for schema, devices, _i, _v in types))
-    text_bytes = _text_bytes(properties, table, types, times, tags,
-                             jobid_tags, marks)
+    table = _type_table(tuple((tc.schema.header_line(), tc.devices)
+                              for tc in day.types))
+    text_bytes = _text_bytes(day, table)
     # The header up to its source fields: what a content fingerprint
     # covers, with ``source_kind``.
     head = (
         f'{{"format":"repro-columnar","version":{_VERSION},'
-        f'"hostname":{_dumps(hostname)},'
-        f'"properties":{_dumps(list(properties.items()))},'
+        f'"hostname":{_dumps(day.hostname)},'
+        f'"properties":{_dumps(list(day.properties.items()))},'
         + table.schemas_json
-        + ",".join(f"{entry}{values.shape[0]}}}" for entry, (*_t, values)
-                   in zip(table.types_json, types))
-        + f'],"n_blocks":{times.shape[0]},'
-        f'"jobid_tags":{_dumps(jobid_tags)},"marks":{_dumps(marks)},'
-        f'"text_bytes":{text_bytes}')
-    arrays = [times, tags, row_type, row_block, *(
-        arr for _s, _d, dev_idx, values in types for arr in (dev_idx, values))]
+        + ",".join(f"{entry}{tc.values.shape[0]}}}"
+                   for entry, tc in zip(table.types_json, day.types))
+        + f'],"n_blocks":{day.times.shape[0]},'
+        f'"jobid_tags":{_dumps(day.jobid_tags)},'
+        f'"marks":{_dumps(day.marks)},"text_bytes":{text_bytes}')
+    arrays = [day.times, day.tags, day.row_type, day.row_block, *(
+        arr for tc in day.types for arr in (tc.dev_idx, tc.values))]
     datas = [arr.tobytes() for arr in arrays]
     # name, dtype, shape, sha256 of each chunk, as JSON.
     idents = [(name, f'"{arr.dtype.str}"',
@@ -291,15 +275,10 @@ def encode_host_text(text: str,
     ``"v2"`` — what :func:`encode_host_blocks` writes for the same
     columns.
     """
-    day = parse_host_columns(text)
-    return _encode_columns(
-        day.hostname, day.properties,
-        [(tc.schema, tc.devices, tc.dev_idx, tc.values) for tc in day.types],
-        day.times, day.tags, day.jobid_tags, day.marks,
-        day.row_type, day.row_block, source)[0]
+    return _encode_columns(parse_host_columns(text), source)[0]
 
 
-def encode_host_blocks(
+def block_columns(
     hostname: str,
     properties: dict[str, str],
     schemas: list[TypeSchema],
@@ -308,21 +287,16 @@ def encode_host_blocks(
     tags: list[str],
     marks: list[tuple[int, str, str]],
     values_by_type: list[np.ndarray],
-) -> tuple[bytes, int]:
-    """Encode synthesized column arrays straight into v2 bytes; returns
-    them with the file's ``text_bytes``.
+) -> HostColumns:
+    """Synthesized blocks as the :class:`HostColumns` a file of them
+    decodes to.
 
-    The direct-to-v2 path: the vectorized synthesis engine holds every
-    block's values as ``[n_blocks, n_devices, n_values]`` uint64 arrays
-    per type, and no text of them is ever made.  Every block carries
-    every (type, device) row in suite order, which is exactly what a
-    text archive holds, so the columns — and with them the bytes,
-    content fingerprint included — equal what :func:`encode_host_text`
-    gives for that text.
-
-    *times* holds the block timestamps as serialized
-    (``float(int(t))``); *marks* are ``(block_index, kind, jobid)`` in
-    file order.
+    The engine holds every block's values as ``[n_blocks, n_devices,
+    n_values]`` uint64 arrays per type, and every block carries every
+    (type, device) row in suite order — exactly what a text archive
+    holds.  *times* holds the block timestamps as serialized
+    (``float(int(t))``), *tags* each block's job-id tag, and *marks*
+    are ``(block_index, kind, jobid)`` in file order.
     """
     n_blocks = int(np.asarray(times).shape[0])
     tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
@@ -331,27 +305,50 @@ def encode_host_blocks(
     # row per device.
     pattern = np.repeat(np.arange(len(devices_by_type), dtype="<u2"),
                         [len(devs) for devs in devices_by_type])
+    block_of_row = np.arange(n_blocks, dtype="<u4")
+    # (dev_idx, block_idx) depend only on the device count; types that
+    # share one share the (read-only) arrays.
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     types = []
-    for i, schema in enumerate(schemas):
-        n_dev = len(devices_by_type[i])
+    for schema, devices, vals in zip(schemas, devices_by_type,
+                                     values_by_type):
+        n_dev = len(devices)
         k = schema.n_values
-        vals = np.asarray(values_by_type[i])
+        vals = np.asarray(vals)
         if vals.shape != (n_blocks, n_dev, k):
             raise ValueError(
                 f"{schema.type_name}: values shape {vals.shape}, "
                 f"expected {(n_blocks, n_dev, k)}")
-        types.append((
-            schema, devices_by_type[i],
-            np.arange(n_blocks * n_dev, dtype="<u4") % n_dev,
-            vals.reshape(n_blocks * n_dev, k).astype("<u8", copy=False)))
-    return _encode_columns(
-        hostname, properties, types,
-        np.asarray(times, dtype="<f8"),
-        np.array([tag_table[tag] for tag in tags], dtype="<u4"),
-        list(tag_table), marks,
-        np.tile(pattern, n_blocks),
-        np.repeat(np.arange(n_blocks, dtype="<u4"), pattern.shape[0]),
-        None)
+        if n_dev not in rows:
+            rows[n_dev] = (
+                np.arange(n_blocks * n_dev, dtype="<u4") % n_dev,
+                np.repeat(block_of_row, n_dev))
+        dev_idx, block_idx = rows[n_dev]
+        types.append(TypeColumns(
+            name=schema.type_name, schema=schema, devices=tuple(devices),
+            dev_idx=dev_idx, block_idx=block_idx,
+            values=vals.reshape(n_blocks * n_dev, k).astype(
+                "<u8", copy=False)))
+    return HostColumns(
+        hostname=hostname, properties=properties, types=types,
+        times=np.asarray(times, dtype="<f8"),
+        tags=np.array([tag_table[tag] for tag in tags], dtype="<u4"),
+        jobid_tags=list(tag_table), marks=marks,
+        row_type=np.tile(pattern, n_blocks),
+        row_block=np.repeat(block_of_row, pattern.shape[0]))
+
+
+def encode_host_blocks(day: HostColumns) -> tuple[bytes, int]:
+    """Encode a synthesized file's columns (:func:`block_columns`) into
+    v2 bytes with a content fingerprint; returns them with the file's
+    ``text_bytes``.
+
+    No text of them is ever made, and the bytes equal what
+    :func:`encode_host_text` gives for the text of the same blocks.
+    The synthesis engine calls this by name: the e2e benchmark harness
+    wraps it there to time ``tacc_stats.archive.encode_v2_s``.
+    """
+    return _encode_columns(day, None)
 
 
 def read_header(path: Path) -> dict:

@@ -29,14 +29,28 @@ from typing import TextIO
 import numpy as np
 
 from repro.tacc_stats.schema import TypeSchema
-from repro.telemetry.metrics import get_registry
 
-__all__ = ["StatsWriter", "FORMAT_VERSION"]
+__all__ = ["StatsWriter", "FORMAT_VERSION", "header_properties"]
 
 FORMAT_VERSION = "1.0.2"
 
 #: Values are uint64: the first integer a row may not hold.
 _UINT64_END = 1 << 64
+
+
+def header_properties(hostname: str,
+                      properties: dict[str, str] | None) -> dict[str, str]:
+    """A file's ``$`` header lines as an ordered dict: the format
+    version, the hostname (no spaces), then *properties* (no
+    newlines)."""
+    if not hostname or " " in hostname:
+        raise ValueError(f"bad hostname {hostname!r}")
+    header = {"tacc_stats": FORMAT_VERSION, "hostname": hostname}
+    for k, v in (properties or {}).items():
+        if "\n" in str(v):
+            raise ValueError(f"property {k} contains newline")
+        header[k] = str(v)
+    return header
 
 
 class StatsWriter:
@@ -50,8 +64,6 @@ class StatsWriter:
 
     def __init__(self, sink: TextIO, hostname: str,
                  properties: dict[str, str] | None = None):
-        if not hostname or " " in hostname:
-            raise ValueError(f"bad hostname {hostname!r}")
         self._sink = sink
         self._schemas: dict[str, TypeSchema] = {}
         self._header_flushed = False
@@ -59,11 +71,7 @@ class StatsWriter:
         self._block_types_seen: set[tuple[str, str]] = set()
         self._last_time: float | None = None
         self.hostname = hostname
-        self.properties = {"tacc_stats": FORMAT_VERSION, "hostname": hostname}
-        for k, v in (properties or {}).items():
-            if "\n" in str(v):
-                raise ValueError(f"property {k} contains newline")
-            self.properties[k] = str(v)
+        self.properties = header_properties(hostname, properties)
         self.bytes_written = 0
 
     def register_schema(self, schema: TypeSchema) -> None:
@@ -86,9 +94,6 @@ class StatsWriter:
         for schema in self._schemas.values():
             self._write(schema.header_line() + "\n")
         self._header_flushed = True
-        # One stream == one flushed header; counted here (not per row)
-        # so writing stays off the telemetry hot path.
-        get_registry().counter("format.streams_started").inc()
 
     def begin_block(self, time: float, jobids: tuple[str, ...] = ()) -> None:
         """Start the record block for one collector invocation."""
@@ -140,27 +145,6 @@ class StatsWriter:
         # poison the block for the corrected retry.
         self._block_types_seen.add(key)
         self._write(f"{type_name} {device} {' '.join(map(str, ints))}\n")
-
-    def append_rendered(self, first_time: float, last_time: float,
-                        text: str) -> None:
-        """Append pre-rendered block text (the vectorized synthesis path).
-
-        *text* must be complete, already-validated block output — one or
-        more ``begin_block``-equivalent sections whose first block starts
-        at *first_time* and whose last starts at *last_time*.  The header
-        is flushed and monotonicity enforced exactly as :meth:`begin_block`
-        would; per-row validation is the caller's responsibility (the
-        synthesis engine renders from schema-conformant uint64 arrays).
-        """
-        self._flush_header()
-        if self._last_time is not None and first_time < self._last_time:
-            raise ValueError(
-                f"non-monotonic block time {first_time} after "
-                f"{self._last_time}"
-            )
-        self._last_time = last_time
-        self._in_block = False
-        self._write(text)
 
     @property
     def schemas(self) -> dict[str, TypeSchema]:

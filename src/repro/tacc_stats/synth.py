@@ -10,10 +10,9 @@ drives, however many jobs begin meanwhile — and the first
 whole queue as one :class:`~repro.tacc_stats.collectors.base.BlockContext`,
 calling every collector's batched ``sample_block`` kernel once.  The resulting
 ``[T, devices, values]`` uint64 arrays are held, and each ``flush(until)``
-releases the rows the clock has passed: rendered to text in bulk for a
-text archive; for a v2 archive kept as they are and handed to
-:func:`~repro.tacc_stats.columnar.encode_host_blocks` when the file
-closes — no row or block text is made on that path.
+releases the rows the clock has passed to the open :class:`HostFile` of
+their rotation segment, as they are.  A file becomes bytes only when the
+archive closes it: v2 chunks, or the text those columns render to.
 
 Each collector's scalar ``sample()`` / ``advance()`` is the kernels'
 reference, and byte-identity with it is a hard contract, not an
@@ -28,6 +27,8 @@ scalar loop — and diff the two archives end to end, text and v2.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
+from functools import partial
 from operator import attrgetter
 from typing import Callable
 
@@ -37,13 +38,15 @@ from repro.cluster.node import Node
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors import Collector, build_collectors
 from repro.tacc_stats.collectors.base import BlockContext
-from repro.tacc_stats.columnar import encode_host_blocks
-from repro.tacc_stats.format import StatsWriter
+from repro.tacc_stats.columnar import block_columns, encode_host_blocks
+from repro.tacc_stats.format import header_properties
+from repro.tacc_stats.schema import TypeSchema
+from repro.tacc_stats.types import HostColumns
 from repro.telemetry.metrics import get_registry
 from repro.workload.applications import RATE_FIELDS
 from repro.workload.behavior import JobBehavior
 
-__all__ = ["NodeSynth"]
+__all__ = ["HostFile", "NodeSynth"]
 
 
 class _Pending:
@@ -62,25 +65,67 @@ class _Pending:
         #: from, or None for an idle interval.
         self.rate_src = rate_src
 
-    @property
-    def tag(self) -> str:
-        """The block's job-tag field."""
-        return ",".join(self.jobids) if self.jobids else "-"
 
+class HostFile:
+    """One archive file while it is open: its header and the column
+    chunks of every block released to it.
 
-class _V2Accum:
-    """Per-open-file accumulation of synthesized v2 columns."""
+    It becomes bytes only when :class:`HostArchive` closes it —
+    :meth:`encode_v2` for a v2 archive, the text :meth:`columns`
+    render to for a text one.  A fresh file (rotation) carries the
+    whole header again, as the real tool does on its daily restart.
+    """
 
-    __slots__ = ("writer", "times", "tags", "marks", "values")
+    __slots__ = ("hostname", "properties", "schemas", "devices", "times",
+                 "tags", "marks", "values")
 
-    def __init__(self, writer: StatsWriter, n_collectors: int):
-        self.writer = writer
+    def __init__(self, hostname: str, schemas: Sequence[TypeSchema],
+                 devices_by_type: Sequence[tuple[str, ...]]):
+        self.properties = header_properties(hostname, None)
+        self.hostname = hostname
+        self.schemas = schemas
+        self.devices = devices_by_type
         self.times: list[float] = []
         self.tags: list[str] = []
         self.marks: list[tuple[int, str, str]] = []
-        self.values: list[list[np.ndarray]] = [
-            [] for _ in range(n_collectors)
-        ]
+        self.values: list[list[np.ndarray]] = [[] for _ in schemas]
+
+    def append(self, times: Sequence[float],
+               jobids: Sequence[tuple[str, ...]],
+               marks: Iterable[tuple[int, str, str]],
+               values_by_type: Sequence[np.ndarray]) -> None:
+        """Add a run of blocks: their times and job-id tuples, their
+        marks as ``(block in the run, kind, jobid)``, and per type a
+        ``[blocks, devices, values]`` uint64 array, which the file
+        keeps as given.  A block time before the one ahead of it in
+        the file is refused."""
+        # The text holds int(t), so its re-parse does too.
+        stamps = [float(int(t)) for t in times]
+        seq = self.times[-1:] + stamps
+        if any(b < a for a, b in zip(seq, seq[1:])):
+            raise ValueError(f"{self.hostname}: non-monotonic block time")
+        base = len(self.times)
+        self.times += stamps
+        self.tags += [",".join(ids) if ids else "-" for ids in jobids]
+        self.marks += [(base + b, kind, jobid) for b, kind, jobid in marks]
+        for chunks, vals in zip(self.values, values_by_type):
+            chunks.append(np.asarray(vals, dtype=np.uint64))
+
+    def columns(self) -> HostColumns:
+        """The file's blocks as the columns its bytes decode to."""
+        values = [chunks[0] if len(chunks) == 1
+                  else np.concatenate(chunks) if chunks
+                  else np.empty((0, len(devs), s.n_values), np.uint64)
+                  for chunks, s, devs in zip(self.values, self.schemas,
+                                             self.devices)]
+        return block_columns(
+            self.hostname, self.properties, self.schemas, self.devices,
+            np.array(self.times, dtype=np.float64), self.tags, self.marks,
+            values)
+
+    def encode_v2(self) -> tuple[bytes, int]:
+        """The file as v2 bytes, with its ``text_bytes``."""
+        return encode_host_blocks(self.columns())
 
 
 class NodeSynth:
@@ -89,9 +134,9 @@ class NodeSynth:
     :meth:`flush` the driver calls with its clock: the job state here
     runs ahead of that clock, by up to a day.
 
-    Writes go straight to a :class:`HostArchive` — rotation, schema
-    re-registration on fresh files, and (for v2 archives) direct column
-    encoding are all handled here.
+    Released rows go to the :class:`HostFile` the archive has open for
+    their rotation segment; the archive starts one with this node's
+    suite when the segment changes.
     """
 
     def __init__(
@@ -116,11 +161,10 @@ class NodeSynth:
         self._held: tuple[list[_Pending], list[np.ndarray]] | None = None
         self._released = 0
         self._rows_per_sample = sum(len(c.devices) for c in self.collectors)
-        self._v2 = archive.archive_format == "v2"
-        #: id(writer) -> accumulated columns; the accum holds a strong
-        #: reference to its writer (checked with ``is``) so a recycled
-        #: id can never alias a rotated-away file.
-        self._accums: dict[int, _V2Accum] = {}
+        self._new_file = partial(
+            HostFile, node.hostname,
+            tuple(c.schema for c in self.collectors),
+            tuple(c.devices for c in self.collectors))
         get_registry().counter("synth.nodes").inc()
 
     # -- job lifecycle -------------------------------------------------------
@@ -237,105 +281,31 @@ class NodeSynth:
         get_registry().counter("synth.chunks").inc()
         return pending, [c.sample_block(block) for c in self.collectors]
 
-    def _render_rows(self, vals_by_collector: list[np.ndarray],
-                     lo: int, hi: int) -> list[list[str]]:
-        """Every (collector, device) row stream of rows ``[lo, hi)`` as
-        text lines, in bulk: uint64 .tolist() yields Python ints whose
-        str() matches the scalar writer's str(int(v)) exactly."""
-        line_lists: list[list[str]] = []
-        for c, vals in zip(self.collectors, vals_by_collector):
-            for d, dev in enumerate(c.devices):
-                prefix = f"{c.type_name} {dev} "
-                line_lists.append([
-                    prefix + " ".join(map(str, row)) + "\n"
-                    for row in vals[lo:hi, d, :].tolist()
-                ])
-        return line_lists
-
     def _write_runs(self, pending: list[_Pending],
                     vals_by_collector: list[np.ndarray],
                     lo: int, hi: int) -> None:
-        """Write block rows ``[lo, hi)`` to the archive, splitting the run
-        at rotation-segment boundaries (each segment is its own file).  A
-        text archive gets the rendered blocks; a v2 archive gets no
-        text at all — the columns are kept for the file's close."""
+        """Append block rows ``[lo, hi)`` to the archive's open files,
+        splitting the run at rotation-segment boundaries (each segment
+        is its own file)."""
         rot = self.archive.rotate_seconds
-        hostname = self.node.hostname
-        line_lists = ([] if self._v2
-                      else self._render_rows(vals_by_collector, lo, hi))
         i0 = lo
         while i0 < hi:
             seg = int(pending[i0].t // rot)
             i1 = i0 + 1
             while i1 < hi and int(pending[i1].t // rot) == seg:
                 i1 += 1
-            w = self.archive.writer(hostname, pending[i0].t)
-            # Rotation starts a fresh file with its own header: its
-            # schemas are registered again.
-            if self.collectors[0].schema.type_name not in w.schemas:
-                for c in self.collectors:
-                    w.register_schema(c.schema)
-            parts: list[str] = []
-            if self._v2:
-                self._accumulate_v2(w, pending, i0, i1, vals_by_collector)
-            else:
-                for i in range(i0, i1):
-                    p = pending[i]
-                    parts.append(f"{int(p.t)} {p.tag}\n")
-                    if p.mark is not None:
-                        parts.append(f"%{p.mark[0]} {p.mark[1]}\n")
-                    for lines in line_lists:
-                        parts.append(lines[i - lo])
-            # With no parts the writer still flushes its header and
-            # enforces monotonic time.
-            w.append_rendered(pending[i0].t, pending[i1 - 1].t,
-                              "".join(parts))
+            run = pending[i0:i1]
+            # A file owns its rows unless it took the block whole: a
+            # view of rows released from a block that feeds other
+            # files, or is still held, would pin the whole block until
+            # this file closes.
+            whole = i0 == 0 and i1 == len(pending)
+            file = self.archive.writer(self.node.hostname, run[0].t,
+                                       self._new_file)
+            file.append(
+                [p.t for p in run], [p.jobids for p in run],
+                [(b, *p.mark) for b, p in enumerate(run)
+                 if p.mark is not None],
+                [vals if whole else vals[i0:i1].copy()
+                 for vals in vals_by_collector])
             i0 = i1
-
-    # -- direct v2 encoding --------------------------------------------------
-
-    def _accumulate_v2(self, w: StatsWriter, pending: list[_Pending],
-                       i0: int, i1: int,
-                       vals_by_collector: list[np.ndarray]) -> None:
-        accum = self._accums.get(id(w))
-        if accum is None or accum.writer is not w:
-            accum = self._accums[id(w)] = _V2Accum(
-                w, len(self.collectors))
-            self.archive.set_v2_encoder(self.node.hostname, self._encode_v2)
-        base = len(accum.times)
-        for off, p in enumerate(pending[i0:i1]):
-            # begin_block serializes int(t), so the re-parsed text path
-            # would store float(int(t)) — match it exactly.
-            accum.times.append(float(int(p.t)))
-            accum.tags.append(p.tag)
-            if p.mark is not None:
-                accum.marks.append((base + off, p.mark[0], p.mark[1]))
-        # A file owns its rows unless it took the block whole: a view of
-        # rows released from a block that feeds other files, or is still
-        # held, would pin the whole block until this file closes.
-        whole = i0 == 0 and i1 == len(pending)
-        for ci, vals in enumerate(vals_by_collector):
-            accum.values[ci].append(vals if whole else vals[i0:i1].copy())
-
-    def _encode_v2(self, writer: StatsWriter) -> tuple[bytes, int] | None:
-        """Archive close callback: encode this file's accumulated
-        columns to ``(v2 bytes, text_bytes)``; None (fall back to the
-        writer's text) when the file was not produced by this engine."""
-        accum = self._accums.pop(id(writer), None)
-        if accum is None or accum.writer is not writer or not accum.times:
-            return None
-        values = [
-            chunks[0] if len(chunks) == 1
-            else np.concatenate(chunks, axis=0)
-            for chunks in accum.values
-        ]
-        return encode_host_blocks(
-            hostname=writer.hostname,
-            properties=writer.properties,
-            schemas=[c.schema for c in self.collectors],
-            devices_by_type=[c.devices for c in self.collectors],
-            times=np.array(accum.times, dtype=np.float64),
-            tags=accum.tags,
-            marks=accum.marks,
-            values_by_type=values,
-        )

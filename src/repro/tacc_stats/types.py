@@ -228,39 +228,30 @@ class HostColumns:
         trailing zeros, interleaved type runs inside one block)
         round-trips value-identically in canonical form.
         """
-        out: list[str] = []
-        for k, v in self.properties.items():
-            out.append(f"${k} {v}\n")
+        out = [f"${k} {v}\n" for k, v in self.properties.items()]
+        out += [tc.schema.header_line() + "\n" for tc in self.types]
+        # Every row's line, type after type (one %-format per row: a
+        # Python int's %d is its str), then in row-stream order.
+        lines: list[str] = []
         for tc in self.types:
-            out.append(tc.schema.header_line() + "\n")
+            values = " ".join(["%d"] * tc.schema.n_values) + "\n"
+            fmts = [f"{tc.name} {dev} ".replace("%", "%%") + values
+                    for dev in tc.devices]
+            lines += [fmts[d] % tuple(row) for d, row in
+                      zip(tc.dev_idx.tolist(), tc.values.tolist())]
+        order = np.empty(len(lines), dtype=np.intp)
+        order[np.argsort(self.row_type, kind="stable")] = np.arange(
+            len(lines))
+        lines = list(map(lines.__getitem__, order.tolist()))
+        bounds = np.searchsorted(
+            self.row_block, np.arange(len(self.times) + 1)).tolist()
 
-        marks_by_block: dict[int, list[tuple[str, str]]] = {}
+        marks_by_block: dict[int, list[str]] = {}
         for b, kind, jobid in self.marks:
-            marks_by_block.setdefault(b, []).append((kind, jobid))
-
-        tags = self.jobid_tags
-        row_type = self.row_type.tolist()
-        row_block = self.row_block.tolist()
-        cursors = [0] * len(self.types)
-        dev_lists = [
-            [tc.devices[i] for i in tc.dev_idx.tolist()]
-            for tc in self.types
-        ]
-        val_lists = [tc.values.tolist() for tc in self.types]
-        names = [tc.name for tc in self.types]
-
-        r = 0
-        n_rows = len(row_type)
+            marks_by_block.setdefault(b, []).append(f"%{kind} {jobid}\n")
         for bi, (t, g) in enumerate(zip(self.times.tolist(),
                                         self.tags.tolist())):
-            out.append(f"{_format_time(t)} {tags[g]}\n")
-            for kind, jobid in marks_by_block.get(bi, ()):
-                out.append(f"%{kind} {jobid}\n")
-            while r < n_rows and row_block[r] == bi:
-                ti = row_type[r]
-                c = cursors[ti]
-                cursors[ti] = c + 1
-                vals = " ".join(map(str, val_lists[ti][c]))
-                out.append(f"{names[ti]} {dev_lists[ti][c]} {vals}\n")
-                r += 1
+            out.append(f"{_format_time(t)} {self.jobid_tags[g]}\n")
+            out += marks_by_block.get(bi, ())
+            out += lines[bounds[bi]:bounds[bi + 1]]
         return "".join(out)

@@ -17,6 +17,7 @@ The headline guarantees proved here:
 import functools
 import io
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -230,11 +231,8 @@ def _overflow_v2(path: Path) -> None:
     values = victim.values.copy()
     values[0, col] += np.uint64(1 << width)
     blob, _ = _encode_columns(
-        day.hostname, day.properties,
-        [(tc.schema, tc.devices, tc.dev_idx,
-          values if tc is victim else tc.values) for tc in day.types],
-        day.times, day.tags, day.jobid_tags, day.marks, day.row_type,
-        day.row_block,
+        replace(day, types=[replace(tc, values=values) if tc is victim
+                            else tc for tc in day.types]),
         (day.header["source_sha256"], day.header["source_kind"]))
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)

@@ -427,13 +427,10 @@ def test_archive_stats_resume_from_disk(corpus, tmp_path):
 
 
 def _write_one_day(archive, t=100.0):
-    from repro.tacc_stats.schema import SchemaEntry, TypeSchema
+    from tests.tacc_stats.test_archive import cpu_file
 
-    writer = archive.writer("c001", t)
-    writer.register_schema(
-        TypeSchema("cpu", (SchemaEntry("user", is_event=True),)))
-    writer.begin_block(t)
-    writer.write_row("cpu", "0", [1])
+    archive.writer("c001", t, cpu_file("c001")).append(
+        [t], [()], [], [[[[1]]]])
 
 
 def test_rewriting_a_host_day_swaps_not_adds(tmp_path):
@@ -505,27 +502,22 @@ LB_HOURS = 5
 def lookback_corpus(tmp_path_factory):
     """(config, finished hourly archive, accounting text) for LB_JOBS."""
     from repro.scheduler.job import ExitStatus, JobRecord, JobRequest
-    from repro.tacc_stats.schema import SchemaEntry, TypeSchema
     from repro.util.timeutil import HOUR
+    from tests.tacc_stats.test_archive import cpu_file
 
     cfg = TEST_SYSTEM.scaled(num_nodes=len(LB_HOSTS), horizon_days=1)
     root = tmp_path_factory.mktemp("lookback_corpus")
     archive = HostArchive(root, rotate_seconds=HOUR)
-    schema = TypeSchema("cpu", (SchemaEntry("user", is_event=True),))
     for host in LB_HOSTS:
         for t in range(0, LB_HOURS * HOUR, 600):
-            writer = archive.writer(host, float(t))
-            if not writer.schemas:
-                writer.register_schema(schema)
             mine = {j: (s, e) for j, (hosts, s, e) in LB_JOBS.items()
                     if host in hosts and s <= t <= e}
-            writer.begin_block(float(t), tuple(sorted(mine)))
-            for jobid, (start, end) in sorted(mine.items()):
-                if t == start:
-                    writer.write_mark("begin", jobid)
-                if t == end:
-                    writer.write_mark("end", jobid)
-            writer.write_row("cpu", "0", [t])
+            marks = [(0, kind, jobid)
+                     for jobid, (start, end) in sorted(mine.items())
+                     for kind, at in (("begin", start), ("end", end))
+                     if t == at]
+            archive.writer(host, float(t), cpu_file(host)).append(
+                [t], [tuple(sorted(mine))], marks, [[[[t]]]])
     archive.close()
 
     records = [

@@ -266,16 +266,13 @@ def test_flush_before_closes_only_completed_segments(tmp_path):
     """A host idle across a rotation boundary still gets its completed
     segment flushed to disk (visible to the manifest) without touching
     the open one."""
-    from repro.tacc_stats.schema import SchemaEntry, TypeSchema
+    from tests.tacc_stats.test_archive import cpu_file
 
     archive = HostArchive(tmp_path / "arch", rotate_seconds=HOUR)
 
     def write(host, t):
-        w = archive.writer(host, t)
-        w.register_schema(
-            TypeSchema("cpu", (SchemaEntry("user", is_event=True),)))
-        w.begin_block(t)
-        w.write_row("cpu", "0", [1])
+        archive.writer(host, t, cpu_file(host)).append(
+            [t], [()], [], [[[[1]]]])
 
     write("c001", 100.0)       # segment 0
     write("c002", 3700.0)      # segment 1 (already past the boundary)

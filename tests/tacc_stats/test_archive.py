@@ -6,19 +6,22 @@ import pytest
 
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
+from repro.tacc_stats.synth import HostFile
 from repro.util.timeutil import DAY
 
 CPU = TypeSchema("cpu", (SchemaEntry("user", is_event=True),))
 
 
+def cpu_file(host):
+    """A factory of *host*'s files with one ``cpu`` device."""
+    return lambda: HostFile(host, [CPU], [("0",)])
+
+
 def write_day(archive, host, day, blocks=3):
     for k in range(blocks):
         t = day * DAY + 600.0 * (k + 1)
-        w = archive.writer(host, t)
-        if "cpu" not in w.schemas:
-            w.register_schema(CPU)
-        w.begin_block(t)
-        w.write_row("cpu", "0", [k * 100])
+        archive.writer(host, t, cpu_file(host)).append(
+            [t], [()], [], [[[[k * 100]]]])
 
 
 def test_daily_rotation_creates_one_file_per_day(tmp_path):
@@ -72,11 +75,20 @@ def test_read_missing_host_raises(tmp_path):
 
 def test_same_day_reuses_writer(tmp_path):
     archive = HostArchive(tmp_path, compress=False)
-    w1 = archive.writer("h1", 600.0)
-    w2 = archive.writer("h1", 1200.0)
+    w1 = archive.writer("h1", 600.0, cpu_file("h1"))
+    w2 = archive.writer("h1", 1200.0, cpu_file("h1"))
     assert w1 is w2
-    w3 = archive.writer("h1", DAY + 600.0)
+    w3 = archive.writer("h1", DAY + 600.0, cpu_file("h1"))
     assert w3 is not w1
+
+
+def test_a_host_file_refuses_a_hostname_or_time_its_text_cannot_hold():
+    with pytest.raises(ValueError, match="bad hostname"):
+        HostFile("has space", [CPU], [("0",)])
+    file = cpu_file("h1")()
+    file.append([1200.0], [()], [], [[[[1]]]])
+    with pytest.raises(ValueError, match="non-monotonic"):
+        file.append([600.0], [()], [], [[[[2]]]])
 
 
 def test_empty_stats(tmp_path):

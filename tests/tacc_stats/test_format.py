@@ -133,6 +133,11 @@ def test_bad_hostname_rejected():
         StatsWriter(io.StringIO(), "has space")
 
 
+def test_newline_in_property_rejected():
+    with pytest.raises(ValueError, match="newline"):
+        StatsWriter(io.StringIO(), "h1", {"uname": "a\nb"})
+
+
 def test_bytes_written_tracked():
     buf, w = writer()
     w.begin_block(100.0)

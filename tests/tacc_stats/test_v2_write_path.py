@@ -16,7 +16,6 @@ used to take from the text is computed from the columns instead:
 
 import gzip
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +27,16 @@ from repro.config import LONESTAR4, RANGER, STAMPEDE
 from repro.live.runner import LiveReplay
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.columnar import (
+    block_columns,
     decimal_digits,
     encode_host_blocks,
     encode_host_text,
     read_header,
     read_host_day,
 )
-from repro.tacc_stats.format import StatsWriter
 from repro.tacc_stats.schema import TypeSchema
+from repro.tacc_stats.types import HostColumns
+from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.util.timeutil import DAY, HOUR
 from tests.tacc_stats.test_columnar import VALID
 
@@ -176,7 +177,7 @@ def test_blocks_and_text_encoders_agree_byte_for_byte():
         np.array([[[1000, 2000]], [[4000, 8000]], [[9000, 16000]]],
                  dtype=np.uint64),
     ]
-    blob, text_bytes = encode_host_blocks(
+    blob, text_bytes = encode_host_blocks(block_columns(
         hostname="i101-101",
         properties={"hostname": "i101-101", "uname": "Linux 2.6.18"},
         schemas=schemas,
@@ -184,7 +185,7 @@ def test_blocks_and_text_encoders_agree_byte_for_byte():
         times=np.array([1349000000.0, 1349000600.0, 1349001200.0]),
         tags=["-", "2001", "2001"],
         marks=[(1, "begin", "2001"), (2, "end", "2001")],
-        values_by_type=values)
+        values_by_type=values))
     assert blob == encode_host_text(VALID)
     assert text_bytes == len(VALID.encode())
 
@@ -194,37 +195,42 @@ def test_blocks_and_text_encoders_agree_byte_for_byte():
 # ---------------------------------------------------------------------------
 
 
+def _probed_replay(tmp_path, monkeypatch, archive_format):
+    """Replay CFG into a fresh archive: the calls of the one text
+    renderer and of gzip/zlib on the way, and how many files it wrote
+    (``archive.files_written``)."""
+    calls = []
+
+    def probe(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{owner.__name__}.{name}")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((HostColumns, "to_text"), (gzip, "compress"),
+                        (zlib, "compress")):
+        probe(owner, name)
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        run = Facility(CFG, seed=23).run_with_files(
+            str(tmp_path / archive_format), archive_format=archive_format)
+    monkeypatch.undo()
+    files_written = reg.snapshot().counters["archive.files_written"]
+    assert files_written == run.archive_stats.file_count > 0
+    return calls, files_written
+
+
 def test_v2_replay_renders_compresses_and_hashes_no_text(tmp_path,
                                                          monkeypatch):
-    compress_calls = []
-    written = []
-    real_write = StatsWriter._write
+    calls, files_written = _probed_replay(tmp_path, monkeypatch, "v2")
+    assert calls == []
+    assert len(list(tmp_path.rglob("*.v2"))) == files_written
 
-    def counting(real):
-        def wrapper(*args, **kwargs):
-            compress_calls.append(real.__name__)
-            return real(*args, **kwargs)
-        return wrapper
 
-    def recording_write(self, text):
-        written.append((self, text))
-        return real_write(self, text)
-
-    monkeypatch.setattr(gzip, "compress", counting(gzip.compress))
-    monkeypatch.setattr(zlib, "compress", counting(zlib.compress))
-    monkeypatch.setattr(StatsWriter, "_write", recording_write)
-    run = Facility(CFG, seed=23).run_with_files(
-        str(tmp_path / "v2"), archive_format="v2")
-    monkeypatch.undo()
-
-    assert compress_calls == []
-    files = sorted(Path(tmp_path / "v2").rglob("*.v2"))
-    assert len(files) == run.archive_stats.file_count > 0
-    # Each file's writer was handed its header lines and nothing else.
-    by_writer = {}
-    for writer, text in written:
-        by_writer.setdefault(id(writer), []).append(text)
-    assert len(by_writer) == len(files)
-    for texts in by_writer.values():
-        lines = "".join(texts).splitlines()
-        assert lines and all(line[0] in "$!" for line in lines)
+def test_text_replay_renders_each_file_once(tmp_path, monkeypatch):
+    calls, files_written = _probed_replay(tmp_path, monkeypatch, "text")
+    assert calls.count("HostColumns.to_text") == files_written
+    assert calls.count("gzip.compress") == files_written
+    assert len(list(tmp_path.rglob("*.gz"))) == files_written

@@ -60,21 +60,41 @@ def test_cli_entry_points_resolve():
         assert callable(getattr(importlib.import_module(module), func))
 
 
+def _doc_texts():
+    """``(path, text)`` of the docs, the verify skill and the CI
+    workflow."""
+    sources = [ROOT / "README.md", ROOT / "DESIGN.md",
+               ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md")),
+               ROOT / ".claude/skills/verify/SKILL.md",
+               ROOT / ".github/workflows/ci.yml"]
+    return [(source.relative_to(ROOT), source.read_text())
+            for source in sources if source.exists()]
+
+
 def test_paths_written_in_docs_exist():
     """Every ``benchmarks/``, ``tests/``, ``src/repro/`` or ``docs/``
     path the docs, the verify skill and the CI workflow name is a file
     or directory of this tree (run-time ``…/out/…`` artefacts excepted),
     so a deletion cannot leave its name behind."""
-    sources = [ROOT / "README.md", ROOT / "DESIGN.md",
-               ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md")),
-               ROOT / ".claude/skills/verify/SKILL.md",
-               ROOT / ".github/workflows/ci.yml"]
     path = re.compile(
         r"(?<![\w./-])((?:benchmarks|tests|src/repro|docs)/[\w./-]*)")
     dangling = sorted({
-        f"{source.relative_to(ROOT)}: {written}"
-        for source in sources if source.exists()
-        for written in path.findall(source.read_text())
+        f"{source}: {written}" for source, text in _doc_texts()
+        for written in path.findall(text)
         if "/out/" not in written
         and not (ROOT / written.rstrip(".")).exists()})
+    assert dangling == []
+
+
+def test_tests_cited_in_docs_exist():
+    """Every ``tests/…py::name`` the same sources cite names a ``def``
+    or ``class`` of that file, so a deletion or a rename cannot leave
+    its citation behind."""
+    cited = re.compile(r"(tests/[\w/]+\.py)::(\w+)")
+    dangling = sorted({
+        f"{source}: {file}::{name}" for source, text in _doc_texts()
+        for file, name in cited.findall(text)
+        if not (ROOT / file).is_file() or not re.search(
+            rf"^\s*(?:def|class) {name}\b", (ROOT / file).read_text(),
+            re.M)})
     assert dangling == []

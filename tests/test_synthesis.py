@@ -281,18 +281,18 @@ def test_v2_accumulator_keeps_no_view_of_a_block(tmp_path):
     behaviors = _build_behaviors(
         CFG, *fac._behavior_context(workload), sim.records)
 
-    def owned(engine) -> bool:
+    def owned(archive) -> bool:
         return all(a.base is None or a.base.nbytes == a.nbytes
-                   for accum in engine._accums.values()
-                   for chunks in accum.values for a in chunks)
+                   for _seg, file in archive._open.values()
+                   for chunks in file.values for a in chunks)
 
     archive = HostArchive(str(tmp_path / "daily"), archive_format="v2")
     for unit in node_replays(CFG, SEED, sim.records, [0, 1], behaviors,
                              archive):
         unit.advance(DAY)
-        (accum,) = unit.engine._accums.values()
-        assert set(accum.times) == {float(DAY)}
-        assert owned(unit.engine)
+        _seg, file = archive._open[unit.engine.node.hostname]
+        assert set(file.times) == {float(DAY)}
+    assert owned(archive)
     archive.close()
 
     archive = HostArchive(str(tmp_path / "hourly"), archive_format="v2",
@@ -304,10 +304,10 @@ def test_v2_accumulator_keeps_no_view_of_a_block(tmp_path):
         for until in (90 * 60, DAY - HOUR):
             unit.advance(until)
             assert engine._held is not None and engine.rows_held > 0
-            assert engine._accums and owned(engine)
+            assert archive._open and owned(archive)
         unit.advance(DAY)
         assert engine._held is None and engine.rows_held == 0
-        assert not engine._pending and owned(engine)
+        assert not engine._pending and owned(archive)
     archive.close()
 
 
