@@ -7,8 +7,7 @@ Examples::
     repro-report --warehouse ranger.sqlite --system ranger developer namd
 
 Reports share one columnar warehouse snapshot and memoize rendered
-output on it; ``--no-report-cache`` disables the memoization (the
-snapshot is still shared) for debugging or timing the cold path.
+output on it.
 
 A federation directory (docs/FEDERATION.md) is read the same way::
 
@@ -37,7 +36,7 @@ from repro.cli.common import (
 )
 from repro.telemetry.metrics import get_registry
 from repro.xdmod.reports import NEEDS_TARGET, REPORT_KINDS
-from repro.xdmod.snapshot import WarehouseSnapshot, set_cache_enabled
+from repro.xdmod.snapshot import WarehouseSnapshot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,10 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     add_store_args(parser)
-    parser.add_argument("--report-cache", dest="report_cache",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="memoize query/report results on the shared "
-                             "warehouse snapshot (default: enabled)")
     parser.add_argument("--cache-stats", action="store_true",
                         help="after rendering, print the snapshot's "
                              "memo-cache hit/miss counts and the "
@@ -69,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    # Resolve knobs before touching the warehouse, mirroring the
-    # --ingest-workers up-front validation in repro-simulate.
-    set_cache_enabled(args.report_cache)
     if args.kind == "federation" and not args.federation:
         return die("report 'federation' needs --federation DIR")
     try:

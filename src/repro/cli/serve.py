@@ -39,7 +39,6 @@ from repro.service.state import ServiceState
 from repro.telemetry.log import run_scope
 from repro.telemetry.manifest import build_manifest
 from repro.telemetry.metrics import get_registry
-from repro.xdmod.snapshot import set_cache_enabled
 
 #: Stamp -> every module this process serves with is loaded.
 _IMPORT_SECONDS = time.perf_counter() - _T0
@@ -69,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="most tenant LRUs kept live; the least-"
                              "recently-used whole tenant is evicted "
                              "beyond this (default 64)")
-    parser.add_argument("--report-cache", dest="report_cache",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="serve repeated queries from the L1/memo "
-                             "caches (default: enabled); --no-report-cache "
-                             "recomputes every request (benchmarking)")
     parser.add_argument("--log-requests", action="store_true",
                         help="log one stderr line per request")
     parser.add_argument("--telemetry-out", default=None, metavar="PATH",
@@ -93,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         return die("--cache-size must be >= 1")
     if args.max_tenants < 1:
         return die("--max-tenants must be >= 1")
-    set_cache_enabled(args.report_cache)
     if bool(args.warehouse) == bool(args.federation):
         return die("pass exactly one of --warehouse / --federation")
     source = args.federation or args.warehouse
@@ -101,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         state = ServiceState(warehouse_path=args.warehouse,
                              cache_capacity=args.cache_size,
-                             report_cache=args.report_cache,
                              max_tenants=args.max_tenants,
                              federation_root=args.federation)
     except Exception as e:

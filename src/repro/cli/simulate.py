@@ -148,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process-parallel host parsing when reading "
                              "the archive back (warehouse is "
                              "byte-identical for any worker count)")
-    parser.add_argument("--batch-size", type=int, default=256,
-                        help="jobs per warehouse transaction during "
-                             "ingest")
     parser.add_argument("--error-policy",
                         choices=("strict", "quarantine", "repair"),
                         default="strict",
@@ -267,8 +264,8 @@ def _federation_plans(args) -> tuple[str, "list", bool]:
 
 
 #: The flags that are ``run_with_files`` arguments under their own name.
-_FILE_PATH_KNOBS = ("workers", "ingest_workers", "batch_size",
-                    "error_policy", "max_retries", "archive_format")
+_FILE_PATH_KNOBS = ("workers", "ingest_workers", "error_policy",
+                    "max_retries", "archive_format")
 
 
 def _run_knobs(args) -> dict:
@@ -470,8 +467,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1 or args.ingest_workers < 1:
         return die("--workers and --ingest-workers must be >= 1")
-    if args.batch_size < 1:
-        return die("--batch-size must be >= 1")
     if args.max_retries < 0:
         return die("--max-retries must be >= 0")
     if args.clusters and not args.federation:
@@ -493,8 +488,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name) != parser.get_default(name):
                 return die(f"--{name.replace('_', '-')} does not apply to "
                            f"--live (it replays in-process into a v2 "
-                           f"archive and ingests each batch strictly, in "
-                           f"one transaction)")
+                           f"archive and ingests each batch with the "
+                           f"defaults)")
         if args.live_segment_seconds < 1:
             return die("--live-segment-seconds must be >= 1")
         if args.live_batch_segments < 1:

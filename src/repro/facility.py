@@ -539,7 +539,6 @@ class Facility:
         compress: bool = True,
         workers: int = 1,
         ingest_workers: int = 1,
-        batch_size: int = 256,
         error_policy: str = "strict",
         max_retries: int = 2,
         ingest_mode: str = "full",
@@ -553,7 +552,7 @@ class Facility:
         embarrassingly parallel — every node owns its own files and RNG
         stream — so ``workers > 1`` fans it out over a process pool with
         byte-identical output (asserted by tests).  ``ingest_workers``
-        and ``batch_size`` are forwarded to
+        is forwarded to
         :meth:`~repro.ingest.pipeline.IngestPipeline.ingest`, which makes
         the same determinism promise for the read-back side.
         *error_policy* and *max_retries* select the ingest's
@@ -618,7 +617,6 @@ class Facility:
             lariat_records=lariat_records,
             syslog=messages,
             workers=ingest_workers,
-            batch_size=batch_size,
             error_policy=error_policy,
             max_retries=max_retries,
             mode=ingest_mode,

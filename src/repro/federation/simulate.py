@@ -82,9 +82,8 @@ def simulate_system(facility: Facility, warehouse_path: str,
     it against the file's ledger up to the newest file on disk with
     *append*, up to day *through_day* for a seed, else with no window
     end; *file_knobs* — ``workers``, ``ingest_workers``,
-    ``batch_size``, ``error_policy``, ``max_retries``,
-    ``archive_format`` — forward under their own
-    names); without, the fast path runs
+    ``error_policy``, ``max_retries``, ``archive_format`` — forward
+    under their own names); without, the fast path runs
     (``Facility.run``, *with_syslog*).  Returns what is printed for the
     system: ``system``, ``warehouse``, ``jobs``, ``summarized``,
     ``node_hours``, ``efficiency``, ``seconds`` (wall time),

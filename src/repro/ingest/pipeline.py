@@ -11,12 +11,13 @@ why Lariat exists).
 The engine streams: hosts are scanned one at a time (per worker), each
 scan reduced immediately to its per-job views and metric partials, and
 the parsed host data dropped before the next host is read.  Matching and
-warehouse loading then operate on those small reductions, with one
-transaction per ``batch_size`` jobs.  Peak memory is therefore bounded
-by the largest single host file plus the per-job partials — not by the
-archive size — and ``workers>1`` fans the host scans over a process pool
-(see :mod:`repro.ingest.parallel`) while keeping the warehouse contents
-byte-identical to a serial run.
+warehouse loading then operate on those small reductions, and the rows
+and bookkeeping of a run reach the warehouse in one commit at its end:
+a run killed anywhere leaves the warehouse it found.  Peak memory is
+therefore bounded by the largest single host file plus the per-job
+partials — not by the archive size — and ``workers>1`` fans the host
+scans over a process pool (see :mod:`repro.ingest.parallel`) while
+keeping the warehouse contents byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 from repro.config import FacilityConfig
 from repro.errors import QUARANTINE_DIRNAME, ErrorPolicy, IngestHealth
@@ -351,14 +351,9 @@ class IngestPipeline:
         archive: HostArchive,
         lariat_records: list[LariatRecord] | None = None,
         syslog: list[RationalizedMessage] | None = None,
-        min_seconds: float | None = None,
         workers: int = 1,
-        batch_size: int = 256,
         error_policy: str = ErrorPolicy.STRICT,
         max_retries: int = 2,
-        retry_backoff: float = 0.1,
-        scan_timeout: float | None = None,
-        quarantine_dir: str | Path | None = None,
         mode: str = "full",
         through_day: int | None = None,
     ) -> IngestReport:
@@ -385,25 +380,24 @@ class IngestPipeline:
           rows for.
 
         Every ingest records the consumed host-days in the ledger and
-        its appended rowid ranges in ``ingest_runs``.  *workers* fans
-        per-host parsing and summarization over a process pool (the
-        count is clamped to the visible CPUs, see
+        its appended rowid ranges in ``ingest_runs``, and commits its
+        rows and that bookkeeping together, once, at its end (a new
+        system's ``systems`` row is committed on its own first).
+        *workers* fans per-host parsing and summarization over a process
+        pool (the count is clamped to the visible CPUs, see
         :func:`~repro.ingest.parallel.effective_workers`); any worker
-        count produces a byte-identical warehouse.  *batch_size* caps
-        the jobs per warehouse transaction.
+        count produces a byte-identical warehouse.  Jobs shorter than
+        the system's ``sample_interval`` are not matched.
 
         *error_policy* decides what malformed archive data does (see
         :class:`~repro.errors.ErrorPolicy`).
         Under a non-strict policy the report carries an
         :class:`~repro.errors.IngestHealth`, a sidecar quarantine report
-        is written to *quarantine_dir* (default
-        ``<archive root>/quarantine/``), and the same accounting is
-        stored in the warehouse for ``repro-diagnose``.  *max_retries*,
-        *retry_backoff* and *scan_timeout* tune the transient-failure
-        retry in the process-pool fan-out.
+        is written to ``<archive root>/quarantine/``, and the same
+        accounting is stored in the warehouse for ``repro-diagnose``.
+        *max_retries* bounds the transient-failure retry in the
+        process-pool fan-out.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if mode not in ("full", "append"):
             raise ValueError(f"mode must be 'full' or 'append', got {mode!r}")
         if through_day is not None:
@@ -421,8 +415,6 @@ class IngestPipeline:
         with scope as run_id, span("ingest", system=config.name,
                                    mode=mode):
             policy = ErrorPolicy(error_policy)
-            min_s = (min_seconds if min_seconds is not None
-                     else config.sample_interval)
             all_entries = (list(parse_accounting(accounting_text))
                            if isinstance(accounting_text, str)
                            else list(accounting_text))
@@ -452,7 +444,7 @@ class IngestPipeline:
                 else:
                     through = math.inf
                 plan = _plan(period, manifest, ledger, all_entries, loaded,
-                             min_s, stored, through)
+                             config.sample_interval, stored, through)
                 # A host with a cell of unknown content keeps no states;
                 # whatever is stored for one is not used.
                 seeds: dict[str, dict[str, JobScanState]] = {}
@@ -479,8 +471,7 @@ class IngestPipeline:
             scans = scan_archive(
                 archive, workers=workers, allow_truncated=True,
                 policy=policy, health=health,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                timeout=scan_timeout, files_by_host=files_by_host,
+                max_retries=max_retries, files_by_host=files_by_host,
                 jobs=jobs, seeds=seeds)
 
             # A window that never closes has no delta to report.
@@ -516,19 +507,16 @@ class IngestPipeline:
                 # The scan stream is fully drained, so the health accounting
                 # is complete: persist it where operators will look — the
                 # sidecar next to the archive and the warehouse meta table.
-                sidecar = (Path(quarantine_dir) if quarantine_dir is not None
-                           else archive.root / QUARANTINE_DIRNAME)
-                health.write_sidecar(sidecar)
+                health.write_sidecar(archive.root / QUARANTINE_DIRNAME)
                 self.warehouse.set_ingest_health(config.name, health)
 
             with span("ingest.match"):
-                matched, match = match_job_views(entries, views,
-                                                 min_seconds=min_s)
+                matched, match = match_job_views(
+                    entries, views, min_seconds=config.sample_interval)
             report.match = match
 
             lariat_by_job = {r.jobid: r for r in (lariat_records or [])}
 
-            in_batch = 0
             with span("ingest.load"):
                 for mj in matched:
                     entry = mj.entry
@@ -577,10 +565,6 @@ class IngestPipeline:
                         summary=summary,
                     )
                     report.jobs_loaded += 1
-                    in_batch += 1
-                    if in_batch >= batch_size:
-                        self.warehouse.commit()
-                        in_batch = 0
 
             with span("ingest.syslog"):
                 for msg in syslog or []:

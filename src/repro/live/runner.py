@@ -249,9 +249,9 @@ class LiveSession:
                 self.archive.close()
             else:
                 self.archive.flush_before(t_end)
-            # The counters ride the ingest's one commit (a batch size of
-            # every entry keeps it one): a reader sees the batch's jobs,
-            # ledger rows and counters together or not at all.
+            # The counters ride the ingest's one commit: a reader sees
+            # the batch's jobs, ledger rows and counters together or not
+            # at all.
             counter_rows = self._publish_counters(t_end)
             report = self.pipeline.ingest(
                 cfg,
@@ -259,7 +259,6 @@ class LiveSession:
                 archive=self.archive,
                 lariat_records=self.lariat,
                 syslog=self.syslog,
-                batch_size=max(1, len(self.accounting_entries)),
                 mode="append",
             )
             start = time.perf_counter()

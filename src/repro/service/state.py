@@ -140,8 +140,7 @@ class ServiceState:
     """Shared state behind every handler thread of one server."""
 
     def __init__(self, warehouse_path: str | None = None,
-                 cache_capacity: int = 256,
-                 report_cache: bool = True, max_tenants: int = 64,
+                 cache_capacity: int = 256, max_tenants: int = 64,
                  federation_root: str | None = None):
         if (warehouse_path is None) == (federation_root is None):
             raise ValueError("pass exactly one of warehouse_path / "
@@ -154,9 +153,8 @@ class ServiceState:
         self.federation_root = (None if federation_root is None
                                 else str(federation_root))
         self._flight = SingleFlight()
-        self._cache = (TenantReportCache(cache_capacity,
-                                         max_tenants=max_tenants)
-                       if report_cache else None)
+        self._cache = TenantReportCache(cache_capacity,
+                                        max_tenants=max_tenants)
         self._refresh_lock = threading.Lock()
         # Snapshot staleness: when the served stamp last changed.
         self._stamp_lock = threading.Lock()
@@ -226,14 +224,12 @@ class ServiceState:
         put.  *key* ends in the snapshot stamp, so identical in-flight
         requests coalesce and a key can never alias across
         generations."""
-        if self._cache is not None:
-            hit = self._cache.get(tenant, key)
-            if hit is not None:
-                return Answer(body, hit, cached=True)
+        hit = self._cache.get(tenant, key)
+        if hit is not None:
+            return Answer(body, hit, cached=True)
         encoded, coalesced = self._flight.do(
             key, lambda: encode_payload(compute()))
-        if self._cache is not None:
-            self._cache.put(tenant, key, encoded)
+        self._cache.put(tenant, key, encoded)
         return Answer(body, encoded, cached=False, coalesced=coalesced)
 
     def refresh(self) -> dict:

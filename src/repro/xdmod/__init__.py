@@ -31,9 +31,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ResourceManagerReport", "SupportStaffReport", "UserReport"
     ),
     "repro.xdmod.scheduling": ("SchedulingAnalysis",),
-    "repro.xdmod.snapshot": (
-        "WarehouseSnapshot", "cache_enabled", "set_cache_enabled"
-    ),
+    "repro.xdmod.snapshot": ("WarehouseSnapshot",),
     "repro.xdmod.timeseries": ("SystemTimeseries",),
     "repro.xdmod.trends": ("TrendAnalysis", "TrendResult"),
 })

@@ -24,9 +24,7 @@ surface share one columnar image of the warehouse:
 
 The memo cache is keyed by ``(system, filter spec, group spec,
 metrics)`` tuples supplied by the query layer; keys never embed array
-data.  ``set_cache_enabled(False)`` turns memoization off globally
-(the ``repro-report --no-report-cache`` escape hatch) without touching
-the shared frames.
+data.
 
 Concurrency contract (the query service runs thousands of dashboard
 sessions over one snapshot):
@@ -65,8 +63,6 @@ __all__ = [
     "FACT_COLUMNS",
     "SystemFrame",
     "WarehouseSnapshot",
-    "set_cache_enabled",
-    "cache_enabled",
 ]
 
 #: The categorical job dimensions, dictionary-encoded in every frame.
@@ -76,21 +72,6 @@ DIMENSIONS = ("user", "account", "science_field", "app", "queue",
 #: Numeric per-job facts carried by the ``jobs`` table itself.
 FACT_COLUMNS = ("submit_time", "start_time", "end_time", "nodes", "cores",
                 "node_hours")
-
-_CACHE_ENABLED = True
-
-
-def set_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable query+report memoization (frames stay
-    shared either way)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-
-
-def cache_enabled() -> bool:
-    """Whether query/report memoization is currently on."""
-    return _CACHE_ENABLED
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Snapshot arrays are shared across every consumer: make writes
@@ -649,7 +630,7 @@ class WarehouseSnapshot:
         ``("group_by", system, base metrics, filter spec, group dims,
         metrics)``.  The warehouse generation is implicit: a new
         generation means a new snapshot, so stale entries can never be
-        served.  With the cache disabled, *compute* runs every time.
+        served.
 
         Thread-safe: lookup and hit/miss accounting happen under the
         memo lock, *compute* runs outside it (so concurrent misses on
@@ -658,8 +639,6 @@ class WarehouseSnapshot:
         returns the same object.  ``hits + misses`` equals the number
         of calls exactly, under any interleaving.
         """
-        if not _CACHE_ENABLED:
-            return compute()
         registry = get_registry()
         with self._memo_lock:
             try:

@@ -23,7 +23,6 @@ from repro.cli.simulate import main as simulate_main
 from repro.ingest.warehouse import Warehouse
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.xdmod.query import JobQuery
-from repro.xdmod.snapshot import set_cache_enabled
 from tests.test_cli import _archive_only_rows
 
 KNOBS = ["--nodes", "8", "--days", "2", "--users", "10", "--seed", "5"]
@@ -337,20 +336,17 @@ def _run(main, argv) -> tuple[int, str, str]:
     """One in-process tool run on a private metrics registry (the
     ``--cache-stats`` line prints process-wide counters)."""
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with use_registry(MetricsRegistry()), \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            rc = main(argv)
-    finally:
-        set_cache_enabled(True)  # --no-report-cache is process-wide
+    with use_registry(MetricsRegistry()), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
 REPORT_ROWS = [("fast", report_main, [*kind, *flags])
                for kind in (["support"], ["admin"], ["user", "{user}"],
                             ["developer", "{app}"])
-               for flags in ([], ["--cache-stats"], ["--no-report-cache"])]
+               for flags in ([], ["--cache-stats"])]
 DIAGNOSE_ROWS = [("slow", diagnose_main, flags) for flags in (
     [], ["--associations"], ["--job", "{job}"], ["--ledger"],
     ["--ingest-health"], ["--verify", "{slow}/archives/ranger"])]

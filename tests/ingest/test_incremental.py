@@ -33,12 +33,10 @@ from repro.util.timeutil import DAY, date_to_day_index
 N_DAYS = 3
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """A finished 3-day archive plus accounting, Lariat and syslog."""
-    cfg = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=N_DAYS, n_users=6)
+def _make_corpus(tmp_path_factory, cfg, seed=11, **run_kw):
+    """*cfg*'s finished archive plus accounting, Lariat and syslog."""
     archive_dir = str(tmp_path_factory.mktemp("inc_corpus"))
-    run = Facility(cfg, seed=11).run_with_files(archive_dir)
+    run = Facility(cfg, seed=seed).run_with_files(archive_dir, **run_kw)
     buf = io.StringIO()
     AccountingWriter(buf, cfg.node.cores, cfg.name).write_all(run.records)
     lariat = [lariat_record_for(r, cfg.node.cores) for r in run.records]
@@ -52,6 +50,13 @@ def corpus(tmp_path_factory):
         for r in run.records
     ]
     return cfg, archive_dir, buf.getvalue(), lariat, syslog
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A finished 3-day archive plus accounting, Lariat and syslog."""
+    return _make_corpus(tmp_path_factory, TEST_SYSTEM.scaled(
+        num_nodes=4, horizon_days=N_DAYS, n_users=6))
 
 
 def _archive_days(archive_dir):
@@ -733,3 +738,41 @@ def test_kill_inside_the_closing_transaction_leaves_the_old_state(
                                    archive=HostArchive(full))
     assert _data_rows(w) == _data_rows(oneshot)
     w.close()
+
+
+@pytest.fixture(scope="module")
+def big_corpus(tmp_path_factory):
+    """380 loadable jobs: more than a load once committed at a time."""
+    return _make_corpus(tmp_path_factory, TEST_SYSTEM.scaled(
+        num_nodes=16, horizon_days=4), seed=0, archive_format="v2")
+
+
+@pytest.mark.parametrize("point", ["scan_state", "ledger"])
+def test_kill_inside_a_full_ingest_leaves_only_the_systems_row(
+        big_corpus, tmp_path, point):
+    """A full ingest killed before its one commit reopens on the
+    ``systems`` row registration committed and nothing else, and the
+    same ingest run again equals the one-shot ingest.  A seed and an
+    append into a registered system commit once each."""
+    from repro.testing.faults import KILL_EXIT, run_killed
+
+    cfg, root = big_corpus[:2]
+    path = str(tmp_path / "w.sqlite")
+    assert run_killed(lambda: _ingest(big_corpus, root, Warehouse(path)),
+                      point) == KILL_EXIT
+    w = Warehouse(path)
+    assert w.systems() == [cfg.name] and not any(_data_rows(w).values())
+    assert not (w.ledger_map(cfg.name) or w.scan_states(cfg.name)
+                or w.ingest_runs(cfg.name))
+    _ingest(big_corpus, root, warehouse=w, mode="full")
+    oneshot = _data_rows(_ingest(big_corpus, root)[0])
+    assert len(oneshot["jobs"]) > 256 and _data_rows(w) == oneshot
+    w.close()
+
+    seeded, registry = Warehouse(), MetricsRegistry()
+    IngestPipeline(seeded).register_system(cfg)
+    with use_registry(registry):
+        for n, kw in enumerate(({"through_day": 2}, {"mode": "append"}), 1):
+            _ingest(big_corpus, root, warehouse=seeded, **kw)
+            assert registry.counter("warehouse.commits").value == n
+    assert _data_rows(seeded) == oneshot

@@ -453,9 +453,8 @@ def _archive_only_rows(argv, needs):
     the archive path, set away from its default on the fast path.  Each
     exits 2 naming itself (they used to be silently ignored)."""
     return [([*argv, *flags], f"{flags[0]} requires {needs}") for flags in (
-        ["--workers", "4", "--error-policy", "quarantine",
-         "--batch-size", "7"],
-        ["--ingest-workers", "2"], ["--batch-size", "7"],
+        ["--workers", "4", "--error-policy", "quarantine"],
+        ["--ingest-workers", "2"],
         ["--error-policy", "repair"], ["--max-retries", "0"],
         ["--archive-format", "v2"], ["--append"], ["--ingest-days", "1"])]
 
@@ -468,8 +467,6 @@ def _live_ignored_rows(argv):
     live = [*argv, "--live", "--live-max-batches", "1"]
     return [([*live, *flags], f"{flags[0]} does not apply to --live")
             for flags in (
-                ["--batch-size", "7", "--error-policy", "quarantine",
-                 "--max-retries", "5"],
                 ["--error-policy", "quarantine", "--max-retries", "5"],
                 ["--max-retries", "5"], ["--workers", "2"],
                 ["--ingest-workers", "2"], ["--archive-format", "v2"])]

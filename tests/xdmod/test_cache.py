@@ -6,11 +6,7 @@ from repro.ingest.summarize import SUMMARY_METRICS, JobSummary
 from repro.ingest.warehouse import Warehouse
 from repro.scheduler.job import ExitStatus, JobRecord
 from repro.xdmod.query import JobQuery
-from repro.xdmod.snapshot import (
-    WarehouseSnapshot,
-    cache_enabled,
-    set_cache_enabled,
-)
+from repro.xdmod.snapshot import WarehouseSnapshot
 from tests.scheduler.test_job import make_request
 
 
@@ -97,26 +93,6 @@ def test_multi_system_isolation(wh):
     assert qa.node_hours != qb.node_hours
 
 
-def test_cache_disable_toggle(wh):
-    add_job(wh, "alpha", "1")
-    wh.commit()
-    assert cache_enabled()
-    q = JobQuery(wh, "alpha")
-    snap = WarehouseSnapshot.for_warehouse(wh)
-    try:
-        set_cache_enabled(False)
-        assert not cache_enabled()
-        before = snap.cache_stats
-        r1 = q.group_by("user", metrics=())
-        r2 = q.group_by("user", metrics=())
-        assert r1 == r2
-        after = snap.cache_stats
-        # Nothing was stored or served from the memo.
-        assert after == before
-    finally:
-        set_cache_enabled(True)
-
-
 def test_report_render_memoized(wh):
     from repro.xdmod.reports import FundingAgencyReport
     for i in range(6):
@@ -132,7 +108,8 @@ def test_report_render_memoized(wh):
 
 
 def test_six_reports_render_alike_uncached_cold_and_warm(fast_run,
-                                                         fast_query):
+                                                         fast_query,
+                                                         monkeypatch):
     """The engine is an optimization, not a semantic change: all six
     stakeholder reports print the same text with the memo disabled and
     the snapshot rebuilt per report, from one fresh snapshot, and from
@@ -151,11 +128,10 @@ def test_six_reports_render_alike_uncached_cold_and_warm(fast_run,
                 *targets.get(kind, ())))
         return texts
 
-    try:
-        set_cache_enabled(False)
+    with monkeypatch.context() as m:
+        m.setattr(WarehouseSnapshot, "cached",
+                  lambda self, key, compute: compute())
         uncached = bouquet(fresh_snapshot_each=True)
-    finally:
-        set_cache_enabled(True)
     WarehouseSnapshot.invalidate(warehouse)
     cold = bouquet()
     warm = bouquet()
