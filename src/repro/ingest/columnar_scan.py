@@ -18,7 +18,7 @@ as folding their concatenation, because everything the partial needs is
 order-free or bridged exactly at the file boundary —
 
 * first→last counter deltas need only the job's first and last counter
-  rows;
+  rows, kept as arrays;
 * the chained (per-interval) InfiniBand deltas are integers, and the
   delta across a file boundary is taken from the previous file's last
   row to this file's first;
@@ -27,18 +27,19 @@ order-free or bridged exactly at the file boundary —
   in KB over any job is ~2**40);
 * PMC-foreignness is a boolean OR.
 
-Floats are formed once, from the final state (:func:`host_partial`), so
-any segmentation of the same samples — one-shot, nightly, hourly, any
-worker split — stores bit-identical rows, and an append continues from
-the persisted state of a still-open job (*seeds*) instead of re-reading
-its earlier files.  The arithmetic is that of the dict reducers in
+Floats are formed once, from the final states (:func:`host_partials`,
+one kernel over all of a host's jobs), so any segmentation of the same
+samples — one-shot, nightly, hourly, any worker split — stores
+bit-identical rows, and an append continues from the persisted state of
+a still-open job (*seeds*) instead of re-reading its earlier files.
+The arithmetic is that of the dict reducers in
 :mod:`repro.ingest.summarize` / :mod:`repro.ingest.matcher` (the
 reference the tests compare this module against), float for float.
 
 Shapes the whole-file forms cannot express (device sets changing
 mid-job, a type missing from some block, files that overlap in time)
-take a per-block loop inside the same fold — slower for the odd host,
-never different.
+take a per-block loop inside the same fold, and a presence mask in the
+partial kernel — slower for the odd host, never different.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from repro.tacc_stats.types import HostColumns, TypeColumns
 from repro.telemetry.trace import span
 from repro.util.units import GB, KB
 
-__all__ = ["HostScan", "JobScanState", "host_partial", "scan_host"]
+__all__ = ["HostScan", "JobScanState", "host_partials", "scan_host"]
 
 #: The counter columns a partial reads, per record type; ``ib`` is
 #: chained block to block, the rest are first→last.
@@ -83,22 +84,27 @@ _PMC_CODES = {"amd64_pmc": frozenset(AMD64_EVENT_CODES.values()),
               "intel_pmc": frozenset(INTEL_EVENT_CODES.values())}
 
 
-@dataclass
+#: A counter row: the block's devices, the :data:`_EDGE_COLUMNS` keys its
+#: file's schema has, and their ``u8[keys, devices]`` values.
+Row = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]
+
+
+@dataclass(eq=False)
 class JobScanState:
     """One host's scan of one job so far — all a partial and a matcher
-    view need, in JSON types only so it persists as it is.
+    view need.  States compare field for field.
 
-    ``first``/``last`` map a record type to the counter row of the
-    job's first/last tagged block, ``[devices, {key: values}]`` over the
-    :data:`_EDGE_COLUMNS` the file's schema has (a type with no row in
-    that block is absent); ``widths`` holds each such column's counter
-    width as ``"type.key"``.  ``chain`` is the running sum of the ``ib``
-    block-to-block deltas per key, ``None`` once a block or device was
-    missing; ``gauge`` the ``[Σ, n, max]`` of the ``MemUsed`` block
-    sums; ``pmc`` the PMC type the host's files declare.  ``begin`` /
-    ``end`` are the first ``%begin`` and last ``%end`` mark times.
-    ``through`` is the label of the last file folded in: a state read
-    back as a seed skips files up to it.
+    ``first``/``last`` map a record type to the :data:`Row` of the
+    job's first/last tagged block (a type with no row in that block is
+    absent); the values are a copy, never a view of a mapped file, as a
+    live session keeps states across batches.  ``widths`` holds each
+    such column's counter width as ``"type.key"``.  ``chain`` is the
+    running sum of the ``ib`` block-to-block deltas per key, ``None``
+    once a block or device was missing; ``gauge`` the ``[Σ, n, max]``
+    of the ``MemUsed`` block sums; ``pmc`` the PMC type the host's files
+    declare.  ``begin`` / ``end`` are the first ``%begin`` and last
+    ``%end`` mark times.  ``through`` is the label of the last file
+    folded in: a state read back as a seed skips files up to it.
     """
 
     t_first: float | None = None
@@ -111,18 +117,36 @@ class JobScanState:
     pmc: str | None = None
     gauge: list[int] | None = None
     chain: dict[str, int] | None = field(default_factory=dict)
-    first: dict[str, list] = field(default_factory=dict)
-    last: dict[str, list] = field(default_factory=dict)
+    first: dict[str, Row] = field(default_factory=dict)
+    last: dict[str, Row] = field(default_factory=dict)
     widths: dict[str, int] = field(default_factory=dict)
 
     def to_blob(self) -> bytes:
-        """The persisted form (compressed JSON; see :meth:`from_blob`)."""
-        return zlib.compress(json.dumps(
-            vars(self), separators=(",", ":")).encode())
+        """The persisted form: compressed JSON, each row as ``[devices,
+        {key: values}]`` (see :meth:`from_blob`)."""
+        doc = dict(vars(self))
+        for side in ("first", "last"):
+            doc[side] = {name: [devs, dict(zip(keys, values.tolist()))]
+                         for name, (devs, keys, values) in doc[side].items()}
+        return zlib.compress(json.dumps(doc, separators=(",", ":")).encode())
 
     @classmethod
     def from_blob(cls, blob: bytes) -> "JobScanState":
-        return cls(**json.loads(zlib.decompress(blob)))
+        doc = json.loads(zlib.decompress(blob))
+        for side in ("first", "last"):
+            doc[side] = {name: (tuple(devs), tuple(by_key), np.array(
+                list(by_key.values()), dtype=np.uint64).reshape(
+                    len(by_key), len(devs)))
+                for name, (devs, by_key) in doc[side].items()}
+        return cls(**doc)
+
+    def __eq__(self, other: object) -> bool:
+        def fields(st: JobScanState) -> dict:  # a row's values as a list
+            return {k: {name: (*row[:2], row[2].dtype, row[2].tolist())
+                        for name, row in v.items()}
+                    if k in ("first", "last") else v for k, v in vars(st).items()}
+        return fields(self) == fields(other) if isinstance(
+            other, JobScanState) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -158,14 +182,15 @@ class HostScan:
 
 
 def _edge_row(tc: TypeColumns, seg: np.ndarray, b: int,
-              cols: list[tuple[str, int, int]]) -> list | None:
-    """The ``[devices, {key: values}]`` row of type *tc* at block *b*
-    over its ``(key, column, width)`` *cols*."""
+              cols: list[tuple[str, int, int]]) -> Row | None:
+    """The :data:`Row` of type *tc* at block *b* over its ``(key,
+    column, width)`` *cols*."""
     s, e = int(seg[b]), int(seg[b + 1])
     if e == s:
         return None
-    return [[tc.devices[i] for i in tc.dev_idx[s:e].tolist()],
-            {key: tc.values[s:e, col].tolist() for key, col, _w in cols}]
+    return (tuple([tc.devices[i] for i in tc.dev_idx[s:e].tolist()]),
+            tuple(key for key, _c, _w in cols),
+            tc.values[s:e, [col for _k, col, _w in cols]].T)
 
 
 def _grid(tc: TypeColumns, n_blocks: int) -> int:
@@ -181,16 +206,14 @@ def _grid(tc: TypeColumns, n_blocks: int) -> int:
 
 
 def _edge_rows(tc: TypeColumns, cols: list[tuple[str, int, int]],
-               d: int, blocks: np.ndarray) -> list[list]:
+               d: int, blocks: np.ndarray) -> list[Row]:
     """:func:`_edge_row` of *blocks* on a :func:`_grid` of *d* devices,
-    in one gather; they share one device list (rows are never
-    mutated)."""
-    devices = [tc.devices[i] for i in tc.dev_idx[:d].tolist()]
-    keys = [key for key, _c, _w in cols]
-    values = tc.values.reshape(-1, d, tc.values.shape[1])[blocks][
-        ..., [col for _k, col, _w in cols]]
-    return [[devices, dict(zip(keys, vals))]
-            for vals in values.transpose(0, 2, 1).tolist()]
+    in one gather (rows are never mutated)."""
+    devices = tuple([tc.devices[i] for i in tc.dev_idx[:d].tolist()])
+    keys = tuple(key for key, _c, _w in cols)
+    values = tc.values.reshape(-1, d, tc.values.shape[1])[
+        blocks[:, None], :, [col for _k, col, _w in cols]]
+    return [(devices, keys, vals) for vals in values]
 
 
 def _sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
@@ -201,23 +224,26 @@ def _sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
     return np.add.reduceat(values, starts).tolist()
 
 
-def _chain_pair(st: JobScanState, prev: list | None,
-                cur: list | None) -> None:
+def _chain_pair(st: JobScanState, prev: Row | None,
+                cur: Row | None) -> None:
     """Add one block-to-block ``ib`` delta, device by device."""
     if st.chain is None:
         return
     if prev is None or cur is None:
         st.chain = None  # a block without the type
         return
-    for key, values in cur[1].items():
-        before = dict(zip(prev[0], prev[1].get(key, ())))
+    if not cur[1]:
+        return
+    at = {dev: i for i, dev in enumerate(prev[0])}
+    if not (set(prev[1]) >= set(cur[1]) and at.keys() >= set(cur[0])):
+        st.chain = None  # a key or a device the block before lacks
+        return
+    before = prev[2][[prev[1].index(key) for key in cur[1]]][
+        :, [at[dev] for dev in cur[0]]]
+    for key, old, new in zip(cur[1], before.tolist(), cur[2].tolist()):
         width = st.widths[f"ib.{key}"]
-        for dev, value in zip(cur[0], values):
-            if dev not in before:
-                st.chain = None
-                return
-            st.chain[key] = st.chain.get(key, 0) + event_delta(
-                before[dev], value, width)
+        st.chain[key] = st.chain.get(key, 0) + sum(
+            event_delta(a, b, width) for a, b in zip(old, new))
 
 
 def _foreign(types: dict[str, TypeColumns], n_file_blocks: int,
@@ -424,125 +450,143 @@ class _HostFold:
 
 
 # ---------------------------------------------------------------------------
-# Metrics from a state (parity-exact with summarize._host_partial, the
+# Metrics from the states (parity-exact with summarize._host_partial, the
 # reference).
 # ---------------------------------------------------------------------------
 
 
-def _deltas(st: JobScanState) -> dict[tuple[str, str], tuple]:
-    """``{(type, key): (devices, whole, per-device delta)}`` of the
-    first→last rows (*devices*: the last row's the first has too, *whole*
-    if that is all), in one array pass: ``(last - first) & (2**width -
-    1)`` is :func:`event_delta`, range check and message included."""
-    spans, pair = [], ([], [])
-    for name, last in st.last.items():
-        first = st.first.get(name)
-        if first is None or name == "ib":
-            continue
-        devices, both = last[0], None
-        if first[0] != devices:  # rare: align the first row's devices
-            where = {dev: i for i, dev in enumerate(first[0])}
-            both = [(k, where[dev]) for k, dev in enumerate(devices)
-                    if dev in where]
-            devices = [devices[k] for k, _i in both]
-        for key, values in last[1].items():
-            if key in first[1]:
-                before = first[1][key]
-                if both is not None:
-                    before = [before[i] for _k, i in both]
-                    values = [values[k] for k, _i in both]
-                pair[0].extend(before)
-                pair[1].extend(values)
-                spans.append(((name, key), devices, len(devices) == len(
-                    last[0]), st.widths[f"{name}.{key}"]))
-    lengths = [len(devices) for _k, devices, _a, _w in spans]
-    widths = np.repeat([w for *_s, w in spans], lengths).astype(int)
-    masks = np.repeat(np.array([(1 << w) - 1 for *_s, w in spans],
-                               dtype=np.uint64), lengths)
-    values = np.array(pair, dtype=np.uint64)
-    if (wide := (values > masks).any(axis=0)).any():
+def _edge_deltas(name: str, todo: list[JobScanState]) -> dict:
+    """Per state of *todo*, the first→last delta of each key of type
+    *name* summed over its devices — and under ``(name, device)``, that
+    of each ``llite`` mount alone — as one job-major list over the keys of
+    :data:`_EDGE_COLUMNS`, None where the reference has no value (a key
+    or a row missing, a device of the last row not in the first).
+
+    Every job's rows are stacked over the host's device table with a
+    presence mask; ``(last - first) & (2**width - 1)`` is
+    :func:`event_delta`, range check and message included, and a job's
+    sum over its devices is exact (u8, or Python ints past 2**64)."""
+    keys, n = _EDGE_COLUMNS[name], len(todo)
+    rows = [st.first.get(name) for st in todo] + [
+        st.last.get(name) for st in todo]
+    groups: dict[tuple, list[int]] = {}
+    for j, row in enumerate(rows):
+        if row is not None:
+            groups.setdefault(row[:2], []).append(j)
+    if not groups:
+        return {}
+    table = {dev: i for i, dev in enumerate(dict.fromkeys(chain.from_iterable(
+        devs for devs, _k in groups)))}
+    # The usual case: one shape, every row, key and device.
+    full = None not in rows and list(groups) == [(rows[0][0], keys)]
+    has_key = np.full((2 * n, len(keys)), full)
+    has_dev = np.full((2 * n, len(table)), full)
+    if full:
+        values = np.array([row[2] for row in rows], dtype=np.uint64)
+    else:
+        values = np.zeros((2 * n, len(keys), len(table)), dtype=np.uint64)
+        for (devs, ks), js in groups.items():
+            values[np.ix_(js, [keys.index(k) for k in ks],
+                          [table[d] for d in devs])] = np.array(
+                [rows[j][2] for j in js], dtype=np.uint64)
+            has_key[js] = [k in ks for k in keys]
+            has_dev[js] = [d in devs for d in table]
+    names = [f"{name}.{k}" for k in keys]
+    width = np.array([[st.widths.get(k, 64) for k in names] for st in todo])
+    # 2**width - 1, for a width of 64 too (u8 wraps)
+    mask = ((np.uint64(2) << (width - 1).astype(np.uint64)) - np.uint64(1))[
+        ..., None]
+    first, last = values[:n], values[n:]
+    key_ok = has_key[:n] & has_key[n:]
+    included = key_ok[..., None] & (has_dev[:n] & has_dev[n:])[:, None]
+    if (wide := (((first > mask) | (last > mask)) & included).any(2)).any():
         raise ValueError(
-            f"counter value out of range for width {widths[wide][0]}")
-    deltas = ((values[1] - values[0]) & masks).tolist()
-    out, at = {}, 0
-    for key, devices, whole, _w in spans:
-        out[key] = (devices, whole, deltas[at:at + len(devices)])
-        at += len(devices)
-    return out
+            f"counter value out of range for width {width[wide][0]}")
+    deltas = ((last - first) & mask) * included
+    exact = deltas.astype(object) if int(deltas.max()).bit_length() + len(
+        table).bit_length() > 64 else deltas
+    whole = key_ok & ~(has_dev[n:] & ~has_dev[:n]).any(1)[:, None]
+    out = {name: np.where(whole, exact.sum(2).astype(object), None)}
+    for dev in ("scratch", "work", "share") if name == "llite" else ():
+        if dev in table:
+            d = table[dev]
+            out[name, dev] = np.where(included[..., d],
+                                      deltas[..., d].astype(object), None)
+    return {what: got.ravel().tolist() for what, got in out.items()}
 
 
-def host_partial(hostname: str, jobid: str,
-                 st: JobScanState) -> HostJobPartial | None:
-    """The :class:`HostJobPartial` of a finished fold — the metrics,
-    None conditions and float operations of
-    :func:`summarize._host_partial`, in the same order."""
-    if st.n_blocks < 2:
-        return None
-    seconds = st.t_last - st.t_first
-    if seconds <= 0:
-        return None
-    h: dict[str, float] = {}
-    by_key = _deltas(st)
+def host_partials(hostname: str, states: Mapping[str, JobScanState],
+                  jobs: Collection[str] | None = None,
+                  ) -> dict[str, HostJobPartial]:
+    """The :class:`HostJobPartial` of every finished fold in *states*
+    (of *jobs* only, when given) — the metrics, None conditions and
+    float operations of :func:`summarize._host_partial`, in the same
+    order.  The integer work is one :func:`_edge_deltas` per record type
+    over all of the host's jobs; the floats are formed job by job."""
+    todo = {jobid: st for jobid, st in states.items()
+            if (jobs is None or jobid in jobs) and st.n_blocks >= 2
+            and st.t_last - st.t_first > 0}
+    totals = {what: (keys, flat) for name, keys in _EDGE_COLUMNS.items()
+              if name != "ib" for what, flat in _edge_deltas(
+                  name, list(todo.values())).items()}
+    out = {}
+    for j, (jobid, st) in enumerate(todo.items()):
+        seconds = st.t_last - st.t_first
+        rates = {what: {key: None if total is None else total * 1.0 / seconds
+                        for key, total in zip(keys, flat[j * len(keys):(
+                            j + 1) * len(keys)])}
+                 for what, (keys, flat) in totals.items()}
+        h: dict[str, float] = {}
 
-    def rate(type_name: str, key: str, device: str | None = None):
-        """Summed first→last delta of one column (of one *device* when
-        given) per second; None where the reference has no rate."""
-        devices, whole, deltas = by_key.get((type_name, key), ((), 0, ()))
-        if device is None:
-            total = sum(deltas) if whole else None
-        else:
-            total = deltas[devices.index(device)] if device in devices \
-                else None
-        return None if total is None else total * 1.0 / seconds
+        parts = rates.get("cpu")
+        if parts is not None and None not in parts.values():
+            total = sum(parts.values())
+            if total > 0:
+                h["cpu_idle"] = parts["idle"] / total
+                h["cpu_user"] = (parts["user"] + parts["nice"]) / total
+                h["cpu_sys"] = (
+                    parts["system"] + parts["irq"] + parts["softirq"]
+                ) / total
 
-    parts = {key: rate("cpu", key) for key in _EDGE_COLUMNS["cpu"]}
-    if None not in parts.values():
-        total = sum(parts.values())
-        if total > 0:
-            h["cpu_idle"] = parts["idle"] / total
-            h["cpu_user"] = (parts["user"] + parts["nice"]) / total
-            h["cpu_sys"] = (
-                parts["system"] + parts["irq"] + parts["softirq"]
-            ) / total
+        if not st.foreign and st.pmc in rates:
+            flops = rates[st.pmc]["ctr0"]
+            if flops is not None:
+                if st.pmc == "intel_pmc":
+                    flops = flops / FP_OVERCOUNT
+                h["cpu_flops"] = flops / 1e9
 
-    if not st.foreign and st.pmc is not None:
-        flops = rate(st.pmc, "ctr0")
-        if flops is not None:
-            if st.pmc == "intel_pmc":
-                flops = flops / FP_OVERCOUNT
-            h["cpu_flops"] = flops / 1e9
+        if st.gauge is not None:
+            total, count, peak = st.gauge
+            h["mem_used"] = float(total) / count * KB / GB
+            h["mem_used_max"] = float(peak) * KB / GB
 
-    if st.gauge is not None:
-        total, n, peak = st.gauge
-        h["mem_used"] = float(total) / n * KB / GB
-        h["mem_used_max"] = float(peak) * KB / GB
+        for mount in ("scratch", "work", "share"):
+            for op, key in (("write", "write_bytes"), ("read", "read_bytes")):
+                r = rates.get(("llite", mount), {}).get(key)
+                if r is None and mount == "share":
+                    r = rates.get("nfs", {}).get(key)
+                if r is not None:
+                    h[f"io_{mount}_{op}"] = r / 1e6
 
-    for mount in ("scratch", "work", "share"):
-        for op, key in (("write", "write_bytes"), ("read", "read_bytes")):
-            r = rate("llite", key, mount)
-            if r is None and mount == "share":
-                r = rate("nfs", key)
+        for direction, key in (("tx", "port_xmit_data"),
+                               ("rx", "port_rcv_data")):
+            if st.chain is not None and key in st.chain:
+                h[f"net_ib_{direction}"] = st.chain[key] * 4.0 / seconds / 1e6
+
+        for direction, key in (("tx", "tx_bytes"), ("rx", "rx_bytes")):
+            r = rates.get("lnet", {}).get(key)
             if r is not None:
-                h[f"io_{mount}_{op}"] = r / 1e6
+                h[f"net_lnet_{direction}"] = r / 1e6
 
-    for direction, key in (("tx", "port_xmit_data"),
-                           ("rx", "port_rcv_data")):
-        if st.chain is not None and key in st.chain:
-            h[f"net_ib_{direction}"] = st.chain[key] * 4.0 / seconds / 1e6
-
-    for direction, key in (("tx", "tx_bytes"), ("rx", "rx_bytes")):
-        r = rate("lnet", key)
-        if r is not None:
-            h[f"net_lnet_{direction}"] = r / 1e6
-
-    return HostJobPartial(
-        hostname=hostname,
-        jobid=jobid,
-        metrics=h,
-        poisoned=("cpu_flops",) if st.foreign else (),
-        n_blocks=st.n_blocks,
-        seconds=seconds,
-    )
+        out[jobid] = HostJobPartial(
+            hostname=hostname,
+            jobid=jobid,
+            metrics=h,
+            poisoned=("cpu_flops",) if st.foreign else (),
+            n_blocks=st.n_blocks,
+            seconds=seconds,
+        )
+    return out
 
 
 def scan_host(archive: HostArchive, hostname: str,
@@ -578,12 +622,7 @@ def scan_host(archive: HostArchive, hostname: str,
     with span("ingest.fold", host=hostname):
         fold = _HostFold(seeds)
         fold.add_days(kept)
-        partials = {}
-        for jobid, st in fold.states.items():
-            if jobs is None or jobid in jobs:
-                partial = host_partial(hostname, jobid, st)
-                if partial is not None:
-                    partials[jobid] = partial
+        partials = host_partials(hostname, fold.states, jobs)
     # An empty file (the node was down) is kept out of *kept* but is
     # whole all the same: it mentions no job.
     mentions = dict.fromkeys(map(_file_day, files), frozenset())

@@ -1,7 +1,10 @@
 """The ingest fold, checked at the fold itself.
 
 * Pinned: :func:`scan_host` of one host-day written by hand gives the
-  partials and views worked out below, literal for literal.
+  partials and views worked out below, literal for literal — and so do
+  two days of the rare shapes (device sets changing mid-job, types
+  missing from blocks, a job continued from its persisted state, sums
+  past 2**64).
 * Segmentation-free: a host's blocks cut into any consecutive pieces,
   with the states round-tripped through their persisted form at any
   cut, fold to the byte-identical state blobs of the one-shot fold —
@@ -25,7 +28,7 @@ from repro.facility import Facility
 from repro.ingest.columnar_scan import (
     JobScanState,
     _HostFold,
-    host_partial,
+    host_partials,
     scan_host,
 )
 from repro.ingest.matcher import HostJobView
@@ -136,6 +139,121 @@ def test_scan_host_of_a_hand_computed_host_day(tmp_path):
                                            reference.partials)
 
 
+# The rare shapes, one job each, over blocks 600 s apart:
+# 1: cpu devices {0, 1} -> {0, 1} -> {0} and llite mounts {scratch, work}
+#    -> {scratch} -> {scratch, share}, so only cpu 0 and scratch pair up;
+# 2: cpu devices {0} -> {0, 1}, ib missing from the middle block (chain
+#    broken), lnet from the last block, llite from the middle one;
+# 4: W=64 llite and nfs counters, one llite read wrapping at 2**64, and
+#    per-device deltas of 3 * 2**62 summing past 2**64;
+# 3: cut at the file end, continued in the next file.
+RARE_SCHEMA = """\
+$hostname h1
+!cpu user,E nice,E system,E idle,E iowait,E irq,E softirq,E
+!ib port_xmit_data,E,W=32 port_rcv_data,E,W=32
+!llite write_bytes,E read_bytes,E
+!lnet tx_bytes,E rx_bytes,E
+!nfs write_bytes,E read_bytes,E
+"""
+BIG = 3 * 2**62
+RARE_DAYS = {"2013-01-01": RARE_SCHEMA + f"""\
+0 1
+cpu 0 100 0 50 800 10 0 0
+cpu 1 200 0 50 700 10 0 0
+llite scratch 0 0
+llite work 0 0
+600 1
+cpu 0 200 0 60 900 10 0 0
+cpu 1 300 0 60 800 10 0 0
+llite scratch 10 10
+1200 1
+cpu 0 24100 1200 6050 24800 1210 0 1200
+llite scratch 1200000000 2400
+llite share 5 5
+1800 2
+cpu 0 0 0 0 0 0 0 0
+ib mlx4_0 100 100
+lnet - 1000 2000
+llite scratch 0 0
+2400 2
+lnet - 1600 2600
+3000 2
+cpu 0 600 0 0 600 0 0 0
+cpu 1 600 0 0 600 0 0 0
+ib mlx4_0 700 1300
+llite scratch 600 1200
+3600 4
+llite scratch 0 {2**64 - 600}
+llite work 0 0
+nfs home 0 0
+nfs apps 0 0
+4800 4
+llite scratch {BIG} 600
+llite work {BIG} 1200
+nfs home {BIG} 2400
+nfs apps {BIG} 2400
+85200 3
+ib mlx4_0 4294966696 0
+lnet - 0 0
+85800 3
+ib mlx4_0 4294967096 600
+lnet - 300 300
+""", "2013-01-02": RARE_SCHEMA + """\
+87000 3
+ib mlx4_0 200 1200
+lnet - 1200 1200
+87600 3
+ib mlx4_0 800 1800
+lnet - 2400 2400
+"""}
+
+
+def test_scan_host_of_the_rare_shapes(tmp_path):
+    (tmp_path / "h1").mkdir()
+    for label, text in RARE_DAYS.items():
+        (tmp_path / "h1" / label).write_text(text)
+    archive = HostArchive(tmp_path)
+    scan = scan_host(archive, "h1")[0]
+    # 1: cpu 0 alone, 1200 s: user 24000 cs -> 20/s, nice 1, system 5,
+    #    idle 20, iowait 1, irq 0, softirq 1 (48/s); scratch 1.2e9 B and
+    #    2400 B; work has no last row, share no first one (and no nfs).
+    # 2: only scratch pairs up: 600 B and 1200 B (cpu 1 has no first
+    #    row, so there is no cpu sum).
+    # 4: the read wraps: 600 + 2**64 - (2**64 - 600) = 1200 B; io_share
+    #    falls back to the nfs sum 2 * BIG, exact past 2**64.
+    # 3: 2400 s; ib xmit (W=32) 400, then the file-boundary wrap
+    #    200 + 2**32 - 4294967096 = 400, then 600: 1400 words; rcv 1800
+    #    words; lnet 2400 B each way.
+    assert scan.partials == {
+        "1": HostJobPartial("h1", "1", {
+            "cpu_idle": 20 / 48, "cpu_user": 21 / 48, "cpu_sys": 6 / 48,
+            "io_scratch_write": 1.0, "io_scratch_read": 2 / 1e6,
+        }, (), 3, 1200.0),
+        "2": HostJobPartial("h1", "2", {
+            "io_scratch_write": 0.5 / 1e6, "io_scratch_read": 1 / 1e6,
+        }, (), 3, 1200.0),
+        "4": HostJobPartial("h1", "4", {
+            "io_scratch_write": BIG * 1.0 / 1200 / 1e6,
+            "io_scratch_read": 1 / 1e6,
+            "io_work_write": BIG * 1.0 / 1200 / 1e6,
+            "io_work_read": 1 / 1e6,
+            "io_share_write": 2 * BIG * 1.0 / 1200 / 1e6,
+            "io_share_read": 4 / 1e6,
+        }, (), 2, 1200.0),
+        "3": HostJobPartial("h1", "3", {
+            "net_ib_tx": 1400 * 4.0 / 2400 / 1e6, "net_ib_rx": 3 / 1e6,
+            "net_lnet_tx": 1 / 1e6, "net_lnet_rx": 1 / 1e6,
+        }, (), 4, 2400.0),
+    }
+    assert scan.partials == scan_host_data(archive.read_host("h1")).partials
+    # Job 3 cut at the first file's end, then continued from its blob.
+    first, second = sorted((tmp_path / "h1").iterdir())
+    cut = scan_host(archive, "h1", paths=[first])[0].states["3"]
+    seeds = {"3": JobScanState.from_blob(cut.to_blob())}
+    assert scan_host(archive, "h1", paths=[second], seeds=seeds)[0].partials \
+        == {"3": scan.partials["3"]}
+
+
 # ---------------------------------------------------------------------------
 # Segmentation-free.
 # ---------------------------------------------------------------------------
@@ -169,8 +287,7 @@ def _keep_rows(day: HostColumns, keep: np.ndarray) -> HostColumns:
 
 
 def _partials(host: str, fold: _HostFold) -> dict[str, HostJobPartial]:
-    return {jobid: partial for jobid, st in fold.states.items()
-            if (partial := host_partial(host, jobid, st)) is not None}
+    return host_partials(host, fold.states)
 
 
 @given(data=st.data())

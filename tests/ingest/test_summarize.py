@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.hardware import ranger_node
 from repro.cluster.node import Node
 from repro.ingest.summarize import (
     KEY_METRICS,
     SUMMARY_METRICS,
+    HostJobPartial,
     JobSummary,
+    merge_job_partials,
     summarize_job_from_hosts,
     summarize_job_from_rates,
 )
@@ -40,6 +44,34 @@ def test_summary_validation():
     s = JobSummary("1", {"cpu_idle": 0.1}, 4, 3600.0, 6)
     assert s.node_hours == pytest.approx(4.0)
     assert np.isnan(s.get("cpu_flops"))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_merge_reduces_each_metric_as_its_own_array(data):
+    """:func:`merge_job_partials` reduces the metrics with the same host
+    count as the rows of one matrix; each row gives the floats of the
+    metric's own 1-D ``np.mean`` (``np.max``: ``mem_used_max``) — for 1
+    to 16 hosts (7, 8 and 9 straddle numpy's pairwise summation), with
+    metrics missing on some hosts and ``cpu_flops`` poisoned on one."""
+    n = data.draw(st.one_of(st.integers(1, 16), st.sampled_from([7, 8, 9])))
+    values = st.floats(-1e9, 1e9, allow_nan=False, allow_subnormal=False)
+    poison = data.draw(st.sampled_from([None, *range(n)]))
+    partials = [HostJobPartial(
+        f"h{i}", "1", {m: data.draw(values) for m in SUMMARY_METRICS
+                       if data.draw(st.integers(0, 3))},
+        ("cpu_flops",) if i == poison else (), 2, 600.0)
+        for i in range(n)]
+    summary = merge_job_partials("1", partials, wall_seconds=600.0)
+    expected = {}
+    for m in SUMMARY_METRICS:
+        column = np.array([p.metrics[m] for p in partials if m in p.metrics])
+        if column.size and not (m == "cpu_flops" and poison is not None):
+            expected[m] = float(column.max() if m == "mem_used_max"
+                                else column.mean())
+    assert summary.metrics == expected
+    assert summary.missing == tuple(sorted(set(SUMMARY_METRICS) - set(
+        expected)))
 
 
 @pytest.fixture(scope="module")
