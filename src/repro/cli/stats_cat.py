@@ -15,7 +15,8 @@ from pathlib import Path
 
 from repro.cli.common import die, pipe_safe
 from repro.tacc_stats.archive import HostArchive
-from repro.tacc_stats.parser import ParseError, parse_host_text
+from repro.tacc_stats.columnar import is_v2_path, read_host_day
+from repro.tacc_stats.parser import ParseError, parse_host_columns
 from repro.util.tables import render_kv, render_table
 from repro.util.textchart import sparkline
 
@@ -44,20 +45,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    # Rotated files of the same host merge; distinct hosts stay separate
-    # (the flat views below are single-host; --timeline is multi-host).
-    per_host: dict[str, object] = {}
+    days = []  # each file decoded straight to columns
     for name in args.files:
         path = Path(name)
         if not path.exists():
             return die(f"no such file: {name}")
         try:
-            host = parse_host_text(
-                HostArchive.read_file(path),
-                allow_truncated=args.allow_truncated,
-            )
+            days.append(read_host_day(path) if is_v2_path(path)
+                        else parse_host_columns(HostArchive.read_file(path),
+                                                args.allow_truncated))
         except ParseError as e:
             return die(f"{name}: {e}", code=1)
+
+    if args.timeline:
+        from repro.xdmod.jobview import job_timeline
+        try:
+            tl = job_timeline(args.timeline, days)
+        except ValueError as e:
+            return die(str(e), code=1)
+        print(tl.render())
+        if "cpu_user" in tl.series:
+            straggler, dev = tl.straggler()
+            print(f"\nmost deviant host: {straggler} "
+                  f"({dev:+.0%} vs job mean)")
+        return 0
+
+    # Rotated files of the same host merge; distinct hosts stay separate
+    # (the flat views below are single-host; --timeline is multi-host).
+    per_host: dict[str, object] = {}
+    for name, day in zip(args.files, days):
+        host = day.to_host_data()
         if host.hostname in per_host:
             try:
                 per_host[host.hostname].merge_from(host)
@@ -65,17 +82,6 @@ def main(argv: list[str] | None = None) -> int:
                 return die(f"{name}: {e}", code=1)
         else:
             per_host[host.hostname] = host
-
-    if args.timeline:
-        from repro.xdmod.jobview import job_timeline
-        try:
-            tl = job_timeline(args.timeline, list(per_host.values()))
-        except ValueError as e:
-            return die(str(e), code=1)
-        print(tl.render())
-        straggler, dev = tl.straggler()
-        print(f"\nmost deviant host: {straggler} ({dev:+.0%} vs job mean)")
-        return 0
 
     if len(per_host) > 1:
         return die("multiple hosts given; the header/series views are "

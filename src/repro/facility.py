@@ -50,6 +50,7 @@ from repro.scheduler.policies import EasyBackfillPolicy, SchedulingPolicy
 from repro.syslogr.generator import SyslogGenerator
 from repro.syslogr.rationalizer import Rationalizer
 from repro.tacc_stats.archive import ArchiveStats, HostArchive
+from repro.tacc_stats.collectors.mem import BASE_OS_GB
 from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import (
     MetricsRegistry,
@@ -493,7 +494,6 @@ class Facility:
         sys_frac = np.where(active > 0, acc["sys_nodes_equiv"] / denom, 0.0)
         # Every up node carries the OS's resident footprint; job memory
         # adds on top (the mem collector reports the same decomposition).
-        from repro.ingest.summarize import BASE_OS_GB
         mem_per_node = np.where(
             active > 0, acc["mem_gb"] / denom + BASE_OS_GB, 0.0
         )

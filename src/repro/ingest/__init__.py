@@ -29,6 +29,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "merge_job_partials", "summarize_job_from_hosts",
         "summarize_job_from_rates"
     ),
-    "repro.ingest.vocabulary": ("SUMMARY_METRICS", "JobSummary"),
+    "repro.ingest.vocabulary": (
+        "METRICS", "SUMMARY_METRICS", "JobSummary", "Metric"
+    ),
     "repro.ingest.warehouse": ("Warehouse",),
 })

@@ -48,7 +48,9 @@ import json
 import zlib
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,7 @@ import numpy as np
 from repro.errors import ErrorPolicy, QuarantinedRecord
 from repro.ingest.matcher import HostJobView
 from repro.ingest.summarize import HostJobPartial
+from repro.ingest.vocabulary import METRICS
 from repro.tacc_stats.archive import HostArchive, _file_day
 from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
 from repro.tacc_stats.collectors.intel_pmc import (
@@ -65,7 +68,6 @@ from repro.tacc_stats.collectors.intel_pmc import (
 from repro.tacc_stats.parser import event_delta
 from repro.tacc_stats.types import HostColumns, TypeColumns
 from repro.telemetry.trace import span
-from repro.util.units import GB, KB
 
 __all__ = ["HostScan", "JobScanState", "host_partials", "scan_host"]
 
@@ -80,6 +82,8 @@ _EDGE_COLUMNS: dict[str, tuple[str, ...]] = {
     "lnet": ("tx_bytes", "rx_bytes"),
     "ib": ("port_xmit_data", "port_rcv_data"),
 }
+#: The gauge a partial reads: its ``(Σ, n, max)`` over a job's blocks.
+_GAUGE = ("mem", "MemUsed")
 _PMC_CODES = {"amd64_pmc": frozenset(AMD64_EVENT_CODES.values()),
               "intel_pmc": frozenset(INTEL_EVENT_CODES.values())}
 
@@ -282,7 +286,7 @@ def _fold_file(day: HostColumns, states: list[JobScanState],
     segs = {name: np.searchsorted(tc.block_idx,
                                   np.arange(len(day.times) + 1))
             for name, tc in types.items()
-            if name == "mem" or grids.get(name) == 0}
+            if name == _GAUGE[0] or grids.get(name) == 0}
     # Every job's first and last block's row of each type.
     edge_blocks = flat[np.concatenate((starts, ends))]
     found = {name: [_edge_row(types[name], segs[name], b, cols[name])
@@ -337,14 +341,15 @@ def _fold_file(day: HostColumns, states: list[JobScanState],
         st.last = st.first if fresh and n[j] == 1 else lasts[j]
         st.n_blocks += int(n[j])
         st.foreign = st.foreign or foreign[j]
-    mem = types.get("mem")
-    if mem is None or "MemUsed" not in mem.schema.keys:
+    name, key = _GAUGE
+    gauge = types.get(name)
+    if gauge is None or key not in gauge.schema.keys:
         return
-    # Per job, the (Σ, n, max) of the MemUsed device sums of its blocks
+    # Per job, the (Σ, n, max) of the gauge's device sums of its blocks
     # with rows (reduceat's value at an empty block is masked away).
-    counts = np.diff(segs["mem"])
-    sums = np.add.reduceat(np.append(mem.values[:, mem.schema.index_of(
-        "MemUsed")], np.uint64(0)), segs["mem"][:-1]) * (counts > 0)
+    counts = np.diff(segs[name])
+    sums = np.add.reduceat(np.append(gauge.values[:, gauge.schema.index_of(
+        key)], np.uint64(0)), segs[name][:-1]) * (counts > 0)
     for st, total, count, peak in zip(
             states, _sums(sums[flat], starts),
             np.add.reduceat(counts[flat] > 0, starts, dtype=np.int64).tolist(),
@@ -395,7 +400,7 @@ class _HostFold:
     def _state(self, jobid: str, label: str) -> JobScanState | None:
         """The state blocks/marks of file *label* fold into, or None
         when the job's seed already holds that file."""
-        if label <= self._seeded.get(jobid, ""):
+        if jobid in self._seeded and label <= self._seeded[jobid]:
             return None
         st = self.states.get(jobid)
         if st is None:
@@ -455,10 +460,11 @@ class _HostFold:
 # ---------------------------------------------------------------------------
 
 
-def _edge_deltas(name: str, todo: list[JobScanState]) -> dict:
+def _edge_deltas(name: str, todo: list[JobScanState],
+                 devices: Collection[str] = ()) -> dict:
     """Per state of *todo*, the first→last delta of each key of type
     *name* summed over its devices — and under ``(name, device)``, that
-    of each ``llite`` mount alone — as one job-major list over the keys of
+    of each of *devices* alone — as one job-major list over the keys of
     :data:`_EDGE_COLUMNS`, None where the reference has no value (a key
     or a row missing, a device of the last row not in the first).
 
@@ -507,7 +513,7 @@ def _edge_deltas(name: str, todo: list[JobScanState]) -> dict:
         table).bit_length() > 64 else deltas
     whole = key_ok & ~(has_dev[n:] & ~has_dev[:n]).any(1)[:, None]
     out = {name: np.where(whole, exact.sum(2).astype(object), None)}
-    for dev in ("scratch", "work", "share") if name == "llite" else ():
+    for dev in devices:
         if dev in table:
             d = table[dev]
             out[name, dev] = np.where(included[..., d],
@@ -519,74 +525,83 @@ def host_partials(hostname: str, states: Mapping[str, JobScanState],
                   jobs: Collection[str] | None = None,
                   ) -> dict[str, HostJobPartial]:
     """The :class:`HostJobPartial` of every finished fold in *states*
-    (of *jobs* only, when given) — the metrics, None conditions and
-    float operations of :func:`summarize._host_partial`, in the same
-    order.  The integer work is one :func:`_edge_deltas` per record type
-    over all of the host's jobs; the floats are formed job by job."""
+    (of *jobs* only, when given): one value per :data:`METRICS` row —
+    the metrics, None conditions and float operations of
+    :func:`summarize._host_partial`, in the same order.  The integer
+    work is one :func:`_edge_deltas` per record type over all of the
+    host's jobs; the floats are formed row by row, job by job."""
     todo = {jobid: st for jobid, st in states.items()
             if (jobs is None or jobid in jobs) and st.n_blocks >= 2
             and st.t_last - st.t_first > 0}
+    sts = list(todo.values())
+    mounts = {(m.type, m.device) for m in METRICS.values() if m.device}
     totals = {what: (keys, flat) for name, keys in _EDGE_COLUMNS.items()
               if name != "ib" for what, flat in _edge_deltas(
-                  name, list(todo.values())).items()}
-    out = {}
-    for j, (jobid, st) in enumerate(todo.items()):
-        seconds = st.t_last - st.t_first
-        rates = {what: {key: None if total is None else total * 1.0 / seconds
-                        for key, total in zip(keys, flat[j * len(keys):(
-                            j + 1) * len(keys)])}
-                 for what, (keys, flat) in totals.items()}
-        h: dict[str, float] = {}
+                  name, sts, [dev for t, dev in mounts if t == name]).items()}
+    seconds = [st.t_last - st.t_first for st in sts]
+    none = [None] * len(sts)
 
-        parts = rates.get("cpu")
-        if parts is not None and None not in parts.values():
-            total = sum(parts.values())
-            if total > 0:
-                h["cpu_idle"] = parts["idle"] / total
-                h["cpu_user"] = (parts["user"] + parts["nice"]) / total
-                h["cpu_sys"] = (
-                    parts["system"] + parts["irq"] + parts["softirq"]
-                ) / total
+    def rates(what, key: str, scale: float = 1.0) -> list:
+        """Per job, the *key* total of *what* (a type, or ``(type,
+        device)``) ``* scale / seconds``; None where there is none."""
+        keys, flat = totals.get(what, ((), ()))
+        if key not in keys:
+            return none
+        return [None if total is None else total * scale / s for total, s
+                in zip(flat[keys.index(key)::len(keys)], seconds)]
 
-        if not st.foreign and st.pmc in rates:
-            flops = rates[st.pmc]["ctr0"]
-            if flops is not None:
-                if st.pmc == "intel_pmc":
-                    flops = flops / FP_OVERCOUNT
-                h["cpu_flops"] = flops / 1e9
+    def added(columns) -> list:  # per job, left to right; None if any is
+        return [None if None in job else reduce(add, job)
+                for job in zip(*columns)]
 
-        if st.gauge is not None:
-            total, count, peak = st.gauge
-            h["mem_used"] = float(total) / count * KB / GB
-            h["mem_used_max"] = float(peak) * KB / GB
-
-        for mount in ("scratch", "work", "share"):
-            for op, key in (("write", "write_bytes"), ("read", "read_bytes")):
-                r = rates.get(("llite", mount), {}).get(key)
-                if r is None and mount == "share":
-                    r = rates.get("nfs", {}).get(key)
-                if r is not None:
-                    h[f"io_{mount}_{op}"] = r / 1e6
-
-        for direction, key in (("tx", "port_xmit_data"),
-                               ("rx", "port_rcv_data")):
-            if st.chain is not None and key in st.chain:
-                h[f"net_ib_{direction}"] = st.chain[key] * 4.0 / seconds / 1e6
-
-        for direction, key in (("tx", "tx_bytes"), ("rx", "rx_bytes")):
-            r = rates.get("lnet", {}).get(key)
-            if r is not None:
-                h[f"net_lnet_{direction}"] = r / 1e6
-
-        out[jobid] = HostJobPartial(
-            hostname=hostname,
-            jobid=jobid,
-            metrics=h,
-            poisoned=("cpu_flops",) if st.foreign else (),
-            n_blocks=st.n_blocks,
-            seconds=seconds,
-        )
-    return out
+    cpu = None
+    values = {}
+    for metric, m in METRICS.items():
+        if m.reduce in ("gauge_mean", "gauge_max"):
+            got = [None if st.gauge is None else (
+                float(st.gauge[0]) / st.gauge[1] if m.reduce == "gauge_mean"
+                else float(st.gauge[2])) * m.scale for st in sts]
+        elif m.reduce == "chain":
+            got = added([None if st.chain is None or key not in st.chain
+                         else st.chain[key] * m.scale / s
+                         for st, s in zip(sts, seconds)] for key in m.keys)
+        elif m.reduce == "cpu_fraction":
+            if cpu is None:  # per job, the rate of every cpu key, and Σ
+                keys = _EDGE_COLUMNS["cpu"]
+                cpu = [None if None in job else (dict(zip(keys, job)),
+                                                 sum(job))
+                       for job in zip(*(rates("cpu", key) for key in keys))]
+            got = [None if job is None or not job[1] > 0 else reduce(
+                add, [job[0][key] for key in m.keys]) / job[1] for job in cpu]
+        elif m.type == "pmc":  # the host's PMC type; Intel over-counts
+            by_type = {name: added(rates(name, key, m.scale)
+                                   for key in m.keys) for name in _PMC_CODES}
+            got = [None if st.pmc is None else by_type[st.pmc][j]
+                   for j, st in enumerate(sts)]
+            got = [v / FP_OVERCOUNT if v is not None
+                   and st.pmc == "intel_pmc" else v
+                   for st, v in zip(sts, got)]
+        else:
+            got = added(rates((m.type, m.device) if m.device else m.type,
+                              key, m.scale) for key in m.keys)
+            if m.fallback is not None:
+                alt = added(rates(m.fallback, key, m.scale) for key in m.keys)
+                got = [a if v is None else v for v, a in zip(got, alt)]
+        if m.guard:
+            got = [None if st.foreign else v for st, v in zip(sts, got)]
+        for divisor in m.divisors:
+            got = [None if v is None else v / divisor for v in got]
+        values[metric] = got
+    guarded = tuple(metric for metric, m in METRICS.items() if m.guard)
+    return {jobid: HostJobPartial(
+        hostname=hostname,
+        jobid=jobid,
+        metrics={metric: got[j] for metric, got in values.items()
+                 if got[j] is not None},
+        poisoned=guarded if st.foreign else (),
+        n_blocks=st.n_blocks,
+        seconds=seconds[j],
+    ) for j, (jobid, st) in enumerate(todo.items())}
 
 
 def scan_host(archive: HostArchive, hostname: str,

@@ -31,11 +31,7 @@ exception is a *poisoned* metric — user-reprogrammed performance
 counters make ``cpu_flops`` untrustworthy for the whole job, because
 the same batch script reprogrammed every node it touched.
 
-Units: fractions for cpu_*, GF/s/node for cpu_flops, GB/node for memory,
-MB/s/node for I/O and network.  All "mean" metrics are time-weighted over
-the job's samples and node-averaged, matching the paper's node-hour
-weighting when aggregated (each node of a job contributes equally for the
-same wall window).
+Units and formulas: the rows of :data:`repro.ingest.vocabulary.METRICS`.
 """
 
 from __future__ import annotations
@@ -44,8 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ingest.vocabulary import KEY_METRICS, SUMMARY_METRICS, JobSummary
+from repro.ingest.vocabulary import (
+    KEY_METRICS,
+    METRICS,
+    SUMMARY_METRICS,
+    JobSummary,
+)
 from repro.scheduler.job import JobRecord
+from repro.tacc_stats.collectors.mem import BASE_OS_GB
 from repro.tacc_stats.collectors.intel_pmc import FP_OVERCOUNT
 from repro.tacc_stats.parser import event_delta
 from repro.tacc_stats.types import HostData
@@ -314,8 +316,9 @@ def merge_job_partials(
     Pass partials in a stable host order — metric means are accumulated
     in list order, so the same partials in the same order produce
     bit-identical floats regardless of which process computed them.
-    Each metric is ``np.mean`` (``np.max``: ``mem_used_max``) of its host
-    values: one row each of a C-contiguous matrix, summed as 1-D arrays.
+    Each metric is ``np.mean`` (``np.max``: a ``gauge_max`` row of
+    :data:`METRICS`) of its host values: one row each of a C-contiguous
+    matrix, summed as 1-D arrays.
     """
     if not partials:
         raise SummaryError(f"job {jobid}: no usable host windows")
@@ -323,7 +326,7 @@ def merge_job_partials(
     for p in partials:
         poisoned.update(p.poisoned)
     vals = {m: [p.metrics[m] for p in partials if m in p.metrics]
-            for m in SUMMARY_METRICS if m not in poisoned}
+            for m in METRICS if m not in poisoned}
     missing = poisoned | {m for m, v in vals.items() if not v}
     reduced: dict[str, float] = {}
     for n in {len(v) for v in vals.values() if v}:
@@ -331,7 +334,7 @@ def merge_job_partials(
         grid = np.array([vals[m] for m in names], dtype=np.float64)
         for m, mean, peak in zip(names, grid.mean(axis=1).tolist(),
                                  grid.max(axis=1).tolist()):
-            reduced[m] = peak if m == "mem_used_max" else mean
+            reduced[m] = peak if METRICS[m].reduce == "gauge_max" else mean
     metrics = {m: reduced[m] for m in vals if m in reduced}
     return JobSummary(
         jobid=jobid,
@@ -423,12 +426,6 @@ def _chained_delta_rate(host: HostData, blocks, type_name: str, key: str,
 # ---------------------------------------------------------------------------
 # Fast path: from the behaviour model's rate matrix.
 # ---------------------------------------------------------------------------
-
-
-#: Kernel + daemon memory resident on every node (mirrors the mem
-#: collector's base so both summary paths measure the same quantity —
-#: the paper's mem_used includes everything the OS holds).
-BASE_OS_GB = 1.2
 
 
 def summarize_job_from_rates(

@@ -14,10 +14,12 @@ from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleCont
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.util.units import GB, KB
 
-__all__ = ["MemCollector"]
+__all__ = ["BASE_OS_GB", "MemCollector"]
 
-#: Kernel + daemons resident on an idle node, GB.
-_BASE_OS_GB = 1.2
+#: Kernel + daemons resident on an idle node, GB — in every node's
+#: ``MemUsed``, so the model-rate paths add it too (the paper's
+#: mem_used includes everything the OS holds).
+BASE_OS_GB = 1.2
 
 
 class MemCollector(Collector):
@@ -45,7 +47,7 @@ class MemCollector(Collector):
         sockets = hw.sockets
         total_kb_per_socket = hw.memory_bytes / sockets / KB
 
-        used_gb = ctx.rate("mem_used_gb", 0.0) + _BASE_OS_GB
+        used_gb = ctx.rate("mem_used_gb", 0.0) + BASE_OS_GB
         used_gb = min(used_gb, hw.memory_gb * 0.995)
         cache_gb = min(ctx.rate("mem_cache_gb", 0.3), used_gb * 0.95)
 
@@ -74,7 +76,7 @@ class MemCollector(Collector):
         total_kb_per_socket = hw.memory_bytes / sockets / KB
 
         used_gb = np.minimum(
-            block.rate("mem_used_gb", 0.0) + _BASE_OS_GB,
+            block.rate("mem_used_gb", 0.0) + BASE_OS_GB,
             hw.memory_gb * 0.995)
         cache_gb = np.minimum(block.rate("mem_cache_gb", 0.3), used_gb * 0.95)
 

@@ -6,11 +6,10 @@ That is the only form the ingest engine reads.
 
 :class:`HostData` (an ordered list of :class:`TimestampBlock` row dicts
 and :class:`Mark` lines) is the *edge view* of the same data, built by
-:meth:`HostColumns.to_host_data`: the inspection tools
-(``repro-stats-cat``, :mod:`repro.xdmod.jobview`) read it, and the
-tests use it with the dict reducers in :mod:`repro.ingest.summarize` /
-:mod:`repro.ingest.matcher` as the reference the column scan is
-compared against.
+:meth:`HostColumns.to_host_data`: ``repro-stats-cat``'s per-file
+views read it, and the tests use it with the dict reducers in
+:mod:`repro.ingest.summarize` / :mod:`repro.ingest.matcher` as the
+reference the column scan is compared against.
 """
 
 from __future__ import annotations

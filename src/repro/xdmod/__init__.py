@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.xdmod.density": ("metric_density", "series_density"),
     "repro.xdmod.efficiency": ("EfficiencyAnalysis", "UserEfficiency"),
     "repro.xdmod.jobview": ("JobTimeline", "job_timeline"),
-    "repro.xdmod.metrics": ("KEY_METRICS", "METRIC_INFO", "MetricInfo"),
+    "repro.xdmod.metrics": ("KEY_METRICS", "SERIES_NAMES"),
     "repro.xdmod.persistence": ("PERSISTENCE_METRICS", "PersistenceAnalysis"),
     "repro.xdmod.profiles": ("UsageProfiler",),
     "repro.xdmod.query": ("GroupResult", "JobQuery"),

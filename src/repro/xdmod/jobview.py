@@ -2,43 +2,41 @@
 
 TACC_Stats' defining feature is that samples are "tagged with a batch job
 id to enable offline job-by-job profile analysis" (§3).  This module does
-that analysis for a single job from raw parsed host data: per-interval
-rate series for the key quantities, per-host comparison (is one node the
+that analysis for a single job from a host's decoded files: per-interval
+series of every job metric, per-host comparison (is one node the
 straggler?), and a rendered text timeline.
+
+A series is the job summary's own metric, interval by interval: the
+job's block *k* is retagged as belonging to intervals *k − 1* and *k*,
+and the ingest fold and partial kernel
+(:mod:`repro.ingest.columnar_scan`) reduce every interval as they
+reduce a job — one formula per :data:`~repro.ingest.vocabulary.METRICS`
+row, the PMC guard and the share→nfs fallback included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.tacc_stats.collectors.intel_pmc import FP_OVERCOUNT
-from repro.tacc_stats.parser import event_delta
-from repro.tacc_stats.types import HostData
+from repro.ingest.columnar_scan import _HostFold, host_partials
+from repro.ingest.vocabulary import METRICS
+from repro.tacc_stats.types import HostColumns
 from repro.util.tables import render_kv
 from repro.util.textchart import series_text
-from repro.util.units import GB, KB
 
 __all__ = ["JobTimeline", "job_timeline"]
-
-#: (label, extractor kind, args) for the quantities the viewer shows.
-_RATE_SPECS = {
-    "cpu_user_frac": ("cpu", "user", "frac"),
-    "cpu_idle_frac": ("cpu", "idle", "frac"),
-    "flops_gf": (None, None, "flops"),
-    "mem_used_gb": ("mem", "MemUsed", "gauge_gb"),
-    "scratch_write_mb": ("llite", "write_bytes", "mb_rate"),
-    "ib_tx_mb": ("ib", "port_xmit_data", "words_mb_rate"),
-}
 
 
 @dataclass
 class JobTimeline:
-    """Per-interval rate series of one job on one or more hosts.
+    """Per-interval metric series of one job on one or more hosts.
 
-    ``series[name]`` is a (n_hosts, n_intervals) array; ``times`` holds
-    the interval midpoints.
+    ``series[name]`` (a :data:`METRICS` name) has one row per host that
+    provides the metric and a column per interval; ``times`` holds the
+    interval midpoints.
     """
 
     jobid: str
@@ -54,7 +52,7 @@ class JobTimeline:
         """Across-host mean series for one quantity."""
         return self.series[name].mean(axis=0)
 
-    def straggler(self, name: str = "cpu_user_frac") -> tuple[str, float]:
+    def straggler(self, name: str = "cpu_user") -> tuple[str, float]:
         """(hostname, relative deviation) of the most deviant host —
         load-imbalance debugging, a classic job-viewer use."""
         per_host = self.series[name].mean(axis=1)
@@ -79,122 +77,64 @@ class JobTimeline:
         return "\n".join(lines)
 
 
-def _interval_deltas(host: HostData, blocks, type_name: str, key: str,
-                     sum_devices: bool = True) -> np.ndarray | None:
-    """Per-interval counter deltas summed across devices."""
-    schema = host.schemas.get(type_name)
-    if schema is None:
+def _host_series(jobid: str, days: list[HostColumns],
+                 ) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
+    """Interval midpoints and per-metric series of *jobid* on one host
+    (its *days*, any order), or None when the host has < 2 of its
+    samples.  A metric is left out when an interval lacks it."""
+    spots = [(i, b) for i, day in enumerate(days)
+             for b, jobids in enumerate(day.block_jobids()) if jobid in jobids]
+    if len(spots) < 2:
         return None
-    col = schema.index_of(key)
-    width = schema.entries[col].width
-    out = np.zeros(len(blocks) - 1)
-    for i, (prev, cur) in enumerate(zip(blocks, blocks[1:])):
-        devs_prev = prev.rows.get(type_name)
-        devs_cur = cur.rows.get(type_name)
-        if not devs_prev or not devs_cur:
-            return None
-        total = 0
-        for dev, v_cur in devs_cur.items():
-            v_prev = devs_prev.get(dev)
-            if v_prev is None:
-                return None
-            total += event_delta(int(v_prev[col]), int(v_cur[col]), width)
-        out[i] = total
-    return out
+    times = np.array([days[i].times[b] for i, b in spots])
+    order = np.argsort(times, kind="stable")
+    times, n = times[order], len(spots) - 1
+    tags = [["-"] * len(day.times) for day in days]
+    for k, at in enumerate(order.tolist()):
+        i, b = spots[at]
+        tags[i][b] = ",".join(str(j) for j in (k - 1, k) if 0 <= j < n)
+    fold = _HostFold()
+    fold.add_days([replace(
+        day, tags=np.arange(len(day.times)), jobid_tags=day_tags, marks=[])
+        for day, day_tags in zip(days, tags)])
+    partials = host_partials(days[0].hostname, fold.states)
+    intervals = [partials[str(k)].metrics if str(k) in partials else {}
+                 for k in range(n)]
+    series = {metric: np.array([got[metric] for got in intervals])
+              for metric in METRICS
+              if all(metric in got for got in intervals)}
+    return 0.5 * (times[:-1] + times[1:]), series
 
 
-def _host_series(host: HostData, jobid: str) -> tuple[np.ndarray, dict]:
-    blocks = host.blocks_for_job(jobid)
-    if len(blocks) < 2:
-        raise ValueError(
-            f"{host.hostname}: job {jobid} has < 2 samples"
-        )
-    times = np.array([b.time for b in blocks])
-    dt = np.diff(times)
-    mids = 0.5 * (times[:-1] + times[1:])
-
-    out: dict[str, np.ndarray] = {}
-    cpu_total = None
-    for name, (type_name, key, kind) in _RATE_SPECS.items():
-        if kind == "frac":
-            deltas = _interval_deltas(host, blocks, type_name, key)
-            if deltas is None:
-                continue
-            if cpu_total is None:
-                parts = [
-                    _interval_deltas(host, blocks, "cpu", k)
-                    for k in ("user", "nice", "system", "idle", "iowait",
-                              "irq", "softirq")
-                ]
-                if any(p is None for p in parts):
-                    continue
-                cpu_total = np.sum(parts, axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out[name] = np.where(cpu_total > 0, deltas / cpu_total, 0.0)
-        elif kind == "flops":
-            if "amd64_pmc" in host.schemas:
-                deltas = _interval_deltas(host, blocks, "amd64_pmc", "ctr0")
-                scale = 1.0
-            elif "intel_pmc" in host.schemas:
-                deltas = _interval_deltas(host, blocks, "intel_pmc", "ctr0")
-                scale = 1.0 / FP_OVERCOUNT
-            else:
-                deltas = None
-                scale = 1.0
-            if deltas is None:
-                continue
-            out[name] = deltas * scale / dt / 1e9
-        elif kind == "gauge_gb":
-            schema = host.schemas.get(type_name)
-            if schema is None:
-                continue
-            col = schema.index_of(key)
-            vals = np.array([
-                sum(float(v[col]) for v in b.rows.get(type_name, {}).values())
-                for b in blocks
-            ])
-            out[name] = 0.5 * (vals[:-1] + vals[1:]) * KB / GB
-        elif kind == "mb_rate":
-            deltas = _interval_deltas(host, blocks, type_name, key)
-            if deltas is None:
-                continue
-            out[name] = deltas / dt / 1e6
-        elif kind == "words_mb_rate":
-            deltas = _interval_deltas(host, blocks, type_name, key)
-            if deltas is None:
-                continue
-            out[name] = deltas * 4.0 / dt / 1e6
-    return mids, out
-
-
-def job_timeline(jobid: str, hosts: list[HostData]) -> JobTimeline:
-    """Build the drill-down timeline of one job from its hosts' data.
+def job_timeline(jobid: str, days: Iterable[HostColumns]) -> JobTimeline:
+    """Build the drill-down timeline of one job from its hosts' decoded
+    files (a host's rotated files are read as one stream).
 
     Hosts whose streams lack a quantity (e.g. foreign PMCs) are skipped
     for that quantity only; at least one host must provide each series.
     """
-    if not hosts:
+    by_host: dict[str, list[HostColumns]] = {}
+    for day in days:
+        by_host.setdefault(day.hostname, []).append(day)
+    if not by_host:
         raise ValueError("no host data")
     per_host: list[tuple[str, np.ndarray, dict]] = []
-    for h in hosts:
+    for hostname, host_days in by_host.items():
         # Streams that never carried the job (or saw only its begin
         # sample) are simply not part of this job's timeline.
-        if len(h.blocks_for_job(jobid)) < 2:
-            continue
-        mids, series = _host_series(h, jobid)
-        per_host.append((h.hostname, mids, series))
+        got = _host_series(jobid, host_days)
+        if got is not None:
+            per_host.append((hostname, *got))
     if not per_host:
         raise ValueError(f"job {jobid}: no host stream with >= 2 samples")
 
     # Align on the shortest common interval count (a crashed host may
     # have fewer samples).
     n = min(mids.size for _, mids, _ in per_host)
-    if n == 0:
-        raise ValueError(f"job {jobid}: no usable intervals")
     times = per_host[0][1][:n]
 
     series: dict[str, np.ndarray] = {}
-    for name in _RATE_SPECS:
+    for name in METRICS:
         rows = [s[name][:n] for _, _, s in per_host if name in s]
         if rows:
             series[name] = np.vstack(rows)

@@ -1,77 +1,20 @@
-"""Metric metadata registry.
+"""Metric names for the analyses.
 
 The paper's §4.2 defines eight key metrics chosen as "the smallest
 independent set of metrics that describe the execution behavior of the job
-mix"; ``KEY_METRICS`` (re-exported from the summarizer, which owns the
-storage keys) lists them in radar-chart order.  This module adds display
-metadata and the system-series naming used by the time-series analyses.
+mix"; ``KEY_METRICS`` (re-exported from the vocabulary, whose
+:data:`~repro.ingest.vocabulary.METRICS` table also holds every job
+metric's label, unit and description) lists them in radar-chart order.
+This module adds the system-series naming used by the time-series
+analyses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.ingest.vocabulary import KEY_METRICS
 
-from repro.ingest.vocabulary import KEY_METRICS, SUMMARY_METRICS
+__all__ = ["KEY_METRICS", "SERIES_NAMES"]
 
-__all__ = ["MetricInfo", "METRIC_INFO", "KEY_METRICS", "SERIES_NAMES"]
-
-
-@dataclass(frozen=True)
-class MetricInfo:
-    """Display metadata for one job-level metric."""
-
-    name: str
-    label: str
-    unit: str
-    description: str
-    lower_is_better: bool = False
-
-
-METRIC_INFO: dict[str, MetricInfo] = {
-    m.name: m
-    for m in [
-        MetricInfo(
-            "cpu_idle", "CPU idle", "fraction",
-            "Fraction of CPU time not used by the job in user space or by "
-            "the system.", lower_is_better=True,
-        ),
-        MetricInfo("cpu_user", "CPU user", "fraction",
-                   "Fraction of CPU time in user space."),
-        MetricInfo("cpu_sys", "CPU system", "fraction",
-                   "Fraction of CPU time in the kernel."),
-        MetricInfo("cpu_flops", "FLOPS", "GF/s/node",
-                   "Floating-point rate from the hardware counters "
-                   "(SSE FLOPS on AMD; FP_COMP_OPS-derived on Intel)."),
-        MetricInfo("mem_used", "Memory used", "GB/node",
-                   "Per-node memory used, including OS buffer/page cache."),
-        MetricInfo("mem_used_max", "Memory used (max)", "GB/node",
-                   "Peak observed memory over all nodes and samples."),
-        MetricInfo("io_scratch_write", "Scratch write", "MB/s/node",
-                   "Write rate to the purged, large-quota Lustre scratch."),
-        MetricInfo("io_scratch_read", "Scratch read", "MB/s/node",
-                   "Read rate from Lustre scratch."),
-        MetricInfo("io_work_write", "Work write", "MB/s/node",
-                   "Write rate to the non-purged, 200 GB-quota Lustre work."),
-        MetricInfo("io_work_read", "Work read", "MB/s/node",
-                   "Read rate from Lustre work."),
-        MetricInfo("io_share_write", "Share write", "MB/s/node",
-                   "Write rate to the shared Lustre mount."),
-        MetricInfo("io_share_read", "Share read", "MB/s/node",
-                   "Read rate from the shared Lustre mount."),
-        MetricInfo("net_ib_tx", "IB transmit", "MB/s/node",
-                   "InfiniBand port transmit rate (MPI + Lustre)."),
-        MetricInfo("net_ib_rx", "IB receive", "MB/s/node",
-                   "InfiniBand port receive rate."),
-        MetricInfo("net_lnet_tx", "lnet transmit", "MB/s/node",
-                   "Lustre networking transmit rate."),
-        MetricInfo("net_lnet_rx", "lnet receive", "MB/s/node",
-                   "Lustre networking receive rate."),
-    ]
-}
-
-_missing = set(SUMMARY_METRICS) - set(METRIC_INFO)
-if _missing:  # pragma: no cover - import-time schema guard
-    raise RuntimeError(f"metrics without registry info: {_missing}")
 
 #: Canonical system-series names stored in the warehouse.
 SERIES_NAMES: dict[str, str] = {

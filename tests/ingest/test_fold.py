@@ -11,7 +11,8 @@
   for small RANGER (``amd64_pmc``) and LONESTAR4 (``intel_pmc``) hosts,
   also with rows dropped so that device sets change mid-job and types
   go missing from blocks — and their partials equal both the one-shot
-  fold's and the dict reducers' (``scan_host_data``).
+  fold's and the dict reducers' (``scan_host_data``); a job's view over
+  the cut files equals its view over the whole days.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.ingest.parallel import scan_host_data
 from repro.ingest.summarize import HostJobPartial
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.types import HostColumns
+from repro.xdmod.jobview import job_timeline
 
 # Two jobs on a 2-core node: job 1 over blocks t=0, 600, 1200; job 2,
 # whose PMC control register holds a code TACC_Stats never programs
@@ -286,6 +288,31 @@ def _keep_rows(day: HostColumns, keep: np.ndarray) -> HostColumns:
                                row_block=day.row_block[keep])
 
 
+def _blocks(day: HostColumns, lo: int, hi: int) -> HostColumns:
+    """Blocks ``lo..hi-1`` of *day* as a file of their own."""
+    types = []
+    for tc in day.types:
+        mine = (tc.block_idx >= lo) & (tc.block_idx < hi)
+        types.append(dataclasses.replace(
+            tc, dev_idx=tc.dev_idx[mine], values=tc.values[mine],
+            block_idx=tc.block_idx[mine] - lo))
+    rows = (day.row_block >= lo) & (day.row_block < hi)
+    return dataclasses.replace(
+        day, types=types, times=day.times[lo:hi], tags=day.tags[lo:hi],
+        marks=[(b - lo, kind, jobid) for b, kind, jobid in day.marks
+               if lo <= b < hi],
+        row_type=day.row_type[rows], row_block=day.row_block[rows] - lo)
+
+
+def _view(jobid: str, days: list[HostColumns]):
+    try:
+        tl = job_timeline(jobid, days)
+    except ValueError as e:
+        return str(e)
+    return tl.render(), {name: mat.tobytes()
+                         for name, mat in tl.series.items()}
+
+
 def _partials(host: str, fold: _HostFold) -> dict[str, HostJobPartial]:
     return host_partials(host, fold.states)
 
@@ -325,3 +352,9 @@ def test_the_fold_is_segmentation_free(hosts, data):
     for day in days[1:]:
         merged.merge_from(day.to_host_data())
     assert partials == scan_host_data(merged).partials
+    spanned = [jobid for jobid, state in whole.states.items()
+               if state.n_blocks >= 2]
+    if spanned:
+        jobid = data.draw(st.sampled_from(spanned))
+        assert _view(jobid, [_blocks(*piece) for piece in pieces]) == _view(
+            jobid, days)

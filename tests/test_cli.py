@@ -250,6 +250,68 @@ def test_stats_cat_timeline(archive_run, capsys):
     assert "most deviant host" in out
 
 
+def _longest_job(wh: str) -> str:
+    from repro.ingest.warehouse import Warehouse
+    from repro.xdmod.query import JobQuery
+    w = Warehouse(wh)
+    q = JobQuery(w, "ranger", metrics=())
+    durations = q.column("end_time") - q.column("start_time")
+    jobid = str(q.column("jobid")[int(durations.argmax())])
+    w.close()
+    return jobid
+
+
+def test_stats_cat_timeline_of_text_and_its_v2_twin_agree(archive_run,
+                                                          tmp_path, capsys):
+    from repro.cli.convert import main as convert_main
+    wh, arch = archive_run
+    jobid = _longest_job(wh)
+    assert convert_main(["--archive", arch, "--to", "v2", "--out",
+                         str(tmp_path / "v2"), "--quiet"]) == 0
+    capsys.readouterr()
+    outs = []
+    for root, suffix in ((Path(arch), ".gz"), (tmp_path / "v2", ".v2")):
+        files = sorted(str(p) for p in root.glob(f"*/*{suffix}"))
+        assert stats_cat_main(["--timeline", jobid, *files]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "io_scratch_write" in outs[0]
+
+
+def test_stats_cat_timeline_of_a_degraded_cpu_schema(archive_run, tmp_path,
+                                                     capsys):
+    """A host-day whose cpu type lacks a key renders every other series
+    (the cpu fractions need all of them) and exits 0."""
+    import dataclasses
+    import gzip
+
+    from repro.tacc_stats.archive import HostArchive
+    from repro.tacc_stats.parser import parse_host_columns
+    wh, arch = archive_run
+    jobid = _longest_job(wh)
+    files = []
+    for path in sorted(Path(arch).glob("*/*.gz")):
+        day = parse_host_columns(HostArchive.read_file(path))
+        types = []
+        for tc in day.types:
+            if tc.name == "cpu":
+                keep = [i for i, e in enumerate(tc.schema.entries)
+                        if e.key != "nice"]
+                tc = dataclasses.replace(tc, values=tc.values[:, keep],
+                                         schema=dataclasses.replace(
+                    tc.schema, entries=tuple(tc.schema.entries[i]
+                                             for i in keep)))
+            types.append(tc)
+        out = tmp_path / path.parent.name / path.name
+        out.parent.mkdir(exist_ok=True)
+        out.write_bytes(gzip.compress(
+            dataclasses.replace(day, types=types).to_text().encode()))
+        files.append(str(out))
+    assert stats_cat_main(["--timeline", jobid, *files]) == 0
+    out = capsys.readouterr().out
+    assert "io_scratch_write" in out and "cpu_user" not in out
+
+
 def test_stats_cat_multi_host_without_timeline_rejected(archive_run,
                                                         capsys):
     _, arch = archive_run

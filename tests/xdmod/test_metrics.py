@@ -1,16 +1,37 @@
-"""Tests for the metric metadata registry."""
+"""Tests for the metric table and the metric names of the analyses."""
 
+from repro.ingest.columnar_scan import _EDGE_COLUMNS, _GAUGE, _PMC_CODES
 from repro.ingest.summarize import KEY_METRICS, SUMMARY_METRICS
-from repro.xdmod.metrics import METRIC_INFO, SERIES_NAMES
+from repro.ingest.vocabulary import METRICS
+from repro.xdmod.metrics import SERIES_NAMES
 from repro.xdmod.persistence import PERSISTENCE_METRICS
 
 
 def test_every_summary_metric_has_info():
-    assert set(METRIC_INFO) == set(SUMMARY_METRICS)
-    for info in METRIC_INFO.values():
-        assert info.label
-        assert info.unit
-        assert info.description.endswith(".")
+    assert SUMMARY_METRICS == tuple(METRICS)
+    for m in METRICS.values():
+        assert m.label
+        assert m.unit
+        assert m.description.endswith(".")
+
+
+def test_every_row_reads_kept_columns_and_every_kept_column_is_read():
+    """A row's keys are columns the fold keeps (the ``ib`` ones chained,
+    the gauge its one column), and each kept column is read by a row or
+    by the cpu denominator."""
+    read = {("cpu", key) for key in _EDGE_COLUMNS["cpu"]}
+    for m in METRICS.values():
+        types = list(_PMC_CODES) if m.type == "pmc" else [m.type]
+        types += [m.fallback] if m.fallback else []
+        if m.reduce.startswith("gauge"):
+            assert (m.type, m.keys) == (_GAUGE[0], _GAUGE[1:])
+            continue
+        assert (m.reduce == "chain") == (m.type == "ib")
+        for name in types:
+            assert set(m.keys) <= set(_EDGE_COLUMNS[name])
+            read.update((name, key) for key in m.keys)
+    assert read == {(name, key) for name, keys in _EDGE_COLUMNS.items()
+                    for key in keys}
 
 
 def test_key_metrics_order_matches_paper_radar():
@@ -22,7 +43,7 @@ def test_key_metrics_order_matches_paper_radar():
 
 
 def test_only_idle_is_lower_better():
-    lower = [m for m, i in METRIC_INFO.items() if i.lower_is_better]
+    lower = [name for name, m in METRICS.items() if m.lower_is_better]
     assert lower == ["cpu_idle"]
 
 
