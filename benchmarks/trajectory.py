@@ -12,7 +12,11 @@ prints three tables:
 * one row per (PR, workload, layer) a record's ``per_layer`` holds, the
   same columns without a bound (traced runs);
 * one row per (PR, measure) of a record's ``size``: ``src_lines`` and
-  ``test_lines``, parent and change.
+  ``test_lines``, parent and change;
+* one row per (PR, side, layer) of a record's ``paper_scale`` block
+  (``benchmarks/paper_scale.py``): ms per host-day at paper scale and
+  at the reference scale and their ratio, ``>2x`` after a layer the
+  block names in ``over_2x``.
 
 Every record keeps ``end_to_end[workload][metric].{parent,change}``
 with a ``median`` and its ``runs``; from PR :data:`LAYERS_AND_SIZE_FROM`
@@ -123,6 +127,48 @@ def size_rows(pr: int, record: dict, name: str = "") -> list[Row]:
     return out
 
 
+@dataclass(frozen=True)
+class ScaleRow:
+    pr: int
+    side: str
+    layer: str
+    ms: float
+    ref_ms: float
+    ratio: float
+    over_2x: bool
+
+
+def paper_scale_rows(pr: int, record: dict, name: str = "") -> list[ScaleRow]:
+    """One record's ``paper_scale`` rows, parent side first (none for a
+    record without the block)."""
+    out = []
+    for side, block in sorted(record.get("paper_scale", {}).items(),
+                              key=lambda kv: kv[0] != "parent"):
+        try:
+            flagged = set(block["over_2x"])
+            out += [ScaleRow(pr, side, r["layer"],
+                             float(r["ms_per_host_day"]),
+                             math.nan if r["ref_ms_per_host_day"] is None
+                             else float(r["ref_ms_per_host_day"]),
+                             math.nan if r["ratio"] is None
+                             else float(r["ratio"]),
+                             r["layer"] in flagged)
+                    for r in block["layers"]]
+        except (KeyError, TypeError) as e:
+            raise ValueError(
+                f"{name}: paper_scale.{side}: no {e}") from None
+    return out
+
+
+def render_paper_scale(table: list[ScaleRow]) -> str:
+    lines = [f"{'PR':>3} {'side':<7} {'layer':<28} {'ms/host-day':>11} "
+             f"{'at ref':>9} {'ratio':>6}"]
+    lines += [f"{r.pr:>3} {r.side:<7} {r.layer:<28} {r.ms:>11.4g} "
+              f"{r.ref_ms:>9.4g} {r.ratio:>6.2f}"
+              f"{' >2x' if r.over_2x else ''}" for r in table]
+    return "\n".join(lines)
+
+
 def trajectory(root: Path = ROOT) -> list[Row]:
     """Every record's end-to-end rows."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
@@ -131,14 +177,16 @@ def trajectory(root: Path = ROOT) -> list[Row]:
                             path.name)]
 
 
-def layers_and_sizes(root: Path = ROOT) -> tuple[list[Row], list[Row]]:
-    """Every record's per-layer rows and size rows."""
-    layers, sizes = [], []
+def layers_and_sizes(root: Path = ROOT
+                     ) -> tuple[list[Row], list[Row], list[ScaleRow]]:
+    """Every record's per-layer rows, size rows and paper-scale rows."""
+    layers, sizes, scale = [], [], []
     for pr, path in records(root):
         record = json.loads(path.read_text())
         layers += layer_rows(pr, record, path.name)
         sizes += size_rows(pr, record, path.name)
-    return layers, sizes
+        scale += paper_scale_rows(pr, record, path.name)
+    return layers, sizes, scale
 
 
 def render(table: list[Row], label: str = "metric") -> str:
@@ -154,7 +202,7 @@ def render(table: list[Row], label: str = "metric") -> str:
 def main() -> int:
     try:
         table = trajectory()
-        layers, sizes = layers_and_sizes()
+        layers, sizes, scale = layers_and_sizes()
     except ValueError as e:
         print(e, file=sys.stderr)
         return 1
@@ -163,6 +211,9 @@ def main() -> int:
     print(render(layers, "layer"))
     print()
     print(render(sizes, "lines"))
+    if scale:
+        print()
+        print(render_paper_scale(scale))
     return 0
 
 

@@ -170,7 +170,9 @@ class ArchiveStats:
 
     @property
     def bytes_per_host_day(self) -> float:
-        """Raw bytes per node per day — the paper's 0.5 MB figure."""
+        """Raw bytes per host-day file.  Not the paper's 0.5 MB per
+        node-day: a one-day run writes two files per node (the tick at
+        ``t = 86 400 s`` opens day 2's), so divide by nodes x days."""
         if self.host_days == 0:
             return 0.0
         return self.raw_bytes / self.host_days

@@ -72,10 +72,8 @@ class Amd64PmcCollector(Collector):
             if self._user_programmed
             else [AMD64_EVENT_CODES[e] for e in self.node.hardware.processor.pmc_events]
         )
-        for dev in self.devices:
-            acc = self._acc[dev]
-            acc[:4] = codes
-            acc[4:] = 0.0
+        self._acc[:, :4] = codes
+        self._acc[:, 4:] = 0.0
 
     def advance(self, ctx: SampleContext) -> None:
         dt = ctx.dt
@@ -109,35 +107,39 @@ class Amd64PmcCollector(Collector):
                       self.noisy(ht_bytes * share / _CACHE_LINE * dt))
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
-        # Called once per begin segment (this class overrides
-        # on_job_begin), so _user_programmed holds for every row here.
+        # Both programs' increments for every row at once; then, begin
+        # segment by begin segment, the program on_job_begin drew picks
+        # its rows (and the TACC one its noise), and the running sum
+        # restarts from the reset registers.
         n = self.node.hardware.cores
         dt = np.asarray(block.dts, dtype=np.float64)
-        inc = np.zeros((block.n, n, self._schema.n_values))
-        if self._user_programmed:
-            clock = self.node.hardware.processor.clock_ghz * 1e9
-            tick = np.where((~block.idle) & (dt > 0), 0.25 * clock * dt, 0.0)
-            inc[:, :, 4:] = tick[:, None, None]
-        else:
-            active = core_fractions_block(block.rate("cpu_user_frac"), n)
-            total_active = np.maximum(active.sum(axis=1), 1e-9)
-            share = active / total_active[:, None]
-            node_flops = block.rate("flops_gf") * 1e9
-            dram_bytes = node_flops * 0.8 + block.rate("mem_used_gb") * 1e7
-            ht_bytes = (block.rate("net_mpi_mb") * 1e6) * 1.5
-            # Idle and dt <= 0 rows end up with zero amounts (share or dt
-            # is zero), which matches the scalar guard's early return.
-            ds = dram_bytes[:, None] * share
-            amounts = np.stack([
-                node_flops[:, None] * share * dt[:, None],
-                ds / _CACHE_LINE * dt[:, None],
-                ds * 0.3 / _CACHE_LINE * dt[:, None],
-                ht_bytes[:, None] * share / _CACHE_LINE * dt[:, None],
-            ], axis=-1)
-            inc[:, :, 4:] = self.noisy_block(amounts)
+        clock = self.node.hardware.processor.clock_ghz * 1e9
+        tick = np.where((~block.idle) & (dt > 0), 0.25 * clock * dt, 0.0)
+        active = core_fractions_block(block.rate("cpu_user_frac"), n)
+        total_active = np.maximum(active.sum(axis=1), 1e-9)
+        share = active / total_active[:, None]
+        node_flops = block.rate("flops_gf") * 1e9
+        dram_bytes = node_flops * 0.8 + block.rate("mem_used_gb") * 1e7
+        ht_bytes = (block.rate("net_mpi_mb") * 1e6) * 1.5
+        # Idle and dt <= 0 rows end up with zero amounts (share or dt
+        # is zero), which matches the scalar guard's early return.
+        ds = dram_bytes[:, None] * share
+        amounts = np.stack([
+            node_flops[:, None] * share * dt[:, None],
+            ds / _CACHE_LINE * dt[:, None],
+            ds * 0.3 / _CACHE_LINE * dt[:, None],
+            ht_bytes[:, None] * share / _CACHE_LINE * dt[:, None],
+        ], axis=-1)
         # ctl gauges stay at their carried values (set by on_job_begin);
-        # a zero increment through the cumsum leaves them bit-identical.
-        return self.wrap_block(self.accumulate_block(inc))
+        # a zero increment through the running sum leaves them as is.
+        inc = np.zeros((block.n, n, self._schema.n_values))
+        for lo, hi in self.job_segments(block):
+            if self._user_programmed:
+                inc[lo:hi, :, 4:] = tick[lo:hi, None, None]
+            else:
+                inc[lo:hi, :, 4:] = self.noisy_block(amounts[lo:hi])
+            self.accumulate_block(inc[lo:hi])
+        return self.wrap_block(inc)
 
     @property
     def user_programmed(self) -> bool:

@@ -1,9 +1,10 @@
 """Collector base class and shared accumulation machinery.
 
-A collector owns one record type.  It keeps cumulative per-device
-accumulators (floats internally, rendered as integers modulo the schema's
-counter width — exactly the rollover behaviour of the real registers) and
-converts the node's current *rates* into counter increments over ``dt``.
+A collector owns one record type.  It keeps its registers as one
+``[devices, values]`` float array (rendered as integers modulo the
+schema's counter width — exactly the rollover behaviour of the real
+registers) and converts the node's current *rates* into counter
+increments over ``dt``.
 
 When no job runs on the node, collectors see ``rates=None`` and account
 only background OS activity, so idle-node samples look like real idle
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,13 +114,6 @@ class Collector(ABC):
     #: collected data within test tolerances).
     NOISE_SIGMA = 0.015
 
-    def __init_subclass__(cls, **kwargs):
-        # Only a collector that reprograms at job begin cares where a
-        # job begins inside a block; every other kernel sees it whole.
-        super().__init_subclass__(**kwargs)
-        if cls.on_job_begin is not Collector.on_job_begin:
-            cls.sample_block = _by_begin_segment(cls.sample_block)
-
     def __init__(self, node: Node, rng: np.random.Generator):
         self.node = node
         self.rng = rng
@@ -127,10 +121,9 @@ class Collector(ABC):
         self._devices = self.build_devices()
         if not self._devices:
             raise ValueError(f"{self.type_name}: no devices")
-        # accumulators[device] -> float vector in schema order.
-        self._acc: dict[str, np.ndarray] = {
-            d: np.zeros(self._schema.n_values) for d in self._devices
-        }
+        self._row = {d: i for i, d in enumerate(self._devices)}
+        #: The registers: ``[devices, values]`` floats in schema order.
+        self._acc = np.zeros((len(self._devices), self._schema.n_values))
 
     # -- to be provided by subclasses ---------------------------------------
 
@@ -170,12 +163,9 @@ class Collector(ABC):
             raise ValueError("negative dt")
         self.advance(ctx)
         widths = [e.modulus for e in self._schema.entries]
-        for device in self._devices:
-            acc = self._acc[device]
-            out = np.empty(len(acc), dtype=np.uint64)
-            for i, (v, mod) in enumerate(zip(acc, widths)):
-                out[i] = int(v) % mod
-            yield device, out
+        for device, acc in zip(self._devices, self._acc):
+            yield device, np.array([int(v) % mod for v, mod
+                                    in zip(acc, widths)], dtype=np.uint64)
 
     def bump(self, device: str, key: str, amount: float) -> None:
         """Add to an event accumulator (must be non-negative)."""
@@ -183,11 +173,12 @@ class Collector(ABC):
             raise ValueError(
                 f"{self.type_name}/{device}/{key}: negative increment"
             )
-        self._acc[device][self._schema.index_of(key)] += amount
+        self._acc[self._row[device], self._schema.index_of(key)] += amount
 
     def set_gauge(self, device: str, key: str, value: float) -> None:
         """Set a gauge value (clamped at zero)."""
-        self._acc[device][self._schema.index_of(key)] = max(value, 0.0)
+        self._acc[self._row[device], self._schema.index_of(key)] = \
+            max(value, 0.0)
 
     def noisy(self, amount: float) -> float:
         """Apply the per-sample measurement jitter to an increment."""
@@ -201,30 +192,43 @@ class Collector(ABC):
         """Advance through a whole block; return ``[T, D, K]`` uint64 rows.
 
         The base implementation is the scalar path, one :meth:`sample`
-        (hence :meth:`advance`) per row: what a collector without a
+        (hence :meth:`advance`) per row, with :meth:`on_job_begin` called
+        just before each ``block.begins`` row: what a collector without a
         kernel runs, and the reference every kernel is tested against —
         the tests run the synthesis engine with this method in place of
         the kernels (``tests/scalar_reference.py``).  Kernel overrides
         must consume their RNG stream in exactly the scalar draw order
-        (time-major, then the per-sample order of ``advance``) and leave
-        ``self._acc`` at the end-of-block state so scalar and vectorized
-        processing can be freely interleaved.  A kernel must give the
-        same rows wherever its input is cut into blocks; a collector that
-        overrides :meth:`on_job_begin` is the exception, and is called
-        once per begin segment instead (no ``%begin`` row after its
-        first).
+        (time-major, ``on_job_begin``'s draws before its row's, then the
+        per-sample order of ``advance``) and leave ``self._acc`` at the
+        end-of-block state so scalar and vectorized processing can be
+        freely interleaved.  A kernel must give the same rows wherever
+        its input is cut into blocks.
         """
         out = np.empty(
             (block.n, len(self._devices), self._schema.n_values),
             dtype=np.uint64)
-        for i in range(block.n):
-            ctx = SampleContext(
-                time=float(block.times[i]), dt=float(block.dts[i]),
-                rates=block.rates_row(i),
-                jobids=block.jobids[i] if block.jobids else ())
-            for d, (_device, values) in enumerate(self.sample(ctx)):
-                out[i, d] = values
+        for lo, hi in self.job_segments(block):
+            for i in range(lo, hi):
+                ctx = SampleContext(
+                    time=float(block.times[i]), dt=float(block.dts[i]),
+                    rates=block.rates_row(i),
+                    jobids=block.jobids[i] if block.jobids else ())
+                for d, (_device, values) in enumerate(self.sample(ctx)):
+                    out[i, d] = values
         return out
+
+    def job_segments(self, block: BlockContext):
+        """Yield the ``(lo, hi)`` row ranges of *block* between its
+        ``%begin`` rows, in order, calling :meth:`on_job_begin` as each
+        begin's range is reached (an empty range before the first begin
+        is skipped)."""
+        cuts = [row for row, _jobid, _t in block.begins]
+        for lo, hi, begin in zip([0, *cuts], [*cuts, block.n],
+                                 [None, *block.begins]):
+            if begin is not None:
+                self.on_job_begin(*begin[1:])
+            if lo < hi:
+                yield lo, hi
 
     def noisy_block(self, amounts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`noisy` over an array of increments.
@@ -244,29 +248,27 @@ class Collector(ABC):
             out.reshape(-1)[mask] = flat[mask] * draws
         return out
 
-    def _carry(self) -> np.ndarray:
-        """``[D, K]`` float accumulator state, in device order."""
-        return np.stack([self._acc[d] for d in self._devices])
-
-    def _store_carry(self, acc_last: np.ndarray) -> None:
-        """Write the end-of-block ``[D, K]`` state back into ``_acc``."""
-        for i, d in enumerate(self._devices):
-            self._acc[d] = acc_last[i].astype(np.float64, copy=True)
-
     def accumulate_block(self, inc: np.ndarray) -> np.ndarray:
         """Integrate per-sample increments ``[T, D, K]`` from the carried
-        accumulator state; returns the ``[T, D, K]`` float accumulator
-        trajectory and stores the final state back in ``_acc``.
+        registers, in place; returns *inc* as the ``[T, D, K]`` float
+        register trajectory and keeps its last row in ``_acc``.
 
-        ``np.cumsum`` over the carry-prefixed series reproduces the
-        scalar path's sequential ``+=`` bit-for-bit (same left-to-right
-        float addition order).
+        Adding the carry to the first row and a running sum down the
+        rows is the scalar path's sequential ``+=``, bit for bit (the
+        same left-to-right float additions).
         """
-        acc0 = self._carry()
-        acc = np.cumsum(
-            np.concatenate([acc0[None, :, :], inc], axis=0), axis=0)[1:]
-        self._store_carry(acc[-1] if inc.shape[0] else acc0)
-        return acc
+        if inc.shape[0]:
+            inc[0] += self._acc
+            np.cumsum(inc, axis=0, out=inc)
+            self._acc = inc[-1].copy()
+        return inc
+
+    def gauge_block(self, vals: np.ndarray) -> np.ndarray:
+        """Registers set outright, ``[T, D, K]`` floats: keep the last
+        row in ``_acc`` and render them all (:meth:`wrap_block`)."""
+        if vals.shape[0]:
+            self._acc = vals[-1].copy()
+        return self.wrap_block(vals)
 
     def wrap_block(self, acc: np.ndarray) -> np.ndarray:
         """Render float accumulators as the registers' uint64 values.
@@ -275,31 +277,13 @@ class Collector(ABC):
         widths are powers of two, so truncation plus a mask is exact for
         every magnitude the synthesizer produces (far below 2**63).
         """
-        masks = np.array([e.modulus - 1 for e in self._schema.entries],
-                         dtype=np.uint64)
-        return acc.astype(np.int64).astype(np.uint64) & masks
+        return acc.astype(np.int64).astype(np.uint64) & _masks(self._schema)
 
 
-def _by_begin_segment(kernel):
-    """*kernel* as a ``sample_block`` that runs it one begin segment at a
-    time, ``on_job_begin`` called before the segment its ``%begin`` row
-    opens — the scalar order, so the collector's stream is drawn from
-    and its state reset exactly as a per-invocation sampler would."""
-    @wraps(kernel)
-    def sample_block(self, block: BlockContext) -> np.ndarray:
-        if not block.begins:
-            return kernel(self, block)
-        out = []
-        cuts = [0, *(row for row, _jobid, _t in block.begins), block.n]
-        for begin, lo, hi in zip((None, *block.begins), cuts, cuts[1:]):
-            if begin is not None:
-                self.on_job_begin(*begin[1:])
-            if lo < hi:
-                out.append(kernel(self, BlockContext(
-                    block.times[lo:hi], block.dts[lo:hi], block.rates[lo:hi],
-                    block.idle[lo:hi], block.jobids[lo:hi])))
-        return np.concatenate(out, axis=0)
-    return sample_block
+@lru_cache(maxsize=None)
+def _masks(schema: TypeSchema) -> np.ndarray:
+    """``2**w - 1`` of each of *schema*'s columns, as uint64."""
+    return np.array([e.modulus - 1 for e in schema.entries], dtype=np.uint64)
 
 
 def core_fractions(node_fraction: float, n_cores: int) -> np.ndarray:

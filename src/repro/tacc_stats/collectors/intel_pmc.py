@@ -43,6 +43,8 @@ USER_PROGRAMMED_PROB = 0.02
 _FOREIGN_CODE = 0x53003C  # UNHALTED_CORE_CYCLES
 
 _CACHE_LINE = 64.0
+#: Schema columns of FIXED_CTR0 and ctr0-2, the four counting registers.
+_COUNTERS = [0, 4, 5, 6]
 
 
 class IntelPmcCollector(Collector):
@@ -74,11 +76,8 @@ class IntelPmcCollector(Collector):
             if self._user_programmed
             else [INTEL_EVENT_CODES[e] for e in self.node.hardware.processor.pmc_events]
         )
-        for dev in self.devices:
-            acc = self._acc[dev]
-            acc[0] = 0.0          # FIXED_CTR0
-            acc[1:4] = codes      # ctl0-2
-            acc[4:] = 0.0         # ctr0-2
+        self._acc[:] = 0.0         # FIXED_CTR0, ctr0-2
+        self._acc[:, 1:4] = codes  # ctl0-2
 
     def advance(self, ctx: SampleContext) -> None:
         dt = ctx.dt
@@ -112,36 +111,37 @@ class IntelPmcCollector(Collector):
                       self.noisy(0.35 * clock * active[c] * dt))
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
-        # One begin segment per call (see amd64_pmc).
+        # One pass, begin segment by begin segment (see amd64_pmc).
         n = self.node.hardware.cores
         dt = np.asarray(block.dts, dtype=np.float64)
         clock = self.node.hardware.processor.clock_ghz * 1e9
         active = core_fractions_block(block.rate("cpu_user_frac"), n)
+        total_active = np.maximum(active.sum(axis=1), 1e-9)
+        share = active / total_active[:, None]
+        node_flops = block.rate("flops_gf") * 1e9
+        qpi_bytes = (block.rate("net_mpi_mb") * 1e6) * 1.5 \
+            + block.rate("mem_used_gb") * 1e7
+        ipc = 1.1 * active
+        amounts = np.stack([
+            ipc * clock * dt[:, None],
+            node_flops[:, None] * FP_OVERCOUNT * share * dt[:, None],
+            qpi_bytes[:, None] * share / _CACHE_LINE * dt[:, None],
+            0.35 * clock * active * dt[:, None],
+        ], axis=-1)
         inc = np.zeros((block.n, n, self._schema.n_values))
-        if self._user_programmed:
-            # Idle rows have active == 0, so they contribute nothing —
-            # same as the scalar guard.
-            ipc = 1.1 * active
-            mask = ((~block.idle) & (dt > 0)).astype(np.float64)
-            inc[:, :, 0] = ipc * clock * dt[:, None] * mask[:, None]
-            inc[:, :, 4:] = (active * clock * dt[:, None] * mask[:, None])[:, :, None]
-        else:
-            total_active = np.maximum(active.sum(axis=1), 1e-9)
-            share = active / total_active[:, None]
-            node_flops = block.rate("flops_gf") * 1e9
-            qpi_bytes = (block.rate("net_mpi_mb") * 1e6) * 1.5 \
-                + block.rate("mem_used_gb") * 1e7
-            ipc = 1.1 * active
-            amounts = np.stack([
-                ipc * clock * dt[:, None],
-                node_flops[:, None] * FP_OVERCOUNT * share * dt[:, None],
-                qpi_bytes[:, None] * share / _CACHE_LINE * dt[:, None],
-                0.35 * clock * active * dt[:, None],
-            ], axis=-1)
-            drawn = self.noisy_block(amounts)
-            inc[:, :, 0] = drawn[..., 0]
-            inc[:, :, 4:] = drawn[..., 1:]
-        return self.wrap_block(self.accumulate_block(inc))
+        for lo, hi in self.job_segments(block):
+            if self._user_programmed:
+                # Idle rows have active == 0, so they contribute nothing
+                # — same as the scalar guard.
+                rows = slice(lo, hi)
+                on = ((~block.idle[rows]) & (dt[rows] > 0))[:, None]
+                inc[rows, :, 0] = ipc[rows] * clock * dt[rows, None] * on
+                inc[rows, :, 4:] = (active[rows] * clock * dt[rows, None]
+                                    * on)[:, :, None]
+            else:
+                inc[lo:hi, :, _COUNTERS] = self.noisy_block(amounts[lo:hi])
+            self.accumulate_block(inc[lo:hi])
+        return self.wrap_block(inc)
 
     @property
     def user_programmed(self) -> bool:

@@ -97,6 +97,4 @@ class MemCollector(Collector):
         vals[..., 4] = cached_kb * 0.88
         vals[..., 5] = used_kb * 0.6
         vals[..., 6] = cached_kb * 0.02
-        if block.n:
-            self._store_carry(vals[-1])
-        return self.wrap_block(vals)
+        return self.gauge_block(vals)

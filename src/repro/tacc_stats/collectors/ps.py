@@ -84,9 +84,7 @@ class PsCollector(Collector):
         vals[:, 0, 2] = np.maximum(l15 * 100, 0.0)
         vals[:, 0, 3] = running
         vals[:, 0, 4] = 120 + running * 2
-        proc_carry = float(self._acc["-"][5])
+        proc_carry = float(self._acc[0, 5])
         vals[:, 0, 5] = np.cumsum(
             np.concatenate([[proc_carry], 0.05 * np.maximum(dt, 0.0)]))[1:]
-        if block.n:
-            self._store_carry(vals[-1])
-        return self.wrap_block(vals)
+        return self.gauge_block(vals)

@@ -56,6 +56,4 @@ class SysvShmCollector(Collector):
         vals = np.empty((block.n, 1, self._schema.n_values))
         vals[:, 0, 0] = segs
         vals[:, 0, 1] = segs * _SEG_MB * MB
-        if block.n:
-            self._store_carry(vals[-1])
-        return self.wrap_block(vals)
+        return self.gauge_block(vals)

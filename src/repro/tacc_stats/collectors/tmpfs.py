@@ -60,6 +60,4 @@ class TmpfsCollector(Collector):
         vals[:, 0, 1] = np.maximum(1.0, shm_bytes // (32 * MB))
         vals[:, 1, 0] = tmp_bytes
         vals[:, 1, 1] = np.maximum(4.0, tmp_bytes // MB // 4)
-        if block.n:
-            self._store_carry(vals[-1])
-        return self.wrap_block(vals)
+        return self.gauge_block(vals)

@@ -70,6 +70,4 @@ class VfsCollector(Collector):
         vals[:, 0, 0] = dentry * jitter
         vals[:, 0, 1] = file * jitter
         vals[:, 0, 2] = inode * jitter
-        if block.n:
-            self._store_carry(vals[-1])
-        return self.wrap_block(vals)
+        return self.gauge_block(vals)

@@ -3,8 +3,8 @@ events into archive rows.
 
 :class:`NodeSynth` is TACC_Stats on one node (paper §3: invoked at job
 begin, every ten minutes and at job end).  Instead of emitting one text
-block per invocation, it queues the invocation metadata (time, dt,
-prevailing rates source, job tags, marks) — a whole day of it, whoever
+block per invocation, it queues the invocation metadata (time, job
+tags, prevailing rates source, marks) — a whole day of it, whoever
 drives, however many jobs begin meanwhile — and the first
 :meth:`NodeSynth.flush` that finds a queued row due materializes the
 whole queue as one :class:`~repro.tacc_stats.collectors.base.BlockContext`,
@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from functools import partial
-from operator import attrgetter
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -47,23 +47,6 @@ from repro.workload.applications import RATE_FIELDS
 from repro.workload.behavior import JobBehavior
 
 __all__ = ["HostFile", "NodeSynth"]
-
-
-class _Pending:
-    """One queued collector invocation awaiting its block flush."""
-
-    __slots__ = ("t", "dt", "jobids", "mark", "rate_src")
-
-    def __init__(self, t: float, dt: float, jobids: tuple[str, ...],
-                 mark: tuple[str, str] | None,
-                 rate_src: tuple[JobBehavior, int, float] | None):
-        self.t = t
-        self.dt = dt
-        self.jobids = jobids
-        self.mark = mark
-        #: (behavior, node_slot, elapsed) the interval's rates come
-        #: from, or None for an idle interval.
-        self.rate_src = rate_src
 
 
 class HostFile:
@@ -155,10 +138,20 @@ class NodeSynth:
         self._last_time: float | None = None
         # (jobid, behavior, node_slot, job_start) of the current job.
         self._job: tuple[str, JobBehavior, int, float] | None = None
-        self._pending: list[_Pending] = []
-        #: The block the clock is inside: (invocations, per-collector
-        #: arrays); its rows before ``_released`` are in the archive.
-        self._held: tuple[list[_Pending], list[np.ndarray]] | None = None
+        # The queue, one entry per invocation in each list: its time,
+        # job tags and the job whose rates the interval has (None:
+        # idle); ``_marks`` holds ``(entry, kind, jobid)`` of the begin
+        # and end entries, ``_since`` the invocation before the first
+        # entry (None at daemon start).
+        self._times: list[float] = []
+        self._tags: list[tuple[str, ...]] = []
+        self._sources: list[tuple[str, JobBehavior, int, float] | None] = []
+        self._marks: list[tuple[int, str, str]] = []
+        self._since: float | None = None
+        #: The block the clock is inside: (times, tags, marks,
+        #: per-collector arrays); its rows before ``_released`` are in
+        #: the archive.
+        self._held: tuple | None = None
         self._released = 0
         self._rows_per_sample = sum(len(c.devices) for c in self.collectors)
         self._new_file = partial(
@@ -211,16 +204,15 @@ class NodeSynth:
                 f"{self.node.hostname}: sample time moved backwards "
                 f"({t} < {self._last_time})"
             )
-        dt = 0.0 if self._last_time is None else t - self._last_time
+        if not self._times:
+            self._since = self._last_time
+        if mark is not None:
+            self._marks.append((len(self._times), *mark))
+        self._times.append(t)
+        self._tags.append(jobids)
         # A begin-mark sample accounts the *previous* interval (idle, or
         # a job that already emitted its end sample).
-        if self._job is None:
-            src = None
-        else:
-            _jobid, behavior, slot, start = self._job
-            ref = self._last_time if self._last_time is not None else t
-            src = (behavior, slot, max(ref - start, 0.0))
-        self._pending.append(_Pending(t, dt, jobids, mark, src))
+        self._sources.append(self._job)
         self._last_time = t
 
     # -- block materialization ----------------------------------------------
@@ -233,79 +225,81 @@ class NodeSynth:
         release, and reach no file or row counter before.  A block must
         be out before the next is queued."""
         if self._held is None:
-            if not self._pending:
+            if not self._times:
                 return
             self._held = self._materialize()
             self._released = 0
-        pending, vals_by_collector = self._held
+        times = self._held[0]
         i0 = self._released
-        i1 = bisect_right(pending, until, lo=i0, key=attrgetter("t"))
+        i1 = bisect_right(times, until, lo=i0)
         if i1 > i0:
-            self._write_runs(pending, vals_by_collector, i0, i1)
+            self._write_runs(i0, i1)
             self._released = i1
             registry = get_registry()
             registry.counter("synth.samples").inc(i1 - i0)
             registry.counter("synth.rows").inc(
                 (i1 - i0) * self._rows_per_sample)
-        if i1 == len(pending):
+        if i1 == len(times):
             self._held = None
 
-    def _materialize(self) -> tuple[list[_Pending], list[np.ndarray]]:
-        """Every queued invocation through the kernels, as one block."""
-        pending, self._pending = self._pending, []
-        n = len(pending)
-
-        times = np.array([p.t for p in pending], dtype=np.float64)
-        dts = np.array([p.dt for p in pending], dtype=np.float64)
-        idle = np.array([p.rate_src is None for p in pending], dtype=bool)
-        rates = np.zeros((n, len(RATE_FIELDS)), dtype=np.float64)
-        # Group job rows by their (behavior, slot) source: one group
-        # per job that ran on this node during the block.
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(pending):
-            if p.rate_src is not None:
-                behavior, slot, _ = p.rate_src
-                groups.setdefault((id(behavior), slot), []).append(i)
-        for rows in groups.values():
-            behavior, slot, _ = pending[rows[0]].rate_src
-            elapsed = np.array([pending[i].rate_src[2] for i in rows])
-            steps = behavior.steps_of(elapsed)
-            rates[rows] = behavior.node_rates_block(steps, slot)
-
+    def _materialize(self) -> tuple:
+        """Every queued invocation through the kernels, as one block:
+        ``(times, tags, marks, per-collector arrays)``."""
+        times, tags, marks = self._times, self._tags, self._marks
+        sources = self._sources
+        stamps = np.array(times, dtype=np.float64)
+        # Each interval runs from the invocation before it (from itself,
+        # dt 0, at daemon start).
+        before = np.concatenate([
+            stamps[:1] if self._since is None else [self._since],
+            stamps[:-1]])
         block = BlockContext(
-            times=times, dts=dts, rates=rates, idle=idle,
-            jobids=tuple(p.jobids for p in pending),
-            begins=tuple((i, p.mark[1], p.t) for i, p in enumerate(pending)
-                         if p.mark is not None and p.mark[0] == "begin"),
+            times=stamps, dts=stamps - before,
+            rates=np.zeros((len(times), len(RATE_FIELDS)), dtype=np.float64),
+            idle=np.array([src is None for src in sources], dtype=bool),
+            jobids=tuple(tags),
+            begins=tuple((row, jobid, times[row])
+                         for row, kind, jobid in marks if kind == "begin"),
         )
+        # One job at a time on a node: each job's entries are one run.
+        lo = 0
+        for _job, run in groupby(sources, key=id):
+            hi = lo + sum(1 for _ in run)
+            job = sources[lo]
+            if job is not None:
+                _jobid, behavior, slot, start = job
+                elapsed = np.maximum(before[lo:hi] - start, 0.0)
+                block.rates[lo:hi] = behavior.node_rates_block(
+                    behavior.steps_of(elapsed), slot)
+            lo = hi
+        self._times, self._tags, self._sources, self._marks = [], [], [], []
         get_registry().counter("synth.chunks").inc()
-        return pending, [c.sample_block(block) for c in self.collectors]
+        return (times, tags, marks,
+                [c.sample_block(block) for c in self.collectors])
 
-    def _write_runs(self, pending: list[_Pending],
-                    vals_by_collector: list[np.ndarray],
-                    lo: int, hi: int) -> None:
-        """Append block rows ``[lo, hi)`` to the archive's open files,
+    def _write_runs(self, lo: int, hi: int) -> None:
+        """Append held rows ``[lo, hi)`` to the archive's open files,
         splitting the run at rotation-segment boundaries (each segment
         is its own file)."""
+        times, tags, marks, vals_by_collector = self._held
         rot = self.archive.rotate_seconds
         i0 = lo
         while i0 < hi:
-            seg = int(pending[i0].t // rot)
+            seg = int(times[i0] // rot)
             i1 = i0 + 1
-            while i1 < hi and int(pending[i1].t // rot) == seg:
+            while i1 < hi and int(times[i1] // rot) == seg:
                 i1 += 1
-            run = pending[i0:i1]
             # A file owns its rows unless it took the block whole: a
             # view of rows released from a block that feeds other
             # files, or is still held, would pin the whole block until
             # this file closes.
-            whole = i0 == 0 and i1 == len(pending)
-            file = self.archive.writer(self.node.hostname, run[0].t,
+            whole = i0 == 0 and i1 == len(times)
+            file = self.archive.writer(self.node.hostname, times[i0],
                                        self._new_file)
             file.append(
-                [p.t for p in run], [p.jobids for p in run],
-                [(b, *p.mark) for b, p in enumerate(run)
-                 if p.mark is not None],
+                times[i0:i1], tags[i0:i1],
+                [(row - i0, kind, jobid) for row, kind, jobid in marks
+                 if i0 <= row < i1],
                 [vals if whole else vals[i0:i1].copy()
                  for vals in vals_by_collector])
             i0 = i1

@@ -5,10 +5,10 @@ blocks of invocations, and each collector answers with its batched
 ``sample_block`` kernel.  The kernels' reference is the collector's
 scalar ``advance()``: :func:`scalar_collectors` swaps every concrete
 collector's kernel for the base :meth:`Collector.sample_block`, which
-loops over ``sample()`` / ``advance()`` one row at a time — wrapped by
-``_by_begin_segment`` where the class overrides ``on_job_begin``, so the
-counters are reprogrammed at each ``%begin`` row exactly where the
-paper's per-invocation sampler would.  The same engine, the same events
+loops over ``sample()`` / ``advance()`` one row at a time and calls
+``on_job_begin`` at each ``%begin`` row, so the PMC counters are
+reprogrammed exactly where the paper's per-invocation sampler would.
+The same engine, the same events
 and the same RNG streams then write the reference archive, and a test
 compares it with the kernels' byte for byte.
 
@@ -22,7 +22,7 @@ import inspect
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.tacc_stats.collectors.base import Collector, _by_begin_segment
+from repro.tacc_stats.collectors.base import Collector
 
 __all__ = ["scalar_collectors"]
 
@@ -41,15 +41,11 @@ def _concrete(base: type) -> list[type]:
 def scalar_collectors() -> Iterator[None]:
     """Run every collector's scalar loop in place of its kernel until
     the block exits; the kernels are restored on the way out."""
-    loop = Collector.sample_block
-    by_begin = _by_begin_segment(loop)
     saved = {cls: cls.__dict__.get("sample_block")
              for cls in _concrete(Collector)}
     try:
         for cls in saved:
-            cls.sample_block = (
-                by_begin if cls.on_job_begin is not Collector.on_job_begin
-                else loop)
+            cls.sample_block = Collector.sample_block
         yield
     finally:
         for cls, kernel in saved.items():

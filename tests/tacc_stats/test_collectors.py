@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.hardware import lonestar4_node, ranger_node
 from repro.cluster.node import Node
@@ -221,8 +223,7 @@ def test_pmc_user_programmed_uses_foreign_codes():
     # on_job_begin redraws; force again and reprogram manually.
     col._user_programmed = True
     from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
-    for dev in col.devices:
-        col._acc[dev][:4] = [0x430076] * 4
+    col._acc[:, :4] = 0x430076
     r = rates(cpu_user_frac=0.5, flops_gf=5.0)
     col.advance(ctx(600.0, 600.0, r))
     rows = read_all(col, ctx(600.0, 0.0, r))
@@ -260,6 +261,30 @@ def test_bump_rejects_negative():
         col.bump("0", "user", -5.0)
 
 
+def _three_job_block():
+    """(script, block) of twelve invocations in which three jobs begin:
+    each script entry is (t, rates of the interval it closes, job it
+    begins) — an idle tick, job a, job b back to back (dt = 0), an idle
+    gap, job c."""
+    busy = rates(cpu_user_frac=0.7, flops_gf=9.0, mem_used_gb=6.0,
+                 net_mpi_mb=40.0)
+    script = [
+        (600.0, None, None), (700.0, None, "a"), (1200.0, busy, None),
+        (1800.0, busy * 0.5, None), (1900.0, busy, None),
+        (1900.0, None, "b"), (2400.0, busy, None), (2500.0, busy, None),
+        (3000.0, None, None), (3100.0, None, "c"), (3600.0, busy, None),
+        (4200.0, busy * 0.2, None),
+    ]
+    times = np.array([t for t, _r, _j in script])
+    return script, BlockContext(
+        times=times, dts=np.diff(times, prepend=0.0),
+        rates=np.array([np.zeros_like(busy) if r is None else r
+                        for _t, r, _j in script]),
+        idle=np.array([r is None for _t, r, _j in script]),
+        begins=tuple((i, j, t) for i, (t, _r, j) in enumerate(script) if j),
+    )
+
+
 @pytest.mark.parametrize("arch,module,cls", [
     ("amd64", amd64_pmc, Amd64PmcCollector),
     ("intel", intel_pmc, IntelPmcCollector),
@@ -271,25 +296,7 @@ def test_pmc_block_with_begin_rows_matches_begin_by_begin(
     stream where, the scalar daemon order does: ``on_job_begin`` (one
     ``random()``), that job's samples, ``on_job_begin``, ..."""
     monkeypatch.setattr(module, "USER_PROGRAMMED_PROB", 0.5)
-    busy = rates(cpu_user_frac=0.7, flops_gf=9.0, mem_used_gb=6.0,
-                 net_mpi_mb=40.0)
-    # (t, rates of the interval it closes, begins job) — idle tick, job
-    # a, job b back to back (dt = 0), an idle gap, job c.
-    script = [
-        (600.0, None, None), (700.0, None, "a"), (1200.0, busy, None),
-        (1800.0, busy * 0.5, None), (1900.0, busy, None),
-        (1900.0, None, "b"), (2400.0, busy, None), (2500.0, busy, None),
-        (3000.0, None, None), (3100.0, None, "c"), (3600.0, busy, None),
-        (4200.0, busy * 0.2, None),
-    ]
-    times = np.array([t for t, _r, _j in script])
-    block = BlockContext(
-        times=times, dts=np.diff(times, prepend=0.0),
-        rates=np.array([np.zeros_like(busy) if r is None else r
-                        for _t, r, _j in script]),
-        idle=np.array([r is None for _t, r, _j in script]),
-        begins=tuple((i, j, t) for i, (t, _r, j) in enumerate(script) if j),
-    )
+    script, block = _three_job_block()
     node = make_node(arch)
     whole = cls(node, np.random.default_rng(5))
     got = whole.sample_block(block)
@@ -307,3 +314,40 @@ def test_pmc_block_with_begin_rows_matches_begin_by_begin(
     assert np.array_equal(got, want)
     assert whole.rng.bit_generator.state == scalar.rng.bit_generator.state
     assert whole.user_programmed == scalar.user_programmed
+
+
+@settings(max_examples=30, deadline=None)
+@given(arch=st.sampled_from(["amd64", "intel"]),
+       cuts=st.sets(st.integers(1, 11), max_size=6),
+       seed=st.integers(0, 63))
+def test_every_kernel_gives_the_same_rows_wherever_its_block_is_cut(
+        arch, cuts, seed):
+    """Every collector's kernel — the PMC ones, which reprogram at the
+    block's begin rows, too — writes the same rows, draws its stream to
+    the same point and ends in the same registers whether it gets the
+    three-job block whole or cut into pieces anywhere."""
+    _script, block = _three_job_block()
+    node = make_node(arch)
+
+    def suite():
+        return build_collectors(
+            node, lambda name: np.random.default_rng([seed, *name.encode()]),
+            nfs_mounts=("home",))
+
+    bounds = [0, *sorted(cuts), block.n]
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (amd64_pmc, intel_pmc):
+            mp.setattr(module, "USER_PROGRAMMED_PROB", 0.5)
+        for whole, cut in zip(suite(), suite()):
+            want = whole.sample_block(block)
+            got = np.concatenate([cut.sample_block(BlockContext(
+                block.times[lo:hi], block.dts[lo:hi], block.rates[lo:hi],
+                block.idle[lo:hi],
+                begins=tuple((row - lo, jobid, t)
+                             for row, jobid, t in block.begins
+                             if lo <= row < hi)))
+                for lo, hi in zip(bounds, bounds[1:])])
+            assert np.array_equal(got, want), whole.type_name
+            assert np.array_equal(cut._acc, whole._acc), whole.type_name
+            assert cut.rng.bit_generator.state \
+                == whole.rng.bit_generator.state, whole.type_name

@@ -42,7 +42,7 @@ def test_newer_records_carry_layers_and_size():
     since = {pr for pr, _ in trajectory.records()
              if pr >= trajectory.LAYERS_AND_SIZE_FROM}
     assert since
-    layers, sizes = trajectory.layers_and_sizes()
+    layers, sizes, _scale = trajectory.layers_and_sizes()
     assert since <= {row.pr for row in layers}
     assert all(row.runs[0] > 0 and row.runs[1] > 0 for row in layers)
     assert {(row.pr, row.metric) for row in sizes if row.pr in since} == {
@@ -67,3 +67,27 @@ def test_a_missing_layer_or_size_names_the_record():
     with pytest.raises(ValueError, match=rf"{path.name}: size\.test_lines: "
                                          r"no 'parent'"):
         trajectory.size_rows(pr, record, path.name)
+
+
+def test_a_paper_scale_block_prints_each_layer_and_flags_past_2x():
+    layer = {"layer": "ingest", "ms_per_host_day": 3.0,
+             "ref_ms_per_host_day": 1.0, "ratio": 3.0}
+    flat = {"layer": "facility.replay", "ms_per_host_day": 5.0,
+            "ref_ms_per_host_day": 4.0, "ratio": 1.25}
+    record = {"paper_scale": {
+        "change": {"layers": [flat, layer], "over_2x": ["ingest"]},
+        "parent": {"layers": [flat], "over_2x": []}}}
+    rows = trajectory.paper_scale_rows(37, record, "BENCH_37.json")
+    assert [(r.side, r.layer, r.over_2x) for r in rows] == [
+        ("parent", "facility.replay", False),
+        ("change", "facility.replay", False), ("change", "ingest", True)]
+    text = trajectory.render_paper_scale(rows).splitlines()
+    assert len(text) == 4 and text[-1].endswith("3.00 >2x")
+    assert not text[1].endswith("x")
+    del record["paper_scale"]["change"]["layers"][1]["ratio"]
+    with pytest.raises(ValueError, match=r"BENCH_37\.json: paper_scale\."
+                                         r"change: no 'ratio'"):
+        trajectory.paper_scale_rows(37, record, "BENCH_37.json")
+    for pr, path in trajectory.records():
+        trajectory.paper_scale_rows(pr, json.loads(path.read_text()),
+                                    path.name)

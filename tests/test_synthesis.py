@@ -13,13 +13,17 @@ degrades to one worker per node, never an empty pool task.
 
 import hashlib
 import json
+import sys
+from collections import Counter
 from contextlib import nullcontext
 from math import ceil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import LONESTAR4, RANGER, Facility
+from repro.cluster.node import Node
 from repro.facility import (
     _build_behaviors,
     _node_chunks,
@@ -35,6 +39,7 @@ from repro.tacc_stats.collectors import (
     amd64_pmc,
     intel_pmc,
 )
+from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.util.timeutil import DAY, HOUR, period_label
 from tests import synthesis_parity as sp
@@ -108,13 +113,69 @@ def test_scalar_collectors_swaps_every_kernel_and_restores_it():
     kernels = {cls: cls.sample_block
                for cls in (CpuCollector, Amd64PmcCollector)}
     with scalar_collectors():
-        assert CpuCollector.sample_block is Collector.sample_block
-        # A collector that reprograms runs the loop a begin segment at
-        # a time.
-        assert Amd64PmcCollector.sample_block.__wrapped__ \
-            is Collector.sample_block
+        for cls in kernels:
+            assert cls.sample_block is Collector.sample_block
     for cls, kernel in kernels.items():
         assert cls.sample_block is kernel
+
+
+def test_every_kernel_is_entered_once_per_chunk(tmp_path, monkeypatch):
+    """A chunk in which three jobs begin — b right as a ends, c (a user's
+    own counters) ending the second it begins — goes through each
+    collector's kernel in one call: no kernel is re-entered per begin
+    segment.  The rows are still the scalar path's."""
+    for module in (amd64_pmc, intel_pmc):
+        monkeypatch.setattr(module, "USER_PROGRAMMED_PROB", 0.5)
+    fac = Facility(CFG, seed=SEED)
+    workload, sim, _outages, _cluster = fac._simulate()
+    behaviors = list(_build_behaviors(
+        CFG, *fac._behavior_context(workload), sim.records).values())
+    node = Node(index=0, hostname="c000-000.ranger", hardware=CFG.node)
+
+    def run(root):
+        engine = NodeSynth(
+            node, lambda name: np.random.default_rng([10, *name.encode()]),
+            HostArchive(root, archive_format="v2"))
+        engine.sample(0.0)
+        engine.begin_job("a", 300.0, behaviors[0], 0)
+        engine.sample(600.0)
+        engine.end_job("a", 900.0)
+        engine.begin_job("b", 900.0, behaviors[1], 0)
+        engine.sample(1200.0)
+        engine.end_job("b", 1500.0)
+        engine.begin_job("c", 1700.0, behaviors[2], 0)
+        engine.end_job("c", 1700.0)
+        engine.sample(1800.0)
+        return engine
+
+    engine = run(tmp_path / "fast")
+    kernels = {getattr(fn, "__wrapped__", fn).__code__: type(c).__name__
+               for c in engine.collectors
+               for fn in [type(c).sample_block]}
+    pmc = engine.collectors[-1]
+    programmed = []
+    program = type(pmc).on_job_begin
+    monkeypatch.setattr(type(pmc), "on_job_begin", lambda self, *a: (
+        program(self, *a), programmed.append(self.user_programmed)))
+    entered = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in kernels:
+            entered[kernels[frame.f_code]] += 1
+    sys.setprofile(profile)
+    try:
+        engine.flush(DAY)
+    finally:
+        sys.setprofile(None)
+    engine.archive.close()
+    assert programmed == [False, False, True], "pick another seed"
+    assert entered == {type(c).__name__: 1 for c in engine.collectors}
+    monkeypatch.setattr(type(pmc), "on_job_begin", program)
+    with scalar_collectors():
+        scalar = run(tmp_path / "scalar")
+        scalar.flush(DAY)
+        scalar.archive.close()
+    assert _tree(tmp_path / "fast") == _tree(tmp_path / "scalar")
 
 
 def test_a_fleet_day_direct_to_v2(tmp_path):
@@ -307,7 +368,7 @@ def test_v2_accumulator_keeps_no_view_of_a_block(tmp_path):
             assert archive._open and owned(archive)
         unit.advance(DAY)
         assert engine._held is None and engine.rows_held == 0
-        assert not engine._pending and owned(archive)
+        assert not engine._times and owned(archive)
     archive.close()
 
 
