@@ -52,6 +52,9 @@ from repro.xdmod.snapshot import SystemFrame  # noqa: E402
 
 PAPER_NODES = 3936
 REF_NODES = 48
+PAPER_DAYS = 1
+PAPER_USERS = 2000
+SEED = 42
 #: Raw bytes per node-day the paper reports for Ranger (§4.1).
 PAPER_BYTES_PER_NODE_DAY = 0.5e6
 #: A layer whose per-host-day cost grows past this many times its
@@ -76,8 +79,7 @@ def _span_seconds(spans: list[dict], out: dict[str, float]) -> None:
             _span_seconds(children, out)
 
 
-def simulate(workdir: Path, nodes: int, days: float, users: int,
-             seed: int) -> dict:
+def simulate(workdir: Path, nodes: int, days: float, users: int) -> dict:
     """One ``repro-simulate`` process into *workdir*: its layers,
     process wall time and peak RSS, archive, warehouse and job counts."""
     workdir.mkdir(parents=True, exist_ok=True)
@@ -85,7 +87,7 @@ def simulate(workdir: Path, nodes: int, days: float, users: int,
     manifest = workdir / "telemetry.json"
     cmd = [sys.executable, "-m", "repro.cli.simulate", "--system", "ranger",
            "--nodes", str(nodes), "--days", str(days), "--users", str(users),
-           "--seed", str(seed), "--archive-format", "v2",
+           "--seed", str(SEED), "--archive-format", "v2",
            "--archive", str(archive), "--warehouse", str(warehouse),
            "--telemetry-out", str(manifest), "--quiet"]
     started = time.perf_counter()
@@ -104,7 +106,7 @@ def simulate(workdir: Path, nodes: int, days: float, users: int,
     with sqlite3.connect(warehouse) as db:
         rows = db.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
     return {
-        "nodes": nodes, "days": days, "users": users, "seed": seed,
+        "nodes": nodes, "days": days, "users": users, "seed": SEED,
         "host_days": node_days,
         "wall_s": wall,
         # ru_maxrss is in KiB on Linux.
@@ -206,12 +208,12 @@ def layer_rows(big: dict, ref: dict) -> list[dict]:
 
 
 def paper_scale(workdir: Path, nodes: int = PAPER_NODES,
-                ref_nodes: int = REF_NODES, days: float = 1,
-                users: int = 2000, seed: int = 42) -> dict:
+                ref_nodes: int = REF_NODES, days: float = PAPER_DAYS,
+                users: int = PAPER_USERS) -> dict:
     """Both runs, their cold reads and the layer table, as one block."""
     scales = {}
     for label, n in (("paper", nodes), ("ref", ref_nodes)):
-        run = simulate(workdir / f"n{n}", n, days, users, seed)
+        run = simulate(workdir / f"n{n}", n, days, users)
         warehouse = workdir / f"n{n}" / "w.sqlite"
         run["frame_build_s"] = frame_build_s(warehouse)
         run["serve"] = serve(warehouse)
@@ -219,7 +221,7 @@ def paper_scale(workdir: Path, nodes: int = PAPER_NODES,
     rows = layer_rows(scales["paper"], scales["ref"])
     return {
         "command": (f"repro-simulate --system ranger --nodes {nodes} "
-                    f"--days {days} --users {users} --seed {seed} "
+                    f"--days {days} --users {users} --seed {SEED} "
                     f"--archive-format v2 (and --nodes {ref_nodes})"),
         "machine": f"{platform.machine()} {os.cpu_count()} CPUs, "
                    f"Python {platform.python_version()}",
@@ -257,11 +259,6 @@ def render(block: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--nodes", type=int, default=PAPER_NODES)
-    parser.add_argument("--ref-nodes", type=int, default=REF_NODES)
-    parser.add_argument("--days", type=float, default=1)
-    parser.add_argument("--users", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--record", type=Path, default=None,
                         help="JSON record to store the block in")
     parser.add_argument("--side", choices=("parent", "change"),
@@ -269,8 +266,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="which side of --record the block is")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="paper-scale-") as tmp:
-        block = paper_scale(Path(tmp), args.nodes, args.ref_nodes,
-                            args.days, args.users, args.seed)
+        block = paper_scale(Path(tmp))
     print(render(block))
     if args.record is not None:
         record = (json.loads(args.record.read_text())

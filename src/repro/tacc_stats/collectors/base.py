@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -277,13 +276,7 @@ class Collector(ABC):
         widths are powers of two, so truncation plus a mask is exact for
         every magnitude the synthesizer produces (far below 2**63).
         """
-        return acc.astype(np.int64).astype(np.uint64) & _masks(self._schema)
-
-
-@lru_cache(maxsize=None)
-def _masks(schema: TypeSchema) -> np.ndarray:
-    """``2**w - 1`` of each of *schema*'s columns, as uint64."""
-    return np.array([e.modulus - 1 for e in schema.entries], dtype=np.uint64)
+        return acc.astype(np.int64).astype(np.uint64) & self._schema.masks
 
 
 def core_fractions(node_fraction: float, n_cores: int) -> np.ndarray:

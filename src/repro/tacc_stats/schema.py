@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = ["SchemaEntry", "TypeSchema"]
 
 
@@ -104,6 +106,9 @@ class TypeSchema:
         #: ``(column, width)`` of every column narrower than 64 bits.
         object.__setattr__(self, "narrow", tuple(
             (i, e.width) for i, e in enumerate(self.entries) if e.width < 64))
+        #: ``2**w - 1`` of every column, as uint64: the register masks.
+        object.__setattr__(self, "masks", np.array(
+            [e.modulus - 1 for e in self.entries], dtype=np.uint64))
 
     @property
     def n_values(self) -> int:

@@ -10,7 +10,7 @@ from benchmarks import paper_scale
 
 def test_a_scaled_down_paper_scale_run(tmp_path):
     block = paper_scale.paper_scale(tmp_path, nodes=24, ref_nodes=8,
-                                    days=0.5, users=100, seed=42)
+                                    days=0.5, users=100)
     for label, nodes in (("paper", 24), ("ref", 8)):
         run = block["scales"][label]
         assert run["host_days"] == nodes * 0.5
