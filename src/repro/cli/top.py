@@ -32,12 +32,7 @@ import urllib.parse
 import urllib.request
 
 from repro.cli.common import die, pipe_safe
-from repro.live.rates import (
-    LIVE_COUNTER_METRICS,
-    RateEngine,
-    top_jobs,
-    total_rates,
-)
+from repro.live.rates import LIVE_COUNTER_METRICS, RateEngine, live_top_body
 from repro.util.textchart import sparkline
 
 #: Column headers for the four live counter metrics, in metric order.
@@ -93,19 +88,9 @@ def _poll_warehouse(warehouse, engine: RateEngine, system: str,
     """One direct-SQL poll shaped like ``GET /api/v1/live/top``."""
     warehouse.reread_generation()
     samples = warehouse.live_counters(system)
-    rates = engine.observe(samples)
-    top = top_jobs(rates, n=args.count, order_by=args.metric,
-                   user=args.user, app=args.app)
-    return {
-        "system": system,
-        "order_by": args.metric,
-        "n": args.count,
-        "t": max((s["t"] for s in samples), default=0.0),
-        "jobs_observed": len(samples),
-        "baseline": bool(samples) and not rates,
-        "total": total_rates(rates),
-        "jobs": [r.to_dict() for r in top],
-    }
+    return live_top_body(system, samples, engine.observe(samples),
+                         n=args.count, order_by=args.metric,
+                         user=args.user, app=args.app)
 
 
 def _poll_url(base: str, system: str, args: argparse.Namespace) -> dict:

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 __all__ = ["COUNTER_WRAP_BITS", "LIVE_COUNTER_METRICS", "JobRates",
-           "RateEngine", "top_jobs", "total_rates"]
+           "RateEngine", "live_top_body", "top_jobs", "total_rates"]
 
 #: Counter register width: 48 bits, like the Intel PMCs the real
 #: tacc_stats reads — wide enough that wraps are rare, narrow enough
@@ -148,3 +148,22 @@ def total_rates(rows: Iterable[JobRates]) -> dict[str, float]:
         for metric, value in r.rates.items():
             out[metric] = out.get(metric, 0.0) + value
     return {m: out[m] for m in sorted(out)}
+
+
+def live_top_body(system: str, samples: list[Mapping],
+                  rates: list[JobRates], n: int, order_by: str,
+                  user: str | None = None, app: str | None = None) -> dict:
+    """The ``GET /api/v1/live/top`` body for one poll: *samples* is
+    the counter table read, *rates* what the client's engine observed
+    in it (a first poll only baselines)."""
+    top = top_jobs(rates, n=n, order_by=order_by, user=user, app=app)
+    return {
+        "system": system,
+        "order_by": order_by,
+        "n": n,
+        "t": max((s["t"] for s in samples), default=0.0),
+        "jobs_observed": len(samples),
+        "baseline": bool(samples) and not rates,
+        "total": total_rates(rates),
+        "jobs": [r.to_dict() for r in top],
+    }

@@ -50,6 +50,7 @@ Telemetry per request: ``service.requests`` plus
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -362,11 +363,14 @@ class RequestHandler(BaseHTTPRequestHandler):
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise ServiceError(
                 "bad_request",
-                f"{name} must be a number, got {raw!r}") from None
+                f"{name} must be a finite number, got {raw!r}")
+        return value
 
     @staticmethod
     def _json_ok(body: dict) -> tuple[int, bytes, str]:

@@ -59,12 +59,7 @@ from typing import Any
 from repro.federation.federated import FederatedWarehouse
 from repro.ingest.vocabulary import SUMMARY_METRICS
 from repro.ingest.warehouse import Warehouse
-from repro.live.rates import (
-    LIVE_COUNTER_METRICS,
-    RateEngine,
-    top_jobs,
-    total_rates,
-)
+from repro.live.rates import LIVE_COUNTER_METRICS, RateEngine, live_top_body
 from repro.service.cache import TenantReportCache
 from repro.service.coalesce import SingleFlight
 from repro.service.protocol import ServiceError
@@ -531,19 +526,9 @@ class ServiceState:
         # from one client must not interleave window state.
         with self._engines_lock:
             rates = engine.observe(samples)
-        top = top_jobs(rates, n=n, order_by=order_by, user=user,
-                       app=app)
         get_registry().counter("live.top_requests").inc()
-        return {
-            "system": system,
-            "order_by": order_by,
-            "n": n,
-            "t": max((s["t"] for s in samples), default=0.0),
-            "jobs_observed": len(samples),
-            "baseline": bool(samples) and not rates,
-            "total": total_rates(rates),
-            "jobs": [r.to_dict() for r in top],
-        }
+        return live_top_body(system, samples, rates, n=n,
+                             order_by=order_by, user=user, app=app)
 
     def live_watch(self, system: str | None, since: float | None = None,
                    timeout: float = 15.0) -> dict:

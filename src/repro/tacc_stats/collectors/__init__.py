@@ -5,13 +5,11 @@ tool's ``st_*.c`` sources).
 collectors plus ``amd64_pmc`` (Opteron) or ``intel_pmc`` (Nehalem/Westmere)
 for the hardware performance counters.
 
-Noise streams are keyed per collector: passing a *stream factory*
+Noise streams are keyed per collector: the *stream factory*
 (``name -> Generator``) gives every collector its own named RNG stream,
 which is what lets the vectorized ``sample_block`` kernels batch a whole
 block's draws per collector without perturbing any other collector's
-sequence.  Passing a plain :class:`numpy.random.Generator`
-shares one cursor across the suite (the legacy behaviour, still used by
-unit tests that drive a single collector directly).
+sequence.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ _COMMON = (
 
 def build_collectors(
     node: Node,
-    rng: np.random.Generator | Callable[[str], np.random.Generator],
+    stream: Callable[[str], np.random.Generator],
     lustre_mounts: tuple[str, ...] = ("scratch", "work", "share"),
     nfs_mounts: tuple[str, ...] = (),
 ) -> list[Collector]:
@@ -90,18 +88,10 @@ def build_collectors(
     collector when the system has NFS mounts (Lonestar4's home), and the
     PMC collector chosen by architecture.
 
-    *rng* is either a shared :class:`numpy.random.Generator` or a stream
-    factory ``name -> Generator``; the factory form keys every
-    collector's noise stream by its type name, making each collector's
-    draw sequence independent of its siblings (the determinism contract
-    the vectorized kernels rely on).
+    *stream* maps a collector's type name to its noise stream, making
+    each collector's draw sequence independent of its siblings (the
+    determinism contract the vectorized kernels rely on).
     """
-    stream: Callable[[str], np.random.Generator]
-    if callable(rng):
-        stream = rng
-    else:
-        def stream(_name: str, _gen=rng) -> np.random.Generator:
-            return _gen
     collectors: list[Collector] = [
         cls(node, stream(name), lustre_mounts) if cls is LliteCollector
         else cls(node, stream(name))

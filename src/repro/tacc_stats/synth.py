@@ -125,14 +125,14 @@ class NodeSynth:
     def __init__(
         self,
         node: Node,
-        rng: np.random.Generator | Callable[[str], np.random.Generator],
+        stream: Callable[[str], np.random.Generator],
         archive: HostArchive,
         lustre_mounts: tuple[str, ...] = ("scratch", "work", "share"),
         nfs_mounts: tuple[str, ...] = (),
     ):
         self.node = node
         self.collectors: list[Collector] = build_collectors(
-            node, rng, lustre_mounts, nfs_mounts
+            node, stream, lustre_mounts, nfs_mounts
         )
         self.archive = archive
         self._last_time: float | None = None

@@ -46,6 +46,7 @@ from repro.testing.faults import (
 from repro.util.timeutil import DAY
 from repro.xdmod.query import JobQuery
 from repro.xdmod.snapshot import WarehouseSnapshot
+from tests.parity import tables
 from tests.testing.test_faults import GZ_KINDS
 
 
@@ -80,15 +81,6 @@ def _ingest(corpus, archive_root, **kw):
     return w, report
 
 
-def _rows(w):
-    """The byte-comparison view: all job and metric rows, ordered."""
-    jobs = w._conn.execute(
-        "SELECT * FROM jobs ORDER BY jobid").fetchall()
-    metrics = w._conn.execute(
-        "SELECT * FROM job_metrics ORDER BY jobid, metric").fetchall()
-    return jobs, metrics
-
-
 # -- malformed data x policy -------------------------------------------------
 
 
@@ -118,7 +110,7 @@ def test_damaged_gzip_container_is_an_unreadable_file(corpus, tmp_path,
     clean_root = tmp_path / "clean"
     shutil.copytree(corpus[1], clean_root)
     shutil.rmtree(clean_root / victim)
-    assert _rows(w_q) == _rows(_ingest(corpus, clean_root)[0])
+    assert tables(w_q) == tables(_ingest(corpus, clean_root)[0])
     assert report.health.hosts_dropped == [victim]
     (rec,) = report.health.quarantined
     assert (rec.hostname, rec.path, rec.lineno, rec.kind) == (
@@ -131,8 +123,8 @@ def test_damaged_gzip_container_is_an_unreadable_file(corpus, tmp_path,
     assert [(r.path, r.kind) for r in report.health.quarantined] == [
         (fault.path, "unreadable_file")]
     # The host's other files still load: its jobs are all there.
-    assert {r[0] for r in _rows(w_r)[0]} == {
-        r[0] for r in _rows(_ingest(corpus, corpus[1])[0])[0]}
+    assert {r[0] for r in tables(w_r)["jobs"]} == {
+        r[0] for r in tables(_ingest(corpus, corpus[1])[0])["jobs"]}
 
 
 @pytest.mark.parametrize("kind", BENIGN_KINDS)
@@ -167,7 +159,7 @@ def test_quarantine_warehouse_byte_identical_to_clean_hosts(
         shutil.rmtree(clean_root / victim)
     w_c, _ = _ingest(corpus, clean_root)
 
-    assert _rows(w_q) == _rows(w_c)
+    assert tables(w_q) == tables(w_c)
 
     health = report.health
     assert sorted(health.hosts_dropped) == sorted(victims)
@@ -207,7 +199,7 @@ def test_wrong_hostname_every_policy_both_formats(corpus, tmp_path, fmt):
     clean_root = tmp_path / "clean"
     shutil.copytree(corpus[1], clean_root)
     shutil.rmtree(clean_root / victim)
-    clean_rows = _rows(_ingest(corpus, clean_root)[0])
+    clean_rows = tables(_ingest(corpus, clean_root)[0])
     expected = [(victim, str(p), None, "hostname_mismatch",
                  f"file claims hostname 'not-{victim}'") for p in files]
     for policy, outcome in (("quarantine", "hosts_dropped"),
@@ -216,8 +208,8 @@ def test_wrong_hostname_every_policy_both_formats(corpus, tmp_path, fmt):
         assert getattr(report.health, outcome) == [victim]
         assert [(r.hostname, r.path, r.lineno, r.kind, r.error)
                 for r in report.health.quarantined] == expected
-        assert _rows(w) == clean_rows
-        jobs = {r[1] for r in _rows(w)[0]}
+        assert tables(w) == clean_rows
+        jobs = {r[1] for r in tables(w)["jobs"]}
         assert jobs, "the other hosts still load"
 
 
@@ -271,7 +263,7 @@ def test_counter_overflow_every_policy_both_formats(corpus, tmp_path, fmt):
     clean_root = tmp_path / "clean"
     shutil.copytree(corpus[1], clean_root)
     shutil.rmtree(clean_root / victim)
-    assert _rows(w_q) == _rows(_ingest(corpus, clean_root)[0])
+    assert tables(w_q) == tables(_ingest(corpus, clean_root)[0])
 
 
 def test_quarantine_writes_sidecar_and_warehouse_meta(corpus, tmp_path):
@@ -311,7 +303,8 @@ def test_repair_salvages_degraded_host(corpus, tmp_path):
     # Repair keeps the host's jobs in the warehouse (strict on the clean
     # corpus loads the same job set).
     w_clean, _ = _ingest(corpus, corpus[1])
-    assert {r[0] for r in _rows(w)[0]} == {r[0] for r in _rows(w_clean)[0]}
+    assert {r[1] for r in tables(w)["jobs"]} == {
+        r[1] for r in tables(w_clean)["jobs"]}
 
 
 def test_repair_report_str_mentions_health(corpus, tmp_path):
@@ -507,4 +500,4 @@ def test_fault_in_lookback_cell_stays_conservative(two_day_corpus, tmp_path,
     entry = w.ledger_map(cfg.name)[victim]
     assert (entry.status, entry.open_jobs) == (status, None)
     assert entry.run_id == second.run_id
-    assert _rows(w) == _rows(oneshot)
+    assert tables(w) == tables(oneshot)

@@ -29,6 +29,7 @@ from repro.tacc_stats.archive import HostArchive
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.testing.faults import inject_fault
 from repro.util.timeutil import DAY, date_to_day_index
+from tests.parity import tables
 
 N_DAYS = 3
 
@@ -90,27 +91,6 @@ def _ingest(corpus, root, warehouse=None, **kw):
     return w, report
 
 
-def _data_rows(w):
-    """The byte-comparison view: every analytics-visible row, ordered.
-
-    The ledger/meta tables are deliberately excluded — run ids and
-    health legitimately differ between one-shot and batched ingests.
-    """
-    w.commit()
-    return {
-        table: w.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in [
-            ("jobs", "system, jobid, user, account, science_field, app, "
-                     "queue, exit_status, submit_time, start_time, "
-                     "end_time, nodes, cores, node_hours"),
-            ("job_metrics", "system, jobid, metric, value"),
-            ("system_series", "system, metric, t, value"),
-            ("syslog_events", "system, t, host, jobid, kind, severity"),
-        ]
-    }
-
-
 # -- the headline property ---------------------------------------------------
 
 
@@ -133,7 +113,7 @@ def test_any_day_partition_equals_oneshot(corpus, tmp_path_factory, data):
     for chunk in chunks:
         _copy_days(corpus[1], growing, chunk)
         _ingest(corpus, growing, warehouse=w, mode="append")
-    assert _data_rows(w) == _data_rows(oneshot)
+    assert tables(w) == tables(oneshot)
 
 
 def test_partition_with_quarantined_fault_equals_oneshot(
@@ -156,7 +136,7 @@ def test_partition_with_quarantined_fault_equals_oneshot(
         _copy_days(faulted, growing, chunk)
         _, report = _ingest(corpus, growing, warehouse=w, mode="append",
                             error_policy="repair")
-    assert _data_rows(w) == _data_rows(oneshot)
+    assert tables(w) == tables(oneshot)
     # The faulted host-day is consumed WITH its outcome in the ledger.
     ledger = w.ledger_map(corpus[0].name)
     assert any(e.status == "degraded" for e in ledger.values())
@@ -188,13 +168,13 @@ def test_windowed_seed_defers_and_append_completes(corpus, tmp_path):
 def test_append_on_unchanged_archive_is_noop(corpus):
     """Re-appending with nothing new parses nothing and loads nothing."""
     w, _ = _ingest(corpus, corpus[1])
-    before = _data_rows(w)
+    before = tables(w)
     _, report = _ingest(corpus, corpus[1], warehouse=w, mode="append")
     assert report.jobs_loaded == 0
     assert report.delta.files_new == 0
     assert report.delta.files_lookback == 0
     assert report.syslog_events_loaded == 0
-    assert _data_rows(w) == before
+    assert tables(w) == before
 
 
 def test_mutated_ledgered_file_raises(corpus, tmp_path):
@@ -332,7 +312,7 @@ def test_a_second_full_ingest_is_refused_before_any_file_is_read(
         w, _ = _ingest(corpus, corpus[1])
     else:
         w = Facility(cfg, seed=11).run().warehouse
-    before = (_data_rows(w), w.ledger_map(cfg.name), w.scan_states(cfg.name))
+    before = (tables(w), w.ledger_map(cfg.name), w.scan_states(cfg.name))
     with use_registry(MetricsRegistry()) as registry, \
             pytest.raises(ValueError, match='mode="append"'):
         _ingest(corpus, corpus[1], warehouse=w)
@@ -340,7 +320,7 @@ def test_a_second_full_ingest_is_refused_before_any_file_is_read(
     assert counters.get("parse.files", 0) == 0
     assert counters.get("archive.v2.files_read", 0) == 0
     assert counters.get("archive.manifest_files", 0) == 0
-    assert (_data_rows(w), w.ledger_map(cfg.name),
+    assert (tables(w), w.ledger_map(cfg.name),
             w.scan_states(cfg.name)) == before
 
 
@@ -350,7 +330,7 @@ def test_a_registered_system_still_takes_a_full_ingest(corpus):
     w = Warehouse()
     IngestPipeline(w).register_system(corpus[0])
     _ingest(corpus, corpus[1], warehouse=w)
-    assert _data_rows(w) == _data_rows(_ingest(corpus, corpus[1])[0])
+    assert tables(w) == tables(_ingest(corpus, corpus[1])[0])
 
 
 def test_only_a_window_that_closes_reports_a_delta(corpus):
@@ -594,7 +574,7 @@ def test_appends_fold_open_jobs_from_state_and_reread_nothing(
     oneshot = Warehouse()
     IngestPipeline(oneshot).ingest(cfg, accounting_text=accounting,
                                    archive=HostArchive(full))
-    assert _data_rows(w) == _data_rows(oneshot)
+    assert tables(w) == tables(oneshot)
 
 
 def test_open_jobs_are_what_the_file_mentions_minus_what_loaded(
@@ -687,7 +667,7 @@ def test_through_day_seed_then_append_is_exact(corpus):
     assert crossing and set(w.scan_states(cfg.name)) <= crossing
     _, report = _ingest(corpus, root, warehouse=w, mode="append")
     assert report.delta.files_lookback == 0 < report.delta.files_new
-    assert _data_rows(w) == _data_rows(_ingest(corpus, root)[0])
+    assert tables(w) == tables(_ingest(corpus, root)[0])
 
 
 @pytest.mark.parametrize("point", ["scan_state", "ledger"])
@@ -712,7 +692,7 @@ def test_kill_inside_the_closing_transaction_leaves_the_old_state(
         assert set(states) == {(host, jobid)
                                for (host, _label), entry in ledger.items()
                                for jobid in entry.open_jobs}
-        return ledger, states, w.ingest_runs(cfg.name), _data_rows(w)
+        return ledger, states, w.ingest_runs(cfg.name), tables(w)
 
     w = Warehouse(path)
     for hour in range(2):
@@ -736,7 +716,7 @@ def test_kill_inside_the_closing_transaction_leaves_the_old_state(
     oneshot = Warehouse()
     IngestPipeline(oneshot).ingest(cfg, accounting_text=accounting,
                                    archive=HostArchive(full))
-    assert _data_rows(w) == _data_rows(oneshot)
+    assert tables(w) == tables(oneshot)
     w.close()
 
 
@@ -761,12 +741,12 @@ def test_kill_inside_a_full_ingest_leaves_only_the_systems_row(
     assert run_killed(lambda: _ingest(big_corpus, root, Warehouse(path)),
                       point) == KILL_EXIT
     w = Warehouse(path)
-    assert w.systems() == [cfg.name] and not any(_data_rows(w).values())
+    assert w.systems() == [cfg.name] and not any(tables(w).values())
     assert not (w.ledger_map(cfg.name) or w.scan_states(cfg.name)
                 or w.ingest_runs(cfg.name))
     _ingest(big_corpus, root, warehouse=w, mode="full")
-    oneshot = _data_rows(_ingest(big_corpus, root)[0])
-    assert len(oneshot["jobs"]) > 256 and _data_rows(w) == oneshot
+    oneshot = tables(_ingest(big_corpus, root)[0])
+    assert len(oneshot["jobs"]) > 256 and tables(w) == oneshot
     w.close()
 
     seeded, registry = Warehouse(), MetricsRegistry()
@@ -775,4 +755,4 @@ def test_kill_inside_a_full_ingest_leaves_only_the_systems_row(
         for n, kw in enumerate(({"through_day": 2}, {"mode": "append"}), 1):
             _ingest(big_corpus, root, warehouse=seeded, **kw)
             assert registry.counter("warehouse.commits").value == n
-    assert _data_rows(seeded) == oneshot
+    assert tables(seeded) == oneshot

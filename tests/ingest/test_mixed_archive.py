@@ -46,6 +46,7 @@ from repro.tacc_stats.columnar import (
 from repro.tacc_stats.convert import _to_v2_one, convert_archive
 from repro.tacc_stats.parser import ParseError, parse_host_columns
 from repro.testing.faults import inject_fault
+from tests.parity import tables
 from tests.tacc_stats.test_columnar import _columns_map
 
 N_DAYS = 3
@@ -72,27 +73,11 @@ def _ingest(corpus, archive_dir, warehouse=None, **kw):
     return warehouse, report
 
 
-def _data_rows(warehouse):
-    """Every analytics-visible row, ordered (ledger/meta excluded)."""
-    warehouse.commit()
-    return {
-        table: warehouse.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in [
-            ("jobs", "system, jobid, user, account, science_field, app, "
-                     "queue, exit_status, submit_time, start_time, "
-                     "end_time, nodes, cores, node_hours"),
-            ("job_metrics", "system, jobid, metric, value"),
-            ("system_series", "system, metric, t, value"),
-        ]
-    }
-
-
 @pytest.fixture(scope="module")
 def text_rows(corpus):
     """The reference analytics rows from the all-text archive."""
     w, report = _ingest(corpus, corpus[1])
-    rows = _data_rows(w)
+    rows = tables(w)
     w.close()
     assert report.jobs_loaded > 0
     return rows
@@ -113,7 +98,7 @@ def test_converted_archive_ingests_identically(corpus, text_rows,
                if p.is_file())
     for workers in (1, 2):
         w, _ = _ingest(corpus, v2_dir, workers=workers)
-        assert _data_rows(w) == text_rows, f"workers={workers}"
+        assert tables(w) == text_rows, f"workers={workers}"
         w.close()
 
 
@@ -136,7 +121,7 @@ def test_mixed_archive_ingests_identically(corpus, text_rows, tmp_path):
     kinds = {p.suffix for p in mixed.rglob("*") if p.is_file()}
     assert ".v2" in kinds and kinds - {".v2"}, "mix must be genuine"
     w, _ = _ingest(corpus, str(mixed))
-    assert _data_rows(w) == text_rows
+    assert tables(w) == text_rows
     w.close()
 
 
@@ -167,7 +152,7 @@ def test_a_day_in_two_formats_is_listed_once_and_read_from_v2(
         assert Path(manifest[key].path).suffix == ".v2", key
     w, report = _ingest(corpus, str(both))
     assert report.jobs_loaded > 0
-    assert _data_rows(w) == text_rows
+    assert tables(w) == text_rows
     w.close()
 
 
@@ -185,11 +170,11 @@ def test_convert_then_append_consumes_zero_files(corpus, tmp_path):
     shutil.copytree(corpus[1], work)
     w, _ = _ingest(corpus, str(work))
     convert_archive(str(work), to="v2")
-    rows_before = _data_rows(w)
+    rows_before = tables(w)
     _, report = _ingest(corpus, str(work), warehouse=w, mode="append")
     assert report.delta.files_new == 0
     assert report.delta.files_lookback == 0
-    assert _data_rows(w) == rows_before
+    assert tables(w) == rows_before
     w.close()
 
 
@@ -421,7 +406,7 @@ def test_v2_write_path_matches_text_run(corpus, text_rows, v2_written):
         assert header["source_sha256"] == fp.sha256
     w, report = _ingest(corpus, v2_written)
     assert report.jobs_loaded > 0
-    assert _data_rows(w) == text_rows
+    assert tables(w) == text_rows
     w.close()
 
 
@@ -433,10 +418,10 @@ def test_nightly_append_over_v2_written_archive(corpus, text_rows,
     w, _ = _ingest(corpus, v2_written, through_day=1)
     _, report = _ingest(corpus, v2_written, warehouse=w, mode="append")
     assert report.delta.files_new > 0
-    assert _data_rows(w) == text_rows
+    assert tables(w) == text_rows
     _, again = _ingest(corpus, v2_written, warehouse=w, mode="append")
     assert again.delta.files_new == 0
-    assert _data_rows(w) == text_rows
+    assert tables(w) == text_rows
     w.close()
 
 
@@ -455,7 +440,7 @@ def test_v2_written_archive_to_text_is_reported_drifted(
         assert p.read_bytes() == gzip.compress(
             gzip.decompress(p.read_bytes()), compresslevel=6, mtime=0)
     w, _ = _ingest(corpus, str(as_text))
-    assert _data_rows(w) == text_rows
+    assert tables(w) == text_rows
     w.close()
     ledgered, _ = _ingest(corpus, v2_written)
     with pytest.raises(ValueError, match="mutated since it was ingested"):

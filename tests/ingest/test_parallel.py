@@ -28,6 +28,7 @@ from repro.scheduler.accounting import AccountingWriter
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.schema import TypeSchema
 from repro.tacc_stats.types import HostData, TimestampBlock
+from tests.parity import tables
 
 MINIMAL = (
     "$hostname {host}\n"
@@ -127,20 +128,16 @@ def _warehouse_rows(cfg, archive_dir, accounting, lariat, **kw):
     report = IngestPipeline(w).ingest(
         cfg, accounting_text=accounting, archive=HostArchive(archive_dir),
         lariat_records=lariat, **kw)
-    jobs = w._conn.execute("SELECT * FROM jobs ORDER BY jobid").fetchall()
-    metrics = w._conn.execute(
-        "SELECT * FROM job_metrics ORDER BY jobid, metric").fetchall()
-    return report, jobs, metrics
+    return report, tables(w)
 
 
 def test_parallel_warehouse_identical_to_serial(corpus, pool_cpus):
     """Any worker count produces byte-identical tables."""
-    report, jobs, metrics = _warehouse_rows(*corpus)
-    assert report.jobs_loaded == len(jobs) > 0
+    report, rows = _warehouse_rows(*corpus)
+    assert report.jobs_loaded == len(rows["jobs"]) > 0
     for workers in (2, 3):
-        r2, jobs2, metrics2 = _warehouse_rows(*corpus, workers=workers)
-        assert jobs2 == jobs, workers
-        assert metrics2 == metrics, workers
+        r2, rows2 = _warehouse_rows(*corpus, workers=workers)
+        assert rows2 == rows, workers
         assert r2.jobs_loaded == report.jobs_loaded
         assert len(r2.match.matched) == len(report.match.matched)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.ingest.summarize import SUMMARY_METRICS, JobSummary
 from repro.ingest.warehouse import Warehouse
 from repro.scheduler.job import ExitStatus, JobRecord
+from tests.parity import tables
 from tests.scheduler.test_job import make_request
 
 
@@ -152,20 +153,6 @@ def _fill(w, n=12):
     w.commit()
 
 
-def _dump(w):
-    """Logical row dump of every data table, in a deterministic order."""
-    out = {}
-    for table, order in (
-        ("jobs", "system, jobid"),
-        ("job_metrics", "system, jobid, metric"),
-        ("system_series", "system, metric, t"),
-        ("syslog_events", "system, t, host"),
-    ):
-        out[table] = w.connection.execute(
-            f"SELECT * FROM {table} ORDER BY {order}").fetchall()
-    return out
-
-
 def test_fast_writes_identical_results(tmp_path):
     """WAL + synchronous=NORMAL is a pure speed knob: every stored row
     and every query result is identical to the default journal mode."""
@@ -173,7 +160,7 @@ def test_fast_writes_identical_results(tmp_path):
     fast = Warehouse(str(tmp_path / "fast.sqlite"), fast_writes=True)
     _fill(plain)
     _fill(fast)
-    assert _dump(plain) == _dump(fast)
+    assert tables(plain) == tables(fast)
     tp = plain.job_table("t")
     tf = fast.job_table("t")
     assert list(tp) == list(tf)

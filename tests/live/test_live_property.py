@@ -23,6 +23,7 @@ from repro.ingest.columnar_scan import JobScanState
 from repro.ingest.warehouse import Warehouse
 from repro.live.runner import LiveSession
 from repro.util.timeutil import HOUR
+from tests.parity import tables
 
 CFG = TEST_SYSTEM.scaled(num_nodes=3, horizon_days=1, n_users=5)
 SEED = 13
@@ -66,28 +67,12 @@ def _run_live(archive_dir, batch_sizes=None):
     return session
 
 
-def _data_rows(w: Warehouse):
-    w.commit()
-    return {
-        table: w.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in [
-            ("jobs", "system, jobid, user, account, science_field, app, "
-                     "queue, exit_status, submit_time, start_time, "
-                     "end_time, nodes, cores, node_hours"),
-            ("job_metrics", "system, jobid, metric, value"),
-            ("system_series", "system, metric, t, value"),
-            ("syslog_events", "system, t, host, jobid, kind, severity"),
-        ]
-    }
-
-
 @pytest.fixture(scope="module")
 def nightly(tmp_path_factory):
     """The reference: every segment consumed by ONE append batch — the
     'equivalent nightly --append over the same segments'."""
     session = _run_live(tmp_path_factory.mktemp("nightly"))
-    return _data_rows(session.warehouse), session.n_segments
+    return tables(session.warehouse), session.n_segments
 
 
 @settings(max_examples=6, deadline=None,
@@ -101,7 +86,7 @@ def test_any_micro_batch_interleaving_equals_nightly_append(
                  min_size=1, max_size=n_segments),
         label="batch segment counts")
     session = _run_live(tmp_path_factory.mktemp("interleaved"), sizes)
-    assert _data_rows(session.warehouse) == reference
+    assert tables(session.warehouse) == reference
 
 
 def test_single_segment_batches_equal_nightly(nightly,
@@ -112,7 +97,7 @@ def test_single_segment_batches_equal_nightly(nightly,
     session = _run_live(tmp_path_factory.mktemp("dense"),
                         [1] * n_segments)
     assert len(session.run()) == 0  # already complete
-    assert _data_rows(session.warehouse) == reference
+    assert tables(session.warehouse) == reference
 
 
 def test_a_commit_between_batches_is_adopted_not_overwritten(
@@ -136,4 +121,4 @@ def test_a_commit_between_batches_is_adopted_not_overwritten(
     _assert_in_memory_equals_sql(session)
     reports += session.run()
     assert sum(r.delta.files_lookback for r in reports) > 0
-    assert _data_rows(session.warehouse) == reference
+    assert tables(session.warehouse) == reference

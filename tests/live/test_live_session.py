@@ -2,9 +2,6 @@
 monotonic snapshot growth, counter publication, and the sub-day
 archive rotation it rides on."""
 
-import hashlib
-import json
-
 import pytest
 
 from repro.config import TEST_SYSTEM
@@ -14,6 +11,8 @@ from repro.live.runner import LIVE_COUNTER_METRICS, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.telemetry.metrics import get_registry
 from repro.util.timeutil import DAY, HOUR
+from tests.parity import expected, tables, tree
+from tests.parity import synthesis as sp
 
 CFG = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=6)
 SEED = 7
@@ -43,30 +42,13 @@ def offline(tmp_path_factory):
     return warehouse
 
 
-def _data_rows(w):
-    """Every analytics-visible row, ordered (ledger/meta excluded)."""
-    w.commit()
-    return {
-        table: w.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in [
-            ("jobs", "system, jobid, user, account, science_field, app, "
-                     "queue, exit_status, submit_time, start_time, "
-                     "end_time, nodes, cores, node_hours"),
-            ("job_metrics", "system, jobid, metric, value"),
-            ("system_series", "system, metric, t, value"),
-            ("syslog_events", "system, t, host, jobid, kind, severity"),
-        ]
-    }
-
-
 def test_live_warehouse_equals_offline_oneshot(live, offline):
     """The headline equivalence: a horizon streamed as hourly-scale
     micro-batches lands the exact same analytics rows as one offline
     pass — same jobs, metrics, series, and syslog events."""
-    rows = _data_rows(live[0])
+    rows = tables(live[0])
     assert rows["jobs"]  # non-vacuous
-    assert rows == _data_rows(offline)
+    assert rows == tables(offline)
 
 
 def test_day_segment_session_is_the_offline_path(tmp_path):
@@ -80,14 +62,8 @@ def test_day_segment_session_is_the_offline_path(tmp_path):
     session.run()
     run = Facility(CFG, seed=SEED).run_with_files(str(offline_dir),
                                                   archive_format="v2")
-
-    def tree(root):
-        return {str(p.relative_to(root)):
-                hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(root.rglob("*")) if p.is_file()}
-
     assert tree(live_dir) and tree(live_dir) == tree(offline_dir)
-    assert _data_rows(session.warehouse) == _data_rows(run.warehouse)
+    assert tables(session.warehouse) == tables(run.warehouse)
 
 
 def test_live_v2_archive_converts_to_the_text_replay(tmp_path):
@@ -96,7 +72,6 @@ def test_live_v2_archive_converts_to_the_text_replay(tmp_path):
     byte for byte the tree an hourly text replay of the same facility
     writes (the ``live/ranger/text/end`` synthesis digest)."""
     from repro.tacc_stats.convert import convert_archive
-    from tests import synthesis_parity as sp
 
     cfg = sp.SYSTEMS["ranger"].scaled(**sp.LIVE)
     live_dir, text_dir = tmp_path / "live", tmp_path / "text"
@@ -106,8 +81,8 @@ def test_live_v2_archive_converts_to_the_text_replay(tmp_path):
             if p.is_file()} == {".v2", ".json"}
     report = convert_archive(str(live_dir), "text", out_root=str(text_dir))
     assert report.converted == len(report.drifted) > 0
-    expected = json.loads(sp.DIGESTS.read_text())["live/ranger/text/end"]
-    assert {"tree": sp.tree(text_dir)} == expected
+    assert {"tree": sp.hashed_tree(text_dir)} == \
+        expected("synthesis")["live/ranger/text/end"]
 
 
 def test_snapshot_rows_grow_monotonically(live):
@@ -181,7 +156,7 @@ def _committed(path):
     tables, ledger, kept scan states and live counters."""
     w = Warehouse(path)
     try:
-        return (_data_rows(w), w.ledger_map(CFG.name),
+        return (tables(w), w.ledger_map(CFG.name),
                 w.scan_states(CFG.name), w.live_counters(CFG.name))
     finally:
         w.close()
@@ -222,7 +197,7 @@ def test_kill_inside_a_live_batch_leaves_the_previous_batch(tmp_path,
             archive=HostArchive(archive_dir), lariat_records=session.lariat,
             syslog=session.syslog, mode="append")
     assert len(appended.ledger_map(CFG.name)) > len(before[1])
-    assert _data_rows(appended) == _data_rows(oneshot)
+    assert tables(appended) == tables(oneshot)
     appended.close()
 
 

@@ -29,7 +29,7 @@ from tests.ingest.lookback_oracle import (
     grow,
     segment_labels,
 )
-from tests.live.test_live_property import _data_rows
+from tests.parity import tables
 
 CFG = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=2, n_users=6)
 
@@ -107,7 +107,7 @@ def test_appends_open_exactly_the_cells_holding_a_pending_job(
         partial.update(report.match.partial)
 
     # (i) row for row what one append of everything loads ...
-    assert _data_rows(warehouse) == _data_rows(oneshot)
+    assert tables(warehouse) == tables(oneshot)
     # (iii) ... with no job matched on fewer hosts along the way.
     assert partial == set(oneshot_report.match.partial)
     assert oneshot_report.jobs_loaded == warehouse.job_count(CFG.name)

@@ -1,33 +1,26 @@
-"""What an ingest leaves behind, as data: the flows behind
-``test_ingest_parity.py`` and the script that captured its digests.
+"""The ingest family: what an ingest leaves behind, as data.
 
 Each row runs one sequence of ingests over one archive into a fresh
-in-memory warehouse and hashes what the sequence left: the data tables,
-the ledger's ``(host, day, sha256, status, open_jobs)`` rows, the kept
-scan states, and each report's ``mode`` and ``delta`` (``None`` for a
-full ingest).  Rows cover every way of deciding what to read — a full
-ingest, a ``through_day=1`` seed, that seed then an append, an append
-onto an empty warehouse, an append of day 0 then of the rest, and one
-append of day 0 alone — over a text and a v2 copy of one archive, clean
-under ``strict`` and with a ``bit_flip`` in one host's first file under
-``repair`` and ``quarantine``.
+in-memory warehouse and hashes what the sequence left: the data tables
+(:func:`~tests.parity.tables`), the ledger's ``(host, day, sha256,
+status, open_jobs)`` rows, the kept scan states, and each report's
+``mode`` and ``delta`` (``None`` for a full ingest).  Rows cover every
+way of deciding what to read — a full ingest, a ``through_day=1``
+seed, that seed then an append, an append onto an empty warehouse, an
+append of day 0 then of the rest, and one append of day 0 alone — over
+a text and a v2 copy of one archive, clean under ``strict`` and with a
+``bit_flip`` in one host's first file under ``repair`` and
+``quarantine``.
 
-The committed ``ingest_parity_digests.json`` was captured at the last
-commit that decided a full and a windowed ingest apart from the append
-planner.  Rerun the capture against any commit with::
-
-    PYTHONPATH=<checkout>/src:. python tests/ingest/ingest_parity.py \\
-        > tests/ingest/ingest_parity_digests.json
+The committed digests were captured at the last commit that decided a
+full and a windowed ingest apart from the append planner.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
-import json
 import shutil
-import sys
-import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,8 +33,7 @@ from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.convert import convert_archive
 from repro.testing.faults import inject_fault
 from tests.ingest.lookback_oracle import grow, segment_labels
-
-DIGESTS = Path(__file__).with_name("ingest_parity_digests.json")
+from tests.parity import sha, tables
 
 CFG = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=3, n_users=6)
 SEED = 11
@@ -59,15 +51,6 @@ FLOWS = {
                            ("full", {"mode": "append"})],
     "append_day0": [("day0", {"mode": "append"})],
 }
-
-_TABLES = [
-    ("jobs", "system, jobid, user, account, science_field, app, queue, "
-             "exit_status, submit_time, start_time, end_time, nodes, "
-             "cores, node_hours"),
-    ("job_metrics", "system, jobid, metric, value"),
-    ("system_series", "system, metric, t, value"),
-    ("syslog_events", "system, t, host, jobid, kind, severity"),
-]
 
 
 def build_sources(root: Path) -> tuple[dict[str, Path], SimpleNamespace]:
@@ -111,12 +94,7 @@ def _archives(source: Path, fault: str | None, dest: Path) -> dict[str, Path]:
 
 def state(warehouse: Warehouse, reports: list) -> str:
     """The hashed text of one flow's outcome."""
-    warehouse.commit()
-    tables = {
-        table: warehouse.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in _TABLES
-    }
+    rows = tables(warehouse)
     ledger = [
         (host, day, e.sha256, e.status,
          None if e.open_jobs is None else sorted(e.open_jobs))
@@ -127,7 +105,7 @@ def state(warehouse: Warehouse, reports: list) -> str:
               sorted(warehouse.scan_states(CFG.name).items())]
     runs = [(r.mode, None if r.delta is None else r.delta.to_dict())
             for r in reports]
-    return repr((tables, ledger, states, runs))
+    return repr((rows, ledger, states, runs))
 
 
 def run_flow(logs: SimpleNamespace, archives: dict[str, Path], policy: str,
@@ -161,15 +139,6 @@ def outcomes(tmp: Path) -> dict[str, str]:
     return out
 
 
-def sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def capture() -> dict[str, str]:
-    with tempfile.TemporaryDirectory() as tmp:
-        return {k: sha(v) for k, v in outcomes(Path(tmp)).items()}
-
-
-if __name__ == "__main__":
-    json.dump(capture(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+def capture(tmp: Path) -> dict[str, str]:
+    """The digest of every flow's outcome."""
+    return {k: sha(v) for k, v in outcomes(tmp).items()}

@@ -1,20 +1,15 @@
-"""What the service serves, as data: the request matrix behind
-``test_store_parity.py`` and the script that captured its digests.
+"""The store family: what the service serves, as data.
 
 The same requests go to a ``ServiceState`` over one shard *file* and
 over the federation *directory* that holds it, each cold and then
 cached.  Every body (a ``ServiceError`` as the JSON the HTTP front end
 would send) is dumped in key order with the temp directory replaced by
 ``<root>`` and ``snapshot_age_seconds`` (a clock reading) dropped.  The
-committed ``store_parity_digests.json`` holds one sha256 per body as
-served by the commit *before* the one-store refactor (PR 22's parent,
-08cb562).  Its ``live`` digests were captured again when a live
-micro-batch became one commit: those bodies differ from the earlier
-ones in ``generation`` alone, which now moves once per batch instead of
-twice.  Rerun the capture against any commit with::
-
-    PYTHONPATH=<checkout>/src:. python tests/service/store_parity.py \
-        > tests/service/store_parity_digests.json
+``served`` digests hold one sha256 per body as served by the commit
+*before* the one-store refactor (08cb562).  The ``live`` digests were
+captured again when a live micro-batch became one commit (8430f9d, the
+family's recorded commit): those bodies differ from the earlier ones in
+``generation`` alone, which now moves once per batch instead of twice.
 
 Digests, not bodies, are committed: the bodies are ~1 MB of report
 text and float arrays that say nothing a reviewer can read.
@@ -22,10 +17,7 @@ text and float arrays that say nothing a reviewer can read.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import sys
-import tempfile
 from pathlib import Path
 
 from repro import LONESTAR4, RANGER
@@ -37,8 +29,7 @@ from repro.ingest.warehouse import Warehouse
 from repro.live.runner import LiveSession
 from repro.service.protocol import ServiceError, error_body
 from repro.service.state import ALL_SYSTEMS, ServiceState
-
-DIGESTS = Path(__file__).with_name("store_parity_digests.json")
+from tests.parity import sha
 
 #: The system both stores are asked about: the file store serves its
 #: shard, the directory store routes to it.
@@ -203,23 +194,13 @@ def live_probe(root: str, store: str) -> dict[str, str]:
     return out
 
 
-def sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def capture() -> dict[str, dict[str, str]]:
-    """Every digest the parity test compares against."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = f"{tmp}/fed"
-        build_federation(root)
-        served = served_bodies(root)
-        live: dict[str, str] = {}
-        for store in STORES:
-            live.update(live_probe(f"{tmp}/live_{store}", store))
+def capture(tmp: Path) -> dict[str, dict[str, str]]:
+    """Every digest the store tests compare against."""
+    root = f"{tmp}/fed"
+    build_federation(root)
+    served = served_bodies(root)
+    live: dict[str, str] = {}
+    for store in STORES:
+        live.update(live_probe(f"{tmp}/live_{store}", store))
     return {"served": {k: sha(v) for k, v in served.items()},
             "live": {k: sha(v) for k, v in live.items()}}
-
-
-if __name__ == "__main__":
-    json.dump(capture(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")

@@ -1,9 +1,9 @@
-"""What synthesis writes, as data: the rows behind
-``test_synthesis_parity.py`` and the script that captured its digests.
+"""The synthesis family: what synthesis writes, as data.
 
 Each row replays one scaled system into a fresh archive and hashes the
-tree (``{relative path: sha256}``); an offline row also hashes the data
-tables its ingest left in the warehouse.  The rows:
+tree (``repr`` of :func:`~tests.parity.tree`); an offline row also
+hashes the data tables its ingest left in the warehouse (``repr`` of
+the :func:`~tests.parity.tables` list).  The rows:
 
 * offline ``run_with_files`` — Ranger, Lonestar4 and Stampede, each as
   text+gzip and as v2, with one replay worker and with two;
@@ -16,25 +16,15 @@ tables its ingest left in the warehouse.  The rows:
   replay workers and two ingest workers (``test_synthesis.py`` checks
   it, with its counters).
 
-The committed ``synthesis_parity_digests.json`` was captured at the last
-commit that shipped a second, per-sample synthesis driver beside
-``NodeSynth``.  The capture asserts, row by row, that the kernels write
-what each collector's scalar path writes (:func:`scalar_collectors`,
-one worker); against a checkout that still has the ``synthesis`` knob
-it also asserts that they write what that driver wrote.  Rerun it
-against any commit with::
-
-    PYTHONPATH=<checkout>/src:. python tests/synthesis_parity.py \\
-        > tests/synthesis_parity_digests.json
+The committed digests were captured at the last commit that shipped a
+second, per-sample synthesis driver beside ``NodeSynth``, where both
+were asserted equal.  :func:`capture` asserts, row by row, that the
+kernels write what each collector's scalar path writes
+(:func:`scalar_collectors`, one worker).
 """
 
 from __future__ import annotations
 
-import hashlib
-import inspect
-import json
-import sys
-import tempfile
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
@@ -46,10 +36,8 @@ from repro.live.runner import LiveReplay
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors import amd64_pmc, intel_pmc
 from repro.util.timeutil import HOUR
-from tests.ingest.ingest_parity import _TABLES
+from tests.parity import sha, tables, tree
 from tests.scalar_reference import scalar_collectors
-
-DIGESTS = Path(__file__).with_name("synthesis_parity_digests.json")
 
 SYSTEMS = {"ranger": RANGER, "lonestar4": LONESTAR4, "stampede": STAMPEDE}
 FORMATS = ("text", "v2")
@@ -59,31 +47,21 @@ LIVE = dict(num_nodes=2, horizon_days=1.5, n_users=6)
 STOP = 5 * HOUR + 1234.5
 
 
-def sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def tree(root: Path) -> str:
-    """The hashed ``{relative path: sha256}`` of every file under *root*."""
-    return sha(repr({
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()}))
+def hashed_tree(root: Path) -> str:
+    """The hashed :func:`~tests.parity.tree` of *root*."""
+    return sha(repr(tree(root)))
 
 
 def digests(root: Path, run) -> dict[str, str]:
     """An offline run's hashed tree and data tables; closes its
     warehouse."""
-    warehouse = run.warehouse
-    warehouse.commit()
-    tables = [warehouse.connection.execute(
-        f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in _TABLES]
-    warehouse.close()
-    return {"tree": tree(root), "tables": sha(repr(tables))}
+    rows = list(tables(run.warehouse).values())
+    run.warehouse.close()
+    return {"tree": hashed_tree(root), "tables": sha(repr(rows))}
 
 
 def offline(root: Path, system: str, fmt: str, workers: int = 1,
-            pmc_prob: float | None = None, **knob) -> dict[str, str]:
+            pmc_prob: float | None = None) -> dict[str, str]:
     cfg = SYSTEMS[system].scaled(**OFFLINE)
     with ExitStack() as stack:
         if pmc_prob is not None:
@@ -91,32 +69,31 @@ def offline(root: Path, system: str, fmt: str, workers: int = 1,
                 stack.enter_context(mock.patch.object(
                     module, "USER_PROGRAMMED_PROB", pmc_prob))
         run = Facility(cfg, seed=SEED).run_with_files(
-            str(root), archive_format=fmt, workers=workers, **knob)
+            str(root), archive_format=fmt, workers=workers)
     return digests(root, run)
 
 
-def fleet(root: Path, workers: int = 2, **knob) -> FacilityRun:
+def fleet(root: Path, workers: int = 2) -> FacilityRun:
     """One Stampede day at 64 nodes, straight to v2, with two replay
     workers and two ingest workers."""
     cfg = STAMPEDE.scaled(num_nodes=64, horizon_days=1, n_users=64)
     return Facility(cfg, seed=7).run_with_files(
-        str(root), archive_format="v2", workers=workers, ingest_workers=2,
-        **knob)
+        str(root), archive_format="v2", workers=workers, ingest_workers=2)
 
 
-def _fleet_row(root: Path, **kw) -> dict[str, str]:
-    return digests(root, fleet(root, **kw))
+def _fleet_row(root: Path, workers: int) -> dict[str, str]:
+    return digests(root, fleet(root, workers))
 
 
-def live(root: Path, system: str, fmt: str, until: float | None,
-         **knob) -> dict[str, str]:
+def live(root: Path, system: str, fmt: str,
+         until: float | None) -> dict[str, str]:
     """An hourly replay to *until* (None: the horizon)."""
     cfg = SYSTEMS[system].scaled(**LIVE)
     facility = Facility(cfg, seed=SEED)
     workload, sim, _outages, _cluster = facility._simulate()
     archive = HostArchive(root, rotate_seconds=HOUR, archive_format=fmt)
     replay = LiveReplay(cfg, SEED, *facility._behavior_context(workload),
-                        sim.records, archive, **knob)
+                        sim.records, archive)
     until = cfg.horizon if until is None else until
     t = 0.0
     while t < until:
@@ -124,12 +101,12 @@ def live(root: Path, system: str, fmt: str, until: float | None,
         replay.advance(t)
         archive.flush_before(t)
     archive.close()
-    return {"tree": tree(root)}
+    return {"tree": hashed_tree(root)}
 
 
 #: The row ``test_synthesis.py`` checks, with its counters.
 FLEET = "fleet/stampede/v2/w2"
-#: Label -> ``(root, **knob) -> {"tree": sha[, "tables": sha]}``.
+#: Label -> ``(root[, workers=]) -> {"tree": sha[, "tables": sha]}``.
 ROWS = {
     **{f"offline/{s}/{f}/w{w}": partial(offline, system=s, fmt=f, workers=w)
        for s in SYSTEMS for f in FORMATS for w in (1, 2)},
@@ -148,22 +125,12 @@ def outcomes(tmp: Path, skip=()) -> dict[str, dict[str, str]]:
             if label not in skip}
 
 
-def capture() -> dict[str, dict[str, str]]:
-    knob = "synthesis" in inspect.signature(Facility.run_with_files).parameters
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
+def capture(tmp: Path) -> dict[str, dict[str, str]]:
+    """Every row's digests, written by the kernels and asserted equal
+    to what each collector's scalar path writes."""
+    out = outcomes(tmp / "kernels")
+    with scalar_collectors():
         for label, row in ROWS.items():
-            out[label] = row(Path(tmp, "kernels", label))
             serial = {"workers": 1} if "workers" in row.keywords else {}
-            with scalar_collectors():
-                ref = row(Path(tmp, "scalar", label), **serial)
-            assert ref == out[label], label
-            if knob:
-                old = row(Path(tmp, "driver", label), synthesis="scalar")
-                assert old == out[label], label
+            assert row(tmp / "scalar" / label, **serial) == out[label], label
     return out
-
-
-if __name__ == "__main__":
-    json.dump(capture(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")

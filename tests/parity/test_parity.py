@@ -1,9 +1,7 @@
-"""Served bytes are the contract: one store under the service must
-answer exactly what the file/directory pair of code paths answered.
-
-The request matrix, the dump format and the capture script live in
-``store_parity.py``; ``store_parity_digests.json`` holds what the last
-commit with two code paths (PR 22's parent) served.
+"""Every parity family against its committed digests: one synthesis
+engine writes what two wrote, one planner leaves what three ingest
+paths left, and one store serves what the file/directory pair of code
+paths served.  The capture command is checked here too.
 """
 
 from __future__ import annotations
@@ -23,9 +21,51 @@ from repro.federation import ClusterPlan, FederatedFacility
 from repro.ingest.warehouse import Warehouse
 from repro.service.protocol import ServiceError, error_body
 from repro.service.server import make_server
-from tests.service import store_parity as sp
+from tests import parity
+from tests.parity import ingest as ip
+from tests.parity import store as sp
+from tests.parity import synthesis as syn
 
-EXPECTED = json.loads(sp.DIGESTS.read_text())
+EXPECTED = {family: parity.expected(family) for family in parity.FAMILIES}
+
+
+def test_capture_keeps_the_commit_of_an_unchanged_family(
+        tmp_path, monkeypatch):
+    """A recapture records the commit only where the digests moved, and
+    one that moves nothing rewrites the file byte for byte."""
+    path = tmp_path / "digests.json"
+    moving = iter(["a", "b", "b"])
+    families = {"still": lambda tmp: {"row": "x"},
+                "moving": lambda tmp: {"row": next(moving)}}
+    for commit in ("c1", "c2", "c3"):
+        before = path.read_bytes() if path.exists() else None
+        monkeypatch.setattr(parity, "describe", lambda: commit)
+        parity.capture(families, path)
+    assert path.read_bytes() == before
+    assert json.loads(path.read_text()) == {
+        "still": {"commit": "c1", "digests": {"row": "x"}},
+        "moving": {"commit": "c2", "digests": {"row": "b"}}}
+
+
+def test_every_row_writes_what_the_parent_wrote(tmp_path):
+    # The fleet row runs, with its counters, in test_synthesis.py.
+    want = EXPECTED["synthesis"]
+    outcomes = syn.outcomes(tmp_path, skip={syn.FLEET})
+    assert len(outcomes) == 2 * len(syn.SYSTEMS) * len(syn.FORMATS) * 2 + 1 == 25
+    assert set(outcomes) == set(want) - {syn.FLEET}
+    differs = [label for label, digests in outcomes.items()
+               if digests != want[label]]
+    assert differs == []
+
+
+def test_every_flow_leaves_what_the_parent_left(tmp_path):
+    want = EXPECTED["ingest"]
+    outcomes = ip.capture(tmp_path)
+    assert len(outcomes) == len(ip.FORMATS) * len(ip.POLICIES) * len(ip.FLOWS) == 36
+    assert set(outcomes) == set(want)
+    differs = [label for label, digest in outcomes.items()
+               if digest != want[label]]
+    assert differs == []
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +83,10 @@ def served(fed_root) -> dict[str, str]:
 def test_every_body_is_what_the_parent_served(served):
     """File and directory store, cold then cached, every endpoint and
     every error path: digest-equal to the parent's, body for body."""
-    assert set(served) == set(EXPECTED["served"])
+    assert set(served) == set(EXPECTED["store"]["served"])
     assert len(served) == 2 * 2 * len(sp.requests("u", "a"))
     differs = [label for label, body in served.items()
-               if sp.sha(body) != EXPECTED["served"][label]]
+               if parity.sha(body) != EXPECTED["store"]["served"][label]]
     assert differs == []
 
 
@@ -78,10 +118,10 @@ def test_refresh_after_external_commits_serves_what_the_parent_did(
     ``generation``, ``cached``) and a ``live_top`` poll all match.  The
     session registers its system, then commits once per batch."""
     got = sp.live_probe(str(tmp_path / "live"), store)
-    want = {k: v for k, v in EXPECTED["live"].items()
+    want = {k: v for k, v in EXPECTED["store"]["live"].items()
             if k.startswith(store + "/")}
     assert set(got) == set(want) and len(got) == 16 * 4
-    assert [k for k, body in got.items() if sp.sha(body) != want[k]] == []
+    assert [k for k, body in got.items() if parity.sha(body) != want[k]] == []
     last = json.loads(got[f"{store}/batch15/2 report"])
     assert last["cached"] is True and last["generation"] == 1 + 16
 

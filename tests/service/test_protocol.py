@@ -97,6 +97,17 @@ def test_repeated_parameter_rejected(client):
     assert_error(status, body, "bad_request")
 
 
+@pytest.mark.parametrize("query", [
+    "since=nan&timeout=0", "since=inf&timeout=0", "since=-inf&timeout=0",
+    "since=0&timeout=nan", "timeout=inf", "since=x&timeout=0",
+])
+def test_watch_rejects_a_non_finite_number(client, query):
+    """``nan`` / ``inf`` parse as floats, but a watcher asking from
+    such a ``since`` would never wake: every one is a bad request."""
+    status, body = client.get(f"/api/v1/live/watch?system={SYSTEM}&{query}")
+    assert_error(status, body, "bad_request")
+
+
 def test_service_error_requires_registered_code():
     with pytest.raises(ValueError):
         ServiceError("made_up_code", "nope")

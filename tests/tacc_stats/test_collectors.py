@@ -46,8 +46,8 @@ def read_all(collector, context):
 
 def test_build_collectors_selects_pmc_by_arch():
     rng = np.random.default_rng(0)
-    amd = build_collectors(make_node("amd64"), rng)
-    intel = build_collectors(make_node("intel"), rng)
+    amd = build_collectors(make_node("amd64"), lambda _name: rng)
+    intel = build_collectors(make_node("intel"), lambda _name: rng)
     amd_types = {c.type_name for c in amd}
     intel_types = {c.type_name for c in intel}
     assert "amd64_pmc" in amd_types and "intel_pmc" not in amd_types
@@ -235,7 +235,7 @@ def test_idle_node_still_reports():
     """Idle nodes produce realistic background samples, not zeros."""
     node = make_node()
     rng = np.random.default_rng(11)
-    for col in build_collectors(node, rng):
+    for col in build_collectors(node, lambda _name: rng):
         col.advance(ctx(600.0, 600.0, None))
         rows = read_all(col, ctx(600.0, 0.0, None))
         assert rows, col.type_name

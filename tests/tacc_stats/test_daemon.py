@@ -20,7 +20,8 @@ from repro.workload.users import generate_users
 def setup(tmp_path):
     node = Node(index=0, hostname="c000-000.test", hardware=ranger_node())
     archive = HostArchive(tmp_path, compress=False)
-    synth = NodeSynth(node, RngFactory(0).stream("noise"), archive)
+    rng = RngFactory(0).stream("noise")
+    synth = NodeSynth(node, lambda _name: rng, archive)
     users = generate_users(5, RngFactory(0).stream("u"))
     behavior = JobBehavior(get_app("namd"), users[0], ranger_node(), 2,
                            duration=3000.0, sample_interval=600.0,

@@ -42,9 +42,10 @@ def test_nfs_collector_requires_mounts():
 
 def test_build_collectors_includes_nfs_when_requested():
     rng = np.random.default_rng(1)
-    with_nfs = build_collectors(make_node(), rng, ("scratch", "work"),
-                                nfs_mounts=("home",))
-    without = build_collectors(make_node(), rng, ("scratch", "work"))
+    with_nfs = build_collectors(make_node(), lambda _name: rng,
+                                ("scratch", "work"), nfs_mounts=("home",))
+    without = build_collectors(make_node(), lambda _name: rng,
+                               ("scratch", "work"))
     assert "nfs" in {c.type_name for c in with_nfs}
     assert "nfs" not in {c.type_name for c in without}
 

@@ -15,9 +15,7 @@ replay's segment close / re-register cycle, which releases a day block's
 rows at arbitrary points).
 """
 
-import hashlib
 from contextlib import nullcontext
-from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +26,7 @@ from repro.facility import _replay_nodes
 from repro.live.runner import LiveReplay, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.util.timeutil import HOUR
+from tests.parity import tables, tree
 from tests.scalar_reference import scalar_collectors
 
 ARCHETYPES = {
@@ -35,30 +34,6 @@ ARCHETYPES = {
     "stampede": STAMPEDE,
     "lonestar4": LONESTAR4,
 }
-
-
-def _tree(root) -> dict[str, str]:
-    root = Path(root)
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
-
-
-def _data_rows(warehouse):
-    warehouse.commit()
-    return {
-        table: warehouse.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in [
-            ("jobs", "system, jobid, user, account, science_field, app, "
-                     "queue, exit_status, submit_time, start_time, "
-                     "end_time, nodes, cores, node_hours"),
-            ("job_metrics", "system, jobid, metric, value"),
-            ("system_series", "system, metric, t, value"),
-            ("syslog_events", "system, t, host, jobid, kind, severity"),
-        ]
-    }
 
 
 @given(
@@ -80,8 +55,8 @@ def test_fast_engine_matches_scalar_oracle(
         r_scalar = Facility(cfg, seed=seed).run_with_files(
             d_scalar, compress=False, archive_format=archive_format,
             error_policy=error_policy)
-    assert _tree(d_fast) == _tree(d_scalar)
-    assert _data_rows(r_fast.warehouse) == _data_rows(r_scalar.warehouse)
+    assert tree(d_fast) == tree(d_scalar)
+    assert tables(r_fast.warehouse) == tables(r_scalar.warehouse)
 
 
 @given(
@@ -139,7 +114,7 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
                 archive.flush_before(t)
             archive.close()
         assert fired == sum(len(unit.events) for unit in replay._nodes)
-        trees[synthesis] = _tree(d)
+        trees[synthesis] = tree(d)
     assert trees["fast"] == trees["scalar"]
 
     d = str(tmp_path_factory.mktemp("offline"))
@@ -151,7 +126,7 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
             cfg, seed, workload.users, workload.util_scale,
             facility.phase_calibration, facility.regressions,
             sim.records, chunk, d, False, archive_format)
-    assert _tree(d) == trees["fast"]
+    assert tree(d) == trees["fast"]
 
 
 def test_live_session_fast_matches_scalar(tmp_path_factory):
@@ -165,7 +140,7 @@ def test_live_session_fast_matches_scalar(tmp_path_factory):
             session = LiveSession(Facility(cfg, seed=3), d,
                                   segment_seconds=6 * HOUR)
             session.run()
-        trees[synthesis] = _tree(d)
-        rows[synthesis] = _data_rows(session.warehouse)
+        trees[synthesis] = tree(d)
+        rows[synthesis] = tables(session.warehouse)
     assert trees["fast"] == trees["scalar"]
     assert rows["fast"] == rows["scalar"]

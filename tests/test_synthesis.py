@@ -11,8 +11,6 @@ Also pins the worker-chunking clamp: requesting more workers than nodes
 degrades to one worker per node, never an empty pool task.
 """
 
-import hashlib
-import json
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -42,20 +40,12 @@ from repro.tacc_stats.collectors import (
 from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.util.timeutil import DAY, HOUR, period_label
-from tests import synthesis_parity as sp
+from tests.parity import expected, tree
+from tests.parity import synthesis as sp
 from tests.scalar_reference import scalar_collectors
 
 CFG = RANGER.scaled(num_nodes=4, horizon_days=1, n_users=8)
 SEED = 17
-
-
-def _tree(root) -> dict[str, str]:
-    """{relative path: sha256} for every file under *root*."""
-    root = Path(root)
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +71,7 @@ def test_workers_beyond_node_count(tmp_path):
     d1, d2 = str(tmp_path / "serial"), str(tmp_path / "wide")
     Facility(CFG, seed=SEED).run_with_files(d1, compress=False)
     Facility(CFG, seed=SEED).run_with_files(d2, compress=False, workers=12)
-    assert _tree(d1) == _tree(d2)
+    assert tree(d1) == tree(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +87,7 @@ def test_fast_matches_scalar(tmp_path, archive_format):
     with scalar_collectors():
         r2 = Facility(CFG, seed=SEED).run_with_files(
             scalar, compress=False, archive_format=archive_format)
-    assert _tree(fast) == _tree(scalar)
+    assert tree(fast) == tree(scalar)
     s1, s2 = r1.archive_stats, r2.archive_stats
     assert (s1.raw_bytes, s1.file_count, s1.host_days) == \
            (s2.raw_bytes, s2.file_count, s2.host_days)
@@ -174,7 +164,7 @@ def test_every_kernel_is_entered_once_per_chunk(tmp_path, monkeypatch):
         scalar = run(tmp_path / "scalar")
         scalar.flush(DAY)
         scalar.archive.close()
-    assert _tree(tmp_path / "fast") == _tree(tmp_path / "scalar")
+    assert tree(tmp_path / "fast") == tree(tmp_path / "scalar")
 
 
 def test_a_fleet_day_direct_to_v2(tmp_path):
@@ -191,8 +181,7 @@ def test_a_fleet_day_direct_to_v2(tmp_path):
     assert counters["synth.chunks"] == 64
     assert counters["archive.files_written"] == 128
     assert run.ingest_report.match.match_rate == 1.0
-    expected = json.loads(sp.DIGESTS.read_text())[sp.FLEET]
-    assert sp.digests(root, run) == expected
+    assert sp.digests(root, run) == expected("synthesis")[sp.FLEET]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +200,7 @@ def test_node_output_depends_only_on_seed_and_node(tmp_path):
     full, part = str(tmp_path / "full"), str(tmp_path / "part")
     _replay_nodes(*args, list(range(CFG.num_nodes)), full, False)
     _replay_nodes(*args, [1, 3], part, False)
-    full_tree, part_tree = _tree(full), _tree(part)
+    full_tree, part_tree = tree(full), tree(part)
     assert part_tree, "subset replay wrote no files"
     for name, digest in part_tree.items():
         assert full_tree[name] == digest, name
@@ -302,7 +291,7 @@ def test_stopped_session_publishes_nothing_ahead_of_its_clock(
                 replay.advance(t)
                 archive.flush_before(t)
             archive.close()
-        trees[name] = _tree(d)
+        trees[name] = tree(d)
         if name == "stopped":
             snap = reg.snapshot()
             per_sample = {u.engine._rows_per_sample for u in replay._nodes}
@@ -389,7 +378,7 @@ def test_foreign_pmc_programs_inside_multi_job_blocks(
             d = str(tmp_path / f"offline-{synthesis}")
             run = Facility(cfg, seed=SEED).run_with_files(
                 d, compress=False, archive_format=archive_format)
-            trees["offline", synthesis] = _tree(d)
+            trees["offline", synthesis] = tree(d)
 
             d = str(tmp_path / f"live-{synthesis}")
             facility = Facility(cfg, seed=SEED)
@@ -404,7 +393,7 @@ def test_foreign_pmc_programs_inside_multi_job_blocks(
                 replay.advance(hour * HOUR)
                 archive.flush_before(hour * HOUR)
             archive.close()
-            trees["live", synthesis] = _tree(d)
+            trees["live", synthesis] = tree(d)
     assert len(run.records) > 4 * cfg.num_nodes
     assert trees["offline", "fast"] == trees["offline", "scalar"]
     assert trees["live", "fast"] == trees["live", "scalar"]
