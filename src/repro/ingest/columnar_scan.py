@@ -533,6 +533,8 @@ def host_partials(hostname: str, states: Mapping[str, JobScanState],
     todo = {jobid: st for jobid, st in states.items()
             if (jobs is None or jobid in jobs) and st.n_blocks >= 2
             and st.t_last - st.t_first > 0}
+    if not todo:  # most hosts of a live batch: no job can load yet
+        return {}
     sts = list(todo.values())
     mounts = {(m.type, m.device) for m in METRICS.values() if m.device}
     totals = {what: (keys, flat) for name, keys in _EDGE_COLUMNS.items()

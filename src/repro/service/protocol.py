@@ -26,7 +26,8 @@ __all__ = ["ServiceError", "ERROR_STATUS", "error_body", "csv_tuple",
 MAX_TENANT_LEN = 128
 
 #: error code -> HTTP status.  The closed vocabulary of failure modes a
-#: client can observe; ``internal`` is the only 5xx.
+#: client can observe; ``internal`` is the only 5xx a request that was
+#: read and routed can get.
 ERROR_STATUS: dict[str, int] = {
     "bad_request": 400,
     "missing_param": 400,
@@ -41,8 +42,11 @@ ERROR_STATUS: dict[str, int] = {
     "unknown_series": 404,
     "unknown_endpoint": 404,
     "method_not_allowed": 405,
+    "uri_too_long": 414,
+    "header_too_large": 431,
     "internal": 500,
     "shutting_down": 503,
+    "unsupported_version": 505,
 }
 
 

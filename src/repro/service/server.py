@@ -1,39 +1,20 @@
 """The HTTP front end: stdlib ``ThreadingHTTPServer`` + URL routing.
 
 No framework, no new dependencies: a
-:class:`http.server.BaseHTTPRequestHandler` subclass parses the URL,
-dispatches into :class:`~repro.service.state.ServiceState`, and
-serializes the returned dict as JSON.  HTTP/1.1 keep-alive is on
-(``Content-Length`` is always set), so a dashboard session reuses one
-TCP connection across its whole query burst.
-
-Routes (all JSON unless noted)::
-
-    GET  /api/v1/health              liveness + warehouse identity
-    GET  /api/v1/systems             per-system configuration
-    GET  /api/v1/clusters            federation shard topology
-    GET  /api/v1/report/{kind}       ?system=&target=   rendered report
-    GET  /api/v1/query/group_by      ?system=&dimension=&metrics=a,b
-    GET  /api/v1/timeseries/{name}   ?system=           stored series
-    GET  /api/v1/federation/overview cross-cluster rollup
-    GET  /api/v1/live/top            ?system=&n=&order_by=&user=&app=
-    GET  /api/v1/live/watch          ?system=&since=&timeout=  long-poll
-    POST /api/v1/refresh             adopt external ingest commits
-    GET  /metrics                    Prometheus text 0.0.4
+:class:`http.server.BaseHTTPRequestHandler` subclass reads the request
+head itself (:meth:`RequestHandler.parse_request`, the stdlib's limits
+and keep-alive rules into a plain dict, no RFC 5322 parser), routes the
+URL into :class:`~repro.service.state.ServiceState` and answers in one
+write.  HTTP/1.1 keep-alive is on (``Content-Length`` is always set),
+so a dashboard session reuses one TCP connection across its whole query
+burst.  The routes are the table in docs/SERVICE.md ("Endpoints").
 
 The live endpoints bypass the per-tenant L1 cache (their responses are
 a function of the calling client's previous poll — see
 :meth:`~repro.service.state.ServiceState.live_top`); ``/metrics``
 refreshes the ``service.snapshot.age_seconds`` staleness gauge on
-every scrape.
-
-A server of a federation directory (``repro-serve --federation DIR``)
-additionally accepts ``system=all`` on the query and timeseries
-endpoints for the scatter-gather cross-cluster path; ``group_by`` then
-understands the virtual ``cluster`` dimension.
-
-Tenancy: the ``X-Tenant`` header (or ``tenant`` query parameter) keys
-the per-tenant L1 cache; unset means the shared ``public`` tenant.
+every scrape.  Tenancy: the ``X-Tenant`` header (or ``tenant`` query
+parameter) keys the per-tenant L1 cache; unset means ``public``.
 
 Every JSON body goes through one encoder, :func:`json_body`, which
 writes ``json.dumps(body) + "\n"`` and takes the text of a payload the
@@ -44,19 +25,23 @@ Telemetry per request: ``service.requests`` plus
 ``service.requests.{endpoint}`` counters, the
 ``service.latency.seconds`` histogram and one
 ``service.latency.{endpoint}.seconds`` per endpoint,
-``service.errors`` on any non-2xx.  Scrape them at ``/metrics``.
+``service.errors`` on any non-2xx and on every refused request head.
+Scrape them at ``/metrics``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.protocol import (
+    ERROR_STATUS,
     ServiceError,
     csv_tuple,
     error_body,
@@ -77,22 +62,50 @@ SERVICE_LATENCY_BUCKETS: tuple[float, ...] = (
 )
 
 
+#: JSON literals, looked up only for a bool or ``None`` (``True == 1``).
+_LITERALS = {True: b"true", False: b"false", None: b"null"}
+
+
+@functools.lru_cache(maxsize=256)
+def _key_prefix(key: str) -> bytes:
+    """``json.dumps(key) + ": "``, encoded once per key."""
+    return json.dumps(key).encode() + b": "
+
+
 def json_body(body: dict) -> bytes:
     """``(json.dumps(body) + "\n").encode()``, for a body whose
     top-level keys are strings: every JSON response's one encoder.
 
     The top-level items are joined in the dict's order; a value the
     body carries pre-encoded (:attr:`~repro.service.state.Answer.encoded`,
-    still the same object as the dict's) is joined as that text, every
-    other value is encoded here."""
+    still the same object as the dict's) is joined as that text, a
+    literal or a ``str`` is written as ``json.dumps`` would, every other
+    value is encoded here."""
     encoded = getattr(body, "encoded", {})
     items = []
     for key, value in body.items():
         pair = encoded.get(key)
-        text = (pair[1] if pair is not None and pair[0] is value
-                else json.dumps(value).encode())
-        items.append(json.dumps(key).encode() + b": " + text)
+        if pair is not None and pair[0] is value:
+            text = pair[1]
+        elif value is None or type(value) is bool:
+            text = _LITERALS[value]
+        elif type(value) is str:
+            text = encode_basestring_ascii(value).encode()
+        else:
+            text = json.dumps(value).encode()
+        items.append(_key_prefix(key) + text)
     return b"{" + b", ".join(items) + b"}\n"
+
+
+#: The stdlib's head limits: a line of at most 65 536 bytes with its
+#: line ending, at most 100 header lines.
+MAX_LINE, MAX_HEADERS = 65536, 100
+
+#: The status a request head is refused with -> its error code (an
+#: unknown method, 501 to the stdlib, answers 405 like a wrong one).
+HEAD_ERRORS = {400: "bad_request", 414: "uri_too_long",
+               431: "header_too_large", 501: "method_not_allowed",
+               505: "unsupported_version"}
 
 
 #: Endpoints a supervisor polls before any user arrives; they touch no
@@ -162,13 +175,16 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
-    #: Responses are two small writes (header block, body); Nagle would
-    #: hold the second behind the peer's delayed ACK — a flat ~40 ms
-    #: tax on every warm request.
+    #: A response is one write, but a keep-alive client sends its next
+    #: request while its ACK of the last one may be delayed; Nagle
+    #: would hold the write behind it — a flat ~40 ms tax on every warm
+    #: request.
     disable_nagle_algorithm = True
     #: Toggled by the CLI; the default stays quiet so handler threads
     #: never contend on stderr during benchmarks.
     log_requests = False
+    #: ``(second, Date header)``, formatted once per second.
+    _date = (0, "")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -177,19 +193,86 @@ class RequestHandler(BaseHTTPRequestHandler):
         if self.log_requests:
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """The request line, and the head into :attr:`headers` (the
+        lower-cased name -> its first value), by the stdlib's rules:
+        :data:`MAX_LINE`, :data:`MAX_HEADERS`, keep-alive from HTTP/1.1
+        or ``Connection``, no version from 2 up, ``//`` collapsed.  A
+        refused head goes to :meth:`send_error`."""
+        self.command, self.close_connection = None, True
+        self.requestline = line = str(
+            self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, f"bad request line {line!r}")
+            return False
+        command, path, version = words
+        major, _, minor = version[5:].partition(".")
+        if not (version[:5] == "HTTP/" and major.isdecimal()
+                and minor.isdecimal() and max(len(major), len(minor)) <= 10):
+            self.send_error(400, f"bad request version {version!r}")
+            return False
+        if int(major) >= 2:
+            self.send_error(505, f"unsupported HTTP version {version!r}")
+            return False
+        self.close_connection = (int(major), int(minor)) < (1, 1)
+        self.command, self.request_version = command, version
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.headers = headers = {}
+        for count in range(MAX_HEADERS + 1):
+            raw = self.rfile.readline(MAX_LINE + 1)
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if len(raw) > MAX_LINE or count == MAX_HEADERS:
+                self.send_error(431, "header line too long"
+                                if len(raw) > MAX_LINE else "too many headers")
+                return False
+            name, colon, value = str(raw, "iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                self.send_error(400, f"bad header line {raw[:64]!r}")
+                return False
+            headers.setdefault(name.lower(), value.strip(" \t\r\n"))
+        connection = headers.get("connection", "").lower()
+        if connection in ("close", "keep-alive"):
+            self.close_connection = connection == "close"
+        return True
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Refuse a request head: the JSON error envelope under the code
+        :data:`HEAD_ERRORS` names (never the stdlib's HTML page),
+        counted in ``service.errors``; the connection closes."""
+        error, message = HEAD_ERRORS[code], message or self.responses[code][0]
+        self.log_error("code %d, message %s", code, message)
+        get_registry().counter("service.errors").inc()
+        self.close_connection = True
+        self._send(ERROR_STATUS[error], json_body(error_body(error, message)),
+                   close=True)
+
     def _send(self, status: int, payload: bytes,
-              content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+              content_type: str = "application/json",
+              close: bool = False) -> None:
+        """One response, one write: status line, headers, body."""
+        self.log_request(status)
+        now = int(time.time())
+        if RequestHandler._date[0] != now:
+            RequestHandler._date = (now, self.date_time_string(now))
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {RequestHandler._date[1]}\r\n"
+                + ("Connection: close\r\n" if close else "")
+                + f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(payload)}\r\n\r\n")
+        self.wfile.write(head.encode("latin-1") + payload)
 
     def _send_json(self, status: int, body: dict) -> None:
         self._send(status, json_body(body))
 
     def _tenant(self, params: dict[str, list[str]]) -> str:
-        header = self.headers.get("X-Tenant")
+        header = self.headers.get("x-tenant")
         if header:
             return valid_tenant(header)
         name = one_param(params, "tenant", DEFAULT_TENANT)
@@ -197,15 +280,9 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     # -- routing -----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Dispatch a GET request."""
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        """Dispatch a POST request."""
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
+        """Answer a GET or POST (``do_GET``/``do_POST``, the stdlib's
+        names); any other method the stdlib refuses as unsupported."""
         if not self.server.request_started():
             # Shutdown drain in progress: the service state is about to
             # close, so answer without touching it.
@@ -217,9 +294,11 @@ class RequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         try:
-            self._handle_counted(method)
+            self._handle_counted(self.command)
         finally:
             self.server.request_finished()
+
+    do_GET = do_POST = _dispatch  # noqa: N815 (http.server API)
 
     def _handle_counted(self, method: str) -> None:
         url = urlsplit(self.path)

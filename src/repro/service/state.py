@@ -179,17 +179,23 @@ class ServiceState:
 
     # -- routing ------------------------------------------------------------
 
-    def _all_systems(self) -> list[str]:
-        """Every servable system, across every shard."""
-        return self.store.all_systems()
+    def _shard(self, system: str | None) -> Warehouse:
+        """The shard that stores *system*, from the store's routing map
+        (which re-reads the shards only on a miss).  Routing, not a
+        one-unit scatter: the gather kernels re-weight (``mean × hours
+        ÷ hours``), which is not the same float."""
+        if not system:
+            raise ServiceError("missing_param",
+                               "missing required parameter 'system'")
+        try:
+            return self.store.shard(self.store.shard_of(system))
+        except KeyError:
+            raise ServiceError(
+                "unknown_system", f"unknown system {system!r}",
+                {"known": self.store.all_systems()}) from None
 
-    def _shard(self, system: str) -> Warehouse:
-        """The shard that stores *system*.  Routing, not a one-unit
-        scatter: the gather kernels re-weight (``mean × hours ÷
-        hours``), which is not the same float."""
-        return self.store.shard(self.store.shard_of(system))
-
-    def _resolve(self, system: str) -> tuple[Warehouse, WarehouseSnapshot]:
+    def _resolve(self, system: str | None,
+                 ) -> tuple[Warehouse, WarehouseSnapshot]:
         """The shard + pinned snapshot answering for *system*, resolved
         once per request so every sub-query of that request sees one
         generation.  The same classes whatever the store, which is what
@@ -273,19 +279,19 @@ class ServiceState:
         if self.federation_root is None:
             (generation,) = self.store.generations().values()
             identity = {"warehouse": self.warehouse_path,
-                        "systems": self._all_systems(),
+                        "systems": self.store.all_systems(),
                         "generation": generation}
         else:
             identity = {"federation": self.federation_root,
                         "clusters": self.store.clusters,
-                        "systems": self._all_systems(),
+                        "systems": self.store.all_systems(),
                         "generations": self.store.generations()}
         return {"status": "ok", **identity, "snapshot_age_seconds": age}
 
     def systems(self) -> dict:
         """``GET /api/v1/systems``: per-system configuration facts."""
         out = {}
-        for name in self._all_systems():
+        for name in self.store.all_systems():
             _shard, snap = self._resolve(name)
             out[name] = snap.system_info(name)
         return {"systems": out}
@@ -312,16 +318,6 @@ class ServiceState:
             }
         }
 
-    def _check_system(self, system: str | None) -> str:
-        if not system:
-            raise ServiceError("missing_param",
-                               "missing required parameter 'system'")
-        if system not in self._all_systems():
-            raise ServiceError(
-                "unknown_system", f"unknown system {system!r}",
-                {"known": self._all_systems()})
-        return system
-
     def report(self, kind: str, system: str | None,
                target: str | None = None,
                tenant: str = DEFAULT_TENANT) -> dict:
@@ -332,7 +328,7 @@ class ServiceState:
             raise ServiceError(
                 "unknown_realm", f"unknown report realm {kind!r}",
                 {"known": sorted(REPORT_KINDS)})
-        system = self._check_system(system)
+        shard, snap = self._resolve(system)
         if kind in NEEDS_TARGET:
             if not target:
                 raise ServiceError(
@@ -344,8 +340,6 @@ class ServiceState:
                 raise ServiceError("unexpected_target",
                                    f"report {kind!r} takes no target")
             target_args = ()
-
-        shard, snap = self._resolve(system)
 
         def compute() -> dict:
             try:
@@ -377,7 +371,7 @@ class ServiceState:
         """
         everything = self._is_all(system)
         if not everything:
-            system = self._check_system(system)
+            shard, snap = self._resolve(system)
         if not dimension:
             raise ServiceError("missing_param",
                                "missing required parameter 'dimension'")
@@ -406,7 +400,6 @@ class ServiceState:
                 return _groups_payload(self.store.group_by(
                     by, metrics=metrics, snapshots=snaps))
         else:
-            shard, snap = self._resolve(system)
             key = ("service.group_by", system, dims, metrics, snap.stamp)
             identity = {"generation": snap.generation}
 
@@ -447,7 +440,7 @@ class ServiceState:
         """
         everything = self._is_all(system)
         if not everything:
-            system = self._check_system(system)
+            _shard, snap = self._resolve(system)
         if not series:
             raise ServiceError("missing_param", "missing series name")
         if everything:
@@ -462,7 +455,6 @@ class ServiceState:
                 return _series_payload(*self.store.timeseries(
                     series, snapshots=snaps))
         else:
-            _shard, snap = self._resolve(system)
             known, where = (snap.series_metrics(system),
                             f"for system {system!r}")
             key = ("service.timeseries", system, series, snap.stamp)
@@ -511,7 +503,7 @@ class ServiceState:
         (``baseline: true``, no rates yet), exactly like glljobstat's
         first interval.
         """
-        system = self._check_system(system)
+        warehouse = self._shard(system)
         if order_by not in LIVE_COUNTER_METRICS:
             raise ServiceError(
                 "unknown_metric", f"unknown live metric {order_by!r}",
@@ -519,7 +511,6 @@ class ServiceState:
         if not 1 <= n <= 1000:
             raise ServiceError("bad_request",
                                f"n must be in 1..1000, got {n}")
-        warehouse = self._shard(system)
         samples = warehouse.live_counters(system)
         engine = self._engine_for(client, system)
         # Engines serialize their own observe: two in-flight polls
@@ -546,9 +537,8 @@ class ServiceState:
         primitive, not a query); the ``live.watchers`` gauge counts
         blocked watchers.
         """
-        system = self._check_system(system)
-        timeout = min(max(float(timeout), 0.0), 30.0)
         warehouse = self._shard(system)
+        timeout = min(max(float(timeout), 0.0), 30.0)
         registry = get_registry()
         registry.counter("live.watch_requests").inc()
         gauge = registry.gauge("live.watchers")

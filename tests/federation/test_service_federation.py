@@ -249,7 +249,7 @@ def test_refresh_adopts_external_shard_writes(tmp_path):
         wh.close()
         out = state.refresh()
         assert out["changed"] is True
-        assert "late" in state._all_systems()
+        assert "late" in state.store.all_systems()
         assert state.report("support", "late")["report"]
     finally:
         state.close()

@@ -122,9 +122,21 @@ def test_damaged_gzip_container_is_an_unreadable_file(corpus, tmp_path,
     assert report.health.hosts_dropped == []
     assert [(r.path, r.kind) for r in report.health.quarantined] == [
         (fault.path, "unreadable_file")]
-    # The host's other files still load: its jobs are all there.
-    assert {r[0] for r in tables(w_r)["jobs"]} == {
-        r[0] for r in tables(_ingest(corpus, corpus[1])[0])["jobs"]}
+    # The host's other files still load: every job with a block in a
+    # readable file is there, and the jobs whose only blocks were in
+    # the damaged file are the ones the match finds no stats for.
+    archive = HostArchive(root)
+    readable = {
+        jobid
+        for host in archive.hostnames()
+        for day in archive.read_host_days(host, paths=[
+            p for p in archive.host_files(host) if str(p) != fault.path])[0]
+        for jobids in day.block_jobids() for jobid in jobids}
+    clean = _ingest(corpus, corpus[1])[0].job_ids(corpus[0].name)
+    lost = clean - readable
+    assert lost
+    assert w_r.job_ids(corpus[0].name) == clean - lost
+    assert sorted(report.match.no_stats) == sorted(lost)
 
 
 @pytest.mark.parametrize("kind", BENIGN_KINDS)
