@@ -170,18 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="consume only the first N facility days of "
                              "the archive (requires --archive); a later "
                              "--append run folds in the remainder")
-    parser.add_argument("--fast-writes", action="store_true",
-                        help="open the warehouse with WAL journaling and "
-                             "synchronous=NORMAL (faster ingest; query "
-                             "results are identical)")
     parser.add_argument("--no-syslog", action="store_true",
                         help="skip syslog generation (fast path only: an "
                              "archive run always generates it)")
-    parser.add_argument("--policy", choices=("easy", "fcfs", "aware"),
+    parser.add_argument("--policy", choices=("easy", "fcfs"),
                         default="easy",
-                        help="scheduling policy: EASY backfill (default), "
-                             "plain FCFS, or the §5 complement-aware "
-                             "backfill")
+                        help="scheduling policy: EASY backfill (default) "
+                             "or plain FCFS")
     parser.add_argument("--appkernels", action="store_true",
                         help="submit the standard application-kernel "
                              "battery on its cadence")
@@ -272,7 +267,6 @@ def _run_knobs(args) -> dict:
     """:func:`simulate_system`'s keyword arguments, the same in both
     modes."""
     return dict(append=args.append, through_day=args.ingest_days,
-                fast_writes=args.fast_writes,
                 with_syslog=not args.no_syslog,
                 **{name: getattr(args, name) for name in _FILE_PATH_KNOBS})
 
@@ -452,11 +446,6 @@ def _policy(name: str):
     if name == "fcfs":
         from repro.scheduler.policies import FCFSPolicy
         return FCFSPolicy()
-    if name == "aware":
-        from repro.scheduler.resource_aware import (
-            ResourceAwareBackfillPolicy,
-        )
-        return ResourceAwareBackfillPolicy()
     from repro.scheduler.policies import EasyBackfillPolicy
     return EasyBackfillPolicy()
 
@@ -529,8 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.live:
         return _run_single(args, facility)
     try:
-        warehouse = open_for_write(cfg.name, args.warehouse,
-                                   fast_writes=args.fast_writes)
+        warehouse = open_for_write(cfg.name, args.warehouse)
     except ValueError as e:
         return die(str(e))
     with closing(warehouse):

@@ -53,7 +53,9 @@ class FederatedWarehouse:
         self.shards: dict[str, Warehouse] = {
             name: shards[name] for name in sorted(shards)
         }
-        self._system_map: dict[str, str] | None = None
+        #: (the shards' data versions, system -> cluster) as read at
+        #: those versions; see :meth:`_routing`.
+        self._routes: tuple[list | None, dict[str, str]] = (None, {})
 
     @classmethod
     def open(cls, root: str | Path, threadsafe: bool = False,
@@ -119,16 +121,19 @@ class FederatedWarehouse:
         return [s for systems in self.systems().values()
                 for s in sorted(systems)]
 
-    def shard_of(self, system: str) -> str:
-        """The cluster whose shard stores *system*.
+    def _routing(self, reread: bool = False) -> dict[str, str]:
+        """System -> the cluster whose shard stores it, in scatter
+        order.  Read from the shards again only when one of them moved
+        (a write, a commit, an adopted external commit) or on *reread*,
+        so a request over unchanged shards runs no SQL for it.
 
         A system may live in exactly one shard; duplicates are a
         configuration error surfaced here.
         """
-        # Built on first use, and again on a miss: a system another
-        # process has just committed is routable without a refresh().
-        if self._system_map is None or system not in self._system_map:
-            mapping: dict[str, str] = {}
+        versions = [wh.data_version for wh in self.shards.values()]
+        seen, mapping = self._routes
+        if reread or versions != seen:
+            mapping = {}
             for cluster, systems in self.systems().items():
                 for system_name in systems:
                     if system_name in mapping:
@@ -136,11 +141,20 @@ class FederatedWarehouse:
                             f"system {system_name!r} present in shards "
                             f"{mapping[system_name]!r} and {cluster!r}")
                     mapping[system_name] = cluster
-            self._system_map = mapping
-        if system not in self._system_map:
+            self._routes = (versions, mapping)
+        return mapping
+
+    def shard_of(self, system: str) -> str:
+        """The cluster whose shard stores *system*."""
+        mapping = self._routing()
+        if system not in mapping:
+            # A system another process has just committed is routable
+            # without a refresh().
+            mapping = self._routing(reread=True)
+        if system not in mapping:
             raise KeyError(f"unknown system {system!r}; federation has "
                            f"{self.all_systems()}")
-        return self._system_map[system]
+        return mapping[system]
 
     # -- snapshots --------------------------------------------------------
 
@@ -171,9 +185,6 @@ class FederatedWarehouse:
         """Adopt external commits on every shard; returns generations."""
         for wh in self.shards.values():
             wh.reread_generation()
-        # An external write may have added a system to a shard; the
-        # routing map is rebuilt lazily on next use.
-        self._system_map = None
         return self.generations()
 
     # -- scatter-gather queries ------------------------------------------
@@ -195,7 +206,7 @@ class FederatedWarehouse:
                        ) -> list[tuple[str, str]]:
         """(cluster, system) pairs to scatter over, in canonical order."""
         if systems is None:
-            return [(self.shard_of(s), s) for s in self.all_systems()]
+            return [(cluster, s) for s, cluster in self._routing().items()]
         return [(self.shard_of(s), s) for s in sorted(systems)]
 
     def group_by(self, dimension: str | tuple[str, ...],

@@ -56,12 +56,11 @@ class ClusterPlan:
         return dataclasses.replace(self.config, name=self.cluster)
 
 
-def open_for_write(system: str, path: str, append: bool = False,
-                   fast_writes: bool = False) -> Warehouse:
+def open_for_write(system: str, path: str, append: bool = False) -> Warehouse:
     """Open the warehouse file *path* to write *system* into; a file
     that already holds the system is refused (``ValueError``, handle
     closed) unless *append*."""
-    warehouse = Warehouse(path, fast_writes=fast_writes)
+    warehouse = Warehouse(path)
     if system in warehouse.systems() and not append:
         warehouse.close()
         raise ValueError(f"system {system!r} already present in {path}; "
@@ -73,7 +72,7 @@ def open_for_write(system: str, path: str, append: bool = False,
 def simulate_system(facility: Facility, warehouse_path: str,
                     archive_dir: str | None = None, *,
                     append: bool = False, through_day: int | None = None,
-                    fast_writes: bool = False, with_syslog: bool = True,
+                    with_syslog: bool = True,
                     **file_knobs) -> dict:
     """Run *facility*'s study period into the warehouse file.
 
@@ -94,8 +93,7 @@ def simulate_system(facility: Facility, warehouse_path: str,
                          "with the archive path)")
     started = time.perf_counter()
     name = facility.config.name
-    with closing(open_for_write(name, warehouse_path, append,
-                                fast_writes)) as warehouse:
+    with closing(open_for_write(name, warehouse_path, append)) as warehouse:
         if archive_dir is None:
             run = facility.run(warehouse=warehouse, with_syslog=with_syslog)
         else:

@@ -19,10 +19,7 @@ parameterized SQL.
 Write path: all ``add_*`` calls buffer their rows and are flushed to
 SQLite with one ``executemany`` per table (jobs before job_metrics, so
 foreign keys hold) — either when a buffer reaches ``_WRITE_BATCH`` rows,
-before any read, or on :meth:`Warehouse.commit`.  Pass
-``fast_writes=True`` to additionally enable WAL journaling with
-``synchronous=NORMAL`` — a large speedup for file-backed ingest at the
-cost of strict durability on power loss (never data corruption).
+before any read, or on :meth:`Warehouse.commit`.
 
 Generation stamp: the ``meta`` table carries a ``generation`` counter
 that :meth:`commit` bumps whenever the commit actually wrote something.
@@ -229,8 +226,7 @@ class JobRow:
 class Warehouse:
     """A warehouse instance (in-memory by default, or a file path)."""
 
-    def __init__(self, path: str = ":memory:", fast_writes: bool = False,
-                 threadsafe: bool = False):
+    def __init__(self, path: str = ":memory:", threadsafe: bool = False):
         # threadsafe=True lets the connection be shared across threads
         # (the service layer's lazy snapshot loads run on worker
         # threads).  CPython builds SQLite in serialized mode, so the
@@ -240,13 +236,6 @@ class Warehouse:
         self._conn.execute("PRAGMA foreign_keys = ON")
         #: Where this warehouse lives (shard identity in a federation).
         self.path = path
-        self.fast_writes = fast_writes
-        if fast_writes:
-            # WAL keeps readers unblocked during ingest and groups page
-            # writes; synchronous=NORMAL skips the per-commit fsync (safe
-            # against crashes, trades the last commit on power loss).
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
         have = self._conn.execute(
             "SELECT name FROM sqlite_master WHERE type='table' AND name='jobs'"
         ).fetchone()

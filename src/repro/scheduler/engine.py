@@ -156,7 +156,6 @@ class SchedulerEngine:
                         jobid=j,
                         estimated_end=rj.start + rj.request.walltime_req,
                         nodes=rj.request.nodes,
-                        app=rj.request.app,
                     )
                     for j, rj in running.items()
                 ]

@@ -22,14 +22,12 @@ __all__ = ["RunningJob", "SchedulingPolicy", "FCFSPolicy", "EasyBackfillPolicy"]
 @dataclass(frozen=True)
 class RunningJob:
     """What the policy may know about a running job: its walltime-based
-    completion estimate, how many nodes it will release, and (for
-    resource-aware policies) which application it runs — all information
+    completion estimate and how many nodes it will release — information
     a production scheduler genuinely has at dispatch time."""
 
     jobid: str
     estimated_end: float
     nodes: int
-    app: str = ""
 
 
 class SchedulingPolicy(ABC):

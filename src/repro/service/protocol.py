@@ -42,6 +42,7 @@ ERROR_STATUS: dict[str, int] = {
     "unknown_series": 404,
     "unknown_endpoint": 404,
     "method_not_allowed": 405,
+    "body_too_large": 413,
     "uri_too_long": 414,
     "header_too_large": 431,
     "internal": 500,

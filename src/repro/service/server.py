@@ -103,9 +103,9 @@ MAX_LINE, MAX_HEADERS = 65536, 100
 
 #: The status a request head is refused with -> its error code (an
 #: unknown method, 501 to the stdlib, answers 405 like a wrong one).
-HEAD_ERRORS = {400: "bad_request", 414: "uri_too_long",
-               431: "header_too_large", 501: "method_not_allowed",
-               505: "unsupported_version"}
+HEAD_ERRORS = {400: "bad_request", 413: "body_too_large",
+               414: "uri_too_long", 431: "header_too_large",
+               501: "method_not_allowed", 505: "unsupported_version"}
 
 
 #: Endpoints a supervisor polls before any user arrives; they touch no
@@ -197,8 +197,12 @@ class RequestHandler(BaseHTTPRequestHandler):
         """The request line, and the head into :attr:`headers` (the
         lower-cased name -> its first value), by the stdlib's rules:
         :data:`MAX_LINE`, :data:`MAX_HEADERS`, keep-alive from HTTP/1.1
-        or ``Connection``, no version from 2 up, ``//`` collapsed.  A
-        refused head goes to :meth:`send_error`."""
+        or ``Connection``, no version from 2 up, ``//`` collapsed.  No
+        route reads a body, so a ``Content-Length`` body of at most
+        :data:`MAX_LINE` bytes is read and dropped, keeping the next
+        request on the connection in step; a longer one, or any
+        ``Transfer-Encoding``, is refused.  A refused head goes to
+        :meth:`send_error`."""
         self.command, self.close_connection = None, True
         self.requestline = line = str(
             self.raw_requestline, "iso-8859-1").rstrip("\r\n")
@@ -237,6 +241,20 @@ class RequestHandler(BaseHTTPRequestHandler):
         connection = headers.get("connection", "").lower()
         if connection in ("close", "keep-alive"):
             self.close_connection = connection == "close"
+        if "transfer-encoding" in headers:
+            self.send_error(413, "a Transfer-Encoding body is not "
+                                 "accepted; send Content-Length")
+            return False
+        length = headers.get("content-length", "0")
+        if length != "0":
+            if not length.isdecimal():
+                self.send_error(400, f"bad Content-Length {length[:64]!r}")
+                return False
+            if len(length.lstrip("0")) > len(str(MAX_LINE)) \
+                    or int(length) > MAX_LINE:
+                self.send_error(413, f"request body over {MAX_LINE} bytes")
+                return False
+            self.rfile.read(int(length))
         return True
 
     def send_error(self, code: int, message: str | None = None,

@@ -229,7 +229,8 @@ def test_federation_overview_endpoint(fed_state):
 
 def test_refresh_adopts_external_shard_writes(tmp_path):
     """An external commit into ONE shard flips changed=True and the
-    new system becomes servable — without restarting the server."""
+    new system becomes servable, in ``system=all`` too — without
+    restarting the server."""
     from repro.config import TEST_SYSTEM
 
     root = str(tmp_path / "fed")
@@ -239,6 +240,7 @@ def test_refresh_adopts_external_shard_writes(tmp_path):
     state = ServiceState(federation_root=root)
     try:
         assert state.refresh()["changed"] is False
+        alone = state.timeseries(ALL_SYSTEMS, "active_nodes")["mean"]
         # Another process appends a second system to the shard file.
         import dataclasses
 
@@ -250,6 +252,7 @@ def test_refresh_adopts_external_shard_writes(tmp_path):
         out = state.refresh()
         assert out["changed"] is True
         assert "late" in state.store.all_systems()
+        assert state.timeseries(ALL_SYSTEMS, "active_nodes")["mean"] > alone
         assert state.report("support", "late")["report"]
     finally:
         state.close()

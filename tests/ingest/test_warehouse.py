@@ -6,7 +6,6 @@ import pytest
 from repro.ingest.summarize import SUMMARY_METRICS, JobSummary
 from repro.ingest.warehouse import Warehouse
 from repro.scheduler.job import ExitStatus, JobRecord
-from tests.parity import tables
 from tests.scheduler.test_job import make_request
 
 
@@ -139,37 +138,6 @@ def test_schema_version_mismatch_rejected(tmp_path):
     w.close()
     with pytest.raises(RuntimeError, match="schema version"):
         Warehouse(path)
-
-
-def _fill(w, n=12):
-    w.add_system("t", num_nodes=16, cores_per_node=16, mem_gb_per_node=32.0,
-                 peak_tflops=2.3, sample_interval=600.0)
-    for i in range(n):
-        add_job(w, str(i), user=f"u{i % 3}", idle=0.05 * (i % 5),
-                app=("namd", "amber")[i % 2])
-    w.add_series("t", "flops_tf", np.arange(4) * 600.0,
-                 np.array([1.0, 2.0, 2.0, 1.0]))
-    w.add_syslog_event("t", 100.0, "h1", "3", "oom_kill", "err")
-    w.commit()
-
-
-def test_fast_writes_identical_results(tmp_path):
-    """WAL + synchronous=NORMAL is a pure speed knob: every stored row
-    and every query result is identical to the default journal mode."""
-    plain = Warehouse(str(tmp_path / "plain.sqlite"))
-    fast = Warehouse(str(tmp_path / "fast.sqlite"), fast_writes=True)
-    _fill(plain)
-    _fill(fast)
-    assert tables(plain) == tables(fast)
-    tp = plain.job_table("t")
-    tf = fast.job_table("t")
-    assert list(tp) == list(tf)
-    for col in tp:
-        np.testing.assert_array_equal(tp[col], tf[col])
-    assert fast.connection.execute(
-        "PRAGMA journal_mode").fetchone()[0] == "wal"
-    plain.close()
-    fast.close()
 
 
 def test_generation_bumps_only_on_dirty_commit(wh):

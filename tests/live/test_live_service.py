@@ -24,11 +24,15 @@ SEED = 7
 SYSTEM = CFG.name
 
 
-def _half_session(tmp_path_factory, fast_writes=False):
+def _half_session(tmp_path_factory, wal=False):
     """A live session run HALFWAY into a file-backed warehouse, so
     tests can advance it mid-flight: (warehouse path, session)."""
     path = str(tmp_path_factory.mktemp("live_svc") / "live.sqlite")
-    warehouse = Warehouse(path, fast_writes=fast_writes, threadsafe=True)
+    warehouse = Warehouse(path, threadsafe=True)
+    if wal:
+        (mode,) = warehouse.connection.execute(
+            "PRAGMA journal_mode=WAL").fetchone()
+        assert mode == "wal"
     session = LiveSession(
         Facility(CFG, seed=SEED),
         str(tmp_path_factory.mktemp("live_svc_arch")),
@@ -46,8 +50,9 @@ def feed(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def wal_feed(tmp_path_factory):
-    """The same, into a warehouse with WAL journaling (fast writes)."""
-    return _half_session(tmp_path_factory, fast_writes=True)
+    """The same, into a file switched to WAL journaling by a PRAGMA:
+    a file an earlier release left in WAL mode is still served."""
+    return _half_session(tmp_path_factory, wal=True)
 
 
 @pytest.fixture()

@@ -17,11 +17,14 @@ registered code, and a count in ``service.errors``.
 from __future__ import annotations
 
 import email.feedparser
+import functools
 import json
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LONESTAR4, RANGER
 from repro.federation import ClusterPlan, FederatedFacility
@@ -127,11 +130,13 @@ def _cached_paths(state: ServiceState) -> dict[str, str]:
         "timeseries": "/api/v1/timeseries/active_nodes?system=ranger",
         "fed_group_by": "/api/v1/query/group_by?system=all"
                         "&dimension=cluster,app&metrics=cpu_idle",
+        "fed_timeseries": "/api/v1/timeseries/active_nodes?system=all",
     }
 
 
 @pytest.mark.parametrize("kind", ["report", "report_target", "group_by",
-                                  "timeseries", "fed_group_by"])
+                                  "timeseries", "fed_group_by",
+                                  "fed_timeseries"])
 def test_a_cached_request_is_no_sql_one_write_and_no_email_parser(
         fed_server, kind, monkeypatch):
     path = _cached_paths(fed_server.state)[kind]
@@ -169,6 +174,7 @@ def test_a_cached_request_is_no_sql_one_write_and_no_email_parser(
 # -- the head rules -------------------------------------------------------
 
 HEALTH = "/api/v1/health"
+REFRESH = "/api/v1/refresh"
 
 
 @pytest.mark.parametrize("version, head, closes", [
@@ -245,8 +251,15 @@ def test_x_tenant_is_read_in_any_case_and_its_first_value_wins(raw):
     (f"GET {HEALTH}\r\n\r\n", 400, "bad_request"),
     (f"GET {HEALTH} HTTP/1.1\r\nHost: t\r\n folded\r\n\r\n",
      400, "bad_request"),
+    (f"POST {REFRESH} HTTP/1.1\r\nContent-Length: {MAX_LINE + 1}\r\n\r\n",
+     413, "body_too_large"),
+    (f"POST {REFRESH} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+     413, "body_too_large"),
+    (f"POST {REFRESH} HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+     400, "bad_request"),
 ], ids=["101_headers", "long_header_line", "long_request_line", "put",
-        "http2", "bad_version", "garbage", "http09", "folded_header"])
+        "http2", "bad_version", "garbage", "http09", "folded_header",
+        "long_body", "chunked_body", "bad_content_length"])
 def test_a_refused_head_answers_json(raw, request_head, status, code):
     """A status line, the JSON envelope with a registered code, counted
     once in ``service.errors``, and the connection closes."""
@@ -260,3 +273,89 @@ def test_a_refused_head_answers_json(raw, request_head, status, code):
     assert json.loads(body)["error"]["code"] == code
     assert raw.closed()
     assert errors.value == before + 1
+
+
+# -- bodies and pipelining --------------------------------------------------
+
+
+@pytest.mark.parametrize("body", [b"hello", b"b" * MAX_LINE],
+                         ids=["hello", "65536_bytes"])
+def test_a_body_no_route_reads_is_dropped_in_step(raw, body):
+    """The body is read and dropped: the next request on the connection
+    is the one the client sent next, not the body's bytes."""
+    raw.send(f"POST {REFRESH} HTTP/1.1\r\nContent-Length: {len(body)}"
+             f"\r\n\r\n".encode() + body)
+    assert raw.response()[0] == 200
+    status, _, reply = raw.get(HEALTH)
+    assert status == 200
+    assert json.loads(reply)["status"] == "ok"
+
+
+#: (request bytes, does the server close after answering it).  Every
+#: request is read to its end, so no unread byte turns the close into a
+#: reset.
+_REQUESTS = [
+    (b"GET /api/v1/systems HTTP/1.1\r\nHost: t\r\n\r\n", False),
+    (b"GET /api/v1/nope HTTP/1.1\r\n\r\n", False),
+    (b"GET /api/v1/refresh HTTP/1.1\r\n\r\n", False),
+    (b"GET /api/v1/systems HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+     False),
+    *((f"POST {REFRESH} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+       .encode() + body, False)
+      for body in (b"", b"hello", b"GET / HTTP/1.1\r\n\r\n")),
+    (b"GET /api/v1/systems HTTP/1.0\r\n\r\n", True),
+    (b"GET /api/v1/systems HTTP/1.1\r\nConnection: close\r\n\r\n", True),
+    (b"PUT /api/v1/systems HTTP/1.1\r\n\r\n", True),
+    (b"garbage\r\n", True),
+    (f"POST {REFRESH} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     .encode(), True),
+]
+
+
+def _without_date(client: RawClient) -> bytes:
+    status, headers, body = client.response()
+    headers.pop("date")
+    return repr((status, headers)).encode() + body
+
+
+@pytest.fixture(scope="module")
+def alone(server):
+    """The response a fresh connection gets for a request, Date aside
+    (asked once per request)."""
+
+    @functools.cache
+    def response(request: bytes) -> bytes:
+        client = RawClient(server)
+        try:
+            client.send(request)
+            return _without_date(client)
+        finally:
+            client.close()
+
+    return response
+
+
+@settings(max_examples=100, deadline=None)
+@given(picks=st.lists(st.sampled_from(_REQUESTS), min_size=1, max_size=6),
+       data=st.data())
+def test_pipelined_requests_answer_as_if_each_were_alone(
+        server, alone, picks, data):
+    """Requests sent back to back, cut at random byte boundaries, get
+    their responses in order, each what the request gets alone, up to
+    the first one that closes the connection."""
+    closing = next((i for i, (_, close) in enumerate(picks) if close), None)
+    picks = picks[:len(picks) if closing is None else closing + 1]
+    stream = b"".join(request for request, _ in picks)
+    cuts = sorted(data.draw(st.sets(
+        st.integers(1, len(stream) - 1), max_size=8)))
+    client = RawClient(server)
+    try:
+        client.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+            client.send(stream[lo:hi])
+        for request, _ in picks:
+            assert _without_date(client) == alone(request)
+        if closing is not None:
+            assert client.closed()
+    finally:
+        client.close()

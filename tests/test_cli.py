@@ -325,11 +325,11 @@ def test_stats_cat_multi_host_without_timeline_rejected(archive_run,
 
 
 def test_simulate_policy_and_kernels(tmp_path, capsys):
-    path = str(tmp_path / "aware.sqlite")
+    path = str(tmp_path / "fcfs.sqlite")
     rc = simulate_main([
         "--system", "ranger", "--nodes", "12", "--days", "4",
         "--users", "15", "--seed", "2", "--warehouse", path,
-        "--policy", "aware", "--appkernels", "--no-syslog", "--quiet",
+        "--policy", "fcfs", "--appkernels", "--no-syslog", "--quiet",
     ])
     assert rc == 0
     from repro.ingest.warehouse import Warehouse
