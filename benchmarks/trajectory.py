@@ -16,7 +16,11 @@ prints three tables:
 * one row per (PR, side, layer) of a record's ``paper_scale`` block
   (``benchmarks/paper_scale.py``): ms per host-day at paper scale and
   at the reference scale and their ratio, ``>2x`` after a layer the
-  block names in ``over_2x``.
+  block names in ``over_2x``;
+* one row per (PR, count, side) of a record's ``counts`` block: the
+  count probes behind a claim (statements, writes, files, ledger rows,
+  bytes mapped), each ``{parent, change}``; ``what`` says what they
+  count.
 
 Every record keeps ``end_to_end[workload][metric].{parent,change}``
 with a ``median`` and its ``runs``; from PR :data:`LAYERS_AND_SIZE_FROM`
@@ -169,6 +173,43 @@ def render_paper_scale(table: list[ScaleRow]) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class CountRow:
+    pr: int
+    count: str
+    side: str
+    value: object  # a number, or the sentence a count needs
+
+
+def count_rows(pr: int, record: dict, name: str = "") -> list[CountRow]:
+    """One record's ``counts`` rows, parent then change per count (none
+    for a record without the block)."""
+    out = []
+    for count, cell in record.get("counts", {}).items():
+        if count == "what":
+            continue
+        try:
+            out += [CountRow(pr, count, side, cell[side])
+                    for side in ("parent", "change")]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{name}: counts.{count}: no {e}") from None
+    return out
+
+
+def counts(root: Path = ROOT) -> list[CountRow]:
+    """Every record's count rows."""
+    return [row for pr, path in records(root)
+            for row in count_rows(pr, json.loads(path.read_text()),
+                                  path.name)]
+
+
+def render_counts(table: list[CountRow]) -> str:
+    lines = [f"{'PR':>3} {'count':<40} {'side':<7} value"]
+    lines += [f"{r.pr:>3} {r.count:<40} {r.side:<7} {r.value}"
+              for r in table]
+    return "\n".join(lines)
+
+
 def trajectory(root: Path = ROOT) -> list[Row]:
     """Every record's end-to-end rows."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
@@ -203,6 +244,7 @@ def main() -> int:
     try:
         table = trajectory()
         layers, sizes, scale = layers_and_sizes()
+        counted = counts()
     except ValueError as e:
         print(e, file=sys.stderr)
         return 1
@@ -214,6 +256,9 @@ def main() -> int:
     if scale:
         print()
         print(render_paper_scale(scale))
+    if counted:
+        print()
+        print(render_counts(counted))
     return 0
 
 

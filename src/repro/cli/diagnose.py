@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing
+from pathlib import Path
 
 from repro.anomaly.ancor import AncorAnalysis
 from repro.cli.common import (
@@ -43,7 +44,8 @@ from repro.cli.common import (
 )
 from repro.ingest.columnar_scan import JobScanState, scan_host
 from repro.ingest.warehouse import Warehouse
-from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats.archive import HostArchive, _fingerprint
+from repro.tacc_stats.columnar import is_v2_path
 from repro.tacc_stats.parser import ParseError
 from repro.telemetry.manifest import RunManifest
 from repro.telemetry.trace import render_span_tree
@@ -220,8 +222,9 @@ def _print_ledger(warehouse: Warehouse, system: str) -> None:
 
 def _verify(warehouse: Warehouse, system: str, root: str) -> int:
     """The untrusting pass: hash every ledgered file of the archive at
-    *root* again and recompute every kept scan state from the files;
-    prints what differs and returns the exit status."""
+    *root* again — a v2 file's consumed units re-chained from their
+    bytes — and recompute every kept scan state from the files; prints
+    what differs and returns the exit status."""
     archive = HostArchive(root)
     ledger = warehouse.ledger_map(system)
     manifest = archive.manifest()
@@ -229,14 +232,19 @@ def _verify(warehouse: Warehouse, system: str, root: str) -> int:
     for cell, entry in sorted(ledger.items()):
         if cell not in manifest:
             problems.append(("/".join(cell), "ledgered file is missing"))
-        elif manifest[cell].sha256 != entry.sha256:
+        elif (_fingerprint(manifest[cell].path, entry.size)
+              if is_v2_path(Path(manifest[cell].path))
+              else manifest[cell].sha256) != entry.sha256:
             problems.append(("/".join(cell), "content differs from the "
                              "ingested file (sha256)"))
     kept: dict[str, dict[str, bytes]] = {}
     for (host, jobid), blob in warehouse.scan_states(system).items():
         kept.setdefault(host, {})[jobid] = blob
     for host, blobs in sorted(kept.items()):
-        paths = [manifest[cell].path for cell in sorted(ledger)
+        # A file grown since is read as far as the ledger consumed it.
+        paths = [(manifest[cell].path, 0, ledger[cell].size)
+                 if manifest[cell].sha256 != ledger[cell].sha256
+                 else manifest[cell].path for cell in sorted(ledger)
                  if cell[0] == host and cell in manifest]
         try:
             fresh = scan_host(archive, host, allow_truncated=True,

@@ -40,13 +40,14 @@ study period as rolling micro-batches instead of one offline pass::
         --warehouse live.sqlite --archive /tmp/live-stats --live
 
 Each batch advances the replay by ``--live-segment-seconds`` of
-facility time, rotates the completed archive segment (a v2 file; no
-text is made — ``repro-convert --to text`` compacts the archive
-afterwards), appends it through the watermark ledger, and refreshes
-the warehouse snapshot in place — watch it with ``repro-top`` or
-``repro-serve`` against the same warehouse file while it runs
-(``--live-sleep`` paces batches in wall-clock time for that).  The final warehouse is byte-identical to
-a one-shot run at the same rotation period.
+facility time, appends what each host's day file gained to it as one
+v2 unit (no text is made — ``repro-convert --to text`` compacts the
+archive afterwards), folds the new units through the watermark
+ledger, and refreshes the warehouse snapshot in place — watch it with
+``repro-top`` or ``repro-serve`` against the same warehouse file while
+it runs (``--live-sleep`` paces batches in wall-clock time for that).
+The archive holds one file per host-day whatever the flush period, and
+the final warehouse is byte-identical to a one-shot run.
 """
 
 from __future__ import annotations
@@ -182,18 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "battery on its cadence")
     parser.add_argument("--live", action="store_true",
                         help="stream the study period as rolling "
-                             "micro-batches of v2 segments through the "
-                             "append ledger (requires --archive; watch "
+                             "micro-batches of appended v2 units through "
+                             "the append ledger (requires --archive; watch "
                              "with repro-top or repro-serve on the same "
                              "warehouse)")
     parser.add_argument("--live-segment-seconds", type=int, default=3600,
                         metavar="S",
-                        help="live mode: archive rotation period in "
-                             "facility seconds (default 3600)")
+                        help="live mode: flush period in facility "
+                             "seconds: each flush appends one unit to "
+                             "every open host-day file (default 3600)")
     parser.add_argument("--live-batch-segments", type=int, default=1,
                         metavar="K",
-                        help="live mode: completed segments folded in "
-                             "per micro-batch (default 1)")
+                        help="live mode: flush periods folded in per "
+                             "micro-batch (default 1)")
     parser.add_argument("--live-max-batches", type=int, default=None,
                         metavar="N",
                         help="live mode: stop after N micro-batches "

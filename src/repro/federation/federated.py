@@ -117,9 +117,9 @@ class FederatedWarehouse:
         return {name: wh.systems() for name, wh in self.shards.items()}
 
     def all_systems(self) -> list[str]:
-        """Every system across every shard, in scatter order."""
-        return [s for systems in self.systems().values()
-                for s in sorted(systems)]
+        """Every system across every shard, in scatter order: the
+        routing map's keys, so no SQL runs over unchanged shards."""
+        return list(self._routing())
 
     def _routing(self, reread: bool = False) -> dict[str, str]:
         """System -> the cluster whose shard stores it, in scatter

@@ -59,7 +59,7 @@ from repro.errors import ErrorPolicy, QuarantinedRecord
 from repro.ingest.matcher import HostJobView
 from repro.ingest.summarize import HostJobPartial
 from repro.ingest.vocabulary import METRICS
-from repro.tacc_stats.archive import HostArchive, _file_day
+from repro.tacc_stats.archive import HostArchive, _file_day, piece
 from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
 from repro.tacc_stats.collectors.intel_pmc import (
     FP_OVERCOUNT,
@@ -363,7 +363,8 @@ class _HostFold:
     """Folds one host's files into ``{jobid: JobScanState}``.
 
     *seeds* are the persisted states of the host's open jobs: each
-    continues with the files after its ``through`` label.  ``marked``
+    continues with the files after its ``through`` label, and with the
+    ``fresh`` units of any file.  ``marked``
     and ``spanned`` remember in which order jobs first showed up in a
     mark and in a block tag, which fixes the order of :meth:`views`.
     """
@@ -397,10 +398,12 @@ class _HostFold:
         for day, n in zip(days, sizes):
             self._add(day, 0, n)
 
-    def _state(self, jobid: str, label: str) -> JobScanState | None:
-        """The state blocks/marks of file *label* fold into, or None
-        when the job's seed already holds that file."""
-        if jobid in self._seeded and label <= self._seeded[jobid]:
+    def _state(self, jobid: str, day: HostColumns) -> JobScanState | None:
+        """The state blocks/marks of *day* fold into, or None when the
+        job's seed already holds them."""
+        label = day.label
+        if (not day.fresh and jobid in self._seeded
+                and label <= self._seeded[jobid]):
             return None
         st = self.states.get(jobid)
         if st is None:
@@ -413,7 +416,7 @@ class _HostFold:
         times = day.times
         for b, kind, jobid in day.marks:
             if lo <= b < hi:
-                st = self._state(jobid, day.label)
+                st = self._state(jobid, day)
                 if st is None:
                     continue
                 self.marked[jobid] = None
@@ -427,7 +430,7 @@ class _HostFold:
                 by_job.setdefault(jobid, []).append(b)
         states, blocks = [], []
         for jobid, bs in by_job.items():
-            st = self._state(jobid, day.label)
+            st = self._state(jobid, day)
             if st is not None:
                 self.spanned[jobid] = None
                 states.append(st)
@@ -609,7 +612,7 @@ def host_partials(hostname: str, states: Mapping[str, JobScanState],
 def scan_host(archive: HostArchive, hostname: str,
               allow_truncated: bool = False,
               policy: str = ErrorPolicy.STRICT,
-              paths: Sequence[str] | None = None,
+              paths: Sequence[str | tuple] | None = None,
               jobs: Collection[str] | None = None,
               seeds: Mapping[str, JobScanState] | None = None,
               ) -> tuple[HostScan | None, tuple[QuarantinedRecord, ...],
@@ -617,8 +620,9 @@ def scan_host(archive: HostArchive, hostname: str,
     """Read and scan one host: ``(HostScan | None, records, status)``.
 
     :meth:`HostArchive.read_host_days` decodes the host's files (any
-    mix of text, gzip and v2; only *paths* when given, which may be
-    empty when the host is visited for its *seeds* alone) and applies
+    mix of text, gzip and v2; only *paths* when given — whole files or
+    :data:`~repro.tacc_stats.archive.Piece` ranges of units — which may
+    be empty when the host is visited for its *seeds* alone) and applies
     the error policy — under ``strict`` it raises for malformed data,
     otherwise the quarantine *records* say what was set aside; the scan
     is ``None`` when the host was dropped.  The kept files are folded
@@ -629,8 +633,8 @@ def scan_host(archive: HostArchive, hostname: str,
     that cannot — a candidate is closed by the run, one way or the
     other; views always cover every job.
     """
-    files = (archive.host_files(hostname) if paths is None
-             else [Path(p) for p in paths])
+    files = [piece(p) for p in (archive.host_files(hostname)
+                                if paths is None else paths)]
     kept, records, status = archive.read_host_days(
         hostname, allow_truncated=allow_truncated, policy=policy,
         paths=files) if files or paths is None else ([], (), "ok")
@@ -642,8 +646,9 @@ def scan_host(archive: HostArchive, hostname: str,
         partials = host_partials(hostname, fold.states, jobs)
     # An empty file (the node was down) is kept out of *kept* but is
     # whole all the same: it mentions no job.
-    mentions = dict.fromkeys(map(_file_day, files), frozenset())
-    mentions.update((day.label, day.job_ids()) for day in kept)
+    mentions = {_file_day(path): frozenset() for path, _a, _b in files}
+    for day in kept:
+        mentions[day.label] |= day.job_ids()
     for record in records:
         mentions.pop(_file_day(Path(record.path)), None)
     scan = HostScan(

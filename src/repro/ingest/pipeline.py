@@ -42,11 +42,12 @@ from repro.lariat.records import LariatRecord
 from repro.scheduler.accounting import AccountingEntry, parse_accounting
 from repro.scheduler.job import JobRecord, JobRequest
 from repro.syslogr.rationalizer import RationalizedMessage
-from repro.tacc_stats.archive import FileFingerprint, HostArchive
+from repro.tacc_stats.archive import FileFingerprint, HostArchive, Piece
+from repro.tacc_stats.columnar import V2_SUFFIX
 from repro.telemetry.log import current_run_id, get_logger, run_scope
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
-from repro.util.timeutil import DAY, label_to_period_index
+from repro.util.timeutil import DAY, date_to_day_index
 
 _log = get_logger("ingest.pipeline")
 
@@ -57,11 +58,12 @@ __all__ = ["DeltaSummary", "IngestPipeline", "IngestReport"]
 class DeltaSummary:
     """What an append (or a windowed seed) decided to touch.
 
-    ``files_new`` were parsed because the ledger had never seen them;
+    ``files_new`` were parsed because the ledger had never seen them,
+    or had not seen the units they grew by (only those are read);
     ``files_lookback`` are ledgered files parsed again: a cell with no
     job record (a dropped host, a quarantined or repaired file, a
-    legacy ledger row) whenever a pending job's span reaches its
-    segment, and a cell holding a pending job whose scan state on that
+    legacy ledger row) whenever a pending job's span reaches its day,
+    and a cell holding a pending job whose scan state on that
     host was not kept — none on a host every file of which was kept
     whole; ``files_skipped`` were unchanged (or past the window end) and
     never opened.  ``jobs_deferred`` counts accounting entries left for
@@ -160,16 +162,14 @@ def _record_from_entry(entry: AccountingEntry, app: str) -> JobRecord:
     )
 
 
-def _span_segments(entry: AccountingEntry, period: int) -> tuple[int, int]:
-    """Inclusive rotation-segment range an entry's stats blocks live in.
+def _day_start(label: str) -> int:
+    return date_to_day_index(label) * DAY
 
-    The daemon routes a block at time ``t`` to the file for segment
-    ``t // period`` (days under the default rotation), so a job's
-    begin/periodic/end blocks span exactly
-    ``segment(start_time) .. segment(end_time)``.
-    """
-    return (int(float(entry.start_time) // period),
-            int(float(entry.end_time) // period))
+
+def _reach(label: str, until: float | None) -> float:
+    """The facility time a host-day file is complete through: its last
+    unit's flush time, or the end of its day."""
+    return _day_start(label) + DAY if until is None else until
 
 
 @dataclass
@@ -180,65 +180,67 @@ class _DeltaPlan:
     the plan alone — a scanned file is ledgered whatever its scan
     outcome (a quarantined host-day is consumed too, with its status
     recorded), so watermarks and the load gate never depend on parse
-    results.  Every segment below ``consumed_through`` (the window end;
-    infinite for a full ingest) is consumed once the run ends.
-    ``revisit`` holds the ledgered cells whose row the run may have to
-    rewrite (an open or unknown job set, or a touched file);
-    ``unknown_hosts`` keep no scan states.
+    results.  Every sample before ``consumed_through`` (the window end,
+    a facility time; infinite for a full ingest) is consumed once the
+    run ends.  ``revisit`` holds the ledgered cells whose row the run
+    may have to rewrite (an open or unknown job set, or a touched or
+    grown file); ``unknown_hosts`` keep no scan states.  ``resume``
+    maps each grown cell read to the bytes the ledger had consumed of
+    it: read only past them, unless the cell is in ``lookback`` (read
+    again from byte 0).
     """
 
     cells: set[tuple[str, str]]
     candidates: list[AccountingEntry]
     consumed_through: float
-    watermark_before: float
-    watermark_after: float
     delta: DeltaSummary
-    period: int
     revisit: dict[tuple[str, str], LedgerEntry]
     unknown_hosts: set[str]
+    resume: dict[tuple[str, str], int]
+    lookback: set[tuple[str, str]]
 
     def loadable(self, entry: AccountingEntry) -> bool:
         """True when no future archive file can change this job's match."""
-        return _span_segments(entry, self.period)[1] < self.consumed_through
+        return float(entry.end_time) < self.consumed_through
 
 
-def _plan(period: int, manifest: dict[tuple[str, str], FileFingerprint],
+def _plan(manifest: dict[tuple[str, str], FileFingerprint],
           ledger: dict, entries: list[AccountingEntry], loaded: set[str],
           min_seconds: float, stored: Collection[tuple[str, str]],
           through: float) -> _DeltaPlan:
     """Diff the archive manifest against the ledger and pick what this
-    run reads, loads and consumes: every segment below *through*.
+    run reads, loads and consumes: every sample before *through*.
 
     Ingest follows the nightly-ETL watermark model: host-day files
-    accumulate in day order and never change once written.  A ledgered
-    file whose hash drifted (or vanished) violates that contract and
+    accumulate in day order and only ever grow by appended units.  A
+    ledgered file whose consumed bytes changed (its fingerprint at the
+    ledgered size drifted) or that vanished violates that contract and
     raises — the remedy is a full re-ingest into a fresh warehouse,
     never a silent partial reload.
 
-    Files parsed = every never-ledgered file below the window end; a
-    pending job's earlier files are not read again, its persisted scan
-    state per host (a *stored* ``(host, jobid)``) is folded on.  What is
-    left of *lookback* is the cells the ledger cannot vouch for: inside
-    a pending job's span, a cell whose ``open_jobs`` is unknown
-    (``None``: legacy ledger row, dropped host, quarantined or repaired
-    file — it may mention anything), and a cell whose ``open_jobs`` name
-    a pending job that has no stored state on that host (a host with an
-    unknown cell keeps no states).  A job id stays in a cell's set until
-    the job loads, so every file holding a block or mark of such a job
-    is read.  A not-yet-loaded job is deferred while its span reaches
-    the window end, and *finalized* (never revisited) once every file of
-    its span was consumed by an earlier run.  Files at or past the
-    window end are skipped and counted so.
+    Files parsed = every never-ledgered file below the window end and
+    the new units of every grown one; a pending job's earlier units
+    are not read again, its persisted scan state per host (a *stored*
+    ``(host, jobid)``) is folded on.  What is left of *lookback* is the
+    cells the ledger cannot vouch for: inside a pending job's span, a
+    cell whose ``open_jobs`` is unknown (``None``: legacy ledger row,
+    dropped host, quarantined or repaired file — it may mention
+    anything), and a cell whose ``open_jobs`` name a pending job that
+    has no stored state on that host (a host with an unknown cell keeps
+    no states).  A job id stays in a cell's set until the job loads, so
+    every file holding a block or mark of such a job is read.  A
+    not-yet-loaded job is deferred while its span reaches the window
+    end, and *finalized* (never revisited) once an earlier run consumed
+    every sample of its span.  Files from the window end on are skipped
+    and counted so.
 
     The guard is the one walk of the whole ledger; everything after it
-    looks only at the new cells and the open or touched ones, so a run
-    costs what it adds.  All of the "day" arithmetic actually runs at
-    the archive's rotation period: a live archive cutting sub-day
-    segments flows through the identical watermark/lookback/finalize
-    logic, just with finer cells.
+    looks only at the new cells and the open, grown or touched ones,
+    so a run costs what it adds.
     """
-    labels: set[str] = set()
     revisit: dict[tuple[str, str], LedgerEntry] = {}
+    grown: dict[tuple[str, str], int] = {}
+    reach_before = 0.0
     for key, led in ledger.items():
         fp = manifest.get(key)
         if fp is None:
@@ -246,27 +248,37 @@ def _plan(period: int, manifest: dict[tuple[str, str], FileFingerprint],
                 f"append ingest: ledgered file {key[0]}/{key[1]} vanished "
                 f"from the archive; the ledger no longer describes this "
                 f"archive — re-ingest it in full into a fresh warehouse")
-        if fp.sha256 != led.sha256:
+        if fp.sha256 != led.sha256 and not (
+                fp.size > led.size and fp.prior == led.sha256):
             raise ValueError(
                 f"append ingest: archived file {key[0]}/{key[1]} mutated "
                 f"since it was ingested (content hash changed); append "
                 f"mode only supports append-only archives — re-ingest in "
                 f"full into a fresh warehouse")
-        labels.add(key[1])
+        reach_before = max(reach_before, _reach(key[1], led.until))
+        if fp.sha256 != led.sha256 and _day_start(key[1]) < through:
+            grown[key] = led.size  # it grew by units past the ledger
         if led.open_jobs is None or led.open_jobs or (
                 fp.size, fp.mtime_ns) != (led.size, led.mtime_ns):
             revisit[key] = led
     unknown = {host for (host, _d), led in revisit.items()
                if led.open_jobs is None}
 
-    # Every ledgered cell is on disk (the guard), so a segment holds an
-    # unconsumed file exactly when it holds a new one.
-    new = manifest.keys() - ledger.keys()
-    index = {label: label_to_period_index(label, period)
-             for label in labels | {day for _h, day in new}}
-    new = {cell for cell in new if index[cell[1]] < through}
-    new_segments = {index[day] for _h, day in new}
-    max_ledger_day = max((index[label] for label in labels), default=-1)
+    # Every ledgered cell is on disk (the guard), so data arrived
+    # unconsumed exactly where a file is new or grew.  It begins at the
+    # file's day or where the ledger left it — at the last window end
+    # for a file that reaches past it, as samples arrive in time order.
+    new = {cell for cell in manifest.keys() - ledger.keys()
+           if _day_start(cell[1]) < through}
+    arrived = []
+    for cell in new | grown.keys():
+        begin = (_day_start(cell[1]) if cell in new
+                 else _reach(cell[1], ledger[cell].until))
+        reach = _reach(cell[1], manifest[cell].until)
+        arrived.append((max(begin, reach_before)
+                        if reach > reach_before else begin, reach))
+    late = [(begin, reach) for begin, reach in arrived
+            if begin < reach_before]
 
     delta = DeltaSummary()
     candidates: list[AccountingEntry] = []
@@ -274,11 +286,11 @@ def _plan(period: int, manifest: dict[tuple[str, str], FileFingerprint],
     for entry in entries:
         if entry.job_number in loaded:
             continue
-        d0, d1 = _span_segments(entry, period)
-        if d1 <= max_ledger_day and new_segments.isdisjoint(
-                range(d0, d1 + 1)):
+        t0, t1 = float(entry.start_time), float(entry.end_time)
+        if t1 < reach_before and not any(
+                begin <= t1 and reach > t0 for begin, reach in late):
             continue  # finalized: an earlier run saw everything it has
-        if d1 >= through:
+        if t1 >= through:
             delta.jobs_deferred += 1  # its data hasn't arrived yet
             continue
         candidates.append(entry)
@@ -287,37 +299,51 @@ def _plan(period: int, manifest: dict[tuple[str, str], FileFingerprint],
 
     needed: set[int] = set()
     for entry in pending:
-        d0, d1 = _span_segments(entry, period)
-        needed.update(range(d0, d1 + 1))
+        needed.update(range(int(float(entry.start_time) // DAY),
+                            int(float(entry.end_time) // DAY) + 1))
     pending_ids = {entry.job_number for entry in pending}
 
     # Only a cell with an open or unknown job set can be read again.
-    scanned = set(new)
+    lookback = set()
     for cell, led in revisit.items():
         host = cell[0]
-        if index[cell[1]] in needed and (
+        if date_to_day_index(cell[1]) in needed and (
                 led.open_jobs is None
                 or any(j in pending_ids and (
                     host in unknown or (host, j) not in stored)
                        for j in led.open_jobs)):
-            scanned.add(cell)
-            delta.files_lookback += 1
-    delta.files_new = len(new)
+            lookback.add(cell)
+    scanned = new | grown.keys() | lookback
+    delta.files_new = len(scanned) - len(lookback)
+    delta.files_lookback = len(lookback)
     delta.files_skipped = len(manifest) - len(scanned)
 
-    # Every segment below the window end is consumed after this run:
-    # each of its cells is ledgered or new.  A segment with no file at
-    # all (facility dark, or simply beyond any host's activity) is
-    # vacuously consumed — nothing can arrive for it under the
-    # day-ordered arrival contract once later segments exist.
-    delta.watermark_before = min([*new_segments, max_ledger_day + 1]) * period
-    delta.watermark_after = through * period
+    # Every sample before the window end is consumed after this run:
+    # each file holding one is ledgered or read now.  A stretch with no
+    # file at all (facility dark, or simply beyond any host's activity)
+    # is vacuously consumed — nothing can arrive for it under the
+    # time-ordered arrival contract once later samples exist.
+    delta.watermark_before = min(
+        [begin for begin, _reach in arrived] + [reach_before])
+    delta.watermark_after = through
     return _DeltaPlan(
         cells=scanned, candidates=candidates, consumed_through=through,
-        watermark_before=delta.watermark_before,
-        watermark_after=delta.watermark_after,
-        delta=delta, period=period, revisit=revisit, unknown_hosts=unknown,
+        delta=delta, revisit=revisit, unknown_hosts=unknown,
+        resume=grown, lookback=lookback,
     )
+
+
+def _pieces(fp: FileFingerprint, resume: int | None,
+            whole: bool) -> list[str | Piece]:
+    """What the scan reads of one file: a v2 file's units up to its
+    manifested size — past *resume* alone unless *whole* (then in two
+    pieces, so kept states fold only the part past it)."""
+    if not fp.path.endswith(V2_SUFFIX):
+        return [fp.path]
+    if resume is None:
+        return [(fp.path, 0, fp.size)]
+    return ([(fp.path, 0, resume)] if whole else []) + [
+        (fp.path, resume, fp.size)]
 
 
 class IngestPipeline:
@@ -364,14 +390,16 @@ class IngestPipeline:
 
         Every ingest is a ledger diff: the archive manifest is diffed
         against the warehouse's ingest ledger, the never-ledgered files
-        before the window end are parsed — a still-unloaded job
+        and units before the window end are parsed — a still-unloaded job
         continues from the scan state its hosts persisted — and a job
         whose span reaches the window end is deferred.  The modes differ
         only in where the window ends:
 
-        * ``mode="append"`` — after the newest segment on disk.  Loaded
-          rows are never touched; the archive must be append-only and
-          day-ordered (a ledgered file that mutated or vanished raises).
+        * ``mode="append"`` — as far as the files on disk reach: the
+          newest flush time a unit records, or the end of the newest
+          closed day.  Loaded rows are never touched; the archive must
+          be append-only and time-ordered (a ledgered file whose
+          consumed bytes changed, or that vanished, raises).
         * ``mode="full"`` with *through_day* — at facility day
           *through_day*: the seed later appends pick up from.
         * ``mode="full"`` — never, so every job loads and no delta is
@@ -431,19 +459,14 @@ class IngestPipeline:
                         f"or ingest into a fresh warehouse")
                 stored = self.warehouse.scan_states(config.name)
                 manifest = archive.manifest(trusted=ledger)
-                period = archive.rotate_seconds
-                if mode == "append":  # up to the newest segment on disk
-                    through = 1 + max(
-                        (label_to_period_index(day, period)
-                         for day in {day for _h, day in manifest}),
-                        default=-1)
+                if mode == "append":  # as far as the files reach
+                    through = max((_reach(day, fp.until) for (_h, day), fp
+                                   in manifest.items()), default=0)
                 elif through_day is not None:
-                    # Day-granular; on a sub-day archive it covers every
-                    # whole segment inside those days.
-                    through = through_day * DAY // period
+                    through = through_day * DAY
                 else:
                     through = math.inf
-                plan = _plan(period, manifest, ledger, all_entries, loaded,
+                plan = _plan(manifest, ledger, all_entries, loaded,
                              config.sample_interval, stored, through)
                 # A host with a cell of unknown content keeps no states;
                 # whatever is stored for one is not used.
@@ -455,11 +478,12 @@ class IngestPipeline:
                             state if state is not None
                             else JobScanState.from_blob(blob))
                 entries = plan.candidates
-                # The scan reads the paths the manifest resolved.
-                files_by_host: dict[str, list[str]] = {}
+                # The scan reads what the manifest resolved, no further.
+                files_by_host: dict[str, list[str | Piece]] = {}
                 for cell in sorted(plan.cells):
-                    files_by_host.setdefault(cell[0], []).append(
-                        manifest[cell].path)
+                    files_by_host.setdefault(cell[0], []).extend(
+                        _pieces(manifest[cell], plan.resume.get(cell),
+                                cell in plan.lookback))
             jobs = frozenset(e.job_number for e in entries)
             # A candidate's seed is heard even when its host has no file
             # to read this run.
@@ -568,8 +592,8 @@ class IngestPipeline:
 
             with span("ingest.syslog"):
                 for msg in syslog or []:
-                    if not (plan.watermark_before <= msg.time
-                            < plan.watermark_after):
+                    if not (plan.delta.watermark_before <= msg.time
+                            < plan.delta.watermark_after):
                         continue  # outside this run's consumed-day window
                     self.warehouse.add_syslog_event(
                         config.name, msg.time, msg.host, msg.jobid,
@@ -582,8 +606,8 @@ class IngestPipeline:
                         if plan.loadable(e)}
             self._record_provenance(
                 config.name, manifest, plan.revisit, set(files_by_host),
-                plan.cells, health, mode, row_lo, mentioned, states, seeds,
-                stored, given_up)
+                plan.cells, plan.resume.keys() - plan.lookback, health,
+                mode, row_lo, mentioned, states, seeds, stored, given_up)
 
             self.warehouse.commit()
             registry = get_registry()
@@ -613,6 +637,7 @@ class IngestPipeline:
                            revisit: dict[tuple[str, str], LedgerEntry],
                            visited: set[str],
                            consumed: set[tuple[str, str]],
+                           continued: set[tuple[str, str]],
                            health: IngestHealth, mode: str,
                            row_lo: dict[str, int],
                            mentioned: dict[tuple[str, str], frozenset[str]],
@@ -631,41 +656,44 @@ class IngestPipeline:
         (quarantined) host's files are consumed too, with the outcome in
         ``status``.  *mentioned* holds the job ids of every file the
         scan kept whole; what of them is still unloaded now is the
-        cell's ``open_jobs``, and a consumed cell the scan could not
-        vouch for records ``None``.  A ledger row this run did not scan
-        is rewritten when one of its open jobs loaded, or when the file
-        was touched (re-hashed to the same digest) — only the *revisit*
-        rows can be either, so no other row is looked at.
+        cell's ``open_jobs`` (with the ledgered ones of a *continued*
+        cell, read only past its consumed units), and a consumed cell
+        the scan could not vouch for records ``None``.  A ledger row
+        this run did not scan is rewritten when one of its open jobs
+        loaded, or when the file was touched (re-hashed to the same
+        digest) — only the *revisit* rows can be either, so no other
+        row is looked at.
 
         A *states* entry is kept when its job can still load (it is
         neither loaded nor *given_up*) and the fold behind it is
         complete: every file of its host was kept whole, and it either
         continued a seed or no ledgered cell the run left unread names
-        the job.  States of the *visited* hosts that are not kept, and
+        the job (the consumed units of a *continued* cell count as
+        unread).  States of the *visited* hosts that are not kept, and
         any state of a closed job, are deleted from *stored*.
         """
         status_of = dict.fromkeys(health.hosts_degraded, "degraded")
         status_of.update(dict.fromkeys(health.hosts_dropped, "dropped"))
         run_id = current_run_id() or "unscoped"
         loaded = self.warehouse.job_ids(system)
-        rows = [
-            LedgerEntry(host=host, day=day,
-                        sha256=manifest[(host, day)].sha256,
-                        size=manifest[(host, day)].size,
-                        mtime_ns=manifest[(host, day)].mtime_ns,
-                        status=status_of.get(host, "loaded"),
-                        run_id=run_id,
-                        open_jobs=mentioned[(host, day)] - loaded
-                        if (host, day) in mentioned else None)
-            for (host, day) in sorted(consumed)
-        ]
+        rows = []
+        for cell in sorted(consumed):
+            fp = manifest[cell]
+            before = revisit[cell].open_jobs if cell in continued \
+                else frozenset()
+            rows.append(LedgerEntry(
+                host=cell[0], day=cell[1], sha256=fp.sha256, size=fp.size,
+                mtime_ns=fp.mtime_ns, status=status_of.get(cell[0], "loaded"),
+                run_id=run_id, until=fp.until,
+                open_jobs=(before | mentioned[cell]) - loaded
+                if cell in mentioned and before is not None else None))
         #: Hosts some cell of which nobody can vouch for after this
         #: run, and the open jobs of the cells each host left unread.
         unknown = {host for host, day in consumed
                    if (host, day) not in mentioned}
         elsewhere: dict[str, set[str]] = {}
         for cell, led in revisit.items():
-            if cell in consumed:
+            if cell in consumed and cell not in continued:
                 continue
             if led.open_jobs is None:
                 unknown.add(cell[0])
@@ -673,6 +701,8 @@ class IngestPipeline:
             else:
                 still_open = led.open_jobs - loaded
                 elsewhere.setdefault(cell[0], set()).update(still_open)
+            if cell in consumed:
+                continue  # its row is written above
             fp = manifest[cell]
             if still_open != led.open_jobs or (fp.size, fp.mtime_ns) != (
                     led.size, led.mtime_ns):

@@ -58,9 +58,13 @@ _WRITE_BATCH = 512
 # created before incremental ingest existed (same pattern as the
 # covering index): older warehouses gain empty ledger tables and every
 # archive-mode ingest from then on records what it consumed.
-# ``open_jobs`` (added on open to ledgers that predate it) holds the
-# comma-joined job ids the file mentions that were not loaded when the
-# cell was last scanned; NULL = not known, any job may be in there.
+# ``size`` is the bytes of the file consumed (a v2 file's complete
+# units) and ``sha256`` the fingerprint at that size; ``until`` the
+# flush time a v2 file was complete through then (NULL: its day's end).
+# ``open_jobs`` (added on open to ledgers that predate it, as is
+# ``until``) holds the comma-joined job ids the file mentions that were
+# not loaded when the cell was last scanned; NULL = not known, any job
+# may be in there.
 # ``ingest_scan_state`` holds, per host, the mergeable scan state of
 # each job that can still load (an opaque blob, see
 # ``columnar_scan.JobScanState``): written and deleted in the
@@ -77,6 +81,7 @@ CREATE TABLE IF NOT EXISTS ingest_ledger (
     status   TEXT NOT NULL,
     run_id   TEXT NOT NULL,
     open_jobs TEXT,
+    until    REAL,
     PRIMARY KEY (system, host, day)
 );
 CREATE TABLE IF NOT EXISTS ingest_runs (
@@ -190,7 +195,10 @@ class LedgerEntry:
     loaded when it was last scanned — the only jobs a later append can
     need this file for; ``None`` means the scan could not tell (a
     dropped host, a quarantined or repaired file, a ledger row written
-    before the column existed) and any job may be in there.
+    before the column existed) and any job may be in there.  ``size``
+    is the bytes consumed of the file and ``sha256`` its fingerprint
+    there; ``until`` the flush time the file was complete through
+    (``None``: the end of its day).
     """
 
     host: str
@@ -201,6 +209,7 @@ class LedgerEntry:
     status: str
     run_id: str
     open_jobs: frozenset[str] | None = None
+    until: float | None = None
 
 
 @dataclass(frozen=True)
@@ -269,9 +278,11 @@ class Warehouse:
                 # Same deal for the incremental-ingest ledger tables
                 # and the live-mode counter table.
                 self._conn.executescript(_LEDGER_SCHEMA)
-                if not self._ledger_has_open_jobs():
-                    self._conn.execute("ALTER TABLE ingest_ledger "
-                                       "ADD COLUMN open_jobs TEXT")
+                for column, kind in (("open_jobs", "TEXT"),
+                                     ("until", "REAL")):
+                    if column not in self._ledger_columns():
+                        self._conn.execute(f"ALTER TABLE ingest_ledger "
+                                           f"ADD COLUMN {column} {kind}")
                 self._conn.executescript(_LIVE_SCHEMA)
             except sqlite3.OperationalError:
                 pass  # read-only file: queries still work, just slower
@@ -322,9 +333,9 @@ class Warehouse:
             (name,),
         ).fetchone() is not None
 
-    def _ledger_has_open_jobs(self) -> bool:
-        return any(row[1] == "open_jobs" for row in self._conn.execute(
-            "PRAGMA table_info(ingest_ledger)"))
+    def _ledger_columns(self) -> set[str]:
+        return {row[1] for row in self._conn.execute(
+            "PRAGMA table_info(ingest_ledger)")}
 
     def close(self) -> None:
         # The snapshot refers back to this warehouse: dropping it here
@@ -655,25 +666,30 @@ class Warehouse:
                                                 LedgerEntry]:
         if not self._has_table("ingest_ledger"):
             return {}
-        open_jobs = "open_jobs" if self._ledger_has_open_jobs() else "NULL"
+        have = self._ledger_columns()
+        extra = ", ".join(c if c in have else "NULL"
+                          for c in ("open_jobs", "until"))
         rows = self._conn.execute(
             f"SELECT host, day, sha256, size, mtime_ns, status, run_id, "
-            f"{open_jobs} FROM ingest_ledger WHERE system=?", (system,)
+            f"{extra} FROM ingest_ledger WHERE system=?", (system,)
         ).fetchall()
         return {(r[0], r[1]): LedgerEntry(
             *r[:7], None if r[7] is None
-            else frozenset(filter(None, r[7].split(","))))
+            else frozenset(filter(None, r[7].split(","))), r[8])
             for r in rows}
 
     def record_ledger(self, system: str,
                       entries: list[LedgerEntry]) -> None:
         """Upsert consumed host-days (a re-consumed day replaces its row)."""
         self._conn.executemany(
-            "INSERT OR REPLACE INTO ingest_ledger VALUES (?,?,?,?,?,?,?,?,?)",
+            "INSERT OR REPLACE INTO ingest_ledger (system, host, day, "
+            "sha256, size, mtime_ns, status, run_id, open_jobs, until) "
+            "VALUES (?,?,?,?,?,?,?,?,?,?)",
             [(system, e.host, e.day, e.sha256, e.size, e.mtime_ns,
               e.status, e.run_id,
               None if e.open_jobs is None
-              else ",".join(sorted(e.open_jobs))) for e in entries],
+              else ",".join(sorted(e.open_jobs)), e.until)
+             for e in entries],
         )
         ledger = self._books.get(("ledger", system))
         if ledger is not None:

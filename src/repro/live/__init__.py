@@ -5,10 +5,11 @@ The batch pipeline turns a finished study period into a warehouse; this
 package turns the same machinery into something an operator *watches*:
 
 * :class:`~repro.live.runner.LiveReplay` drives the per-node daemons
-  incrementally, emitting samples into rolling archive segments
-  (sub-day ``rotate_seconds`` cadence) instead of one offline pass.
-* :class:`~repro.live.runner.LiveSession` micro-batches each completed
-  segment through the ordinary watermark ledger
+  incrementally, emitting samples into each host's day file instead of
+  one offline pass.
+* :class:`~repro.live.runner.LiveSession` flushes what each day file
+  gained as one appended unit and micro-batches the new units through
+  the ordinary watermark ledger
   (``ingest(mode="append")``), refreshes the rolling snapshot in
   place, and publishes per-job cumulative counters for rate views.
 * :class:`~repro.live.rates.RateEngine` computes per-job rates

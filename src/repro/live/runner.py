@@ -4,17 +4,17 @@
 units defined in :mod:`repro.facility`: it holds one
 :class:`~repro.facility.NodeReplay` per node and moves them all forward
 with each :meth:`LiveReplay.advance` call instead of taking each to the
-horizon in one pass.  The units are the offline path's own, so the
-archive bytes equal an offline replay's at the same rotation period —
-which is what makes live micro-batch ingest byte-identical to a
-one-shot append (property-tested in ``tests/live``).
+horizon in one pass.  The units are the offline path's own, so every
+day file decodes to an offline replay's — which is what makes live
+micro-batch ingest byte-identical to a one-shot append (property-tested
+in ``tests/live``).
 
 :class:`LiveSession` wraps the replay in the operator loop: advance to
-the next segment boundary, flush completed v2 segments to disk, stage
-per-job cumulative counters for the rate views, push the segments
-through the ordinary watermark ledger (``ingest(mode="append")``, whose
-one commit carries the counters too), and refresh the rolling warehouse
-snapshot in place.  Telemetry lands under ``live.*``
+the next flush time, append what each host's day file gained to it as
+one v2 unit, stage per-job cumulative counters for the rate views, push
+the new units through the ordinary watermark ledger
+(``ingest(mode="append")``, whose one commit carries the counters too),
+and refresh the rolling warehouse snapshot in place.  Telemetry lands under ``live.*``
 (batches, rows appended, counter rows, refresh latency histogram).
 """
 
@@ -120,8 +120,9 @@ class LiveSession:
     """The live micro-batch loop over one facility.
 
     Each :meth:`run_batch` call advances the replay by
-    ``batch_segments`` rotation segments, closes the completed segment
-    files, upserts the per-job cumulative counters, appends the files
+    ``batch_segments`` flush periods of ``segment_seconds``, appends
+    one unit per host-day file (:meth:`HostArchive.flush_before`),
+    upserts the per-job cumulative counters, appends the new units
     through the watermark ledger — one commit for all of it — and
     refreshes the rolling snapshot.
     The accounting/Lariat/syslog side logs are produced once up front
@@ -146,8 +147,7 @@ class LiveSession:
         self.warehouse = warehouse or Warehouse()
         workload, sim, outages, cluster = facility._simulate()
         self.sim = sim
-        self.archive = HostArchive(archive_dir, archive_format="v2",
-                                   rotate_seconds=seg)
+        self.archive = HostArchive(archive_dir, archive_format="v2")
         self.replay = LiveReplay(
             cfg, facility.seed, *facility._behavior_context(workload),
             sim.records, self.archive)

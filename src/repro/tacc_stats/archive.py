@@ -1,4 +1,4 @@
-"""On-disk archive of per-host stats files with periodic rotation.
+"""On-disk archive of per-host stats files, one per host-day.
 
 Layout mirrors the production deployment::
 
@@ -6,15 +6,11 @@ Layout mirrors the production deployment::
     <root>/<hostname>/<YYYY-MM-DD>.gz     (rotated, compressed)
     <root>/<hostname>/<YYYY-MM-DD>.v2     (binary columnar, v2)
 
-Rotation defaults to the production daily cadence; a live streaming
-deployment passes ``rotate_seconds`` to cut sub-day segments instead
-(files named ``YYYY-MM-DDTHHMMSS`` after the segment's start instant).
-The chosen period is persisted in an ``archive.json`` sidecar at the
-root so re-opening a segmented archive needs no knob, and every
-consumer of file labels goes through
-:func:`repro.util.timeutil.period_label` /
-:func:`~repro.util.timeutil.label_to_period_index`, which degrade to
-the historical date stamps when the period is one day.
+Files rotate daily, as TACC_Stats does.  A live deployment does not cut
+more files: each :meth:`HostArchive.flush_before` appends what a v2
+day file gained since the last flush as one more unit
+(:mod:`repro.tacc_stats.columnar`), so a host-day is one file however
+often it is flushed.
 
 The archive tracks raw and compressed byte counts so the paper's volume
 claims (0.5 MB/node/day raw, ~3x gzip) can be measured directly
@@ -35,7 +31,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import io
-import json
+import math
 import os
 import zlib
 from collections.abc import Callable, Collection, Mapping, Sequence
@@ -51,9 +47,10 @@ from repro.errors import (
 from repro.tacc_stats.columnar import (
     V2_SUFFIX,
     V2FormatError,
+    file_tip,
     is_v2_path,
-    read_header,
     read_host_day,
+    rechain,
 )
 from repro.tacc_stats.parser import (
     ParseError,
@@ -64,17 +61,12 @@ from repro.tacc_stats.schema import TypeSchema
 from repro.tacc_stats.types import HostColumns, HostData
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
-from repro.util.timeutil import DAY, period_label
+from repro.util.timeutil import DAY, day_index_to_date
 
 if TYPE_CHECKING:
     from repro.tacc_stats.synth import HostFile
 
-__all__ = ["HostArchive", "ArchiveStats", "FileFingerprint",
-           "ARCHIVE_META_FILENAME"]
-
-#: Root sidecar recording a non-default rotation period, so reopening a
-#: segmented archive infers its cadence without a knob.
-ARCHIVE_META_FILENAME = "archive.json"
+__all__ = ["HostArchive", "ArchiveStats", "FileFingerprint"]
 
 #: What decoding a damaged file raises; the last two are a gzip stream
 #: cut short and a flipped bit in one (most flips fail the CRC: OSError).
@@ -82,9 +74,7 @@ _UNREADABLE = (ParseError, OSError, UnicodeDecodeError, EOFError, zlib.error)
 
 
 def _file_day(path: Path | os.DirEntry) -> str:
-    """The rotation label an archived file's name carries
-    (``YYYY-MM-DD`` for day archives, ``YYYY-MM-DDTHHMMSS`` for
-    sub-day segments)."""
+    """The day (``YYYY-MM-DD``) an archived file's name carries."""
     name = path.name
     if name.endswith(".gz"):
         return name[:-3]
@@ -99,16 +89,16 @@ def _raw_size(path: Path) -> int:
     For rotated ``.gz`` files this reads the ISIZE trailer (last four
     bytes, little-endian); host-day files are far below 4 GiB so the
     mod-2^32 caveat never bites.  v2 columnar files record the byte
-    count of their text form in their header (``text_bytes``), so "raw"
-    keeps meaning *text-equivalent* bytes in every volume figure
-    regardless of the on-disk format.
+    count of their text form in their units' headers (``text_bytes``),
+    so "raw" keeps meaning *text-equivalent* bytes in every volume
+    figure regardless of the on-disk format.
     """
     size = path.stat().st_size
     if is_v2_path(path):
         try:
-            return int(read_header(path)["text_bytes"])
+            return int(read_host_day(path).header["text_bytes"])
         except (V2FormatError, KeyError, TypeError, ValueError):
-            return size  # corrupt header: fall back to stored size
+            return size  # corrupt file: fall back to stored size
     if not path.name.endswith(".gz"):
         return size
     if size < 4:
@@ -125,15 +115,67 @@ def _suffix_kind(path: Path | os.DirEntry) -> str:
     return "gz" if path.name.endswith(".gz") else "text"
 
 
-def _fingerprint(path: str) -> str:
-    """The content fingerprint :meth:`HostArchive.manifest` reports."""
+def _fingerprint(path: str, upto: int | None = None) -> str:
+    """The content fingerprint of a file, derived from every stored
+    byte: their sha256, or a v2 file's unit chain re-derived
+    (:func:`~repro.tacc_stats.columnar.rechain`) up to byte *upto*
+    where a unit ends there, else to its last complete unit."""
     if path.endswith(V2_SUFFIX):
-        try:
-            return str(read_header(Path(path))["source_sha256"])
-        except (V2FormatError, KeyError, TypeError):
-            pass  # unreadable header: hash the stored bytes instead
+        for end in dict.fromkeys((upto, None)):
+            try:
+                return rechain(Path(path), end)
+            except V2FormatError:
+                pass  # damaged: hash the stored bytes instead
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+#: ``(path, start, stop)``: the units of a v2 file between two byte
+#: offsets (``stop`` ``None``: through its last complete unit).
+Piece = tuple[Path, int, "int | None"]
+
+
+def piece(item: str | Path | Piece) -> Piece:
+    """*item* as a :data:`Piece`: a bare path is its whole file."""
+    if isinstance(item, tuple):
+        return Path(item[0]), item[1], item[2]
+    return Path(item), 0, None
+
+
+def _file_fingerprint(hostname: str, day: str, path: str,
+                      stamp: tuple[int, int], known) -> FileFingerprint:
+    """The :class:`FileFingerprint` of one file whose ``(size,
+    mtime)`` is *stamp*, given its ledger row *known* (or ``None``)."""
+    if known is not None and (known.size, known.mtime_ns) == stamp:
+        return FileFingerprint(hostname, day, path, known.size, stamp[1],
+                               known.sha256, known.until)
+    size, until, prior = stamp[0], None, None
+    if not path.endswith(V2_SUFFIX):
+        digest = _fingerprint(path)
+    else:
+        try:
+            size, digest, until = file_tip(Path(path))
+        except V2FormatError:
+            digest = _fingerprint(path)
+        if known is not None and size == known.size:
+            digest = _fingerprint(path)  # touched: derive it again
+        elif known is not None and size > known.size:
+            try:
+                prior = file_tip(Path(path), known.size)[1]
+            except V2FormatError:
+                pass  # no unit ends there: the plan says "mutated"
+    return FileFingerprint(hostname, day, path, size, stamp[1], digest,
+                           until, prior)
+
+
+def _write_unit(path: Path, offset: int, data: bytes) -> None:
+    """Write *data* at byte *offset* of *path* (a new file at 0),
+    cutting whatever follows: the torn tail of a writer killed
+    mid-unit."""
+    with path.open("r+b" if offset else "wb") as fh:
+        fh.seek(offset)
+        fh.write(data)
+        fh.truncate()
 
 
 #: Precedence when one host-day exists in several representations.
@@ -148,7 +190,11 @@ class FileFingerprint:
     ``mtime_ns`` decide whether it has to be computed again
     (:meth:`HostArchive.manifest` trusts a ledgered digest while both
     are unchanged), so touching a file without altering content costs
-    one re-hash and never a re-parse.
+    one re-hash and never a re-parse.  For a v2 file ``size`` is where
+    its last complete unit ends and ``sha256`` that unit's chained
+    fingerprint; ``until`` is its flush time (``None``: the file is
+    complete through its day), and ``prior`` the fingerprint stored at
+    the ledgered size of a file that grew past it.
     """
 
     hostname: str
@@ -157,6 +203,8 @@ class FileFingerprint:
     size: int
     mtime_ns: int
     sha256: str
+    until: float | None = None
+    prior: str | None = None
 
 
 @dataclass
@@ -185,7 +233,7 @@ class ArchiveStats:
 
 
 class HostArchive:
-    """Rotating per-host file store.
+    """Per-host, per-day file store.
 
     Parameters
     ----------
@@ -207,55 +255,26 @@ class HostArchive:
         holds a private session-scoped tally that the coordinator sums,
         and eager seeding over the shared, concurrently-growing root
         would double-count sibling workers' files.
-    rotate_seconds:
-        Rotation period in facility seconds (default one day, the
-        production cadence).  A non-default period is persisted in the
-        :data:`ARCHIVE_META_FILENAME` sidecar; reopening the root with
-        the default adopts the stored period, while passing a
-        *different* explicit period raises (a segmented archive's
-        labels only make sense at the cadence that wrote them).
     """
 
     def __init__(self, root: str | Path, compress: bool = True,
-                 resume_stats: bool = True, archive_format: str = "text",
-                 rotate_seconds: int | float = DAY):
+                 resume_stats: bool = True, archive_format: str = "text"):
         if archive_format not in ("text", "v2"):
             raise ValueError(
                 f"archive_format must be 'text' or 'v2', "
                 f"got {archive_format!r}")
-        rotate = int(rotate_seconds)
-        if rotate <= 0 or rotate != rotate_seconds:
-            raise ValueError(f"rotate_seconds must be a positive whole "
-                             f"number of seconds, got {rotate_seconds!r}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        meta_path = self.root / ARCHIVE_META_FILENAME
-        if meta_path.is_file():
-            stored = int(json.loads(meta_path.read_text())
-                         ["rotate_seconds"])
-            if rotate != DAY and rotate != stored:
-                raise ValueError(
-                    f"archive at {self.root} rotates every {stored}s "
-                    f"(per its {ARCHIVE_META_FILENAME}); cannot reopen "
-                    f"it with rotate_seconds={rotate}")
-            rotate = stored
-        elif rotate != DAY:
-            meta_path.write_text(
-                json.dumps({"rotate_seconds": rotate}) + "\n")
-        self.rotate_seconds = rotate
         self.compress = compress
         self.archive_format = archive_format
         self.resume_stats = resume_stats
-        #: hostname -> (rotation segment, its open file).
+        #: hostname -> (day index, its open file).
         self._open: dict[str, tuple[int, HostFile]] = {}
         self._stats: ArchiveStats | None = None
         #: stored path -> (raw, stored) contribution already counted, so
         #: a resumed writer replacing a host-day on disk swaps its
         #: contribution instead of adding on top.
         self._counted: dict[Path, tuple[int, int]] = {}
-        #: hostname -> file name -> the fingerprint a trusting
-        #: :meth:`manifest` gave it, reused while size and mtime hold.
-        self._fingerprints: dict[str, dict[str, FileFingerprint]] = {}
 
     @property
     def stats(self) -> ArchiveStats:
@@ -282,79 +301,103 @@ class HostArchive:
 
     def writer(self, hostname: str, t: float,
                new_file: Callable[[], HostFile]) -> HostFile:
-        """The open file of *hostname*'s rotation segment (a day by
-        default; see ``rotate_seconds``) at time *t*.  When *t* is past
-        the open one's segment, that file is closed and ``new_file()``
+        """The open file of *hostname*'s day at time *t*.  When *t* is
+        past the open one's day, that file is closed and ``new_file()``
         starts the next, with its own header."""
-        seg = int(t // self.rotate_seconds)
+        day = int(t // DAY)
         current = self._open.get(hostname)
-        if current is not None and current[0] == seg:
+        if current is not None and current[0] == day:
             return current[1]
         if current is not None:
             self._close_file(hostname, *current)
-        self._open[hostname] = (seg, new_file())
+        self._open[hostname] = (day, new_file())
         return self._open[hostname][1]
 
     def flush_before(self, t: float) -> int:
-        """Write to disk every open file whose rotation segment ended
-        at or before *t*; returns how many files were closed.
+        """Put every open file's blocks before *t* on disk; returns how
+        many files were closed.
 
-        The live micro-batcher calls this at each batch boundary:
-        rotation alone only closes a host's previous segment when its
-        *next* write arrives, so a host idle across the boundary would
-        otherwise keep a completed segment buffered in memory where the
-        ingest manifest cannot see it.  Open segments that *t* still
-        falls inside are left untouched.
+        A file whose day ended at or before *t* is closed.  A v2 file
+        still open gets those blocks as one appended unit that records
+        *t* as its flush time, so a reader sees every host complete
+        through *t*; blocks at or after *t* stay buffered.  A text file
+        is written whole when its day closes.  The live micro-batcher
+        calls this at each batch boundary: rotation alone only closes a
+        host's day when its next write arrives.
         """
-        boundary = int(t // self.rotate_seconds)
         closed = 0
-        for hostname, (seg, file) in sorted(self._open.items()):
-            if seg < boundary:
-                self._close_file(hostname, seg, file)
+        for hostname, (day, file) in sorted(self._open.items()):
+            if (day + 1) * DAY <= t:
+                self._close_file(hostname, day, file)
                 del self._open[hostname]
                 closed += 1
+            elif self.archive_format == "v2":
+                self._write(hostname, day, file, t, t)
         return closed
 
-    def _close_file(self, hostname: str, seg: int, file: HostFile) -> None:
-        path = self.root / hostname / period_label(seg, self.rotate_seconds)
+    def _write(self, hostname: str, day: int, file: HostFile,
+               before: float = math.inf, until: float | None = None) -> None:
+        """Append *file*'s blocks before *before* to its v2 file as one
+        unit (see :meth:`HostFile.encode_v2`) and tally it."""
+        offset = file.size
+        unit = file.encode_v2(before, until)
+        if unit is None:
+            return
+        path = self.root / hostname / (day_index_to_date(day) + V2_SUFFIX)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if self.archive_format == "v2":
-            path = path.with_name(path.name + V2_SUFFIX)
-            data, raw_len = file.encode_v2()
-        else:
-            data = file.columns().to_text().encode("utf-8")
-            raw_len = len(data)
-            if self.compress:
-                path = path.with_name(path.name + ".gz")
-                # mtime=0 keeps the stored bytes a pure function of the
-                # content, so the manifest's sha256 is stable across
-                # re-writes of identical data (append mode depends on it).
-                data = gzip.compress(data, compresslevel=6, mtime=0)
-        path.write_bytes(data)
-        stored = len(data)
-        stats = self.stats
+        stats = self.stats  # seeded from disk before this write
+        _write_unit(path, offset, unit[0])
+        self._tally(stats, path, unit[1], len(unit[0]), offset == 0)
+
+    def _tally(self, stats: ArchiveStats, path: Path, raw_len: int,
+               stored: int, new: bool) -> None:
+        """Count *raw_len* text-equivalent and *stored* bytes written to
+        *path* in *stats*, as a new file when *new*."""
         counted = self._counted.pop(path, None)
-        if counted is not None:
+        if counted is not None and new:
             # Rewriting a host-day that was already tallied (seeded from
             # disk or written earlier this session): swap, don't add.
             stats.raw_bytes -= counted[0]
             stats.compressed_bytes -= counted[1]
             stats.file_count -= 1
             stats.host_days -= 1
+            counted = None
+        if counted is None:
+            stats.file_count += 1
+            stats.host_days += 1
+            counted = (0, 0)
         stats.raw_bytes += raw_len
         stats.compressed_bytes += stored
-        stats.file_count += 1
-        stats.host_days += 1
-        self._counted[path] = (raw_len, stored)
+        self._counted[path] = (counted[0] + raw_len, counted[1] + stored)
         registry = get_registry()
-        registry.counter("archive.files_written").inc()
+        if new:
+            registry.counter("archive.files_written").inc()
+        registry.counter("archive.units_written").inc()
         registry.counter("archive.bytes_raw").inc(raw_len)
         registry.counter("archive.bytes_compressed").inc(stored)
 
+    def _close_file(self, hostname: str, day: int, file: HostFile) -> None:
+        if self.archive_format == "v2":
+            self._write(hostname, day, file)
+            return
+        path = self.root / hostname / day_index_to_date(day)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        data = file.columns().to_text().encode("utf-8")
+        raw_len = len(data)
+        if self.compress:
+            path = path.with_name(path.name + ".gz")
+            # mtime=0 keeps the stored bytes a pure function of the
+            # content, so the manifest's sha256 is stable across
+            # re-writes of identical data (append mode depends on it).
+            data = gzip.compress(data, compresslevel=6, mtime=0)
+        stats = self.stats  # seeded from disk before this write
+        path.write_bytes(data)
+        self._tally(stats, path, raw_len, len(data), True)
+
     def close(self) -> ArchiveStats:
         """Flush all open files; returns the final volume accounting."""
-        for hostname, (seg, file) in sorted(self._open.items()):
-            self._close_file(hostname, seg, file)
+        for hostname, (day, file) in sorted(self._open.items()):
+            self._close_file(hostname, day, file)
         self._open.clear()
         return self.stats
 
@@ -397,25 +440,28 @@ class HostArchive:
         manifest pass over N days of history costs I/O, not parsing.
 
         *trusted* (the ingest ledger: anything with ``size``,
-        ``mtime_ns`` and ``sha256`` per cell) makes that O(delta): a
-        cell whose size and mtime both equal the recorded ones keeps
-        the recorded digest unread, so only new or touched files are
-        hashed.  A trusting pass also reuses the fingerprint an earlier
-        one on this archive made while size and mtime hold, so a file
-        listed before costs one ``stat``.  A rewrite that restores both
-        is not seen here; ``repro-diagnose --verify`` runs the
-        untrusting pass.
+        ``mtime_ns``, ``sha256`` and ``until`` per cell) makes that
+        O(delta): a cell whose size and mtime both equal the recorded
+        ones keeps the recorded digest unread.  A file that grew past
+        its recorded size only has the fingerprint stored at that size
+        read (``prior``), and one touched without growing is hashed
+        again whole, so a ledgered file costs one ``stat``.  A rewrite
+        that restores both, or one inside the consumed units of a file
+        that also grew, is not seen here; ``repro-diagnose --verify``
+        runs the untrusting pass.
 
-        For v2 columnar files the fingerprint is the header's
-        ``source_sha256``: for a file converted from text, the digest
-        of the bytes the text archive stored for the same host-day; for
-        a file written as v2 to begin with (``source_kind: "v2"``), a
-        digest of its content.  The first makes the ledger
-        format-agnostic: converting a text archive to v2 changes no
-        fingerprints, so ``ingest(mode="append")`` over a
-        freshly converted archive consumes zero files.  A v2 file whose
-        header is unreadable falls back to hashing its stored bytes,
-        which the delta plan then classifies as mutated — exactly the
+        For v2 columnar files the fingerprint is stored in the file:
+        its last complete unit's, chained over every unit before it
+        (:mod:`repro.tacc_stats.columnar`), and for a one-unit file
+        the header's ``source_sha256``.  For a file converted from text
+        that is the digest of the bytes the text archive stored for the
+        same host-day; for a file written as v2 to begin with
+        (``source_kind: "v2"``), a digest of its content.  The first
+        makes the ledger format-agnostic: converting a text archive to
+        v2 changes no fingerprints, so ``ingest(mode="append")`` over a
+        freshly converted archive consumes zero files.  A v2 file with
+        no readable unit falls back to hashing its stored bytes, which
+        the delta plan then classifies as mutated — exactly the
         "re-parse and let the error policy decide" outcome corruption
         deserves.
         """
@@ -423,23 +469,12 @@ class HostArchive:
         with span("archive.manifest"):
             for hostname in sorted(hosts) if hosts is not None \
                     else self.hostnames():
-                seen = (self._fingerprints.setdefault(hostname, {})
-                        if trusted is not None else {})
                 for day, entry in self._host_entries(hostname):
                     st = entry.stat()
-                    stamp = (st.st_size, st.st_mtime_ns)
-                    fp = seen.get(entry.name)
-                    if fp is None or (fp.size, fp.mtime_ns) != stamp:
-                        known = trusted.get((hostname, day)) \
-                            if trusted else None
-                        digest = (known.sha256 if known is not None and (
-                            known.size, known.mtime_ns) == stamp
-                            else _fingerprint(entry.path))
-                        fp = seen[entry.name] = FileFingerprint(
-                            hostname=hostname, day=day, path=entry.path,
-                            size=st.st_size, mtime_ns=st.st_mtime_ns,
-                            sha256=digest)
-                    out[(hostname, day)] = fp
+                    out[(hostname, day)] = _file_fingerprint(
+                        hostname, day, entry.path,
+                        (st.st_size, st.st_mtime_ns),
+                        trusted.get((hostname, day)) if trusted else None)
         get_registry().counter("archive.manifest_files").inc(len(out))
         return out
 
@@ -469,15 +504,15 @@ class HostArchive:
     def read_host_days(self, hostname: str,
                        allow_truncated: bool = False,
                        policy: str = ErrorPolicy.STRICT,
-                       paths: Sequence[str | Path] | None = None,
+                       paths: Sequence[str | Path | Piece] | None = None,
                        ) -> tuple[list[HostColumns],
                                   tuple[QuarantinedRecord, ...], str]:
         """Decode a host's files (or just *paths*, files of this host
-        in label order that a manifest already resolved) to
-        :class:`HostColumns` — text and gzip through the line parser,
-        v2 by mapping its chunks — and apply the per-file error policy:
-        ``(kept days, records, status)``.  The file-level rules live
-        only here.
+        in label order that a manifest already resolved, each whole or
+        a :data:`Piece` of a v2 file's units) to :class:`HostColumns` —
+        text and gzip through the line parser, v2 by mapping its chunks
+        — and apply the per-file error policy: ``(kept days, records,
+        status)``.  The file-level rules live only here.
 
         Under every policy, empty files (the node was down all day) are
         skipped and the directory name is authoritative for the
@@ -500,8 +535,8 @@ class HostArchive:
           drifts from the schemas of the files before it is quarantined
           whole (``lineno=None``); the remaining files still load.
         """
-        files = (self.host_files(hostname) if paths is None
-                 else [Path(p) for p in paths])
+        files = [piece(p) for p in (self.host_files(hostname)
+                                    if paths is None else paths)]
         if not files:
             raise FileNotFoundError(f"no archived files for {hostname}")
         policy = ErrorPolicy(policy)
@@ -516,11 +551,11 @@ class HostArchive:
                 kind=kind, error=error))
 
         with span("ingest.parse", host=hostname):
-            for path in files:
+            for path, start, stop in files:
                 faults: list[ParseFault] | None = None if strict else []
                 try:
                     if is_v2_path(path):
-                        day = read_host_day(path)
+                        day = read_host_day(path, start, stop)
                     else:
                         day = parse_host_columns(
                             self.read_file(path),

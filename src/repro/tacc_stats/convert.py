@@ -141,11 +141,6 @@ def convert_archive(root: str | Path, to: str,
     report = ConvertReport(target=to)
     in_place = out_root is None
     out = Path(root) if in_place else Path(out_root)
-    if not in_place:
-        # The copy rotates as the source does: opening it with the
-        # period writes the sidecar a sub-day archive is reopened by.
-        HostArchive(out, resume_stats=False,
-                    rotate_seconds=src.rotate_seconds)
     with span("archive.convert", target=to):
         for hostname in src.hostnames():
             outdir = out / hostname

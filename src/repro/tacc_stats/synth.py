@@ -11,8 +11,9 @@ whole queue as one :class:`~repro.tacc_stats.collectors.base.BlockContext`,
 calling every collector's batched ``sample_block`` kernel once.  The resulting
 ``[T, devices, values]`` uint64 arrays are held, and each ``flush(until)``
 releases the rows the clock has passed to the open :class:`HostFile` of
-their rotation segment, as they are.  A file becomes bytes only when the
-archive closes it: v2 chunks, or the text those columns render to.
+their day, as they are.  Rows become bytes only when the archive flushes
+or closes the file: an appended v2 unit, or the text a whole day's
+columns render to.
 
 Each collector's scalar ``sample()`` / ``advance()`` is the kernels'
 reference, and byte-identity with it is a hard contract, not an
@@ -26,7 +27,8 @@ scalar loop — and diff the two archives end to end, text and v2.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from functools import partial
 from itertools import groupby
@@ -38,11 +40,16 @@ from repro.cluster.node import Node
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors import Collector, build_collectors
 from repro.tacc_stats.collectors.base import BlockContext
-from repro.tacc_stats.columnar import block_columns, encode_host_blocks
+from repro.tacc_stats.columnar import (
+    block_columns,
+    encode_host_blocks,
+    unit_fingerprint,
+)
 from repro.tacc_stats.format import header_properties
 from repro.tacc_stats.schema import TypeSchema
 from repro.tacc_stats.types import HostColumns
 from repro.telemetry.metrics import get_registry
+from repro.util.timeutil import DAY
 from repro.workload.applications import RATE_FIELDS
 from repro.workload.behavior import JobBehavior
 
@@ -50,17 +57,19 @@ __all__ = ["HostFile", "NodeSynth"]
 
 
 class HostFile:
-    """One archive file while it is open: its header and the column
-    chunks of every block released to it.
+    """One archive file while it is open: its header, how far its
+    units reach on disk, and the column chunks of every block released
+    to it and not yet written.
 
-    It becomes bytes only when :class:`HostArchive` closes it —
-    :meth:`encode_v2` for a v2 archive, the text :meth:`columns`
-    render to for a text one.  A fresh file (rotation) carries the
-    whole header again, as the real tool does on its daily restart.
+    Its blocks become bytes when :class:`HostArchive` flushes or closes
+    it — :meth:`encode_v2` appends them as the file's next unit, the
+    text :meth:`columns` render to is a text archive's whole file.  A
+    fresh file (a new day) carries the whole header again, as the real
+    tool does on its daily restart.
     """
 
     __slots__ = ("hostname", "properties", "schemas", "devices", "times",
-                 "tags", "marks", "values")
+                 "tags", "marks", "values", "size", "fingerprint", "_last")
 
     def __init__(self, hostname: str, schemas: Sequence[TypeSchema],
                  devices_by_type: Sequence[tuple[str, ...]]):
@@ -72,6 +81,10 @@ class HostFile:
         self.tags: list[str] = []
         self.marks: list[tuple[int, str, str]] = []
         self.values: list[list[np.ndarray]] = [[] for _ in schemas]
+        #: Bytes of the units on disk, and the last one's fingerprint.
+        self.size = 0
+        self.fingerprint = ""
+        self._last: list[float] = []
 
     def append(self, times: Sequence[float],
                jobids: Sequence[tuple[str, ...]],
@@ -84,31 +97,53 @@ class HostFile:
         the file is refused."""
         # The text holds int(t), so its re-parse does too.
         stamps = [float(int(t)) for t in times]
-        seq = self.times[-1:] + stamps
+        seq = self._last + stamps
         if any(b < a for a, b in zip(seq, seq[1:])):
             raise ValueError(f"{self.hostname}: non-monotonic block time")
         base = len(self.times)
         self.times += stamps
+        self._last = seq[-1:]
         self.tags += [",".join(ids) if ids else "-" for ids in jobids]
         self.marks += [(base + b, kind, jobid) for b, kind, jobid in marks]
         for chunks, vals in zip(self.values, values_by_type):
             chunks.append(np.asarray(vals, dtype=np.uint64))
 
-    def columns(self) -> HostColumns:
-        """The file's blocks as the columns its bytes decode to."""
-        values = [chunks[0] if len(chunks) == 1
-                  else np.concatenate(chunks) if chunks
-                  else np.empty((0, len(devs), s.n_values), np.uint64)
-                  for chunks, s, devs in zip(self.values, self.schemas,
-                                             self.devices)]
+    def columns(self, n: int | None = None) -> HostColumns:
+        """The first *n* unwritten blocks (default: all) as the columns
+        their bytes decode to."""
+        n = len(self.times) if n is None else n
+        self.values = [[chunks[0] if len(chunks) == 1
+                        else np.concatenate(chunks) if chunks
+                        else np.empty((0, len(devs), s.n_values), np.uint64)]
+                       for chunks, s, devs in zip(self.values, self.schemas,
+                                                  self.devices)]
         return block_columns(
             self.hostname, self.properties, self.schemas, self.devices,
-            np.array(self.times, dtype=np.float64), self.tags, self.marks,
-            values)
+            np.array(self.times[:n], dtype=np.float64), self.tags[:n],
+            [m for m in self.marks if m[0] < n],
+            [chunks[0][:n] for chunks in self.values])
 
-    def encode_v2(self) -> tuple[bytes, int]:
-        """The file as v2 bytes, with its ``text_bytes``."""
-        return encode_host_blocks(self.columns())
+    def encode_v2(self, before: float = math.inf,
+                  until: float | None = None) -> tuple[bytes, int] | None:
+        """The unwritten blocks before time *before* as the file's next
+        v2 unit (its first: the whole header), with its
+        ``text_bytes``; *until* is the flush time the unit records.
+        The blocks leave the file; ``None`` when there are none."""
+        n = bisect_left(self.times, before)
+        if not n:
+            return None
+        data, text_bytes = encode_host_blocks(
+            self.columns(n), until,
+            (self.fingerprint, self.size) if self.size else None)
+        if until is not None:  # the file goes on: the next unit chains
+            self.fingerprint = unit_fingerprint(data)
+        self.size += len(data)
+        self.times, self.tags = self.times[n:], self.tags[n:]
+        self.marks = [(b - n, kind, jobid) for b, kind, jobid in self.marks
+                      if b >= n]
+        self.values = [[chunks[0][n:].copy()] if self.times else []
+                       for chunks in self.values]
+        return data, text_bytes
 
 
 class NodeSynth:
@@ -118,8 +153,8 @@ class NodeSynth:
     runs ahead of that clock, by up to a day.
 
     Released rows go to the :class:`HostFile` the archive has open for
-    their rotation segment; the archive starts one with this node's
-    suite when the segment changes.
+    their day; the archive starts one with this node's suite when the
+    day changes.
     """
 
     def __init__(
@@ -279,15 +314,14 @@ class NodeSynth:
 
     def _write_runs(self, lo: int, hi: int) -> None:
         """Append held rows ``[lo, hi)`` to the archive's open files,
-        splitting the run at rotation-segment boundaries (each segment
-        is its own file)."""
+        splitting the run at day boundaries (each day is its own
+        file)."""
         times, tags, marks, vals_by_collector = self._held
-        rot = self.archive.rotate_seconds
         i0 = lo
         while i0 < hi:
-            seg = int(times[i0] // rot)
+            day = int(times[i0] // DAY)
             i1 = i0 + 1
-            while i1 < hi and int(times[i1] // rot) == seg:
+            while i1 < hi and int(times[i1] // DAY) == day:
                 i1 += 1
             # A file owns its rows unless it took the block whole: a
             # view of rows released from a block that feeds other

@@ -153,10 +153,11 @@ class HostColumns:
     and within a block each type's rows together, types in order of
     first appearance — which is the order :meth:`to_text` writes.
     ``header`` is the v2 file's header JSON (``None`` for parsed text);
-    ``label`` is the archive file label (day or sub-day segment) the
-    columns were decoded from, set by
-    :meth:`HostArchive.read_host_days` (the decoders see bytes, not
-    paths).
+    ``label`` is the archive file label (the day) the columns were
+    decoded from, set by :meth:`HostArchive.read_host_days` (the
+    decoders see bytes, not paths).  ``fresh`` columns were read from
+    past the bytes an ingest had consumed of their file, so no kept
+    scan state holds any of their blocks.
     """
 
     hostname: str
@@ -172,6 +173,7 @@ class HostColumns:
     bytes_mapped: int = 0
     chunks_read: int = 0
     label: str = ""
+    fresh: bool = False
 
     def job_ids(self) -> frozenset[str]:
         """Every job id the file mentions, in a block tag or a mark."""

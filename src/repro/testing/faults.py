@@ -63,7 +63,8 @@ from pathlib import Path
 
 from repro.ingest.parallel import _scan_one
 from repro.ingest.warehouse import Warehouse
-from repro.tacc_stats.archive import HostArchive
+from repro.tacc_stats import archive as archive_mod
+from repro.tacc_stats.archive import HostArchive, _write_unit
 from repro.tacc_stats.schema import TypeSchema
 
 __all__ = [
@@ -339,18 +340,27 @@ def sleepy_scan(sleep_hosts: tuple[str, ...], sleep_seconds: float,
     return _scan_one(root, hostname, *scan_args)
 
 
-#: Where :func:`run_killed` can stop an ingest, as the
-#: :class:`Warehouse` call it dies on entering.  All lie inside the
-#: transaction that closes a run: ``scan_state`` after the scan states
-#: of the open jobs were written and before any ledger row,
-#: ``ledger`` after the ledger rows and before the commit, and
-#: ``live_counters`` inside a live micro-batch, after its segments were
-#: written to the archive and before its counters, jobs and ledger rows
-#: (one commit) reached the warehouse.
+#: Where :func:`run_killed` can stop a process, as the call it dies on
+#: entering: a :class:`Warehouse` method, or (``unit_append``) the
+#: archive's unit write, which gets half of its bytes onto disk first.
+#: The first three lie inside the transaction that closes a run:
+#: ``scan_state`` after the scan states of the open jobs were written
+#: and before any ledger row, ``ledger`` after the ledger rows and
+#: before the commit, and ``live_counters`` inside a live micro-batch,
+#: after its units were written to the archive and before its
+#: counters, jobs and ledger rows (one commit) reached the warehouse.
+#: ``unit_append`` dies inside a batch's flush, before any of that,
+#: leaving a torn tail on the file it was growing.
 KILL_POINTS = {"scan_state": "record_ledger", "ledger": "record_ingest_run",
-               "live_counters": "record_live_counters"}
+               "live_counters": "record_live_counters",
+               "unit_append": "_write_unit"}
 #: Exit status of a process killed at a kill point.
 KILL_EXIT = 77
+
+
+def _torn_write(path, offset: int, data: bytes) -> None:
+    _write_unit(path, offset, data[:len(data) // 2])
+    os._exit(KILL_EXIT)
 
 
 def run_killed(fn, point: str) -> int:
@@ -363,8 +373,11 @@ def run_killed(fn, point: str) -> int:
     if pid == 0:
         status = 1  # fn raised
         try:
-            setattr(Warehouse, KILL_POINTS[point],
-                    lambda *_a, **_k: os._exit(KILL_EXIT))
+            if point == "unit_append":
+                archive_mod._write_unit = _torn_write
+            else:
+                setattr(Warehouse, KILL_POINTS[point],
+                        lambda *_a, **_k: os._exit(KILL_EXIT))
             fn()
             status = 0
         finally:

@@ -92,45 +92,26 @@ def date_to_day_index(date: str, anchor: int = EPOCH_ANCHOR) -> int:
 
 def period_label(index: int, period: int = DAY,
                  anchor: int = EPOCH_ANCHOR) -> str:
-    """Render a facility rotation-period index (``t // period``) as a
-    filesystem-safe archive label.
-
-    With the canonical daily rotation (``period == DAY``, or any whole
-    multiple of it) this is exactly :func:`day_index_to_date` —
-    ``YYYY-MM-DD`` — so day archives keep their historical file names.
-    Sub-day periods (live streaming segments) append the segment's
-    start time of day: ``YYYY-MM-DDTHHMMSS``, colon-free and
-    zero-padded so lexicographic order stays chronological.
-    """
+    """Render a facility rotation-period index (``t // period``) as an
+    archive label: the ``YYYY-MM-DD`` of the period's first day
+    (:func:`day_index_to_date`).  Archives rotate daily, so *period* is
+    a whole number of days."""
     period = int(period)
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    start = index * period
-    if period % DAY == 0:
-        return day_index_to_date(start // DAY, anchor)
-    return format_epoch(start, anchor).replace(":", "")
+    if period <= 0 or period % DAY:
+        raise ValueError(f"period must be a whole number of days, "
+                         f"got {period}")
+    return day_index_to_date(index * period // DAY, anchor)
 
 
 def label_to_period_index(label: str, period: int = DAY,
                           anchor: int = EPOCH_ANCHOR) -> int:
-    """Parse an archive file label back to its rotation-period index.
-
-    Inverse of :func:`period_label`.  Accepts both the date-only form
-    (``YYYY-MM-DD``, midnight) and the segment form
-    (``YYYY-MM-DDTHHMMSS``), so a sub-day archive can still reason
-    about a stray day-labelled file and vice versa.
-    """
+    """Parse an archive file label back to its rotation-period index;
+    inverse of :func:`period_label`."""
     period = int(period)
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    date, _, tod = label.partition("T")
-    seconds = date_to_day_index(date, anchor) * DAY
-    if tod:
-        if len(tod) != 6 or not tod.isdigit():
-            raise ValueError(f"bad segment label {label!r}")
-        seconds += (int(tod[0:2]) * HOUR + int(tod[2:4]) * MINUTE
-                    + int(tod[4:6]))
-    return seconds // period
+    if period <= 0 or period % DAY:
+        raise ValueError(f"period must be a whole number of days, "
+                         f"got {period}")
+    return date_to_day_index(label, anchor) * DAY // period
 
 
 def format_epoch(sim_seconds: float, anchor: int = EPOCH_ANCHOR) -> str:

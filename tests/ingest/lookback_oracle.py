@@ -13,12 +13,8 @@ import shutil
 from pathlib import Path
 
 from repro.scheduler.accounting import parse_accounting
-from repro.tacc_stats.archive import (
-    ARCHIVE_META_FILENAME,
-    HostArchive,
-    _file_day,
-)
-from repro.util.timeutil import label_to_period_index
+from repro.tacc_stats.archive import HostArchive, _file_day
+from repro.util.timeutil import DAY, date_to_day_index
 
 
 def mentioned_jobs(path: Path) -> set[str]:
@@ -49,13 +45,10 @@ def segment_labels(root) -> list[str]:
 
 
 def grow(src, dst, labels) -> None:
-    """Copy every host's files for *labels* (and the rotation sidecar)
-    from archive *src* into archive *dst*."""
+    """Copy every host's files for *labels* from archive *src* into
+    archive *dst*."""
     src, dst = Path(src), Path(dst)
     dst.mkdir(parents=True, exist_ok=True)
-    meta = src / ARCHIVE_META_FILENAME
-    if meta.exists():
-        shutil.copy2(meta, dst / ARCHIVE_META_FILENAME)
     wanted = set(labels)
     for (host, label), path in archive_cells(src).items():
         if label in wanted:
@@ -77,11 +70,11 @@ def expected_lookback(root, ledgered, accounting_text: str, loaded,
     job is pending when it is not loaded, long enough to match, wholly
     on disk, and not already given up on (its last segment was consumed
     by an earlier run)."""
-    period = HostArchive(root).rotate_seconds
+    period = DAY
     cells = archive_cells(root)
 
     def seg(label: str) -> int:
-        return label_to_period_index(label, period)
+        return date_to_day_index(label)
 
     on_disk = max(seg(label) for _host, label in cells)
     consumed = max((seg(label) for _host, label in ledgered), default=-1)

@@ -28,7 +28,12 @@ from repro.syslogr.rationalizer import RationalizedMessage
 from repro.tacc_stats.archive import HostArchive
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from repro.testing.faults import inject_fault
-from repro.util.timeutil import DAY, date_to_day_index
+from repro.util.timeutil import (
+    DAY,
+    HOUR,
+    date_to_day_index,
+    day_index_to_date,
+)
 from tests.parity import tables
 
 N_DAYS = 3
@@ -446,30 +451,29 @@ def test_day_strings_round_trip(corpus):
 
 # -- appends continue from scan state ------------------------------------------
 #
-# A hand-built hourly archive, so every count below can be read off the
-# table.  Hosts sample every 10 minutes for five hours; the jobs are
+# A hand-built archive, one day file per host grown by a unit an hour,
+# so every count below can be read off the table.  Hosts sample every
+# 10 minutes for five hours; the jobs are
 #
-#   job  hosts  start..end  segments
+#   job  hosts  start..end  hours
 #   101  a, b    1200.. 8400   0..2   multi-node
 #   102  a       8400..12000   2..3   a's next job, begun in 101's last hour
 #   103  b       9000..16200   2..4   b's next job, likewise
 #   104  c        600.. 4200   0..1   c is shared: 104 and 105 overlap,
-#   105  c       1800.. 4800   0..1     so they share c's first file
+#   105  c       1800.. 4800   0..1     so they share c's first unit
 #   106  c       6000.. 6600   1      never crosses a boundary
 #
-# appended one hour at a time.  Per append: what loads, the (host, job)
-# scan states left behind for the jobs still open, and — when the ledger
-# has no job sets (a legacy ledger) and so no states — the ledgered
-# cells read again:
+# appended one hour at a time.  Per append: what loads and the (host,
+# job) scan states left behind for the jobs still open:
 #
-#   hour  loads          states after            re-read without states
-#   0     -              a/101 b/101 c/104 c/105 -
-#   1     104 105 106    a/101 b/101             c/0
-#   2     101            a/102 b/103             a/0 a/1 b/0 b/1
-#   3     102            b/103                   a/2
-#   4     103            -                       b/2 b/3
+#   hour  loads          states after
+#   0     -              a/101 b/101 c/104 c/105
+#   1     104 105 106    a/101 b/101
+#   2     101            a/102 b/103
+#   3     102            b/103
+#   4     103            -
 #
-# With states nothing ledgered is ever read again.
+# With states no consumed unit is ever read again.
 
 LB_HOSTS = ("a", "b", "c")
 LB_JOBS = {
@@ -483,27 +487,36 @@ LB_JOBS = {
 LB_HOURS = 5
 
 
+def _lb_grow(root, hours):
+    """Write LB_JOBS' first *hours* hours into the v2 archive at *root*,
+    flushing after each: every host's day file holds one unit an hour
+    (written again from byte 0, the same bytes)."""
+    from tests.tacc_stats.test_archive import cpu_file
+
+    archive = HostArchive(root, archive_format="v2")
+    for hour in range(hours):
+        for host in LB_HOSTS:
+            for t in range(hour * HOUR, (hour + 1) * HOUR, 600):
+                mine = {j: (s, e) for j, (hosts, s, e) in LB_JOBS.items()
+                        if host in hosts and s <= t <= e}
+                marks = [(0, kind, jobid)
+                         for jobid, (start, end) in sorted(mine.items())
+                         for kind, at in (("begin", start), ("end", end))
+                         if t == at]
+                archive.writer(host, float(t), cpu_file(host)).append(
+                    [t], [tuple(sorted(mine))], marks, [[[[t]]]])
+        archive.flush_before((hour + 1) * HOUR)
+    archive.close()
+
+
 @pytest.fixture(scope="module")
 def lookback_corpus(tmp_path_factory):
-    """(config, finished hourly archive, accounting text) for LB_JOBS."""
+    """(config, finished archive, accounting text) for LB_JOBS."""
     from repro.scheduler.job import ExitStatus, JobRecord, JobRequest
-    from repro.util.timeutil import HOUR
-    from tests.tacc_stats.test_archive import cpu_file
 
     cfg = TEST_SYSTEM.scaled(num_nodes=len(LB_HOSTS), horizon_days=1)
     root = tmp_path_factory.mktemp("lookback_corpus")
-    archive = HostArchive(root, rotate_seconds=HOUR)
-    for host in LB_HOSTS:
-        for t in range(0, LB_HOURS * HOUR, 600):
-            mine = {j: (s, e) for j, (hosts, s, e) in LB_JOBS.items()
-                    if host in hosts and s <= t <= e}
-            marks = [(0, kind, jobid)
-                     for jobid, (start, end) in sorted(mine.items())
-                     for kind, at in (("begin", start), ("end", end))
-                     if t == at]
-            archive.writer(host, float(t), cpu_file(host)).append(
-                [t], [tuple(sorted(mine))], marks, [[[[t]]]])
-    archive.close()
+    _lb_grow(root, LB_HOURS)
 
     records = [
         JobRecord(
@@ -522,29 +535,15 @@ def lookback_corpus(tmp_path_factory):
     return cfg, str(root), buf.getvalue()
 
 
-def _hour_label(hour):
-    from repro.util.timeutil import HOUR, period_label
-    return period_label(hour, HOUR)
-
-
 def _lb_append(lookback_corpus, growing, warehouse, hour):
-    """Add *hour*'s files to *growing* and append; returns (report, the
-    already-ledgered cells this run opened again as ``host/hour``)."""
-    from tests.ingest.lookback_oracle import grow
-
-    cfg, full, accounting = lookback_corpus
-    grow(full, growing, [_hour_label(hour)])
-    before = set(warehouse.ledger_map(cfg.name))
+    """Grow *growing* through *hour* and append; returns (report, how
+    many day files the run read again from byte 0)."""
+    cfg, _full, accounting = lookback_corpus
+    _lb_grow(growing, hour + 1)
     report = IngestPipeline(warehouse).ingest(
         cfg, accounting_text=accounting, archive=HostArchive(growing),
         mode="append")
-    hours = {_hour_label(h): h for h in range(LB_HOURS)}
-    reread = sorted(
-        f"{host}/{hours[label]}"
-        for (host, label), entry in warehouse.ledger_map(cfg.name).items()
-        if entry.run_id == report.run_id and (host, label) in before)
-    assert len(reread) == report.delta.files_lookback
-    return report, reread
+    return report, report.delta.files_lookback
 
 
 def test_appends_fold_open_jobs_from_state_and_reread_nothing(
@@ -562,12 +561,14 @@ def test_appends_fold_open_jobs_from_state_and_reread_nothing(
                      sorted("/".join(key) for key in
                             w.scan_states(cfg.name))))
     assert seen == [
-        ([], [], ["a/101", "b/101", "c/104", "c/105"]),
-        (["104", "105", "106"], [], ["a/101", "b/101"]),
-        (["101", "104", "105", "106"], [], ["a/102", "b/103"]),
-        (["101", "102", "104", "105", "106"], [], ["b/103"]),
-        (sorted(LB_JOBS), [], []),
+        ([], 0, ["a/101", "b/101", "c/104", "c/105"]),
+        (["104", "105", "106"], 0, ["a/101", "b/101"]),
+        (["101", "104", "105", "106"], 0, ["a/102", "b/103"]),
+        (["101", "102", "104", "105", "106"], 0, ["b/103"]),
+        (sorted(LB_JOBS), 0, []),
     ]
+    # One day file per host, one ledger row each, every unit read once.
+    assert len(w.ledger_map(cfg.name)) == len(LB_HOSTS)
     # A loaded job leaves every set it was in; nothing is left open.
     assert all(e.open_jobs == frozenset()
                for e in w.ledger_map(cfg.name).values())
@@ -583,14 +584,9 @@ def test_open_jobs_are_what_the_file_mentions_minus_what_loaded(
     w = Warehouse()
     for hour in range(3):
         _lb_append(lookback_corpus, tmp_path / "grow", w, hour)
-    open_by_cell = {
-        f"{host}/{label[-6:-4]}": sorted(entry.open_jobs)
-        for (host, label), entry in w.ledger_map(cfg.name).items()}
-    assert open_by_cell == {
-        "a/00": [], "a/01": [], "a/02": ["102"],
-        "b/00": [], "b/01": [], "b/02": ["103"],
-        "c/00": [], "c/01": [], "c/02": [],
-    }
+    open_by_cell = {host: sorted(entry.open_jobs) for (host, _day), entry
+                    in w.ledger_map(cfg.name).items()}
+    assert open_by_cell == {"a": ["102"], "b": ["103"], "c": []}
 
 
 def test_diagnose_ledger_shows_what_the_next_append_rereads(
@@ -610,20 +606,21 @@ def test_diagnose_ledger_shows_what_the_next_append_rereads(
                           "--ledger"]) == 0
     out = capsys.readouterr().out
     assert "cells with open jobs      2 " in out
-    assert "cells with no job record  3 " in out
+    assert "cells with no job record  1 " in out
     assert "Oldest open jobs (2 open" in out
     rows = [line.split() for line in out.splitlines()
             if line.split()[:1] in (["102"], ["103"])]
-    assert rows == [["102", _hour_label(2), _hour_label(2), "1"],
-                    ["103", _hour_label(2), _hour_label(2), "1"]]
+    day = day_index_to_date(0)
+    assert rows == [["102", day, day, "1"], ["103", day, day, "1"]]
 
 
 def test_legacy_ledger_without_job_sets_falls_back_then_converges(
         lookback_corpus, tmp_path):
     """A ledger written before the column existed: the column is added
-    on open, its rows read as unknown and are re-read segment-wide, and
-    every cell scanned again gets its set and every open job its state
-    — so the next append reads nothing twice."""
+    on open, its rows read as unknown and are re-read from byte 0 where
+    a pending job spans their day, and every cell scanned again gets
+    its set and every open job its state — so the next append reads
+    nothing twice."""
     import sqlite3
 
     cfg = lookback_corpus[0]
@@ -643,11 +640,7 @@ def test_legacy_ledger_without_job_sets_falls_back_then_converges(
                for e in w.ledger_map(cfg.name).values())
     rereads = [_lb_append(lookback_corpus, tmp_path / "grow", w, hour)[1]
                for hour in range(2, LB_HOURS)]
-    assert rereads == [
-        ["a/0", "a/1", "b/0", "b/1", "c/0", "c/1"],  # 101, segment-wide
-        [],                                          # 102: from a's state
-        [],
-    ]
+    assert rereads == [3, 0, 0]  # 101: every day file; then states
     assert all(e.open_jobs == frozenset()
                for e in w.ledger_map(cfg.name).values())
     assert sorted(w.job_ids(cfg.name)) == sorted(LB_JOBS)
@@ -679,7 +672,6 @@ def test_kill_inside_the_closing_transaction_leaves_the_old_state(
     the ledger's open jobs, and the append run again lands on the new
     state as if nothing had happened."""
     from repro.testing.faults import KILL_EXIT, run_killed
-    from tests.ingest.lookback_oracle import grow
 
     cfg, full, accounting = lookback_corpus
     path = str(tmp_path / "w.sqlite")
@@ -705,7 +697,7 @@ def test_kill_inside_the_closing_transaction_leaves_the_old_state(
             cfg, accounting_text=accounting, archive=HostArchive(growing),
             mode="append")
 
-    grow(full, growing, [_hour_label(2)])
+    _lb_grow(growing, 3)
     assert run_killed(append, point) == KILL_EXIT
     w = Warehouse(path)
     assert provenance(w) == old

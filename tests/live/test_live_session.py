@@ -1,6 +1,8 @@
 """The live micro-batch loop: equivalence with the offline path,
-monotonic snapshot growth, counter publication, and the sub-day
-archive rotation it rides on."""
+monotonic snapshot growth, counter publication, and the day files it
+grows by appended units."""
+
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,7 @@ from repro.live.runner import LIVE_COUNTER_METRICS, LiveSession
 from repro.tacc_stats.archive import HostArchive
 from repro.telemetry.metrics import get_registry
 from repro.util.timeutil import DAY, HOUR
-from tests.parity import expected, tables, tree
-from tests.parity import synthesis as sp
+from tests.parity import tables, tree
 
 CFG = TEST_SYSTEM.scaled(num_nodes=4, horizon_days=1, n_users=6)
 SEED = 7
@@ -68,21 +69,19 @@ def test_day_segment_session_is_the_offline_path(tmp_path):
 
 def test_live_v2_archive_converts_to_the_text_replay(tmp_path):
     """A live session writes v2, and nothing is lost: ``repro-convert``
-    compacts its hourly archive back to the paper's text+gzip format,
-    byte for byte the tree an hourly text replay of the same facility
-    writes (the ``live/ranger/text/end`` synthesis digest)."""
+    compacts its hourly-grown day files back to the paper's text+gzip
+    format, byte for byte the tree an offline text replay of the same
+    facility writes."""
     from repro.tacc_stats.convert import convert_archive
 
-    cfg = sp.SYSTEMS["ranger"].scaled(**sp.LIVE)
     live_dir, text_dir = tmp_path / "live", tmp_path / "text"
-    LiveSession(Facility(cfg, seed=sp.SEED), str(live_dir),
+    LiveSession(Facility(CFG, seed=SEED), str(live_dir),
                 segment_seconds=HOUR).run()
-    assert {p.suffix for p in live_dir.rglob("*")
-            if p.is_file()} == {".v2", ".json"}
+    assert {p.suffix for p in live_dir.rglob("*") if p.is_file()} == {".v2"}
     report = convert_archive(str(live_dir), "text", out_root=str(text_dir))
     assert report.converted == len(report.drifted) > 0
-    assert {"tree": sp.hashed_tree(text_dir)} == \
-        expected("synthesis")["live/ranger/text/end"]
+    Facility(CFG, seed=SEED).run_with_files(str(tmp_path / "offline"))
+    assert tree(text_dir) == tree(tmp_path / "offline")
 
 
 def test_snapshot_rows_grow_monotonically(live):
@@ -196,73 +195,156 @@ def test_kill_inside_a_live_batch_leaves_the_previous_batch(tmp_path,
             CFG, accounting_text=session.accounting_text,
             archive=HostArchive(archive_dir), lariat_records=session.lariat,
             syslog=session.syslog, mode="append")
-    assert len(appended.ledger_map(CFG.name)) > len(before[1])
+    assert sum(e.size for e in appended.ledger_map(CFG.name).values()) \
+        > sum(e.size for e in before[1].values())  # batch k's units
     assert tables(appended) == tables(oneshot)
     appended.close()
 
 
-# -- the rotation layer under it ---------------------------------------------
+def test_kill_mid_unit_leaves_a_torn_tail_nobody_reads(tmp_path, offline):
+    """Killed halfway through writing a unit, a batch leaves a torn tail
+    on one day file: an append over the archive neither reads nor
+    ledgers it, and the session's next flush writes over it, so the
+    finished archive reads as an uninterrupted run's."""
+    from repro.ingest.pipeline import IngestPipeline
+    from repro.tacc_stats.columnar import file_tip
+    from repro.testing.faults import KILL_EXIT, run_killed
+
+    path, archive_dir = str(tmp_path / "live.sqlite"), tmp_path / "arch"
+    session = LiveSession(Facility(CFG, seed=SEED), str(archive_dir),
+                          warehouse=Warehouse(path), segment_seconds=HOUR)
+    for _ in range(9):
+        session.run_batch()
+    session.warehouse.close()
+
+    def consumed(w):
+        return ({cell: (e.sha256, e.size) for cell, e in
+                 w.ledger_map(CFG.name).items()},
+                w.scan_states(CFG.name), tables(w))
+
+    before = consumed(Warehouse(path))
+
+    def batch_k():
+        session.warehouse = session.pipeline.warehouse = Warehouse(path)
+        session.run_batch()
+
+    assert run_killed(batch_k, "unit_append") == KILL_EXIT
+    files = sorted(archive_dir.rglob("*.v2"))
+    torn = [p for p in files if file_tip(p)[0] < p.stat().st_size]
+    assert len(torn) == 1
+    w = Warehouse(path)
+    report = IngestPipeline(w).ingest(
+        CFG, accounting_text=session.accounting_text,
+        archive=HostArchive(archive_dir), lariat_records=session.lariat,
+        syslog=session.syslog, mode="append")
+    assert (report.jobs_loaded, report.delta.files_new) == (0, 0)
+    assert consumed(w) == before
+    w.close()
+
+    session.warehouse = session.pipeline.warehouse = Warehouse(path)
+    session.run()
+    assert all(file_tip(p)[0] == p.stat().st_size for p in files)
+    oneshot = Warehouse()
+    IngestPipeline(oneshot).ingest(
+        CFG, accounting_text=session.accounting_text,
+        archive=HostArchive(archive_dir), lariat_records=session.lariat,
+        syslog=session.syslog, mode="append")
+    assert tables(oneshot) == tables(session.warehouse) == tables(offline)
+    session.warehouse.close()
 
 
-def test_archive_sidecar_round_trip(live):
-    """Reopening a sub-day archive adopts the persisted period; an
-    explicit conflicting period is a loud error."""
-    _w, _reports, archive_dir, _n = live
-    reopened = HostArchive(archive_dir)
-    assert reopened.rotate_seconds == SEGMENT
-    explicit = HostArchive(archive_dir, rotate_seconds=SEGMENT)
-    assert explicit.rotate_seconds == SEGMENT
-    with pytest.raises(ValueError, match="rotate_seconds"):
-        HostArchive(archive_dir, rotate_seconds=2 * HOUR)
+# -- the day files under it --------------------------------------------------
 
 
-def test_converted_copy_keeps_the_rotation_period(live, tmp_path):
-    """``convert_archive(out_root=...)`` of a sub-day archive rotates
-    as its source does — an append over the copy plans in segments."""
-    from repro.tacc_stats.convert import convert_archive
+def test_one_file_per_host_day_grown_by_units(live):
+    """However often a session flushes, the archive holds one v2 file
+    per host-day and the ledger one row for each: every flush appends
+    one unit to each file still open."""
+    from repro.tacc_stats.columnar import read_host_day
 
-    convert_archive(live[2], "v2", out_root=tmp_path / "v2")
-    assert HostArchive(tmp_path / "v2").rotate_seconds == SEGMENT
-
-
-def test_segment_labels_are_sub_day_and_sorted(live):
-    """Hourly-scale segments carry colon-free time-of-day labels that
-    sort chronologically."""
-    _w, _reports, archive_dir, _n = live
+    warehouse, reports, archive_dir, _n = live
     archive = HostArchive(archive_dir)
-    host = archive.hostnames()[0]
-    labels = [day for _h, day in archive.manifest(hosts=[host])]
-    assert len(labels) > 1  # genuinely sub-day rotation
-    assert labels == sorted(labels)
-    assert all("T" in lab and ":" not in lab for lab in labels)
+    manifest = archive.manifest()
+    assert len(manifest) == CFG.num_nodes * 2  # day 0 and the horizon tick
+    assert set(warehouse.ledger_map(CFG.name)) == set(manifest)
+    assert not (archive.root / "archive.json").exists()
+    day0 = read_host_day(Path(manifest[archive.hostnames()[0],
+                                       "2011-06-01"].path))
+    # Every flush of the day cut the file between two of its units.
+    assert len(reports) == DAY // SEGMENT + 1
+    assert day0.times.size > 0 and day0.fresh is False
 
 
-def test_flush_before_closes_only_completed_segments(tmp_path):
-    """A host idle across a rotation boundary still gets its completed
-    segment flushed to disk (visible to the manifest) without touching
-    the open one."""
+def test_flush_before_appends_units_and_closes_ended_days(tmp_path):
+    """Each flush puts every open v2 file's blocks before it on disk as
+    one unit — a host idle across a day boundary still gets its ended
+    day closed — and leaves later blocks buffered."""
+    from repro.tacc_stats.columnar import file_tip, read_host_day
     from tests.tacc_stats.test_archive import cpu_file
 
-    archive = HostArchive(tmp_path / "arch", rotate_seconds=HOUR)
+    archive = HostArchive(tmp_path / "arch", archive_format="v2")
 
     def write(host, t):
         archive.writer(host, t, cpu_file(host)).append(
-            [t], [()], [], [[[[1]]]])
+            [t], [()], [], [[[[int(t)]]]])
 
-    write("c001", 100.0)       # segment 0
-    write("c002", 3700.0)      # segment 1 (already past the boundary)
+    write("c001", 100.0)
+    write("c002", 3700.0)
     assert archive.manifest() == {}  # both still buffered
-    assert archive.flush_before(3600.0) == 1
+    assert archive.flush_before(3600.0) == 0
+    tips = {h: fp for (h, _d), fp in archive.manifest().items()}
+    assert set(tips) == {"c001"} and tips["c001"].until == 3600.0
+    write("c001", 4000.0)
+    assert archive.flush_before(DAY) == 2
     manifest = archive.manifest()
-    assert {h for h, _d in manifest} == {"c001"}
-    # c002's open segment is untouched; closing flushes the rest.
-    archive.close()
-    assert {h for h, _d in archive.manifest()} == {"c001", "c002"}
+    assert {h for h, _d in manifest} == {"c001", "c002"}
+    path = Path(manifest["c001", "2011-06-01"].path)
+    size, _fp, until = file_tip(path)
+    assert until is None and size == path.stat().st_size
+    assert read_host_day(path).times.tolist() == [100.0, 4000.0]
+    first = tips["c001"].size
+    assert read_host_day(path, start=first).times.tolist() == [4000.0]
+    assert archive.close() and archive.stats.file_count == 2
+
+
+def test_a_flipped_byte_in_a_consumed_unit_is_caught(tmp_path, capsys):
+    """One byte of unit 3's columns flipped in a 24-unit day file the
+    ledger consumed whole: the trusting append re-derives the chain of
+    the touched file and raises "mutated", and ``repro-diagnose
+    --verify`` re-chains every unit and names the file."""
+    from repro.cli.diagnose import main as diagnose_main
+    from repro.ingest.pipeline import IngestPipeline
+    from repro.tacc_stats import columnar
+
+    path, archive_dir = str(tmp_path / "w.sqlite"), tmp_path / "arch"
+    session = LiveSession(Facility(CFG, seed=SEED), str(archive_dir),
+                          warehouse=Warehouse(path), segment_seconds=HOUR)
+    session.run()
+    session.warehouse.close()
+    victim = sorted(archive_dir.rglob("2011-06-01.v2"))[0]
+    units = columnar._checked(victim, lambda mm: columnar._units(
+        mm, len(mm), 0, victim.name))
+    assert len(units) == 24
+    start, _end, footer, _off = units[3]
+    chunk = next(c for c in footer["chunks"] if c["nbytes"])
+    data = bytearray(victim.read_bytes())
+    data[start + chunk["offset"]] ^= 1
+    victim.write_bytes(bytes(data))
+
+    w = Warehouse(path)
+    with pytest.raises(ValueError, match="mutated"):
+        IngestPipeline(w).ingest(
+            CFG, accounting_text=session.accounting_text,
+            archive=HostArchive(archive_dir), mode="append")
+    w.close()
+    assert diagnose_main(["--warehouse", path, "--system", CFG.name,
+                          "--verify", str(archive_dir)]) == 1
+    assert f"{victim.parent.name}/2011-06-01: content differs" in \
+        capsys.readouterr().out
 
 
 def test_day_archives_write_no_sidecar(tmp_path):
-    """Default day rotation keeps the on-disk layout byte-identical to
-    pre-live archives: no archive.json appears."""
+    """The on-disk layout is the pre-live one: no archive.json."""
     root = tmp_path / "day_arch"
     HostArchive(root)
     assert not (root / "archive.json").exists()

@@ -7,8 +7,6 @@ the :func:`~tests.parity.tables` list).  The rows:
 
 * offline ``run_with_files`` — Ranger, Lonestar4 and Stampede, each as
   text+gzip and as v2, with one replay worker and with two;
-* an hourly ``LiveReplay`` of the same systems and formats, run to the
-  horizon (``end``) and stopped mid-hour at 5 h + 1234.5 s (``stop``);
 * one offline row with a user-programmed PMC at every other job begin
   (``USER_PROGRAMMED_PROB = 0.5``), so foreign counter programs sit
   inside multi-job blocks;
@@ -18,7 +16,9 @@ the :func:`~tests.parity.tables` list).  The rows:
 
 The committed digests were captured at the last commit that shipped a
 second, per-sample synthesis driver beside ``NodeSynth``, where both
-were asserted equal.  :func:`capture` asserts, row by row, that the
+were asserted equal.  A live replay writes the same day files, grown by
+a unit a flush: ``test_properties_synthesis.py`` holds it to the scalar
+path and to the offline replay.  :func:`capture` asserts, row by row, that the
 kernels write what each collector's scalar path writes
 (:func:`scalar_collectors`, one worker).
 """
@@ -32,10 +32,7 @@ from unittest import mock
 
 from repro.config import LONESTAR4, RANGER, STAMPEDE
 from repro.facility import Facility, FacilityRun
-from repro.live.runner import LiveReplay
-from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors import amd64_pmc, intel_pmc
-from repro.util.timeutil import HOUR
 from tests.parity import sha, tables, tree
 from tests.scalar_reference import scalar_collectors
 
@@ -43,8 +40,6 @@ SYSTEMS = {"ranger": RANGER, "lonestar4": LONESTAR4, "stampede": STAMPEDE}
 FORMATS = ("text", "v2")
 SEED = 17
 OFFLINE = dict(num_nodes=4, horizon_days=1, n_users=8)
-LIVE = dict(num_nodes=2, horizon_days=1.5, n_users=6)
-STOP = 5 * HOUR + 1234.5
 
 
 def hashed_tree(root: Path) -> str:
@@ -85,34 +80,12 @@ def _fleet_row(root: Path, workers: int) -> dict[str, str]:
     return digests(root, fleet(root, workers))
 
 
-def live(root: Path, system: str, fmt: str,
-         until: float | None) -> dict[str, str]:
-    """An hourly replay to *until* (None: the horizon)."""
-    cfg = SYSTEMS[system].scaled(**LIVE)
-    facility = Facility(cfg, seed=SEED)
-    workload, sim, _outages, _cluster = facility._simulate()
-    archive = HostArchive(root, rotate_seconds=HOUR, archive_format=fmt)
-    replay = LiveReplay(cfg, SEED, *facility._behavior_context(workload),
-                        sim.records, archive)
-    until = cfg.horizon if until is None else until
-    t = 0.0
-    while t < until:
-        t = min(t + HOUR, until)
-        replay.advance(t)
-        archive.flush_before(t)
-    archive.close()
-    return {"tree": hashed_tree(root)}
-
-
 #: The row ``test_synthesis.py`` checks, with its counters.
 FLEET = "fleet/stampede/v2/w2"
 #: Label -> ``(root[, workers=]) -> {"tree": sha[, "tables": sha]}``.
 ROWS = {
     **{f"offline/{s}/{f}/w{w}": partial(offline, system=s, fmt=f, workers=w)
        for s in SYSTEMS for f in FORMATS for w in (1, 2)},
-    **{f"live/{s}/{f}/{name}": partial(live, system=s, fmt=f, until=until)
-       for s in SYSTEMS for f in FORMATS
-       for name, until in (("end", None), ("stop", STOP))},
     "offline/ranger/text/w1/pmc50": partial(
         offline, system="ranger", fmt="text", pmc_prob=0.5),
     FLEET: partial(_fleet_row, workers=2),

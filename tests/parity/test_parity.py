@@ -51,7 +51,7 @@ def test_every_row_writes_what_the_parent_wrote(tmp_path):
     # The fleet row runs, with its counters, in test_synthesis.py.
     want = EXPECTED["synthesis"]
     outcomes = syn.outcomes(tmp_path, skip={syn.FLEET})
-    assert len(outcomes) == 2 * len(syn.SYSTEMS) * len(syn.FORMATS) * 2 + 1 == 25
+    assert len(outcomes) == len(syn.SYSTEMS) * len(syn.FORMATS) * 2 + 1 == 13
     assert set(outcomes) == set(want) - {syn.FLEET}
     differs = [label for label, digests in outcomes.items()
                if digests != want[label]]

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro import LONESTAR4, RANGER
 from repro.federation import ClusterPlan, FederatedFacility
+from repro.ingest.warehouse import Warehouse
 from repro.service.protocol import ERROR_STATUS
 from repro.service.server import MAX_HEADERS, MAX_LINE, RequestHandler, make_server
 from repro.service.state import ServiceState
@@ -359,3 +360,44 @@ def test_pipelined_requests_answer_as_if_each_were_alone(
             assert client.closed()
     finally:
         client.close()
+
+
+def test_health_and_systems_run_no_sql_on_unchanged_shards(fed_server):
+    """The system list comes from the store's routing map: ten of each
+    over unchanged shards run no SQLite statement."""
+    client = RawClient(fed_server)
+    shards = fed_server.state.store.shards.values()
+    statements: list[str] = []
+    try:
+        for path in ("/api/v1/health", "/api/v1/systems"):
+            assert client.get(path)[0] == 200  # warm
+        for shard in shards:
+            shard._conn.set_trace_callback(statements.append)
+        for _ in range(10):
+            for path in ("/api/v1/health", "/api/v1/systems"):
+                status, _, body = client.get(path)
+                assert status == 200
+                assert "lonestar4" in json.loads(body)["systems"]
+    finally:
+        for shard in shards:
+            shard._conn.set_trace_callback(None)
+        client.close()
+    assert statements == []
+
+
+def test_an_external_system_is_listed_after_refresh(tmp_path):
+    from repro.federation.federated import FederatedWarehouse
+
+    path = str(tmp_path / "ranger.sqlite")
+    Warehouse(path).close()
+    store = FederatedWarehouse.open_file(path)
+    assert store.all_systems() == []
+    other = Warehouse(path)
+    other.add_system("ranger", num_nodes=2, cores_per_node=16,
+                     mem_gb_per_node=32.0, peak_tflops=1.0,
+                     sample_interval=600.0)
+    other.close()
+    assert store.all_systems() == []  # another process's commit
+    store.refresh()
+    assert store.all_systems() == ["ranger"]
+    store.close()

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro import config
 from repro.facility import Facility
 from repro.ingest.parallel import scan_archive
+from repro.live.runner import LiveReplay
 from repro.tacc_stats import parser
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.format import StatsWriter
@@ -370,17 +371,24 @@ SYSTEMS = {"ranger": config.RANGER, "lonestar4": config.LONESTAR4,
 
 @pytest.fixture(scope="module")
 def archives(tmp_path_factory):
-    """``{(system, rotate_seconds): plain-text archive}``, 3 nodes x 2
-    days each."""
+    """``{(system, flush seconds): plain-text archive}``, 3 nodes x 2
+    days each, replayed with a flush every day or every hour (a text
+    day file is written whole when its day closes)."""
     out = {}
     for name, cfg in SYSTEMS.items():
-        for rotate in (86400, 3600):
-            root = tmp_path_factory.mktemp(f"{name}-{rotate}")
-            # The sidecar makes the replay's own open rotate at it.
-            HostArchive(root, rotate_seconds=rotate)
-            Facility(cfg.scaled(num_nodes=3, horizon_days=2),
-                     seed=21).run_with_files(str(root), compress=False)
-            out[name, rotate] = root
+        cfg = cfg.scaled(num_nodes=3, horizon_days=2)
+        for flush in (86400, 3600):
+            root = tmp_path_factory.mktemp(f"{name}-{flush}")
+            facility = Facility(cfg, seed=21)
+            workload, sim, _outages, _cluster = facility._simulate()
+            archive = HostArchive(root, compress=False)
+            replay = LiveReplay(cfg, 21, *facility._behavior_context(
+                workload), sim.records, archive)
+            for t in range(flush, int(cfg.horizon) + flush, flush):
+                replay.advance(min(t, cfg.horizon))
+                archive.flush_before(t)
+            archive.close()
+            out[name, flush] = root
     return out
 
 
@@ -407,12 +415,12 @@ def _scan_counters(root, **kw):
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_clean_archives_never_take_the_line_loop(archives, tmp_path,
                                                  system, rotate):
-    """Every file the system writes is regular — day files, hourly
-    segments and the two-block tail file alike; plain or gzipped — and
-    equals the loop's parse."""
+    """Every file the system writes is regular — day files and the
+    two-block tail file alike, however often flushed; plain or gzipped
+    — and equals the loop's parse."""
     root = archives[system, rotate]
     files = [p for p in Path(root).glob("*/*") if p.is_file()]
-    assert len(files) >= 3 * (3 if rotate == 86400 else 48)
+    assert len(files) == 3 * 3
     for path in files:
         assert assert_same_as_line_loop(path.read_text()), path
     for tree in (root, _gz_copy(root, tmp_path / "gz")):

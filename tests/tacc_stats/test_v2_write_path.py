@@ -44,17 +44,22 @@ ARCHETYPES = {"ranger": RANGER, "stampede": STAMPEDE,
               "lonestar4": LONESTAR4}
 
 
-def _synthesize(cfg, seed, root, archive_format, rotate=DAY,
+def _synthesize(cfg, seed, root, archive_format, flush=DAY,
                 compress=True):
-    """Replay *cfg* into a fresh archive at *root*; its final stats."""
+    """Replay *cfg* into a fresh archive at *root*, flushed every
+    *flush* seconds (a v2 day file grows by a unit each); its final
+    stats."""
     facility = Facility(cfg, seed=seed)
     workload, sim, _outages, _cluster = facility._simulate()
-    archive = HostArchive(root, compress=compress, rotate_seconds=rotate,
+    archive = HostArchive(root, compress=compress,
                           archive_format=archive_format,
                           resume_stats=False)
-    LiveReplay(cfg, seed, workload.users, workload.util_scale,
-               facility.phase_calibration, facility.regressions,
-               sim.records, archive).advance(cfg.horizon)
+    replay = LiveReplay(cfg, seed, workload.users, workload.util_scale,
+                        facility.phase_calibration, facility.regressions,
+                        sim.records, archive)
+    for t in range(flush, int(cfg.horizon) + flush, flush):
+        replay.advance(min(t, cfg.horizon))
+        archive.flush_before(t)
     return archive.close()
 
 
@@ -82,14 +87,14 @@ def test_decimal_digits_at_every_boundary():
 @given(
     name=st.sampled_from(sorted(ARCHETYPES)),
     seed=st.integers(min_value=0, max_value=2**20),
-    rotate=st.sampled_from([DAY, 6 * HOUR, HOUR]),
+    flush=st.sampled_from([DAY, 6 * HOUR, HOUR]),
 )
 @settings(max_examples=6, deadline=None, derandomize=True)
 def test_text_bytes_equals_rendered_length(tmp_path_factory, name, seed,
-                                           rotate):
+                                           flush):
     cfg = ARCHETYPES[name].scaled(num_nodes=2, horizon_days=1, n_users=6)
     v2_dir = tmp_path_factory.mktemp("v2")
-    v2_stats = _synthesize(cfg, seed, v2_dir, "v2", rotate)
+    v2_stats = _synthesize(cfg, seed, v2_dir, "v2", flush)
     files = sorted(v2_dir.rglob("*.v2"))
     assert files
     seen = set()
@@ -104,10 +109,10 @@ def test_text_bytes_equals_rendered_length(tmp_path_factory, name, seed,
     # (derandomize: the examples, and so this coverage, are fixed).
     assert seen == {"idle", "job", "begin", "end"}
     text_stats = _synthesize(cfg, seed, tmp_path_factory.mktemp("text"),
-                             "text", rotate)
+                             "text", flush)
     assert v2_stats.raw_bytes == text_stats.raw_bytes
     assert v2_stats.raw_bytes == sum(
-        read_header(p)["text_bytes"] for p in files)
+        read_host_day(p).header["text_bytes"] for p in files)
 
 
 # ---------------------------------------------------------------------------

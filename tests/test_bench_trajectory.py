@@ -91,3 +91,19 @@ def test_a_paper_scale_block_prints_each_layer_and_flags_past_2x():
     for pr, path in trajectory.records():
         trajectory.paper_scale_rows(pr, json.loads(path.read_text()),
                                     path.name)
+
+
+def test_counts_blocks_print_one_row_per_count_and_side():
+    table = trajectory.counts()
+    by_pr = {pr: [r for r in table if r.pr == pr] for pr in (39, 42)}
+    assert all(by_pr.values())
+    for pr, rows in by_pr.items():
+        assert [r.side for r in rows] == ["parent", "change"] * (len(rows) // 2)
+    assert ("ledger_rows", "change", 48) in {
+        (r.count, r.side, r.value) for r in by_pr[42]}
+    text = trajectory.render_counts(table).splitlines()
+    assert len(text) == len(table) + 1
+    with pytest.raises(ValueError, match=r"BENCH_42\.json: counts\.x: "
+                                         r"no 'change'"):
+        trajectory.count_rows(42, {"counts": {"x": {"parent": 1}}},
+                              "BENCH_42.json")

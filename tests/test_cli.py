@@ -477,11 +477,11 @@ def test_simulate_seed_then_append_through_the_ledger(tmp_path, capsys):
 
 
 def test_simulate_live_batches_parse_every_file_once(tmp_path, capsys):
-    """Five hourly ``--live`` batches: the segments are v2 files that
-    ``repro-stats-cat`` still reads, jobs spanning several files go on
-    from their scan states (re-reading the files that hold them was 4),
-    the snapshot grows monotonically, and the ledgered fingerprints and
-    kept states verify against the live archive."""
+    """Five hourly ``--live`` batches: each grows every host's v2 day
+    file by a unit that ``repro-stats-cat`` still reads, jobs spanning
+    several units go on from their scan states, only the new units are
+    read, the snapshot grows monotonically, and the ledgered
+    fingerprints and kept states verify against the live archive."""
     from repro.cli.diagnose import main as diagnose_main
     from repro.telemetry.manifest import RunManifest
 
@@ -492,9 +492,8 @@ def test_simulate_live_batches_parse_every_file_once(tmp_path, capsys):
         "--live", "--live-segment-seconds", "3600",
         "--live-max-batches", "5", "--telemetry-out", manifest_path]) == 0
     assert "[live] batch=0" in capsys.readouterr().out
-    segments = sorted(p for p in Path(arch).rglob("*") if p.is_file()
-                      and p.name != "archive.json")
-    assert segments and {p.suffix for p in segments} == {".v2"}
+    segments = sorted(p for p in Path(arch).rglob("*") if p.is_file())
+    assert len(segments) == 6 and {p.suffix for p in segments} == {".v2"}
     assert stats_cat_main([str(segments[0])]) == 0
     assert "TACC_Stats stream" in capsys.readouterr().out
     manifest = RunManifest.read(manifest_path)
@@ -504,7 +503,7 @@ def test_simulate_live_batches_parse_every_file_once(tmp_path, capsys):
     assert counters["live.rows_appended"] > 0
     assert {k: counters[f"ingest.delta.files_{k}"]
             for k in ("new", "lookback", "skipped")} == {
-        "new": 30, "lookback": 0, "skipped": 60}
+        "new": 30, "lookback": 0, "skipped": 0}
     assert diagnose_main(["--warehouse", wh, "--system", "lonestar4",
                           "--verify", arch]) == 0
     assert "no differences" in capsys.readouterr().out

@@ -16,6 +16,7 @@ rows at arbitrary points).
 """
 
 from contextlib import nullcontext
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -76,20 +77,20 @@ def test_fast_engine_matches_scalar_oracle(
          offset=0.0, revisit=False, archive_format="text",
          partition=[[1], [0]])
 @settings(max_examples=4, deadline=None)
-def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
-                                   segment_hours, batch_segments, offset,
-                                   revisit, archive_format, partition):
-    """Sub-day rotation: the live replay closes segments (firing the
-    direct-to-v2 encoder) after every micro-batch, so the fast engine's
-    day blocks are released — and their files closed — at points the
-    offline path never sees: on segment edges, mid-hour (*offset*), at
-    the same instant twice (*revisit*), and across ``t = DAY``, whose
-    tick is the last row of day 1's block and the first of day 2's
-    file.  The archives must still match the scalar path's byte for
-    byte.  And the offline path over any node *partition*, one chunk
-    after another, each advanced to the horizon in a single call, must
-    write that same tree: any partition × any slicing gives one
-    archive."""
+def test_sub_day_flush_identity(tmp_path_factory, seed, horizon_days,
+                                segment_hours, batch_segments, offset,
+                                revisit, archive_format, partition):
+    """Sub-day flushes: the live replay appends a unit to every open v2
+    day file (firing the direct-to-v2 encoder) after every micro-batch,
+    so the fast engine's day blocks are released — and units written —
+    at points the offline path never sees: on flush edges, mid-hour
+    (*offset*), at the same instant twice (*revisit*), and across
+    ``t = DAY``, whose tick is the last row of day 1's block and the
+    first of day 2's file.  The archives must still match the scalar
+    path's byte for byte.  And the offline path over any node
+    *partition*, one chunk after another, each advanced to the horizon
+    in a single call, must write files that read as the same text: any
+    partition × any slicing gives one archive."""
     cfg = RANGER.scaled(num_nodes=2, horizon_days=horizon_days, n_users=5)
     seg = segment_hours * HOUR
     instants, t = [], offset
@@ -101,7 +102,7 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
         d = str(tmp_path_factory.mktemp(synthesis))
         facility = Facility(cfg, seed=seed)
         workload, sim, _outages, _cluster = facility._simulate()
-        archive = HostArchive(d, compress=False, rotate_seconds=seg,
+        archive = HostArchive(d, compress=False,
                               archive_format=archive_format)
         with scalar_collectors() if synthesis == "scalar" else nullcontext():
             replay = LiveReplay(
@@ -115,18 +116,18 @@ def test_sub_day_rotation_identity(tmp_path_factory, seed, horizon_days,
             archive.close()
         assert fired == sum(len(unit.events) for unit in replay._nodes)
         trees[synthesis] = tree(d)
+        texts = {p.relative_to(d): HostArchive.read_file(p)
+                 for p in Path(d).rglob("*") if p.is_file()}
     assert trees["fast"] == trees["scalar"]
 
     d = str(tmp_path_factory.mktemp("offline"))
-    # The sidecar this writes makes every later open of the directory
-    # — each chunk's replay opens its own — rotate at the same period.
-    HostArchive(d, rotate_seconds=seg)
     for chunk in partition:
         _replay_nodes(
             cfg, seed, workload.users, workload.util_scale,
             facility.phase_calibration, facility.regressions,
             sim.records, chunk, d, False, archive_format)
-    assert tree(d) == trees["fast"]
+    assert {p.relative_to(d): HostArchive.read_file(p)
+            for p in Path(d).rglob("*") if p.is_file()} == texts
 
 
 def test_live_session_fast_matches_scalar(tmp_path_factory):

@@ -39,7 +39,7 @@ from repro.tacc_stats.collectors import (
 )
 from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import MetricsRegistry, use_registry
-from repro.util.timeutil import DAY, HOUR, period_label
+from repro.util.timeutil import DAY, HOUR
 from tests.parity import expected, tree
 from tests.parity import synthesis as sp
 from tests.scalar_reference import scalar_collectors
@@ -214,14 +214,10 @@ def test_node_output_depends_only_on_seed_and_node(tmp_path):
 def test_synth_telemetry_counters(tmp_path):
     """``synth.chunks`` is the deterministic perf guard: one block — one
     round of kernel calls — per (node, day) of an offline replay,
-    however many jobs began on the node meanwhile and whatever period
-    the files rotate at; and it leaves nothing held."""
-    for archive_format, rotate in [("text", DAY), ("v2", DAY),
-                                   ("v2", 4 * HOUR)]:
-        d = str(tmp_path / f"{archive_format}-{rotate}")
-        # The sidecar a non-default period leaves makes the replay's own
-        # open of the directory rotate at it.
-        HostArchive(d, rotate_seconds=rotate)
+    however many jobs began on the node meanwhile and whatever the
+    format; and it leaves nothing held."""
+    for archive_format in ("text", "v2"):
+        d = str(tmp_path / archive_format)
         reg = MetricsRegistry()
         with use_registry(reg):
             run = Facility(CFG, seed=SEED).run_with_files(
@@ -266,18 +262,19 @@ def test_stopped_session_publishes_nothing_ahead_of_its_clock(
         tmp_path, archive_format, compress):
     """A driver that stops mid-day (``--live-max-batches``, an
     exception) and closes its archive leaves what the scalar path
-    leaves: the finished tree's closed hours, the open hour's rows up to
-    the clock and none past it, and counters for exactly the rows on
-    disk.  The rest of the day's block is held, not written."""
+    leaves: a day file per node whose rows run up to the clock and none
+    past it — the start of the finished file's — and counters for
+    exactly the rows on disk.  The rest of the day's block is held, not
+    written."""
     stop = 5 * HOUR + 1234.5
-    trees = {}
+    trees, texts = {}, {}
     for name, scalar, until in [("stopped", False, stop),
                                 ("oracle", True, stop),
                                 ("finished", False, CFG.horizon)]:
         d = str(tmp_path / name)
         facility = Facility(CFG, seed=SEED)
         workload, sim, _outages, _cluster = facility._simulate()
-        archive = HostArchive(d, compress=compress, rotate_seconds=HOUR,
+        archive = HostArchive(d, compress=compress,
                               archive_format=archive_format)
         reg = MetricsRegistry()
         with use_registry(reg), \
@@ -292,6 +289,8 @@ def test_stopped_session_publishes_nothing_ahead_of_its_clock(
                 archive.flush_before(t)
             archive.close()
         trees[name] = tree(d)
+        texts[name] = {p.relative_to(d): HostArchive.read_file(p)
+                       for p in Path(d).rglob("*") if p.is_file()}
         if name == "stopped":
             snap = reg.snapshot()
             per_sample = {u.engine._rows_per_sample for u in replay._nodes}
@@ -306,11 +305,9 @@ def test_stopped_session_publishes_nothing_ahead_of_its_clock(
             assert snap.gauges["synth.rows_held"] == sum(
                 u.engine.rows_held for u in replay._nodes) > 0
     assert trees["stopped"] == trees["oracle"]
-    open_hour = period_label(int(stop // HOUR), HOUR)
-    closed = {name: digest for name, digest in trees["stopped"].items()
-              if open_hour not in name}
-    assert len(trees["stopped"]) - len(closed) == CFG.num_nodes
-    assert closed.items() <= trees["finished"].items()
+    assert len(texts["stopped"]) == CFG.num_nodes
+    for rel, text in texts["stopped"].items():
+        assert texts["finished"][rel].startswith(text)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +341,7 @@ def test_v2_accumulator_keeps_no_view_of_a_block(tmp_path):
     assert owned(archive)
     archive.close()
 
-    archive = HostArchive(str(tmp_path / "hourly"), archive_format="v2",
-                          rotate_seconds=HOUR)
+    archive = HostArchive(str(tmp_path / "hourly"), archive_format="v2")
     for unit in node_replays(CFG, SEED, sim.records, [0, 1], behaviors,
                              archive):
         engine = unit.engine
@@ -383,7 +379,7 @@ def test_foreign_pmc_programs_inside_multi_job_blocks(
             d = str(tmp_path / f"live-{synthesis}")
             facility = Facility(cfg, seed=SEED)
             workload, sim, _outages, _cluster = facility._simulate()
-            archive = HostArchive(d, compress=False, rotate_seconds=HOUR,
+            archive = HostArchive(d, compress=False,
                                   archive_format=archive_format)
             replay = LiveReplay(
                 cfg, SEED, workload.users, workload.util_scale,
