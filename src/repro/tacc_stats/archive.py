@@ -172,10 +172,14 @@ def _write_unit(path: Path, offset: int, data: bytes) -> None:
     """Write *data* at byte *offset* of *path* (a new file at 0),
     cutting whatever follows: the torn tail of a writer killed
     mid-unit."""
-    with path.open("r+b" if offset else "wb") as fh:
-        fh.seek(offset)
-        fh.write(data)
-        fh.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a write may take fewer bytes than it is given
+            view = view[os.pwrite(fd, view, offset + len(data) - len(view)):]
+        os.ftruncate(fd, offset + len(data))
+    finally:
+        os.close(fd)
 
 
 #: Precedence when one host-day exists in several representations.
@@ -344,7 +348,8 @@ class HostArchive:
         if unit is None:
             return
         path = self.root / hostname / (day_index_to_date(day) + V2_SUFFIX)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not offset:
+            path.parent.mkdir(parents=True, exist_ok=True)
         stats = self.stats  # seeded from disk before this write
         _write_unit(path, offset, unit[0])
         self._tally(stats, path, unit[1], len(unit[0]), offset == 0)

@@ -34,21 +34,25 @@ Column chunks (R = total data rows in file order, N = blocks)::
 
 A file grows by appending *units* (docs/FORMAT.md, "Units").  The
 layout above is its first unit, byte for byte what an offline writer
-stores for a whole day; a later unit (magic ``b"\\x93RPC2+\\r\\n"``)
-has the same shape but carries only its blocks, tags, marks and
-``text_bytes``, and its footer names its ``start`` offset and its
-fingerprint, chained over the previous unit's (so the last one vouches
-for every byte before it), and a flush before its day ended (``until``).
-Bytes after the last complete trailer are a torn tail, never a unit.
+stores for a whole day.  The writer appends only full-suite blocks over
+those device tables, so a later unit is dense: ``b"\\x93RPC2*\\r\\n"``,
+zero bytes up to an 8-byte boundary, ``times`` f8[N], ``values``
+u8[N, W] (W: devices x values, summed over the types), ``tags`` u4[N],
+a JSON tail (tag table, marks, ``text_bytes``) and a fixed trailer:
+N, W, the tail's length, ``start``, ``until`` (NaN: none), one sha256
+chained over the previous unit's fingerprint and every byte before it,
+``b"\\x00RPC2NXT"``.  Bytes after the last complete trailer are a torn
+tail, never a unit.
 
 The two global streams record the exact interleaving of rows, so a v2
 file reconstructs its source text byte-for-byte (for canonical,
-writer-produced text; see :func:`host_day_to_text`).  Every chunk
-carries a sha256 digest that the reader verifies on open, so silent
-bit-rot is impossible — a corrupt chunk raises :class:`V2FormatError`,
-which subclasses :class:`~repro.tacc_stats.parser.ParseError` so the
-quarantine/repair error policies treat a damaged v2 file exactly like a
-damaged gzip stream (``unreadable_file``).
+writer-produced text; see :func:`host_day_to_text`).  Every chunk, and
+every later unit whole, carries a sha256 digest that the reader
+verifies on open, so silent bit-rot is impossible — a corrupt chunk
+raises :class:`V2FormatError`, which subclasses
+:class:`~repro.tacc_stats.parser.ParseError` so the quarantine/repair
+error policies treat a damaged v2 file exactly like a damaged gzip
+stream (``unreadable_file``).
 
 Fingerprint: the header's ``source_sha256`` is what
 :meth:`HostArchive.manifest` reports for a v2 file, and ``source_kind``
@@ -70,7 +74,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import mmap
+import os
 import struct
 from functools import lru_cache
 from pathlib import Path
@@ -95,13 +101,19 @@ __all__ = [
     "read_header",
     "read_host_day",
     "rechain",
-    "unit_fingerprint",
 ]
 
 V2_SUFFIX = ".v2"
 _MAGIC = b"\x93RPC2\r\n\x00"
-_UNIT_MAGIC = b"\x93RPC2+\r\n"
 _TAIL = b"\x00RPC2END"
+#: A later unit's first and last 8 bytes (the older indexed later unit,
+#: which began ``b"\x93RPC2+\r\n"``, is refused).
+_UNIT_MAGIC = b"\x93RPC2*\r\n"
+_UNIT_TAIL = b"\x00RPC2NXT"
+#: A later unit's trailer up to its sha256: N, W, tail length, start,
+#: until; then the sha256 and the tail.
+_TRAILER = struct.Struct("<IIIQd")
+_TRAILER_END = _TRAILER.size + 32 + len(_UNIT_TAIL)
 _VERSION = 2
 _ALIGN = 64
 
@@ -163,13 +175,21 @@ class _TypeTable(NamedTuple):
     schemas_json: str
     types_json: tuple[str, ...]
     chunk_names: tuple[str, ...]
+    #: A later unit's value matrix: per type its schema, first column
+    #: (then W) and ``(devices, values)``; each column's largest value.
+    schemas: tuple[TypeSchema, ...]
+    cols: tuple[int, ...]
+    shapes: tuple[tuple[int, int], ...]
+    limits: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _type_table(key: tuple[tuple[str, tuple[str, ...]], ...]) -> _TypeTable:
     """The :class:`_TypeTable` of *key*, built once per suite (a writer
     repeats its suite in every file)."""
-    schemas = [TypeSchema.parse_header_line(line) for line, _d in key]
+    schemas = tuple(TypeSchema.parse_header_line(line) for line, _d in key)
+    shapes = tuple((len(devices), s.n_values)
+                   for s, (_l, devices) in zip(schemas, key))
     return _TypeTable(
         sum(_utf8_len(line) + 1 for line, _d in key),
         np.array([_utf8_len(s.type_name) + 2 + s.n_values + _utf8_len(d)
@@ -182,24 +202,32 @@ def _type_table(key: tuple[tuple[str, tuple[str, ...]], ...]) -> _TypeTable:
               for s, (_l, devices) in zip(schemas, key)),
         tuple(map(_dumps, ["times", "tags", "row_type", "row_block", *(
             f"{kind}/{s.type_name}" for s in schemas
-            for kind in ("dev", "val"))])))
+            for kind in ("dev", "val"))])),
+        schemas,
+        tuple(itertools.accumulate((d * k for d, k in shapes), initial=0)),
+        shapes, np.concatenate([np.tile(s.masks, d) for s, (d, _k)
+                                in zip(schemas, shapes)] or [[]]))
 
 
-def _text_bytes(day: HostColumns, table: _TypeTable, head: bool) -> int:
+def _block_bytes(times: np.ndarray, tag_bytes: int, marks) -> int:
+    """Text bytes of the ``<time> <tag>`` line of every block (its tags
+    *tag_bytes* in all) and the ``%<kind> <jobid>`` line of every mark."""
+    return (sum(len(_format_time(t)) + 2 for t in times.tolist()) + tag_bytes
+            + sum(_utf8_len(kind) + _utf8_len(jobid) + 3
+                  for _b, kind, jobid in marks))
+
+
+def _text_bytes(day: HostColumns, table: _TypeTable) -> int:
     """``len(day.to_text().encode())`` without rendering: the header
-    lines (when *head*: a later unit's text continues its file's), one
-    ``<time> <tag>`` line per block, one ``%<kind> <jobid>`` line per
-    mark, and per data row its ``<type> <device> `` prefix, the decimal
-    digits of its values and one separator or newline after each."""
+    lines, the block and mark lines, and per data row its ``<type>
+    <device> `` prefix, the decimal digits of its values and one
+    separator or newline after each."""
     tag_len = np.array([_utf8_len(tag) for tag in day.jobid_tags],
                        dtype=np.int64)
-    total = (
-        (sum(_utf8_len(f"${k} {v}\n") for k, v in day.properties.items())
-         + table.line_bytes if head else 0)
-        + sum(len(_format_time(t)) + 2 for t in day.times.tolist())
-        + int(tag_len[day.tags].sum())
-        + sum(_utf8_len(kind) + _utf8_len(jobid) + 3
-              for _b, kind, jobid in day.marks))
+    total = (sum(_utf8_len(f"${k} {v}\n") for k, v in day.properties.items())
+             + table.line_bytes
+             + _block_bytes(day.times, int(tag_len[day.tags].sum()),
+                            day.marks))
     if day.types:
         dev_idx = np.concatenate([tc.dev_idx for tc in day.types])
         values = np.concatenate([tc.values.ravel() for tc in day.types])
@@ -210,16 +238,13 @@ def _text_bytes(day: HostColumns, table: _TypeTable, head: bool) -> int:
 
 
 def _encode_columns(day: HostColumns, source: tuple[str, str] | None,
-                    until: float | None = None,
-                    after: tuple[str, int] | None = None,
-                    ) -> tuple[bytes, int]:
-    """Header + chunks of one unit, assembled: ``(v2 bytes,
-    text_bytes)``.  *source* as for
+                    until: float | None = None) -> tuple[bytes, int, str]:
+    """A whole file, or a file's first unit, assembled: ``(v2 bytes,
+    text_bytes, fingerprint)``.  *source* as for
     :func:`encode_host_text`; *until* is the flush time a unit written
-    before its day ended records; *after* is ``(fingerprint, offset)``
-    of the unit this one follows in its file (``None``: the first).
+    before its day ended records.
 
-    The one place a v2 file is put together — from parsed text and
+    The one place a first unit is put together — from parsed text and
     from synthesized arrays alike — so equal columns give equal bytes.
     The JSON is what ``json.dumps(..., separators=(",", ":"))`` writes
     for the header and footer dicts in the module docstring, put
@@ -227,20 +252,18 @@ def _encode_columns(day: HostColumns, source: tuple[str, str] | None,
     """
     table = _type_table(tuple((tc.schema.header_line(), tc.devices)
                               for tc in day.types))
-    text_bytes = _text_bytes(day, table, head=after is None)
-    blocks = (f'"n_blocks":{day.times.shape[0]},'
-              f'"jobid_tags":{_dumps(day.jobid_tags)},'
-              f'"marks":{_dumps(day.marks)},"text_bytes":{text_bytes}')
+    text_bytes = _text_bytes(day, table)
     # The header up to its source fields: what a content fingerprint
     # covers, with ``source_kind``.
-    head = "{" + blocks if after is not None else (
-        f'{{"format":"repro-columnar","version":{_VERSION},'
-        f'"hostname":{_dumps(day.hostname)},'
-        f'"properties":{_dumps(list(day.properties.items()))},'
-        + table.schemas_json
-        + ",".join(f"{entry}{tc.values.shape[0]}}}"
-                   for entry, tc in zip(table.types_json, day.types))
-        + "]," + blocks)
+    head = (f'{{"format":"repro-columnar","version":{_VERSION},'
+            f'"hostname":{_dumps(day.hostname)},'
+            f'"properties":{_dumps(list(day.properties.items()))},'
+            + table.schemas_json
+            + ",".join(f"{entry}{tc.values.shape[0]}}}"
+                       for entry, tc in zip(table.types_json, day.types))
+            + f'],"n_blocks":{day.times.shape[0]},'
+            f'"jobid_tags":{_dumps(day.jobid_tags)},'
+            f'"marks":{_dumps(day.marks)},"text_bytes":{text_bytes}')
     arrays = [day.times, day.tags, day.row_type, day.row_block, *(
         arr for tc in day.types for arr in (tc.dev_idx, tc.values))]
     datas = [arr.tobytes() for arr in arrays]
@@ -250,21 +273,17 @@ def _encode_columns(day: HostColumns, source: tuple[str, str] | None,
                f'"{hashlib.sha256(data).hexdigest()}"')
               for name, arr, data in zip(table.chunk_names, arrays, datas)]
     sha256, kind = source if source is not None else (None, "v2")
-    if after is not None:
-        header_json = (head + "}").encode()
-    else:
-        if sha256 is None:
-            # No text predecessor: the fingerprint is a digest of the
-            # content itself — every other header field plus each
-            # chunk's identity (the chunk digests cover the data).
-            ident = ",".join(f"[{','.join(parts)}]" for parts in idents)
-            sha256 = hashlib.sha256(
-                f'[{head},"source_kind":"v2"}},[{ident}]]'.encode()
-            ).hexdigest()
-        header_json = (f'{head},"source_sha256":{_dumps(sha256)},'
-                       f'"source_kind":{_dumps(kind)}}}').encode()
-    parts = [_MAGIC if after is None else _UNIT_MAGIC,
-             struct.pack("<II", _VERSION, len(header_json)), header_json]
+    if sha256 is None:
+        # No text predecessor: the fingerprint is a digest of the
+        # content itself — every other header field plus each chunk's
+        # identity (the chunk digests cover the data).
+        ident = ",".join(f"[{','.join(parts)}]" for parts in idents)
+        sha256 = hashlib.sha256(
+            f'[{head},"source_kind":"v2"}},[{ident}]]'.encode()).hexdigest()
+    header_json = (f'{head},"source_sha256":{_dumps(sha256)},'
+                   f'"source_kind":{_dumps(kind)}}}').encode()
+    parts = [_MAGIC, struct.pack("<II", _VERSION, len(header_json)),
+             header_json]
     size = 16 + len(header_json)
     index = []
     for (name, dtype, shape, digest), data in zip(idents, datas):
@@ -277,21 +296,10 @@ def _encode_columns(day: HostColumns, source: tuple[str, str] | None,
     footer = f'{{"chunks":[{",".join(index)}]'
     if until is not None:
         footer += f',"until":{_dumps(until)}'
-    if after is not None:
-        # Chained: the fingerprint covers the previous one, this
-        # unit's header and its footer up to the fingerprint itself.
-        footer += f',"start":{after[1]}'
-        sha256 = hashlib.sha256(after[0].encode() + header_json
-                                + footer.encode()).hexdigest()
-        footer += f',"sha256":"{sha256}"'
     footer_json = (footer + "}").encode()
     parts.append(footer_json)
     parts.append(struct.pack("<Q", len(footer_json)) + _TAIL)
-    blob = b"".join(parts)
-    registry = get_registry()
-    registry.counter("archive.v2.files_encoded").inc()
-    registry.counter("archive.v2.bytes_encoded").inc(len(blob))
-    return blob, text_bytes
+    return b"".join(parts), text_bytes, sha256
 
 
 def encode_host_text(text: str,
@@ -330,60 +338,96 @@ def block_columns(
     (``float(int(t))``), *tags* each block's job-id tag, and *marks*
     are ``(block_index, kind, jobid)`` in file order.
     """
-    n_blocks = int(np.asarray(times).shape[0])
+    n_blocks = len(times)
     tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
-    # Every block emits the full suite in order, so the global row
-    # streams are one repeated pattern: types in suite order with one
-    # row per device.
-    pattern = np.repeat(np.arange(len(devices_by_type), dtype="<u2"),
-                        [len(devs) for devs in devices_by_type])
-    block_of_row = np.arange(n_blocks, dtype="<u4")
-    # (dev_idx, block_idx) depend only on the device count; types that
-    # share one share the (read-only) arrays.
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     types = []
     for schema, devices, vals in zip(schemas, devices_by_type,
                                      values_by_type):
-        n_dev = len(devices)
-        k = schema.n_values
-        vals = np.asarray(vals)
-        if vals.shape != (n_blocks, n_dev, k):
-            raise ValueError(
-                f"{schema.type_name}: values shape {vals.shape}, "
-                f"expected {(n_blocks, n_dev, k)}")
-        if n_dev not in rows:
-            rows[n_dev] = (
-                np.arange(n_blocks * n_dev, dtype="<u4") % n_dev,
-                np.repeat(block_of_row, n_dev))
-        dev_idx, block_idx = rows[n_dev]
+        shape = (n_blocks, len(devices), schema.n_values)
+        if vals.shape != shape:
+            raise ValueError(f"{schema.type_name}: values shape "
+                             f"{vals.shape}, expected {shape}")
+        dev_idx, block_idx = _repeats(shape[1], n_blocks)
         types.append(TypeColumns(
-            name=schema.type_name, schema=schema, devices=tuple(devices),
-            dev_idx=dev_idx, block_idx=block_idx,
-            values=vals.reshape(n_blocks * n_dev, k).astype(
-                "<u8", copy=False)))
+            schema.type_name, schema, tuple(devices), dev_idx,
+            vals.reshape(-1, shape[2]).astype("<u8", copy=False),
+            block_idx))
+    # Every block emits the full suite in order, so the global row
+    # streams are one repeated pattern: types in suite order with one
+    # row per device.
+    rows, blocks = _repeats(sum(map(len, devices_by_type)), n_blocks)
     return HostColumns(
         hostname=hostname, properties=properties, types=types,
         times=np.asarray(times, dtype="<f8"),
         tags=np.array([tag_table[tag] for tag in tags], dtype="<u4"),
         jobid_tags=list(tag_table), marks=marks,
-        row_type=np.tile(pattern, n_blocks),
-        row_block=np.repeat(block_of_row, pattern.shape[0]))
+        row_type=np.repeat(np.arange(len(devices_by_type), dtype="<u2"),
+                           [len(devs) for devs in devices_by_type])[rows],
+        row_block=blocks)
 
 
-def encode_host_blocks(day: HostColumns, until: float | None = None,
+#: Per device count k: each row's device and block (below) for the
+#: most blocks m asked for yet, read-only; fewer blocks take prefixes.
+_PATTERNS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _repeats(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(arange(n * k) % k, repeat(arange(n), k))``: the device and
+    block of each row where *n* blocks carry *k* devices each."""
+    have = _PATTERNS.get(k)
+    if have is None or have[1].shape[0] < n * k:
+        m = max(2 * n, 64)
+        have = _PATTERNS[k] = (np.arange(m * k, dtype="<u4") % max(k, 1),
+                               np.repeat(np.arange(m, dtype="<u4"), k))
+        for arr in have:
+            arr.flags.writeable = False
+    return have[0][:n * k], have[1][:n * k]
+
+
+def encode_host_blocks(hostname: str, properties: dict[str, str],
+                       schemas: list[TypeSchema],
+                       devices_by_type: list[tuple[str, ...]],
+                       times: np.ndarray, tags: list[str],
+                       marks: list[tuple[int, str, str]],
+                       values_by_type: list[np.ndarray],
+                       until: float | None = None,
                        after: tuple[str, int] | None = None,
-                       ) -> tuple[bytes, int]:
-    """Encode a synthesized unit's columns (:func:`block_columns`) into
-    v2 bytes; returns them with the unit's ``text_bytes``.  *until* and
-    *after* as for :func:`_encode_columns`: without them the bytes are
-    a whole file with a content fingerprint.
+                       ) -> tuple[bytes, int, str]:
+    """Synthesized blocks (as :func:`block_columns` takes them) as their
+    file's next unit: ``(v2 bytes, text_bytes, fingerprint)``.  *until*
+    is the flush time a unit written before its day ended records;
+    *after* is ``(fingerprint, offset)`` of the unit this one follows
+    (``None``: the first — with no *until*, a whole file — whose bytes
+    equal what :func:`encode_host_text` gives for the blocks' text).
 
-    No text of them is ever made, and a whole file's bytes equal what
-    :func:`encode_host_text` gives for the text of the same blocks.
-    The synthesis engine calls this by name: the e2e benchmark harness
-    wraps it there to time ``tacc_stats.archive.encode_v2_s``.
+    A later unit is its arrays' bytes as they are held, a JSON tail and
+    one chained digest; no text is ever made.  The synthesis engine
+    calls this by name: the e2e benchmark harness wraps it there to
+    time ``tacc_stats.archive.encode_v2_s``.
     """
-    return _encode_columns(day, None, until, after)
+    if after is None:
+        return _encode_columns(block_columns(
+            hostname, properties, schemas, devices_by_type, times, tags,
+            marks, values_by_type), None, until)
+    table = _type_table(tuple(zip([s.header_line() for s in schemas],
+                                  map(tuple, devices_by_type))))
+    n = len(times)
+    matrix = np.hstack([vals.reshape(n, d * k) for vals, (d, k)
+                        in zip(values_by_type, table.shapes)])
+    tag_table = {tag: i for i, tag in enumerate(dict.fromkeys(tags))}
+    text_bytes = (_block_bytes(times, sum(map(_utf8_len, tags)), marks)
+                  + n * int(table.row_bytes.sum())
+                  + int(decimal_digits(matrix).sum()))
+    tail = _dumps([list(tag_table), marks, text_bytes]).encode()
+    body = b"".join([
+        _UNIT_MAGIC, bytes(-(after[1] + 8) % 8),
+        np.asarray(times, dtype="<f8").tobytes(),
+        matrix.astype("<u8", copy=False).tobytes(),
+        np.array([tag_table[tag] for tag in tags], dtype="<u4").tobytes(),
+        tail, _TRAILER.pack(n, matrix.shape[1], len(tail), after[1],
+                            math.nan if until is None else until)])
+    digest = hashlib.sha256(after[0].encode() + body).digest()
+    return body + digest + _UNIT_TAIL, text_bytes, digest.hex()
 
 
 def _checked(path: Path, fn):
@@ -391,8 +435,11 @@ def _checked(path: Path, fn):
     anything refers to it), any damage it trips over raised as
     :class:`V2FormatError`."""
     try:
-        with path.open("rb") as fh:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
         return fn(mm)
     except V2FormatError:
         raise
@@ -405,7 +452,7 @@ def _checked(path: Path, fn):
 
 def _header_at(mm, start: int, name: str = "") -> tuple[dict, int]:
     """The header JSON of the unit at byte *start*, and where it ends."""
-    if mm[start:start + 8] != (_UNIT_MAGIC if start else _MAGIC):
+    if mm[start:start + 8] != _MAGIC:
         raise V2FormatError(f"{name}: not a v2 file (bad magic at byte "
                             f"{start})")
     version, hdr_len = struct.unpack("<II", mm[start + 8:start + 16])
@@ -420,11 +467,34 @@ def _tail_keys(footer: bytes) -> dict:
     return json.loads(b"{" + footer[footer.rindex(b"]") + 1:].lstrip(b","))
 
 
-def _trailer(mm, end: int, name: str,
-             index: bool = True) -> tuple[int, int, dict, int]:
-    """``(start, end, footer, footer offset)`` of the unit ending at
-    byte *end*; without *index* the footer's keys after the chunk index
-    alone (``start``, ``until``, ``sha256``), the index left unparsed."""
+class _Unit(NamedTuple):
+    start: int
+    end: int
+    fingerprint: str  # "" for the first unit: its ``source_sha256``
+    until: float | None
+    #: ``(footer, footer offset)``, or a later unit's ``(N, W, tail
+    #: length)``.
+    index: tuple
+
+
+class _IndexedUnit(V2FormatError):
+    """A later unit with a JSON chunk index, an older layout: refused,
+    never taken for a torn tail."""
+
+
+def _trailer(mm, end: int, name: str, index: bool = True) -> _Unit:
+    """The unit ending at byte *end*; without *index* the first unit's
+    footer keys after its chunk index alone (``until``)."""
+    if end >= _TRAILER_END and mm[end - 8:end] == _UNIT_TAIL:
+        n, width, tail_len, start, until = _TRAILER.unpack_from(
+            mm, end - _TRAILER_END)
+        if (not 0 < start < end or mm[start:start + 8] != _UNIT_MAGIC
+                or end - start != 8 + -(start + 8) % 8
+                + (12 + 8 * width) * n + tail_len + _TRAILER_END):
+            raise V2FormatError(f"{name}: no unit ends at byte {end}")
+        return _Unit(start, end, mm[end - 40:end - 8].hex(),
+                     None if math.isnan(until) else until,
+                     (n, width, tail_len))
     if end < 32 or mm[end - 8:end] != _TAIL:
         raise V2FormatError(f"{name}: truncated v2 file (no unit "
                             f"trailer at byte {end})")
@@ -434,47 +504,46 @@ def _trailer(mm, end: int, name: str,
         raise V2FormatError(f"{name}: footer index out of bounds")
     raw = mm[footer_off:end - 16]
     footer = json.loads(raw) if index else _tail_keys(raw)
-    if not 0 <= footer.get("start", 0) <= footer_off - 16:
-        raise V2FormatError(f"{name}: unit start out of bounds")
-    return footer.get("start", 0), end, footer, footer_off
+    if "start" in footer:
+        raise _IndexedUnit(f"{name}: the unit ending at byte {end} is "
+                           f"an indexed later unit, a refused layout")
+    return _Unit(0, end, "", footer.get("until"), (footer, footer_off))
 
 
-def _last_unit(mm, name: str,
-               index: bool = True) -> tuple[int, int, dict, int]:
-    """:func:`_trailer` of the last complete unit: the one ending at
-    the file's size, or the last before a torn tail (a write cut
-    short)."""
+def _last_unit(mm, name: str, index: bool = True) -> _Unit:
+    """The last complete unit: the one ending at the file's size, or
+    the last before a torn tail (a write cut short)."""
     end = len(mm)
     while end > len(_TAIL):
         try:
             return _trailer(mm, end, name, index)
+        except _IndexedUnit:
+            raise
         except (V2FormatError, ValueError, AttributeError, struct.error):
-            end = mm.rfind(_TAIL, 0, end - 1) + len(_TAIL)
+            end = max(mm.rfind(_TAIL, 0, end - 1),
+                      mm.rfind(_UNIT_TAIL, 0, end - 1)) + len(_TAIL)
     raise V2FormatError(f"{name}: truncated v2 file (no complete unit)")
 
 
-def _units(mm, end: int | None, stop: int, name: str) -> list[tuple]:
-    """:func:`_trailer` of every unit between byte *stop* and byte
-    *end* (default: the last complete unit's), first to last."""
+def _units(mm, end: int | None, stop: int, name: str) -> list[_Unit]:
+    """Every unit between byte *stop* and byte *end* (default: the last
+    complete unit's), first to last."""
     unit = _last_unit(mm, name) if end is None else None
-    end = unit[1] if unit else end
+    end = unit.end if unit else end
     out = []
     while end > stop:
         out.append(unit or _trailer(mm, end, name))
-        end, unit = out[-1][0], None
+        end, unit = out[-1].start, None
     if end != stop:
         raise V2FormatError(f"{name}: no unit boundary at byte {stop}")
     return out[::-1]
 
 
-def unit_fingerprint(blob, footer: dict | None = None) -> str:
-    """The fingerprint a unit carries: a later unit's chained one (in
-    its *footer*), a first unit's ``source_sha256``."""
-    if footer is None:  # an encoded unit on its own
-        (footer_len,) = struct.unpack("<Q", blob[-16:-8])
-        footer = _tail_keys(blob[-16 - footer_len:-16])
-    return footer["sha256"] if "sha256" in footer else _header_at(
-        blob, 0)[0]["source_sha256"]
+def _digest(mm, unit: _Unit, prev: str) -> str:
+    """A later unit's fingerprint as its bytes and the fingerprint
+    *prev* before it make it."""
+    return hashlib.sha256(prev.encode() + mm[unit.start:unit.end - 40]
+                          ).hexdigest()
 
 
 def read_header(path: Path) -> dict:
@@ -494,50 +563,50 @@ def file_tip(path: Path, end: int | None = None
     """``(size, fingerprint, until)`` of the unit of a v2 file ending at
     byte *end* (default: its last complete unit), as stored: where it
     ends, its chained fingerprint and its flush time (``None``: the
-    file is complete through its day).  Reads a trailer and a footer,
-    never a chunk; :class:`V2FormatError` when no unit ends there."""
+    file is complete through its day).  A later unit's fixed trailer
+    holds all three; a first unit's are in its header and footer.
+    :class:`V2FormatError` when no unit ends there."""
     def tip(mm) -> tuple[int, str, float | None]:
-        _start, stop, footer, _off = (
-            _last_unit(mm, path.name, False) if end is None
-            else _trailer(mm, end, path.name, False))
-        return stop, unit_fingerprint(mm, footer), footer.get("until")
+        unit = (_last_unit(mm, path.name, False) if end is None
+                else _trailer(mm, end, path.name, False))
+        return unit.end, unit.fingerprint or _header_at(
+            mm, 0, path.name)[0]["source_sha256"], unit.until
     return _checked(path, tip)
 
 
 def rechain(path: Path, upto: int | None = None) -> str:
     """The fingerprint of the unit ending at byte *upto* (default: the
     last complete one), derived again from every byte before it: each
-    chunk is hashed and each unit's fingerprint recomputed, so a stored
-    one its data no longer supports raises :class:`V2FormatError`."""
+    of the first unit's chunks is hashed and each fingerprint
+    recomputed, so a stored one its data no longer supports raises
+    :class:`V2FormatError`."""
     def derive(mm) -> str:
         prev = ""
-        for start, stop, footer, footer_off in _units(mm, upto, 0,
-                                                      path.name):
-            header, hdr_end = _header_at(mm, start, path.name)
-            chunks = footer["chunks"]
-            if any(hashlib.sha256(mm[start + c["offset"]:start + c["offset"]
-                                     + c["nbytes"]]).hexdigest() != c["sha256"]
-                   for c in chunks):
-                raise V2FormatError(f"{path.name}: unit at byte {start}: "
-                                    f"chunk digest mismatch")
-            stored = derived = unit_fingerprint(mm, footer)
-            raw = mm[start + 16:hdr_end]
-            if start:
-                tail = mm[footer_off:stop - 16]
-                derived = hashlib.sha256(
-                    prev.encode() + raw + tail[:tail.rindex(b',"sha256":')]
-                ).hexdigest()
-            elif header.get("source_kind") == "v2":  # a content digest
-                head = raw[:raw.rindex(b',"source_sha256":')].decode()
-                ident = ",".join(_dumps([c["name"], c["dtype"], c["shape"],
-                                         c["sha256"]]) for c in chunks)
-                derived = hashlib.sha256(
-                    f'[{head},"source_kind":"v2"}},[{ident}]]'.encode()
-                ).hexdigest()
-            if derived != stored:
-                raise V2FormatError(f"{path.name}: unit at byte {start}: "
-                                    f"fingerprint does not follow from it")
-            prev = stored
+        for unit in _units(mm, upto, 0, path.name):
+            if unit.start:
+                derived, prev = _digest(mm, unit, prev), unit.fingerprint
+            else:
+                header, hdr_end = _header_at(mm, 0, path.name)
+                chunks = unit.index[0]["chunks"]
+                if any(hashlib.sha256(mm[c["offset"]:c["offset"]
+                                         + c["nbytes"]]).hexdigest()
+                       != c["sha256"] for c in chunks):
+                    raise V2FormatError(f"{path.name}: chunk digest "
+                                        f"mismatch")
+                derived = prev = header["source_sha256"]
+                if header.get("source_kind") == "v2":  # a content digest
+                    raw = mm[16:hdr_end]
+                    head = raw[:raw.rindex(b',"source_sha256":')].decode()
+                    ident = ",".join(_dumps([c["name"], c["dtype"],
+                                             c["shape"], c["sha256"]])
+                                     for c in chunks)
+                    derived = hashlib.sha256(
+                        f'[{head},"source_kind":"v2"}},[{ident}]]'.encode()
+                    ).hexdigest()
+            if derived != prev:
+                raise V2FormatError(f"{path.name}: unit at byte "
+                                    f"{unit.start}: fingerprint does not "
+                                    f"follow from it")
         return prev
     return _checked(path, derive)
 
@@ -547,15 +616,17 @@ def read_host_day(path: Path, start: int = 0,
     """Open, validate and map the units of one v2 file between byte
     *start* and byte *stop* (default: its last complete unit).
 
-    The column chunks are presented as zero-copy numpy views over an
-    ``mmap`` of the file (the mapping lives as long as any view does;
-    more than one unit is concatenated).  Every chunk's sha256 is
-    checked: the binary format has no per-line redundancy for the
-    parser to trip over, so the digests are what stands between
+    The columns are numpy views over an ``mmap`` of the file (the
+    mapping lives as long as any view does); a later unit's values, and
+    more than one unit, are copied into one array per type.  Each of
+    the first unit's chunk digests, and each later unit's one digest,
+    chained from the fingerprint stored before it, is checked before
+    any array is used: the binary format has no per-line redundancy for
+    the parser to trip over, so the digests are what stands between
     bit-rot and silently wrong numbers.  Any damage, a value wider than
     its column's ``W=`` too, raises :class:`V2FormatError`.  Columns
-    read from past byte 0 are ``fresh``: a scan's kept states hold
-    none of them.
+    read from past byte 0 are ``fresh``: a scan's kept states hold none
+    of them.
     """
     day = _checked(path, lambda mm: _read_host_day(mm, path.name, start,
                                                    stop))
@@ -566,71 +637,121 @@ def read_host_day(path: Path, start: int = 0,
     return day
 
 
-def _merge_units(first: dict, units: list[tuple[dict, dict]]
-                 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Units' headers and arrays as one file's, under the first unit's
-    header *first*: blocks renumbered, each unit's tag table folded into
-    one in order of first appearance, ``text_bytes`` summed (one unit's
-    arrays are kept as they are)."""
-    keys = ("n_blocks", "jobid_tags", "marks", "text_bytes")
-    if len(units) == 1:
-        header, arrays = units[0]
-        merged = {key: header[key] for key in keys}
-    else:
-        tags: dict[str, int] = {}
-        cols: dict[str, list[np.ndarray]] = {}
-        marks: list[list] = []
-        base = text_bytes = 0
-        for header, arrays in units:
-            remap = np.array([tags.setdefault(tag, len(tags))
-                              for tag in header["jobid_tags"]], dtype="<u4")
-            arrays = {**arrays, "tags": remap[arrays["tags"]],
-                      "row_block": arrays["row_block"] + np.uint32(base)}
-            for key, arr in arrays.items():
-                cols.setdefault(key, []).append(arr)
-            marks += [[b + base, kind, jobid]
-                      for b, kind, jobid in header["marks"]]
-            base += header["n_blocks"]
-            text_bytes += header["text_bytes"]
-        arrays = {key: np.concatenate(parts) for key, parts in cols.items()}
-        merged = dict(zip(keys, (base, list(tags), marks, text_bytes)))
-    return {**first, **merged, "types": [
-        {**t, "n_rows": arrays[f"dev/{t['name']}"].shape[0]}
-        for t in first["types"]]}, arrays
+def _merge_units(first: dict, arrays: dict[str, np.ndarray],
+                 later: HostColumns) -> tuple[dict, dict[str, np.ndarray]]:
+    """The first unit's header and arrays, then the later units'
+    columns, as one file's: blocks renumbered, tag tables folded in
+    order of first appearance, ``text_bytes`` summed."""
+    base = first["n_blocks"]
+    tags = {tag: i for i, tag in enumerate(first["jobid_tags"])}
+    remap = np.array([tags.setdefault(tag, len(tags))
+                      for tag in later.jobid_tags], dtype="<u4")
+    more = {"times": later.times, "tags": remap[later.tags],
+            "row_type": later.row_type,
+            "row_block": later.row_block + np.uint32(base), **{
+                f"{kind}/{tc.name}": arr for tc in later.types
+                for kind, arr in (("dev", tc.dev_idx), ("val", tc.values))}}
+    arrays = {key: np.concatenate([arr, more[key]])
+              for key, arr in arrays.items()}
+    return {**first, "n_blocks": base + later.times.shape[0],
+            "jobid_tags": list(tags), "marks": [*first["marks"], *(
+                [b + base, kind, jobid] for b, kind, jobid in later.marks)],
+            "text_bytes": first["text_bytes"] + later.header["text_bytes"],
+            "types": [{**t, "n_rows": arrays[f"dev/{t['name']}"].shape[0]}
+                      for t in first["types"]]}, arrays
+
+
+def _dense_run(mm, name: str, first: dict, units: list[_Unit]
+               ) -> HostColumns:
+    """Later units, each digest checked first (chained from the
+    fingerprint stored before them), as the :class:`HostColumns` one
+    file of their blocks decodes to, under the first unit's header
+    *first*: each one's value matrix cut into its types."""
+    devices = [tuple(t["devices"]) for t in first["types"]]
+    table = _type_table(tuple(zip(first["schemas"], devices)))
+    if [s.type_name for s in table.schemas] != [
+            t["name"] for t in first["types"]]:
+        raise V2FormatError(f"{name}: schema/type table mismatch")
+    before = units[0].start
+    prev = mm[before - 40:before - 8].hex() \
+        if mm[before - 8:before] == _UNIT_TAIL else first["source_sha256"]
+    times, values, tags, marks = [], [], [], []
+    text_bytes = 0
+    for unit in units:
+        n, width, tail_len = unit.index
+        if _digest(mm, unit, prev) != unit.fingerprint \
+                or width != table.cols[-1]:
+            raise V2FormatError(f"{name}: unit at byte {unit.start}: "
+                                f"digest or type tables mismatch")
+        prev, off = unit.fingerprint, unit.start + 8 + -(unit.start + 8) % 8
+        buf = np.frombuffer(mm, np.uint8, (12 + 8 * width) * n, off)
+        jobid_tags, unit_marks, unit_bytes = json.loads(
+            mm[unit.end - _TRAILER_END - tail_len:unit.end - _TRAILER_END])
+        marks += [(b + len(tags), kind, jobid)
+                  for b, kind, jobid in unit_marks]
+        tags += [jobid_tags[i]
+                 for i in buf[8 * n * (1 + width):].view("<u4").tolist()]
+        times.append(buf[:8 * n].view("<f8"))
+        values.append(buf[8 * n:8 * n * (1 + width)].view("<u8")
+                      .reshape(n, width))
+        text_bytes += unit_bytes
+    times, values = np.concatenate(times), np.concatenate(values)
+    if bool((values > table.limits).any()):
+        raise V2FormatError(f"{name}: counter value out of range for its "
+                            f"width")
+    if not bool((times[1:] >= times[:-1]).all()):
+        raise V2FormatError(f"{name}: non-monotonic timestamps")
+    if any(not 0 <= b < len(tags) or kind not in ("begin", "end")
+           for b, kind, _jobid in marks):
+        raise V2FormatError(f"{name}: malformed mark entry")
+    day = block_columns(
+        first["hostname"], dict(first["properties"]), table.schemas,
+        devices, times, tags, marks,
+        [values[:, lo:hi].reshape(-1, d, k) for lo, hi, (d, k)
+         in zip(table.cols, table.cols[1:], table.shapes)])
+    day.header = {**first, "n_blocks": len(tags),
+                  "jobid_tags": day.jobid_tags, "marks": marks,
+                  "text_bytes": text_bytes, "types": [
+                      {**t, "n_rows": len(tags) * len(t["devices"])}
+                      for t in first["types"]]}
+    day.bytes_mapped = values.nbytes + 12 * len(tags)
+    day.chunks_read = len(units)
+    return day
 
 
 def _read_host_day(mm, name: str, start: int,
                    stop: int | None) -> HostColumns:
     """The unwrapped body of :func:`read_host_day`."""
+    units = _units(mm, stop, start, name)
+    first, hdr_end = _header_at(mm, 0, name)
+    dense = _dense_run(mm, name, first, units[0 if start else 1:]) \
+        if units[-1].start else None
+    if start:
+        dense.fresh = True
+        return dense
+    footer, footer_off = units[0].index
+    if hdr_end > footer_off:
+        raise V2FormatError(f"{name}: footer index out of bounds")
     view = memoryview(mm)
     buf = np.frombuffer(mm, dtype=np.uint8)
-    units = []
-    bytes_mapped = chunks_read = 0
-    for unit_start, _end, footer, footer_off in _units(mm, stop, start,
-                                                       name):
-        header, hdr_end = _header_at(mm, unit_start, name)
-        if hdr_end > footer_off:
-            raise V2FormatError(f"{name}: footer index out of bounds")
-        arrays: dict[str, np.ndarray] = {}
-        for entry in footer["chunks"]:
-            off, nbytes = unit_start + entry["offset"], entry["nbytes"]
-            if entry["offset"] < 0 or off + nbytes > footer_off:
-                raise V2FormatError(
-                    f"{name}: chunk {entry['name']} out of bounds")
-            digest = hashlib.sha256(view[off:off + nbytes]).hexdigest()
-            if digest != entry["sha256"]:
-                raise V2FormatError(
-                    f"{name}: chunk {entry['name']} digest "
-                    f"mismatch (file is corrupt)")
-            arrays[entry["name"]] = buf[off:off + nbytes].view(
-                entry["dtype"]).reshape(entry["shape"])
-            bytes_mapped += nbytes
-        chunks_read += len(footer["chunks"])
-        units.append((header, arrays))
-    if start == 0 and len(units) == 1:
-        header, arrays = units[0]
-    else:
-        header, arrays = _merge_units(_header_at(mm, 0, name)[0], units)
+    arrays: dict[str, np.ndarray] = {}
+    for entry in footer["chunks"]:
+        off, nbytes = entry["offset"], entry["nbytes"]
+        if off < 0 or off + nbytes > footer_off:
+            raise V2FormatError(f"{name}: chunk {entry['name']} out of bounds")
+        digest = hashlib.sha256(view[off:off + nbytes]).hexdigest()
+        if digest != entry["sha256"]:
+            raise V2FormatError(f"{name}: chunk {entry['name']} digest "
+                                f"mismatch (file is corrupt)")
+        arrays[entry["name"]] = buf[off:off + nbytes].view(
+            entry["dtype"]).reshape(entry["shape"])
+    bytes_mapped = sum(arr.nbytes for arr in arrays.values())
+    chunks_read = len(arrays)
+    header = first
+    if dense is not None:
+        header, arrays = _merge_units(first, arrays, dense)
+        bytes_mapped += dense.bytes_mapped
+        chunks_read += dense.chunks_read
 
     n_blocks = header["n_blocks"]
     times = arrays["times"]

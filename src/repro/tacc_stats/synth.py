@@ -40,11 +40,7 @@ from repro.cluster.node import Node
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.collectors import Collector, build_collectors
 from repro.tacc_stats.collectors.base import BlockContext
-from repro.tacc_stats.columnar import (
-    block_columns,
-    encode_host_blocks,
-    unit_fingerprint,
-)
+from repro.tacc_stats.columnar import block_columns, encode_host_blocks
 from repro.tacc_stats.format import header_properties
 from repro.tacc_stats.schema import TypeSchema
 from repro.tacc_stats.types import HostColumns
@@ -108,20 +104,22 @@ class HostFile:
         for chunks, vals in zip(self.values, values_by_type):
             chunks.append(np.asarray(vals, dtype=np.uint64))
 
-    def columns(self, n: int | None = None) -> HostColumns:
-        """The first *n* unwritten blocks (default: all) as the columns
-        their bytes decode to."""
-        n = len(self.times) if n is None else n
+    def _blocks(self, n: int) -> tuple:
+        """The first *n* unwritten blocks as :func:`block_columns` takes
+        them, after the hostname, properties and type tables."""
         self.values = [[chunks[0] if len(chunks) == 1
                         else np.concatenate(chunks) if chunks
                         else np.empty((0, len(devs), s.n_values), np.uint64)]
                        for chunks, s, devs in zip(self.values, self.schemas,
                                                   self.devices)]
-        return block_columns(
-            self.hostname, self.properties, self.schemas, self.devices,
-            np.array(self.times[:n], dtype=np.float64), self.tags[:n],
-            [m for m in self.marks if m[0] < n],
-            [chunks[0][:n] for chunks in self.values])
+        return (np.array(self.times[:n], dtype=np.float64), self.tags[:n],
+                [m for m in self.marks if m[0] < n],
+                [chunks[0][:n] for chunks in self.values])
+
+    def columns(self) -> HostColumns:
+        """The unwritten blocks as the columns their bytes decode to."""
+        return block_columns(self.hostname, self.properties, self.schemas,
+                             self.devices, *self._blocks(len(self.times)))
 
     def encode_v2(self, before: float = math.inf,
                   until: float | None = None) -> tuple[bytes, int] | None:
@@ -132,11 +130,10 @@ class HostFile:
         n = bisect_left(self.times, before)
         if not n:
             return None
-        data, text_bytes = encode_host_blocks(
-            self.columns(n), until,
+        data, text_bytes, self.fingerprint = encode_host_blocks(
+            self.hostname, self.properties, self.schemas, self.devices,
+            *self._blocks(n), until,
             (self.fingerprint, self.size) if self.size else None)
-        if until is not None:  # the file goes on: the next unit chains
-            self.fingerprint = unit_fingerprint(data)
         self.size += len(data)
         self.times, self.tags = self.times[n:], self.tags[n:]
         self.marks = [(b - n, kind, jobid) for b, kind, jobid in self.marks

@@ -22,8 +22,6 @@ __all__ = [
     "aligned_samples",
     "date_to_day_index",
     "day_index_to_date",
-    "period_label",
-    "label_to_period_index",
 ]
 
 MINUTE = 60
@@ -88,30 +86,6 @@ def date_to_day_index(date: str, anchor: int = EPOCH_ANCHOR) -> int:
     """
     y, m, d = (int(part) for part in date.split("-"))
     return _days_from_civil(y, m, d) - anchor // DAY
-
-
-def period_label(index: int, period: int = DAY,
-                 anchor: int = EPOCH_ANCHOR) -> str:
-    """Render a facility rotation-period index (``t // period``) as an
-    archive label: the ``YYYY-MM-DD`` of the period's first day
-    (:func:`day_index_to_date`).  Archives rotate daily, so *period* is
-    a whole number of days."""
-    period = int(period)
-    if period <= 0 or period % DAY:
-        raise ValueError(f"period must be a whole number of days, "
-                         f"got {period}")
-    return day_index_to_date(index * period // DAY, anchor)
-
-
-def label_to_period_index(label: str, period: int = DAY,
-                          anchor: int = EPOCH_ANCHOR) -> int:
-    """Parse an archive file label back to its rotation-period index;
-    inverse of :func:`period_label`."""
-    period = int(period)
-    if period <= 0 or period % DAY:
-        raise ValueError(f"period must be a whole number of days, "
-                         f"got {period}")
-    return date_to_day_index(label, anchor) * DAY // period
 
 
 def format_epoch(sim_seconds: float, anchor: int = EPOCH_ANCHOR) -> str:

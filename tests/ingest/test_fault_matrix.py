@@ -234,10 +234,10 @@ def _overflow_v2(path: Path) -> None:
     col, width = victim.schema.narrow[0]
     values = victim.values.copy()
     values[0, col] += np.uint64(1 << width)
-    blob, _ = _encode_columns(
+    blob = _encode_columns(
         replace(day, types=[replace(tc, values=values) if tc is victim
                             else tc for tc in day.types]),
-        (day.header["source_sha256"], day.header["source_kind"]))
+        (day.header["source_sha256"], day.header["source_kind"]))[0]
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(blob)
     tmp.replace(path)  # the mapping of the old bytes keeps its inode

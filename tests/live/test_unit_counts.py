@@ -1,9 +1,11 @@
 """What an hourly live session costs in files, ledger rows, manifest
-entries and mapped bytes — counts, not times — over the ``live_stream``
-benchmark's session: RANGER, 16 nodes, 2 days, 49 hourly batches.
+entries, chunks and bytes — counts, not times — over the
+``live_stream`` benchmark's session: RANGER, 16 nodes, 2 days, 49
+hourly batches.
 
 A host-day is one file grown by a unit a flush, so every count is
-bounded by the host-days, never by the session's history."""
+bounded by the host-days, never by the session's history; a later unit
+is one digest over its blocks' values, not an index of chunks."""
 
 from repro import RANGER
 from repro.facility import Facility
@@ -41,3 +43,10 @@ def test_an_hourly_session_costs_host_days_not_hours(tmp_path):
     written = [c.get("archive.bytes_compressed", 0) for c in batches]
     assert all(0 < m < w for m, w in zip(mapped, written) if w)
     assert sum(mapped) == sum(read_host_day(p).bytes_mapped for p in files)
+    # A first unit maps 34 chunks (RANGER's 15 types), a later one is
+    # one: 48 x 34 + 736, against 784 x 34 = 26 656 with indexed units.
+    assert total("archive.units_written") == 784
+    assert total("archive.v2.chunks_read") == HOST_DAYS * 34 + 784 - HOST_DAYS
+    # No row stream, device index or chunk index is stored twice: the
+    # indexed later units took 21 537 876 B.
+    assert total("archive.bytes_compressed") < 21_537_876

@@ -182,11 +182,11 @@ def test_columns_that_contradict_are_refused(tmp_path, column, value,
               "row_block": day.row_block.copy(),
               "dev/cpu": day.types[0].dev_idx.copy()}
     arrays[column][-1] = value
-    blob, _ = _encode_columns(replace(
+    blob = _encode_columns(replace(
         day, types=[replace(tc, dev_idx=arrays.get(f"dev/{tc.name}",
                                                    tc.dev_idx))
                     for tc in day.types],
-        row_type=arrays["row_type"], row_block=arrays["row_block"]), None)
+        row_type=arrays["row_type"], row_block=arrays["row_block"]), None)[0]
     path = tmp_path / "2012-09-30.v2"
     path.write_bytes(blob)
     with pytest.raises(V2FormatError, match=message):

@@ -27,7 +27,7 @@ from repro.config import LONESTAR4, RANGER, STAMPEDE
 from repro.live.runner import LiveReplay
 from repro.tacc_stats.archive import HostArchive
 from repro.tacc_stats.columnar import (
-    block_columns,
+    _header_at,
     decimal_digits,
     encode_host_blocks,
     encode_host_text,
@@ -182,7 +182,7 @@ def test_blocks_and_text_encoders_agree_byte_for_byte():
         np.array([[[1000, 2000]], [[4000, 8000]], [[9000, 16000]]],
                  dtype=np.uint64),
     ]
-    blob, text_bytes = encode_host_blocks(block_columns(
+    blob, text_bytes, fingerprint = encode_host_blocks(
         hostname="i101-101",
         properties={"hostname": "i101-101", "uname": "Linux 2.6.18"},
         schemas=schemas,
@@ -190,8 +190,9 @@ def test_blocks_and_text_encoders_agree_byte_for_byte():
         times=np.array([1349000000.0, 1349000600.0, 1349001200.0]),
         tags=["-", "2001", "2001"],
         marks=[(1, "begin", "2001"), (2, "end", "2001")],
-        values_by_type=values))
+        values_by_type=values)
     assert blob == encode_host_text(VALID)
+    assert fingerprint == _header_at(blob, 0)[0]["source_sha256"]
     assert text_bytes == len(VALID.encode())
 
 

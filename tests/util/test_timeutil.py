@@ -13,8 +13,6 @@ from repro.util.timeutil import (
     diurnal_factor,
     format_duration,
     format_epoch,
-    label_to_period_index,
-    period_label,
 )
 
 
@@ -95,42 +93,3 @@ def test_aligned_samples_validation():
         aligned_samples(100.0, 50.0, 600.0)
     with pytest.raises(ValueError):
         aligned_samples(0.0, 100.0, 0.0)
-
-
-def test_period_label_day_multiples_stay_plain_dates():
-    # Day-granular periods keep the historical bare-date labels, so
-    # existing archives parse unchanged.
-    assert period_label(0) == "2011-06-01"
-    assert period_label(1) == "2011-06-02"
-    assert period_label(0, period=2 * DAY) == "2011-06-01"
-    assert period_label(1, period=2 * DAY) == "2011-06-03"
-
-
-def test_period_label_refuses_sub_day_periods():
-    # Archives rotate daily; a live flush appends to the day's file.
-    for period in (15 * MINUTE, HOUR, DAY + HOUR):
-        with pytest.raises(ValueError):
-            period_label(0, period=period)
-
-
-def test_period_labels_sort_chronologically():
-    labels = [period_label(i, period=2 * DAY) for i in range(400)]
-    assert labels == sorted(labels)
-
-
-def test_label_round_trips_for_many_periods():
-    for period in (DAY, 2 * DAY, 7 * DAY):
-        for idx in (0, 1, 5, 37, 400):
-            label = period_label(idx, period=period)
-            assert label_to_period_index(label, period=period) == idx
-
-
-def test_label_to_period_index_rejects_garbage():
-    with pytest.raises(ValueError):
-        label_to_period_index("2011-06-01Tnoon", period=HOUR)
-    with pytest.raises(ValueError):
-        label_to_period_index("2011-06-01T12", period=HOUR)
-    with pytest.raises(ValueError):
-        period_label(0, period=0)
-    with pytest.raises(ValueError):
-        label_to_period_index("2011-06-01", period=-5)
